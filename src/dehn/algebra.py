@@ -1,14 +1,17 @@
-"""Exact arithmetic in Q, Q[t] and Q(t), plus dense linear algebra over Q(t).
+"""Exact arithmetic in Q, Q[t] and Q(t), dense linear algebra over Q(t), and
+a small kernel for matrices over Z[t].
 
 Everything here is immutable and pure: values can be shared freely between
-threads. Coefficients are `fractions.Fraction`, so there is no precision
-ceiling and no floating point anywhere.
+threads. Coefficients are `fractions.Fraction` in Q[t] and Q(t) and Python
+ints in the Z[t] kernel, so there is no precision ceiling and no floating
+point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from math import lcm
+from typing import Iterable, List, Sequence, Tuple, Union
 
 Rational = Fraction
 
@@ -589,3 +592,156 @@ class FieldMatrix:
             "cols": self.cols,
             "entries": [[e.to_json() for e in self.row(i)] for i in range(self.rows)],
         }
+
+
+# -- matrices over Z[t] ----------------------------------------------------
+#
+# A polynomial here is a list of int coefficients, constant term first, with
+# no trailing zeros; [] is zero. Products use Kronecker substitution: a
+# polynomial whose coefficients lie below 2^(k-1) in absolute value is packed
+# into the integer f(2^k), one CPython multiplication multiplies two packed
+# polynomials, and the signed base-2^k digits of a packed value are its
+# coefficients. Evaluation at 2^k is a ring map, and a quotient that is exact
+# in Z[t] stays exact after it, so a whole computation can run on packed
+# integers and be unpacked once, when k bounds every coefficient unpacked.
+# Under that bound a packed value is zero exactly when its polynomial is.
+
+IntPoly = List[int]
+
+
+def _pack(coeffs: Sequence[int], k: int) -> int:
+    n = 0
+    for c in reversed(coeffs):
+        n = (n << k) + c
+    return n
+
+
+def _unpack(n: int, k: int) -> IntPoly:
+    out = []
+    mask, half, base = (1 << k) - 1, 1 << (k - 1), 1 << k
+    while n:
+        digit = n & mask
+        if digit >= half:
+            digit -= base
+        out.append(digit)
+        n = (n - digit) >> k
+    return out
+
+
+def _norm1(coeffs: Sequence[int]) -> int:
+    return sum(abs(c) for c in coeffs)
+
+
+def _packing_bits(bound: int) -> int:
+    """Bits per coefficient for values whose coefficients are at most `bound`."""
+    return bound.bit_length() + 1
+
+
+def poly_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
+    """Product in Z[t] of two coefficient lists."""
+    if not a or not b:
+        return []
+    k = _packing_bits(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
+    return _unpack(_pack(a, k) * _pack(b, k), k)
+
+
+def pmat_mul(a: Sequence[Sequence[IntPoly]],
+             b: Sequence[Sequence[IntPoly]]) -> List[List[IntPoly]]:
+    """Product of two matrices over Z[t], each a list of rows of coefficient
+    lists."""
+    inner = len(b)
+    if any(len(row) != inner for row in a):
+        raise ValueError("shape mismatch in matrix product")
+    cols = len(b[0]) if inner else 0
+    # Every coefficient of (ab)_ij is at most sum_l |a_il|_1 * max |b|_1.
+    bound = (max((sum(map(_norm1, row)) for row in a), default=0)
+             * max((_norm1(x) for row in b for x in row), default=0))
+    k = _packing_bits(bound)
+    pb = [[_pack(x, k) for x in row] for row in b]
+    out = []
+    for row in a:
+        terms = [(v, pb[l]) for l, v in enumerate(_pack(x, k) for x in row) if v]
+        out.append([_unpack(sum(v * brow[j] for v, brow in terms), k)
+                    for j in range(cols)])
+    return out
+
+
+def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]]
+                               ) -> Tuple[List[List[IntPoly]], List[int]]:
+    """Reduced echelon form over Z[t] by fraction-free Gauss-Jordan elimination
+    (Bareiss 1968, extended to the rows above each pivot).
+
+    Returns (reduced rows, pivot columns). Pivot columns are found left to
+    right and the pivot row is the first one below with a nonzero entry, so
+    the pivot columns are those of `FieldMatrix.rref`. Row r of the result
+    has its pivot in column pivots[r], every pivot entry equals the last
+    pivot delta, and the rows below the rank are zero. When the input has
+    full row rank, its pivot columns form a square matrix B, the result is
+    delta * B^-1 * input, and delta = +-det B. Every quotient taken is exact
+    in Z[t]; a remainder raises ArithmeticError.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    # Every entry met is a minor of the input, whose coefficients are at most
+    # the product over its rows of their 1-norms.
+    bound = 1
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError("ragged rows")
+        bound *= max(1, sum(map(_norm1, row)))
+    k = _packing_bits(bound)
+    m = [[_pack(x, k) for x in row] for row in rows]
+    pivots: List[int] = []
+    prev = 1
+    for pc in range(ncols):
+        pr = len(pivots)
+        if pr == nrows:
+            break
+        pivot_row = next((r for r in range(pr, nrows) if m[r][pc]), None)
+        if pivot_row is None:
+            continue
+        m[pr], m[pivot_row] = m[pivot_row], m[pr]
+        top = m[pr]
+        p = top[pc]
+        for r in range(nrows):
+            if r == pr:
+                continue
+            row, f = m[r], m[r][pc]
+            new = []
+            for a, b in zip(row, top):
+                q, rem = divmod(p * a - f * b, prev)
+                if rem:
+                    raise ArithmeticError("inexact division in fraction-free elimination")
+                new.append(q)
+            m[r] = new
+        prev = p
+        pivots.append(pc)
+    return [[_unpack(v, k) for v in row] for row in m], pivots
+
+
+def _integer_coeffs(p: Polynomial) -> Tuple[IntPoly, int]:
+    """(ints, scale) with p = ints / scale."""
+    scale = lcm(*(c.denominator for c in p.coeffs))
+    return [int(c * scale) for c in p.coeffs], scale
+
+
+def common_denominator(entries: Sequence[RatFunc]) -> Tuple[IntPoly, List[IntPoly]]:
+    """(den, nums) over Z[t] with entries[i] = nums[i] / den, where den is the
+    least common multiple of the entry denominators up to an integer factor."""
+    dens = {e.den for e in entries}
+    multiple = Polynomial((1,))
+    for d in dens:
+        multiple = multiple * (d // poly_gcd(multiple, d))
+    cofactors = {d: _integer_coeffs(multiple // d) for d in dens}
+    products, scales = [], []
+    for e in entries:
+        num, num_scale = _integer_coeffs(e.num)
+        cof, cof_scale = cofactors[e.den]
+        products.append(poly_mul(num, cof))
+        scales.append(num_scale * cof_scale)
+    # entry = product / (scale * multiple); bring every scale to their lcm.
+    den, den_scale = _integer_coeffs(multiple)
+    common = lcm(*scales)
+    nums = [[c * (den_scale * common // s) for c in prod]
+            for prod, s in zip(products, scales)]
+    return [c * common for c in den], nums

@@ -45,13 +45,17 @@ def _read_inputs(args) -> List[str]:
         raise ConfigError("exactly one of --pd and --file is required")
     if args.pd is not None:
         return [args.pd]
+    try:
+        with open(args.file, "r", encoding="utf-8") as fh:
+            raw_lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {args.file}: {exc}") from None
     lines = []
-    with open(args.file, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            lines.append(line)
+    for line in raw_lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        lines.append(line)
     if not lines:
         raise ConfigError(f"no knots found in {args.file}")
     return lines
@@ -71,8 +75,15 @@ def _compute_one(task) -> dict:
     return run_pipeline(pd_text, outer_region, pivot_seed).to_json_dict()
 
 
-def _map_tasks(fn, tasks, workers: int):
-    if workers > 1 and len(tasks) > 1:
+def _worker_count(parallel: int, tasks: int, cpus: Optional[int]) -> int:
+    """Worker processes for `tasks` knots: never more than requested, than
+    there are knots, or than the machine has CPUs."""
+    return min(parallel, tasks, cpus or 1)
+
+
+def _map_tasks(fn, tasks, parallel: int):
+    workers = _worker_count(parallel, len(tasks), os.cpu_count())
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
@@ -225,6 +236,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.parallel < 1:
+            raise ConfigError(f"--parallel must be at least 1, got {args.parallel}")
         return args.fn(args)
     except DehnError as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc),

@@ -73,7 +73,9 @@ def parse_pd(text: str) -> PDCode:
         tuples = [[int(x) for x in m] for m in matches]
     crossings = []
     for c in tuples:
-        if len(c) != 4 or not all(isinstance(x, int) and x >= 1 for x in c):
+        # bool is a subclass of int, but JSON true/false are not labels.
+        if len(c) != 4 or not all(isinstance(x, int) and not isinstance(x, bool)
+                                  and x >= 1 for x in c):
             raise PDSyntaxError(f"crossing {c!r} is not a 4-tuple of positive labels")
         crossings.append(tuple(c))
     pd = PDCode(tuple(crossings))

@@ -23,7 +23,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .algebra import FieldMatrix, RatFunc, unit_equal
+from .algebra import (FieldMatrix, IntPoly, Polynomial, RatFunc, common_denominator,
+                      fraction_free_gauss_jordan, pmat_mul, poly_mul, unit_equal)
 from .dehngraph import BASEPOINT, DehnGraph
 from .errors import DehnError, NotExactError, UnsupportedRepresentationError
 from .mscomplex import ChainComplex, Representation, check_exactness, eval_rep
@@ -40,26 +41,38 @@ class Propagator:
 def build_propagator(cx: ChainComplex, pivot_seed: Optional[int] = None) -> Propagator:
     """Construct a propagator; `pivot_seed` shuffles the candidate coordinate
     order (default is ascending), giving genuinely different propagators whose
-    torsion and defect must agree."""
+    torsion and defect must agree.
+
+    Row i of d2 is cleared of denominators by a factor lambda_i, and
+    [lambda*d2 | identity columns in candidate order] is eliminated once,
+    fraction-free over Z[t]. The pivots beyond the d2 columns select the
+    first candidates independent of im(d2) and of the candidates before them.
+    With B = [lambda*d2 | e_S] the pivot columns and delta the common pivot,
+    the identity block holds N = delta * B^-1, so G2 = N[:c2] * lambda / delta.
+    """
     report = check_exactness(cx)
     if not report.exact:
         raise NotExactError(f"complex is not exact: {report.witness}")
     c2, c1, c0 = cx.c2_dim, cx.c1_dim, cx.c0_dim
-    candidates = list(range(c1))
+    order = list(range(c1))
     if pivot_seed is not None:
-        random.Random(pivot_seed).shuffle(candidates)
-    selected: List[int] = []
-    for i in candidates:
-        if len(selected) == c0:
-            break
-        cols = _coordinate_columns(c1, selected + [i]).hstack(cx.d2)
-        if cols.rank() == c2 + len(selected) + 1:
-            selected.append(i)
+        random.Random(pivot_seed).shuffle(order)
+    position = {coord: k for k, coord in enumerate(order)}
+    lam, aug = [], []
+    for i in range(c1):
+        den, nums = common_denominator(cx.d2.row(i))
+        unit = [[]] * c1
+        unit[position[i]] = [1]
+        lam.append(den)
+        aug.append(nums + unit)
+    reduced, pivots = fraction_free_gauss_jordan(aug)
+    selected = [order[p - c2] for p in pivots if p >= c2]
     if len(selected) != c0:
         raise NotExactError("could not complete im(d2) to a basis of C_1")
-    basis = _coordinate_columns(c1, selected).hstack(cx.d2)
-    binv = basis.inverse()
-    g2 = binv.submatrix(range(c0, c1), range(c1))
+    delta = Polynomial(reduced[-1][pivots[-1]])
+    g2 = FieldMatrix(c2, c1, [
+        RatFunc(Polynomial(poly_mul(reduced[r][c2 + position[j]], lam[j])), delta)
+        for r in range(c2) for j in range(c1)])
     ms_inv = cx.d1.submatrix(range(c0), selected).inverse()
     g1_rows = [[RatFunc.zero()] * c0 for _ in range(c1)]
     for a, row_index in enumerate(selected):
@@ -69,20 +82,25 @@ def build_propagator(cx: ChainComplex, pivot_seed: Optional[int] = None) -> Prop
     return Propagator(g2, g1, tuple(selected))
 
 
-def _coordinate_columns(dim: int, indices: List[int]) -> FieldMatrix:
-    cols = [[RatFunc.zero()] * len(indices) for _ in range(dim)]
-    for j, i in enumerate(indices):
-        cols[i][j] = RatFunc.one()
-    return FieldMatrix.from_rows(cols)
-
-
 def _verify_identities(cx: ChainComplex, g2: FieldMatrix, g1: FieldMatrix) -> None:
-    if not (g2 @ cx.d2).is_identity():
-        raise DehnError("propagator identity g2*d2 = id failed")
-    if not (cx.d1 @ g1).is_identity():
-        raise DehnError("propagator identity d1*g1 = id failed")
-    if not (cx.d2 @ g2 + g1 @ cx.d1).is_identity():
-        raise DehnError("propagator identity d2*g2 + g1*d1 = id failed")
+    """Check g2*d2 = id, d1*g1 = id and d2*g2 + g1*d1 = [d2 | g1]*[g2; d1] = id
+    exactly: each factor is written as a matrix over Z[t] divided by one
+    polynomial, and the product of the numerators must be the product of the
+    denominators times the identity."""
+    below = FieldMatrix(g2.rows + cx.d1.rows, g2.cols, g2.entries + cx.d1.entries)
+    for name, left, right in (("g2*d2", g2, cx.d2), ("d1*g1", cx.d1, g1),
+                              ("d2*g2 + g1*d1", cx.d2.hstack(g1), below)):
+        left_den, left_nums = common_denominator(left.entries)
+        right_den, right_nums = common_denominator(right.entries)
+        product = pmat_mul(_rows(left_nums, left.cols), _rows(right_nums, right.cols))
+        scalar = poly_mul(left_den, right_den)
+        if any(entry != (scalar if i == j else [])
+               for i, row in enumerate(product) for j, entry in enumerate(row)):
+            raise DehnError(f"propagator identity {name} = id failed")
+
+
+def _rows(flat: List[IntPoly], cols: int) -> List[List[IntPoly]]:
+    return [flat[i:i + cols] for i in range(0, len(flat), cols)]
 
 
 @dataclass(frozen=True)

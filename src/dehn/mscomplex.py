@@ -10,6 +10,7 @@ the generator matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from .algebra import FieldMatrix, RatFunc
@@ -108,10 +109,16 @@ class ChainComplex:
         return len(self.c0_basis) * self.block_size
 
     def block_of(self, vertex_id: str) -> int:
+        return self._blocks[vertex_id]
+
+    @cached_property
+    def _blocks(self) -> Dict[str, int]:
+        """Vertex id -> block index, the first basis listing it winning."""
+        blocks: Dict[str, int] = {}
         for basis in (self.c2_basis, self.c1_basis, self.c0_basis):
-            if vertex_id in basis:
-                return basis.index(vertex_id)
-        raise KeyError(vertex_id)
+            for i, vertex_id in enumerate(basis):
+                blocks.setdefault(vertex_id, i)
+        return blocks
 
 
 def build_complex(graph: DehnGraph, rep: Representation) -> ChainComplex:

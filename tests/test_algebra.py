@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mat, poly, rf
-from dehn.algebra import (FieldMatrix, Polynomial, RatFunc, arith, poly_gcd,
-                          unit_equal)
+from dehn.algebra import (FieldMatrix, Polynomial, RatFunc, arith,
+                          common_denominator, fraction_free_gauss_jordan,
+                          pmat_mul, poly_gcd, poly_mul, unit_equal)
 
 # -- polynomial gcd --------------------------------------------------------
 
@@ -236,6 +237,135 @@ def test_rank_equals_rank_of_transpose(nrows, ncols, data):
         min_size=nrows, max_size=nrows))
     m = FieldMatrix.from_rows(rows)
     assert m.rank() == m.transpose().rank()
+
+
+# -- the Z[t] kernel ---------------------------------------------------------
+
+
+def _trim(coeffs):
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def int_polys(bound, max_size):
+    return st.lists(st.integers(min_value=-bound, max_value=bound),
+                    max_size=max_size).map(_trim)
+
+
+def int_matrices(rows, cols, polys):
+    return st.lists(st.lists(polys, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def _over_q(rows):
+    return FieldMatrix.from_rows([[RatFunc(Polynomial(x)) for x in row] for row in rows])
+
+
+def _is_trimmed(coeffs):
+    return all(type(c) is int for c in coeffs) and (not coeffs or coeffs[-1] != 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_polys(2 ** 70, 6), int_polys(2 ** 70, 6))
+def test_poly_mul_matches_polynomial_product(a, b):
+    product = poly_mul(a, b)
+    assert _is_trimmed(product)
+    assert Polynomial(product) == Polynomial(a) * Polynomial(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_pmat_mul_matches_field_matrix_product(m, n, p, data):
+    a = data.draw(int_matrices(m, n, int_polys(2 ** 40, 4)))
+    b = data.draw(int_matrices(n, p, int_polys(2 ** 40, 4)))
+    product = pmat_mul(a, b)
+    assert all(_is_trimmed(x) for row in product for x in row)
+    assert len(product) == m and all(len(row) == p for row in product)
+    assert _over_q(product) == _over_q(a) @ _over_q(b)
+
+
+def test_pmat_mul_shape_mismatch_raises():
+    with pytest.raises(ValueError):
+        pmat_mul([[[1], [1]]], [[[1]]])
+
+
+def _at(coeffs, x):
+    return sum(c * x ** i for i, c in enumerate(coeffs))
+
+
+def _fraction_det(m):
+    m = [[Fraction(v) for v in row] for row in m]
+    n, det = len(m), Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 3), st.data())
+def test_fraction_free_gauss_jordan_against_evaluation(n, extra, data):
+    # [A | I] has full row rank. With B its pivot columns, the identity block
+    # of the result is N = delta * B^-1: check B*N = delta*I and
+    # delta = +-det B in Fraction arithmetic at more integer points than the
+    # degree of either side, independently of the kernel.
+    a = data.draw(int_matrices(n, extra, int_polys(50, 3)))
+    rows = [row + [[1] if i == j else [] for j in range(n)] for i, row in enumerate(a)]
+    reduced, pivots = fraction_free_gauss_jordan(rows)
+    assert pivots == _over_q(rows).rref()[1]
+    delta = reduced[-1][pivots[-1]]
+    assert delta
+    for r, pc in enumerate(pivots):
+        assert [row[pc] for row in reduced] == [delta if i == r else [] for i in range(n)]
+    b = [[row[c] for c in pivots] for row in rows]
+    block = [row[extra:] for row in reduced]
+    assert all(_is_trimmed(x) for row in block for x in row)
+    degree = (max(len(x) for row in b for x in row) * n
+              + max(len(x) for row in block for x in row) + len(delta))
+    signs = set()
+    for x in range(-degree, degree + 1):
+        bx = [[_at(v, x) for v in row] for row in b]
+        nx = [[_at(v, x) for v in row] for row in block]
+        dx = _at(delta, x)
+        assert [[sum(bx[i][k] * nx[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)] == [[dx if i == j else 0 for j in range(n)]
+                                       for i in range(n)]
+        det = _fraction_det(bx)
+        assert dx in (det, -det)
+        if det:
+            signs.add(dx / det)
+    assert len(signs) == 1
+
+
+def test_fraction_free_gauss_jordan_rank_deficient():
+    # Second row = t * first: one pivot, and the zero column is skipped.
+    rows = [[[], [1, 1], [2]], [[], [0, 1, 1], [0, 2]]]
+    reduced, pivots = fraction_free_gauss_jordan(rows)
+    assert pivots == [1]
+    assert reduced == [[[], [1, 1], [2]], [[], [], []]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(ratfuncs, min_size=1, max_size=5))
+def test_common_denominator_recovers_entries(entries):
+    den, nums = common_denominator(entries)
+    assert _is_trimmed(den) and all(_is_trimmed(x) for x in nums)
+    for num, e in zip(nums, entries):
+        assert RatFunc(Polynomial(num), Polynomial(den)) == e
+        assert (Polynomial(den) % e.den).is_zero()
+    lcm_degree = Polynomial((1,))
+    for d in {e.den for e in entries}:
+        lcm_degree = lcm_degree * d // poly_gcd(lcm_degree, d)
+    assert len(den) - 1 == lcm_degree.degree
 
 
 # -- serialization -----------------------------------------------------------

@@ -3,7 +3,7 @@ import subprocess
 import sys
 
 from conftest import FIG8, HOPF_LINK, NON_PLANAR, TREFOIL, UNKNOT_KINK
-from dehn.cli import main
+from dehn.cli import _worker_count, main
 from dehn.dehngraph import build_d1, build_d2, build_dehn_graph, export_dot
 from dehn.diagram import build_diagram, parse_pd
 
@@ -134,3 +134,30 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["alexander"] == ["1", "-1", "1"]
+
+
+def test_boolean_label_is_a_syntax_error(capsys):
+    code, out, err = run_cli(capsys, "compute", "--pd", "[[true,2,2,1]]")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "PDSyntaxError"
+
+
+def test_missing_file_is_a_config_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "compute", "--file", str(tmp_path / "missing.txt"))
+    assert code == 6 and out == ""
+    assert json.loads(err)["error"]["type"] == "ConfigError"
+
+
+def test_parallel_below_one_is_a_config_error(capsys):
+    for value in ("0", "-3"):
+        code, out, err = run_cli(capsys, "compute", "--pd", TREFOIL, "--parallel", value)
+        assert code == 6 and out == ""
+        assert json.loads(err)["error"]["type"] == "ConfigError"
+
+
+def test_worker_count_is_capped_by_tasks_and_cpus():
+    assert _worker_count(64, 3, 16) == 3
+    assert _worker_count(64, 100, 2) == 2
+    assert _worker_count(2, 100, 16) == 2
+    assert _worker_count(8, 100, None) == 1
+    assert _worker_count(1, 100, 16) == 1

@@ -40,6 +40,8 @@ def test_parse_syntax_errors():
         parse_pd("")
     with pytest.raises(PDSyntaxError):
         parse_pd("[[1,4,2,5,9],[3,6,4,1]]")
+    with pytest.raises(PDSyntaxError):
+        parse_pd("[[true,2,2,1]]")
 
 
 def test_parse_multi_component():

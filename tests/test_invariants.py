@@ -1,14 +1,18 @@
+import dataclasses
+import random
+
 import pytest
 
 from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
                       UNKNOT_KINK, find_basis_permutation, mat, pipeline, rf)
-from dehn.algebra import RatFunc
-from dehn.errors import NotExactError, UnsupportedRepresentationError
+from dehn.algebra import FieldMatrix, RatFunc
+from dehn.errors import DehnError, NotExactError, UnsupportedRepresentationError
 from dehn.dehngraph import build_d1, build_d2, build_dehn_graph
 from dehn.diagram import build_diagram, parse_pd, wirtinger
-from dehn.invariants import (DefectValue, TorsionValue, build_propagator,
-                             check_lescop_relation, defect, defect_equal_mod_Z,
-                             defect_terms, torsion, torsion_equal_up_to_units)
+from dehn.invariants import (DefectValue, TorsionValue, _verify_identities,
+                             build_propagator, check_lescop_relation, defect,
+                             defect_equal_mod_Z, defect_terms, torsion,
+                             torsion_equal_up_to_units)
 from dehn.mscomplex import Representation, build_complex
 
 T = RatFunc.t()
@@ -57,6 +61,98 @@ def test_propagator_random_seeds_all_valid():
         assert (cx.d1 @ g.g1).is_identity()
         assert (cx.d2 @ g.g2 + g.g1 @ cx.d1).is_identity()
     assert len({g.selected for g in propagators}) > 1  # genuinely different
+
+
+def _coordinate_columns(dim, indices):
+    cols = [[RatFunc.zero()] * len(indices) for _ in range(dim)]
+    for j, i in enumerate(indices):
+        cols[i][j] = RatFunc.one()
+    return FieldMatrix.from_rows(cols)
+
+
+def reference_propagator(cx, pivot_seed=None):
+    """The rule build_propagator must reproduce, over Q(t): take candidates in
+    the shuffled order, keep each one that raises the rank of [e_S | d2], and
+    read G2 off the inverse of [e_S | d2]."""
+    c2, c1, c0 = cx.c2_dim, cx.c1_dim, cx.c0_dim
+    candidates = list(range(c1))
+    if pivot_seed is not None:
+        random.Random(pivot_seed).shuffle(candidates)
+    selected = []
+    for i in candidates:
+        if len(selected) == c0:
+            break
+        cols = _coordinate_columns(c1, selected + [i]).hstack(cx.d2)
+        if cols.rank() == c2 + len(selected) + 1:
+            selected.append(i)
+    basis = _coordinate_columns(c1, selected).hstack(cx.d2)
+    g2 = basis.inverse().submatrix(range(c0, c1), range(c1))
+    return tuple(selected), g2
+
+
+def matrix_rep_trefoil():
+    """The trefoil under t -> [[t, 1], [0, t]]: block size 2, so c0 = 2."""
+    d = build_diagram(parse_pd(TREFOIL))
+    pres = wirtinger(d)
+    m = mat([[T, 1], [0, T]])
+    rep = Representation.matrix({g: m for g in pres.generators}, pres)
+    graph = build_dehn_graph(d, build_d1(d), build_d2(d))
+    return graph, rep, build_complex(graph, rep)
+
+
+@pytest.mark.parametrize("name,text", sorted(CORPUS.items()))
+def test_propagator_matches_reference_rule(name, text):
+    cx = pipeline(text).complex
+    for seed in [None] + list(range(10)):
+        g = build_propagator(cx, pivot_seed=seed)
+        assert (g.selected, g.g2) == reference_propagator(cx, seed), seed
+
+
+def test_propagator_matches_reference_rule_for_matrix_representation():
+    _, _, cx = matrix_rep_trefoil()
+    assert cx.c0_dim == 2
+    for seed in (None, 0, 1):
+        g = build_propagator(cx, pivot_seed=seed)
+        assert (g.selected, g.g2) == reference_propagator(cx, seed)
+
+
+def test_propagator_matches_reference_rule_with_denominators():
+    # A change of basis in C_1 (row i of d2 over c_i, column i of d1 times
+    # c_i) keeps the complex exact and puts denominators into every row of d2.
+    cx = pipeline(FIG8).complex
+    scales = [rf((0, 1)), rf(2), rf((1, 1)), rf((0, 0, 1), 3), rf((1, 0, 2), (1, 1))]
+    c = [scales[i % len(scales)] for i in range(cx.c1_dim)]
+    d2 = FieldMatrix.from_rows([[e / c[i] for e in cx.d2.row(i)] for i in range(cx.c1_dim)])
+    d1 = FieldMatrix.from_rows([[e * c[j] for j, e in enumerate(cx.d1.row(0))]])
+    scaled = dataclasses.replace(cx, d2=d2, d1=d1)
+    for seed in (None, 0, 1, 2):
+        g = build_propagator(scaled, pivot_seed=seed)
+        assert (g.selected, g.g2) == reference_propagator(scaled, seed)
+
+
+def _replace(m, i, j, value):
+    entries = list(m.entries)
+    entries[i * m.cols + j] = value
+    return FieldMatrix(m.rows, m.cols, entries)
+
+
+def test_verify_identities_rejects_a_perturbed_g2():
+    run = pipeline(FIG8)
+    cx, g = run.complex, run.propagator
+    _verify_identities(cx, g.g2, g.g1)
+    bad = _replace(g.g2, 1, 2, g.g2.entry(1, 2) + rf((0, 1), (1, 1)))
+    with pytest.raises(DehnError, match="g2\\*d2"):
+        _verify_identities(cx, bad, g.g1)
+
+
+def test_verify_identities_checks_the_homotopy_identity():
+    # g1 + (a column of d2) still inverts d1, since d1*d2 = 0, but breaks
+    # d2*g2 + g1*d1 = id: only the third check can see it.
+    run = pipeline(FIG8)
+    cx, g = run.complex, run.propagator
+    shifted = g.g1 + cx.d2.submatrix(range(cx.c1_dim), [0])
+    with pytest.raises(DehnError, match="d2\\*g2 \\+ g1\\*d1"):
+        _verify_identities(cx, g.g2, shifted)
 
 
 def test_propagator_requires_exactness():
@@ -135,12 +231,7 @@ def test_defect_skips_bare_sign_labels():
 
 
 def test_defect_rejects_matrix_representation():
-    d = build_diagram(parse_pd(TREFOIL))
-    pres = wirtinger(d)
-    m = mat([[T, 1], [0, T]])
-    rep = Representation.matrix({g: m for g in pres.generators}, pres)
-    graph = build_dehn_graph(d, build_d1(d), build_d2(d))
-    cx = build_complex(graph, rep)
+    graph, rep, cx = matrix_rep_trefoil()
     g = build_propagator(cx)
     with pytest.raises(UnsupportedRepresentationError):
         defect(graph, cx, g, rep)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import CORPUS, TREFOIL, mat, rf
+from conftest import CORPUS, FIG8, TREFOIL, mat, rf
 from dehn.algebra import FieldMatrix, RatFunc
 from dehn.dehngraph import GroupRingTerm, build_d1, build_d2, build_dehn_graph
 from dehn.diagram import build_diagram, parse_pd, wirtinger
@@ -140,6 +140,15 @@ def test_unipotent_matrix_representation_not_exact():
 
 
 # -- serialization -------------------------------------------------------------------
+
+
+def test_block_of_matches_basis_positions():
+    _, _, _, cx = _complex(FIG8)
+    for basis in (cx.c2_basis, cx.c1_basis, cx.c0_basis):
+        for i, vertex_id in enumerate(basis):
+            assert cx.block_of(vertex_id) == i
+    with pytest.raises(KeyError):
+        cx.block_of("no-such-vertex")
 
 
 def test_complex_json_bookkeeping():
