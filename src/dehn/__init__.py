@@ -7,8 +7,7 @@ from .dehngraph import (DehnGraph, GroupRingTerm, build_d1, build_d2,
                         graph_to_json)
 from .diagram import (Crossing, KnotDiagram, PDCode, Region,
                       WirtingerPresentation, build_diagram, diagram_to_json,
-                      identify_unbounded, parse_pd, wirtinger,
-                      with_outer_region)
+                      parse_pd, wirtinger, with_outer_region)
 from .errors import (ConfigError, DehnError, InvalidRepresentationError,
                      MultiComponentError, NotExactError, NotPlanarError,
                      PDLabelError, PDSyntaxError,

@@ -1,5 +1,9 @@
-"""Exact arithmetic in Q, Q[t] and Q(t), dense linear algebra over Q(t), and
-a small kernel for matrices over Z[t].
+"""Exact arithmetic in Q, Q[t] and Q(t), dense matrices over Q(t), and a
+small kernel for matrices over Z[t].
+
+Every elimination runs in that kernel: `FieldMatrix` rank, reduced echelon
+form, determinant and inverse clear each row of denominators and call the one
+fraction-free Gauss-Jordan loop, `fraction_free_gauss_jordan`, over Z[t].
 
 Everything here is immutable and pure: values can be shared freely between
 threads. Coefficients are `fractions.Fraction` in Q[t] and Q(t) and Python
@@ -348,19 +352,6 @@ class RatFunc:
         return cls(num, den)
 
 
-def arith(a: RatFunc, b: RatFunc, op: str) -> RatFunc:
-    """Named field operations; `div` raises on a zero divisor."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def unit_equal(a: RatFunc, b: RatFunc) -> bool:
     """True iff a = ±t^m · b for some integer m; zero is only unit-equal to zero."""
     if a.is_zero() or b.is_zero():
@@ -498,75 +489,44 @@ class FieldMatrix:
 
     # -- elimination --------------------------------------------------
 
+    def cleared_rows(self) -> Tuple[List[IntPoly], List[List[IntPoly]]]:
+        """(lam, rows) over Z[t] with row i of self equal to rows[i] / lam[i]."""
+        lam, rows = [], []
+        for i in range(self.rows):
+            den, nums = common_denominator(self.row(i))
+            lam.append(den)
+            rows.append(nums)
+        return lam, rows
+
     def rref(self):
         """Reduced row echelon form.
 
-        Returns (rref matrix, pivot column list, rank). Pivots are picked as
-        the first nonzero entry scanning top to bottom, so the result is
-        deterministic.
+        Returns (rref matrix, pivot column list, rank). Scaling rows does not
+        change the reduced form, so it is the fraction-free elimination of the
+        cleared rows with each row divided by the common pivot.
         """
-        m = self.to_lists()
-        nrows, ncols = self.rows, self.cols
-        pivots = []
-        pr = 0
-        for pc in range(ncols):
-            pivot_row = None
-            for r in range(pr, nrows):
-                if not m[r][pc].is_zero():
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                continue
-            m[pr], m[pivot_row] = m[pivot_row], m[pr]
-            inv = m[pr][pc].inverse()
-            m[pr] = [inv * e for e in m[pr]]
-            for r in range(nrows):
-                if r == pr:
-                    continue
-                f = m[r][pc]
-                if f.is_zero():
-                    continue
-                m[r] = [a - f * b for a, b in zip(m[r], m[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == nrows:
-                break
-        reduced = FieldMatrix.from_rows(m) if nrows else self
-        return reduced, pivots, len(pivots)
+        reduced, pivots, _ = fraction_free_gauss_jordan(self.cleared_rows()[1])
+        delta = Polynomial(reduced[0][pivots[0]] if pivots else [1])
+        entries = [RatFunc(Polynomial(x), delta) for row in reduced for x in row]
+        return FieldMatrix(self.rows, self.cols, entries), pivots, len(pivots)
 
     def rank(self) -> int:
-        return self.rref()[2]
+        return len(fraction_free_gauss_jordan(self.cleared_rows()[1])[1])
 
     def det(self) -> RatFunc:
-        """Exact determinant by Gaussian elimination with row swaps."""
+        """Exact determinant: sign * delta of the cleared rows over the
+        product of the row denominators."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return RatFunc.one()
-        m = self.to_lists()
-        det = RatFunc.one()
-        for c in range(n):
-            pivot_row = None
-            for r in range(c, n):
-                if not m[r][c].is_zero():
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                return RatFunc.zero()
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                det = -det
-            pivot = m[c][c]
-            det = det * pivot
-            inv = pivot.inverse()
-            for r in range(c + 1, n):
-                f = m[r][c]
-                if f.is_zero():
-                    continue
-                f = f * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-        return det
+        lam, rows = self.cleared_rows()
+        reduced, pivots, sign = fraction_free_gauss_jordan(rows)
+        if len(pivots) < self.rows:
+            return RatFunc.zero()
+        delta = reduced[0][pivots[0]] if pivots else [1]
+        den = [1]
+        for d in lam:
+            den = poly_mul(den, d)
+        return RatFunc(Polynomial(sign * c for c in delta), Polynomial(den))
 
     def inverse(self) -> "FieldMatrix":
         if self.rows != self.cols:
@@ -667,18 +627,19 @@ def pmat_mul(a: Sequence[Sequence[IntPoly]],
 
 
 def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]]
-                               ) -> Tuple[List[List[IntPoly]], List[int]]:
+                               ) -> Tuple[List[List[IntPoly]], List[int], int]:
     """Reduced echelon form over Z[t] by fraction-free Gauss-Jordan elimination
     (Bareiss 1968, extended to the rows above each pivot).
 
-    Returns (reduced rows, pivot columns). Pivot columns are found left to
-    right and the pivot row is the first one below with a nonzero entry, so
-    the pivot columns are those of `FieldMatrix.rref`. Row r of the result
-    has its pivot in column pivots[r], every pivot entry equals the last
-    pivot delta, and the rows below the rank are zero. When the input has
-    full row rank, its pivot columns form a square matrix B, the result is
-    delta * B^-1 * input, and delta = +-det B. Every quotient taken is exact
-    in Z[t]; a remainder raises ArithmeticError.
+    Returns (reduced rows, pivot columns, sign). Pivot columns are found left
+    to right and the pivot row is the first one below with a nonzero entry,
+    so the pivot columns are the leftmost ones independent of those before
+    them. Row r of the result has its pivot in column pivots[r], every pivot
+    entry equals the last pivot delta, and the rows below the rank are zero.
+    When the input has full row rank, its pivot columns form a square matrix
+    B, the result is delta * B^-1 * input, and sign * delta = det B, where
+    sign = +-1 is the sign of the row swaps made. Every quotient taken is
+    exact in Z[t]; a remainder raises ArithmeticError.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -692,7 +653,7 @@ def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]]
     k = _packing_bits(bound)
     m = [[_pack(x, k) for x in row] for row in rows]
     pivots: List[int] = []
-    prev = 1
+    prev, sign = 1, 1
     for pc in range(ncols):
         pr = len(pivots)
         if pr == nrows:
@@ -700,7 +661,9 @@ def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]]
         pivot_row = next((r for r in range(pr, nrows) if m[r][pc]), None)
         if pivot_row is None:
             continue
-        m[pr], m[pivot_row] = m[pivot_row], m[pr]
+        if pivot_row != pr:
+            m[pr], m[pivot_row] = m[pivot_row], m[pr]
+            sign = -sign
         top = m[pr]
         p = top[pc]
         for r in range(nrows):
@@ -716,7 +679,7 @@ def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]]
             m[r] = new
         prev = p
         pivots.append(pc)
-    return [[_unpack(v, k) for v in row] for row in m], pivots
+    return [[_unpack(v, k) for v in row] for row in m], pivots, sign
 
 
 def _integer_coeffs(p: Polynomial) -> Tuple[IntPoly, int]:

@@ -129,12 +129,6 @@ class DehnGraph:
     crossing_vertex: Dict[int, str]
     region_vertex: Dict[int, str]
 
-    def vertex(self, vid: str) -> Vertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise KeyError(vid)
-
 
 BASEPOINT = "inf"
 

@@ -254,10 +254,6 @@ def choose_unbounded(regions: Tuple[Region, ...]) -> int:
     return max(regions, key=lambda r: (len(r.corners), -r.id)).id
 
 
-def identify_unbounded(diagram: KnotDiagram) -> int:
-    return choose_unbounded(diagram.regions)
-
-
 def build_diagram(pd: PDCode, outer_region: Optional[int] = None) -> KnotDiagram:
     crossings = tuple(_resolve_crossing(pd, i) for i in range(pd.k))
     arc_count, arc_of_edge = _build_arcs(pd, crossings)

@@ -58,14 +58,12 @@ def build_propagator(cx: ChainComplex, pivot_seed: Optional[int] = None) -> Prop
     if pivot_seed is not None:
         random.Random(pivot_seed).shuffle(order)
     position = {coord: k for k, coord in enumerate(order)}
-    lam, aug = [], []
-    for i in range(c1):
-        den, nums = common_denominator(cx.d2.row(i))
+    lam, aug = cx.d2.cleared_rows()
+    for i, row in enumerate(aug):
         unit = [[]] * c1
         unit[position[i]] = [1]
-        lam.append(den)
-        aug.append(nums + unit)
-    reduced, pivots = fraction_free_gauss_jordan(aug)
+        row.extend(unit)
+    reduced, pivots, _ = fraction_free_gauss_jordan(aug)
     selected = [order[p - c2] for p in pivots if p >= c2]
     if len(selected) != c0:
         raise NotExactError("could not complete im(d2) to a basis of C_1")

@@ -68,6 +68,53 @@ def mat(rows) -> FieldMatrix:
     return FieldMatrix.from_rows([[_as_rf(x) for x in row] for row in rows])
 
 
+def qt_rref(matrix: FieldMatrix):
+    """Reference reduced row echelon form by Gauss-Jordan elimination over
+    Q(t), independent of the Z[t] kernel behind `FieldMatrix.rref`.
+
+    Returns (rref matrix, pivot column list, rank). Pivots are picked as the
+    first nonzero entry scanning top to bottom, so the result is
+    deterministic.
+    """
+    m = matrix.to_lists()
+    nrows, ncols = matrix.rows, matrix.cols
+    pivots = []
+    pr = 0
+    for pc in range(ncols):
+        pivot_row = None
+        for r in range(pr, nrows):
+            if not m[r][pc].is_zero():
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        m[pr], m[pivot_row] = m[pivot_row], m[pr]
+        inv = m[pr][pc].inverse()
+        m[pr] = [inv * e for e in m[pr]]
+        for r in range(nrows):
+            if r == pr:
+                continue
+            f = m[r][pc]
+            if f.is_zero():
+                continue
+            m[r] = [a - f * b for a, b in zip(m[r], m[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == nrows:
+            break
+    reduced = FieldMatrix.from_rows(m) if nrows else matrix
+    return reduced, pivots, len(pivots)
+
+
+def qt_inverse(matrix: FieldMatrix):
+    """Inverse of a square matrix by `qt_rref`; None if it is singular."""
+    n = matrix.rows
+    reduced, pivots, _ = qt_rref(matrix.hstack(FieldMatrix.identity(n)))
+    if pivots[:n] != list(range(n)):
+        return None
+    return reduced.submatrix(range(n), range(n, 2 * n))
+
+
 def find_basis_permutation(ours, fixture):
     """Search for row/column permutations identifying our matrices with the
     fixture display.

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mat, poly, rf
-from dehn.algebra import (FieldMatrix, Polynomial, RatFunc, arith,
+from conftest import mat, poly, qt_inverse, qt_rref, rf
+from dehn.algebra import (FieldMatrix, Polynomial, RatFunc,
                           common_denominator, fraction_free_gauss_jordan,
                           pmat_mul, poly_gcd, poly_mul, unit_equal)
 
@@ -38,7 +38,7 @@ def test_gcd_divides_both():
 
 def test_mul_matches_worked_value():
     # (1/(1-t)) * (t^2-t+1) has monic denominator t-1 after canonicalization.
-    product = arith(rf(1, (1, -1)), rf((1, -1, 1)), "mul")
+    product = rf(1, (1, -1)) * rf((1, -1, 1))
     assert product == rf((-1, 1, -1), (-1, 1))
     assert product.den == poly(-1, 1)
     assert product.num == poly(-1, 1, -1)
@@ -46,7 +46,7 @@ def test_mul_matches_worked_value():
 
 def test_additive_identity():
     a = rf((2, 3), (1, 0, 1))
-    assert arith(a, RatFunc.zero(), "add") == a
+    assert a + RatFunc.zero() == a
 
 
 def test_sub_cross_checked_by_evaluation():
@@ -54,7 +54,7 @@ def test_sub_cross_checked_by_evaluation():
     # denominator: numerator (2t^2-t)(t-1) - t(t^2-t+1) = t^3 - 2t^2.
     a = rf((0, -1, 2), (1, -1, 1))
     b = rf((0, 1), (-1, 1))
-    diff = arith(a, b, "sub")
+    diff = a - b
     assert diff == rf((0, 0, -2, 1), (-1, 2, -2, 1))
     for x in (Fraction(2), Fraction(3), Fraction(-1, 2), Fraction(7, 3)):
         assert diff(x) == a(x) - b(x)
@@ -62,7 +62,7 @@ def test_sub_cross_checked_by_evaluation():
 
 def test_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        arith(rf((1, 1)), RatFunc.zero(), "div")
+        rf((1, 1)) / RatFunc.zero()
     with pytest.raises(ZeroDivisionError):
         RatFunc(poly(1), Polynomial())
 
@@ -214,8 +214,12 @@ def _cofactor_det(m: FieldMatrix) -> RatFunc:
     return total
 
 
+# Integer polynomials, plus the Laurent and rational entries that the Fox and
+# torsion matrices carry: t^-1, t^-2(1+t), 1/(1+t), 1/2 and (1+t^2)/(2t).
 entry_palette = st.sampled_from([
     rf(0), rf(1), rf(-1), rf(2), rf((0, 1)), rf((0, -1)), rf((1, 1)), rf((-1, 1)),
+    rf(1, (0, 1)), rf((1, 1), (0, 0, 1)), rf(1, (1, 1)), rf(Fraction(1, 2)),
+    rf((1, 0, 1), (0, 2)),
 ])
 
 
@@ -237,6 +241,34 @@ def test_rank_equals_rank_of_transpose(nrows, ncols, data):
         min_size=nrows, max_size=nrows))
     m = FieldMatrix.from_rows(rows)
     assert m.rank() == m.transpose().rank()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=2), st.data())
+def test_rref_rank_inverse_match_qt_reference(nrows, ncols, dependent, data):
+    # Rows that are combinations of drawn rows, inserted anywhere, make the
+    # matrix and its leading square block rank deficient.
+    rows = data.draw(st.lists(
+        st.lists(entry_palette, min_size=ncols, max_size=ncols),
+        min_size=nrows, max_size=nrows))
+    for _ in range(dependent):
+        i, j = (data.draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        c = data.draw(entry_palette)
+        combo = [c * a + b for a, b in zip(rows[i], rows[j])]
+        rows.insert(data.draw(st.integers(0, len(rows))), combo)
+    m = FieldMatrix.from_rows(rows)
+    expected = qt_rref(m)
+    assert m.rref() == expected
+    assert m.rank() == expected[2]
+    n = min(m.rows, m.cols)
+    square = m.submatrix(range(n), range(n))
+    inverse = qt_inverse(square)
+    if inverse is None:
+        with pytest.raises(ValueError):
+            square.inverse()
+    else:
+        assert square.inverse() == inverse
 
 
 # -- the Z[t] kernel ---------------------------------------------------------
@@ -316,12 +348,13 @@ def _fraction_det(m):
 def test_fraction_free_gauss_jordan_against_evaluation(n, extra, data):
     # [A | I] has full row rank. With B its pivot columns, the identity block
     # of the result is N = delta * B^-1: check B*N = delta*I and
-    # delta = +-det B in Fraction arithmetic at more integer points than the
-    # degree of either side, independently of the kernel.
+    # sign * delta = det B in Fraction arithmetic at more integer points than
+    # the degree of either side, independently of the kernel.
     a = data.draw(int_matrices(n, extra, int_polys(50, 3)))
     rows = [row + [[1] if i == j else [] for j in range(n)] for i, row in enumerate(a)]
-    reduced, pivots = fraction_free_gauss_jordan(rows)
-    assert pivots == _over_q(rows).rref()[1]
+    reduced, pivots, sign = fraction_free_gauss_jordan(rows)
+    assert pivots == qt_rref(_over_q(rows))[1]
+    assert sign in (1, -1)
     delta = reduced[-1][pivots[-1]]
     assert delta
     for r, pc in enumerate(pivots):
@@ -331,7 +364,6 @@ def test_fraction_free_gauss_jordan_against_evaluation(n, extra, data):
     assert all(_is_trimmed(x) for row in block for x in row)
     degree = (max(len(x) for row in b for x in row) * n
               + max(len(x) for row in block for x in row) + len(delta))
-    signs = set()
     for x in range(-degree, degree + 1):
         bx = [[_at(v, x) for v in row] for row in b]
         nx = [[_at(v, x) for v in row] for row in block]
@@ -339,18 +371,14 @@ def test_fraction_free_gauss_jordan_against_evaluation(n, extra, data):
         assert [[sum(bx[i][k] * nx[k][j] for k in range(n)) for j in range(n)]
                 for i in range(n)] == [[dx if i == j else 0 for j in range(n)]
                                        for i in range(n)]
-        det = _fraction_det(bx)
-        assert dx in (det, -det)
-        if det:
-            signs.add(dx / det)
-    assert len(signs) == 1
+        assert sign * dx == _fraction_det(bx)
 
 
 def test_fraction_free_gauss_jordan_rank_deficient():
     # Second row = t * first: one pivot, and the zero column is skipped.
     rows = [[[], [1, 1], [2]], [[], [0, 1, 1], [0, 2]]]
-    reduced, pivots = fraction_free_gauss_jordan(rows)
-    assert pivots == [1]
+    reduced, pivots, sign = fraction_free_gauss_jordan(rows)
+    assert pivots == [1] and sign == 1
     assert reduced == [[[], [1, 1], [2]], [[], [], []]]
 
 

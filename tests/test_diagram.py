@@ -2,7 +2,7 @@ import pytest
 
 from conftest import (CORPUS, FIG8, HOPF_LINK, NON_PLANAR, TREFOIL,
                       TREFOIL_KINKED, UNKNOT_KINK, pipeline)
-from dehn.diagram import (build_diagram, diagram_to_json, identify_unbounded,
+from dehn.diagram import (build_diagram, choose_unbounded, diagram_to_json,
                           parse_pd, wirtinger, with_outer_region)
 from dehn.errors import (ConfigError, MultiComponentError, NotPlanarError,
                          PDLabelError, PDSyntaxError)
@@ -131,7 +131,7 @@ def test_default_unbounded_rule():
     best = max(sizes.values())
     expected = min(rid for rid, n in sizes.items() if n == best)
     assert d.unbounded_region == expected
-    assert identify_unbounded(d) == expected
+    assert choose_unbounded(d.regions) == expected
 
 
 def test_outer_region_override():

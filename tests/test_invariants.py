@@ -4,7 +4,8 @@ import random
 import pytest
 
 from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
-                      UNKNOT_KINK, find_basis_permutation, mat, pipeline, rf)
+                      UNKNOT_KINK, find_basis_permutation, mat, pipeline, qt_inverse,
+                      qt_rref, rf)
 from dehn.algebra import FieldMatrix, RatFunc
 from dehn.errors import DehnError, NotExactError, UnsupportedRepresentationError
 from dehn.dehngraph import build_d1, build_d2, build_dehn_graph
@@ -73,7 +74,8 @@ def _coordinate_columns(dim, indices):
 def reference_propagator(cx, pivot_seed=None):
     """The rule build_propagator must reproduce, over Q(t): take candidates in
     the shuffled order, keep each one that raises the rank of [e_S | d2], and
-    read G2 off the inverse of [e_S | d2]."""
+    read G2 off the inverse of [e_S | d2]. Ranks and the inverse come from
+    the Q(t) reference elimination, not from the kernel under test."""
     c2, c1, c0 = cx.c2_dim, cx.c1_dim, cx.c0_dim
     candidates = list(range(c1))
     if pivot_seed is not None:
@@ -83,10 +85,10 @@ def reference_propagator(cx, pivot_seed=None):
         if len(selected) == c0:
             break
         cols = _coordinate_columns(c1, selected + [i]).hstack(cx.d2)
-        if cols.rank() == c2 + len(selected) + 1:
+        if qt_rref(cols)[2] == c2 + len(selected) + 1:
             selected.append(i)
     basis = _coordinate_columns(c1, selected).hstack(cx.d2)
-    g2 = basis.inverse().submatrix(range(c0, c1), range(c1))
+    g2 = qt_inverse(basis).submatrix(range(c0, c1), range(c1))
     return tuple(selected), g2
 
 
