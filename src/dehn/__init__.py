@@ -10,7 +10,7 @@ from .diagram import (Crossing, KnotDiagram, PDCode, Region,
                       parse_pd, wirtinger, with_outer_region)
 from .errors import (ConfigError, DehnError, InvalidRepresentationError,
                      MultiComponentError, NotExactError, NotPlanarError,
-                     PDLabelError, PDSyntaxError,
+                     PDLabelError, PDSyntaxError, RegionLabelError,
                      UnsupportedRepresentationError)
 from .invariants import (DefectValue, Propagator, TorsionValue,
                          build_propagator, check_lescop_relation, defect,

@@ -1,9 +1,13 @@
 """Exact arithmetic in Q, Q[t] and Q(t), dense matrices over Q(t), and a
-small kernel for matrices over Z[t].
+small kernel for polynomials and matrices over Z[t].
 
 Every elimination runs in that kernel: `FieldMatrix` rank, reduced echelon
 form, determinant and inverse clear each row of denominators and call the one
 fraction-free Gauss-Jordan loop, `fraction_free_gauss_jordan`, over Z[t].
+Every `RatFunc` is put in canonical form by the kernel's gcd, `zpoly_gcd`: a
+heuristic gcd on packed integers whose answer is proved by exact division,
+with a remainder-sequence fallback. The Euclid over Q, `poly_gcd`, is kept
+for the Fox oracle.
 
 Everything here is immutable and pure: values can be shared freely between
 threads. Coefficients are `fractions.Fraction` in Q[t] and Q(t) and Python
@@ -14,8 +18,8 @@ point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, List, Sequence, Tuple, Union
+from math import gcd, lcm
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
 
@@ -211,7 +215,7 @@ class Polynomial:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor; gcd(0, 0) = 0."""
+    """Monic greatest common divisor by Euclid over Q; gcd(0, 0) = 0."""
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
@@ -220,7 +224,9 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 class RatFunc:
     """Element of Q(t) in canonical form: monic denominator, coprime parts.
 
-    Zero is 0/1. Equality is structural thanks to the canonical form.
+    Zero is 0/1. Equality is structural thanks to the canonical form. The
+    parts are cleared to Z[t] and divided by their `zpoly_gcd`, so the form is
+    the one a Euclid over Q would give.
     """
 
     __slots__ = ("num", "den")
@@ -234,14 +240,20 @@ class RatFunc:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             num, den = Polynomial(), Polynomial((1,))
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            lead = den.leading()
+        elif den.degree == 0:
+            lead = den.coeffs[0]
             if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
+                num, den = num.scale(1 / lead), Polynomial((1,))
+        else:
+            # num / den = (a / a_scale) / (b / b_scale) over Z[t]; dividing a
+            # and b by their gcd and b's leading coefficient leaves coprime
+            # parts and a monic denominator.
+            a, a_scale = _integer_coeffs(num)
+            b, b_scale = _integer_coeffs(den)
+            _, a, b = zpoly_gcd(a, b)
+            lead = b[-1]
+            num = Polynomial([Fraction(c * b_scale, a_scale * lead) for c in a])
+            den = Polynomial([Fraction(c, lead) for c in b])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -682,29 +694,143 @@ def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]]
     return [[_unpack(v, k) for v in row] for row in m], pivots, sign
 
 
+# -- gcd over Z[t] ---------------------------------------------------------
+#
+# GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 1989) on the packed
+# integers: for primitive f and g, take the integer gcd of f(2^k) and g(2^k)
+# with 2^k >= 2*min(|f|_inf, |g|_inf) + 2, and read a candidate h off its
+# signed base-2^k digits. Every root of f (say) has modulus below
+# 1 + |f|_inf <= 2^(k-1), so a nonconstant factor u of f has |u(2^k)| > 2^(k-1),
+# while the digits, and so the content of h, are at most 2^(k-1). If pp(h)
+# divides f and g, gcd(f, g) = pp(h) * u with u(2^k) dividing that content,
+# hence u = +-1 and pp(h) is the gcd. Divisibility is proved by exhibiting
+# the quotient, so an accepted candidate is never a guess; when the
+# candidates fail, the primitive polynomial remainder sequence (Collins 1967,
+# Brown 1971) decides.
+
+_HEURISTIC_TRIES = 4
+
+
+def _primitive(p: Sequence[int]) -> IntPoly:
+    """p over its content, with a positive leading coefficient."""
+    c = gcd(*p)
+    if p[-1] < 0:
+        c = -c
+    return [x // c for x in p]
+
+
+def _exact_quotient(f: Sequence[int], h: Sequence[int]) -> Optional[IntPoly]:
+    """f / h in Z[t] if h divides f, else None; h is nonzero.
+
+    A quotient q of f has |q|_inf <= 2^deg(q) * |f|_1 (Mignotte), and the
+    packing width holds h * q under that bound. So if h divides f, the packed
+    division is exact and unpacks to q. Conversely, an exact division whose
+    quotient unpacks within the bound makes h * q and f two polynomials with
+    coefficients inside the width and the same packed value, hence equal.
+    """
+    if not f:
+        return []
+    dq = len(f) - len(h)
+    if dq < 0 or f[-1] % h[-1] or (h[0] and f[0] % h[0]):
+        return None
+    bound = (1 << dq) * _norm1(f)
+    k = _packing_bits(bound * _norm1(h))
+    q, rem = divmod(_pack(f, k), _pack(h, k))
+    if rem:
+        return None
+    q = _unpack(q, k)
+    return q if max(map(abs, q)) <= bound else None
+
+
+def _prs_gcd(f: Sequence[int], g: Sequence[int]) -> IntPoly:
+    """gcd of nonzero f and g by the primitive remainder sequence, primitive
+    with a positive leading coefficient."""
+    a, b = _primitive(f), _primitive(g)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        # Pseudo-remainder of a by b, one leading term at a time.
+        r, lb = list(a), b[-1]
+        while len(r) >= len(b):
+            lr, shift = r[-1], len(r) - len(b)
+            r = [lb * x for x in r]
+            for i, y in enumerate(b):
+                r[shift + i] -= lr * y
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, (_primitive(r) if r else [])
+    return a
+
+
+def _primitive_gcd(f: IntPoly, g: IntPoly) -> Tuple[IntPoly, IntPoly, IntPoly]:
+    """(h, f/h, g/h) for primitive f and g with nonzero constant terms."""
+    if len(f) == 1 or len(g) == 1:
+        return [1], f, g
+    k = (2 * min(max(map(abs, f)), max(map(abs, g))) + 1).bit_length()
+    for _ in range(_HEURISTIC_TRIES):
+        h = _primitive(_unpack(gcd(_pack(f, k), _pack(g, k)), k))
+        if len(h) == 1:
+            return h, f, g
+        qf = _exact_quotient(f, h)
+        if qf is not None:
+            qg = _exact_quotient(g, h)
+            if qg is not None:
+                return h, qf, qg
+        k += k // 2 + 1
+    h = _prs_gcd(f, g)
+    qf, qg = _exact_quotient(f, h), _exact_quotient(g, h)
+    if qf is None or qg is None:
+        raise ArithmeticError("remainder-sequence gcd does not divide its inputs")
+    return h, qf, qg
+
+
+def zpoly_gcd(a: Sequence[int], b: Sequence[int]) -> Tuple[IntPoly, IntPoly, IntPoly]:
+    """(g, a/g, b/g) with g the gcd of a and b in Z[t]: its content is the gcd
+    of their contents and its leading coefficient is positive. gcd(0, 0) = 0,
+    with zero cofactors."""
+    if not a or not b:
+        p = a or b
+        if not p:
+            return [], [], []
+        sign = 1 if p[-1] > 0 else -1
+        return [sign * x for x in p], ([sign] if a else []), ([sign] if b else [])
+    ca, cb = gcd(*a), gcd(*b)
+    c = gcd(ca, cb)
+    va = next(i for i, x in enumerate(a) if x)
+    vb = next(i for i, x in enumerate(b) if x)
+    v = min(va, vb)
+    h, qa, qb = _primitive_gcd([x // ca for x in a[va:]], [x // cb for x in b[vb:]])
+    return ([0] * v + [c * x for x in h],
+            [0] * (va - v) + [ca // c * x for x in qa],
+            [0] * (vb - v) + [cb // c * x for x in qb])
+
+
 def _integer_coeffs(p: Polynomial) -> Tuple[IntPoly, int]:
     """(ints, scale) with p = ints / scale."""
     scale = lcm(*(c.denominator for c in p.coeffs))
-    return [int(c * scale) for c in p.coeffs], scale
+    return [c.numerator * (scale // c.denominator) for c in p.coeffs], scale
 
 
 def common_denominator(entries: Sequence[RatFunc]) -> Tuple[IntPoly, List[IntPoly]]:
     """(den, nums) over Z[t] with entries[i] = nums[i] / den, where den is the
     least common multiple of the entry denominators up to an integer factor."""
-    dens = {e.den for e in entries}
-    multiple = Polynomial((1,))
-    for d in dens:
-        multiple = multiple * (d // poly_gcd(multiple, d))
-    cofactors = {d: _integer_coeffs(multiple // d) for d in dens}
+    # A monic denominator over Q clears to a primitive one over Z[t], and the
+    # lcm of primitive polynomials is their product over the gcds.
+    dens = {}
+    for e in entries:
+        if e.den not in dens:
+            dens[e.den] = _integer_coeffs(e.den)
+    multiple = [1]
+    for d, _ in dens.values():
+        multiple = poly_mul(multiple, zpoly_gcd(multiple, d)[2])
+    # (num / num_scale) / (d / d_scale) = num * d_scale * (multiple / d) / (num_scale * multiple)
+    cofactors = {key: [d_scale * c for c in _exact_quotient(multiple, d)]
+                 for key, (d, d_scale) in dens.items()}
     products, scales = [], []
     for e in entries:
         num, num_scale = _integer_coeffs(e.num)
-        cof, cof_scale = cofactors[e.den]
-        products.append(poly_mul(num, cof))
-        scales.append(num_scale * cof_scale)
-    # entry = product / (scale * multiple); bring every scale to their lcm.
-    den, den_scale = _integer_coeffs(multiple)
+        products.append(poly_mul(num, cofactors[e.den]))
+        scales.append(num_scale)
     common = lcm(*scales)
-    nums = [[c * (den_scale * common // s) for c in prod]
-            for prod, s in zip(products, scales)]
-    return [c * common for c in den], nums
+    nums = [[c * (common // s) for c in prod] for prod, s in zip(products, scales)]
+    return [c * common for c in multiple], nums

@@ -53,3 +53,10 @@ class ConfigError(DehnError):
     """Invalid run configuration (bad region override, bad flag combination)."""
 
     exit_code = 6
+
+
+class RegionLabelError(DehnError):
+    """The region labels of the diagram are inconsistent under the
+    representation, so the Dehn graph does not give a chain complex."""
+
+    exit_code = 7

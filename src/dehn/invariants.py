@@ -3,7 +3,9 @@ three-term complex.
 
 The propagator picks coordinate lines S of C_1 completing the image of d2 to
 a basis; G_1 inverts d1 on span(S) and G_2 inverts d2 on its image along
-span(S). Torsion is the determinant of the square block matrix [d2 | g1]
+span(S). G_2 is held as the fraction-free elimination leaves it, numerators
+over Z[t] and one common denominator delta, and its Q(t) matrix is built only
+when asked for. Torsion is the determinant of the square block matrix [d2 | g1]
 mapping the even chains to C_1; it is well defined up to +-t^m, and a
 canonical representative is obtained by stripping that unit.
 
@@ -14,14 +16,17 @@ representation and the matching propagator entry; edges whose label is a
 bare sign contribute nothing. Orientation conventions per degree: the scalar
 for a crossing-to-region edge is the image of the signed label times the G_2
 entry; region-to-basepoint edges enter with the opposite overall sign. This
-is the convention under which defect = t (d/dt) log(torsion) mod Z.
+is the convention under which defect = t (d/dt) log(torsion) mod Z. The
+defect sums the terms as one numerator over Z[t] and makes the result
+canonical once.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (FieldMatrix, IntPoly, Polynomial, RatFunc, common_denominator,
                       fraction_free_gauss_jordan, pmat_mul, poly_mul, unit_equal)
@@ -33,9 +38,27 @@ from .words import exponent_sum
 
 @dataclass(frozen=True)
 class Propagator:
-    g2: FieldMatrix  # c2_dim x c1_dim
+    """G2 held as the elimination left it: G2[r][j] = numer[r][j] * lam[j] / delta
+    over Z[t], with lam[j] clearing row j of d2 of denominators."""
+
+    numer: List[List[IntPoly]]  # c2_dim x c1_dim
+    lam: List[IntPoly]  # c1_dim
+    delta: IntPoly
     g1: FieldMatrix  # c1_dim x c0_dim
     selected: Tuple[int, ...]  # C_1 coordinates spanning the complement of im(d2)
+
+    @cached_property
+    def g2(self) -> FieldMatrix:
+        """G2 as a c2_dim x c1_dim matrix over Q(t), built on first use."""
+        delta = Polynomial(self.delta)
+        return FieldMatrix(len(self.numer), len(self.lam), [
+            RatFunc(Polynomial(x), delta) for x in _g2_numerators(self)])
+
+
+def _g2_numerators(g: Propagator) -> List[IntPoly]:
+    """G2's entries times delta, row by row, over Z[t]."""
+    return [x if lam == [1] else poly_mul(x, lam)
+            for row in g.numer for x, lam in zip(row, g.lam)]
 
 
 def build_propagator(cx: ChainComplex, pivot_seed: Optional[int] = None) -> Propagator:
@@ -67,31 +90,37 @@ def build_propagator(cx: ChainComplex, pivot_seed: Optional[int] = None) -> Prop
     selected = [order[p - c2] for p in pivots if p >= c2]
     if len(selected) != c0:
         raise NotExactError("could not complete im(d2) to a basis of C_1")
-    delta = Polynomial(reduced[-1][pivots[-1]])
-    g2 = FieldMatrix(c2, c1, [
-        RatFunc(Polynomial(poly_mul(reduced[r][c2 + position[j]], lam[j])), delta)
-        for r in range(c2) for j in range(c1)])
+    numer = [[reduced[r][c2 + position[j]] for j in range(c1)] for r in range(c2)]
     ms_inv = cx.d1.submatrix(range(c0), selected).inverse()
     g1_rows = [[RatFunc.zero()] * c0 for _ in range(c1)]
     for a, row_index in enumerate(selected):
         g1_rows[row_index] = list(ms_inv.row(a))
-    g1 = FieldMatrix.from_rows(g1_rows)
-    _verify_identities(cx, g2, g1)
-    return Propagator(g2, g1, tuple(selected))
+    g = Propagator(numer, lam, reduced[-1][pivots[-1]],
+                   FieldMatrix.from_rows(g1_rows), tuple(selected))
+    _verify_identities(cx, g)
+    return g
 
 
-def _verify_identities(cx: ChainComplex, g2: FieldMatrix, g1: FieldMatrix) -> None:
+def _verify_identities(cx: ChainComplex, g: Propagator) -> None:
     """Check g2*d2 = id, d1*g1 = id and d2*g2 + g1*d1 = [d2 | g1]*[g2; d1] = id
-    exactly: each factor is written as a matrix over Z[t] divided by one
-    polynomial, and the product of the numerators must be the product of the
-    denominators times the identity."""
-    below = FieldMatrix(g2.rows + cx.d1.rows, g2.cols, g2.entries + cx.d1.entries)
-    for name, left, right in (("g2*d2", g2, cx.d2), ("d1*g1", cx.d1, g1),
-                              ("d2*g2 + g1*d1", cx.d2.hstack(g1), below)):
-        left_den, left_nums = common_denominator(left.entries)
-        right_den, right_nums = common_denominator(right.entries)
-        product = pmat_mul(_rows(left_nums, left.cols), _rows(right_nums, right.cols))
-        scalar = poly_mul(left_den, right_den)
+    exactly: g2 is its numerators over delta, and [d2 | g1] and d1 are each
+    written over one common denominator, so every product of numerators
+    must be the product of the denominators times the identity."""
+    c2 = cx.c2_dim
+    g2 = _rows(_g2_numerators(g), cx.c1_dim)
+    d1_den, d1 = common_denominator(cx.d1.entries)
+    d1 = _rows(d1, cx.c1_dim)
+    den, left = common_denominator(cx.d2.hstack(g.g1).entries)
+    left = _rows(left, c2 + cx.c0_dim)
+    # [g2; d1] is [g2 * d1_den; d1 * delta] over delta * d1_den: scale the
+    # matching columns of the sparse left factor instead.
+    scaled = [[poly_mul(x, d1_den) for x in row[:c2]] + [poly_mul(x, g.delta) for x in row[c2:]]
+              for row in left]
+    for name, product, scalar in (
+            ("g2*d2", pmat_mul(g2, [row[:c2] for row in left]), poly_mul(g.delta, den)),
+            ("d1*g1", pmat_mul(d1, [row[c2:] for row in left]), poly_mul(d1_den, den)),
+            ("d2*g2 + g1*d1", pmat_mul(scaled, g2 + d1),
+             poly_mul(den, poly_mul(g.delta, d1_den)))):
         if any(entry != (scalar if i == j else [])
                for i, row in enumerate(product) for j, entry in enumerate(row)):
             raise DehnError(f"propagator identity {name} = id failed")
@@ -141,15 +170,19 @@ class DefectValue:
     representative: RatFunc
 
 
-def defect_terms(graph: DehnGraph, cx: ChainComplex, g: Propagator,
-                 rep: Representation) -> List[Tuple[str, str, RatFunc]]:
-    """Per-edge defect contributions (source, target, value), word-bearing
-    edges only."""
+def _require_abelian(rep: Representation) -> None:
     if rep.kind != "abelian" or rep.dim != 1:
         raise UnsupportedRepresentationError(
             "the defect is only computed for the abelian representation; "
             "higher-dimensional representations need a homology identification "
             "this package does not implement")
+
+
+def defect_terms(graph: DehnGraph, cx: ChainComplex, g: Propagator,
+                 rep: Representation) -> List[Tuple[str, str, RatFunc]]:
+    """Per-edge defect contributions (source, target, value), word-bearing
+    edges only."""
+    _require_abelian(rep)
     terms = []
     for e in graph.edges:
         w = e.label.word
@@ -172,12 +205,70 @@ def defect_terms(graph: DehnGraph, cx: ChainComplex, g: Propagator,
     return terms
 
 
+def _monomial(f: RatFunc) -> Tuple[int, int]:
+    """(c, m) with f = c * t^m for an integer c, the form of every label image
+    under the abelian representation."""
+    num, den = f.num, f.den
+    m = num.t_multiplicity()
+    if (num.is_zero() or num.degree > m or den.degree > den.t_multiplicity()
+            or num.leading().denominator != 1):
+        raise UnsupportedRepresentationError(f"label image {f} is not an integer times t^m")
+    return int(num.leading()), m - den.degree
+
+
+def _add_shifted(acc: IntPoly, p: Sequence[int], c: int, shift: int) -> None:
+    """acc += c * t^shift * p in place."""
+    if len(acc) < shift + len(p):
+        acc.extend([0] * (shift + len(p) - len(acc)))
+    for i, x in enumerate(p):
+        acc[shift + i] += c * x
+
+
 def defect(graph: DehnGraph, cx: ChainComplex, g: Propagator,
            rep: Representation) -> DefectValue:
-    total = RatFunc.zero()
-    for _, _, value in defect_terms(graph, cx, g, rep):
-        total = total + value
-    return DefectValue(total)
+    """The sum of `defect_terms`, made canonical once.
+
+    Every label image is c * t^m, so with `low` the least m, the G2 terms sum
+    to t^low * num / delta with num = sum of c * t^(m - low) * numer[r][j] *
+    lam[j] over Z[t]. The G1 terms of a row sum to a Laurent multiple of that
+    row's entry of g1, added to num / den by cross-multiplication."""
+    _require_abelian(rep)
+    g2_terms, g1_terms = [], {}
+    for e in graph.edges:
+        w = e.label.word
+        if not w:
+            continue
+        c, m = _monomial(eval_rep(rep, e.label).entry(0, 0))
+        c *= exponent_sum(w)
+        if e.target == BASEPOINT:
+            g1_terms.setdefault(cx.block_of(e.source), []).append((-c, m))
+        else:
+            g2_terms.append((c, m, cx.block_of(e.source), cx.block_of(e.target)))
+    low = min([m for _, m, _, _ in g2_terms]
+              + [m for terms in g1_terms.values() for _, m in terms], default=0)
+    by_column: Dict[int, IntPoly] = {}
+    for c, m, r, j in g2_terms:
+        _add_shifted(by_column.setdefault(j, []), g.numer[r][j], c, m - low)
+    num: IntPoly = []
+    for j, column in by_column.items():
+        _add_shifted(num, column if g.lam[j] == [1] else poly_mul(column, g.lam[j]), 1, 0)
+    den = g.delta
+    for row, terms in g1_terms.items():
+        entry = g.g1.entry(row, 0)
+        if entry.is_zero():
+            continue
+        multiplier: IntPoly = []
+        for c, m in terms:
+            _add_shifted(multiplier, [c], 1, m - low)
+        v, (u,) = common_denominator([entry])
+        num = poly_mul(num, v)
+        _add_shifted(num, poly_mul(den, poly_mul(multiplier, u)), 1, 0)
+        den = poly_mul(den, v)
+    if low >= 0:
+        num = [0] * low + num
+    else:
+        den = [0] * -low + den
+    return DefectValue(RatFunc(Polynomial(num), Polynomial(den)))
 
 
 def defect_equal_mod_Z(a: DefectValue, b: DefectValue) -> bool:

@@ -8,7 +8,7 @@ from typing import List, Optional
 from .dehngraph import (CornerLabeling, DehnGraph, RegionLabeling, build_d1,
                         build_d2, build_dehn_graph, check_d2)
 from .diagram import KnotDiagram, PDCode, build_diagram, parse_pd, wirtinger
-from .errors import DehnError, NotExactError
+from .errors import NotExactError, RegionLabelError
 from .invariants import (DefectValue, Propagator, TorsionValue,
                          build_propagator, check_lescop_relation, defect,
                          torsion)
@@ -73,7 +73,7 @@ def run_pipeline(pd_text: str, outer_region: Optional[int] = None,
     rep = Representation.abelian(diagram.arc_count)
     violations = check_d2(d2_labels, diagram, rep)
     if violations:
-        raise DehnError(f"region labeling is inconsistent: {violations}")
+        raise RegionLabelError(f"region labeling is inconsistent: {violations}")
     cx = build_complex(graph, rep)
     report = check_exactness(cx)  # build_propagator re-checks; fail early here
     if not report.exact:

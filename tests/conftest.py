@@ -5,6 +5,7 @@ import itertools
 from fractions import Fraction
 
 from dehn.algebra import FieldMatrix, Polynomial, RatFunc
+from dehn.invariants import DefectValue, defect_terms
 from dehn.pipeline import run_pipeline
 
 # PD codes from the standard knot tables (bracket form, sequential labels).
@@ -39,6 +40,15 @@ ALEXANDER = {
     "5_2": (2, -3, 2),
     "6_1": (2, -5, 2),
 }
+
+
+def torus_pd(n: int) -> str:
+    """PD code of the (2, n) torus knot, n odd: crossing i is
+    [2i+1, 2i+n+1, 2i+2, 2i+n+2] with labels taken mod 2n."""
+    m = 2 * n
+    return "[" + ",".join(
+        f"[{2 * i % m + 1},{(2 * i + n) % m + 1},{(2 * i + 1) % m + 1},{(2 * i + n + 1) % m + 1}]"
+        for i in range(n)) + "]"
 
 
 @functools.lru_cache(maxsize=None)
@@ -113,6 +123,16 @@ def qt_inverse(matrix: FieldMatrix):
     if pivots[:n] != list(range(n)):
         return None
     return reduced.submatrix(range(n), range(n, 2 * n))
+
+
+def qt_defect(graph, cx, g, rep) -> DefectValue:
+    """Reference defect: the per-edge terms added one at a time in Q(t), each
+    partial sum in canonical form, independent of the single-numerator sum
+    behind `defect`."""
+    total = RatFunc.zero()
+    for _, _, value in defect_terms(graph, cx, g, rep):
+        total = total + value
+    return DefectValue(total)
 
 
 def find_basis_permutation(ours, fixture):

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mat, poly, qt_inverse, qt_rref, rf
-from dehn.algebra import (FieldMatrix, Polynomial, RatFunc,
+from dehn import algebra
+from dehn.algebra import (FieldMatrix, Polynomial, RatFunc, _prs_gcd,
                           common_denominator, fraction_free_gauss_jordan,
-                          pmat_mul, poly_gcd, poly_mul, unit_equal)
+                          pmat_mul, poly_gcd, poly_mul, unit_equal, zpoly_gcd)
 
 # -- polynomial gcd --------------------------------------------------------
 
@@ -380,6 +383,115 @@ def test_fraction_free_gauss_jordan_rank_deficient():
     reduced, pivots, sign = fraction_free_gauss_jordan(rows)
     assert pivots == [1] and sign == 1
     assert reduced == [[[], [1, 1], [2]], [[], [], []]]
+
+
+# -- gcd over Z[t] -------------------------------------------------------------
+
+
+def _content(coeffs):
+    return math.gcd(*coeffs)
+
+
+def _assert_gcd(a, b, g, qa, qb):
+    """g is gcd(a, b) in Z[t]: the monic Euclid gcd over Q up to a rational
+    unit, with the gcd of the contents, a positive leading coefficient and
+    exact cofactors."""
+    assert all(_is_trimmed(x) for x in (g, qa, qb))
+    assert Polynomial(g).monic() == poly_gcd(Polynomial(a), Polynomial(b))
+    assert poly_mul(g, qa) == a and poly_mul(g, qb) == b
+    if g:
+        assert g[-1] > 0
+        assert _content(g) == math.gcd(_content(a), _content(b))
+
+
+def _planted_pair(draw):
+    """a = ca * t^va * a1 * h and b = cb * t^vb * b1 * h: a planted common
+    factor, contents other than 1 of either sign, t-powers, and a zero
+    operand whenever a1 or b1 is drawn empty."""
+    h = draw(int_polys(9, 4).filter(bool))
+    a1, b1 = draw(int_polys(20, 5)), draw(int_polys(20, 5))
+    ca, cb = (draw(st.integers(-12, 12).filter(bool)) for _ in range(2))
+    va, vb = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    a = [0] * va + [ca * x for x in poly_mul(a1, h)] if a1 else []
+    b = [0] * vb + [cb * x for x in poly_mul(b1, h)] if b1 else []
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_zpoly_gcd_matches_euclid_on_planted_factors(data):
+    a, b = _planted_pair(data.draw)
+    _assert_gcd(a, b, *zpoly_gcd(a, b))
+    _assert_gcd(b, a, *zpoly_gcd(b, a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(int_polys(2 ** 40, 6), int_polys(2 ** 40, 6))
+def test_zpoly_gcd_matches_euclid_on_large_coefficients(a, b):
+    _assert_gcd(a, b, *zpoly_gcd(a, b))
+
+
+def test_zpoly_gcd_zero_operands():
+    assert zpoly_gcd([], []) == ([], [], [])
+    assert zpoly_gcd([], [-2, 0, -4]) == ([2, 0, 4], [], [-1])
+    assert zpoly_gcd([0, 3], []) == ([0, 3], [1], [])
+
+
+def test_zpoly_gcd_cases_that_need_a_wider_packing():
+    # The first packing width gives a candidate that fails trial division
+    # here (once, then twice), so the answer comes from a wider one.
+    for a, b in (([59, 32, 66, 23], [-1, 2]), ([-1, 0, 0, 0, 1], [31, 45, 14])):
+        _assert_gcd(a, b, *zpoly_gcd(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_prs_gcd_matches_euclid(data):
+    a, b = _planted_pair(data.draw)
+    if a and b:
+        g = _prs_gcd(a, b)
+        assert g[-1] > 0 and _content(g) == 1
+        assert Polynomial(g).monic() == poly_gcd(Polynomial(a), Polynomial(b))
+
+
+def test_zpoly_gcd_falls_back_to_the_remainder_sequence(monkeypatch):
+    # With no heuristic tries every gcd of nonconstant primitive parts comes
+    # from the primitive remainder sequence.
+    monkeypatch.setattr(algebra, "_HEURISTIC_TRIES", 0)
+    rng = random.Random(6)
+    for _ in range(200):
+        h = [rng.randint(-5, 5) for _ in range(rng.randint(0, 3))] + [rng.randint(1, 5)]
+        a = poly_mul([rng.randint(-30, 30) for _ in range(rng.randint(1, 5))], h)
+        b = poly_mul([rng.randint(-30, 30) for _ in range(rng.randint(1, 5))], h)
+        _assert_gcd(a, b, *zpoly_gcd(a, b))
+
+
+def euclid_canonical(num, den):
+    """The canonical form by the Euclid over Q that RatFunc used before the
+    Z[t] gcd: divide by the monic gcd, then make the denominator monic."""
+    if num.is_zero():
+        return Polynomial(), Polynomial((1,))
+    g = poly_gcd(num, den)
+    num, den = num // g, den // g
+    lead = den.leading()
+    return num.scale(1 / lead), den.scale(1 / lead)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(entry_palette, max_size=4), st.lists(entry_palette, max_size=3),
+       entry_palette)
+def test_ratfunc_canonical_form_matches_euclid(over, under, planted):
+    # An unreduced quotient of palette values, with a planted common factor.
+    num, den = planted.num, planted.num
+    if num.is_zero():
+        num = den = Polynomial((1,))
+    for v in over:
+        num, den = num * v.num, den * v.den
+    for v in under:
+        if not v.is_zero():
+            num, den = num * v.den, den * v.num
+    f = RatFunc(num, den)
+    assert (f.num, f.den) == euclid_canonical(num, den)
 
 
 @settings(max_examples=40, deadline=None)

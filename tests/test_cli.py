@@ -123,6 +123,16 @@ def test_bad_outer_region_exit_code(capsys):
     assert json.loads(err)["error"]["type"] == "ConfigError"
 
 
+def test_region_label_inconsistency_exit_code(capsys, monkeypatch):
+    import dehn.pipeline
+    violation = {"edge": 1, "arc": "x1", "left_region": 0, "right_region": 1}
+    monkeypatch.setattr(dehn.pipeline, "check_d2", lambda *args: [violation])
+    code, out, err = run_cli(capsys, "compute", "--pd", TREFOIL)
+    assert code == 7 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "RegionLabelError" and error["exit_code"] == 7
+
+
 def test_missing_input_exit_code(capsys):
     code, out, err = run_cli(capsys, "compute")
     assert code == 6 and out == ""

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
-                      UNKNOT_KINK, find_basis_permutation, mat, pipeline, qt_inverse,
-                      qt_rref, rf)
+                      UNKNOT_KINK, find_basis_permutation, mat, pipeline, qt_defect,
+                      qt_inverse, qt_rref, rf, torus_pd)
 from dehn.algebra import FieldMatrix, RatFunc
 from dehn.errors import DehnError, NotExactError, UnsupportedRepresentationError
 from dehn.dehngraph import build_d1, build_d2, build_dehn_graph
@@ -132,19 +132,16 @@ def test_propagator_matches_reference_rule_with_denominators():
         assert (g.selected, g.g2) == reference_propagator(scaled, seed)
 
 
-def _replace(m, i, j, value):
-    entries = list(m.entries)
-    entries[i * m.cols + j] = value
-    return FieldMatrix(m.rows, m.cols, entries)
-
-
 def test_verify_identities_rejects_a_perturbed_g2():
+    # Adding t to one numerator of N adds t * lam / delta to that G2 entry.
     run = pipeline(FIG8)
     cx, g = run.complex, run.propagator
-    _verify_identities(cx, g.g2, g.g1)
-    bad = _replace(g.g2, 1, 2, g.g2.entry(1, 2) + rf((0, 1), (1, 1)))
+    _verify_identities(cx, g)
+    numer = [list(row) for row in g.numer]
+    numer[1][2] = numer[1][2] + [0, 0]
+    numer[1][2][1] += 1
     with pytest.raises(DehnError, match="g2\\*d2"):
-        _verify_identities(cx, bad, g.g1)
+        _verify_identities(cx, dataclasses.replace(g, numer=numer))
 
 
 def test_verify_identities_checks_the_homotopy_identity():
@@ -154,7 +151,7 @@ def test_verify_identities_checks_the_homotopy_identity():
     cx, g = run.complex, run.propagator
     shifted = g.g1 + cx.d2.submatrix(range(cx.c1_dim), [0])
     with pytest.raises(DehnError, match="d2\\*g2 \\+ g1\\*d1"):
-        _verify_identities(cx, g.g2, shifted)
+        _verify_identities(cx, dataclasses.replace(g, g1=shifted))
 
 
 def test_propagator_requires_exactness():
@@ -237,6 +234,23 @@ def test_defect_rejects_matrix_representation():
     g = build_propagator(cx)
     with pytest.raises(UnsupportedRepresentationError):
         defect(graph, cx, g, rep)
+
+
+@pytest.mark.parametrize("name,text", sorted(CORPUS.items()))
+def test_defect_matches_qt_reference_on_corpus(name, text):
+    run = pipeline(text)
+    for seed in [None] + list(range(10)):
+        g = build_propagator(run.complex, pivot_seed=seed)
+        assert (defect(run.graph, run.complex, g, run.rep)
+                == qt_defect(run.graph, run.complex, g, run.rep)), seed
+
+
+@pytest.mark.parametrize("name,text", [("3_1_kinked", TREFOIL_KINKED),
+                                       ("4_1_kinked", FIG8_KINKED)]
+                         + [(f"T(2,{n})", torus_pd(n)) for n in range(3, 22, 2)])
+def test_defect_matches_qt_reference(name, text):
+    run = pipeline(text)
+    assert run.d == qt_defect(run.graph, run.complex, run.propagator, run.rep)
 
 
 def test_defect_equal_mod_Z_cases():
