@@ -1,18 +1,20 @@
-"""Exact arithmetic in Q, Q[t] and Q(t), dense matrices over Q(t), and a
-small kernel for polynomials and matrices over Z[t].
+"""Exact arithmetic in Q and Q(t), dense matrices over Q(t), and a small
+kernel for polynomials and matrices over Z[t].
 
-Every elimination runs in that kernel: `FieldMatrix` rank, reduced echelon
-form, determinant and inverse clear each row of denominators and call the one
-fraction-free Gauss-Jordan loop, `fraction_free_gauss_jordan`, over Z[t].
-Every `RatFunc` is put in canonical form by the kernel's gcd, `zpoly_gcd`: a
-heuristic gcd on packed integers whose answer is proved by exact division,
-with a remainder-sequence fallback. The Euclid over Q, `poly_gcd`, is kept
-for the Fox oracle.
+A `RatFunc` is a pair of integer polynomials in a unique reduced form, and
+its arithmetic is the kernel's: `poly_mul`, `poly_add` and the gcd
+`zpoly_gcd`, a heuristic gcd on packed integers whose answer is proved by
+exact division, with a remainder-sequence fallback. Every elimination runs
+in the kernel too: `FieldMatrix` rank, reduced echelon form, determinant and
+inverse write each row over one denominator and call the one fraction-free
+Gauss-Jordan loop, `fraction_free_gauss_jordan`, over Z[t]. `Polynomial`, with
+coefficients in Q, is the monic-denominator display form of a `RatFunc`'s
+parts and the type of the Fox oracle's Alexander polynomial; its Euclid gcd,
+`poly_gcd`, is the reference that the kernel's gcd is tested against.
 
 Everything here is immutable and pure: values can be shared freely between
-threads. Coefficients are `fractions.Fraction` in Q[t] and Q(t) and Python
-ints in the Z[t] kernel, so there is no precision ceiling and no floating
-point anywhere.
+threads. Coefficients are Python ints in Z[t] and `fractions.Fraction` in
+Q[t], so there is no precision ceiling and no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
-
-Rational = Fraction
 
 Coeffish = Union[int, Fraction]
 
@@ -52,16 +52,6 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def constant(cls, c: Coeffish) -> "Polynomial":
-        return cls((c,))
-
-    @classmethod
-    def t(cls) -> "Polynomial":
-        return cls((0, 1))
-
     # -- structure ----------------------------------------------------
 
     @property
@@ -79,9 +69,6 @@ class Polynomial:
 
     def constant_term(self) -> Fraction:
         return self.coeffs[0] if self.coeffs else Fraction(0)
-
-    def coeff(self, n: int) -> Fraction:
-        return self.coeffs[n] if 0 <= n < len(self.coeffs) else Fraction(0)
 
     def t_multiplicity(self) -> int:
         """Largest m with t^m dividing self; 0 for the zero polynomial."""
@@ -138,18 +125,6 @@ class Polynomial:
         c = _coerce(c)
         return Polynomial(tuple(c * a for a in self.coeffs))
 
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Polynomial((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __divmod__(self, other: "Polynomial"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -175,9 +150,6 @@ class Polynomial:
         if self.is_zero():
             return self
         return self.scale(1 / self.leading())
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs))[1:])
 
     def __call__(self, x: Coeffish) -> Fraction:
         x = _coerce(x)
@@ -222,40 +194,40 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 class RatFunc:
-    """Element of Q(t) in canonical form: monic denominator, coprime parts.
+    """Element of Q(t), stored as znum / zden: integer coefficient tuples,
+    constant term first, with
 
-    Zero is 0/1. Equality is structural thanks to the canonical form. The
-    parts are cleared to Z[t] and divided by their `zpoly_gcd`, so the form is
-    the one a Euclid over Q would give.
+    - no common factor of znum and zden in Z[t], not even a constant one;
+    - a positive leading coefficient of zden;
+    - zero stored as () / (1,).
+
+    The form is unique. If two such pairs have the same value, one pair is a
+    rational multiple q of the other; joint content 1 makes q = +-1, and the
+    positive leading coefficient makes q = 1. So equality and hashing are
+    structural. `num` and `den` give the same value over Q with a monic
+    denominator, the form of the schema-v1 JSON strings.
+
+    `RatFunc(num, den)` takes Polynomials, rational constants or sequences of
+    int and Fraction coefficients (trailing zeros allowed); every value,
+    arithmetic results included, is reduced here by `zpoly_gcd`.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("znum", "zden")
 
-    def __init__(self, num, den=Polynomial((1,))):
-        if not isinstance(num, Polynomial):
-            num = Polynomial.constant(num)
-        if not isinstance(den, Polynomial):
-            den = Polynomial.constant(den)
-        if den.is_zero():
+    def __init__(self, num, den=(1,)):
+        num, den = _coefficients(num), _coefficients(den)
+        scale = lcm(*(c.denominator for c in num), *(c.denominator for c in den))
+        num = _trim([c.numerator * (scale // c.denominator) for c in num])
+        den = _trim([c.numerator * (scale // c.denominator) for c in den])
+        if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num, den = Polynomial(), Polynomial((1,))
-        elif den.degree == 0:
-            lead = den.coeffs[0]
-            if lead != 1:
-                num, den = num.scale(1 / lead), Polynomial((1,))
-        else:
-            # num / den = (a / a_scale) / (b / b_scale) over Z[t]; dividing a
-            # and b by their gcd and b's leading coefficient leaves coprime
-            # parts and a monic denominator.
-            a, a_scale = _integer_coeffs(num)
-            b, b_scale = _integer_coeffs(den)
-            _, a, b = zpoly_gcd(a, b)
-            lead = b[-1]
-            num = Polynomial([Fraction(c * b_scale, a_scale * lead) for c in a])
-            den = Polynomial([Fraction(c, lead) for c in b])
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        # The gcd's cofactors have joint content 1; fixing the sign of the
+        # denominator's leading coefficient leaves the unique form.
+        _, num, den = zpoly_gcd(num, den)
+        if den[-1] < 0:
+            num, den = [-c for c in num], [-c for c in den]
+        object.__setattr__(self, "znum", tuple(num))
+        object.__setattr__(self, "zden", tuple(den))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
@@ -264,74 +236,87 @@ class RatFunc:
 
     @classmethod
     def zero(cls) -> "RatFunc":
-        return cls(Polynomial())
+        return cls(())
 
     @classmethod
     def one(cls) -> "RatFunc":
-        return cls(Polynomial((1,)))
+        return cls((1,))
 
     @classmethod
     def t(cls) -> "RatFunc":
-        return cls(Polynomial.t())
+        return cls((0, 1))
 
     @classmethod
     def t_power(cls, m: int) -> "RatFunc":
         """t^m for any integer m."""
         if m >= 0:
-            return cls(Polynomial((0,) * m + (1,)))
-        return cls(Polynomial((1,)), Polynomial((0,) * (-m) + (1,)))
+            return cls((0,) * m + (1,))
+        return cls((1,), (0,) * (-m) + (1,))
+
+    # -- parts over Q -------------------------------------------------
+
+    @property
+    def num(self) -> Polynomial:
+        """Numerator over Q when the denominator is made monic."""
+        lead = self.zden[-1]
+        return Polynomial(Fraction(c, lead) for c in self.znum)
+
+    @property
+    def den(self) -> Polynomial:
+        """The monic denominator over Q."""
+        lead = self.zden[-1]
+        return Polynomial(Fraction(c, lead) for c in self.zden)
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        return self.num.coeffs == (Fraction(1),) and self.den.coeffs == (Fraction(1),)
+        return not self.znum
 
     def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
+        return len(self.znum) <= 1 and len(self.zden) == 1
 
     def as_constant(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not a constant")
-        return self.num.constant_term() / self.den.constant_term()
+        return Fraction(self.znum[0] if self.znum else 0, self.zden[0])
 
     # -- arithmetic ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatFunc)
-                and self.num == other.num and self.den == other.den)
+                and self.znum == other.znum and self.zden == other.zden)
 
     def __hash__(self) -> int:
-        return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
+        return hash(("RatFunc", self.znum, self.zden))
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
+        return RatFunc([-c for c in self.znum], self.zden)
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        return RatFunc(poly_add(poly_mul(self.znum, other.zden),
+                                poly_mul(other.znum, self.zden)),
+                       poly_mul(self.zden, other.zden))
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return RatFunc(poly_mul(self.znum, other.znum), poly_mul(self.zden, other.zden))
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return RatFunc(poly_mul(self.znum, other.zden), poly_mul(self.zden, other.znum))
 
     def inverse(self) -> "RatFunc":
         return RatFunc.one() / self
 
     def derivative(self) -> "RatFunc":
         """Quotient-rule derivative, in canonical form."""
-        return RatFunc(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den)
+        num, den = self.znum, self.zden
+        return RatFunc(poly_add(poly_mul(_derivative(num), den),
+                                poly_mul(num, _derivative(den)), -1),
+                       poly_mul(den, den))
 
     def __call__(self, x: Coeffish) -> Fraction:
         d = self.den(x)
@@ -342,7 +327,7 @@ class RatFunc:
     # -- display / serialization --------------------------------------
 
     def __str__(self) -> str:
-        if self.den.degree == 0 and self.den.constant_term() == 1:
+        if len(self.zden) == 1:
             return str(self.num)
         return f"({self.num})/({self.den})"
 
@@ -350,7 +335,8 @@ class RatFunc:
         return f"RatFunc({self.num!r}, {self.den!r})"
 
     def to_json(self) -> dict:
-        """Machine-stable form: exact coefficient strings, constant term first."""
+        """Machine-stable form: exact coefficient strings of `num` and `den`,
+        constant term first."""
         return {
             "num": [str(c) for c in self.num.coeffs],
             "den": [str(c) for c in self.den.coeffs],
@@ -359,24 +345,35 @@ class RatFunc:
 
     @classmethod
     def from_json(cls, data: dict) -> "RatFunc":
-        num = Polynomial(Fraction(c) for c in data["num"])
-        den = Polynomial(Fraction(c) for c in data["den"])
-        return cls(num, den)
+        return cls([Fraction(c) for c in data["num"]], [Fraction(c) for c in data["den"]])
+
+
+def _coefficients(p) -> list:
+    """The coefficients of a Polynomial, a rational constant or a sequence of
+    rationals."""
+    if isinstance(p, Polynomial):
+        return list(p.coeffs)
+    if isinstance(p, (int, Fraction)):
+        return [p]
+    cs = list(p)
+    for c in cs:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"cannot use {type(c).__name__} as a rational coefficient")
+    return cs
+
+
+def _derivative(p: Sequence[int]) -> IntPoly:
+    return [i * c for i, c in enumerate(p)][1:]
 
 
 def unit_equal(a: RatFunc, b: RatFunc) -> bool:
     """True iff a = ±t^m · b for some integer m; zero is only unit-equal to zero."""
     if a.is_zero() or b.is_zero():
         return a.is_zero() and b.is_zero()
+    # In the reduced form, a ratio +-t^m is (+-t^i)/(t^j).
     q = a / b
-    num, den = q.num, q.den
-    # Canonical form makes den monic, so ±t^m ratios look like (±t^i)/(t^j).
-    if any(c != 0 for c in den.coeffs[:-1]):
-        return False
-    nm = num.t_multiplicity()
-    if any(c != 0 for c in num.coeffs[nm:-1]):
-        return False
-    return abs(num.leading()) == 1
+    return (not any(q.znum[:-1]) and not any(q.zden[:-1])
+            and abs(q.znum[-1]) == 1 == q.zden[-1])
 
 
 class FieldMatrix:
@@ -425,9 +422,6 @@ class FieldMatrix:
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def to_lists(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -518,8 +512,8 @@ class FieldMatrix:
         cleared rows with each row divided by the common pivot.
         """
         reduced, pivots, _ = fraction_free_gauss_jordan(self.cleared_rows()[1])
-        delta = Polynomial(reduced[0][pivots[0]] if pivots else [1])
-        entries = [RatFunc(Polynomial(x), delta) for row in reduced for x in row]
+        delta = reduced[0][pivots[0]] if pivots else [1]
+        entries = [RatFunc(x, delta) for row in reduced for x in row]
         return FieldMatrix(self.rows, self.cols, entries), pivots, len(pivots)
 
     def rank(self) -> int:
@@ -538,7 +532,7 @@ class FieldMatrix:
         den = [1]
         for d in lam:
             den = poly_mul(den, d)
-        return RatFunc(Polynomial(sign * c for c in delta), Polynomial(den))
+        return RatFunc([sign * c for c in delta], den)
 
     def inverse(self) -> "FieldMatrix":
         if self.rows != self.cols:
@@ -607,6 +601,21 @@ def _norm1(coeffs: Sequence[int]) -> int:
 def _packing_bits(bound: int) -> int:
     """Bits per coefficient for values whose coefficients are at most `bound`."""
     return bound.bit_length() + 1
+
+
+def _trim(p: IntPoly) -> IntPoly:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def poly_add(a: Sequence[int], b: Sequence[int], c: int = 1, shift: int = 0) -> IntPoly:
+    """a + c * t^shift * b in Z[t], for shift >= 0."""
+    out = list(a)
+    out.extend([0] * (shift + len(b) - len(out)))
+    for i, x in enumerate(b, shift):
+        out[i] += c * x
+    return _trim(out)
 
 
 def poly_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
@@ -805,32 +814,13 @@ def zpoly_gcd(a: Sequence[int], b: Sequence[int]) -> Tuple[IntPoly, IntPoly, Int
             [0] * (vb - v) + [cb // c * x for x in qb])
 
 
-def _integer_coeffs(p: Polynomial) -> Tuple[IntPoly, int]:
-    """(ints, scale) with p = ints / scale."""
-    scale = lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (scale // c.denominator) for c in p.coeffs], scale
-
-
 def common_denominator(entries: Sequence[RatFunc]) -> Tuple[IntPoly, List[IntPoly]]:
     """(den, nums) over Z[t] with entries[i] = nums[i] / den, where den is the
-    least common multiple of the entry denominators up to an integer factor."""
-    # A monic denominator over Q clears to a primitive one over Z[t], and the
-    # lcm of primitive polynomials is their product over the gcds.
-    dens = {}
-    for e in entries:
-        if e.den not in dens:
-            dens[e.den] = _integer_coeffs(e.den)
-    multiple = [1]
-    for d, _ in dens.values():
-        multiple = poly_mul(multiple, zpoly_gcd(multiple, d)[2])
-    # (num / num_scale) / (d / d_scale) = num * d_scale * (multiple / d) / (num_scale * multiple)
-    cofactors = {key: [d_scale * c for c in _exact_quotient(multiple, d)]
-                 for key, (d, d_scale) in dens.items()}
-    products, scales = [], []
-    for e in entries:
-        num, num_scale = _integer_coeffs(e.num)
-        products.append(poly_mul(num, cofactors[e.den]))
-        scales.append(num_scale)
-    common = lcm(*scales)
-    nums = [[c * (common // s) for c in prod] for prod, s in zip(products, scales)]
-    return [c * common for c in multiple], nums
+    least common multiple of the entry denominators in Z[t]."""
+    cofactors = dict.fromkeys(e.zden for e in entries)
+    den = [1]
+    for d in cofactors:
+        den = poly_mul(den, zpoly_gcd(den, d)[2])
+    for d in cofactors:
+        cofactors[d] = _exact_quotient(den, d)
+    return den, [poly_mul(e.znum, cofactors[e.zden]) for e in entries]

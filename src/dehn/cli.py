@@ -107,16 +107,17 @@ def cmd_compute(args) -> int:
     return 0 if all(all(r["checks"].values()) for r in results) else 1
 
 
+def _graph_one(task):
+    pd_text, outer_region, fmt = task
+    diagram = build_diagram(parse_pd(pd_text), outer_region=outer_region)
+    graph = build_dehn_graph(diagram, build_d1(diagram), build_d2(diagram))
+    return export_dot(graph) if fmt == "dot" else graph_to_json(graph)
+
+
 def cmd_graph(args) -> int:
     inputs = _read_inputs(args)
-    outputs = []
-    for text in inputs:
-        diagram = build_diagram(parse_pd(text), outer_region=args.outer_region)
-        graph = build_dehn_graph(diagram, build_d1(diagram), build_d2(diagram))
-        if args.format == "dot":
-            outputs.append(export_dot(graph))
-        else:
-            outputs.append(graph_to_json(graph))
+    tasks = [(text, args.outer_region, args.format) for text in inputs]
+    outputs = _map_tasks(_graph_one, tasks, args.parallel)
     if args.format == "dot":
         sys.stdout.write("".join(outputs))
     else:
@@ -172,17 +173,21 @@ def cmd_check(args) -> int:
     return 0 if all(r["passed"] for r in results) else 1
 
 
+def _oracle_one(task) -> dict:
+    pd_text, outer_region = task
+    diagram = build_diagram(parse_pd(pd_text), outer_region=outer_region)
+    alex = fox_alexander(wirtinger(diagram))
+    return {
+        "pd": diagram.pd.to_text(),
+        "alexander": [str(c) for c in alex.poly.coeffs],
+        "display": str(alex.poly),
+    }
+
+
 def cmd_oracle(args) -> int:
     inputs = _read_inputs(args)
-    results = []
-    for text in inputs:
-        diagram = build_diagram(parse_pd(text))
-        alex = fox_alexander(wirtinger(diagram))
-        results.append({
-            "pd": diagram.pd.to_text(),
-            "alexander": [str(c) for c in alex.poly.coeffs],
-            "display": str(alex.poly),
-        })
+    tasks = [(text, args.outer_region) for text in inputs]
+    results = _map_tasks(_oracle_one, tasks, args.parallel)
 
     def render(r: dict) -> str:
         return f"{r['pd']}  alexander {r['display']}\n"

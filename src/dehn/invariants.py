@@ -26,10 +26,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .algebra import (FieldMatrix, IntPoly, Polynomial, RatFunc, common_denominator,
-                      fraction_free_gauss_jordan, pmat_mul, poly_mul, unit_equal)
+from .algebra import (FieldMatrix, IntPoly, RatFunc, common_denominator,
+                      fraction_free_gauss_jordan, pmat_mul, poly_add, poly_mul,
+                      unit_equal)
 from .dehngraph import BASEPOINT, DehnGraph
 from .errors import DehnError, NotExactError, UnsupportedRepresentationError
 from .mscomplex import ChainComplex, Representation, check_exactness, eval_rep
@@ -50,9 +51,8 @@ class Propagator:
     @cached_property
     def g2(self) -> FieldMatrix:
         """G2 as a c2_dim x c1_dim matrix over Q(t), built on first use."""
-        delta = Polynomial(self.delta)
         return FieldMatrix(len(self.numer), len(self.lam), [
-            RatFunc(Polynomial(x), delta) for x in _g2_numerators(self)])
+            RatFunc(x, self.delta) for x in _g2_numerators(self)])
 
 
 def _g2_numerators(g: Propagator) -> List[IntPoly]:
@@ -150,15 +150,11 @@ def torsion(cx: ChainComplex, g: Propagator) -> TorsionValue:
 def _strip_unit(f: RatFunc) -> Tuple[RatFunc, int, int]:
     """Write f = sign * t^m * g with g having nonzero constant terms in both
     parts and positive numerator constant term."""
-    a = f.num.t_multiplicity()
-    b = f.den.t_multiplicity()
-    num = f.num.shift(-a)
-    den = f.den.shift(-b)
-    sign = 1
-    if num.constant_term() < 0:
-        num = -num
-        sign = -1
-    return RatFunc(num, den), sign, a - b
+    a = next(i for i, c in enumerate(f.znum) if c)
+    b = next(i for i, c in enumerate(f.zden) if c)
+    num, den = f.znum[a:], f.zden[b:]
+    sign = 1 if num[0] > 0 else -1
+    return RatFunc([sign * c for c in num], den), sign, a - b
 
 
 def torsion_equal_up_to_units(a: TorsionValue, b: TorsionValue) -> bool:
@@ -208,20 +204,10 @@ def defect_terms(graph: DehnGraph, cx: ChainComplex, g: Propagator,
 def _monomial(f: RatFunc) -> Tuple[int, int]:
     """(c, m) with f = c * t^m for an integer c, the form of every label image
     under the abelian representation."""
-    num, den = f.num, f.den
-    m = num.t_multiplicity()
-    if (num.is_zero() or num.degree > m or den.degree > den.t_multiplicity()
-            or num.leading().denominator != 1):
+    num, den = f.znum, f.zden
+    if not num or any(num[:-1]) or any(den[:-1]) or den[-1] != 1:
         raise UnsupportedRepresentationError(f"label image {f} is not an integer times t^m")
-    return int(num.leading()), m - den.degree
-
-
-def _add_shifted(acc: IntPoly, p: Sequence[int], c: int, shift: int) -> None:
-    """acc += c * t^shift * p in place."""
-    if len(acc) < shift + len(p):
-        acc.extend([0] * (shift + len(p) - len(acc)))
-    for i, x in enumerate(p):
-        acc[shift + i] += c * x
+    return num[-1], len(num) - len(den)
 
 
 def defect(graph: DehnGraph, cx: ChainComplex, g: Propagator,
@@ -248,10 +234,10 @@ def defect(graph: DehnGraph, cx: ChainComplex, g: Propagator,
               + [m for terms in g1_terms.values() for _, m in terms], default=0)
     by_column: Dict[int, IntPoly] = {}
     for c, m, r, j in g2_terms:
-        _add_shifted(by_column.setdefault(j, []), g.numer[r][j], c, m - low)
+        by_column[j] = poly_add(by_column.get(j, []), g.numer[r][j], c, m - low)
     num: IntPoly = []
     for j, column in by_column.items():
-        _add_shifted(num, column if g.lam[j] == [1] else poly_mul(column, g.lam[j]), 1, 0)
+        num = poly_add(num, column if g.lam[j] == [1] else poly_mul(column, g.lam[j]))
     den = g.delta
     for row, terms in g1_terms.items():
         entry = g.g1.entry(row, 0)
@@ -259,16 +245,15 @@ def defect(graph: DehnGraph, cx: ChainComplex, g: Propagator,
             continue
         multiplier: IntPoly = []
         for c, m in terms:
-            _add_shifted(multiplier, [c], 1, m - low)
-        v, (u,) = common_denominator([entry])
-        num = poly_mul(num, v)
-        _add_shifted(num, poly_mul(den, poly_mul(multiplier, u)), 1, 0)
-        den = poly_mul(den, v)
+            multiplier = poly_add(multiplier, [c], shift=m - low)
+        num = poly_add(poly_mul(num, entry.zden),
+                       poly_mul(den, poly_mul(multiplier, entry.znum)))
+        den = poly_mul(den, entry.zden)
     if low >= 0:
         num = [0] * low + num
     else:
         den = [0] * -low + den
-    return DefectValue(RatFunc(Polynomial(num), Polynomial(den)))
+    return DefectValue(RatFunc(num, den))
 
 
 def defect_equal_mod_Z(a: DefectValue, b: DefectValue) -> bool:

@@ -9,7 +9,7 @@ identity: torsion times (t - 1) agrees with the Alexander polynomial up to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .algebra import FieldMatrix, Polynomial, RatFunc, poly_gcd, unit_equal
+from .algebra import FieldMatrix, Polynomial, RatFunc, unit_equal
 from .diagram import WirtingerPresentation
 from .errors import DehnError
 from .invariants import TorsionValue
@@ -45,10 +45,11 @@ def _fox_derivative(word: Word, gen: int) -> RatFunc:
 
 def fox_alexander(presentation: WirtingerPresentation) -> AlexanderPolynomial:
     """Fox matrix of the relators, drop the lowest-id generator's column, and
-    normalize the determinant of a maximal minor.
+    normalize the determinant of the first (k-1)x(k-1) minor.
 
-    The first (k-1)x(k-1) minor suffices for Wirtinger presentations; if it
-    degenerates, the gcd of all maximal minors is used instead.
+    In a Wirtinger presentation of a knot every such minor is +-t^m * Delta(t)
+    with Delta(1) = +-1 (Crowell and Fox, Introduction to Knot Theory, ch. VIII),
+    so a vanishing first minor means the presentation is not one.
     """
     gens = presentation.generators
     if len(gens) < 1:
@@ -60,27 +61,15 @@ def fox_alexander(presentation: WirtingerPresentation) -> AlexanderPolynomial:
     kept = [g for g in gens if g != dropped]
     rows = [[_fox_derivative(rel, g) for g in kept]
             for rel in presentation.relations]
-    matrix = FieldMatrix.from_rows(rows)
-    minor = matrix.submatrix(range(k - 1), range(k - 1)).det()
+    minor = FieldMatrix.from_rows(rows).submatrix(range(k - 1), range(k - 1)).det()
     if minor.is_zero():
-        minors = []
-        for skip in range(matrix.rows):
-            idx = [r for r in range(matrix.rows) if r != skip]
-            minors.append(matrix.submatrix(idx, range(k - 1)).det())
-        polys = [_laurent_to_poly(m) for m in minors if not m.is_zero()]
-        if not polys:
-            raise DehnError("all maximal minors of the Fox matrix vanish")
-        acc = polys[0]
-        for p in polys[1:]:
-            acc = poly_gcd(acc, p)
-        return AlexanderPolynomial(_normalize(acc))
+        raise DehnError("the first maximal minor of the Fox matrix vanishes")
     return AlexanderPolynomial(_normalize(_laurent_to_poly(minor)))
 
 
 def _laurent_to_poly(f: RatFunc) -> Polynomial:
     """The Fox determinant is a Laurent polynomial; clear the t-power."""
-    den = f.den
-    if den.t_multiplicity() != den.degree:
+    if any(f.zden[:-1]):
         raise DehnError(f"Fox determinant {f} is not a Laurent polynomial")
     return f.num
 
@@ -94,5 +83,5 @@ def _normalize(p: Polynomial) -> Polynomial:
 
 def milnor_check(tor: TorsionValue, alex: AlexanderPolynomial) -> bool:
     """Torsion times (t - 1) is unit-equal to the Alexander polynomial."""
-    t_minus_1 = RatFunc(Polynomial((-1, 1)))
+    t_minus_1 = RatFunc((-1, 1))
     return unit_equal(tor.normalized * t_minus_1, RatFunc(alex.poly))

@@ -32,10 +32,6 @@ def word_inv(w: Sequence[Letter]) -> Word:
     return tuple((gen, -exp) for gen, exp in reversed(tuple(w)))
 
 
-def generator(gen: int, exp: int = 1) -> Word:
-    return ((gen, exp),)
-
-
 def exponent_sum(w: Sequence[Letter]) -> int:
     """Total exponent; the image of the word in H_1 of a knot exterior."""
     return sum(exp for _, exp in w)

@@ -10,7 +10,8 @@ from conftest import mat, poly, qt_inverse, qt_rref, rf
 from dehn import algebra
 from dehn.algebra import (FieldMatrix, Polynomial, RatFunc, _prs_gcd,
                           common_denominator, fraction_free_gauss_jordan,
-                          pmat_mul, poly_gcd, poly_mul, unit_equal, zpoly_gcd)
+                          pmat_mul, poly_add, poly_gcd, poly_mul, unit_equal,
+                          zpoly_gcd)
 
 # -- polynomial gcd --------------------------------------------------------
 
@@ -182,6 +183,17 @@ def test_field_axioms_distributivity(a, b, c):
 def test_canonicalization_idempotent(f):
     again = RatFunc(f.num, f.den)
     assert again.num == f.num and again.den == f.den
+    # The stored form: trimmed integer parts with joint content 1 and a
+    # positive leading coefficient of zden, which __init__ leaves fixed.
+    assert all(type(c) is int for c in f.znum + f.zden)
+    assert math.gcd(*f.znum, *f.zden) == 1
+    assert f.zden and f.zden[-1] > 0
+    assert not f.znum or f.znum[-1] != 0
+    assert RatFunc(f.znum, f.zden) == f
+    padded = RatFunc(list(f.num.coeffs) + [0, Fraction(0)], list(f.den.coeffs) + [0])
+    assert padded == RatFunc(Polynomial(f.num.coeffs), Polynomial(f.den.coeffs)) == f
+    with pytest.raises(TypeError):
+        RatFunc(list(f.znum) + [0.5], f.zden)
 
 
 @settings(max_examples=60, deadline=None)
@@ -302,11 +314,15 @@ def _is_trimmed(coeffs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(int_polys(2 ** 70, 6), int_polys(2 ** 70, 6))
-def test_poly_mul_matches_polynomial_product(a, b):
+@given(int_polys(2 ** 70, 6), int_polys(2 ** 70, 6), st.integers(-3, 3), st.integers(0, 3))
+def test_poly_mul_matches_polynomial_product(a, b, c, shift):
     product = poly_mul(a, b)
     assert _is_trimmed(product)
     assert Polynomial(product) == Polynomial(a) * Polynomial(b)
+    total = poly_add(a, b, c, shift)
+    assert _is_trimmed(total)
+    assert Polynomial(total) == Polynomial(a) + Polynomial(b).scale(c).shift(shift)
+    assert poly_add(a, b) == poly_add(b, a, 1, 0)
 
 
 @settings(max_examples=40, deadline=None)

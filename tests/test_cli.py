@@ -65,6 +65,17 @@ def test_graph_dot_matches_library(capsys):
     assert out == expected
 
 
+def test_graph_parallel_matches_sequential(tmp_path, capsys):
+    f = tmp_path / "knots.txt"
+    f.write_text(f"{TREFOIL}\n{UNKNOT_KINK}\n{FIG8}\n")
+    for fmt in ("dot", "json"):
+        code, sequential, _ = run_cli(capsys, "graph", "--file", str(f), "--format", fmt)
+        assert code == 0
+        code, parallel, _ = run_cli(capsys, "graph", "--file", str(f), "--format", fmt,
+                                    "--parallel", "2")
+        assert code == 0 and parallel == sequential
+
+
 def test_graph_json(capsys):
     code, out, _ = run_cli(capsys, "graph", "--pd", TREFOIL, "--format", "json")
     assert code == 0
@@ -123,6 +134,12 @@ def test_bad_outer_region_exit_code(capsys):
     assert json.loads(err)["error"]["type"] == "ConfigError"
 
 
+def test_oracle_bad_outer_region_exit_code(capsys):
+    code, out, err = run_cli(capsys, "oracle", "--pd", TREFOIL, "--outer-region", "99")
+    assert code == 6 and out == ""
+    assert json.loads(err)["error"]["type"] == "ConfigError"
+
+
 def test_region_label_inconsistency_exit_code(capsys, monkeypatch):
     import dehn.pipeline
     violation = {"edge": 1, "arc": "x1", "left_region": 0, "right_region": 1}
@@ -144,6 +161,17 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["alexander"] == ["1", "-1", "1"]
+
+
+def test_import_loads_only_the_standard_library():
+    # The package has no runtime dependency beyond the standard library.
+    # `__mp_main__` is the name multiprocessing gives the main script.
+    script = ("import sys; before = set(sys.modules); import dehn, dehn.cli; "
+              "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] "
+              "not in sys.stdlib_module_names | {'dehn', '__mp_main__'}))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_boolean_label_is_a_syntax_error(capsys):

@@ -47,6 +47,14 @@ def test_degenerate_presentation_rejected():
         fox_alexander(WirtingerPresentation((), ()))
 
 
+def test_vanishing_first_minor_rejected():
+    # Empty relators give a zero Fox matrix, which no Wirtinger presentation
+    # of a knot has: its first maximal minor is +-t^m times the Alexander
+    # polynomial.
+    with pytest.raises(DehnError, match="first maximal minor"):
+        fox_alexander(WirtingerPresentation((0, 1, 2), ((), (), ())))
+
+
 # -- torsion cross-check -------------------------------------------------------
 
 
