@@ -215,10 +215,12 @@ class RatFunc:
     __slots__ = ("znum", "zden")
 
     def __init__(self, num, den=(1,)):
-        num, den = _coefficients(num), _coefficients(den)
-        scale = lcm(*(c.denominator for c in num), *(c.denominator for c in den))
-        num = _trim([c.numerator * (scale // c.denominator) for c in num])
-        den = _trim([c.numerator * (scale // c.denominator) for c in den])
+        (num, num_int), (den, den_int) = _coefficients(num), _coefficients(den)
+        if not (num_int and den_int):
+            scale = lcm(*(c.denominator for c in num), *(c.denominator for c in den))
+            num = [c.numerator * (scale // c.denominator) for c in num]
+            den = [c.numerator * (scale // c.denominator) for c in den]
+        num, den = _trim(num), _trim(den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         # The gcd's cofactors have joint content 1; fixing the sign of the
@@ -236,11 +238,11 @@ class RatFunc:
 
     @classmethod
     def zero(cls) -> "RatFunc":
-        return cls(())
+        return _ZERO
 
     @classmethod
     def one(cls) -> "RatFunc":
-        return cls((1,))
+        return _ONE
 
     @classmethod
     def t(cls) -> "RatFunc":
@@ -348,18 +350,22 @@ class RatFunc:
         return cls([Fraction(c) for c in data["num"]], [Fraction(c) for c in data["den"]])
 
 
-def _coefficients(p) -> list:
+def _coefficients(p) -> Tuple[list, bool]:
     """The coefficients of a Polynomial, a rational constant or a sequence of
-    rationals."""
+    rationals, as a new list, and whether they are all ints."""
     if isinstance(p, Polynomial):
-        return list(p.coeffs)
+        return list(p.coeffs), False
     if isinstance(p, (int, Fraction)):
-        return [p]
+        return [p], isinstance(p, int)
     cs = list(p)
+    integral = True
     for c in cs:
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError(f"cannot use {type(c).__name__} as a rational coefficient")
-    return cs
+        if type(c) is not int:
+            if isinstance(c, Fraction):
+                integral = False
+            elif not isinstance(c, int):
+                raise TypeError(f"cannot use {type(c).__name__} as a rational coefficient")
+    return cs, integral
 
 
 def _derivative(p: Sequence[int]) -> IntPoly:
@@ -661,6 +667,20 @@ def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]]
     B, the result is delta * B^-1 * input, and sign * delta = det B, where
     sign = +-1 is the sign of the row swaps made. Every quotient taken is
     exact in Z[t]; a remainder raises ArithmeticError.
+
+    Rows are rescaled lazily. With p_0 = 1 and p_s the pivot of step s, step
+    s sends a row r other than the pivot row to (p_s * r - f * top) / p_(s-1),
+    where f is r's entry in the pivot column, and leaves the pivot row as it
+    is. When f = 0 that is r * p_s / p_(s-1), so a row whose multiplier stays
+    zero from step l+1 to step s is r * p_s / p_l: level[r] = l records the
+    last step at which the row was brought up to date, and the row is
+    rescaled only when it is next used, as a pivot row or with a nonzero
+    multiplier, and once more at the end. That catch-up division is exact:
+    the up-to-date row is the row eager elimination would hold, a row of
+    minors of the input, so p_l divides r * p_s in Z[t]. Rescaling by the
+    nonzero ratio p_s / p_l keeps zero entries zero, so the pivot search may
+    read rows that are not up to date. Zero entries are skipped: they need
+    no product and no division.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -673,8 +693,18 @@ def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]]
         bound *= max(1, sum(map(_norm1, row)))
     k = _packing_bits(bound)
     m = [[_pack(x, k) for x in row] for row in rows]
+    level = [0] * nrows
+    scale = [1]  # scale[s] = p_s
+
+    def catch_up(r: int) -> None:
+        s = len(scale) - 1
+        if level[r] != s:
+            num, den = scale[s], scale[level[r]]
+            m[r] = [_exact_div(a * num, den) if a else 0 for a in m[r]]
+            level[r] = s
+
     pivots: List[int] = []
-    prev, sign = 1, 1
+    sign = 1
     for pc in range(ncols):
         pr = len(pivots)
         if pr == nrows:
@@ -684,23 +714,34 @@ def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]]
             continue
         if pivot_row != pr:
             m[pr], m[pivot_row] = m[pivot_row], m[pr]
+            level[pr], level[pivot_row] = level[pivot_row], level[pr]
             sign = -sign
+        catch_up(pr)
         top = m[pr]
-        p = top[pc]
+        p, prev = top[pc], scale[-1]
         for r in range(nrows):
-            if r == pr:
+            if r == pr or not m[r][pc]:
                 continue
-            row, f = m[r], m[r][pc]
-            new = []
-            for a, b in zip(row, top):
-                q, rem = divmod(p * a - f * b, prev)
-                if rem:
-                    raise ArithmeticError("inexact division in fraction-free elimination")
-                new.append(q)
-            m[r] = new
-        prev = p
+            catch_up(r)
+            f = m[r][pc]
+            m[r] = [_exact_div(p * a - f * b, prev) if b
+                    else (_exact_div(p * a, prev) if a else 0)
+                    for a, b in zip(m[r], top)]
+            level[r] = pr + 1
+        scale.append(p)
+        level[pr] = pr + 1
         pivots.append(pc)
+    for r in range(nrows):
+        catch_up(r)
     return [[_unpack(v, k) for v in row] for row in m], pivots, sign
+
+
+def _exact_div(a: int, b: int) -> int:
+    """a / b for packed values, raising ArithmeticError on a remainder."""
+    q, rem = divmod(a, b)
+    if rem:
+        raise ArithmeticError("inexact division in fraction-free elimination")
+    return q
 
 
 # -- gcd over Z[t] ---------------------------------------------------------
@@ -824,3 +865,9 @@ def common_denominator(entries: Sequence[RatFunc]) -> Tuple[IntPoly, List[IntPol
     for d in cofactors:
         cofactors[d] = _exact_quotient(den, d)
     return den, [poly_mul(e.znum, cofactors[e.zden]) for e in entries]
+
+
+# Shared by RatFunc.zero() and RatFunc.one(); made last, since the
+# constructor needs the kernel above.
+_ZERO = RatFunc(())
+_ONE = RatFunc((1,))

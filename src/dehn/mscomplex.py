@@ -4,20 +4,22 @@ C_2 has one block of the representation space per crossing vertex, C_1 one
 per bounded-region vertex, C_0 one for the basepoint. A boundary block from
 vertex p to vertex q is the sum over the edges p -> q of the images of their
 labels, where the image of a signed word is the sign times the product of
-the generator matrices.
+the generator matrices. Under the abelian representation every generator
+goes to t, so the image of a word is its abelianisation: the 1x1 matrix
+[t^(exponent sum)], with the label's sign in front.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .algebra import FieldMatrix, RatFunc
+from .algebra import FieldMatrix, RatFunc, common_denominator, poly_add
 from .dehngraph import BASEPOINT, DehnGraph, GroupRingTerm
 from .diagram import WirtingerPresentation
 from .errors import InvalidRepresentationError
-from .words import Word
+from .words import Word, exponent_sum
 
 
 class Representation:
@@ -48,8 +50,7 @@ class Representation:
 
     @classmethod
     def abelian(cls, arc_count: int) -> "Representation":
-        t = FieldMatrix(1, 1, [RatFunc.t()])
-        return cls("abelian", 1, {i: t for i in range(arc_count)})
+        return _AbelianRepresentation(arc_count)
 
     @classmethod
     def matrix(cls, images: Dict[int, FieldMatrix],
@@ -79,6 +80,24 @@ class Representation:
         for gen, exp in word:
             out = out @ (self.images[gen] if exp == 1 else self._inverses[gen])
         return out
+
+
+class _AbelianRepresentation(Representation):
+    """Every generator to [t], a word to [t^(exponent sum)], with one image
+    per exponent, made on first use."""
+
+    def __init__(self, arc_count: int):
+        t = FieldMatrix(1, 1, [RatFunc.t()])
+        self.kind, self.dim = "abelian", 1
+        self.images = {i: t for i in range(arc_count)}
+        self._powers: Dict[int, FieldMatrix] = {1: t}
+
+    def word_image(self, word: Word) -> FieldMatrix:
+        m = exponent_sum(word)
+        image = self._powers.get(m)
+        if image is None:
+            image = self._powers[m] = FieldMatrix(1, 1, [RatFunc.t_power(m)])
+        return image
 
 
 def eval_rep(rep: Representation, term: GroupRingTerm) -> FieldMatrix:
@@ -128,22 +147,37 @@ def build_complex(graph: DehnGraph, rep: Representation) -> ChainComplex:
     c0_basis = (BASEPOINT,)
     c2_pos = {vid: i for i, vid in enumerate(c2_basis)}
     c1_pos = {vid: i for i, vid in enumerate(c1_basis)}
-    d2 = [[RatFunc.zero()] * (len(c2_basis) * n) for _ in range(len(c1_basis) * n)]
-    d1 = [[RatFunc.zero()] * (len(c1_basis) * n) for _ in range(n)]
+    d2_terms: Dict[Tuple[int, int], List[RatFunc]] = {}
+    d1_terms: Dict[Tuple[int, int], List[RatFunc]] = {}
     for e in graph.edges:
         block = eval_rep(rep, e.label)
         if e.target == BASEPOINT:
-            row0, col0 = 0, c1_pos[e.source] * n
-            target = d1
+            row0, col0, terms = 0, c1_pos[e.source] * n, d1_terms
         else:
-            row0, col0 = c1_pos[e.target] * n, c2_pos[e.source] * n
-            target = d2
+            row0, col0, terms = c1_pos[e.target] * n, c2_pos[e.source] * n, d2_terms
         for i in range(n):
             for j in range(n):
-                target[row0 + i][col0 + j] = (target[row0 + i][col0 + j]
-                                              + block.entry(i, j))
-    return ChainComplex(FieldMatrix.from_rows(d2), FieldMatrix.from_rows(d1),
+                terms.setdefault((row0 + i, col0 + j), []).append(block.entry(i, j))
+    return ChainComplex(_summed(d2_terms, len(c1_basis) * n, len(c2_basis) * n),
+                        _summed(d1_terms, n, len(c1_basis) * n),
                         c2_basis, c1_basis, c0_basis, n)
+
+
+def _summed(terms: Dict[Tuple[int, int], List[RatFunc]], rows: int, cols: int) -> FieldMatrix:
+    """The matrix whose (i, j) entry is the sum of terms[(i, j)], each sum
+    taken over one common denominator and made canonical once."""
+    zero = RatFunc.zero()
+    out = [[zero] * cols for _ in range(rows)]
+    for (i, j), values in terms.items():
+        if len(values) == 1:
+            out[i][j] = values[0]
+            continue
+        den, nums = common_denominator(values)
+        total: list = []
+        for num in nums:
+            total = poly_add(total, num)
+        out[i][j] = RatFunc(total, den)
+    return FieldMatrix.from_rows(out)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ identity: torsion times (t - 1) agrees with the Alexander polynomial up to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
+
 from .algebra import FieldMatrix, Polynomial, RatFunc, unit_equal
 from .diagram import WirtingerPresentation
 from .errors import DehnError
@@ -28,19 +30,21 @@ class AlexanderPolynomial:
 
 def _fox_derivative(word: Word, gen: int) -> RatFunc:
     """Abelianized Fox derivative of a word with respect to one generator,
-    with every generator sent to t."""
-    result = RatFunc.zero()
+    with every generator sent to t: one Laurent polynomial in Z[t, 1/t]."""
+    coeffs: Dict[int, int] = {}  # power of t -> coefficient
     power = 0
     for g, e in word:
-        if e == 1:
-            if g == gen:
-                result = result + RatFunc.t_power(power)
-            power += 1
-        else:
+        if e == -1:
             power -= 1
-            if g == gen:
-                result = result - RatFunc.t_power(power)
-    return result
+        if g == gen:
+            coeffs[power] = coeffs.get(power, 0) + e
+        if e == 1:
+            power += 1
+    if not coeffs:
+        return RatFunc.zero()
+    low = min(coeffs)
+    num = [coeffs.get(m, 0) for m in range(low, max(coeffs) + 1)]
+    return RatFunc([0] * max(low, 0) + num, [0] * max(-low, 0) + [1])
 
 
 def fox_alexander(presentation: WirtingerPresentation) -> AlexanderPolynomial:
@@ -57,6 +61,9 @@ def fox_alexander(presentation: WirtingerPresentation) -> AlexanderPolynomial:
     k = len(gens)
     if k == 1:
         return AlexanderPolynomial(Polynomial((1,)))
+    if len(presentation.relations) < k - 1:
+        raise DehnError(f"presentation has {len(presentation.relations)} relators; "
+                        f"the Fox minor needs {k - 1}")
     dropped = min(gens)
     kept = [g for g in gens if g != dropped]
     rows = [[_fox_derivative(rel, g) for g in kept]

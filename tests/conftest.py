@@ -125,6 +125,24 @@ def qt_inverse(matrix: FieldMatrix):
     return reduced.submatrix(range(n), range(n, 2 * n))
 
 
+def qt_fox_derivative(word, gen) -> RatFunc:
+    """Reference abelianized Fox derivative: one t-power added at a time in
+    Q(t), each partial sum in canonical form, independent of the single
+    Laurent polynomial behind `fox_alexander`."""
+    result = RatFunc.zero()
+    power = 0
+    for g, e in word:
+        if e == 1:
+            if g == gen:
+                result = result + RatFunc.t_power(power)
+            power += 1
+        else:
+            power -= 1
+            if g == gen:
+                result = result - RatFunc.t_power(power)
+    return result
+
+
 def qt_defect(graph, cx, g, rep) -> DefectValue:
     """Reference defect: the per-edge terms added one at a time in Q(t), each
     partial sum in canonical form, independent of the single-numerator sum

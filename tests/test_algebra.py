@@ -196,6 +196,16 @@ def test_canonicalization_idempotent(f):
         RatFunc(list(f.znum) + [0.5], f.zden)
 
 
+def test_ratfunc_integer_and_rational_parts_agree():
+    # All-int parts are taken as they are; any Fraction clears both parts.
+    f = RatFunc([2, 4], [6, 0])
+    assert (f.znum, f.zden) == ((1, 2), (3,))
+    assert f == RatFunc([Fraction(1, 3), Fraction(2, 3)]) == RatFunc([2, 4], [Fraction(6)])
+    for num, den in (([1, 2.0], [1]), ([1], [2, 0.5]), (1.0, [1])):
+        with pytest.raises(TypeError):
+            RatFunc(num, den)
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_polys, small_polys)
 def test_poly_mul_evaluation_homomorphism(p, q):
@@ -357,40 +367,115 @@ def _fraction_det(m):
             det = -det
         det *= m[c][c]
         for r in range(c + 1, n):
-            f = m[r][c] / m[c][c]
-            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+            if m[r][c]:
+                f = m[r][c] / m[c][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
     return det
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 3), st.data())
-def test_fraction_free_gauss_jordan_against_evaluation(n, extra, data):
-    # [A | I] has full row rank. With B its pivot columns, the identity block
-    # of the result is N = delta * B^-1: check B*N = delta*I and
-    # sign * delta = det B in Fraction arithmetic at more integer points than
-    # the degree of either side, independently of the kernel.
-    a = data.draw(int_matrices(n, extra, int_polys(50, 3)))
-    rows = [row + [[1] if i == j else [] for j in range(n)] for i, row in enumerate(a)]
-    reduced, pivots, sign = fraction_free_gauss_jordan(rows)
-    assert pivots == qt_rref(_over_q(rows))[1]
+def _assert_inverse_at_points(rows, reduced, pivots, sign, points):
+    """[A | I] = rows has full row rank n. With B its pivot columns, the
+    identity block of the result is N = delta * B^-1: check B*N = delta*I and
+    sign * delta = det B in Fraction arithmetic at `points`, which must
+    outnumber the degree of either side, independently of the kernel."""
+    n = len(rows)
     assert sign in (1, -1)
     delta = reduced[-1][pivots[-1]]
     assert delta
     for r, pc in enumerate(pivots):
         assert [row[pc] for row in reduced] == [delta if i == r else [] for i in range(n)]
     b = [[row[c] for c in pivots] for row in rows]
-    block = [row[extra:] for row in reduced]
+    block = [row[-n:] for row in reduced]
     assert all(_is_trimmed(x) for row in block for x in row)
-    degree = (max(len(x) for row in b for x in row) * n
-              + max(len(x) for row in block for x in row) + len(delta))
-    for x in range(-degree, degree + 1):
-        bx = [[_at(v, x) for v in row] for row in b]
+    for x in points:
+        bx = [[(k, _at(v, x)) for k, v in enumerate(row) if v] for row in b]
         nx = [[_at(v, x) for v in row] for row in block]
         dx = _at(delta, x)
-        assert [[sum(bx[i][k] * nx[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)] == [[dx if i == j else 0 for j in range(n)]
-                                       for i in range(n)]
-        assert sign * dx == _fraction_det(bx)
+        assert [[sum(v * nx[k][j] for k, v in row) for j in range(n)]
+                for row in bx] == [[dx if i == j else 0 for j in range(n)]
+                                   for i in range(n)]
+        dense = [[0] * n for _ in range(n)]
+        for i, row in enumerate(bx):
+            for k, v in row:
+                dense[i][k] = v
+        assert sign * dx == _fraction_det(dense)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 3), st.data())
+def test_fraction_free_gauss_jordan_against_evaluation(n, extra, data):
+    a = data.draw(int_matrices(n, extra, int_polys(50, 3)))
+    rows = [row + [[1] if i == j else [] for j in range(n)] for i, row in enumerate(a)]
+    reduced, pivots, sign = fraction_free_gauss_jordan(rows)
+    assert pivots == qt_rref(_over_q(rows))[1]
+    b = [[row[c] for c in pivots] for row in rows]
+    degree = (max(len(x) for row in b for x in row) * n
+              + max(len(x) for row in reduced for x in row[extra:])
+              + len(reduced[-1][pivots[-1]]))
+    _assert_inverse_at_points(rows, reduced, pivots, sign, range(-degree, degree + 1))
+
+
+@st.composite
+def sparse_boundaries(draw):
+    """An n x c matrix shaped like lambda*d2 on a large knot: at most four
+    entries +-t^m per column in random rows, some zero rows, and some rows
+    and columns that are t-power multiples of others, so that its rank
+    drops. The rows are placed at random: a draw that clusters the entries
+    in the first rows makes few row swaps between rows at different levels."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(20, 24))
+    c = draw(st.integers(n // 2, n - 1))
+    a = [[[] for _ in range(c)] for _ in range(n)]
+    for j in range(c):
+        for i in rng.sample(range(n), rng.randint(1, 4)):
+            a[i][j] = [0] * rng.randrange(3) + [rng.choice((1, -1))]
+    for i in rng.sample(range(n), draw(st.integers(0, 3))):
+        a[i] = [[] for _ in range(c)]
+    for _ in range(draw(st.integers(0, 2))):
+        src, dst, m = rng.randrange(n), rng.randrange(n), rng.randrange(3)
+        a[dst] = [[0] * m + x if x else [] for x in a[src]]
+    for _ in range(draw(st.integers(0, 2))):
+        src, dst, m = rng.randrange(c), rng.randrange(c), rng.randrange(3)
+        for row in a:
+            row[dst] = [0] * m + row[src] if row[src] else []
+    return a
+
+
+def _row_degree_sum(rows):
+    return sum(max((len(x) - 1 for x in row), default=0) for row in rows)
+
+
+@settings(max_examples=8, deadline=None)
+@given(sparse_boundaries())
+def test_fraction_free_gauss_jordan_sparse_propagator_shape(a):
+    # [A | I] as the propagator eliminates it: most multipliers are zero, so
+    # most rows are rescaled lazily, and the pivot search reads rows that are
+    # not up to date.
+    n = len(a)
+    rows = [row + [[1] if i == j else [] for j in range(n)] for i, row in enumerate(a)]
+    reduced, pivots, sign = fraction_free_gauss_jordan(rows)
+    assert pivots == qt_rref(_over_q(rows))[1]
+    b = [[row[c] for c in pivots] for row in rows]
+    # deg(B*N) <= deg B + deg N, and deg det B <= the sum of the row degrees.
+    degree = max(max(len(x) for row in b for x in row) - 1
+                 + max(len(x) for row in reduced for x in row[-n:]) - 1,
+                 _row_degree_sum(b), len(reduced[-1][pivots[-1]]) - 1)
+    _assert_inverse_at_points(rows, reduced, pivots, sign, range(degree + 1))
+
+
+@settings(max_examples=8, deadline=None)
+@given(sparse_boundaries())
+def test_fraction_free_gauss_jordan_sparse_rank_deficient(a):
+    # A alone: zero and dependent rows end below the rank as zero rows, and
+    # the result over its common pivot is the reduced form over Q(t).
+    reduced, pivots, sign = fraction_free_gauss_jordan(a)
+    expected, expected_pivots, rank = qt_rref(_over_q(a))
+    assert pivots == expected_pivots and sign in (1, -1)
+    assert all(not any(row) for row in reduced[rank:])
+    if pivots:
+        delta = reduced[0][pivots[0]]
+        assert FieldMatrix.from_rows([[RatFunc(x, delta) for x in row]
+                                      for row in reduced]) == expected
 
 
 def test_fraction_free_gauss_jordan_rank_deficient():

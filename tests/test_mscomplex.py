@@ -1,8 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import CORPUS, FIG8, TREFOIL, mat, rf
+from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED, mat, rf,
+                      torus_pd)
 from dehn.algebra import FieldMatrix, RatFunc
 from dehn.dehngraph import GroupRingTerm, build_d1, build_d2, build_dehn_graph
 from dehn.diagram import build_diagram, parse_pd, wirtinger
@@ -19,6 +22,25 @@ def test_eval_rep_abelian():
     assert eval_rep(rep, GroupRingTerm(1, ())) == FieldMatrix.identity(1)
     assert eval_rep(rep, GroupRingTerm(-1, ((0, 1), (1, 1)))) == mat([[(0, 0, -1)]])
     assert eval_rep(rep, GroupRingTerm(1, ((0, -1),))) == mat([[rf(1, (0, 1))]])
+
+
+def _general_abelian(arc_count):
+    """The abelian images through the general product path: [t] for every
+    generator as a matrix representation."""
+    t = mat([[(0, 1)]])
+    return Representation("matrix", 1, {g: t for g in range(arc_count)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((1, -1)),
+       st.lists(st.tuples(st.integers(0, 3), st.sampled_from((1, -1))), max_size=10))
+def test_abelian_eval_rep_matches_general_path(sign, letters):
+    # The abelian image is sign * t^(exponent sum), cached per exponent: the
+    # second call reads the cache.
+    term = GroupRingTerm(sign, tuple(letters))
+    expected = eval_rep(_general_abelian(4), term)
+    rep = Representation.abelian(4)
+    assert eval_rep(rep, term) == expected == eval_rep(rep, term)
 
 
 def test_matrix_representation_validates_relations():
@@ -96,6 +118,26 @@ def test_d1_d2_zero_for_matrix_representation():
     _, _, _, cx = _complex(TREFOIL, rep=rep)
     assert cx.c2_dim == 6 and cx.c1_dim == 8 and cx.c0_dim == 2
     assert (cx.d1 @ cx.d2).is_zero()
+
+
+FAST_PATH_KNOTS = (
+    [pytest.param(text, region.id, id=f"{name}-outer{region.id}")
+     for name, text in sorted(CORPUS.items())
+     for region in build_diagram(parse_pd(text)).regions]
+    + [pytest.param(TREFOIL_KINKED, None, id="3_1-kinked"),
+       pytest.param(FIG8_KINKED, None, id="4_1-kinked")]
+    + [pytest.param(torus_pd(n), None, id=f"T(2,{n})") for n in range(3, 22, 2)])
+
+
+@pytest.mark.parametrize("text,outer", FAST_PATH_KNOTS)
+def test_abelian_complex_matches_general_path(text, outer):
+    # The same complex from [t] on every generator as a Wirtinger-checked
+    # matrix representation, whose images are products of 1x1 matrices.
+    d = build_diagram(parse_pd(text), outer_region=outer)
+    g = build_dehn_graph(d, build_d1(d), build_d2(d))
+    general = Representation.matrix({a: mat([[(0, 1)]]) for a in range(d.arc_count)},
+                                    wirtinger(d))
+    assert build_complex(g, Representation.abelian(d.arc_count)) == build_complex(g, general)
 
 
 def test_d2_column_block_counts():

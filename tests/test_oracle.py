@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import ALEXANDER, CORPUS, FIG8, TREFOIL, UNKNOT_KINK, pipeline, poly
+from conftest import (ALEXANDER, CORPUS, FIG8, TREFOIL, UNKNOT_KINK, pipeline, poly,
+                      qt_fox_derivative)
 from dehn.algebra import Polynomial
 from dehn.diagram import WirtingerPresentation, build_diagram, parse_pd, wirtinger
 from dehn.errors import DehnError
-from dehn.oracle import AlexanderPolynomial, fox_alexander, milnor_check
+from dehn.oracle import AlexanderPolynomial, _fox_derivative, fox_alexander, milnor_check
 
 
 def _alexander(text):
@@ -53,6 +56,23 @@ def test_vanishing_first_minor_rejected():
     # polynomial.
     with pytest.raises(DehnError, match="first maximal minor"):
         fox_alexander(WirtingerPresentation((0, 1, 2), ((), (), ())))
+
+
+@pytest.mark.parametrize("relations", [(((0, 1), (1, -1)),), ()])
+def test_too_few_relators_rejected(relations):
+    # Three generators need two relators for the first Fox minor.
+    with pytest.raises(DehnError, match="relators"):
+        fox_alexander(WirtingerPresentation((0, 1, 2), relations))
+
+
+signed_words = st.lists(st.tuples(st.integers(0, 3), st.sampled_from((1, -1))), max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_words, st.integers(0, 3))
+def test_fox_derivative_matches_reference(word, gen):
+    # Unreduced words too: both sides read the word letter by letter.
+    assert _fox_derivative(tuple(word), gen) == qt_fox_derivative(word, gen)
 
 
 # -- torsion cross-check -------------------------------------------------------
