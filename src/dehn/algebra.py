@@ -7,7 +7,9 @@ its arithmetic is the kernel's: `poly_mul`, `poly_add` and the gcd
 exact division, with a remainder-sequence fallback. Every elimination runs
 in the kernel too: `FieldMatrix` rank, reduced echelon form, determinant and
 inverse write each row over one denominator and call the one fraction-free
-Gauss-Jordan loop, `fraction_free_gauss_jordan`, over Z[t]. `Polynomial`, with
+loop, `fraction_free_gauss_jordan`, over Z[t]: Gauss-Jordan for the reduced
+form and the inverse, forward-only for the rank and the determinant, at a
+packing width proved by a Hadamard-type bound. `Polynomial`, with
 coefficients in Q, is the monic-denominator display form of a `RatFunc`'s
 parts and the type of the Fox oracle's Alexander polynomial; its Euclid gcd,
 `poly_gcd`, is the reference that the kernel's gcd is tested against.
@@ -20,7 +22,7 @@ Q[t], so there is no precision ceiling and no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Coeffish = Union[int, Fraction]
@@ -292,7 +294,12 @@ class RatFunc:
         return hash(("RatFunc", self.znum, self.zden))
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc([-c for c in self.znum], self.zden)
+        # (-znum, zden) keeps joint content 1 and the denominator's sign, so
+        # it is already the reduced form: no gcd.
+        out = object.__new__(RatFunc)
+        object.__setattr__(out, "znum", tuple(-c for c in self.znum))
+        object.__setattr__(out, "zden", self.zden)
+        return out
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc(poly_add(poly_mul(self.znum, other.zden),
@@ -523,18 +530,19 @@ class FieldMatrix:
         return FieldMatrix(self.rows, self.cols, entries), pivots, len(pivots)
 
     def rank(self) -> int:
-        return len(fraction_free_gauss_jordan(self.cleared_rows()[1])[1])
+        return len(fraction_free_gauss_jordan(self.cleared_rows()[1], forward=True)[1])
 
     def det(self) -> RatFunc:
         """Exact determinant: sign * delta of the cleared rows over the
-        product of the row denominators."""
+        product of the row denominators, with delta the last pivot of the
+        forward elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         lam, rows = self.cleared_rows()
-        reduced, pivots, sign = fraction_free_gauss_jordan(rows)
+        reduced, pivots, sign = fraction_free_gauss_jordan(rows, forward=True)
         if len(pivots) < self.rows:
             return RatFunc.zero()
-        delta = reduced[0][pivots[0]] if pivots else [1]
+        delta = reduced[-1][pivots[-1]] if pivots else [1]
         den = [1]
         for d in lam:
             den = poly_mul(den, d)
@@ -577,6 +585,10 @@ class FieldMatrix:
 # in Z[t] stays exact after it, so a whole computation can run on packed
 # integers and be unpacked once, when k bounds every coefficient unpacked.
 # Under that bound a packed value is zero exactly when its polynomial is.
+# Intermediate products need no bound, only the values unpacked or tested
+# for zero. In the elimination those are minors of its input, and k comes
+# from `_minor_bound`, a proved bound on every coefficient of every minor;
+# every division still checks its remainder.
 
 IntPoly = List[int]
 
@@ -653,45 +665,73 @@ def pmat_mul(a: Sequence[Sequence[IntPoly]],
     return out
 
 
-def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]]
+def _minor_bound(rows: Sequence[Sequence[IntPoly]]) -> int:
+    """The largest absolute value a coefficient of a minor of `rows` can
+    have, by the Hadamard-type bound of Goldstein and Graham (SIAM Review
+    16, 1974).
+
+    For a square matrix A over Z[t], Parseval's identity makes the sum of
+    the squared coefficients of det A the mean of |det A(z)|^2 over the unit
+    circle, and at each such z Hadamard's inequality bounds |det A(z)|^2 by
+    prod_i sum_j |a_ij(z)|^2 <= prod_i sum_j |a_ij|_1^2. For a minor, a row
+    left out removes a factor that max(1, .) makes at least 1, and a column
+    left out removes terms; the same holds with rows and columns exchanged,
+    since det A = det A^T. So every coefficient c of every minor has
+    c^2 <= P, for P the smaller of the row and the column product, and
+    |c| <= isqrt(P).
+    """
+    squares = [[_norm1(x) ** 2 for x in row] for row in rows]
+    by_rows = prod(max(1, sum(row)) for row in squares)
+    by_cols = prod(max(1, sum(col)) for col in zip(*squares))
+    return isqrt(min(by_rows, by_cols))
+
+
+def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]], forward: bool = False
                                ) -> Tuple[List[List[IntPoly]], List[int], int]:
     """Reduced echelon form over Z[t] by fraction-free Gauss-Jordan elimination
-    (Bareiss 1968, extended to the rows above each pivot).
+    (Bareiss 1968, extended to the rows above each pivot); with `forward`,
+    the echelon form of Bareiss's forward elimination.
 
     Returns (reduced rows, pivot columns, sign). Pivot columns are found left
     to right and the pivot row is the first one below with a nonzero entry,
     so the pivot columns are the leftmost ones independent of those before
-    them. Row r of the result has its pivot in column pivots[r], every pivot
-    entry equals the last pivot delta, and the rows below the rank are zero.
-    When the input has full row rank, its pivot columns form a square matrix
-    B, the result is delta * B^-1 * input, and sign * delta = det B, where
-    sign = +-1 is the sign of the row swaps made. Every quotient taken is
-    exact in Z[t]; a remainder raises ArithmeticError.
+    them, and the rows below the rank are zero. In Gauss-Jordan mode row r
+    of the result has its pivot in column pivots[r] and every pivot entry
+    equals the last pivot delta. When the input has full row rank, its pivot
+    columns form a square matrix B, the result is delta * B^-1 * input, and
+    sign * delta = det B, where sign = +-1 is the sign of the row swaps
+    made. Forward mode eliminates only the rows below each pivot: row r of
+    the result holds minors of order r + 1, and its pivot entry is the
+    leading principal minor of that order of the row-swapped B, so the last
+    pivot is delta and sign * delta = det B still. That is all a rank or a
+    determinant reads. Every quotient taken is exact in Z[t]; a remainder
+    raises ArithmeticError.
 
     Rows are rescaled lazily. With p_0 = 1 and p_s the pivot of step s, step
-    s sends a row r other than the pivot row to (p_s * r - f * top) / p_(s-1),
-    where f is r's entry in the pivot column, and leaves the pivot row as it
-    is. When f = 0 that is r * p_s / p_(s-1), so a row whose multiplier stays
+    s sends a row r it eliminates to (p_s * r - f * top) / p_(s-1), where f
+    is r's entry in the pivot column, and leaves the pivot row as it is.
+    When f = 0 that is r * p_s / p_(s-1), so a row whose multiplier stays
     zero from step l+1 to step s is r * p_s / p_l: level[r] = l records the
     last step at which the row was brought up to date, and the row is
     rescaled only when it is next used, as a pivot row or with a nonzero
-    multiplier, and once more at the end. That catch-up division is exact:
-    the up-to-date row is the row eager elimination would hold, a row of
-    minors of the input, so p_l divides r * p_s in Z[t]. Rescaling by the
-    nonzero ratio p_s / p_l keeps zero entries zero, so the pivot search may
-    read rows that are not up to date. Zero entries are skipped: they need
-    no product and no division.
+    multiplier, and, in Gauss-Jordan mode, once more at the end. That
+    catch-up division is exact: the up-to-date row is the row eager
+    elimination would hold, a row of minors of the input, so p_l divides
+    r * p_s in Z[t]. Forward mode keeps the same invariant for the rows it
+    eliminates, since eager forward Bareiss holds minors too (the leading
+    pivot block bordered by one row and one column). There a pivot row is
+    caught up when it is chosen and never touched again, and a row below
+    the rank ends at zero, which no rescaling changes, so forward mode skips
+    the final catch-up. Rescaling by the nonzero ratio p_s / p_l keeps zero
+    entries zero, so the pivot search may read rows that are not up to
+    date. Zero entries are skipped: they need no product and no division.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    # Every entry met is a minor of the input, whose coefficients are at most
-    # the product over its rows of their 1-norms.
-    bound = 1
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError("ragged rows")
-        bound *= max(1, sum(map(_norm1, row)))
-    k = _packing_bits(bound)
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged rows")
+    # Every entry met is a minor of the input.
+    k = _packing_bits(_minor_bound(rows))
     m = [[_pack(x, k) for x in row] for row in rows]
     level = [0] * nrows
     scale = [1]  # scale[s] = p_s
@@ -719,7 +759,7 @@ def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]]
         catch_up(pr)
         top = m[pr]
         p, prev = top[pc], scale[-1]
-        for r in range(nrows):
+        for r in range(pr + 1 if forward else 0, nrows):
             if r == pr or not m[r][pc]:
                 continue
             catch_up(r)
@@ -731,8 +771,9 @@ def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]]
         scale.append(p)
         level[pr] = pr + 1
         pivots.append(pc)
-    for r in range(nrows):
-        catch_up(r)
+    if not forward:
+        for r in range(nrows):
+            catch_up(r)
     return [[_unpack(v, k) for v in row] for row in m], pivots, sign
 
 

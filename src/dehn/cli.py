@@ -159,6 +159,8 @@ def _check_one(task) -> dict:
 
 
 def cmd_check(args) -> int:
+    if args.seeds < 0:
+        raise ConfigError(f"--seeds must be at least 0, got {args.seeds}")
     inputs = _read_inputs(args)
     tasks = [(text, args.outer_region, args.seeds) for text in inputs]
     results = _map_tasks(_check_one, tasks, args.parallel)

@@ -83,20 +83,20 @@ def build_d2(diagram: KnotDiagram) -> RegionLabeling:
 
 
 def check_d2(labeling: RegionLabeling, diagram: KnotDiagram, rep) -> List[dict]:
-    """Verify rho(l(right)) = rho(arc) * rho(l(left)) across every edge.
+    """Verify rho(l(right)) = rho(arc * l(left)) across every edge.
 
     Consistency is a theorem for labels produced by build_d2, so a non-empty
     report indicates a convention bug (or a deliberately corrupted labeling).
-    `rep` only needs a word_image(word) -> FieldMatrix method.
+    `rep` only needs a word_image(word) -> FieldMatrix method; the right side
+    is the image of the concatenated word, which a matrix representation
+    multiplies out and the abelian one reads off its exponent sum.
     """
     violations = []
     for e in sorted(diagram.edge_tail):
         left = diagram.left_region(e)
         right = diagram.right_region(e)
         gen = ((diagram.arc_of_edge[e], 1),)
-        lhs = rep.word_image(labeling[right])
-        rhs = rep.word_image(gen) @ rep.word_image(labeling[left])
-        if lhs != rhs:
+        if rep.word_image(labeling[right]) != rep.word_image(gen + labeling[left]):
             violations.append({
                 "edge": e,
                 "arc": generator_name(diagram.arc_of_edge[e]),

@@ -9,6 +9,19 @@ when asked for. Torsion is the determinant of the square block matrix [d2 | g1]
 mapping the even chains to C_1; it is well defined up to +-t^m, and a
 canonical representative is obtained by stripping that unit.
 
+The torsion is read off the propagator's elimination, with no determinant
+of its own. Let S be the selected coordinates in pivot order, E_S the matrix
+of their coordinate columns, M = d1[:, S], and B = [lambda*d2 | E_S] the
+pivot columns of the elimination, so sign * delta = det B. G1 is E_S * M^-1,
+hence [d2 | g1] = [d2 | E_S] * diag(I, M^-1); and diag(lambda) * [d2 | E_S] =
+B * diag(I, lambda_S), since scaling row s of E_S is scaling its column.
+Taking determinants,
+
+    raw torsion = det [d2 | g1] = sign * delta / (prod_(i not in S) lambda_i * det M).
+
+The identities verified on every propagator prove delta: a wrong delta
+fails g2*d2 = id.
+
 The defect is a rational function modulo the integers. Every edge whose
 label carries a nonempty word w contributes the exponent sum of w (its class
 in the first homology of the knot exterior) times a scalar built from the
@@ -40,13 +53,18 @@ from .words import exponent_sum
 @dataclass(frozen=True)
 class Propagator:
     """G2 held as the elimination left it: G2[r][j] = numer[r][j] * lam[j] / delta
-    over Z[t], with lam[j] clearing row j of d2 of denominators."""
+    over Z[t], with lam[j] clearing row j of d2 of denominators. `sign` is the
+    elimination's row-swap sign and `det_m` the determinant of d1 restricted
+    to the selected coordinates, in their order: with them the torsion needs
+    no determinant of its own."""
 
     numer: List[List[IntPoly]]  # c2_dim x c1_dim
-    lam: List[IntPoly]  # c1_dim
+    lam: Tuple[Tuple[int, ...], ...]  # c1_dim
     delta: IntPoly
     g1: FieldMatrix  # c1_dim x c0_dim
     selected: Tuple[int, ...]  # C_1 coordinates spanning the complement of im(d2)
+    sign: int
+    det_m: RatFunc
 
     @cached_property
     def g2(self) -> FieldMatrix:
@@ -57,7 +75,7 @@ class Propagator:
 
 def _g2_numerators(g: Propagator) -> List[IntPoly]:
     """G2's entries times delta, row by row, over Z[t]."""
-    return [x if lam == [1] else poly_mul(x, lam)
+    return [x if lam == (1,) else poly_mul(x, lam)
             for row in g.numer for x, lam in zip(row, g.lam)]
 
 
@@ -66,12 +84,13 @@ def build_propagator(cx: ChainComplex, pivot_seed: Optional[int] = None) -> Prop
     order (default is ascending), giving genuinely different propagators whose
     torsion and defect must agree.
 
-    Row i of d2 is cleared of denominators by a factor lambda_i, and
-    [lambda*d2 | identity columns in candidate order] is eliminated once,
-    fraction-free over Z[t]. The pivots beyond the d2 columns select the
-    first candidates independent of im(d2) and of the candidates before them.
-    With B = [lambda*d2 | e_S] the pivot columns and delta the common pivot,
-    the identity block holds N = delta * B^-1, so G2 = N[:c2] * lambda / delta.
+    Row i of d2 is cleared of denominators by a factor lambda_i (once per
+    complex), and [lambda*d2 | identity columns in candidate order] is
+    eliminated once, fraction-free over Z[t]. The pivots beyond the d2
+    columns select the first candidates independent of im(d2) and of the
+    candidates before them. With B = [lambda*d2 | e_S] the pivot columns and
+    delta the common pivot, the identity block holds N = delta * B^-1, so
+    G2 = N[:c2] * lambda / delta, and sign * delta = det B.
     """
     report = check_exactness(cx)
     if not report.exact:
@@ -81,22 +100,25 @@ def build_propagator(cx: ChainComplex, pivot_seed: Optional[int] = None) -> Prop
     if pivot_seed is not None:
         random.Random(pivot_seed).shuffle(order)
     position = {coord: k for k, coord in enumerate(order)}
-    lam, aug = cx.d2.cleared_rows()
-    for i, row in enumerate(aug):
+    lam, rows = cx.d2_cleared
+    aug = []
+    for i, row in enumerate(rows):
         unit = [[]] * c1
         unit[position[i]] = [1]
-        row.extend(unit)
-    reduced, pivots, _ = fraction_free_gauss_jordan(aug)
+        aug.append(list(row) + unit)
+    reduced, pivots, sign = fraction_free_gauss_jordan(aug)
     selected = [order[p - c2] for p in pivots if p >= c2]
     if len(selected) != c0:
         raise NotExactError("could not complete im(d2) to a basis of C_1")
     numer = [[reduced[r][c2 + position[j]] for j in range(c1)] for r in range(c2)]
-    ms_inv = cx.d1.submatrix(range(c0), selected).inverse()
+    m = cx.d1.submatrix(range(c0), selected)
+    ms_inv = m.inverse()
     g1_rows = [[RatFunc.zero()] * c0 for _ in range(c1)]
     for a, row_index in enumerate(selected):
         g1_rows[row_index] = list(ms_inv.row(a))
     g = Propagator(numer, lam, reduced[-1][pivots[-1]],
-                   FieldMatrix.from_rows(g1_rows), tuple(selected))
+                   FieldMatrix.from_rows(g1_rows), tuple(selected), sign,
+                   m.entries[0] if c0 == 1 else m.det())
     _verify_identities(cx, g)
     return g
 
@@ -108,8 +130,7 @@ def _verify_identities(cx: ChainComplex, g: Propagator) -> None:
     must be the product of the denominators times the identity."""
     c2 = cx.c2_dim
     g2 = _rows(_g2_numerators(g), cx.c1_dim)
-    d1_den, d1 = common_denominator(cx.d1.entries)
-    d1 = _rows(d1, cx.c1_dim)
+    d1_den, d1 = cx.d1_common
     den, left = common_denominator(cx.d2.hstack(g.g1).entries)
     left = _rows(left, c2 + cx.c0_dim)
     # [g2; d1] is [g2 * d1_den; d1 * delta] over delta * d1_den: scale the
@@ -119,7 +140,7 @@ def _verify_identities(cx: ChainComplex, g: Propagator) -> None:
     for name, product, scalar in (
             ("g2*d2", pmat_mul(g2, [row[:c2] for row in left]), poly_mul(g.delta, den)),
             ("d1*g1", pmat_mul(d1, [row[c2:] for row in left]), poly_mul(d1_den, den)),
-            ("d2*g2 + g1*d1", pmat_mul(scaled, g2 + d1),
+            ("d2*g2 + g1*d1", pmat_mul(scaled, g2 + list(d1)),
              poly_mul(den, poly_mul(g.delta, d1_den)))):
         if any(entry != (scalar if i == j else [])
                for i, row in enumerate(product) for j, entry in enumerate(row)):
@@ -139,8 +160,16 @@ class TorsionValue:
 
 
 def torsion(cx: ChainComplex, g: Propagator) -> TorsionValue:
-    """Determinant of [d2 | g1] : C_2 + C_0 -> C_1, raw and normalized."""
-    raw = cx.d2.hstack(g.g1).det()
+    """Determinant of [d2 | g1] : C_2 + C_0 -> C_1, raw and normalized, read
+    off the propagator's elimination as sign * delta / (prod_(i not in S)
+    lam_i * det M); the module docstring derives it."""
+    chosen = set(g.selected)
+    den: IntPoly = [1]
+    for i, lam in enumerate(g.lam):
+        if i not in chosen and lam != (1,):
+            den = poly_mul(den, lam)
+    m = g.det_m
+    raw = RatFunc(poly_mul([g.sign * c for c in g.delta], m.zden), poly_mul(den, m.znum))
     if raw.is_zero():
         raise DehnError("torsion determinant vanished on an exact complex")
     normalized, sign, power = _strip_unit(raw)
@@ -237,7 +266,7 @@ def defect(graph: DehnGraph, cx: ChainComplex, g: Propagator,
         by_column[j] = poly_add(by_column.get(j, []), g.numer[r][j], c, m - low)
     num: IntPoly = []
     for j, column in by_column.items():
-        num = poly_add(num, column if g.lam[j] == [1] else poly_mul(column, g.lam[j]))
+        num = poly_add(num, column if g.lam[j] == (1,) else poly_mul(column, g.lam[j]))
     den = g.delta
     for row, terms in g1_terms.items():
         entry = g.g1.entry(row, 0)

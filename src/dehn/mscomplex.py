@@ -7,6 +7,11 @@ labels, where the image of a signed word is the sign times the product of
 the generator matrices. Under the abelian representation every generator
 goes to t, so the image of a word is its abelianisation: the 1x1 matrix
 [t^(exponent sum)], with the label's sign in front.
+
+A `ChainComplex` is immutable, so what every later step needs from it is
+computed once and kept on it: the rows of d2 cleared of denominators, d1
+over one common denominator, and the exactness report that `check_exactness`
+returns on every call.
 """
 
 from __future__ import annotations
@@ -15,11 +20,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import FieldMatrix, RatFunc, common_denominator, poly_add
+from .algebra import (FieldMatrix, RatFunc, common_denominator,
+                      fraction_free_gauss_jordan, poly_add)
 from .dehngraph import BASEPOINT, DehnGraph, GroupRingTerm
 from .diagram import WirtingerPresentation
 from .errors import InvalidRepresentationError
 from .words import Word, exponent_sum
+
+ZPoly = Tuple[int, ...]  # a Z[t] coefficient tuple, constant term first
 
 
 class Representation:
@@ -131,6 +139,38 @@ class ChainComplex:
         return self._blocks[vertex_id]
 
     @cached_property
+    def d2_cleared(self) -> Tuple[Tuple[ZPoly, ...], Tuple[Tuple[ZPoly, ...], ...]]:
+        """(lam, rows) over Z[t] with row i of d2 equal to rows[i] / lam[i],
+        cleared once per complex and shared, so immutable."""
+        lam, rows = self.d2.cleared_rows()
+        return (tuple(tuple(x) for x in lam),
+                tuple(tuple(tuple(x) for x in row) for row in rows))
+
+    @cached_property
+    def d1_common(self) -> Tuple[ZPoly, Tuple[Tuple[ZPoly, ...], ...]]:
+        """(den, rows) over Z[t] with d1 equal to rows / den: d1 over one
+        common denominator."""
+        den, nums = common_denominator(self.d1.entries)
+        cols = self.d1.cols
+        return tuple(den), tuple(tuple(tuple(x) for x in nums[i * cols:(i + 1) * cols])
+                                 for i in range(self.d1.rows))
+
+    @cached_property
+    def _exactness(self) -> ExactnessReport:
+        """Exact iff d2 injects, d1 surjects, and the middle dimension
+        matches; both ranks are forward eliminations of the cleared rows."""
+        if self.c1_dim != self.c2_dim + self.c0_dim:
+            return ExactnessReport(False, "dimension mismatch: "
+                                   f"{self.c1_dim} != {self.c2_dim} + {self.c0_dim}")
+        r2 = len(fraction_free_gauss_jordan(self.d2_cleared[1], forward=True)[1])
+        if r2 != self.c2_dim:
+            return ExactnessReport(False, f"rank(d2) = {r2} < {self.c2_dim}")
+        r1 = len(fraction_free_gauss_jordan(self.d1_common[1], forward=True)[1])
+        if r1 != self.c0_dim:
+            return ExactnessReport(False, f"rank(d1) = {r1} < {self.c0_dim}")
+        return ExactnessReport(True)
+
+    @cached_property
     def _blocks(self) -> Dict[str, int]:
         """Vertex id -> block index, the first basis listing it winning."""
         blocks: Dict[str, int] = {}
@@ -187,17 +227,10 @@ class ExactnessReport:
 
 
 def check_exactness(cx: ChainComplex) -> ExactnessReport:
-    """Exact iff d2 injects, d1 surjects, and the middle dimension matches."""
-    if cx.c1_dim != cx.c2_dim + cx.c0_dim:
-        return ExactnessReport(False, "dimension mismatch: "
-                               f"{cx.c1_dim} != {cx.c2_dim} + {cx.c0_dim}")
-    r2 = cx.d2.rank()
-    if r2 != cx.c2_dim:
-        return ExactnessReport(False, f"rank(d2) = {r2} < {cx.c2_dim}")
-    r1 = cx.d1.rank()
-    if r1 != cx.c0_dim:
-        return ExactnessReport(False, f"rank(d1) = {r1} < {cx.c0_dim}")
-    return ExactnessReport(True)
+    """Exact iff d2 injects, d1 surjects, and the middle dimension matches.
+    The report is computed on the first call for a complex and read from it
+    on every later one."""
+    return cx._exactness
 
 
 def complex_to_json(cx: ChainComplex) -> dict:

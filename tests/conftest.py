@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 from fractions import Fraction
 
 from dehn.algebra import FieldMatrix, Polynomial, RatFunc
@@ -49,6 +50,38 @@ def torus_pd(n: int) -> str:
     return "[" + ",".join(
         f"[{2 * i % m + 1},{(2 * i + n) % m + 1},{(2 * i + 1) % m + 1},{(2 * i + n + 1) % m + 1}]"
         for i in range(n)) + "]"
+
+
+def connected_sum(*texts: str) -> str:
+    """PD code of the connected sum of knots given by PD codes with
+    sequential labels and no one-crossing loop. Summand b is spliced into
+    the last edge of a, the edge ma that runs into the crossing where edge 1
+    leaves: edge ma now runs into b, b's edges follow shifted by ma, and b's
+    last edge, relabelled ma + mb, closes the loop into a."""
+    a = json.loads(texts[0])
+    for text in texts[1:]:
+        b = json.loads(text)
+        ma, mb = 2 * len(a), 2 * len(b)
+        a = ([[ma + mb if e == ma and _incoming(c, pos, ma) else e
+               for pos, e in enumerate(c)] for c in a]
+             + [[ma if e == mb and _incoming(c, pos, mb) else e + ma
+                 for pos, e in enumerate(c)] for c in b])
+    return json.dumps(a, separators=(",", ":"))
+
+
+def _incoming(crossing, pos: int, edges: int) -> bool:
+    """Whether the edge at `pos` enters the crossing: the under-strand runs
+    from position 0 to 2, the over-strand from b to d when d follows b."""
+    if pos in (0, 2):
+        return pos == 0
+    b_in = crossing[3] == crossing[1] % edges + 1
+    return b_in if pos == 1 else not b_in
+
+
+def det_torsion(cx, g) -> RatFunc:
+    """Reference raw torsion: the determinant of [d2 | g1] itself, the form
+    the torsion took before it was read off the propagator's elimination."""
+    return cx.d2.hstack(g.g1).det()
 
 
 @functools.lru_cache(maxsize=None)

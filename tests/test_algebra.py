@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mat, poly, qt_inverse, qt_rref, rf
+from conftest import (CORPUS, connected_sum, mat, poly, qt_inverse, qt_rref, rf,
+                      torus_pd)
 from dehn import algebra
 from dehn.algebra import (FieldMatrix, Polynomial, RatFunc, _prs_gcd,
                           common_denominator, fraction_free_gauss_jordan,
                           pmat_mul, poly_add, poly_gcd, poly_mul, unit_equal,
                           zpoly_gcd)
+from dehn.pipeline import compute_result
 
 # -- polynomial gcd --------------------------------------------------------
 
@@ -194,6 +196,17 @@ def test_canonicalization_idempotent(f):
     assert padded == RatFunc(Polynomial(f.num.coeffs), Polynomial(f.den.coeffs)) == f
     with pytest.raises(TypeError):
         RatFunc(list(f.znum) + [0.5], f.zden)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ratfuncs)
+def test_negation_keeps_the_reduced_form(f):
+    # (-znum, zden) is built with no gcd; it must be the form the
+    # constructor gives.
+    neg = -f
+    assert (neg.znum, neg.zden) == (tuple(-c for c in f.znum), f.zden)
+    assert neg == RatFunc([-c for c in f.znum], f.zden) == RatFunc(-1) * f
+    assert -neg == f and (f + neg).is_zero()
 
 
 def test_ratfunc_integer_and_rational_parts_agree():
@@ -484,6 +497,104 @@ def test_fraction_free_gauss_jordan_rank_deficient():
     reduced, pivots, sign = fraction_free_gauss_jordan(rows)
     assert pivots == [1] and sign == 1
     assert reduced == [[[], [1, 1], [2]], [[], [], []]]
+
+
+def _assert_forward_matches_gauss_jordan(rows):
+    """Forward mode makes the same pivot choices as Gauss-Jordan: the same
+    pivot columns, sign and last pivot, with zero rows below the rank.
+    Returns (pivots, sign, last pivot)."""
+    reduced, pivots, sign = fraction_free_gauss_jordan(rows)
+    echelon, fw_pivots, fw_sign = fraction_free_gauss_jordan(rows, forward=True)
+    assert (fw_pivots, fw_sign) == (pivots, sign)
+    rank = len(pivots)
+    assert all(not any(row) for row in echelon[rank:])
+    assert all(_is_trimmed(x) for row in echelon for x in row)
+    for r, pc in enumerate(pivots):
+        assert echelon[r][pc] and not any(echelon[r][:pc])
+    last = echelon[rank - 1][pivots[-1]] if pivots else [1]
+    assert last == (reduced[rank - 1][pivots[-1]] if pivots else [1])
+    return pivots, sign, last
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2), st.data())
+def test_forward_det_and_rank_match_gauss_jordan_and_fractions(n, dependent, data):
+    # Square matrices, made rank deficient by replacing rows with
+    # combinations of others: sign times the last forward pivot is the
+    # determinant at more points than its degree, and FieldMatrix.det and
+    # rank agree with the Q(t) reference.
+    rows = data.draw(int_matrices(n, n, int_polys(30, 3)))
+    for _ in range(dependent if n > 1 else 0):
+        i, j, dst = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        c = data.draw(int_polys(3, 2))
+        rows[dst] = [poly_add(poly_mul(c, a), b) for a, b in zip(rows[i], rows[j])]
+    pivots, sign, last = _assert_forward_matches_gauss_jordan(rows)
+    degree = max(_row_degree_sum(rows), len(last) - 1) + 1
+    for x in range(-degree, degree + 1):
+        det = _fraction_det([[_at(v, x) for v in row] for row in rows])
+        assert (sign * _at(last, x) if len(pivots) == n else 0) == det
+    m = _over_q(rows)
+    expected_rank = qt_rref(m)[2]
+    assert m.rank() == expected_rank == len(pivots)
+    assert m.det() == (RatFunc([sign * c for c in last]) if len(pivots) == n
+                       else RatFunc.zero())
+
+
+@settings(max_examples=8, deadline=None)
+@given(sparse_boundaries())
+def test_forward_matches_gauss_jordan_on_sparse_rank_deficient_rows(a):
+    # Zero, dependent and lazily rescaled rows, with and without the
+    # identity block of the propagator.
+    n = len(a)
+    pivots = _assert_forward_matches_gauss_jordan(a)[0]
+    assert pivots == qt_rref(_over_q(a))[1]
+    _assert_forward_matches_gauss_jordan(
+        [row + [[1] if i == j else [] for j in range(n)] for i, row in enumerate(a)])
+
+
+def _row_norm_bound(rows):
+    """The product of the row 1-norms: a looser bound on every minor's
+    coefficients, and so a wider packing."""
+    bound = 1
+    for row in rows:
+        bound *= max(1, sum(sum(map(abs, x)) for x in row))
+    return bound
+
+
+_WIDTH_KNOTS = {f"T(2,{n})": torus_pd(n) for n in range(3, 32, 2)}
+_WIDTH_KNOTS.update({
+    "+".join(parts): connected_sum(*(CORPUS[p] for p in parts))
+    for parts in (("3_1", "4_1", "5_2"), ("6_1", "5_1", "4_1", "3_1"),
+                  ("5_2", "6_1", "5_2", "6_1"))})
+
+
+@pytest.mark.parametrize("name", sorted(_WIDTH_KNOTS))
+def test_kernel_width_holds_every_coefficient(monkeypatch, name):
+    # Record the input of every kernel call of a whole computation, with
+    # the width k it packs at. Each coefficient the kernel unpacks, in
+    # either mode, lies within the Hadamard-type bound and so below
+    # 2^(k-1), and the output equals the one at the wider width of the row
+    # 1-norm product: a k narrowed below a coefficient changes an output.
+    calls = []
+    hadamard = algebra._minor_bound
+
+    def recording(rows):
+        bound = hadamard(rows)
+        calls.append(([list(row) for row in rows], bound, algebra._packing_bits(bound)))
+        return bound
+
+    monkeypatch.setattr(algebra, "_minor_bound", recording)
+    result = compute_result(_WIDTH_KNOTS[name])
+    assert all(result["checks"].values())
+    assert len(calls) >= 4  # the two ranks, the propagator and the Fox minor
+    for rows, bound, k in calls:
+        monkeypatch.setattr(algebra, "_minor_bound", hadamard)
+        outputs = [fraction_free_gauss_jordan(rows, forward=f) for f in (False, True)]
+        largest = max((abs(c) for out, _, _ in outputs for row in out for x in row
+                       for c in x), default=0)
+        assert largest <= bound < 2 ** (k - 1)
+        monkeypatch.setattr(algebra, "_minor_bound", _row_norm_bound)
+        assert [fraction_free_gauss_jordan(rows, forward=f) for f in (False, True)] == outputs
 
 
 # -- gcd over Z[t] -------------------------------------------------------------

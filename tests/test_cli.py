@@ -193,6 +193,16 @@ def test_parallel_below_one_is_a_config_error(capsys):
         assert json.loads(err)["error"]["type"] == "ConfigError"
 
 
+def test_seeds_below_zero_is_a_config_error(capsys):
+    # A negative count would check no seed and still report seed_independence.
+    code, out, err = run_cli(capsys, "check", "--pd", TREFOIL, "--seeds", "-3")
+    assert code == 6 and out == ""
+    assert json.loads(err)["error"]["type"] == "ConfigError"
+    code, out, _ = run_cli(capsys, "check", "--pd", TREFOIL, "--seeds", "0",
+                           "--format", "json")
+    assert code == 0 and json.loads(out)["checks"]["seed_independence"] is True
+
+
 def test_worker_count_is_capped_by_tasks_and_cpus():
     assert _worker_count(64, 3, 16) == 3
     assert _worker_count(64, 100, 2) == 2

@@ -2,11 +2,11 @@ import json
 
 import pytest
 
-from conftest import CORPUS, TREFOIL, UNKNOT_KINK
+from conftest import CORPUS, TREFOIL, UNKNOT_KINK, mat
 from dehn.algebra import FieldMatrix
 from dehn.dehngraph import (build_d1, build_d2, build_dehn_graph, check_d2,
                             export_dot, graph_from_json, graph_to_json)
-from dehn.diagram import build_diagram, parse_pd, with_outer_region
+from dehn.diagram import build_diagram, parse_pd, wirtinger, with_outer_region
 from dehn.mscomplex import Representation, eval_rep
 from dehn.words import exponent_sum, word_mul
 
@@ -91,6 +91,23 @@ def test_check_d2_detects_corruption():
     labels[victim] = word_mul(((0, 1),), labels[victim])
     rep = Representation.abelian(d.arc_count)
     assert len(check_d2(labels, d, rep)) >= 1
+
+
+def test_check_d2_under_a_block_size_two_representation():
+    # The general product path: each side is the 2x2 image of a word, the
+    # right one of the concatenation arc * l(left).
+    d = build_diagram(parse_pd(TREFOIL))
+    pres = wirtinger(d)
+    image = mat([[(0, 1), 1], [0, (0, 1)]])
+    rep = Representation.matrix({g: image for g in pres.generators}, pres)
+    labels = build_d2(d)
+    assert check_d2(labels, d, rep) == []
+    corrupted = dict(labels)
+    victim = d.bounded_regions()[0].id
+    corrupted[victim] = word_mul(((0, 1),), labels[victim])
+    violations = check_d2(corrupted, d, rep)
+    assert violations
+    assert all(victim in (v["left_region"], v["right_region"]) for v in violations)
 
 
 # -- graph assembly -------------------------------------------------------------

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
-                      UNKNOT_KINK, find_basis_permutation, mat, pipeline, qt_defect,
-                      qt_inverse, qt_rref, rf, torus_pd)
+                      UNKNOT_KINK, det_torsion, find_basis_permutation, mat,
+                      pipeline, qt_defect, qt_inverse, qt_rref, rf, torus_pd)
 from dehn.algebra import FieldMatrix, RatFunc
 from dehn.errors import DehnError, NotExactError, UnsupportedRepresentationError
 from dehn.dehngraph import build_d1, build_d2, build_dehn_graph
@@ -118,15 +118,20 @@ def test_propagator_matches_reference_rule_for_matrix_representation():
         assert (g.selected, g.g2) == reference_propagator(cx, seed)
 
 
-def test_propagator_matches_reference_rule_with_denominators():
-    # A change of basis in C_1 (row i of d2 over c_i, column i of d1 times
-    # c_i) keeps the complex exact and puts denominators into every row of d2.
+def fig8_with_denominators():
+    """FIG8's complex after a change of basis in C_1 (row i of d2 over c_i,
+    column i of d1 times c_i): still exact, with denominators in every row
+    of d2."""
     cx = pipeline(FIG8).complex
     scales = [rf((0, 1)), rf(2), rf((1, 1)), rf((0, 0, 1), 3), rf((1, 0, 2), (1, 1))]
     c = [scales[i % len(scales)] for i in range(cx.c1_dim)]
     d2 = FieldMatrix.from_rows([[e / c[i] for e in cx.d2.row(i)] for i in range(cx.c1_dim)])
     d1 = FieldMatrix.from_rows([[e * c[j] for j, e in enumerate(cx.d1.row(0))]])
-    scaled = dataclasses.replace(cx, d2=d2, d1=d1)
+    return dataclasses.replace(cx, d2=d2, d1=d1)
+
+
+def test_propagator_matches_reference_rule_with_denominators():
+    scaled = fig8_with_denominators()
     for seed in (None, 0, 1, 2):
         g = build_propagator(scaled, pivot_seed=seed)
         assert (g.selected, g.g2) == reference_propagator(scaled, seed)
@@ -172,6 +177,32 @@ def test_trefoil_torsion():
         TORSION_TARGET, TORSION_TARGET, 1, 0))
     assert run.tor.normalized == rf((1, -1, 1), (-1, 1))
     assert run.tor.raw == TORSION_TARGET
+
+
+def _assert_torsion_matches_determinant(cx, seeds):
+    for seed in seeds:
+        g = build_propagator(cx, pivot_seed=seed)
+        assert torsion(cx, g).raw == det_torsion(cx, g), seed
+
+
+@pytest.mark.parametrize("name,text", sorted(CORPUS.items()))
+def test_torsion_read_off_the_elimination_matches_the_determinant(name, text):
+    # raw = sign * delta / (prod of lam outside S * det M) is det [d2 | g1],
+    # under every pivot order: the sign, the lam factors and det M all move.
+    _assert_torsion_matches_determinant(pipeline(text).complex, [None] + list(range(10)))
+
+
+@pytest.mark.parametrize("text", [TREFOIL_KINKED, FIG8_KINKED]
+                         + [torus_pd(n) for n in range(3, 22, 2)])
+def test_torsion_matches_the_determinant_on_kinked_and_torus_knots(text):
+    _assert_torsion_matches_determinant(pipeline(text).complex, (None, 0, 1))
+
+
+def test_torsion_matches_the_determinant_with_blocks_and_denominators():
+    # Block size 2 (det M is a 2x2 determinant) and lam != 1 on every row.
+    _, _, cx = matrix_rep_trefoil()
+    _assert_torsion_matches_determinant(cx, (None, 0, 1, 2))
+    _assert_torsion_matches_determinant(fig8_with_denominators(), (None, 0, 1, 2))
 
 
 def test_unknot_torsion():
