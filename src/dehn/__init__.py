@@ -1,21 +1,20 @@
 """Exact computation of Dehn graphs, Reidemeister torsion and the abelian
 defect invariant of knot exteriors from planar-diagram codes."""
 
-from .algebra import FieldMatrix, Polynomial, RatFunc, poly_gcd, unit_equal
+from .algebra import FieldMatrix, Polynomial, RatFunc, unit_equal
 from .dehngraph import (DehnGraph, GroupRingTerm, build_d1, build_d2,
                         build_dehn_graph, check_d2, export_dot, graph_from_json,
                         graph_to_json)
 from .diagram import (Crossing, KnotDiagram, PDCode, Region,
                       WirtingerPresentation, build_diagram, diagram_to_json,
-                      parse_pd, wirtinger, with_outer_region)
+                      parse_pd, wirtinger)
 from .errors import (ConfigError, DehnError, InvalidRepresentationError,
                      MultiComponentError, NotExactError, NotPlanarError,
                      PDLabelError, PDSyntaxError, RegionLabelError,
                      UnsupportedRepresentationError)
 from .invariants import (DefectValue, Propagator, TorsionValue,
                          build_propagator, check_lescop_relation, defect,
-                         defect_equal_mod_Z, defect_terms, torsion,
-                         torsion_equal_up_to_units)
+                         defect_equal_mod_Z, torsion, torsion_equal_up_to_units)
 from .mscomplex import (ChainComplex, ExactnessReport, Representation,
                         build_complex, check_exactness, complex_to_json,
                         eval_rep)

@@ -5,14 +5,13 @@ A `RatFunc` is a pair of integer polynomials in a unique reduced form, and
 its arithmetic is the kernel's: `poly_mul`, `poly_add` and the gcd
 `zpoly_gcd`, a heuristic gcd on packed integers whose answer is proved by
 exact division, with a remainder-sequence fallback. Every elimination runs
-in the kernel too: `FieldMatrix` rank, reduced echelon form, determinant and
+in the kernel too: `FieldMatrix` reduced echelon form, determinant and
 inverse write each row over one denominator and call the one fraction-free
 loop, `fraction_free_gauss_jordan`, over Z[t]: Gauss-Jordan for the reduced
-form and the inverse, forward-only for the rank and the determinant, at a
-packing width proved by a Hadamard-type bound. `Polynomial`, with
-coefficients in Q, is the monic-denominator display form of a `RatFunc`'s
-parts and the type of the Fox oracle's Alexander polynomial; its Euclid gcd,
-`poly_gcd`, is the reference that the kernel's gcd is tested against.
+form and the inverse, forward-only for the determinant and for ranks, at a
+packing width proved by a Hadamard-type bound. `Polynomial`, with coefficients in Q, is a
+read-only view with no arithmetic: the monic-denominator display form of a
+`RatFunc`'s parts and the type of the Fox oracle's Alexander polynomial.
 
 Everything here is immutable and pure: values can be shared freely between
 threads. Coefficients are Python ints in Z[t] and `fractions.Fraction` in
@@ -37,7 +36,9 @@ def _coerce(c: Coeffish) -> Fraction:
 
 
 class Polynomial:
-    """Univariate polynomial over Q, coefficients stored constant-term first.
+    """Univariate polynomial over Q, coefficients stored constant-term first:
+    a read-only view for display and evaluation. All arithmetic runs on
+    `RatFunc` and the Z[t] kernel.
 
     The zero polynomial is the empty coefficient tuple; otherwise the leading
     coefficient is nonzero.
@@ -64,94 +65,11 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def constant_term(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
-    def t_multiplicity(self) -> int:
-        """Largest m with t^m dividing self; 0 for the zero polynomial."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return 0
-
-    def shift(self, n: int) -> "Polynomial":
-        """Multiply by t^n (n may be negative if t^-n divides self)."""
-        if self.is_zero():
-            return self
-        if n >= 0:
-            return Polynomial((Fraction(0),) * n + self.coeffs)
-        if self.t_multiplicity() < -n:
-            raise ValueError(f"t^{-n} does not divide {self}")
-        return Polynomial(self.coeffs[-n:])
-
-    # -- arithmetic ---------------------------------------------------
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(("Polynomial", self.coeffs))
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    def scale(self, c: Coeffish) -> "Polynomial":
-        c = _coerce(c)
-        return Polynomial(tuple(c * a for a in self.coeffs))
-
-    def __divmod__(self, other: "Polynomial"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = Polynomial()
-        r = self
-        d = other.degree
-        lead_inv = 1 / other.leading()
-        while not r.is_zero() and r.degree >= d:
-            shift = r.degree - d
-            c = r.leading() * lead_inv
-            term = Polynomial((0,) * shift + (c,))
-            q = q + term
-            r = r - term * other
-        return q, r
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.leading())
 
     def __call__(self, x: Coeffish) -> Fraction:
         x = _coerce(x)
@@ -186,13 +104,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor by Euclid over Q; gcd(0, 0) = 0."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
 
 
 class RatFunc:
@@ -317,9 +228,6 @@ class RatFunc:
             raise ZeroDivisionError("division by the zero rational function")
         return RatFunc(poly_mul(self.znum, other.zden), poly_mul(self.zden, other.znum))
 
-    def inverse(self) -> "RatFunc":
-        return RatFunc.one() / self
-
     def derivative(self) -> "RatFunc":
         """Quotient-rule derivative, in canonical form."""
         num, den = self.znum, self.zden
@@ -436,9 +344,6 @@ class FieldMatrix:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def to_lists(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, FieldMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
@@ -459,12 +364,6 @@ class FieldMatrix:
         return FieldMatrix(self.rows, self.cols,
                            [a + b for a, b in zip(self.entries, other.entries)])
 
-    def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix subtraction")
-        return FieldMatrix(self.rows, self.cols,
-                           [a - b for a, b in zip(self.entries, other.entries)])
-
     def __neg__(self) -> "FieldMatrix":
         return FieldMatrix(self.rows, self.cols, [-a for a in self.entries])
 
@@ -484,14 +383,6 @@ class FieldMatrix:
                     acc = acc + a * other.entry(k, j)
                 out.append(acc)
         return FieldMatrix(self.rows, other.cols, out)
-
-    def scale(self, c: RatFunc) -> "FieldMatrix":
-        return FieldMatrix(self.rows, self.cols, [c * a for a in self.entries])
-
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.cols, self.rows,
-                           [self.entry(i, j)
-                            for j in range(self.cols) for i in range(self.rows)])
 
     def hstack(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.rows != other.rows:
@@ -529,9 +420,6 @@ class FieldMatrix:
         entries = [RatFunc(x, delta) for row in reduced for x in row]
         return FieldMatrix(self.rows, self.cols, entries), pivots, len(pivots)
 
-    def rank(self) -> int:
-        return len(fraction_free_gauss_jordan(self.cleared_rows()[1], forward=True)[1])
-
     def det(self) -> RatFunc:
         """Exact determinant: sign * delta of the cleared rows over the
         product of the row denominators, with delta the last pivot of the
@@ -557,11 +445,6 @@ class FieldMatrix:
         if rank < n or pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
         return reduced.submatrix(range(n), range(n, 2 * n))
-
-    def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return self == FieldMatrix.identity(self.rows)
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)

@@ -46,7 +46,8 @@ def _read_inputs(args) -> List[str]:
     if args.pd is not None:
         return [args.pd]
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte order mark.
+        with open(args.file, "r", encoding="utf-8-sig") as fh:
             raw_lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.file}: {exc}") from None

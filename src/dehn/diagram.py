@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (ConfigError, MultiComponentError, NotPlanarError,
@@ -281,12 +281,6 @@ def build_diagram(pd: PDCode, outer_region: Optional[int] = None) -> KnotDiagram
         unbounded = outer_region
     return KnotDiagram(pd, crossings, arc_count, arc_of_edge, regions,
                        unbounded, corner_region, edge_tail, edge_head)
-
-
-def with_outer_region(diagram: KnotDiagram, region_id: int) -> KnotDiagram:
-    if not any(r.id == region_id for r in diagram.regions):
-        raise ConfigError(f"outer region {region_id} does not exist")
-    return replace(diagram, unbounded_region=region_id)
 
 
 @dataclass(frozen=True)

@@ -203,33 +203,6 @@ def _require_abelian(rep: Representation) -> None:
             "this package does not implement")
 
 
-def defect_terms(graph: DehnGraph, cx: ChainComplex, g: Propagator,
-                 rep: Representation) -> List[Tuple[str, str, RatFunc]]:
-    """Per-edge defect contributions (source, target, value), word-bearing
-    edges only."""
-    _require_abelian(rep)
-    terms = []
-    for e in graph.edges:
-        w = e.label.word
-        if not w:
-            continue
-        degree = exponent_sum(w)
-        coeff = eval_rep(rep, e.label).entry(0, 0)
-        if e.target == BASEPOINT:
-            entry = g.g1.entry(cx.block_of(e.source), 0)
-            level_sign = -1
-        else:
-            entry = g.g2.entry(cx.block_of(e.source), cx.block_of(e.target))
-            level_sign = 1
-        value = coeff * entry
-        if degree != 1:
-            value = value * RatFunc(degree)
-        if level_sign < 0:
-            value = -value
-        terms.append((e.source, e.target, value))
-    return terms
-
-
 def _monomial(f: RatFunc) -> Tuple[int, int]:
     """(c, m) with f = c * t^m for an integer c, the form of every label image
     under the abelian representation."""
@@ -241,7 +214,8 @@ def _monomial(f: RatFunc) -> Tuple[int, int]:
 
 def defect(graph: DehnGraph, cx: ChainComplex, g: Propagator,
            rep: Representation) -> DefectValue:
-    """The sum of `defect_terms`, made canonical once.
+    """The sum of the per-edge terms of the module docstring, made canonical
+    once.
 
     Every label image is c * t^m, so with `low` the least m, the G2 terms sum
     to t^low * num / delta with num = sum of c * t^(m - low) * numer[r][j] *

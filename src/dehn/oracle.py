@@ -9,6 +9,7 @@ identity: torsion times (t - 1) agrees with the Alexander polynomial up to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict
 
 from .algebra import FieldMatrix, Polynomial, RatFunc, unit_equal
@@ -71,21 +72,14 @@ def fox_alexander(presentation: WirtingerPresentation) -> AlexanderPolynomial:
     minor = FieldMatrix.from_rows(rows).submatrix(range(k - 1), range(k - 1)).det()
     if minor.is_zero():
         raise DehnError("the first maximal minor of the Fox matrix vanishes")
-    return AlexanderPolynomial(_normalize(_laurent_to_poly(minor)))
-
-
-def _laurent_to_poly(f: RatFunc) -> Polynomial:
-    """The Fox determinant is a Laurent polynomial; clear the t-power."""
-    if any(f.zden[:-1]):
-        raise DehnError(f"Fox determinant {f} is not a Laurent polynomial")
-    return f.num
-
-
-def _normalize(p: Polynomial) -> Polynomial:
-    p = p.shift(-p.t_multiplicity())
-    if p.leading() < 0:
-        p = -p
-    return p
+    num, den = minor.znum, minor.zden
+    if any(den[:-1]):
+        raise DehnError(f"Fox determinant {minor} is not a Laurent polynomial")
+    # minor = num / (d * t^j): strip the t-powers and make the leading
+    # coefficient positive.
+    low = next(i for i, c in enumerate(num) if c)
+    d = den[-1] if num[-1] > 0 else -den[-1]
+    return AlexanderPolynomial(Polynomial(Fraction(c, d) for c in num[low:]))
 
 
 def milnor_check(tor: TorsionValue, alex: AlexanderPolynomial) -> bool:

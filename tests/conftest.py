@@ -1,13 +1,17 @@
-"""Shared fixtures: the knot corpus, cached pipeline runs, matrix builders."""
+"""Shared fixtures: the knot corpus, cached pipeline runs, matrix builders,
+and the reference implementations that the library is tested against."""
 
 import functools
 import itertools
 import json
 from fractions import Fraction
 
-from dehn.algebra import FieldMatrix, Polynomial, RatFunc
-from dehn.invariants import DefectValue, defect_terms
+from dehn.algebra import FieldMatrix, Polynomial, RatFunc, fraction_free_gauss_jordan
+from dehn.dehngraph import BASEPOINT
+from dehn.invariants import DefectValue, _require_abelian
+from dehn.mscomplex import eval_rep
 from dehn.pipeline import run_pipeline
+from dehn.words import exponent_sum
 
 # PD codes from the standard knot tables (bracket form, sequential labels).
 UNKNOT_KINK = "[[1,2,2,1]]"
@@ -111,6 +115,75 @@ def mat(rows) -> FieldMatrix:
     return FieldMatrix.from_rows([[_as_rf(x) for x in row] for row in rows])
 
 
+def scaled(matrix: FieldMatrix, c: RatFunc) -> FieldMatrix:
+    return FieldMatrix(matrix.rows, matrix.cols, [c * a for a in matrix.entries])
+
+
+def transposed(matrix: FieldMatrix) -> FieldMatrix:
+    return FieldMatrix(matrix.cols, matrix.rows,
+                       [matrix.entry(i, j)
+                        for j in range(matrix.cols) for i in range(matrix.rows)])
+
+
+def is_identity(matrix: FieldMatrix) -> bool:
+    return matrix == FieldMatrix.identity(matrix.rows)
+
+
+def forward_rank(matrix: FieldMatrix) -> int:
+    """Rank by the kernel's forward elimination of the cleared rows, the way
+    the complex's exactness ranks are taken."""
+    return len(fraction_free_gauss_jordan(matrix.cleared_rows()[1], forward=True)[1])
+
+
+# -- polynomial arithmetic over Q ----------------------------------------------
+#
+# Schoolbook product, long division and Euclid's gcd on Polynomial's Fraction
+# coefficients: the references that the Z[t] kernel (`poly_mul`, `poly_add`,
+# `zpoly_gcd`, `common_denominator`) is compared against. The library itself
+# has no arithmetic over Q[t]; there Polynomial is a display view.
+
+
+def q_add(a: Polynomial, b: Polynomial, c=1) -> Polynomial:
+    """a + c * b."""
+    out = list(a.coeffs) + [Fraction(0)] * (len(b.coeffs) - len(a.coeffs))
+    for i, x in enumerate(b.coeffs):
+        out[i] += c * x
+    return Polynomial(out)
+
+
+def q_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    if a.is_zero() or b.is_zero():
+        return Polynomial()
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return Polynomial(out)
+
+
+def q_divmod(a: Polynomial, b: Polynomial):
+    """(q, r) with a = q * b + r and deg r < deg b, one leading term at a time."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    q, r = Polynomial(), a
+    while not r.is_zero() and r.degree >= b.degree:
+        term = Polynomial((0,) * (r.degree - b.degree) + (r.coeffs[-1] / b.coeffs[-1],))
+        q = q_add(q, term)
+        r = q_add(r, q_mul(term, b), -1)
+    return q, r
+
+
+def q_monic(p: Polynomial) -> Polynomial:
+    return p if p.is_zero() else q_mul(p, Polynomial((1 / p.coeffs[-1],)))
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic greatest common divisor by Euclid over Q; gcd(0, 0) = 0."""
+    while not b.is_zero():
+        a, b = b, q_divmod(a, b)[1]
+    return q_monic(a)
+
+
 def qt_rref(matrix: FieldMatrix):
     """Reference reduced row echelon form by Gauss-Jordan elimination over
     Q(t), independent of the Z[t] kernel behind `FieldMatrix.rref`.
@@ -119,7 +192,7 @@ def qt_rref(matrix: FieldMatrix):
     first nonzero entry scanning top to bottom, so the result is
     deterministic.
     """
-    m = matrix.to_lists()
+    m = [list(matrix.row(i)) for i in range(matrix.rows)]
     nrows, ncols = matrix.rows, matrix.cols
     pivots = []
     pr = 0
@@ -132,7 +205,7 @@ def qt_rref(matrix: FieldMatrix):
         if pivot_row is None:
             continue
         m[pr], m[pivot_row] = m[pivot_row], m[pr]
-        inv = m[pr][pc].inverse()
+        inv = RatFunc.one() / m[pr][pc]
         m[pr] = [inv * e for e in m[pr]]
         for r in range(nrows):
             if r == pr:
@@ -174,6 +247,32 @@ def qt_fox_derivative(word, gen) -> RatFunc:
             if g == gen:
                 result = result - RatFunc.t_power(power)
     return result
+
+
+def defect_terms(graph, cx, g, rep):
+    """Reference per-edge defect contributions (source, target, value), one
+    Q(t) value per word-bearing edge, read off the G1 and G2 matrices."""
+    _require_abelian(rep)
+    terms = []
+    for e in graph.edges:
+        w = e.label.word
+        if not w:
+            continue
+        degree = exponent_sum(w)
+        coeff = eval_rep(rep, e.label).entry(0, 0)
+        if e.target == BASEPOINT:
+            entry = g.g1.entry(cx.block_of(e.source), 0)
+            level_sign = -1
+        else:
+            entry = g.g2.entry(cx.block_of(e.source), cx.block_of(e.target))
+            level_sign = 1
+        value = coeff * entry
+        if degree != 1:
+            value = value * RatFunc(degree)
+        if level_sign < 0:
+            value = -value
+        terms.append((e.source, e.target, value))
+    return terms
 
 
 def qt_defect(graph, cx, g, rep) -> DefectValue:

@@ -11,8 +11,8 @@ import time
 import pytest
 
 from conftest import (CORPUS, FIG8, FIG8_KINKED, HOPF_LINK, TREFOIL,
-                      TREFOIL_KINKED, find_basis_permutation, mat,
-                      pipeline, poly, rf)
+                      TREFOIL_KINKED, find_basis_permutation, is_identity,
+                      mat, pipeline, poly, rf, scaled)
 from dehn.algebra import FieldMatrix
 from dehn.dehngraph import build_d1, build_d2, build_dehn_graph, check_d2
 from dehn.diagram import build_diagram, parse_pd
@@ -63,11 +63,11 @@ def test_criterion_3_trefoil_intermediate_fixtures():
             [-1, 0, (0, -1)],
         ]),
         "d1": mat([[(1, -1), (1, 0, -1), (1, -1), (1, -1)]]),
-        "g2": mat([
+        "g2": scaled(mat([
             [0, (0, 0, 1), (0, 1), (-1, 1)],
             [0, 1, (1, -1), 1],
             [0, (0, -1), -1, (0, -1)],
-        ]).scale(rf(1, (1, -1, 1))),
+        ]), rf(1, (1, -1, 1))),
         "g1": mat([[rf(1, (1, -1))], [0], [0], [0]]),
     }
     ours = {"d2": run.complex.d2, "d1": run.complex.d1,
@@ -138,9 +138,9 @@ def test_criterion_8_structural_properties_all_outer_choices():
             cx = build_complex(graph, rep)
             assert (cx.d1 @ cx.d2).is_zero(), (name, region.id)
             g = build_propagator(cx)
-            assert (g.g2 @ cx.d2).is_identity()
-            assert (cx.d1 @ g.g1).is_identity()
-            assert (cx.d2 @ g.g2 + g.g1 @ cx.d1).is_identity()
+            assert is_identity(g.g2 @ cx.d2)
+            assert is_identity(cx.d1 @ g.g1)
+            assert is_identity(cx.d2 @ g.g2 + g.g1 @ cx.d1)
             runs += 1
     _report(8, f"structural suite clean over {runs} (knot, outer region) pairs")
 

@@ -48,6 +48,19 @@ def test_compute_file_input_with_comments(tmp_path, capsys):
     assert data[0]["crossings"] == 3 and data[1]["crossings"] == 1
 
 
+def test_file_input_with_a_byte_order_mark(tmp_path, capsys):
+    # A UTF-8 byte order mark, as some editors save it, is not part of the
+    # first line, whether that line is a knot or a comment.
+    for text in (f"{TREFOIL}\n{FIG8}\n", f"# corpus\n{TREFOIL}\n{FIG8}\n"):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        expected = run_cli(capsys, "compute", "--file", str(plain))
+        assert expected[0] == 0
+        assert run_cli(capsys, "compute", "--file", str(marked)) == expected
+
+
 def test_compute_parallel_preserves_order(tmp_path, capsys):
     f = tmp_path / "knots.txt"
     f.write_text(f"{TREFOIL}\n{UNKNOT_KINK}\n{FIG8}\n")

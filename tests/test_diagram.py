@@ -1,9 +1,11 @@
+import dataclasses
+
 import pytest
 
 from conftest import (CORPUS, FIG8, HOPF_LINK, NON_PLANAR, TREFOIL,
                       TREFOIL_KINKED, UNKNOT_KINK, pipeline)
 from dehn.diagram import (build_diagram, choose_unbounded, diagram_to_json,
-                          parse_pd, wirtinger, with_outer_region)
+                          parse_pd, wirtinger)
 from dehn.errors import (ConfigError, MultiComponentError, NotPlanarError,
                          PDLabelError, PDSyntaxError)
 from dehn.words import exponent_sum
@@ -137,15 +139,16 @@ def test_default_unbounded_rule():
 def test_outer_region_override():
     d = build_diagram(parse_pd(TREFOIL), outer_region=4)
     assert d.unbounded_region == 4
-    d2 = with_outer_region(d, 1)
+    d2 = build_diagram(parse_pd(TREFOIL), outer_region=1)
     assert d2.unbounded_region == 1
+    assert d2 == dataclasses.replace(d, unbounded_region=1)
 
 
 def test_outer_region_override_invalid():
     with pytest.raises(ConfigError):
         build_diagram(parse_pd(TREFOIL), outer_region=99)
     with pytest.raises(ConfigError):
-        with_outer_region(build_diagram(parse_pd(TREFOIL)), -1)
+        build_diagram(parse_pd(TREFOIL), outer_region=-1)
 
 
 def test_invariants_agree_for_every_outer_choice():

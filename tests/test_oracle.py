@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import (ALEXANDER, CORPUS, FIG8, TREFOIL, UNKNOT_KINK, pipeline, poly,
                       qt_fox_derivative)
-from dehn.algebra import Polynomial
+from dehn.algebra import FieldMatrix, Polynomial, RatFunc, unit_equal
 from dehn.diagram import WirtingerPresentation, build_diagram, parse_pd, wirtinger
 from dehn.errors import DehnError
 from dehn.oracle import AlexanderPolynomial, _fox_derivative, fox_alexander, milnor_check
@@ -41,8 +41,29 @@ def test_alexander_at_one_is_unit(name, text):
 @pytest.mark.parametrize("name,text", sorted(CORPUS.items()))
 def test_alexander_palindromic_up_to_units(name, text):
     p = _alexander(text).poly
-    reversed_coeffs = Polynomial(tuple(reversed(p.coeffs)))
-    assert p == reversed_coeffs or p == -reversed_coeffs
+    reversed_coeffs = tuple(reversed(p.coeffs))
+    assert p in (Polynomial(reversed_coeffs), Polynomial(-c for c in reversed_coeffs))
+
+
+@pytest.mark.parametrize("minor", [
+    RatFunc((0, 0, -1, 1, -1)),          # -t^2 * (t^2 - t + 1)
+    RatFunc((-1, 1, -1), (0, 0, 0, 1)),  # -(t^2 - t + 1) / t^3
+    RatFunc((-2, 5, -2)),                # -(2t^2 - 5t + 2)
+])
+def test_fox_minor_is_normalized(monkeypatch, minor):
+    # The corpus minors carry no positive t-power, so the unit is planted:
+    # the reported polynomial has a nonzero constant term and a positive
+    # leading coefficient, and stays unit-equal to the minor.
+    monkeypatch.setattr(FieldMatrix, "det", lambda self: minor)
+    p = _alexander(TREFOIL).poly
+    assert p.coeffs[0] != 0 and p.coeffs[-1] > 0
+    assert unit_equal(RatFunc(p), minor)
+
+
+def test_non_laurent_fox_minor_rejected(monkeypatch):
+    monkeypatch.setattr(FieldMatrix, "det", lambda self: RatFunc((1,), (1, 1)))
+    with pytest.raises(DehnError, match="not a Laurent polynomial"):
+        _alexander(TREFOIL)
 
 
 def test_degenerate_presentation_rejected():
