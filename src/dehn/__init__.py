@@ -8,9 +8,9 @@ from .dehngraph import (DehnGraph, GroupRingTerm, build_d1, build_d2,
 from .diagram import (Crossing, KnotDiagram, PDCode, Region,
                       WirtingerPresentation, build_diagram, diagram_to_json,
                       parse_pd, wirtinger)
-from .errors import (ConfigError, DehnError, InvalidRepresentationError,
-                     MultiComponentError, NotExactError, NotPlanarError,
-                     PDLabelError, PDSyntaxError, RegionLabelError,
+from .errors import (ConfigError, DehnError, MultiComponentError,
+                     NotExactError, NotPlanarError, PDLabelError,
+                     PDSyntaxError, RegionLabelError,
                      UnsupportedRepresentationError)
 from .invariants import (DefectValue, Propagator, TorsionValue,
                          build_propagator, check_lescop_relation, defect,

@@ -5,11 +5,11 @@ A `RatFunc` is a pair of integer polynomials in a unique reduced form, and
 its arithmetic is the kernel's: `poly_mul`, `poly_add` and the gcd
 `zpoly_gcd`, a heuristic gcd on packed integers whose answer is proved by
 exact division, with a remainder-sequence fallback. Every elimination runs
-in the kernel too: `FieldMatrix` reduced echelon form, determinant and
-inverse write each row over one denominator and call the one fraction-free
-loop, `fraction_free_gauss_jordan`, over Z[t]: Gauss-Jordan for the reduced
-form and the inverse, forward-only for the determinant and for ranks, at a
-packing width proved by a Hadamard-type bound. `Polynomial`, with coefficients in Q, is a
+in the kernel too: `FieldMatrix` reduced echelon form and determinant
+write each row over one denominator and call the one fraction-free loop,
+`fraction_free_gauss_jordan`, over Z[t]: Gauss-Jordan for the reduced form,
+forward-only for the determinant and for ranks, at a packing width proved
+by a Hadamard-type bound. `Polynomial`, with coefficients in Q, is a
 read-only view with no arithmetic: the monic-denominator display form of a
 `RatFunc`'s parts and the type of the Fox oracle's Alexander polynomial.
 
@@ -435,16 +435,6 @@ class FieldMatrix:
         for d in lam:
             den = poly_mul(den, d)
         return RatFunc([sign * c for c in delta], den)
-
-    def inverse(self) -> "FieldMatrix":
-        if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        aug = self.hstack(FieldMatrix.identity(n))
-        reduced, pivots, rank = aug.rref()
-        if rank < n or pivots[:n] != list(range(n)):
-            raise ValueError("matrix is singular")
-        return reduced.submatrix(range(n), range(n, 2 * n))
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)

@@ -19,7 +19,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional
 
-from .algebra import FieldMatrix
+from .algebra import RatFunc
 from .dehngraph import build_d1, build_d2, build_dehn_graph, export_dot, graph_to_json
 from .diagram import build_diagram, parse_pd, wirtinger
 from .errors import ConfigError, DehnError
@@ -137,7 +137,7 @@ def _check_one(task) -> dict:
     checks["d1_d2_zero"] = zero.is_zero()
     sums_ok = True
     for c in diagram.crossings:
-        total = FieldMatrix.zeros(rep.dim, rep.dim)
+        total = RatFunc.zero()
         for pos in range(4):
             total = total + eval_rep(rep, run.d1_labels[(c.id, pos)])
         sums_ok = sums_ok and total.is_zero()

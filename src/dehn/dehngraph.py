@@ -87,9 +87,8 @@ def check_d2(labeling: RegionLabeling, diagram: KnotDiagram, rep) -> List[dict]:
 
     Consistency is a theorem for labels produced by build_d2, so a non-empty
     report indicates a convention bug (or a deliberately corrupted labeling).
-    `rep` only needs a word_image(word) -> FieldMatrix method; the right side
-    is the image of the concatenated word, which a matrix representation
-    multiplies out and the abelian one reads off its exponent sum.
+    `rep` only needs a word_image(word) -> RatFunc method; the right side is
+    the image of the concatenated word.
     """
     violations = []
     for e in sorted(diagram.edge_tail):
@@ -126,8 +125,6 @@ class DehnGraph:
     vertices: Tuple[Vertex, ...]
     edges: Tuple[Edge, ...]
     arc_names: Tuple[str, ...]
-    crossing_vertex: Dict[int, str]
-    region_vertex: Dict[int, str]
 
 
 BASEPOINT = "inf"
@@ -157,8 +154,7 @@ def build_dehn_graph(diagram: KnotDiagram, d1: CornerLabeling,
         edges.append(Edge(region_vertex[r.id], BASEPOINT,
                           GroupRingTerm(-1, d2[r.id]), ("region_minus", r.id)))
     arc_names = tuple(generator_name(i) for i in range(diagram.arc_count))
-    return DehnGraph(tuple(vertices), tuple(edges), arc_names,
-                     crossing_vertex, region_vertex)
+    return DehnGraph(tuple(vertices), tuple(edges), arc_names)
 
 
 _DOT_SHAPES = {2: "box", 1: "ellipse", 0: "doublecircle"}
@@ -205,7 +201,4 @@ def graph_from_json(data: dict) -> DehnGraph:
              tuple(e["origin"]))
         for e in data["edges"]
     )
-    crossing_vertex = {int(v.id[1:]): v.id for v in vertices if v.kind == "crossing"}
-    region_vertex = {e.origin[1]: e.source for e in edges
-                     if e.origin[0] == "region_minus"}
-    return DehnGraph(vertices, edges, arc_names, crossing_vertex, region_vertex)
+    return DehnGraph(vertices, edges, arc_names)

@@ -271,6 +271,12 @@ def build_diagram(pd: PDCode, outer_region: Optional[int] = None) -> KnotDiagram
         edge_tail[c.under_out] = (c.id, 2)
         edge_head[c.over_in] = (c.id, c.over_in_pos)
         edge_tail[c.over_out] = (c.id, (c.over_in_pos + 2) % 4)
+    # Labels that chain at every crossing can still enter two crossings and
+    # leave none; such an edge has no tail and the regions do not connect.
+    if len(edge_tail) != 2 * pd.k:
+        missing = sorted(set(range(1, 2 * pd.k + 1)) - set(edge_tail))
+        raise PDLabelError(f"edges {missing} do not run out of one crossing "
+                           "and into another")
     if outer_region is None:
         unbounded = choose_unbounded(regions)
     else:

@@ -14,7 +14,8 @@ class PDSyntaxError(DehnError):
 
 
 class PDLabelError(DehnError):
-    """Edge labels are not 1..2k with each label appearing exactly twice."""
+    """Edge labels are not 1..2k with each label appearing exactly twice, or
+    an edge does not run out of one crossing and into another."""
 
     exit_code = 2
 
@@ -39,12 +40,6 @@ class NotExactError(DehnError):
 
 class UnsupportedRepresentationError(DehnError):
     """The requested computation is not available for this representation."""
-
-    exit_code = 5
-
-
-class InvalidRepresentationError(DehnError):
-    """Generator images are singular or violate the Wirtinger relations."""
 
     exit_code = 5
 

@@ -10,25 +10,25 @@ mapping the even chains to C_1; it is well defined up to +-t^m, and a
 canonical representative is obtained by stripping that unit.
 
 The torsion is read off the propagator's elimination, with no determinant
-of its own. Let S be the selected coordinates in pivot order, E_S the matrix
-of their coordinate columns, M = d1[:, S], and B = [lambda*d2 | E_S] the
-pivot columns of the elimination, so sign * delta = det B. G1 is E_S * M^-1,
-hence [d2 | g1] = [d2 | E_S] * diag(I, M^-1); and diag(lambda) * [d2 | E_S] =
-B * diag(I, lambda_S), since scaling row s of E_S is scaling its column.
+of its own. C_0 is one-dimensional, so one coordinate s is selected. Let e_s
+be its coordinate column and B = [lambda*d2 | e_s] the pivot columns of the
+elimination, so sign * delta = det B. G1 is e_s / d1[s], hence [d2 | g1] =
+[d2 | e_s] * diag(I, 1/d1[s]); and diag(lambda) * [d2 | e_s] =
+B * diag(I, lambda_s), since scaling row s of e_s is scaling its column.
 Taking determinants,
 
-    raw torsion = det [d2 | g1] = sign * delta / (prod_(i not in S) lambda_i * det M).
+    raw torsion = det [d2 | g1] = sign * delta / (prod_(i != s) lambda_i * d1[s]).
 
 The identities verified on every propagator prove delta: a wrong delta
 fails g2*d2 = id.
 
 The defect is a rational function modulo the integers. Every edge whose
-label carries a nonempty word w contributes the exponent sum of w (its class
-in the first homology of the knot exterior) times a scalar built from the
-representation and the matching propagator entry; edges whose label is a
-bare sign contribute nothing. Orientation conventions per degree: the scalar
-for a crossing-to-region edge is the image of the signed label times the G_2
-entry; region-to-basepoint edges enter with the opposite overall sign. This
+label carries a nonempty word w contributes the exponent sum e of w (its class
+in the first homology of the knot exterior) times the image sign * t^e of
+the label times the matching propagator entry; edges whose label is a bare
+sign contribute nothing. Orientation conventions per degree: a
+crossing-to-region edge takes its G_2 entry; region-to-basepoint edges
+take their G_1 entry and enter with the opposite overall sign. This
 is the convention under which defect = t (d/dt) log(torsion) mod Z. The
 defect sums the terms as one numerator over Z[t] and makes the result
 canonical once.
@@ -46,7 +46,7 @@ from .algebra import (FieldMatrix, IntPoly, RatFunc, common_denominator,
                       unit_equal)
 from .dehngraph import BASEPOINT, DehnGraph
 from .errors import DehnError, NotExactError, UnsupportedRepresentationError
-from .mscomplex import ChainComplex, Representation, check_exactness, eval_rep
+from .mscomplex import ChainComplex, Representation, check_exactness
 from .words import exponent_sum
 
 
@@ -54,9 +54,8 @@ from .words import exponent_sum
 class Propagator:
     """G2 held as the elimination left it: G2[r][j] = numer[r][j] * lam[j] / delta
     over Z[t], with lam[j] clearing row j of d2 of denominators. `sign` is the
-    elimination's row-swap sign and `det_m` the determinant of d1 restricted
-    to the selected coordinates, in their order: with them the torsion needs
-    no determinant of its own."""
+    elimination's row-swap sign and `det_m` the entry d1[s] of the selected
+    coordinate s: with them the torsion needs no determinant of its own."""
 
     numer: List[List[IntPoly]]  # c2_dim x c1_dim
     lam: Tuple[Tuple[int, ...], ...]  # c1_dim
@@ -111,14 +110,11 @@ def build_propagator(cx: ChainComplex, pivot_seed: Optional[int] = None) -> Prop
     if len(selected) != c0:
         raise NotExactError("could not complete im(d2) to a basis of C_1")
     numer = [[reduced[r][c2 + position[j]] for j in range(c1)] for r in range(c2)]
-    m = cx.d1.submatrix(range(c0), selected)
-    ms_inv = m.inverse()
-    g1_rows = [[RatFunc.zero()] * c0 for _ in range(c1)]
-    for a, row_index in enumerate(selected):
-        g1_rows[row_index] = list(ms_inv.row(a))
-    g = Propagator(numer, lam, reduced[-1][pivots[-1]],
-                   FieldMatrix.from_rows(g1_rows), tuple(selected), sign,
-                   m.entries[0] if c0 == 1 else m.det())
+    d1_s = cx.d1.entry(0, selected[0])
+    g1 = [RatFunc.zero()] * c1
+    g1[selected[0]] = RatFunc.one() / d1_s
+    g = Propagator(numer, lam, reduced[-1][pivots[-1]], FieldMatrix(c1, 1, g1),
+                   tuple(selected), sign, d1_s)
     _verify_identities(cx, g)
     return g
 
@@ -161,8 +157,8 @@ class TorsionValue:
 
 def torsion(cx: ChainComplex, g: Propagator) -> TorsionValue:
     """Determinant of [d2 | g1] : C_2 + C_0 -> C_1, raw and normalized, read
-    off the propagator's elimination as sign * delta / (prod_(i not in S)
-    lam_i * det M); the module docstring derives it."""
+    off the propagator's elimination as sign * delta / (prod_(i != s)
+    lam_i * d1[s]); the module docstring derives it."""
     chosen = set(g.selected)
     den: IntPoly = [1]
     for i, lam in enumerate(g.lam):
@@ -196,20 +192,9 @@ class DefectValue:
 
 
 def _require_abelian(rep: Representation) -> None:
-    if rep.kind != "abelian" or rep.dim != 1:
+    if rep.kind != "abelian":
         raise UnsupportedRepresentationError(
-            "the defect is only computed for the abelian representation; "
-            "higher-dimensional representations need a homology identification "
-            "this package does not implement")
-
-
-def _monomial(f: RatFunc) -> Tuple[int, int]:
-    """(c, m) with f = c * t^m for an integer c, the form of every label image
-    under the abelian representation."""
-    num, den = f.znum, f.zden
-    if not num or any(num[:-1]) or any(den[:-1]) or den[-1] != 1:
-        raise UnsupportedRepresentationError(f"label image {f} is not an integer times t^m")
-    return num[-1], len(num) - len(den)
+            "the defect is only computed for the abelian representation")
 
 
 def defect(graph: DehnGraph, cx: ChainComplex, g: Propagator,
@@ -217,7 +202,8 @@ def defect(graph: DehnGraph, cx: ChainComplex, g: Propagator,
     """The sum of the per-edge terms of the module docstring, made canonical
     once.
 
-    Every label image is c * t^m, so with `low` the least m, the G2 terms sum
+    Every term is c * t^m with c = sign * e and m = e for the label's sign
+    and exponent sum e. With `low` the least m, the G2 terms sum
     to t^low * num / delta with num = sum of c * t^(m - low) * numer[r][j] *
     lam[j] over Z[t]. The G1 terms of a row sum to a Laurent multiple of that
     row's entry of g1, added to num / den by cross-multiplication."""
@@ -227,8 +213,8 @@ def defect(graph: DehnGraph, cx: ChainComplex, g: Propagator,
         w = e.label.word
         if not w:
             continue
-        c, m = _monomial(eval_rep(rep, e.label).entry(0, 0))
-        c *= exponent_sum(w)
+        m = exponent_sum(w)
+        c = e.label.sign * m
         if e.target == BASEPOINT:
             g1_terms.setdefault(cx.block_of(e.source), []).append((-c, m))
         else:

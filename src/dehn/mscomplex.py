@@ -1,12 +1,13 @@
-"""The three-term chain complex of a Dehn graph under a representation.
+"""The three-term chain complex of a Dehn graph under a one-dimensional
+representation.
 
-C_2 has one block of the representation space per crossing vertex, C_1 one
-per bounded-region vertex, C_0 one for the basepoint. A boundary block from
-vertex p to vertex q is the sum over the edges p -> q of the images of their
-labels, where the image of a signed word is the sign times the product of
-the generator matrices. Under the abelian representation every generator
-goes to t, so the image of a word is its abelianisation: the 1x1 matrix
-[t^(exponent sum)], with the label's sign in front.
+C_2 has one basis vector per crossing vertex, C_1 one per bounded-region
+vertex, C_0 one for the basepoint. A boundary entry from vertex p to vertex q
+is the sum over the edges p -> q of the images of their labels. A
+representation here is one-dimensional: every generator goes to the same
+scalar u, so the image of a signed word is the sign times u^(exponent sum).
+Under the abelian representation u = t and a word maps to its
+abelianisation t^(exponent sum); under the trivial one u = 1.
 
 A `ChainComplex` is immutable, so what every later step needs from it is
 computed once and kept on it: the rows of d2 cleared of denominators, d1
@@ -18,125 +19,77 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .algebra import (FieldMatrix, RatFunc, common_denominator,
                       fraction_free_gauss_jordan, poly_add)
 from .dehngraph import BASEPOINT, DehnGraph, GroupRingTerm
-from .diagram import WirtingerPresentation
-from .errors import InvalidRepresentationError
 from .words import Word, exponent_sum
 
 ZPoly = Tuple[int, ...]  # a Z[t] coefficient tuple, constant term first
 
 
 class Representation:
-    """Map from arc generators to invertible matrices over Q(t).
+    """A one-dimensional representation of the knot group over Q(t): every
+    arc generator goes to the same scalar u, a word to u^(exponent sum), with
+    one image per exponent, made on first use.
 
-    The abelian representation sends every generator to the 1x1 matrix [t].
-    Matrix representations of any dimension are accepted when every image is
-    invertible and all Wirtinger relations hold.
+    `abelian` takes u = t, the representation every invariant is computed
+    under. `trivial` takes u = 1; its complex is not exact, the control that
+    the exactness check can fail. An image depends only on the exponent sum,
+    so the arc count the constructors take is not kept.
     """
 
-    def __init__(self, kind: str, dim: int, images: Dict[int, FieldMatrix],
-                 presentation: Optional[WirtingerPresentation] = None):
+    def __init__(self, kind: str, power: Callable[[int], RatFunc]):
         self.kind = kind
-        self.dim = dim
-        self.images = dict(images)
-        self._inverses: Dict[int, FieldMatrix] = {}
-        for gen, mat in self.images.items():
-            if mat.rows != dim or mat.cols != dim:
-                raise InvalidRepresentationError(
-                    f"generator {gen} image is {mat.rows}x{mat.cols}, expected {dim}x{dim}")
-            try:
-                self._inverses[gen] = mat.inverse()
-            except ValueError:
-                raise InvalidRepresentationError(
-                    f"generator {gen} image is singular") from None
-        if presentation is not None:
-            self._check_relations(presentation)
+        self._power = power
+        self._powers: Dict[int, RatFunc] = {}
 
     @classmethod
     def abelian(cls, arc_count: int) -> "Representation":
-        return _AbelianRepresentation(arc_count)
-
-    @classmethod
-    def matrix(cls, images: Dict[int, FieldMatrix],
-               presentation: WirtingerPresentation) -> "Representation":
-        dims = {m.rows for m in images.values()}
-        if len(dims) != 1:
-            raise InvalidRepresentationError("generator images have mixed sizes")
-        return cls("matrix", dims.pop(), images, presentation)
+        return cls("abelian", RatFunc.t_power)
 
     @classmethod
     def trivial(cls, arc_count: int) -> "Representation":
-        one = FieldMatrix.identity(1)
-        return cls("matrix", 1, {i: one for i in range(arc_count)})
+        return cls("trivial", lambda m: RatFunc.one())
 
-    def _check_relations(self, presentation: WirtingerPresentation) -> None:
-        missing = [g for g in presentation.generators if g not in self.images]
-        if missing:
-            raise InvalidRepresentationError(f"no image for generators {missing}")
-        ident = FieldMatrix.identity(self.dim)
-        for i, rel in enumerate(presentation.relations):
-            if self.word_image(rel) != ident:
-                raise InvalidRepresentationError(
-                    f"Wirtinger relation {i} is not satisfied by the images")
-
-    def word_image(self, word: Word) -> FieldMatrix:
-        out = FieldMatrix.identity(self.dim)
-        for gen, exp in word:
-            out = out @ (self.images[gen] if exp == 1 else self._inverses[gen])
-        return out
-
-
-class _AbelianRepresentation(Representation):
-    """Every generator to [t], a word to [t^(exponent sum)], with one image
-    per exponent, made on first use."""
-
-    def __init__(self, arc_count: int):
-        t = FieldMatrix(1, 1, [RatFunc.t()])
-        self.kind, self.dim = "abelian", 1
-        self.images = {i: t for i in range(arc_count)}
-        self._powers: Dict[int, FieldMatrix] = {1: t}
-
-    def word_image(self, word: Word) -> FieldMatrix:
+    def word_image(self, word: Word) -> RatFunc:
         m = exponent_sum(word)
         image = self._powers.get(m)
         if image is None:
-            image = self._powers[m] = FieldMatrix(1, 1, [RatFunc.t_power(m)])
+            image = self._powers[m] = self._power(m)
         return image
 
 
-def eval_rep(rep: Representation, term: GroupRingTerm) -> FieldMatrix:
-    """Image of a signed word: sign times the product of generator images."""
-    mat = rep.word_image(term.word)
-    return mat if term.sign == 1 else -mat
+def eval_rep(rep: Representation, term: GroupRingTerm) -> RatFunc:
+    """Image of a signed word: the sign times the image of the word."""
+    image = rep.word_image(term.word)
+    return image if term.sign == 1 else -image
 
 
 @dataclass(frozen=True)
 class ChainComplex:
     d2: FieldMatrix  # c1_dim x c2_dim
     d1: FieldMatrix  # c0_dim x c1_dim
-    c2_basis: Tuple[str, ...]  # crossing vertex ids, block order
-    c1_basis: Tuple[str, ...]  # region vertex ids, block order
+    c2_basis: Tuple[str, ...]  # crossing vertex ids
+    c1_basis: Tuple[str, ...]  # region vertex ids
     c0_basis: Tuple[str, ...]
-    block_size: int
 
     @property
     def c2_dim(self) -> int:
-        return len(self.c2_basis) * self.block_size
+        return len(self.c2_basis)
 
     @property
     def c1_dim(self) -> int:
-        return len(self.c1_basis) * self.block_size
+        return len(self.c1_basis)
 
     @property
     def c0_dim(self) -> int:
-        return len(self.c0_basis) * self.block_size
+        return len(self.c0_basis)
 
     def block_of(self, vertex_id: str) -> int:
-        return self._blocks[vertex_id]
+        """The position of a vertex in its basis: its row or column index."""
+        return self._positions[vertex_id]
 
     @cached_property
     def d2_cleared(self) -> Tuple[Tuple[ZPoly, ...], Tuple[Tuple[ZPoly, ...], ...]]:
@@ -171,17 +124,16 @@ class ChainComplex:
         return ExactnessReport(True)
 
     @cached_property
-    def _blocks(self) -> Dict[str, int]:
-        """Vertex id -> block index, the first basis listing it winning."""
-        blocks: Dict[str, int] = {}
+    def _positions(self) -> Dict[str, int]:
+        """Vertex id -> basis position, the first basis listing it winning."""
+        positions: Dict[str, int] = {}
         for basis in (self.c2_basis, self.c1_basis, self.c0_basis):
             for i, vertex_id in enumerate(basis):
-                blocks.setdefault(vertex_id, i)
-        return blocks
+                positions.setdefault(vertex_id, i)
+        return positions
 
 
 def build_complex(graph: DehnGraph, rep: Representation) -> ChainComplex:
-    n = rep.dim
     c2_basis = tuple(v.id for v in graph.vertices if v.index == 2)
     c1_basis = tuple(v.id for v in graph.vertices if v.index == 1)
     c0_basis = (BASEPOINT,)
@@ -190,17 +142,14 @@ def build_complex(graph: DehnGraph, rep: Representation) -> ChainComplex:
     d2_terms: Dict[Tuple[int, int], List[RatFunc]] = {}
     d1_terms: Dict[Tuple[int, int], List[RatFunc]] = {}
     for e in graph.edges:
-        block = eval_rep(rep, e.label)
         if e.target == BASEPOINT:
-            row0, col0, terms = 0, c1_pos[e.source] * n, d1_terms
+            key, terms = (0, c1_pos[e.source]), d1_terms
         else:
-            row0, col0, terms = c1_pos[e.target] * n, c2_pos[e.source] * n, d2_terms
-        for i in range(n):
-            for j in range(n):
-                terms.setdefault((row0 + i, col0 + j), []).append(block.entry(i, j))
-    return ChainComplex(_summed(d2_terms, len(c1_basis) * n, len(c2_basis) * n),
-                        _summed(d1_terms, n, len(c1_basis) * n),
-                        c2_basis, c1_basis, c0_basis, n)
+            key, terms = (c1_pos[e.target], c2_pos[e.source]), d2_terms
+        terms.setdefault(key, []).append(eval_rep(rep, e.label))
+    return ChainComplex(_summed(d2_terms, len(c1_basis), len(c2_basis)),
+                        _summed(d1_terms, 1, len(c1_basis)),
+                        c2_basis, c1_basis, c0_basis)
 
 
 def _summed(terms: Dict[Tuple[int, int], List[RatFunc]], rows: int, cols: int) -> FieldMatrix:
@@ -234,9 +183,8 @@ def check_exactness(cx: ChainComplex) -> ExactnessReport:
 
 
 def complex_to_json(cx: ChainComplex) -> dict:
-    """Boundary matrices plus the vertex-to-block bookkeeping table."""
+    """Boundary matrices plus the bases that index their rows and columns."""
     return {
-        "block_size": cx.block_size,
         "bases": {
             "c2": list(cx.c2_basis),
             "c1": list(cx.c1_basis),

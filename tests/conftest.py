@@ -27,6 +27,9 @@ FIG8_KINKED = "[[6,4,7,3],[10,8,1,7],[8,5,9,6],[4,9,5,10],[1,2,2,3]]"
 NON_PLANAR = "[[1,3,2,4],[1,3,2,4]]"
 # Hopf link: every label appears twice but the strands form two components.
 HOPF_LINK = "[[4,1,3,2],[2,3,1,4]]"
+# Valid labels whose strands chain at every crossing, but edges 1 and 3 each
+# run into two crossings and out of none.
+TAILLESS_EDGES = ("[[1,4,2,3],[1,3,2,4]]", "[[1,3,2,4],[3,1,4,2]]")
 
 CORPUS = {
     "unknot_kink": UNKNOT_KINK,
@@ -231,6 +234,23 @@ def qt_inverse(matrix: FieldMatrix):
     return reduced.submatrix(range(n), range(n, 2 * n))
 
 
+class QtProductRepresentation:
+    """Reference abelian representation: the image of a word is the product
+    of t for each letter x and 1/t for each letter x^-1, one letter at a time
+    in Q(t), each partial product in canonical form, independent of the
+    exponent-sum image behind `Representation.abelian`. It has the same
+    `kind` and `word_image`, so `eval_rep` and `build_complex` take it."""
+
+    kind = "abelian"
+
+    def word_image(self, word) -> RatFunc:
+        t = RatFunc.t()
+        out = RatFunc.one()
+        for _, exp in word:
+            out = out * t if exp == 1 else out / t
+        return out
+
+
 def qt_fox_derivative(word, gen) -> RatFunc:
     """Reference abelianized Fox derivative: one t-power added at a time in
     Q(t), each partial sum in canonical form, independent of the single
@@ -259,7 +279,7 @@ def defect_terms(graph, cx, g, rep):
         if not w:
             continue
         degree = exponent_sum(w)
-        coeff = eval_rep(rep, e.label).entry(0, 0)
+        coeff = eval_rep(rep, e.label)
         if e.target == BASEPOINT:
             entry = g.g1.entry(cx.block_of(e.source), 0)
             level_sign = -1

@@ -13,7 +13,7 @@ import pytest
 from conftest import (CORPUS, FIG8, FIG8_KINKED, HOPF_LINK, TREFOIL,
                       TREFOIL_KINKED, find_basis_permutation, is_identity,
                       mat, pipeline, poly, rf, scaled)
-from dehn.algebra import FieldMatrix
+from dehn.algebra import RatFunc
 from dehn.dehngraph import build_d1, build_d2, build_dehn_graph, check_d2
 from dehn.diagram import build_diagram, parse_pd
 from dehn.errors import MultiComponentError
@@ -129,7 +129,7 @@ def test_criterion_8_structural_properties_all_outer_choices():
             d2_labels = build_d2(diagram)
             rep = Representation.abelian(diagram.arc_count)
             for c in diagram.crossings:
-                total = FieldMatrix.zeros(1, 1)
+                total = RatFunc.zero()
                 for pos in range(4):
                     total = total + eval_rep(rep, d1_labels[(c.id, pos)])
                 assert total.is_zero(), (name, region.id, c.id)

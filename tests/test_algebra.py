@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (CORPUS, connected_sum, forward_rank, is_identity, mat,
-                      poly, poly_gcd, q_add, q_divmod, q_monic, q_mul,
-                      qt_inverse, qt_rref, rf, torus_pd, transposed)
+from conftest import (CORPUS, connected_sum, forward_rank, mat, poly,
+                      poly_gcd, q_add, q_divmod, q_monic, q_mul, qt_rref, rf,
+                      torus_pd, transposed)
 from dehn import algebra
 from dehn.algebra import (FieldMatrix, Polynomial, RatFunc, _prs_gcd,
                           common_denominator, fraction_free_gauss_jordan,
@@ -152,12 +152,6 @@ def test_det_non_square_raises():
         FieldMatrix.zeros(2, 3).det()
 
 
-def test_inverse_roundtrip():
-    t = RatFunc.t()
-    m = mat([[1, -t, -1, 0], [0, 1, 1, 1], [0, 0, -t, -1], [0, -1, 0, -t]])
-    assert is_identity(m @ m.inverse())
-    assert is_identity(m.inverse() @ m)
-
 
 # -- randomized properties ---------------------------------------------------
 
@@ -287,7 +281,7 @@ def test_rank_equals_rank_of_transpose(nrows, ncols, data):
        st.integers(min_value=0, max_value=2), st.data())
 def test_rref_rank_inverse_match_qt_reference(nrows, ncols, dependent, data):
     # Rows that are combinations of drawn rows, inserted anywhere, make the
-    # matrix and its leading square block rank deficient.
+    # matrix rank deficient.
     rows = data.draw(st.lists(
         st.lists(entry_palette, min_size=ncols, max_size=ncols),
         min_size=nrows, max_size=nrows))
@@ -300,14 +294,6 @@ def test_rref_rank_inverse_match_qt_reference(nrows, ncols, dependent, data):
     expected = qt_rref(m)
     assert m.rref() == expected
     assert forward_rank(m) == expected[2]
-    n = min(m.rows, m.cols)
-    square = m.submatrix(range(n), range(n))
-    inverse = qt_inverse(square)
-    if inverse is None:
-        with pytest.raises(ValueError):
-            square.inverse()
-    else:
-        assert square.inverse() == inverse
 
 
 # -- the Z[t] kernel ---------------------------------------------------------

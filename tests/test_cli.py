@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from collections import Counter
 
-from conftest import FIG8, HOPF_LINK, NON_PLANAR, TREFOIL, UNKNOT_KINK
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from conftest import (FIG8, HOPF_LINK, NON_PLANAR, TAILLESS_EDGES, TREFOIL,
+                      UNKNOT_KINK)
 from dehn.cli import _worker_count, main
 from dehn.dehngraph import build_d1, build_d2, build_dehn_graph, export_dot
 from dehn.diagram import build_diagram, parse_pd
@@ -140,6 +148,16 @@ def test_non_planar_exit_code(capsys):
     assert json.loads(err)["error"]["type"] == "NotPlanarError"
 
 
+@pytest.mark.parametrize("command", ["compute", "graph", "check", "oracle"])
+@pytest.mark.parametrize("text", TAILLESS_EDGES, ids=("tailless-1", "tailless-2"))
+def test_edge_entered_at_two_crossings_exit_code(capsys, command, text):
+    # Every subcommand rejects the code as a label error: no traceback from
+    # the region labelling, and no Alexander polynomial from the oracle.
+    code, out, err = run_cli(capsys, command, "--pd", text)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "PDLabelError"
+
+
 def test_bad_outer_region_exit_code(capsys):
     code, out, err = run_cli(capsys, "compute", "--pd", TREFOIL,
                              "--outer-region", "42")
@@ -222,3 +240,52 @@ def test_worker_count_is_capped_by_tasks_and_cpus():
     assert _worker_count(2, 100, 16) == 2
     assert _worker_count(8, 100, None) == 1
     assert _worker_count(1, 100, 16) == 1
+
+
+# -- the CLI on arbitrary label-valid codes -----------------------------------
+
+
+@st.composite
+def label_valid_pd(draw):
+    """PD text of k <= 5 crossings whose under-strands chain: crossing i is
+    (a_i, b_i, a_i + 1, d_i), labels mod 2k, with the b's and d's the labels
+    left over so that each of 1..2k appears exactly twice. Most such codes
+    are not knots; all of them pass the label-count check."""
+    k = draw(st.integers(1, 5))
+    m = 2 * k
+    unders = draw(st.lists(st.integers(1, m), min_size=k, max_size=k))
+    counts = Counter(unders) + Counter(a % m + 1 for a in unders)
+    assume(max(counts.values()) <= 2)
+    rest = draw(st.permutations([e for e in range(1, m + 1) for _ in range(2 - counts[e])]))
+    return json.dumps([[a, rest[2 * i], a % m + 1, rest[2 * i + 1]]
+                       for i, a in enumerate(unders)], separators=(",", ":"))
+
+
+def _quiet_main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(label_valid_pd())
+@example(TAILLESS_EDGES[0])
+@example(TAILLESS_EDGES[1])
+def test_cli_on_label_valid_codes(text):
+    # Every code is a knot (exit 0, every check true), a rejected input
+    # (exit 2) or a non-planar one (exit 3), and the three subcommands agree
+    # on which; a failure is one JSON line on stderr, never a traceback.
+    codes = set()
+    for command in ("compute", "graph", "oracle"):
+        code, out, err = _quiet_main(command, "--pd", text)
+        assert code in (0, 2, 3), (command, code, err)
+        codes.add(code)
+        if code == 0:
+            assert out and err == ""
+            if command == "compute":
+                assert all(json.loads(out)["checks"].values())
+        else:
+            assert out == "" and len(err.splitlines()) == 1
+            assert json.loads(err)["error"]["exit_code"] == code
+    assert len(codes) == 1, (text, codes)

@@ -2,8 +2,8 @@ import dataclasses
 
 import pytest
 
-from conftest import (CORPUS, FIG8, HOPF_LINK, NON_PLANAR, TREFOIL,
-                      TREFOIL_KINKED, UNKNOT_KINK, pipeline)
+from conftest import (CORPUS, FIG8, HOPF_LINK, NON_PLANAR, TAILLESS_EDGES,
+                      TREFOIL, TREFOIL_KINKED, UNKNOT_KINK, pipeline)
 from dehn.diagram import (build_diagram, choose_unbounded, diagram_to_json,
                           parse_pd, wirtinger)
 from dehn.errors import (ConfigError, MultiComponentError, NotPlanarError,
@@ -122,6 +122,14 @@ def test_left_region_consistent_at_both_ends():
 def test_non_planar_rejected():
     with pytest.raises(NotPlanarError):
         build_diagram(parse_pd(NON_PLANAR))
+
+
+@pytest.mark.parametrize("text", TAILLESS_EDGES, ids=("tailless-1", "tailless-2"))
+def test_edge_entered_at_two_crossings_rejected(text):
+    # parse_pd accepts the labels; the diagram sees an edge with no tail.
+    pd = parse_pd(text)
+    with pytest.raises(PDLabelError, match=r"edges \[1, 3\]"):
+        build_diagram(pd)
 
 
 # -- unbounded region ----------------------------------------------------------

@@ -10,7 +10,7 @@ from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
 from dehn.algebra import FieldMatrix, RatFunc
 from dehn.errors import DehnError, NotExactError, UnsupportedRepresentationError
 from dehn.dehngraph import build_d1, build_d2, build_dehn_graph
-from dehn.diagram import build_diagram, parse_pd, wirtinger
+from dehn.diagram import build_diagram, parse_pd
 from dehn.invariants import (DefectValue, TorsionValue, _verify_identities,
                              build_propagator, check_lescop_relation, defect,
                              defect_equal_mod_Z, torsion,
@@ -93,30 +93,12 @@ def reference_propagator(cx, pivot_seed=None):
     return tuple(selected), g2
 
 
-def matrix_rep_trefoil():
-    """The trefoil under t -> [[t, 1], [0, t]]: block size 2, so c0 = 2."""
-    d = build_diagram(parse_pd(TREFOIL))
-    pres = wirtinger(d)
-    m = mat([[T, 1], [0, T]])
-    rep = Representation.matrix({g: m for g in pres.generators}, pres)
-    graph = build_dehn_graph(d, build_d1(d), build_d2(d))
-    return graph, rep, build_complex(graph, rep)
-
-
 @pytest.mark.parametrize("name,text", sorted(CORPUS.items()))
 def test_propagator_matches_reference_rule(name, text):
     cx = pipeline(text).complex
     for seed in [None] + list(range(10)):
         g = build_propagator(cx, pivot_seed=seed)
         assert (g.selected, g.g2) == reference_propagator(cx, seed), seed
-
-
-def test_propagator_matches_reference_rule_for_matrix_representation():
-    _, _, cx = matrix_rep_trefoil()
-    assert cx.c0_dim == 2
-    for seed in (None, 0, 1):
-        g = build_propagator(cx, pivot_seed=seed)
-        assert (g.selected, g.g2) == reference_propagator(cx, seed)
 
 
 def fig8_with_denominators():
@@ -200,9 +182,7 @@ def test_torsion_matches_the_determinant_on_kinked_and_torus_knots(text):
 
 
 def test_torsion_matches_the_determinant_with_blocks_and_denominators():
-    # Block size 2 (det M is a 2x2 determinant) and lam != 1 on every row.
-    _, _, cx = matrix_rep_trefoil()
-    _assert_torsion_matches_determinant(cx, (None, 0, 1, 2))
+    # lam != 1 on every row of d2, and d1 has denominators.
     _assert_torsion_matches_determinant(fig8_with_denominators(), (None, 0, 1, 2))
 
 
@@ -262,10 +242,12 @@ def test_defect_skips_bare_sign_labels():
 
 
 def test_defect_rejects_matrix_representation():
-    graph, rep, cx = matrix_rep_trefoil()
-    g = build_propagator(cx)
+    # Only the abelian representation has a defect; the trivial one is
+    # refused before the propagator is read.
+    run = pipeline(TREFOIL)
+    rep = Representation.trivial(run.diagram.arc_count)
     with pytest.raises(UnsupportedRepresentationError):
-        defect(graph, cx, g, rep)
+        defect(run.graph, run.complex, run.propagator, rep)
 
 
 @pytest.mark.parametrize("name,text", sorted(CORPUS.items()))

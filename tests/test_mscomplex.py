@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED, mat, rf,
-                      torus_pd)
-from dehn.algebra import FieldMatrix, RatFunc
+from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
+                      QtProductRepresentation, mat, rf, torus_pd)
+from dehn.algebra import RatFunc
 from dehn.dehngraph import GroupRingTerm, build_d1, build_d2, build_dehn_graph
-from dehn.diagram import build_diagram, parse_pd, wirtinger
-from dehn.errors import InvalidRepresentationError
+from dehn.diagram import build_diagram, parse_pd
 from dehn.mscomplex import (Representation, build_complex, check_exactness,
                             complex_to_json, eval_rep)
 
@@ -18,17 +17,10 @@ from dehn.mscomplex import (Representation, build_complex, check_exactness,
 
 def test_eval_rep_abelian():
     rep = Representation.abelian(3)
-    assert eval_rep(rep, GroupRingTerm(-1, ((0, 1),))) == mat([[(0, -1)]])
-    assert eval_rep(rep, GroupRingTerm(1, ())) == FieldMatrix.identity(1)
-    assert eval_rep(rep, GroupRingTerm(-1, ((0, 1), (1, 1)))) == mat([[(0, 0, -1)]])
-    assert eval_rep(rep, GroupRingTerm(1, ((0, -1),))) == mat([[rf(1, (0, 1))]])
-
-
-def _general_abelian(arc_count):
-    """The abelian images through the general product path: [t] for every
-    generator as a matrix representation."""
-    t = mat([[(0, 1)]])
-    return Representation("matrix", 1, {g: t for g in range(arc_count)})
+    assert eval_rep(rep, GroupRingTerm(-1, ((0, 1),))) == rf((0, -1))
+    assert eval_rep(rep, GroupRingTerm(1, ())) == RatFunc.one()
+    assert eval_rep(rep, GroupRingTerm(-1, ((0, 1), (1, 1)))) == rf((0, 0, -1))
+    assert eval_rep(rep, GroupRingTerm(1, ((0, -1),))) == rf(1, (0, 1))
 
 
 @settings(max_examples=100, deadline=None)
@@ -36,32 +28,11 @@ def _general_abelian(arc_count):
        st.lists(st.tuples(st.integers(0, 3), st.sampled_from((1, -1))), max_size=10))
 def test_abelian_eval_rep_matches_general_path(sign, letters):
     # The abelian image is sign * t^(exponent sum), cached per exponent: the
-    # second call reads the cache.
+    # second call reads the cache. The reference multiplies letter by letter.
     term = GroupRingTerm(sign, tuple(letters))
-    expected = eval_rep(_general_abelian(4), term)
+    expected = eval_rep(QtProductRepresentation(), term)
     rep = Representation.abelian(4)
     assert eval_rep(rep, term) == expected == eval_rep(rep, term)
-
-
-def test_matrix_representation_validates_relations():
-    d = build_diagram(parse_pd(TREFOIL))
-    pres = wirtinger(d)
-    t = RatFunc.t()
-    good = mat([[t, 1], [0, t]])
-    rep = Representation.matrix({g: good for g in pres.generators}, pres)
-    assert rep.dim == 2
-    bad_images = {0: mat([[t, 0], [0, t]]), 1: mat([[t, 1], [0, t]]),
-                  2: mat([[t, 0], [0, t]])}
-    with pytest.raises(InvalidRepresentationError):
-        Representation.matrix(bad_images, pres)
-
-
-def test_singular_image_rejected():
-    d = build_diagram(parse_pd(TREFOIL))
-    pres = wirtinger(d)
-    singular = mat([[1, 0], [0, 0]])
-    with pytest.raises(InvalidRepresentationError):
-        Representation.matrix({g: singular for g in pres.generators}, pres)
 
 
 # -- boundary matrices -----------------------------------------------------------
@@ -109,17 +80,6 @@ def test_d1_d2_is_zero(text):
     assert (cx.d1 @ cx.d2).is_zero()
 
 
-def test_d1_d2_zero_for_matrix_representation():
-    d = build_diagram(parse_pd(TREFOIL))
-    pres = wirtinger(d)
-    t = RatFunc.t()
-    m = mat([[t, 1], [0, t]])
-    rep = Representation.matrix({g: m for g in pres.generators}, pres)
-    _, _, _, cx = _complex(TREFOIL, rep=rep)
-    assert cx.c2_dim == 6 and cx.c1_dim == 8 and cx.c0_dim == 2
-    assert (cx.d1 @ cx.d2).is_zero()
-
-
 FAST_PATH_KNOTS = (
     [pytest.param(text, region.id, id=f"{name}-outer{region.id}")
      for name, text in sorted(CORPUS.items())
@@ -131,13 +91,12 @@ FAST_PATH_KNOTS = (
 
 @pytest.mark.parametrize("text,outer", FAST_PATH_KNOTS)
 def test_abelian_complex_matches_general_path(text, outer):
-    # The same complex from [t] on every generator as a Wirtinger-checked
-    # matrix representation, whose images are products of 1x1 matrices.
+    # The same complex from the reference images, products of t and 1/t
+    # taken letter by letter in Q(t).
     d = build_diagram(parse_pd(text), outer_region=outer)
     g = build_dehn_graph(d, build_d1(d), build_d2(d))
-    general = Representation.matrix({a: mat([[(0, 1)]]) for a in range(d.arc_count)},
-                                    wirtinger(d))
-    assert build_complex(g, Representation.abelian(d.arc_count)) == build_complex(g, general)
+    assert (build_complex(g, Representation.abelian(d.arc_count))
+            == build_complex(g, QtProductRepresentation()))
 
 
 def test_d2_column_block_counts():
@@ -172,15 +131,6 @@ def test_trivial_representation_not_exact():
     assert "rank(d1)" in report.witness
 
 
-def test_unipotent_matrix_representation_not_exact():
-    d = build_diagram(parse_pd(TREFOIL))
-    pres = wirtinger(d)
-    m = mat([[1, 1], [0, 1]])
-    rep = Representation.matrix({g: m for g in pres.generators}, pres)
-    _, _, _, cx = _complex(TREFOIL, rep=rep)
-    assert not check_exactness(cx).exact
-
-
 # -- serialization -------------------------------------------------------------------
 
 
@@ -199,4 +149,4 @@ def test_complex_json_bookkeeping():
     assert data["bases"]["c2"] == ["p0", "p1", "p2"]
     assert data["bases"]["c0"] == ["inf"]
     assert data["d2"]["rows"] == 4 and data["d2"]["cols"] == 3
-    assert data["block_size"] == 1
+    assert set(data) == {"bases", "d2", "d1"}
