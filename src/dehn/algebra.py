@@ -384,15 +384,6 @@ class FieldMatrix:
                 out.append(acc)
         return FieldMatrix(self.rows, other.cols, out)
 
-    def hstack(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch in hstack")
-        out = []
-        for i in range(self.rows):
-            out.extend(self.row(i))
-            out.extend(other.row(i))
-        return FieldMatrix(self.rows, self.cols + other.cols, out)
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "FieldMatrix":
         out = [self.entry(i, j) for i in row_idx for j in col_idx]
         return FieldMatrix(len(row_idx), len(col_idx), out)

@@ -3,27 +3,24 @@ representation.
 
 C_2 has one basis vector per crossing vertex, C_1 one per bounded-region
 vertex, C_0 one for the basepoint. A boundary entry from vertex p to vertex q
-is the sum over the edges p -> q of the images of their labels. A
-representation here is one-dimensional: every generator goes to the same
-scalar u, so the image of a signed word is the sign times u^(exponent sum).
-Under the abelian representation u = t and a word maps to its
-abelianisation t^(exponent sum); under the trivial one u = 1.
-
-A `ChainComplex` is immutable, so what every later step needs from it is
-computed once and kept on it: the rows of d2 cleared of denominators, d1
-over one common denominator, and the exactness report that `check_exactness`
-returns on every call.
+is the sum over the edges p -> q of the images of their labels. Every
+generator goes to the same scalar t^k (k = 1 abelian, k = 0 trivial), so a
+signed word maps to the sign times t^(k * exponent sum), and the complex is
+held over Z[t]: the corner labels +-1, +-x make d2 a matrix over Z[t], and
+d1, from the region labels, is one row over Z[t] over a power of t. The
+Q(t) matrices `d2` and `d1` are views built on first read; the exactness
+report that `check_exactness` returns is computed once per complex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .algebra import (FieldMatrix, RatFunc, common_denominator,
-                      fraction_free_gauss_jordan, poly_add)
+from .algebra import FieldMatrix, IntPoly, RatFunc, fraction_free_gauss_jordan, poly_add
 from .dehngraph import BASEPOINT, DehnGraph, GroupRingTerm
+from .errors import DehnError
 from .words import Word, exponent_sum
 
 ZPoly = Tuple[int, ...]  # a Z[t] coefficient tuple, constant term first
@@ -31,33 +28,36 @@ ZPoly = Tuple[int, ...]  # a Z[t] coefficient tuple, constant term first
 
 class Representation:
     """A one-dimensional representation of the knot group over Q(t): every
-    arc generator goes to the same scalar u, a word to u^(exponent sum), with
-    one image per exponent, made on first use.
+    arc generator goes to u = t^k, a word to t^(k * exponent sum), with one
+    image per exponent, made on first use.
 
-    `abelian` takes u = t, the representation every invariant is computed
-    under. `trivial` takes u = 1; its complex is not exact, the control that
-    the exactness check can fail. An image depends only on the exponent sum,
-    so the arc count the constructors take is not kept.
+    `abelian` takes k = 1, the representation every invariant is computed
+    under. `trivial` takes k = 0; its complex is not exact, the control that
+    the exactness check can fail.
     """
 
-    def __init__(self, kind: str, power: Callable[[int], RatFunc]):
+    def __init__(self, kind: str, k: int):
         self.kind = kind
-        self._power = power
-        self._powers: Dict[int, RatFunc] = {}
+        self._k = k
+        self._images: Dict[int, RatFunc] = {}
 
     @classmethod
-    def abelian(cls, arc_count: int) -> "Representation":
-        return cls("abelian", RatFunc.t_power)
+    def abelian(cls) -> "Representation":
+        return cls("abelian", 1)
 
     @classmethod
-    def trivial(cls, arc_count: int) -> "Representation":
-        return cls("trivial", lambda m: RatFunc.one())
+    def trivial(cls) -> "Representation":
+        return cls("trivial", 0)
+
+    def exponent(self, word: Word) -> int:
+        """The power of t that the word maps to."""
+        return self._k * exponent_sum(word)
 
     def word_image(self, word: Word) -> RatFunc:
-        m = exponent_sum(word)
-        image = self._powers.get(m)
+        m = self.exponent(word)
+        image = self._images.get(m)
         if image is None:
-            image = self._powers[m] = self._power(m)
+            image = self._images[m] = RatFunc.t_power(m)
         return image
 
 
@@ -69,8 +69,9 @@ def eval_rep(rep: Representation, term: GroupRingTerm) -> RatFunc:
 
 @dataclass(frozen=True)
 class ChainComplex:
-    d2: FieldMatrix  # c1_dim x c2_dim
-    d1: FieldMatrix  # c0_dim x c1_dim
+    d2_rows: Tuple[Tuple[ZPoly, ...], ...]  # c1_dim x c2_dim, over Z[t]
+    d1_den: ZPoly  # t^a
+    d1_row: Tuple[ZPoly, ...]  # c1_dim: d1 = d1_row / d1_den
     c2_basis: Tuple[str, ...]  # crossing vertex ids
     c1_basis: Tuple[str, ...]  # region vertex ids
     c0_basis: Tuple[str, ...]
@@ -87,38 +88,34 @@ class ChainComplex:
     def c0_dim(self) -> int:
         return len(self.c0_basis)
 
-    def block_of(self, vertex_id: str) -> int:
+    def position(self, vertex_id: str) -> int:
         """The position of a vertex in its basis: its row or column index."""
         return self._positions[vertex_id]
 
     @cached_property
-    def d2_cleared(self) -> Tuple[Tuple[ZPoly, ...], Tuple[Tuple[ZPoly, ...], ...]]:
-        """(lam, rows) over Z[t] with row i of d2 equal to rows[i] / lam[i],
-        cleared once per complex and shared, so immutable."""
-        lam, rows = self.d2.cleared_rows()
-        return (tuple(tuple(x) for x in lam),
-                tuple(tuple(tuple(x) for x in row) for row in rows))
+    def d2(self) -> FieldMatrix:
+        """d2 as a c1_dim x c2_dim matrix over Q(t), built on first read."""
+        zero = RatFunc.zero()
+        return FieldMatrix(self.c1_dim, self.c2_dim,
+                           [RatFunc(x) if x else zero for row in self.d2_rows for x in row])
 
     @cached_property
-    def d1_common(self) -> Tuple[ZPoly, Tuple[Tuple[ZPoly, ...], ...]]:
-        """(den, rows) over Z[t] with d1 equal to rows / den: d1 over one
-        common denominator."""
-        den, nums = common_denominator(self.d1.entries)
-        cols = self.d1.cols
-        return tuple(den), tuple(tuple(tuple(x) for x in nums[i * cols:(i + 1) * cols])
-                                 for i in range(self.d1.rows))
+    def d1(self) -> FieldMatrix:
+        """d1 as a c0_dim x c1_dim matrix over Q(t), built on first read."""
+        return FieldMatrix(self.c0_dim, self.c1_dim,
+                           [RatFunc(x, self.d1_den) for x in self.d1_row])
 
     @cached_property
     def _exactness(self) -> ExactnessReport:
         """Exact iff d2 injects, d1 surjects, and the middle dimension
-        matches; both ranks are forward eliminations of the cleared rows."""
+        matches; both ranks are forward eliminations of the rows over Z[t]."""
         if self.c1_dim != self.c2_dim + self.c0_dim:
             return ExactnessReport(False, "dimension mismatch: "
                                    f"{self.c1_dim} != {self.c2_dim} + {self.c0_dim}")
-        r2 = len(fraction_free_gauss_jordan(self.d2_cleared[1], forward=True)[1])
+        r2 = len(fraction_free_gauss_jordan(self.d2_rows, forward=True)[1])
         if r2 != self.c2_dim:
             return ExactnessReport(False, f"rank(d2) = {r2} < {self.c2_dim}")
-        r1 = len(fraction_free_gauss_jordan(self.d1_common[1], forward=True)[1])
+        r1 = len(fraction_free_gauss_jordan([self.d1_row], forward=True)[1])
         if r1 != self.c0_dim:
             return ExactnessReport(False, f"rank(d1) = {r1} < {self.c0_dim}")
         return ExactnessReport(True)
@@ -134,39 +131,32 @@ class ChainComplex:
 
 
 def build_complex(graph: DehnGraph, rep: Representation) -> ChainComplex:
+    """Add each edge's term sign * t^e into its entry over Z[t]. The d1 terms
+    are shifted by t^a, a = max(0, -least e), to make the row polynomial."""
     c2_basis = tuple(v.id for v in graph.vertices if v.index == 2)
     c1_basis = tuple(v.id for v in graph.vertices if v.index == 1)
-    c0_basis = (BASEPOINT,)
     c2_pos = {vid: i for i, vid in enumerate(c2_basis)}
     c1_pos = {vid: i for i, vid in enumerate(c1_basis)}
-    d2_terms: Dict[Tuple[int, int], List[RatFunc]] = {}
-    d1_terms: Dict[Tuple[int, int], List[RatFunc]] = {}
+    d2: List[List[IntPoly]] = [[[] for _ in c2_basis] for _ in c1_basis]
+    d1_terms = []
     for e in graph.edges:
+        m = rep.exponent(e.label.word)
         if e.target == BASEPOINT:
-            key, terms = (0, c1_pos[e.source]), d1_terms
-        else:
-            key, terms = (c1_pos[e.target], c2_pos[e.source]), d2_terms
-        terms.setdefault(key, []).append(eval_rep(rep, e.label))
-    return ChainComplex(_summed(d2_terms, len(c1_basis), len(c2_basis)),
-                        _summed(d1_terms, 1, len(c1_basis)),
-                        c2_basis, c1_basis, c0_basis)
-
-
-def _summed(terms: Dict[Tuple[int, int], List[RatFunc]], rows: int, cols: int) -> FieldMatrix:
-    """The matrix whose (i, j) entry is the sum of terms[(i, j)], each sum
-    taken over one common denominator and made canonical once."""
-    zero = RatFunc.zero()
-    out = [[zero] * cols for _ in range(rows)]
-    for (i, j), values in terms.items():
-        if len(values) == 1:
-            out[i][j] = values[0]
+            d1_terms.append((c1_pos[e.source], e.label.sign, m))
             continue
-        den, nums = common_denominator(values)
-        total: list = []
-        for num in nums:
-            total = poly_add(total, num)
-        out[i][j] = RatFunc(total, den)
-    return FieldMatrix.from_rows(out)
+        if m < 0:
+            raise DehnError(f"edge {e.source} -> {e.target} has label {e.label}, "
+                            f"which maps to t^{m}: a boundary entry of d2 must be "
+                            "a polynomial in t")
+        i, j = c1_pos[e.target], c2_pos[e.source]
+        d2[i][j] = poly_add(d2[i][j], [e.label.sign], shift=m)
+    a = max([0] + [-m for _, _, m in d1_terms])
+    d1: List[IntPoly] = [[] for _ in c1_basis]
+    for j, sign, m in d1_terms:
+        d1[j] = poly_add(d1[j], [sign], shift=m + a)
+    return ChainComplex(tuple(tuple(tuple(x) for x in row) for row in d2),
+                        (0,) * a + (1,), tuple(tuple(x) for x in d1),
+                        c2_basis, c1_basis, (BASEPOINT,))
 
 
 @dataclass(frozen=True)

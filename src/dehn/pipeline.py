@@ -70,7 +70,7 @@ def run_pipeline(pd_text: str, outer_region: Optional[int] = None,
     d1_labels = build_d1(diagram)
     d2_labels = build_d2(diagram)
     graph = build_dehn_graph(diagram, d1_labels, d2_labels)
-    rep = Representation.abelian(diagram.arc_count)
+    rep = Representation.abelian()
     violations = check_d2(d2_labels, diagram, rep)
     if violations:
         raise RegionLabelError(f"region labeling is inconsistent: {violations}")

@@ -88,7 +88,7 @@ def _incoming(crossing, pos: int, edges: int) -> bool:
 def det_torsion(cx, g) -> RatFunc:
     """Reference raw torsion: the determinant of [d2 | g1] itself, the form
     the torsion took before it was read off the propagator's elimination."""
-    return cx.d2.hstack(g.g1).det()
+    return hstack(cx.d2, g.g1).det()
 
 
 @functools.lru_cache(maxsize=None)
@@ -126,6 +126,13 @@ def transposed(matrix: FieldMatrix) -> FieldMatrix:
     return FieldMatrix(matrix.cols, matrix.rows,
                        [matrix.entry(i, j)
                         for j in range(matrix.cols) for i in range(matrix.rows)])
+
+
+def hstack(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
+    """[a | b]: the columns of b to the right of those of a."""
+    if a.rows != b.rows:
+        raise ValueError("row count mismatch in hstack")
+    return FieldMatrix.from_rows([a.row(i) + b.row(i) for i in range(a.rows)])
 
 
 def is_identity(matrix: FieldMatrix) -> bool:
@@ -228,7 +235,7 @@ def qt_rref(matrix: FieldMatrix):
 def qt_inverse(matrix: FieldMatrix):
     """Inverse of a square matrix by `qt_rref`; None if it is singular."""
     n = matrix.rows
-    reduced, pivots, _ = qt_rref(matrix.hstack(FieldMatrix.identity(n)))
+    reduced, pivots, _ = qt_rref(hstack(matrix, FieldMatrix.identity(n)))
     if pivots[:n] != list(range(n)):
         return None
     return reduced.submatrix(range(n), range(n, 2 * n))
@@ -239,7 +246,7 @@ class QtProductRepresentation:
     of t for each letter x and 1/t for each letter x^-1, one letter at a time
     in Q(t), each partial product in canonical form, independent of the
     exponent-sum image behind `Representation.abelian`. It has the same
-    `kind` and `word_image`, so `eval_rep` and `build_complex` take it."""
+    `kind` and `word_image`, so `eval_rep` and `qt_complex` take it."""
 
     kind = "abelian"
 
@@ -249,6 +256,26 @@ class QtProductRepresentation:
         for _, exp in word:
             out = out * t if exp == 1 else out / t
         return out
+
+
+def qt_complex(graph):
+    """Reference boundary matrices (d2, d1) over Q(t): each entry the sum of
+    the `QtProductRepresentation` images of its edges' labels, added one
+    term at a time in Q(t), independent of the Z[t] rows of `build_complex`.
+    Rows and columns follow the graph's vertex order, as the complex's
+    bases do."""
+    rep = QtProductRepresentation()
+    c2 = [v.id for v in graph.vertices if v.index == 2]
+    c1 = [v.id for v in graph.vertices if v.index == 1]
+    d2 = [[RatFunc.zero()] * len(c2) for _ in c1]
+    d1 = [[RatFunc.zero()] * len(c1)]
+    for e in graph.edges:
+        if e.target == BASEPOINT:
+            row, j = d1[0], c1.index(e.source)
+        else:
+            row, j = d2[c1.index(e.target)], c2.index(e.source)
+        row[j] = row[j] + eval_rep(rep, e.label)
+    return FieldMatrix.from_rows(d2), FieldMatrix.from_rows(d1)
 
 
 def qt_fox_derivative(word, gen) -> RatFunc:
@@ -281,10 +308,10 @@ def defect_terms(graph, cx, g, rep):
         degree = exponent_sum(w)
         coeff = eval_rep(rep, e.label)
         if e.target == BASEPOINT:
-            entry = g.g1.entry(cx.block_of(e.source), 0)
+            entry = g.g1.entry(cx.position(e.source), 0)
             level_sign = -1
         else:
-            entry = g.g2.entry(cx.block_of(e.source), cx.block_of(e.target))
+            entry = g.g2.entry(cx.position(e.source), cx.position(e.target))
             level_sign = 1
         value = coeff * entry
         if degree != 1:

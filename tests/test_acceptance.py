@@ -127,7 +127,7 @@ def test_criterion_8_structural_properties_all_outer_choices():
             assert len(diagram.regions) == diagram.k + 2
             d1_labels = build_d1(diagram)
             d2_labels = build_d2(diagram)
-            rep = Representation.abelian(diagram.arc_count)
+            rep = Representation.abelian()
             for c in diagram.crossings:
                 total = RatFunc.zero()
                 for pos in range(4):
@@ -149,7 +149,7 @@ def test_criterion_9_negative_controls():
     # trivial representation: d1 vanishes, complex is not exact
     diagram = build_diagram(parse_pd(TREFOIL))
     graph = build_dehn_graph(diagram, build_d1(diagram), build_d2(diagram))
-    cx = build_complex(graph, Representation.trivial(diagram.arc_count))
+    cx = build_complex(graph, Representation.trivial())
     report = check_exactness(cx)
     assert not report.exact
     assert report.witness == "rank(d1) = 0 < 1"
@@ -157,7 +157,7 @@ def test_criterion_9_negative_controls():
     labels = dict(build_d2(diagram))
     victim = diagram.bounded_regions()[0].id
     labels[victim] = word_mul(((0, 1),), labels[victim])
-    rep = Representation.abelian(diagram.arc_count)
+    rep = Representation.abelian()
     assert len(check_d2(labels, diagram, rep)) >= 1
     # multi-component PD codes are rejected at parse time
     with pytest.raises(MultiComponentError):

@@ -28,7 +28,7 @@ def test_corner_label_multiset(text):
 def test_corner_labels_sum_to_zero_under_representation(text):
     d = build_diagram(parse_pd(text))
     labels = build_d1(d)
-    rep = Representation.abelian(d.arc_count)
+    rep = Representation.abelian()
     for c in d.crossings:
         total = RatFunc.zero()
         for pos in range(4):
@@ -80,7 +80,7 @@ def test_kink_unknot_region_exponents_innermost_outer_choice():
 def test_check_d2_clean(text):
     d = build_diagram(parse_pd(text))
     labels = build_d2(d)
-    rep = Representation.abelian(d.arc_count)
+    rep = Representation.abelian()
     assert check_d2(labels, d, rep) == []
 
 
@@ -89,7 +89,7 @@ def test_check_d2_detects_corruption():
     labels = dict(build_d2(d))
     victim = d.bounded_regions()[0].id
     labels[victim] = word_mul(((0, 1),), labels[victim])
-    rep = Representation.abelian(d.arc_count)
+    rep = Representation.abelian()
     violations = check_d2(labels, d, rep)
     assert len(violations) >= 1
     assert all(victim in (v["left_region"], v["right_region"]) for v in violations)
@@ -142,7 +142,7 @@ def test_vertex_index_labels():
 def test_gamma_plus_labels_evaluate_to_identity():
     for text in CORPUS.values():
         d, g = _graph(text)
-        rep = Representation.abelian(d.arc_count)
+        rep = Representation.abelian()
         for e in g.edges:
             if e.origin[0] == "region_plus":
                 assert eval_rep(rep, e.label) == RatFunc.one()

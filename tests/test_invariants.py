@@ -5,11 +5,12 @@ import pytest
 
 from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
                       UNKNOT_KINK, defect_terms, det_torsion,
-                      find_basis_permutation, is_identity, mat, pipeline,
-                      qt_defect, qt_inverse, qt_rref, rf, scaled, torus_pd)
-from dehn.algebra import FieldMatrix, RatFunc
+                      find_basis_permutation, hstack, is_identity, mat,
+                      pipeline, qt_defect, qt_inverse, qt_rref, rf, scaled,
+                      torus_pd)
+from dehn.algebra import FieldMatrix, RatFunc, poly_add
 from dehn.errors import DehnError, NotExactError, UnsupportedRepresentationError
-from dehn.dehngraph import build_d1, build_d2, build_dehn_graph
+from dehn.dehngraph import build_d1, build_d2, build_dehn_graph, graph_from_json
 from dehn.diagram import build_diagram, parse_pd
 from dehn.invariants import (DefectValue, TorsionValue, _verify_identities,
                              build_propagator, check_lescop_relation, defect,
@@ -85,10 +86,10 @@ def reference_propagator(cx, pivot_seed=None):
     for i in candidates:
         if len(selected) == c0:
             break
-        cols = _coordinate_columns(c1, selected + [i]).hstack(cx.d2)
+        cols = hstack(_coordinate_columns(c1, selected + [i]), cx.d2)
         if qt_rref(cols)[2] == c2 + len(selected) + 1:
             selected.append(i)
-    basis = _coordinate_columns(c1, selected).hstack(cx.d2)
+    basis = hstack(_coordinate_columns(c1, selected), cx.d2)
     g2 = qt_inverse(basis).submatrix(range(c0, c1), range(c1))
     return tuple(selected), g2
 
@@ -101,27 +102,8 @@ def test_propagator_matches_reference_rule(name, text):
         assert (g.selected, g.g2) == reference_propagator(cx, seed), seed
 
 
-def fig8_with_denominators():
-    """FIG8's complex after a change of basis in C_1 (row i of d2 over c_i,
-    column i of d1 times c_i): still exact, with denominators in every row
-    of d2."""
-    cx = pipeline(FIG8).complex
-    scales = [rf((0, 1)), rf(2), rf((1, 1)), rf((0, 0, 1), 3), rf((1, 0, 2), (1, 1))]
-    c = [scales[i % len(scales)] for i in range(cx.c1_dim)]
-    d2 = FieldMatrix.from_rows([[e / c[i] for e in cx.d2.row(i)] for i in range(cx.c1_dim)])
-    d1 = FieldMatrix.from_rows([[e * c[j] for j, e in enumerate(cx.d1.row(0))]])
-    return dataclasses.replace(cx, d2=d2, d1=d1)
-
-
-def test_propagator_matches_reference_rule_with_denominators():
-    scaled = fig8_with_denominators()
-    for seed in (None, 0, 1, 2):
-        g = build_propagator(scaled, pivot_seed=seed)
-        assert (g.selected, g.g2) == reference_propagator(scaled, seed)
-
-
 def test_verify_identities_rejects_a_perturbed_g2():
-    # Adding t to one numerator of N adds t * lam / delta to that G2 entry.
+    # Adding t to one numerator of N adds t / delta to that G2 entry.
     run = pipeline(FIG8)
     cx, g = run.complex, run.propagator
     _verify_identities(cx, g)
@@ -133,19 +115,45 @@ def test_verify_identities_rejects_a_perturbed_g2():
 
 
 def test_verify_identities_checks_the_homotopy_identity():
-    # g1 + (a column of d2) still inverts d1, since d1*d2 = 0, but breaks
-    # d2*g2 + g1*d1 = id: only the third check can see it.
+    # Adding the row D1 of d1's numerators to row r of N leaves N * d2
+    # unchanged, since d1*d2 = 0, but adds column r of d2 times D1 to d2 * N:
+    # only the third check can see it.
     run = pipeline(FIG8)
     cx, g = run.complex, run.propagator
-    shifted = g.g1 + cx.d2.submatrix(range(cx.c1_dim), [0])
+    numer = [list(row) for row in g.numer]
+    numer[0] = [poly_add(x, y) for x, y in zip(numer[0], cx.d1_row)]
     with pytest.raises(DehnError, match="d2\\*g2 \\+ g1\\*d1"):
-        _verify_identities(cx, dataclasses.replace(g, g1=shifted))
+        _verify_identities(cx, dataclasses.replace(g, numer=numer))
+
+
+def test_verify_identities_checks_the_selected_entry_of_d1():
+    # g1 = e_s / det_m inverts d1 only when det_m is d1[s].
+    run = pipeline(FIG8)
+    cx, g = run.complex, run.propagator
+    with pytest.raises(DehnError, match="d1\\*g1"):
+        _verify_identities(cx, dataclasses.replace(g, det_m=g.det_m * T))
+
+
+def test_propagator_views_on_a_complex_without_crossings():
+    # One region joined to the basepoint by a +1 edge: C_2 = 0, and the
+    # views still have c1 = c2 + c0 rows.
+    graph = graph_from_json({
+        "arcs": [],
+        "vertices": [{"id": "q0", "kind": "region", "index": 1},
+                     {"id": "inf", "kind": "basepoint", "index": 0}],
+        "edges": [{"from": "q0", "to": "inf", "sign": 1, "word": [],
+                   "origin": ["region_plus", 0]}]})
+    cx = build_complex(graph, Representation.abelian())
+    g = build_propagator(cx)
+    assert (g.g2.rows, g.g2.cols) == (0, 1)
+    assert g.g1 == mat([[1]]) and is_identity(cx.d1 @ g.g1)
+    assert torsion(cx, g).raw == RatFunc.one()
 
 
 def test_propagator_requires_exactness():
     d = build_diagram(parse_pd(TREFOIL))
     g = build_dehn_graph(d, build_d1(d), build_d2(d))
-    rep = Representation.trivial(d.arc_count)
+    rep = Representation.trivial()
     cx = build_complex(g, rep)
     with pytest.raises(NotExactError):
         build_propagator(cx)
@@ -170,8 +178,8 @@ def _assert_torsion_matches_determinant(cx, seeds):
 
 @pytest.mark.parametrize("name,text", sorted(CORPUS.items()))
 def test_torsion_read_off_the_elimination_matches_the_determinant(name, text):
-    # raw = sign * delta / (prod of lam outside S * det M) is det [d2 | g1],
-    # under every pivot order: the sign, the lam factors and det M all move.
+    # raw = sign * delta / d1[s] is det [d2 | g1] under every pivot order:
+    # the sign, delta and d1[s] all move.
     _assert_torsion_matches_determinant(pipeline(text).complex, [None] + list(range(10)))
 
 
@@ -179,11 +187,6 @@ def test_torsion_read_off_the_elimination_matches_the_determinant(name, text):
                          + [torus_pd(n) for n in range(3, 22, 2)])
 def test_torsion_matches_the_determinant_on_kinked_and_torus_knots(text):
     _assert_torsion_matches_determinant(pipeline(text).complex, (None, 0, 1))
-
-
-def test_torsion_matches_the_determinant_with_blocks_and_denominators():
-    # lam != 1 on every row of d2, and d1 has denominators.
-    _assert_torsion_matches_determinant(fig8_with_denominators(), (None, 0, 1, 2))
 
 
 def test_unknot_torsion():
@@ -245,7 +248,7 @@ def test_defect_rejects_matrix_representation():
     # Only the abelian representation has a defect; the trivial one is
     # refused before the propagator is read.
     run = pipeline(TREFOIL)
-    rep = Representation.trivial(run.diagram.arc_count)
+    rep = Representation.trivial()
     with pytest.raises(UnsupportedRepresentationError):
         defect(run.graph, run.complex, run.propagator, rep)
 

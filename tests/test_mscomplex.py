@@ -5,18 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
-                      QtProductRepresentation, mat, rf, torus_pd)
+                      QtProductRepresentation, mat, qt_complex, rf, torus_pd)
 from dehn.algebra import RatFunc
-from dehn.dehngraph import GroupRingTerm, build_d1, build_d2, build_dehn_graph
+from dehn.dehngraph import (GroupRingTerm, build_d1, build_d2, build_dehn_graph,
+                            graph_from_json, graph_to_json)
 from dehn.diagram import build_diagram, parse_pd
+from dehn.errors import DehnError
 from dehn.mscomplex import (Representation, build_complex, check_exactness,
                             complex_to_json, eval_rep)
+from test_cli import label_valid_pd
 
 # -- representations ----------------------------------------------------------
 
 
 def test_eval_rep_abelian():
-    rep = Representation.abelian(3)
+    rep = Representation.abelian()
     assert eval_rep(rep, GroupRingTerm(-1, ((0, 1),))) == rf((0, -1))
     assert eval_rep(rep, GroupRingTerm(1, ())) == RatFunc.one()
     assert eval_rep(rep, GroupRingTerm(-1, ((0, 1), (1, 1)))) == rf((0, 0, -1))
@@ -31,7 +34,7 @@ def test_abelian_eval_rep_matches_general_path(sign, letters):
     # second call reads the cache. The reference multiplies letter by letter.
     term = GroupRingTerm(sign, tuple(letters))
     expected = eval_rep(QtProductRepresentation(), term)
-    rep = Representation.abelian(4)
+    rep = Representation.abelian()
     assert eval_rep(rep, term) == expected == eval_rep(rep, term)
 
 
@@ -41,7 +44,7 @@ def test_abelian_eval_rep_matches_general_path(sign, letters):
 def _complex(text, rep=None):
     d = build_diagram(parse_pd(text))
     g = build_dehn_graph(d, build_d1(d), build_d2(d))
-    rep = rep or Representation.abelian(d.arc_count)
+    rep = rep or Representation.abelian()
     return d, g, rep, build_complex(g, rep)
 
 
@@ -91,12 +94,39 @@ FAST_PATH_KNOTS = (
 
 @pytest.mark.parametrize("text,outer", FAST_PATH_KNOTS)
 def test_abelian_complex_matches_general_path(text, outer):
-    # The same complex from the reference images, products of t and 1/t
-    # taken letter by letter in Q(t).
+    # The Q(t) views of the Z[t] rows equal the reference complex, whose
+    # entries are sums of products of t and 1/t taken letter by letter.
     d = build_diagram(parse_pd(text), outer_region=outer)
     g = build_dehn_graph(d, build_d1(d), build_d2(d))
-    assert (build_complex(g, Representation.abelian(d.arc_count))
-            == build_complex(g, QtProductRepresentation()))
+    cx = build_complex(g, Representation.abelian())
+    assert (cx.d2, cx.d1) == qt_complex(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(label_valid_pd())
+def test_complex_rows_on_label_valid_codes(text):
+    # For every code that makes a diagram, d2 has only entries of degree at
+    # most 1 (sums of corner labels +-1 and +-t) and both views equal the
+    # reference complex.
+    try:
+        d = build_diagram(parse_pd(text))
+    except DehnError:
+        return
+    g = build_dehn_graph(d, build_d1(d), build_d2(d))
+    cx = build_complex(g, Representation.abelian())
+    assert all(len(x) <= 2 for row in cx.d2_rows for x in row)
+    assert (cx.d2, cx.d1) == qt_complex(g)
+
+
+def test_build_complex_rejects_a_negative_power_in_d2():
+    # A corner word inverted by hand maps to 1/t, so d2 would leave Z[t]:
+    # build_complex names the edge instead of reading it.
+    d = build_diagram(parse_pd(TREFOIL))
+    data = graph_to_json(build_dehn_graph(d, build_d1(d), build_d2(d)))
+    edge = next(e for e in data["edges"] if e["origin"][0] == "corner" and e["word"])
+    edge["word"] = [[name, -exp] for name, exp in edge["word"]]
+    with pytest.raises(DehnError, match=f"edge {edge['from']} -> {edge['to']}"):
+        build_complex(graph_from_json(data), Representation.abelian())
 
 
 def test_d2_column_block_counts():
@@ -123,7 +153,7 @@ def test_abelian_complex_exact(text):
 
 def test_trivial_representation_not_exact():
     d = build_diagram(parse_pd(TREFOIL))
-    rep = Representation.trivial(d.arc_count)
+    rep = Representation.trivial()
     _, _, _, cx = _complex(TREFOIL, rep=rep)
     assert cx.d1.is_zero()
     report = check_exactness(cx)
@@ -134,13 +164,13 @@ def test_trivial_representation_not_exact():
 # -- serialization -------------------------------------------------------------------
 
 
-def test_block_of_matches_basis_positions():
+def test_position_matches_basis_positions():
     _, _, _, cx = _complex(FIG8)
     for basis in (cx.c2_basis, cx.c1_basis, cx.c0_basis):
         for i, vertex_id in enumerate(basis):
-            assert cx.block_of(vertex_id) == i
+            assert cx.position(vertex_id) == i
     with pytest.raises(KeyError):
-        cx.block_of("no-such-vertex")
+        cx.position("no-such-vertex")
 
 
 def test_complex_json_bookkeeping():
