@@ -5,11 +5,14 @@ A `RatFunc` is a pair of integer polynomials in a unique reduced form, and
 its arithmetic is the kernel's: `poly_mul`, `poly_add` and the gcd
 `zpoly_gcd`, a heuristic gcd on packed integers whose answer is proved by
 exact division, with a remainder-sequence fallback. Every elimination runs
-in the kernel too: `FieldMatrix` reduced echelon form and determinant
-write each row over one denominator and call the one fraction-free loop,
-`fraction_free_gauss_jordan`, over Z[t]: Gauss-Jordan for the reduced form,
-forward-only for the determinant and for ranks, at a packing width proved
-by a Hadamard-type bound. `Polynomial`, with coefficients in Q, is a
+in the kernel too, through the one fraction-free loop
+`fraction_free_gauss_jordan` over Z[t], at a packing width proved by a
+Hadamard-type bound: Gauss-Jordan for the propagator, whose pivots also
+give the exactness rank, and forward-only for the Fox minor's determinant.
+`FieldMatrix`, a dense matrix over Q(t), is the view that the complex and
+the propagator are read and serialized through; its reduced form and
+determinant write each row over one denominator and call the same loop.
+`Polynomial`, with coefficients in Q, is a
 read-only view with no arithmetic: the monic-denominator display form of a
 `RatFunc`'s parts and the type of the Fox oracle's Alexander polynomial.
 
@@ -313,29 +316,6 @@ class FieldMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("FieldMatrix is immutable")
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[RatFunc]]) -> "FieldMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat = []
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return cls(nrows, ncols, flat)
-
-    @classmethod
-    def identity(cls, n: int) -> "FieldMatrix":
-        one, zero = RatFunc.one(), RatFunc.zero()
-        return cls(n, n, [one if i == j else zero
-                          for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "FieldMatrix":
-        return cls(rows, cols, [RatFunc.zero()] * (rows * cols))
-
     # -- access -------------------------------------------------------
 
     def entry(self, i: int, j: int) -> RatFunc:
@@ -356,16 +336,10 @@ class FieldMatrix:
             ", ".join(str(e) for e in self.row(i)) for i in range(self.rows)
         ) + "]"
 
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix addition")
-        return FieldMatrix(self.rows, self.cols,
-                           [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __neg__(self) -> "FieldMatrix":
-        return FieldMatrix(self.rows, self.cols, [-a for a in self.entries])
+    # -- arithmetic and elimination -------------------------------------
+    #
+    # No library path calls `__matmul__`, `rref` or `det`; they stay because
+    # perfbench keys its algebra.matmul/rref/det metrics on these methods.
 
     def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.cols != other.rows:
@@ -383,12 +357,6 @@ class FieldMatrix:
                     acc = acc + a * other.entry(k, j)
                 out.append(acc)
         return FieldMatrix(self.rows, other.cols, out)
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "FieldMatrix":
-        out = [self.entry(i, j) for i in row_idx for j in col_idx]
-        return FieldMatrix(len(row_idx), len(col_idx), out)
-
-    # -- elimination --------------------------------------------------
 
     def cleared_rows(self) -> Tuple[List[IntPoly], List[List[IntPoly]]]:
         """(lam, rows) over Z[t] with row i of self equal to rows[i] / lam[i]."""
@@ -426,9 +394,6 @@ class FieldMatrix:
         for d in lam:
             den = poly_mul(den, d)
         return RatFunc([sign * c for c in delta], den)
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
 
     def to_json(self) -> dict:
         return {
@@ -477,7 +442,7 @@ def _unpack(n: int, k: int) -> IntPoly:
 
 
 def _norm1(coeffs: Sequence[int]) -> int:
-    return sum(abs(c) for c in coeffs)
+    return sum(map(abs, coeffs))
 
 
 def _packing_bits(bound: int) -> int:

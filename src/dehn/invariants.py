@@ -17,8 +17,10 @@ B * diag(I, 1/d1[s]), and
 
     raw torsion = det [d2 | g1] = sign * delta / d1[s].
 
-The identities verified on every propagator prove delta: a wrong delta
-fails g2*d2 = id.
+The three propagator identities are verified on every propagator as exact
+equalities over Z[t], each row and column of N packed once into one integer
+at widths proved from the propagator under test. They prove G2 = N / delta;
+a wrong delta with the elimination's N fails g2*d2 = id.
 
 The defect is a rational function modulo the integers. Every edge whose
 label carries a nonempty word w contributes the exponent sum e of w (its class
@@ -37,10 +39,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import List, Optional, Tuple
 
-from .algebra import (FieldMatrix, IntPoly, RatFunc, fraction_free_gauss_jordan,
-                      pmat_mul, poly_add, poly_mul, unit_equal)
+from .algebra import FieldMatrix, IntPoly, RatFunc, _pack, poly_add, poly_mul, unit_equal
 from .dehngraph import BASEPOINT, DehnGraph
 from .errors import DehnError, NotExactError, UnsupportedRepresentationError
 from .mscomplex import ChainComplex, Representation, check_exactness
@@ -84,7 +86,9 @@ def build_propagator(cx: ChainComplex, pivot_seed: Optional[int] = None) -> Prop
     torsion and defect must agree.
 
     [d2 | identity columns in candidate order] is eliminated once,
-    fraction-free over Z[t]. The pivots beyond the d2 columns select the
+    fraction-free over Z[t]; in the default order that is the complex's
+    `natural_elimination`, which its exactness check has already made. The
+    pivots beyond the d2 columns select the
     first candidates independent of im(d2) and of the candidates before
     them. With B = [d2 | e_S] the pivot columns and delta the common pivot,
     the identity block holds N = delta * B^-1, so G2 = N[:c2] / delta, and
@@ -95,15 +99,12 @@ def build_propagator(cx: ChainComplex, pivot_seed: Optional[int] = None) -> Prop
         raise NotExactError(f"complex is not exact: {report.witness}")
     c2, c1, c0 = cx.c2_dim, cx.c1_dim, cx.c0_dim
     order = list(range(c1))
-    if pivot_seed is not None:
+    if pivot_seed is None:
+        reduced, pivots, sign = cx.natural_elimination
+    else:
         random.Random(pivot_seed).shuffle(order)
+        reduced, pivots, sign = cx.eliminate(order)
     position = {coord: k for k, coord in enumerate(order)}
-    aug = []
-    for i, row in enumerate(cx.d2_rows):
-        unit = [[]] * c1
-        unit[position[i]] = [1]
-        aug.append(list(row) + unit)
-    reduced, pivots, sign = fraction_free_gauss_jordan(aug)
     selected = [order[p - c2] for p in pivots if p >= c2]
     if len(selected) != c0:
         raise NotExactError("could not complete im(d2) to a basis of C_1")
@@ -115,27 +116,96 @@ def build_propagator(cx: ChainComplex, pivot_seed: Optional[int] = None) -> Prop
     return g
 
 
+def _identity_widths(cx: ChainComplex, g: Propagator) -> Tuple[int, int]:
+    """(k, L): the bits per coefficient and the coefficients per slot at
+    which `_verify_identities` packs a propagator.
+
+    Each identity is an equality of rows (or columns) of polynomials, and it
+    holds iff every entry E of its difference row is zero. With a = the
+    largest 1-norm |D1[j]|_1 of d1's numerators (at least 1: d1 is nonzero
+    on an exact complex), |N| and |delta| the largest coefficient of N and
+    of delta, and n the largest row or column 1-norm of d2 (the sum of its
+    entries' 1-norms), every coefficient of every E is at most
+
+        bound = a * (|N| * n + |delta|),
+
+    since a coefficient of p * q is at most |p|_1 times the largest of q:
+    (N * d2)[r][c] - delta * [r = c] and (d2 * N)[i][j] - delta * [i = j]
+    are within |N| * n + |delta|, and row s, D1[s] * (d2 * N)[s][j] -
+    delta * (D1[s] * [j = s] - D1[j]), is within |D1[s]|_1 * |N| * n +
+    |delta| * |D1[j]|_1 (the second term is zero at j = s). With l_X the
+    longest entry of X, every E has at most
+
+        L = max(l_N + l_d2 - 1, l_delta) + l_D1 - 1
+
+    coefficients, the longest product counted, row s's included. Take k =
+    bit_length(bound), so every coefficient is below 2^k, and K = k * L. A
+    row packed at t -> 2^k and column j -> 2^(K*j) is the value at t = 2^k
+    of sum_j t^(L*j) * E_j(t), whose coefficients are exactly those of the
+    E_j, since no E_j reaches the next slot. A nonzero polynomial with every
+    coefficient below 2^k in absolute value is nonzero at 2^k: its lowest
+    term c * 2^(k*m), 0 < |c| < 2^k, leaves a remainder modulo 2^(k*(m+1)).
+    So a packed difference row is zero iff the row is. The width is taken
+    from the propagator under test, so it covers a wrong one too."""
+    d2, d1 = cx.d2_rows, cx.d1_row
+    numer = list(chain.from_iterable(g.numer))
+    coeffs = list(chain.from_iterable(numer)) or [0]
+    norm_n = max(max(coeffs), -min(coeffs))
+    norms = [[sum(map(abs, x)) for x in row] for row in d2]
+    norm_d2 = max(map(sum, chain(norms, zip(*norms))), default=0)
+    a = max(sum(map(abs, x)) for x in d1)
+    bound = a * (norm_n * norm_d2 + max(map(abs, g.delta)))
+    longest_n = max(map(len, numer), default=0)
+    longest_d2 = max(map(len, chain.from_iterable(d2)), default=0)
+    slots = max(longest_n + longest_d2 - 1, len(g.delta)) + max(map(len, d1)) - 1
+    return bound.bit_length(), slots
+
+
 def _verify_identities(cx: ChainComplex, g: Propagator) -> None:
     """Check g2*d2 = id, d1*g1 = id and d2*g2 + g1*d1 = id as exact
     equalities over Z[t]. With g2 = N / delta, d1 = D1 / den and g1 =
     e_s / d1[s] they read N * d2 = delta * id; det_m = D1[s] / den; and, row
     by row, (d2 * N)[i] = delta * e_i for i != s, while row s, where g1 * d1
     is D1 / D1[s], has (d2 * N)[s][j] * D1[s] = delta * (D1[s] * [j = s] -
-    D1[j])."""
-    s, delta, d1 = g.selected[0], g.delta, cx.d1_row
-    if any(x != (delta if i == j else [])
-           for i, row in enumerate(pmat_mul(g.numer, cx.d2_rows)) for j, x in enumerate(row)):
-        raise DehnError("propagator identity g2*d2 = id failed")
+    D1[j]).
+
+    Each row and each column of N is packed once into one integer, at the
+    widths of `_identity_widths`. A column of N * d2 is then the sum, over
+    the nonzero entries of a column of d2, of the packed entry times a
+    packed column of N, and a row of d2 * N the same with the rows; each is
+    compared with delta shifted into its slot, delta << K*i, as one integer,
+    with no entry product and no unpacking."""
+    s, d1 = g.selected[0], cx.d1_row
+    k, slots = _identity_widths(cx, g)
+    width = k * slots  # K, the bits of one slot
+
+    def packed(line) -> int:
+        n = 0
+        for v in reversed(line):
+            n = (n << width) + v
+        return n
+
+    def nonzeros(line) -> List[Tuple[int, int]]:
+        return [(j, _pack(x, k)) for j, x in enumerate(line) if x]
+
+    numer = [[_pack(x, k) for x in row] for row in g.numer]
+    delta = _pack(g.delta, k)
+    columns = [packed(col) for col in zip(*numer)]
+    for c, col in enumerate(zip(*cx.d2_rows)):
+        if sum(v * columns[j] for j, v in nonzeros(col)) != delta << width * c:
+            raise DehnError("propagator identity g2*d2 = id failed")
     m = g.det_m
     if poly_mul(d1[s], m.zden) != poly_mul(cx.d1_den, m.znum):
         raise DehnError("propagator identity d1*g1 = id failed")
-    delta_d1 = [poly_mul(delta, x) for x in d1]
-    for i, row in enumerate(pmat_mul(cx.d2_rows, g.numer)):
+    rows = [packed(row) for row in numer]
+    d1_s = _pack(d1[s], k)
+    for i, row in enumerate(cx.d2_rows):
+        product = sum(v * rows[r] for r, v in nonzeros(row))
         if i != s:
-            ok = all(x == (delta if i == j else []) for j, x in enumerate(row))
+            ok = product == delta << width * i
         else:
-            ok = all(poly_mul(x, d1[s]) == poly_add(delta_d1[s] if j == s else [], delta_d1[j], -1)
-                     for j, x in enumerate(row))
+            ok = product * d1_s == delta * ((d1_s << width * s)
+                                            - packed([_pack(x, k) for x in d1]))
         if not ok:
             raise DehnError("propagator identity d2*g2 + g1*d1 = id failed")
 

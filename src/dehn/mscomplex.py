@@ -8,15 +8,17 @@ generator goes to the same scalar t^k (k = 1 abelian, k = 0 trivial), so a
 signed word maps to the sign times t^(k * exponent sum), and the complex is
 held over Z[t]: the corner labels +-1, +-x make d2 a matrix over Z[t], and
 d1, from the region labels, is one row over Z[t] over a power of t. The
-Q(t) matrices `d2` and `d1` are views built on first read; the exactness
-report that `check_exactness` returns is computed once per complex.
+Q(t) matrices `d2` and `d1` are views built on first read. The elimination
+of [d2 | I] is done once per complex: the exactness report that
+`check_exactness` returns reads rank(d2) off its pivots, and the default
+propagator is read off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import FieldMatrix, IntPoly, RatFunc, fraction_free_gauss_jordan, poly_add
 from .dehngraph import BASEPOINT, DehnGraph, GroupRingTerm
@@ -105,17 +107,38 @@ class ChainComplex:
         return FieldMatrix(self.c0_dim, self.c1_dim,
                            [RatFunc(x, self.d1_den) for x in self.d1_row])
 
+    def eliminate(self, order: Sequence[int]) -> Tuple[List[List[IntPoly]], List[int], int]:
+        """`fraction_free_gauss_jordan` of [d2 | unit columns] over Z[t], the
+        unit column of coordinate order[p] at column c2 + p."""
+        position = {coord: p for p, coord in enumerate(order)}
+        rows = []
+        for i, row in enumerate(self.d2_rows):
+            unit: List[IntPoly] = [[]] * self.c1_dim
+            unit[position[i]] = [1]
+            rows.append(list(row) + unit)
+        return fraction_free_gauss_jordan(rows)
+
+    @cached_property
+    def natural_elimination(self) -> Tuple[List[List[IntPoly]], List[int], int]:
+        """`eliminate` in the natural coordinate order, [d2 | I], done once
+        per complex: the exactness rank and the default propagator read it."""
+        return self.eliminate(range(self.c1_dim))
+
     @cached_property
     def _exactness(self) -> ExactnessReport:
         """Exact iff d2 injects, d1 surjects, and the middle dimension
-        matches; both ranks are forward eliminations of the rows over Z[t]."""
+        matches. [d2 | I] has full row rank, and the kernel's pivot columns
+        are the leftmost ones independent of those before them, so rank(d2)
+        is the number of pivots among the d2 columns of `natural_elimination`.
+        C_0 is one-dimensional, so rank(d1) is 1 iff d1 has a nonzero
+        entry."""
         if self.c1_dim != self.c2_dim + self.c0_dim:
             return ExactnessReport(False, "dimension mismatch: "
                                    f"{self.c1_dim} != {self.c2_dim} + {self.c0_dim}")
-        r2 = len(fraction_free_gauss_jordan(self.d2_rows, forward=True)[1])
+        r2 = sum(p < self.c2_dim for p in self.natural_elimination[1])
         if r2 != self.c2_dim:
             return ExactnessReport(False, f"rank(d2) = {r2} < {self.c2_dim}")
-        r1 = len(fraction_free_gauss_jordan([self.d1_row], forward=True)[1])
+        r1 = int(any(self.d1_row))
         if r1 != self.c0_dim:
             return ExactnessReport(False, f"rank(d1) = {r1} < {self.c0_dim}")
         return ExactnessReport(True)

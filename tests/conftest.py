@@ -114,8 +114,43 @@ def _as_rf(x) -> RatFunc:
     return rf(x)
 
 
+# -- FieldMatrix constructors and operations that only the tests use ---------
+
+
+def from_rows(rows) -> FieldMatrix:
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged rows")
+    return FieldMatrix(nrows, ncols, [x for r in rows for x in r])
+
+
+def identity(n: int) -> FieldMatrix:
+    one, zero = RatFunc.one(), RatFunc.zero()
+    return FieldMatrix(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
+
+
+def zeros(rows: int, cols: int) -> FieldMatrix:
+    return FieldMatrix(rows, cols, [RatFunc.zero()] * (rows * cols))
+
+
+def mat_add(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch in matrix addition")
+    return FieldMatrix(a.rows, a.cols, [x + y for x, y in zip(a.entries, b.entries)])
+
+
+def submatrix(m: FieldMatrix, row_idx, col_idx) -> FieldMatrix:
+    return FieldMatrix(len(row_idx), len(col_idx),
+                       [m.entry(i, j) for i in row_idx for j in col_idx])
+
+
+def is_zero_matrix(m: FieldMatrix) -> bool:
+    return all(e.is_zero() for e in m.entries)
+
+
 def mat(rows) -> FieldMatrix:
-    return FieldMatrix.from_rows([[_as_rf(x) for x in row] for row in rows])
+    return from_rows([[_as_rf(x) for x in row] for row in rows])
 
 
 def scaled(matrix: FieldMatrix, c: RatFunc) -> FieldMatrix:
@@ -132,11 +167,11 @@ def hstack(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     """[a | b]: the columns of b to the right of those of a."""
     if a.rows != b.rows:
         raise ValueError("row count mismatch in hstack")
-    return FieldMatrix.from_rows([a.row(i) + b.row(i) for i in range(a.rows)])
+    return from_rows([a.row(i) + b.row(i) for i in range(a.rows)])
 
 
 def is_identity(matrix: FieldMatrix) -> bool:
-    return matrix == FieldMatrix.identity(matrix.rows)
+    return matrix == identity(matrix.rows)
 
 
 def forward_rank(matrix: FieldMatrix) -> int:
@@ -228,17 +263,17 @@ def qt_rref(matrix: FieldMatrix):
         pr += 1
         if pr == nrows:
             break
-    reduced = FieldMatrix.from_rows(m) if nrows else matrix
+    reduced = from_rows(m) if nrows else matrix
     return reduced, pivots, len(pivots)
 
 
 def qt_inverse(matrix: FieldMatrix):
     """Inverse of a square matrix by `qt_rref`; None if it is singular."""
     n = matrix.rows
-    reduced, pivots, _ = qt_rref(hstack(matrix, FieldMatrix.identity(n)))
+    reduced, pivots, _ = qt_rref(hstack(matrix, identity(n)))
     if pivots[:n] != list(range(n)):
         return None
-    return reduced.submatrix(range(n), range(n, 2 * n))
+    return submatrix(reduced, range(n), range(n, 2 * n))
 
 
 class QtProductRepresentation:
@@ -275,7 +310,7 @@ def qt_complex(graph):
         else:
             row, j = d2[c1.index(e.target)], c2.index(e.source)
         row[j] = row[j] + eval_rep(rep, e.label)
-    return FieldMatrix.from_rows(d2), FieldMatrix.from_rows(d1)
+    return from_rows(d2), from_rows(d1)
 
 
 def qt_fox_derivative(word, gen) -> RatFunc:

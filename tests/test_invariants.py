@@ -5,10 +5,11 @@ import pytest
 
 from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
                       UNKNOT_KINK, defect_terms, det_torsion,
-                      find_basis_permutation, hstack, is_identity, mat,
-                      pipeline, qt_defect, qt_inverse, qt_rref, rf, scaled,
-                      torus_pd)
-from dehn.algebra import FieldMatrix, RatFunc, poly_add
+                      find_basis_permutation, from_rows, hstack, is_identity,
+                      mat, mat_add, pipeline, qt_defect, qt_inverse, qt_rref,
+                      rf, scaled, submatrix, torus_pd)
+from dehn import algebra, invariants
+from dehn.algebra import RatFunc, poly_add
 from dehn.errors import DehnError, NotExactError, UnsupportedRepresentationError
 from dehn.dehngraph import build_d1, build_d2, build_dehn_graph, graph_from_json
 from dehn.diagram import build_diagram, parse_pd
@@ -16,7 +17,7 @@ from dehn.invariants import (DefectValue, TorsionValue, _verify_identities,
                              build_propagator, check_lescop_relation, defect,
                              defect_equal_mod_Z, torsion,
                              torsion_equal_up_to_units)
-from dehn.mscomplex import Representation, build_complex
+from dehn.mscomplex import ChainComplex, Representation, build_complex
 
 T = RatFunc.t()
 
@@ -41,7 +42,7 @@ def test_propagator_identities(text):
     cx, g = run.complex, run.propagator
     assert is_identity(g.g2 @ cx.d2)
     assert is_identity(cx.d1 @ g.g1)
-    assert is_identity(cx.d2 @ g.g2 + g.g1 @ cx.d1)
+    assert is_identity(mat_add(cx.d2 @ g.g2, g.g1 @ cx.d1))
 
 
 def test_trefoil_default_propagator_matches_fixture():
@@ -62,7 +63,7 @@ def test_propagator_random_seeds_all_valid():
     for g in propagators:
         assert is_identity(g.g2 @ cx.d2)
         assert is_identity(cx.d1 @ g.g1)
-        assert is_identity(cx.d2 @ g.g2 + g.g1 @ cx.d1)
+        assert is_identity(mat_add(cx.d2 @ g.g2, g.g1 @ cx.d1))
     assert len({g.selected for g in propagators}) > 1  # genuinely different
 
 
@@ -70,7 +71,7 @@ def _coordinate_columns(dim, indices):
     cols = [[RatFunc.zero()] * len(indices) for _ in range(dim)]
     for j, i in enumerate(indices):
         cols[i][j] = RatFunc.one()
-    return FieldMatrix.from_rows(cols)
+    return from_rows(cols)
 
 
 def reference_propagator(cx, pivot_seed=None):
@@ -90,7 +91,7 @@ def reference_propagator(cx, pivot_seed=None):
         if qt_rref(cols)[2] == c2 + len(selected) + 1:
             selected.append(i)
     basis = hstack(_coordinate_columns(c1, selected), cx.d2)
-    g2 = qt_inverse(basis).submatrix(range(c0, c1), range(c1))
+    g2 = submatrix(qt_inverse(basis), range(c0, c1), range(c1))
     return tuple(selected), g2
 
 
@@ -111,6 +112,83 @@ def test_verify_identities_rejects_a_perturbed_g2():
     numer[1][2] = numer[1][2] + [0, 0]
     numer[1][2][1] += 1
     with pytest.raises(DehnError, match="g2\\*d2"):
+        _verify_identities(cx, dataclasses.replace(g, numer=numer))
+
+
+@pytest.mark.parametrize("text", [FIG8, torus_pd(7)])
+def test_verify_identities_rejects_every_unit_perturbation(text):
+    # +-1 on any one coefficient of N (one past the top of each entry too),
+    # of delta, or a wrong det_m: each fails an identity.
+    run = pipeline(text)
+    cx, g = run.complex, run.propagator
+    _verify_identities(cx, g)
+
+    def bumped(poly, p, c):
+        out = list(poly) + [0] * (p + 1 - len(poly))
+        out[p] += c
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    for r, row in enumerate(g.numer):
+        for j, x in enumerate(row):
+            for p in range(len(x) + 1):
+                for c in (1, -1):
+                    numer = [list(line) for line in g.numer]
+                    numer[r][j] = bumped(x, p, c)
+                    with pytest.raises(DehnError):
+                        _verify_identities(cx, dataclasses.replace(g, numer=numer))
+    for p in range(len(g.delta) + 1):
+        for c in (1, -1):
+            with pytest.raises(DehnError, match="g2\\*d2"):
+                _verify_identities(cx, dataclasses.replace(g, delta=bumped(g.delta, p, c)))
+    for det_m in (g.det_m + RatFunc.one(), -g.det_m, g.det_m / T):
+        with pytest.raises(DehnError, match="d1\\*g1"):
+            _verify_identities(cx, dataclasses.replace(g, det_m=det_m))
+
+
+def _one_crossing_complex():
+    """d2 = (1, 0)^T and d1 = (0, 1): exact, with the propagator N = (1, 0),
+    delta = 1 and s = 1."""
+    return ChainComplex(d2_rows=(((1,),), ((),)), d1_den=(1,), d1_row=((), (1,)),
+                        c2_basis=("c",), c1_basis=("q0", "q1"), c0_basis=("inf",))
+
+
+def _packed_row(entries, k, slots):
+    """A row packed at t -> 2^k and column j -> 2^(k*slots*j)."""
+    return sum(algebra._pack(x, k) << (k * slots * j) for j, x in enumerate(entries))
+
+
+def test_identity_width_one_bit_narrower_would_alias(monkeypatch):
+    # N = (1, 8 - t): row 0 of d2 * N is (1, 8 - t) against (delta, 0). The
+    # widths are k = 4 (coefficients up to 1 * (8 * 1 + 1) = 9) and L = 2;
+    # at k = 3, 8 - t packs to 8 - 8 = 0, and every identity passes.
+    cx = _one_crossing_complex()
+    g = build_propagator(cx)
+    assert (g.numer, g.delta, g.selected) == ([[[1], []]], [1], (1,))
+    wrong = dataclasses.replace(g, numer=[[[1], [8, -1]]])
+    k, slots = invariants._identity_widths(cx, wrong)
+    assert (k, slots) == (4, 2)
+    assert _packed_row([[1], [8, -1]], k - 1, slots) == _packed_row([[1], []], k - 1, slots)
+    with pytest.raises(DehnError, match="d2\\*g2 \\+ g1\\*d1"):
+        _verify_identities(cx, wrong)
+    monkeypatch.setattr(invariants, "_identity_widths", lambda cx, g: (k - 1, slots))
+    _verify_identities(cx, wrong)  # the alias the proved width rules out
+
+
+def test_identity_width_one_slot_shorter_would_alias():
+    # N = (1 + t^2, -1): row 0 of d2 * N differs from (delta, 0) by
+    # (t^2, -1). With L = 3 slots that is t^2 + -1 * t^3 at t = 2^k, nonzero;
+    # with one slot fewer the t^2 of column 0 and the -1 of column 1 land on
+    # the same power and cancel.
+    cx = _one_crossing_complex()
+    g = build_propagator(cx)
+    numer = [[[1, 0, 1], [-1]]]
+    k, slots = invariants._identity_widths(cx, dataclasses.replace(g, numer=numer))
+    assert (k, slots) == (2, 3)
+    assert _packed_row(numer[0], k, slots - 1) == _packed_row([[1], []], k, slots - 1)
+    assert _packed_row(numer[0], k, slots) != _packed_row([[1], []], k, slots)
+    with pytest.raises(DehnError):
         _verify_identities(cx, dataclasses.replace(g, numer=numer))
 
 
@@ -155,7 +233,7 @@ def test_propagator_requires_exactness():
     g = build_dehn_graph(d, build_d1(d), build_d2(d))
     rep = Representation.trivial()
     cx = build_complex(g, rep)
-    with pytest.raises(NotExactError):
+    with pytest.raises(NotExactError, match="rank\\(d1\\) = 0 < 1"):
         build_propagator(cx)
 
 

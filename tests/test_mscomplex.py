@@ -5,14 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
-                      QtProductRepresentation, mat, qt_complex, rf, torus_pd)
+                      QtProductRepresentation, is_zero_matrix, mat, qt_complex, rf,
+                      torus_pd)
 from dehn.algebra import RatFunc
 from dehn.dehngraph import (GroupRingTerm, build_d1, build_d2, build_dehn_graph,
                             graph_from_json, graph_to_json)
 from dehn.diagram import build_diagram, parse_pd
 from dehn.errors import DehnError
-from dehn.mscomplex import (Representation, build_complex, check_exactness,
-                            complex_to_json, eval_rep)
+from dehn import mscomplex
+from dehn.invariants import build_propagator
+from dehn.mscomplex import (ChainComplex, ExactnessReport, Representation, build_complex,
+                            check_exactness, complex_to_json, eval_rep)
 from test_cli import label_valid_pd
 
 # -- representations ----------------------------------------------------------
@@ -80,7 +83,7 @@ def test_trefoil_d1_entries():
 @pytest.mark.parametrize("text", sorted(CORPUS.values()))
 def test_d1_d2_is_zero(text):
     _, _, _, cx = _complex(text)
-    assert (cx.d1 @ cx.d2).is_zero()
+    assert is_zero_matrix(cx.d1 @ cx.d2)
 
 
 FAST_PATH_KNOTS = (
@@ -155,10 +158,45 @@ def test_trivial_representation_not_exact():
     d = build_diagram(parse_pd(TREFOIL))
     rep = Representation.trivial()
     _, _, _, cx = _complex(TREFOIL, rep=rep)
-    assert cx.d1.is_zero()
+    assert is_zero_matrix(cx.d1)
     report = check_exactness(cx)
     assert not report.exact
     assert "rank(d1)" in report.witness
+
+
+@pytest.mark.parametrize("d2_rows,d1_row,witness", [
+    # d2 = (0, 0)^T: no pivot among the d2 columns of [d2 | I].
+    ((((),), ((),)), ((1,), ()), "rank(d2) = 0 < 1"),
+    # Columns (1, t, 0)^T and (t, t^2, 0)^T: the second is t times the first.
+    ((((1,), (0, 1)), ((0, 1), (0, 0, 1)), ((), ())), ((0, 1), (-1,), ()),
+     "rank(d2) = 1 < 2"),
+    # d2 = (1, 0)^T injects, d1 = 0.
+    ((((1,),), ((),)), ((), ()), "rank(d1) = 0 < 1"),
+    # c1 = 2, c2 = 0, c0 = 1.
+    (((), ()), ((1,), ()), "dimension mismatch: 2 != 0 + 1"),
+])
+def test_exactness_witness_read_off_the_elimination(d2_rows, d1_row, witness):
+    c2 = len(d2_rows[0])
+    cx = ChainComplex(d2_rows, (1,), d1_row, tuple(f"c{j}" for j in range(c2)),
+                      tuple(f"q{i}" for i in range(len(d2_rows))), ("inf",))
+    assert check_exactness(cx) == ExactnessReport(False, witness)
+
+
+@pytest.mark.parametrize("text", [TREFOIL, FIG8_KINKED])
+def test_exactness_and_default_propagator_share_one_elimination(text, monkeypatch):
+    # The rank is read off the cached [d2 | I] elimination, and the
+    # propagator in the natural order reads the same one: one kernel call.
+    calls = []
+    kernel = mscomplex.fraction_free_gauss_jordan
+    monkeypatch.setattr(mscomplex, "fraction_free_gauss_jordan",
+                        lambda rows, forward=False: calls.append(forward) or kernel(rows, forward))
+    _, _, _, cx = _complex(text)
+    assert check_exactness(cx).exact
+    g = build_propagator(cx)
+    reduced, pivots, _ = cx.natural_elimination
+    assert calls == [False] and g.delta is reduced[-1][pivots[-1]]
+    build_propagator(cx, pivot_seed=3)
+    assert calls == [False, False]
 
 
 # -- serialization -------------------------------------------------------------------
