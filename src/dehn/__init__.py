@@ -16,8 +16,7 @@ from .invariants import (DefectValue, Propagator, TorsionValue,
                          build_propagator, check_lescop_relation, defect,
                          defect_equal_mod_Z, torsion, torsion_equal_up_to_units)
 from .mscomplex import (ChainComplex, ExactnessReport, Representation,
-                        build_complex, check_exactness, complex_to_json,
-                        eval_rep)
+                        build_complex, check_exactness, complex_to_json)
 from .oracle import AlexanderPolynomial, fox_alexander, milnor_check
 from .pipeline import PipelineRun, compute_result, run_pipeline
 

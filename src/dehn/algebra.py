@@ -290,14 +290,18 @@ def _derivative(p: Sequence[int]) -> IntPoly:
     return [i * c for i, c in enumerate(p)][1:]
 
 
+def _unit_free(p: IntPoly) -> IntPoly:
+    """p over Z[t] with its factor t^m stripped and its lowest coefficient
+    made positive: P = +-t^m * Q for an integer m iff the two agree."""
+    low = next((i for i, c in enumerate(p) if c), len(p))
+    return [-c for c in p[low:]] if low < len(p) and p[low] < 0 else p[low:]
+
+
 def unit_equal(a: RatFunc, b: RatFunc) -> bool:
-    """True iff a = ±t^m · b for some integer m; zero is only unit-equal to zero."""
-    if a.is_zero() or b.is_zero():
-        return a.is_zero() and b.is_zero()
-    # In the reduced form, a ratio +-t^m is (+-t^i)/(t^j).
-    q = a / b
-    return (not any(q.znum[:-1]) and not any(q.zden[:-1])
-            and abs(q.znum[-1]) == 1 == q.zden[-1])
+    """True iff a = ±t^m · b for some integer m; zero is only unit-equal to
+    zero. Cross-multiplied over Z[t], with no gcd."""
+    return (_unit_free(poly_mul(a.znum, b.zden))
+            == _unit_free(poly_mul(b.znum, a.zden)))
 
 
 class FieldMatrix:

@@ -5,15 +5,12 @@ the Dehn graph), check (the invariant/property suite), oracle (Alexander
 polynomial only). Input is an inline PD string or a file with one knot per
 line; lines starting with '#' and blank lines are skipped. Errors write a
 machine-readable JSON object to stderr and nothing to stdout.
-
-DEHN_LOG={error,info,debug} controls diagnostics on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -28,16 +25,6 @@ from .invariants import (build_propagator, defect, defect_equal_mod_Z,
 from .mscomplex import check_exactness
 from .oracle import fox_alexander
 from .pipeline import SCHEMA_VERSION, run_pipeline
-
-log = logging.getLogger("dehn")
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("DEHN_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(stream=sys.stderr,
-                        level=levels.get(level, logging.ERROR),
-                        format="dehn: %(levelname)s: %(message)s")
 
 
 def _read_inputs(args) -> List[str]:
@@ -92,7 +79,6 @@ def _map_tasks(fn, tasks, parallel: int):
 
 def cmd_compute(args) -> int:
     inputs = _read_inputs(args)
-    log.info("computing invariants for %d knot(s)", len(inputs))
     tasks = [(text, args.outer_region, args.pivot_seed) for text in inputs]
     results = _map_tasks(_compute_one, tasks, args.parallel)
 
@@ -244,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

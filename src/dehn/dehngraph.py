@@ -87,15 +87,15 @@ def check_d2(labeling: RegionLabeling, diagram: KnotDiagram, rep) -> List[dict]:
 
     Consistency is a theorem for labels produced by build_d2, so a non-empty
     report indicates a convention bug (or a deliberately corrupted labeling).
-    `rep` only needs a word_image(word) -> RatFunc method; the right side is
-    the image of the concatenated word.
+    `rep` only needs an exponent(word) -> int method, since t^m = t^m' iff
+    m = m'; the right side is the image of the concatenated word.
     """
     violations = []
     for e in sorted(diagram.edge_tail):
         left = diagram.left_region(e)
         right = diagram.right_region(e)
         gen = ((diagram.arc_of_edge[e], 1),)
-        if rep.word_image(labeling[right]) != rep.word_image(gen + labeling[left]):
+        if rep.exponent(labeling[right]) != rep.exponent(gen + labeling[left]):
             violations.append({
                 "edge": e,
                 "arc": generator_name(diagram.arc_of_edge[e]),

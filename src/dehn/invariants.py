@@ -19,8 +19,10 @@ B * diag(I, 1/d1[s]), and
 
 The three propagator identities are verified on every propagator as exact
 equalities over Z[t], each row and column of N packed once into one integer
-at widths proved from the propagator under test. They prove G2 = N / delta;
-a wrong delta with the elimination's N fails g2*d2 = id.
+at widths proved from the propagator under test. They prove G2 = N / delta,
+but not the scale of delta: (c * N, c * delta) passes them for any nonzero
+polynomial c, and its torsion is wrong by the factor c. The Milnor and
+Lescop checks of the pipeline are what pin delta.
 
 The defect is a rational function modulo the integers. Every edge whose
 label carries a nonempty word w contributes the exponent sum e of w (its class
@@ -42,7 +44,8 @@ from functools import cached_property
 from itertools import chain
 from typing import List, Optional, Tuple
 
-from .algebra import FieldMatrix, IntPoly, RatFunc, _pack, poly_add, poly_mul, unit_equal
+from .algebra import (FieldMatrix, IntPoly, RatFunc, _derivative, _pack, poly_add,
+                      poly_mul, unit_equal)
 from .dehngraph import BASEPOINT, DehnGraph
 from .errors import DehnError, NotExactError, UnsupportedRepresentationError
 from .mscomplex import ChainComplex, Representation, check_exactness
@@ -52,32 +55,21 @@ from .words import exponent_sum
 @dataclass(frozen=True)
 class Propagator:
     """G2 held as the elimination left it: G2 = numer / delta over Z[t].
-    `sign` is the elimination's row-swap sign and `det_m` the entry d1[s] of
-    the selected coordinate s: G1 is 1/det_m on row s, and with them the
-    torsion needs no determinant of its own."""
+    `sign` is the elimination's row-swap sign. G1 is 1/d1[s] on the row of
+    the selected coordinate s, read off the complex when needed, and with
+    them the torsion needs no determinant of its own."""
 
     numer: List[List[IntPoly]]  # c2_dim x c1_dim
     delta: IntPoly
     selected: Tuple[int, ...]  # C_1 coordinates spanning the complement of im(d2)
     sign: int
-    det_m: RatFunc
-
-    @property
-    def _c1_dim(self) -> int:
-        return len(self.numer) + len(self.selected)  # c2 + c0, the complex is exact
 
     @cached_property
     def g2(self) -> FieldMatrix:
-        """G2 as a c2_dim x c1_dim matrix over Q(t), built on first use."""
-        return FieldMatrix(len(self.numer), self._c1_dim, [
+        """G2 as a c2_dim x c1_dim matrix over Q(t), built on first use. The
+        complex is exact, so c1_dim = c2_dim + c0_dim."""
+        return FieldMatrix(len(self.numer), len(self.numer) + len(self.selected), [
             RatFunc(x, self.delta) for row in self.numer for x in row])
-
-    @cached_property
-    def g1(self) -> FieldMatrix:
-        """G1 as a c1_dim x 1 matrix over Q(t): 1/det_m on row s."""
-        entries = [RatFunc.zero()] * self._c1_dim
-        entries[self.selected[0]] = RatFunc.one() / self.det_m
-        return FieldMatrix(len(entries), 1, entries)
 
 
 def build_propagator(cx: ChainComplex, pivot_seed: Optional[int] = None) -> Propagator:
@@ -109,9 +101,7 @@ def build_propagator(cx: ChainComplex, pivot_seed: Optional[int] = None) -> Prop
     if len(selected) != c0:
         raise NotExactError("could not complete im(d2) to a basis of C_1")
     numer = [[reduced[r][c2 + position[j]] for j in range(c1)] for r in range(c2)]
-    s = selected[0]
-    g = Propagator(numer, reduced[-1][pivots[-1]], tuple(selected), sign,
-                   RatFunc(cx.d1_row[s], cx.d1_den))
+    g = Propagator(numer, reduced[-1][pivots[-1]], tuple(selected), sign)
     _verify_identities(cx, g)
     return g
 
@@ -164,10 +154,13 @@ def _identity_widths(cx: ChainComplex, g: Propagator) -> Tuple[int, int]:
 def _verify_identities(cx: ChainComplex, g: Propagator) -> None:
     """Check g2*d2 = id, d1*g1 = id and d2*g2 + g1*d1 = id as exact
     equalities over Z[t]. With g2 = N / delta, d1 = D1 / den and g1 =
-    e_s / d1[s] they read N * d2 = delta * id; det_m = D1[s] / den; and, row
-    by row, (d2 * N)[i] = delta * e_i for i != s, while row s, where g1 * d1
-    is D1 / D1[s], has (d2 * N)[s][j] * D1[s] = delta * (D1[s] * [j = s] -
-    D1[j]).
+    e_s / d1[s] they read N * d2 = delta * id and, row by row, (d2 * N)[i] =
+    delta * e_i for i != s, while row s, where g1 * d1 is D1 / D1[s], has
+    (d2 * N)[s][j] * D1[s] = delta * (D1[s] * [j = s] - D1[j]).
+
+    d1*g1 = 1 holds by the definition of g1 once d1[s] != 0, which row s
+    forces: with D1[s] = 0 its left side is 0 and its right side -delta * D1
+    is not. They prove G2 = N / delta but not the scale of delta.
 
     Each row and each column of N is packed once into one integer, at the
     widths of `_identity_widths`. A column of N * d2 is then the sum, over
@@ -194,9 +187,6 @@ def _verify_identities(cx: ChainComplex, g: Propagator) -> None:
     for c, col in enumerate(zip(*cx.d2_rows)):
         if sum(v * columns[j] for j, v in nonzeros(col)) != delta << width * c:
             raise DehnError("propagator identity g2*d2 = id failed")
-    m = g.det_m
-    if poly_mul(d1[s], m.zden) != poly_mul(cx.d1_den, m.znum):
-        raise DehnError("propagator identity d1*g1 = id failed")
     rows = [packed(row) for row in numer]
     d1_s = _pack(d1[s], k)
     for i, row in enumerate(cx.d2_rows):
@@ -221,9 +211,10 @@ class TorsionValue:
 def torsion(cx: ChainComplex, g: Propagator) -> TorsionValue:
     """Determinant of [d2 | g1] : C_2 + C_0 -> C_1, raw and normalized, read
     off the propagator's elimination as sign * delta / d1[s]; the module
-    docstring derives it."""
-    m = g.det_m
-    raw = RatFunc(poly_mul([g.sign * c for c in g.delta], m.zden), m.znum)
+    docstring derives it. With d1[s] = D1[s] / den that is sign * delta *
+    den / D1[s]."""
+    raw = RatFunc(poly_mul([g.sign * c for c in g.delta], cx.d1_den),
+                  cx.d1_row[g.selected[0]])
     if raw.is_zero():
         raise DehnError("torsion determinant vanished on an exact complex")
     normalized, sign, power = _strip_unit(raw)
@@ -264,7 +255,8 @@ def defect(graph: DehnGraph, cx: ChainComplex, g: Propagator,
     and exponent sum e. With `low` the least m, the G2 terms sum to t^low *
     num / delta with num = sum of c * t^(m - low) * numer[r][j] over Z[t].
     G1 is zero off row s, so only the G1 terms of row s count; they sum to
-    t^low * multiplier / det_m, added to num / delta by cross-multiplication."""
+    t^low * multiplier / d1[s] = t^low * multiplier * den / D1[s], added to
+    num / delta by cross-multiplication."""
     _require_abelian(rep)
     s = g.selected[0]
     g2_terms, g1_terms = [], []
@@ -285,9 +277,9 @@ def defect(graph: DehnGraph, cx: ChainComplex, g: Propagator,
     multiplier: IntPoly = []
     for c, m in g1_terms:
         multiplier = poly_add(multiplier, [c], shift=m - low)
-    d1_s = g.det_m
-    num = poly_add(poly_mul(num, d1_s.znum), poly_mul(g.delta, poly_mul(multiplier, d1_s.zden)))
-    den = poly_mul(g.delta, d1_s.znum)
+    d1_s = cx.d1_row[s]
+    num = poly_add(poly_mul(num, d1_s), poly_mul(g.delta, poly_mul(multiplier, cx.d1_den)))
+    den = poly_mul(g.delta, d1_s)
     if low >= 0:
         num = [0] * low + num
     else:
@@ -295,12 +287,22 @@ def defect(graph: DehnGraph, cx: ChainComplex, g: Propagator,
     return DefectValue(RatFunc(num, den))
 
 
+def _differ_by_integer(p1: IntPoly, q1: IntPoly, p2: IntPoly, q2: IntPoly) -> bool:
+    """Whether p1/q1 - p2/q2 = (p1*q2 - p2*q1) / (q1*q2) = num / den is an
+    integer c, over Z[t] with no gcd: iff num = c * den, and then c is the
+    ratio of the leading coefficients."""
+    num = poly_add(poly_mul(p1, q2), poly_mul(p2, q1), -1)
+    if not num:
+        return True
+    den = poly_mul(q1, q2)
+    c, r = divmod(num[-1], den[-1])
+    return r == 0 and num == [c * x for x in den]
+
+
 def defect_equal_mod_Z(a: DefectValue, b: DefectValue) -> bool:
     """True iff the difference is a constant with integer value."""
-    diff = a.representative - b.representative
-    if not diff.is_constant():
-        return False
-    return diff.as_constant().denominator == 1
+    x, y = a.representative, b.representative
+    return _differ_by_integer(x.znum, x.zden, y.znum, y.zden)
 
 
 def check_lescop_relation(tor: TorsionValue, d: DefectValue) -> bool:
@@ -310,5 +312,8 @@ def check_lescop_relation(tor: TorsionValue, d: DefectValue) -> bool:
     integer, so the predicate is well defined on equivalence classes."""
     if tor.raw.is_zero():
         raise ValueError("torsion must be nonzero")
-    rhs = RatFunc.t() * tor.raw.derivative() / tor.raw
-    return defect_equal_mod_Z(d, DefectValue(rhs))
+    # With torsion = P / Q, t * (d/dt) log(torsion) = t * (P'Q - PQ') / (PQ).
+    p, q = tor.raw.znum, tor.raw.zden
+    wronskian = poly_add(poly_mul(_derivative(p), q), poly_mul(p, _derivative(q)), -1)
+    x = d.representative
+    return _differ_by_integer(x.znum, x.zden, poly_add([], wronskian, shift=1), poly_mul(p, q))

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import FieldMatrix, IntPoly, RatFunc, fraction_free_gauss_jordan, poly_add
-from .dehngraph import BASEPOINT, DehnGraph, GroupRingTerm
+from .dehngraph import BASEPOINT, DehnGraph
 from .errors import DehnError
 from .words import Word, exponent_sum
 
@@ -29,9 +29,9 @@ ZPoly = Tuple[int, ...]  # a Z[t] coefficient tuple, constant term first
 
 
 class Representation:
-    """A one-dimensional representation of the knot group over Q(t): every
-    arc generator goes to u = t^k, a word to t^(k * exponent sum), with one
-    image per exponent, made on first use.
+    """A one-dimensional representation of the knot group: every arc
+    generator goes to u = t^k, so a word goes to t^(k * exponent sum), and a
+    signed word to its sign times that. The complex needs only the exponent.
 
     `abelian` takes k = 1, the representation every invariant is computed
     under. `trivial` takes k = 0; its complex is not exact, the control that
@@ -41,7 +41,6 @@ class Representation:
     def __init__(self, kind: str, k: int):
         self.kind = kind
         self._k = k
-        self._images: Dict[int, RatFunc] = {}
 
     @classmethod
     def abelian(cls) -> "Representation":
@@ -54,19 +53,6 @@ class Representation:
     def exponent(self, word: Word) -> int:
         """The power of t that the word maps to."""
         return self._k * exponent_sum(word)
-
-    def word_image(self, word: Word) -> RatFunc:
-        m = self.exponent(word)
-        image = self._images.get(m)
-        if image is None:
-            image = self._images[m] = RatFunc.t_power(m)
-        return image
-
-
-def eval_rep(rep: Representation, term: GroupRingTerm) -> RatFunc:
-    """Image of a signed word: the sign times the image of the word."""
-    image = rep.word_image(term.word)
-    return image if term.sign == 1 else -image
 
 
 @dataclass(frozen=True)

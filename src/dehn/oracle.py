@@ -11,9 +11,10 @@ banded order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra import IntPoly, Polynomial, RatFunc, fraction_free_gauss_jordan, unit_equal
+from .algebra import IntPoly, Polynomial, _unit_free, fraction_free_gauss_jordan, poly_mul
 from .diagram import WirtingerPresentation
 from .errors import DehnError
 from .invariants import TorsionValue
@@ -127,6 +128,12 @@ def fox_alexander(presentation: WirtingerPresentation) -> AlexanderPolynomial:
 
 
 def milnor_check(tor: TorsionValue, alex: AlexanderPolynomial) -> bool:
-    """Torsion times (t - 1) is unit-equal to the Alexander polynomial."""
-    t_minus_1 = RatFunc((-1, 1))
-    return unit_equal(tor.normalized * t_minus_1, RatFunc(alex.poly))
+    """Torsion times (t - 1) is unit-equal to the Alexander polynomial, over
+    Z[t]: with torsion = P / Q and Delta = Delta' / L (L the lcm of its
+    denominators, 1 for every Fox Delta), L * P * (t - 1) = +-t^m * Delta' * Q."""
+    coeffs = alex.poly.coeffs
+    scale = lcm(*(c.denominator for c in coeffs))
+    delta = [c.numerator * (scale // c.denominator) for c in coeffs]
+    p, q = tor.normalized.znum, tor.normalized.zden
+    return (_unit_free(poly_mul([scale * c for c in p], [-1, 1]))
+            == _unit_free(poly_mul(delta, q)))

@@ -9,7 +9,6 @@ from fractions import Fraction
 from dehn.algebra import FieldMatrix, Polynomial, RatFunc, fraction_free_gauss_jordan
 from dehn.dehngraph import BASEPOINT
 from dehn.invariants import DefectValue, _require_abelian
-from dehn.mscomplex import eval_rep
 from dehn.pipeline import run_pipeline
 from dehn.words import exponent_sum
 
@@ -85,10 +84,19 @@ def _incoming(crossing, pos: int, edges: int) -> bool:
     return b_in if pos == 1 else not b_in
 
 
+def qt_g1(cx, g) -> FieldMatrix:
+    """G1 as a c1_dim x 1 matrix over Q(t): 1/d1[s] on the row of the
+    selected coordinate s, zero elsewhere."""
+    entries = [RatFunc.zero()] * cx.c1_dim
+    s = g.selected[0]
+    entries[s] = RatFunc(cx.d1_den, cx.d1_row[s])
+    return FieldMatrix(cx.c1_dim, 1, entries)
+
+
 def det_torsion(cx, g) -> RatFunc:
     """Reference raw torsion: the determinant of [d2 | g1] itself, the form
     the torsion took before it was read off the propagator's elimination."""
-    return hstack(cx.d2, g.g1).det()
+    return hstack(cx.d2, qt_g1(cx, g)).det()
 
 
 @functools.lru_cache(maxsize=None)
@@ -276,30 +284,24 @@ def qt_inverse(matrix: FieldMatrix):
     return submatrix(reduced, range(n), range(n, 2 * n))
 
 
-class QtProductRepresentation:
-    """Reference abelian representation: the image of a word is the product
-    of t for each letter x and 1/t for each letter x^-1, one letter at a time
-    in Q(t), each partial product in canonical form, independent of the
-    exponent-sum image behind `Representation.abelian`. It has the same
-    `kind` and `word_image`, so `eval_rep` and `qt_complex` take it."""
-
-    kind = "abelian"
-
-    def word_image(self, word) -> RatFunc:
-        t = RatFunc.t()
-        out = RatFunc.one()
-        for _, exp in word:
-            out = out * t if exp == 1 else out / t
-        return out
+def qt_image(term) -> RatFunc:
+    """Reference image of a signed word under the abelian representation:
+    the sign times the product of t for each letter x and 1/t for each
+    letter x^-1, one letter at a time in Q(t), each partial product in
+    canonical form, independent of the exponent sum behind
+    `Representation.exponent`."""
+    t = RatFunc.t()
+    out = RatFunc.one()
+    for _, exp in term.word:
+        out = out * t if exp == 1 else out / t
+    return out if term.sign == 1 else -out
 
 
 def qt_complex(graph):
     """Reference boundary matrices (d2, d1) over Q(t): each entry the sum of
-    the `QtProductRepresentation` images of its edges' labels, added one
-    term at a time in Q(t), independent of the Z[t] rows of `build_complex`.
-    Rows and columns follow the graph's vertex order, as the complex's
-    bases do."""
-    rep = QtProductRepresentation()
+    the `qt_image` images of its edges' labels, added one term at a time in
+    Q(t), independent of the Z[t] rows of `build_complex`. Rows and columns
+    follow the graph's vertex order, as the complex's bases do."""
     c2 = [v.id for v in graph.vertices if v.index == 2]
     c1 = [v.id for v in graph.vertices if v.index == 1]
     d2 = [[RatFunc.zero()] * len(c2) for _ in c1]
@@ -309,7 +311,7 @@ def qt_complex(graph):
             row, j = d1[0], c1.index(e.source)
         else:
             row, j = d2[c1.index(e.target)], c2.index(e.source)
-        row[j] = row[j] + eval_rep(rep, e.label)
+        row[j] = row[j] + qt_image(e.label)
     return from_rows(d2), from_rows(d1)
 
 
@@ -335,15 +337,16 @@ def defect_terms(graph, cx, g, rep):
     """Reference per-edge defect contributions (source, target, value), one
     Q(t) value per word-bearing edge, read off the G1 and G2 matrices."""
     _require_abelian(rep)
+    g1 = qt_g1(cx, g)
     terms = []
     for e in graph.edges:
         w = e.label.word
         if not w:
             continue
         degree = exponent_sum(w)
-        coeff = eval_rep(rep, e.label)
+        coeff = qt_image(e.label)
         if e.target == BASEPOINT:
-            entry = g.g1.entry(cx.position(e.source), 0)
+            entry = g1.entry(cx.position(e.source), 0)
             level_sign = -1
         else:
             entry = g.g2.entry(cx.position(e.source), cx.position(e.target))
@@ -365,6 +368,30 @@ def qt_defect(graph, cx, g, rep) -> DefectValue:
     for _, _, value in defect_terms(graph, cx, g, rep):
         total = total + value
     return DefectValue(total)
+
+
+# -- Q(t) references for the comparisons over Z[t] ------------------------------
+
+
+def qt_unit_equal(a: RatFunc, b: RatFunc) -> bool:
+    """Reference `unit_equal`: the ratio a / b, reduced in Q(t), is +-t^m."""
+    if a.is_zero() or b.is_zero():
+        return a.is_zero() and b.is_zero()
+    q = a / b
+    return (not any(q.znum[:-1]) and not any(q.zden[:-1])
+            and abs(q.znum[-1]) == 1 == q.zden[-1])
+
+
+def qt_equal_mod_Z(a: RatFunc, b: RatFunc) -> bool:
+    """Reference `defect_equal_mod_Z`: a - b, reduced in Q(t), is an integer."""
+    diff = a - b
+    return diff.is_constant() and diff.as_constant().denominator == 1
+
+
+def qt_lescop(tor: RatFunc, d: RatFunc) -> bool:
+    """Reference `check_lescop_relation`: d = t * tor' / tor modulo the
+    integers, in Q(t)."""
+    return qt_equal_mod_Z(d, RatFunc.t() * tor.derivative() / tor)
 
 
 def find_basis_permutation(ours, fixture):

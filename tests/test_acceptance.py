@@ -12,7 +12,8 @@ import pytest
 
 from conftest import (CORPUS, FIG8, FIG8_KINKED, HOPF_LINK, TREFOIL,
                       TREFOIL_KINKED, find_basis_permutation, is_identity,
-                      is_zero_matrix, mat, mat_add, pipeline, poly, rf, scaled)
+                      is_zero_matrix, mat, mat_add, pipeline, poly, qt_g1, qt_image,
+                      rf, scaled)
 from dehn.algebra import RatFunc
 from dehn.dehngraph import build_d1, build_d2, build_dehn_graph, check_d2
 from dehn.diagram import build_diagram, parse_pd
@@ -20,8 +21,7 @@ from dehn.errors import MultiComponentError
 from dehn.invariants import (DefectValue, TorsionValue, build_propagator,
                              check_lescop_relation, defect, defect_equal_mod_Z,
                              torsion, torsion_equal_up_to_units)
-from dehn.mscomplex import (Representation, build_complex, check_exactness,
-                            eval_rep)
+from dehn.mscomplex import Representation, build_complex, check_exactness
 from dehn.oracle import milnor_check
 from dehn.pipeline import run_pipeline
 from dehn.words import word_mul
@@ -71,7 +71,7 @@ def test_criterion_3_trefoil_intermediate_fixtures():
         "g1": mat([[rf(1, (1, -1))], [0], [0], [0]]),
     }
     ours = {"d2": run.complex.d2, "d1": run.complex.d1,
-            "g2": run.propagator.g2, "g1": run.propagator.g1}
+            "g2": run.propagator.g2, "g1": qt_g1(run.complex, run.propagator)}
     perms = find_basis_permutation(ours, fixture)
     assert perms is not None
     _report(3, f"d2/d1/G2/G1 match the worked display under permutation {perms}")
@@ -131,7 +131,7 @@ def test_criterion_8_structural_properties_all_outer_choices():
             for c in diagram.crossings:
                 total = RatFunc.zero()
                 for pos in range(4):
-                    total = total + eval_rep(rep, d1_labels[(c.id, pos)])
+                    total = total + qt_image(d1_labels[(c.id, pos)])
                 assert total.is_zero(), (name, region.id, c.id)
             assert check_d2(d2_labels, diagram, rep) == [], (name, region.id)
             graph = build_dehn_graph(diagram, d1_labels, d2_labels)
@@ -139,8 +139,9 @@ def test_criterion_8_structural_properties_all_outer_choices():
             assert is_zero_matrix(cx.d1 @ cx.d2), (name, region.id)
             g = build_propagator(cx)
             assert is_identity(g.g2 @ cx.d2)
-            assert is_identity(cx.d1 @ g.g1)
-            assert is_identity(mat_add(cx.d2 @ g.g2, g.g1 @ cx.d1))
+            g1 = qt_g1(cx, g)
+            assert is_identity(cx.d1 @ g1)
+            assert is_identity(mat_add(cx.d2 @ g.g2, g1 @ cx.d1))
             runs += 1
     _report(8, f"structural suite clean over {runs} (knot, outer region) pairs")
 

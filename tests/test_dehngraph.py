@@ -2,12 +2,12 @@ import json
 
 import pytest
 
-from conftest import CORPUS, TREFOIL, UNKNOT_KINK
+from conftest import CORPUS, TREFOIL, UNKNOT_KINK, qt_image
 from dehn.algebra import RatFunc
 from dehn.dehngraph import (build_d1, build_d2, build_dehn_graph, check_d2,
                             export_dot, graph_from_json, graph_to_json)
 from dehn.diagram import build_diagram, parse_pd
-from dehn.mscomplex import Representation, eval_rep
+from dehn.mscomplex import Representation
 from dehn.words import exponent_sum, word_mul
 
 # -- corner labeling (D1) ----------------------------------------------------
@@ -28,11 +28,10 @@ def test_corner_label_multiset(text):
 def test_corner_labels_sum_to_zero_under_representation(text):
     d = build_diagram(parse_pd(text))
     labels = build_d1(d)
-    rep = Representation.abelian()
     for c in d.crossings:
         total = RatFunc.zero()
         for pos in range(4):
-            total = total + eval_rep(rep, labels[(c.id, pos)])
+            total = total + qt_image(labels[(c.id, pos)])
         assert total.is_zero()
 
 
@@ -142,10 +141,9 @@ def test_vertex_index_labels():
 def test_gamma_plus_labels_evaluate_to_identity():
     for text in CORPUS.values():
         d, g = _graph(text)
-        rep = Representation.abelian()
         for e in g.edges:
             if e.origin[0] == "region_plus":
-                assert eval_rep(rep, e.label) == RatFunc.one()
+                assert qt_image(e.label) == RatFunc.one()
 
 
 def test_kink_gives_parallel_edges():

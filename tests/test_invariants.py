@@ -2,14 +2,17 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
                       UNKNOT_KINK, defect_terms, det_torsion,
                       find_basis_permutation, from_rows, hstack, is_identity,
-                      mat, mat_add, pipeline, qt_defect, qt_inverse, qt_rref,
-                      rf, scaled, submatrix, torus_pd)
+                      mat, mat_add, pipeline, qt_defect, qt_equal_mod_Z, qt_g1,
+                      qt_inverse, qt_lescop, qt_rref, qt_unit_equal, rf, scaled,
+                      submatrix, torus_pd)
 from dehn import algebra, invariants
-from dehn.algebra import RatFunc, poly_add
+from dehn.algebra import RatFunc, poly_add, poly_mul, unit_equal
 from dehn.errors import DehnError, NotExactError, UnsupportedRepresentationError
 from dehn.dehngraph import build_d1, build_d2, build_dehn_graph, graph_from_json
 from dehn.diagram import build_diagram, parse_pd
@@ -18,6 +21,7 @@ from dehn.invariants import (DefectValue, TorsionValue, _verify_identities,
                              defect_equal_mod_Z, torsion,
                              torsion_equal_up_to_units)
 from dehn.mscomplex import ChainComplex, Representation, build_complex
+from dehn.oracle import milnor_check
 
 T = RatFunc.t()
 
@@ -41,15 +45,16 @@ def test_propagator_identities(text):
     run = pipeline(text)
     cx, g = run.complex, run.propagator
     assert is_identity(g.g2 @ cx.d2)
-    assert is_identity(cx.d1 @ g.g1)
-    assert is_identity(mat_add(cx.d2 @ g.g2, g.g1 @ cx.d1))
+    g1 = qt_g1(cx, g)
+    assert is_identity(cx.d1 @ g1)
+    assert is_identity(mat_add(cx.d2 @ g.g2, g1 @ cx.d1))
 
 
 def test_trefoil_default_propagator_matches_fixture():
     run = pipeline(TREFOIL)
     assert run.propagator.selected == (0,)
     ours = {"d2": run.complex.d2, "d1": run.complex.d1,
-            "g2": run.propagator.g2, "g1": run.propagator.g1}
+            "g2": run.propagator.g2, "g1": qt_g1(run.complex, run.propagator)}
     from test_mscomplex import TREFOIL_D1, TREFOIL_D2
     fixture = {"d2": TREFOIL_D2, "d1": TREFOIL_D1,
                "g2": G2_FIXTURE, "g1": G1_FIXTURE}
@@ -62,8 +67,9 @@ def test_propagator_random_seeds_all_valid():
     propagators = [build_propagator(cx, pivot_seed=s) for s in range(10)]
     for g in propagators:
         assert is_identity(g.g2 @ cx.d2)
-        assert is_identity(cx.d1 @ g.g1)
-        assert is_identity(mat_add(cx.d2 @ g.g2, g.g1 @ cx.d1))
+        g1 = qt_g1(cx, g)
+        assert is_identity(cx.d1 @ g1)
+        assert is_identity(mat_add(cx.d2 @ g.g2, g1 @ cx.d1))
     assert len({g.selected for g in propagators}) > 1  # genuinely different
 
 
@@ -117,8 +123,8 @@ def test_verify_identities_rejects_a_perturbed_g2():
 
 @pytest.mark.parametrize("text", [FIG8, torus_pd(7)])
 def test_verify_identities_rejects_every_unit_perturbation(text):
-    # +-1 on any one coefficient of N (one past the top of each entry too),
-    # of delta, or a wrong det_m: each fails an identity.
+    # +-1 on any one coefficient of N (one past the top of each entry too)
+    # or of delta: each fails an identity.
     run = pipeline(text)
     cx, g = run.complex, run.propagator
     _verify_identities(cx, g)
@@ -142,9 +148,6 @@ def test_verify_identities_rejects_every_unit_perturbation(text):
         for c in (1, -1):
             with pytest.raises(DehnError, match="g2\\*d2"):
                 _verify_identities(cx, dataclasses.replace(g, delta=bumped(g.delta, p, c)))
-    for det_m in (g.det_m + RatFunc.one(), -g.det_m, g.det_m / T):
-        with pytest.raises(DehnError, match="d1\\*g1"):
-            _verify_identities(cx, dataclasses.replace(g, det_m=det_m))
 
 
 def _one_crossing_complex():
@@ -204,12 +207,33 @@ def test_verify_identities_checks_the_homotopy_identity():
         _verify_identities(cx, dataclasses.replace(g, numer=numer))
 
 
-def test_verify_identities_checks_the_selected_entry_of_d1():
-    # g1 = e_s / det_m inverts d1 only when det_m is d1[s].
+def test_verify_identities_rejects_a_zero_selected_entry_of_d1():
+    # g1 = e_s / d1[s] needs d1[s] != 0, and the row-s identity demands it:
+    # on the one-crossing complex with s = 0, where D1[0] = 0, its left side
+    # is 0 and its right side -delta * D1 is not.
+    cx = _one_crossing_complex()
+    g = build_propagator(cx)
+    with pytest.raises(DehnError, match="d2\\*g2 \\+ g1\\*d1"):
+        _verify_identities(cx, dataclasses.replace(g, selected=(0,)))
+
+
+def test_identities_do_not_pin_the_scale_of_delta():
+    # (c * N, c * delta) keeps G2 = N / delta and passes every identity, but
+    # its torsion is wrong by the factor c; the Milnor and Lescop checks
+    # catch it.
     run = pipeline(FIG8)
     cx, g = run.complex, run.propagator
-    with pytest.raises(DehnError, match="d1\\*g1"):
-        _verify_identities(cx, dataclasses.replace(g, det_m=g.det_m * T))
+    c = [1, 1]  # 1 + t
+    wrong = dataclasses.replace(g, numer=[[poly_mul(x, c) for x in row] for row in g.numer],
+                                delta=poly_mul(g.delta, c))
+    _verify_identities(cx, wrong)
+    assert wrong.g2 == g.g2
+    tor = torsion(cx, wrong)
+    assert tor.raw == run.tor.raw * rf(c)
+    assert defect(run.graph, cx, wrong, run.rep) == run.d
+    assert check_lescop_relation(run.tor, run.d) and milnor_check(run.tor, run.alexander)
+    assert not check_lescop_relation(tor, run.d)
+    assert not milnor_check(tor, run.alexander)
 
 
 def test_propagator_views_on_a_complex_without_crossings():
@@ -224,7 +248,8 @@ def test_propagator_views_on_a_complex_without_crossings():
     cx = build_complex(graph, Representation.abelian())
     g = build_propagator(cx)
     assert (g.g2.rows, g.g2.cols) == (0, 1)
-    assert g.g1 == mat([[1]]) and is_identity(cx.d1 @ g.g1)
+    g1 = qt_g1(cx, g)
+    assert g1 == mat([[1]]) and is_identity(cx.d1 @ g1)
     assert torsion(cx, g).raw == RatFunc.one()
 
 
@@ -356,6 +381,47 @@ def test_defect_equal_mod_Z_cases():
     assert not defect_equal_mod_Z(f, half)
     plus_t = DefectValue(f.representative + T)
     assert not defect_equal_mod_Z(f, plus_t)
+
+
+# -- comparisons over Z[t] against their Q(t) references ------------------------
+
+
+def _ratfuncs(nonzero=False):
+    coeffs = st.lists(st.integers(-4, 4), max_size=4)
+    num = coeffs.filter(any) if nonzero else coeffs
+    return st.builds(RatFunc, num, coeffs.filter(any))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ratfuncs(), _ratfuncs(), st.sampled_from((1, -1)), st.integers(-3, 3))
+def test_unit_equal_agrees_with_qt_reference(a, b, sign, m):
+    assert unit_equal(a, b) == qt_unit_equal(a, b)
+    moved = RatFunc(sign) * RatFunc.t_power(m) * a
+    assert unit_equal(a, moved) and qt_unit_equal(a, moved)
+    if not a.is_zero():
+        assert not unit_equal(a, a * rf((1, 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ratfuncs(), _ratfuncs(), st.integers(-3, 3))
+def test_defect_equal_mod_Z_agrees_with_qt_reference(a, b, n):
+    x, y = DefectValue(a), DefectValue(b)
+    assert defect_equal_mod_Z(x, y) == qt_equal_mod_Z(a, b)
+    assert defect_equal_mod_Z(x, DefectValue(a + RatFunc(n)))
+    assert not defect_equal_mod_Z(x, DefectValue(a + rf(1, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ratfuncs(nonzero=True), _ratfuncs(), st.integers(-3, 3))
+def test_lescop_relation_agrees_with_qt_reference(tor, d, n):
+    def tv(f):
+        return TorsionValue(f, f, 1, 0)
+
+    assert check_lescop_relation(tv(tor), DefectValue(d)) == qt_lescop(tor, d)
+    log_derivative = T * tor.derivative() / tor
+    assert check_lescop_relation(tv(tor), DefectValue(log_derivative + RatFunc(n)))
+    assert not check_lescop_relation(tv(tor), DefectValue(log_derivative + rf(1, 2)))
+    assert not check_lescop_relation(tv(tor * rf((1, 1))), DefectValue(log_derivative))
 
 
 # -- relations ----------------------------------------------------------------

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
-                      QtProductRepresentation, is_zero_matrix, mat, qt_complex, rf,
-                      torus_pd)
+                      is_zero_matrix, mat, qt_complex, qt_image, torus_pd)
 from dehn.algebra import RatFunc
 from dehn.dehngraph import (GroupRingTerm, build_d1, build_d2, build_dehn_graph,
                             graph_from_json, graph_to_json)
@@ -15,30 +14,30 @@ from dehn.errors import DehnError
 from dehn import mscomplex
 from dehn.invariants import build_propagator
 from dehn.mscomplex import (ChainComplex, ExactnessReport, Representation, build_complex,
-                            check_exactness, complex_to_json, eval_rep)
+                            check_exactness, complex_to_json)
 from test_cli import label_valid_pd
 
 # -- representations ----------------------------------------------------------
 
 
-def test_eval_rep_abelian():
-    rep = Representation.abelian()
-    assert eval_rep(rep, GroupRingTerm(-1, ((0, 1),))) == rf((0, -1))
-    assert eval_rep(rep, GroupRingTerm(1, ())) == RatFunc.one()
-    assert eval_rep(rep, GroupRingTerm(-1, ((0, 1), (1, 1)))) == rf((0, 0, -1))
-    assert eval_rep(rep, GroupRingTerm(1, ((0, -1),))) == rf(1, (0, 1))
+def test_representation_exponents():
+    abelian, trivial = Representation.abelian(), Representation.trivial()
+    assert abelian.exponent(((0, 1),)) == 1
+    assert abelian.exponent(()) == 0
+    assert abelian.exponent(((0, 1), (1, 1))) == 2
+    assert abelian.exponent(((0, -1),)) == -1
+    assert trivial.exponent(((0, 1), (1, 1))) == 0
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from((1, -1)),
        st.lists(st.tuples(st.integers(0, 3), st.sampled_from((1, -1))), max_size=10))
-def test_abelian_eval_rep_matches_general_path(sign, letters):
-    # The abelian image is sign * t^(exponent sum), cached per exponent: the
-    # second call reads the cache. The reference multiplies letter by letter.
+def test_abelian_exponent_matches_the_letter_by_letter_image(sign, letters):
+    # A signed word maps to sign * t^exponent; the reference multiplies the
+    # images of its letters one at a time in Q(t).
     term = GroupRingTerm(sign, tuple(letters))
-    expected = eval_rep(QtProductRepresentation(), term)
-    rep = Representation.abelian()
-    assert eval_rep(rep, term) == expected == eval_rep(rep, term)
+    m = Representation.abelian().exponent(term.word)
+    assert RatFunc(sign) * RatFunc.t_power(m) == qt_image(term)
 
 
 # -- boundary matrices -----------------------------------------------------------
