@@ -7,8 +7,10 @@ its arithmetic is the kernel's: `poly_mul`, `poly_add` and the gcd
 exact division, with a remainder-sequence fallback. Every elimination runs
 in the kernel too, through the one fraction-free loop
 `fraction_free_gauss_jordan` over Z[t], at a packing width proved by a
-Hadamard-type bound: Gauss-Jordan for the propagator, whose pivots also
-give the exactness rank, and forward-only for the Fox minor's determinant.
+Hadamard-type bound: Gauss-Jordan of a complex's [d2 | I], whose pivots
+give the exactness rank and whose rows give every propagator, and
+forward-only for the Fox minor's determinant. It returns its rows packed,
+so each caller unpacks only the entries it reads.
 `FieldMatrix`, a dense matrix over Q(t), is the view that the complex and
 the propagator are read and serialized through; its reduced form and
 determinant write each row over one denominator and call the same loop.
@@ -160,17 +162,6 @@ class RatFunc:
     def one(cls) -> "RatFunc":
         return _ONE
 
-    @classmethod
-    def t(cls) -> "RatFunc":
-        return cls((0, 1))
-
-    @classmethod
-    def t_power(cls, m: int) -> "RatFunc":
-        """t^m for any integer m."""
-        if m >= 0:
-            return cls((0,) * m + (1,))
-        return cls((1,), (0,) * (-m) + (1,))
-
     # -- parts over Q -------------------------------------------------
 
     @property
@@ -189,14 +180,6 @@ class RatFunc:
 
     def is_zero(self) -> bool:
         return not self.znum
-
-    def is_constant(self) -> bool:
-        return len(self.znum) <= 1 and len(self.zden) == 1
-
-    def as_constant(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not a constant")
-        return Fraction(self.znum[0] if self.znum else 0, self.zden[0])
 
     # -- arithmetic ---------------------------------------------------
 
@@ -300,8 +283,14 @@ def _unit_free(p: IntPoly) -> IntPoly:
 def unit_equal(a: RatFunc, b: RatFunc) -> bool:
     """True iff a = ±t^m · b for some integer m; zero is only unit-equal to
     zero. Cross-multiplied over Z[t], with no gcd."""
-    return (_unit_free(poly_mul(a.znum, b.zden))
-            == _unit_free(poly_mul(b.znum, a.zden)))
+    return _unit_equal(a.znum, a.zden, b.znum, b.zden)
+
+
+def _unit_equal(p1: Sequence[int], q1: Sequence[int],
+                p2: Sequence[int], q2: Sequence[int]) -> bool:
+    """`unit_equal` of p1/q1 and p2/q2 over Z[t], the fractions in any form,
+    reduced or not: p1/q1 = ±t^m · p2/q2 iff p1·q2 = ±t^m · p2·q1."""
+    return _unit_free(poly_mul(p1, q2)) == _unit_free(poly_mul(p2, q1))
 
 
 class FieldMatrix:
@@ -378,9 +367,9 @@ class FieldMatrix:
         change the reduced form, so it is the fraction-free elimination of the
         cleared rows with each row divided by the common pivot.
         """
-        reduced, pivots, _ = fraction_free_gauss_jordan(self.cleared_rows()[1])
-        delta = reduced[0][pivots[0]] if pivots else [1]
-        entries = [RatFunc(x, delta) for row in reduced for x in row]
+        reduced, pivots, _, k = fraction_free_gauss_jordan(self.cleared_rows()[1])
+        delta = _unpack(reduced[0][pivots[0]], k) if pivots else [1]
+        entries = [RatFunc(_unpack(x, k), delta) for row in reduced for x in row]
         return FieldMatrix(self.rows, self.cols, entries), pivots, len(pivots)
 
     def det(self) -> RatFunc:
@@ -390,10 +379,10 @@ class FieldMatrix:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         lam, rows = self.cleared_rows()
-        reduced, pivots, sign = fraction_free_gauss_jordan(rows, forward=True)
+        reduced, pivots, sign, k = fraction_free_gauss_jordan(rows, forward=True)
         if len(pivots) < self.rows:
             return RatFunc.zero()
-        delta = reduced[-1][pivots[-1]] if pivots else [1]
+        delta = _unpack(reduced[-1][pivots[-1]], k) if pivots else [1]
         den = [1]
         for d in lam:
             den = poly_mul(den, d)
@@ -520,13 +509,18 @@ def _minor_bound(rows: Sequence[Sequence[IntPoly]]) -> int:
 
 
 def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]], forward: bool = False
-                               ) -> Tuple[List[List[IntPoly]], List[int], int]:
+                               ) -> Tuple[List[List[int]], List[int], int, int]:
     """Reduced echelon form over Z[t] by fraction-free Gauss-Jordan elimination
     (Bareiss 1968, extended to the rows above each pivot); with `forward`,
     the echelon form of Bareiss's forward elimination.
 
-    Returns (reduced rows, pivot columns, sign). Pivot columns are found left
-    to right and the pivot row is the first one below with a nonzero entry,
+    Returns (reduced rows, pivot columns, sign, k), the rows still packed:
+    each entry is its polynomial at t = 2^k, and `_unpack(entry, k)` gives
+    its coefficients. k bounds every entry, so a caller unpacks only the
+    entries it reads (a determinant its last pivot, a rank none), and can
+    go on with exact packed arithmetic whose results are minors of the
+    input too. Pivot columns are found left to right and the pivot row is
+    the first one below with a nonzero entry,
     so the pivot columns are the leftmost ones independent of those before
     them, and the rows below the rank are zero. In Gauss-Jordan mode row r
     of the result has its pivot in column pivots[r] and every pivot entry
@@ -607,7 +601,7 @@ def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]], forward: bool 
     if not forward:
         for r in range(nrows):
             catch_up(r)
-    return [[_unpack(v, k) for v in row] for row in m], pivots, sign
+    return m, pivots, sign, k
 
 
 def _exact_div(a: int, b: int) -> int:

@@ -5,9 +5,13 @@ The propagator picks coordinate lines S of C_1 completing the image of d2 to
 a basis; G_1 inverts d1 on span(S) and G_2 inverts d2 on its image along
 span(S). G_2 is held as the fraction-free elimination leaves it, numerators
 over Z[t] and one common denominator delta, and its Q(t) matrix is built only
-when asked for. Torsion is the determinant of the square block matrix [d2 | g1]
-mapping the even chains to C_1; it is well defined up to +-t^m, and a
-canonical representative is obtained by stripping that unit.
+when asked for. A complex is eliminated once, [d2 | I] in the natural
+coordinate order; a pivot seed that selects another coordinate gets its
+propagator from those rows by one fraction-free pivot exchange, and each
+distinct propagator is built and verified once per complex. Torsion is
+the determinant of the square block matrix [d2 | g1] mapping the even
+chains to C_1; it is well defined up to +-t^m, and a canonical
+representative is obtained by stripping that unit.
 
 The torsion is read off the propagator's elimination, with no determinant
 of its own. C_0 is one-dimensional, so one coordinate s is selected. Let e_s
@@ -42,10 +46,10 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .algebra import (FieldMatrix, IntPoly, RatFunc, _derivative, _pack, poly_add,
-                      poly_mul, unit_equal)
+from .algebra import (FieldMatrix, IntPoly, RatFunc, _derivative, _exact_div, _pack,
+                      _unpack, poly_add, poly_mul, unit_equal)
 from .dehngraph import BASEPOINT, DehnGraph
 from .errors import DehnError, NotExactError, UnsupportedRepresentationError
 from .mscomplex import ChainComplex, Representation, check_exactness
@@ -77,33 +81,65 @@ def build_propagator(cx: ChainComplex, pivot_seed: Optional[int] = None) -> Prop
     order (default is ascending), giving genuinely different propagators whose
     torsion and defect must agree.
 
-    [d2 | identity columns in candidate order] is eliminated once,
-    fraction-free over Z[t]; in the default order that is the complex's
-    `natural_elimination`, which its exactness check has already made. The
-    pivots beyond the d2 columns select the
-    first candidates independent of im(d2) and of the candidates before
-    them. With B = [d2 | e_S] the pivot columns and delta the common pivot,
-    the identity block holds N = delta * B^-1, so G2 = N[:c2] / delta, and
-    sign * delta = det B.
+    Every propagator is read off the complex's `natural_elimination` of
+    [d2 | I], which its exactness check has already made. Its last row has
+    its pivot in the unit column of the natural coordinate s0; the unit
+    part v of that row is nonzero exactly at the coordinates independent of
+    im(d2) (see `_exchanged`), so the candidate order selects s, the first
+    coordinate in it with v[s] != 0, as an elimination in that order would.
+    Each selected coordinate's propagator is built and verified once per
+    complex and kept in `cx.propagators`.
     """
     report = check_exactness(cx)
     if not report.exact:
         raise NotExactError(f"complex is not exact: {report.witness}")
-    c2, c1, c0 = cx.c2_dim, cx.c1_dim, cx.c0_dim
-    order = list(range(c1))
-    if pivot_seed is None:
-        reduced, pivots, sign = cx.natural_elimination
-    else:
+    reduced, _, _, _ = cx.natural_elimination
+    v = reduced[cx.c2_dim][cx.c2_dim:]
+    order = list(range(cx.c1_dim))
+    if pivot_seed is not None:
         random.Random(pivot_seed).shuffle(order)
-        reduced, pivots, sign = cx.eliminate(order)
-    position = {coord: k for k, coord in enumerate(order)}
-    selected = [order[p - c2] for p in pivots if p >= c2]
-    if len(selected) != c0:
-        raise NotExactError("could not complete im(d2) to a basis of C_1")
-    numer = [[reduced[r][c2 + position[j]] for j in range(c1)] for r in range(c2)]
-    g = Propagator(numer, reduced[-1][pivots[-1]], tuple(selected), sign)
-    _verify_identities(cx, g)
+    s = next(j for j in order if v[j])
+    g = cx.propagators.get(s)
+    if g is None:
+        g = _exchanged(cx, s)
+        _verify_identities(cx, g)
+        cx.propagators[s] = g
     return g
+
+
+def _exchanged(cx: ChainComplex, s: int) -> Propagator:
+    """The propagator selecting coordinate s, from the natural elimination.
+
+    On an exact complex [d2 | I] has full row rank c1 = c2 + 1, its pivot
+    columns are B0 = [d2 | e_s0], and the elimination leaves delta0 *
+    B0^-1 in its identity block, with delta0 its last pivot and sign *
+    delta0 = det B0. Row r < c2 of that block is N0[r], and the last row is
+    v = delta0 * phi, where phi is the functional that vanishes on im(d2)
+    with phi(e_s0) = 1. So B_s = [d2 | e_s] = B0 * E with E the identity
+    but for its last column (u, phi(e_s)), u = N0[.][s] / delta0; B_s is
+    invertible iff v[s] != 0, det B_s = sign * v[s], and inverting E gives
+
+        N_s[r] = (v[s] * N0[r] - N0[r][s] * v) / delta0,   delta_s = v[s],
+
+    one fraction-free pivot exchange (Edmonds 1967; Bareiss 1968). It is
+    the same delta_s * B_s^-1 that the elimination in any order selecting
+    s makes: its steps over the d2 columns are those of the natural one,
+    since the pivot search reads only those columns, and its last step
+    swaps no row, so `sign` is the same too. Its entries are minors
+    of [d2 | I], so the exchange runs on the packed rows at the
+    elimination's width and each division is checked exact. Only delta
+    and the c2 rows of N are unpacked."""
+    reduced, pivots, sign, k = cx.natural_elimination
+    c2 = cx.c2_dim
+    rows = [row[c2:] for row in reduced[:c2]]
+    v = reduced[c2][c2:]
+    s0 = pivots[-1] - c2
+    if s != s0:
+        vs, v0 = v[s], v[s0]
+        rows = [[_exact_div(vs * a - row[s] * b, v0) if a or b else 0
+                 for a, b in zip(row, v)] for row in rows]
+    numer = [[_unpack(x, k) for x in row] for row in rows]
+    return Propagator(numer, _unpack(v[s], k), (s,), sign)
 
 
 def _identity_widths(cx: ChainComplex, g: Propagator) -> Tuple[int, int]:
@@ -167,7 +203,11 @@ def _verify_identities(cx: ChainComplex, g: Propagator) -> None:
     the nonzero entries of a column of d2, of the packed entry times a
     packed column of N, and a row of d2 * N the same with the rows; each is
     compared with delta shifted into its slot, delta << K*i, as one integer,
-    with no entry product and no unpacking."""
+    with no entry product and no unpacking.
+
+    delta = 0 is rejected first: every packed side would read 0."""
+    if not any(g.delta):
+        raise DehnError("propagator has delta = 0")
     s, d1 = g.selected[0], cx.d1_row
     k, slots = _identity_widths(cx, g)
     width = k * slots  # K, the bits of one slot
@@ -213,12 +253,17 @@ def torsion(cx: ChainComplex, g: Propagator) -> TorsionValue:
     off the propagator's elimination as sign * delta / d1[s]; the module
     docstring derives it. With d1[s] = D1[s] / den that is sign * delta *
     den / D1[s]."""
-    raw = RatFunc(poly_mul([g.sign * c for c in g.delta], cx.d1_den),
-                  cx.d1_row[g.selected[0]])
+    raw = RatFunc(*_torsion_parts(cx, g))
     if raw.is_zero():
         raise DehnError("torsion determinant vanished on an exact complex")
     normalized, sign, power = _strip_unit(raw)
     return TorsionValue(raw, normalized, sign, power)
+
+
+def _torsion_parts(cx: ChainComplex, g: Propagator) -> Tuple[IntPoly, Sequence[int]]:
+    """The raw torsion as an unreduced fraction over Z[t]: sign * delta *
+    den and D1[s]."""
+    return poly_mul([g.sign * c for c in g.delta], cx.d1_den), cx.d1_row[g.selected[0]]
 
 
 def _strip_unit(f: RatFunc) -> Tuple[RatFunc, int, int]:
@@ -249,7 +294,14 @@ def _require_abelian(rep: Representation) -> None:
 def defect(graph: DehnGraph, cx: ChainComplex, g: Propagator,
            rep: Representation) -> DefectValue:
     """The sum of the per-edge terms of the module docstring, made canonical
-    once.
+    once."""
+    _require_abelian(rep)
+    return DefectValue(RatFunc(*_defect_parts(graph, cx, g)))
+
+
+def _defect_parts(graph: DehnGraph, cx: ChainComplex,
+                  g: Propagator) -> Tuple[IntPoly, IntPoly]:
+    """The defect as an unreduced fraction num / den over Z[t].
 
     Every term is c * t^m with c = sign * e and m = e for the label's sign
     and exponent sum e. With `low` the least m, the G2 terms sum to t^low *
@@ -257,7 +309,6 @@ def defect(graph: DehnGraph, cx: ChainComplex, g: Propagator,
     G1 is zero off row s, so only the G1 terms of row s count; they sum to
     t^low * multiplier / d1[s] = t^low * multiplier * den / D1[s], added to
     num / delta by cross-multiplication."""
-    _require_abelian(rep)
     s = g.selected[0]
     g2_terms, g1_terms = [], []
     for e in graph.edges:
@@ -284,7 +335,7 @@ def defect(graph: DehnGraph, cx: ChainComplex, g: Propagator,
         num = [0] * low + num
     else:
         den = [0] * -low + den
-    return DefectValue(RatFunc(num, den))
+    return num, den
 
 
 def _differ_by_integer(p1: IntPoly, q1: IntPoly, p2: IntPoly, q2: IntPoly) -> bool:

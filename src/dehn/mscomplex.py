@@ -9,16 +9,18 @@ signed word maps to the sign times t^(k * exponent sum), and the complex is
 held over Z[t]: the corner labels +-1, +-x make d2 a matrix over Z[t], and
 d1, from the region labels, is one row over Z[t] over a power of t. The
 Q(t) matrices `d2` and `d1` are views built on first read. The elimination
-of [d2 | I] is done once per complex: the exactness report that
-`check_exactness` returns reads rank(d2) off its pivots, and the default
-propagator is read off it.
+of [d2 | I] is the only one a complex makes, and it is made once: the
+exactness report that `check_exactness` returns reads rank(d2) off its
+pivots, and every propagator, whatever its pivot seed, is read off its
+rows (`invariants.build_propagator`), each one once, through the memo
+`propagators`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .algebra import FieldMatrix, IntPoly, RatFunc, fraction_free_gauss_jordan, poly_add
 from .dehngraph import BASEPOINT, DehnGraph
@@ -93,22 +95,23 @@ class ChainComplex:
         return FieldMatrix(self.c0_dim, self.c1_dim,
                            [RatFunc(x, self.d1_den) for x in self.d1_row])
 
-    def eliminate(self, order: Sequence[int]) -> Tuple[List[List[IntPoly]], List[int], int]:
-        """`fraction_free_gauss_jordan` of [d2 | unit columns] over Z[t], the
-        unit column of coordinate order[p] at column c2 + p."""
-        position = {coord: p for p, coord in enumerate(order)}
+    @cached_property
+    def natural_elimination(self) -> Tuple[List[List[int]], List[int], int, int]:
+        """`fraction_free_gauss_jordan` of [d2 | I] over Z[t], its rows still
+        packed, done once per complex: the exactness rank and every
+        propagator read it."""
         rows = []
         for i, row in enumerate(self.d2_rows):
             unit: List[IntPoly] = [[]] * self.c1_dim
-            unit[position[i]] = [1]
+            unit[i] = [1]
             rows.append(list(row) + unit)
         return fraction_free_gauss_jordan(rows)
 
     @cached_property
-    def natural_elimination(self) -> Tuple[List[List[IntPoly]], List[int], int]:
-        """`eliminate` in the natural coordinate order, [d2 | I], done once
-        per complex: the exactness rank and the default propagator read it."""
-        return self.eliminate(range(self.c1_dim))
+    def propagators(self) -> Dict[int, object]:
+        """The propagators built on this complex, by selected coordinate:
+        `invariants.build_propagator` builds and verifies each one once."""
+        return {}
 
     @cached_property
     def _exactness(self) -> ExactnessReport:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra import IntPoly, Polynomial, _unit_free, fraction_free_gauss_jordan, poly_mul
+from .algebra import (IntPoly, Polynomial, _unit_free, _unpack, fraction_free_gauss_jordan,
+                      poly_mul)
 from .diagram import WirtingerPresentation
 from .errors import DehnError
 from .invariants import TorsionValue
@@ -103,7 +104,8 @@ def fox_alexander(presentation: WirtingerPresentation) -> AlexanderPolynomial:
     is shifted into Z[t] by a unit and the rows and columns are permuted
     into a banded order, which moves the determinant by +-t^m only; the
     normalization strips that, so the forward elimination's last pivot is
-    the minor up to the unit.
+    the minor up to the unit; it is the one entry of the elimination
+    unpacked.
     """
     gens = presentation.generators
     if len(gens) < 1:
@@ -117,10 +119,10 @@ def fox_alexander(presentation: WirtingerPresentation) -> AlexanderPolynomial:
     dropped = min(gens)
     column = {g: j for j, g in enumerate(g for g in gens if g != dropped)}
     rows = _banded_order([_fox_row(rel, column) for rel in presentation.relations[:k - 1]])
-    reduced, pivots, _ = fraction_free_gauss_jordan(rows, forward=True)
+    reduced, pivots, _, width = fraction_free_gauss_jordan(rows, forward=True)
     if len(pivots) < k - 1:
         raise DehnError("the first maximal minor of the Fox matrix vanishes")
-    minor = reduced[-1][pivots[-1]]
+    minor = _unpack(reduced[-1][pivots[-1]], width)
     # Strip the t-power and make the leading coefficient positive.
     low = next(i for i, c in enumerate(minor) if c)
     sign = 1 if minor[-1] > 0 else -1

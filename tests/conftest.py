@@ -6,7 +6,7 @@ import itertools
 import json
 from fractions import Fraction
 
-from dehn.algebra import FieldMatrix, Polynomial, RatFunc, fraction_free_gauss_jordan
+from dehn.algebra import FieldMatrix, Polynomial, RatFunc, _unpack, fraction_free_gauss_jordan
 from dehn.dehngraph import BASEPOINT
 from dehn.invariants import DefectValue, _require_abelian
 from dehn.pipeline import run_pipeline
@@ -114,6 +114,23 @@ def rf(num, den=(1,)) -> RatFunc:
     return RatFunc(num, den)
 
 
+def t_power(m: int) -> RatFunc:
+    """t^m in Q(t), for any integer m."""
+    if m >= 0:
+        return RatFunc((0,) * m + (1,))
+    return RatFunc((1,), (0,) * (-m) + (1,))
+
+
+def is_constant(f: RatFunc) -> bool:
+    return len(f.znum) <= 1 and len(f.zden) == 1
+
+
+def as_constant(f: RatFunc) -> Fraction:
+    if not is_constant(f):
+        raise ValueError(f"{f} is not a constant")
+    return Fraction(f.znum[0] if f.znum else 0, f.zden[0])
+
+
 def _as_rf(x) -> RatFunc:
     if isinstance(x, RatFunc):
         return x
@@ -183,9 +200,34 @@ def is_identity(matrix: FieldMatrix) -> bool:
 
 
 def forward_rank(matrix: FieldMatrix) -> int:
-    """Rank by the kernel's forward elimination of the cleared rows, the way
-    the complex's exactness ranks are taken."""
+    """Rank by the kernel's forward elimination of the cleared rows."""
     return len(fraction_free_gauss_jordan(matrix.cleared_rows()[1], forward=True)[1])
+
+
+def gauss_jordan(rows, forward=False):
+    """`fraction_free_gauss_jordan` with every entry of its packed rows
+    unpacked: (rows over Z[t], pivots, sign)."""
+    packed, pivots, sign, k = fraction_free_gauss_jordan(rows, forward)
+    return [[_unpack(v, k) for v in row] for row in packed], pivots, sign
+
+
+def eliminate(cx, order):
+    """[d2 | unit columns] of a complex eliminated in full over Z[t], the
+    unit column of coordinate order[p] at column c2 + p: the elimination
+    each seeded propagator took before the pivot exchange, kept as its
+    reference. Returns the propagator it gives as (numer, delta, selected,
+    sign), its columns in the natural coordinate order."""
+    c2, c1 = cx.c2_dim, cx.c1_dim
+    position = {coord: p for p, coord in enumerate(order)}
+    rows = []
+    for i, row in enumerate(cx.d2_rows):
+        unit = [[]] * c1
+        unit[position[i]] = [1]
+        rows.append(list(row) + unit)
+    reduced, pivots, sign = gauss_jordan(rows)
+    selected = tuple(order[p - c2] for p in pivots if p >= c2)
+    numer = [[reduced[r][c2 + position[j]] for j in range(c1)] for r in range(c2)]
+    return numer, reduced[-1][pivots[-1]], selected, sign
 
 
 # -- polynomial arithmetic over Q ----------------------------------------------
@@ -290,7 +332,7 @@ def qt_image(term) -> RatFunc:
     letter x^-1, one letter at a time in Q(t), each partial product in
     canonical form, independent of the exponent sum behind
     `Representation.exponent`."""
-    t = RatFunc.t()
+    t = t_power(1)
     out = RatFunc.one()
     for _, exp in term.word:
         out = out * t if exp == 1 else out / t
@@ -324,12 +366,12 @@ def qt_fox_derivative(word, gen) -> RatFunc:
     for g, e in word:
         if e == 1:
             if g == gen:
-                result = result + RatFunc.t_power(power)
+                result = result + t_power(power)
             power += 1
         else:
             power -= 1
             if g == gen:
-                result = result - RatFunc.t_power(power)
+                result = result - t_power(power)
     return result
 
 
@@ -385,13 +427,13 @@ def qt_unit_equal(a: RatFunc, b: RatFunc) -> bool:
 def qt_equal_mod_Z(a: RatFunc, b: RatFunc) -> bool:
     """Reference `defect_equal_mod_Z`: a - b, reduced in Q(t), is an integer."""
     diff = a - b
-    return diff.is_constant() and diff.as_constant().denominator == 1
+    return is_constant(diff) and as_constant(diff).denominator == 1
 
 
 def qt_lescop(tor: RatFunc, d: RatFunc) -> bool:
     """Reference `check_lescop_relation`: d = t * tor' / tor modulo the
     integers, in Q(t)."""
-    return qt_equal_mod_Z(d, RatFunc.t() * tor.derivative() / tor)
+    return qt_equal_mod_Z(d, t_power(1) * tor.derivative() / tor)
 
 
 def find_basis_permutation(ours, fixture):

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (CORPUS, connected_sum, forward_rank, from_rows, identity,
-                      mat, poly, poly_gcd, q_add, q_divmod, q_monic, q_mul,
-                      qt_rref, rf, submatrix, torus_pd, transposed, zeros)
+from conftest import (CORPUS, connected_sum, forward_rank, from_rows, gauss_jordan,
+                      identity, mat, poly, poly_gcd, q_add, q_divmod, q_monic, q_mul,
+                      qt_rref, rf, submatrix, t_power, torus_pd, transposed, zeros)
 from dehn import algebra
-from dehn.algebra import (FieldMatrix, Polynomial, RatFunc, _prs_gcd,
-                          common_denominator, fraction_free_gauss_jordan,
+from dehn.algebra import (FieldMatrix, Polynomial, RatFunc, _prs_gcd, common_denominator,
                           pmat_mul, poly_add, poly_mul, unit_equal, zpoly_gcd)
 from dehn.pipeline import compute_result
 
@@ -87,7 +86,7 @@ def test_derivative_quotient_rule():
 
 def test_log_derivative_identity():
     # t*(d/dt)log((t^2-t+1)/(1-t)) computed term by term equals the closed form.
-    t = RatFunc.t()
+    t = t_power(1)
     lhs = t * rf((-1, 2), (1, -1, 1)) + t * rf(1, (1, -1))
     rhs = rf((0, -1, 2), (1, -1, 1)) - rf((0, 1), (-1, 1))
     assert lhs == rhs
@@ -106,7 +105,7 @@ def test_zero_is_zero_over_one():
 def test_unit_equal():
     a = rf((1, -1, 1), (1, -1))
     assert unit_equal(a, a)
-    assert unit_equal(a, -(RatFunc.t_power(3)) * a)
+    assert unit_equal(a, -(t_power(3)) * a)
     assert not unit_equal(a, rf((1, -3, 1), (1, -1)))
     assert not unit_equal(a, a * rf((1, 1)))
 
@@ -125,13 +124,13 @@ def test_rref_zero():
 
 
 def test_rref_boundary_matrix_rank():
-    t = RatFunc.t()
+    t = t_power(1)
     d2 = mat([[-t, -1, 0], [1, 1, 1], [0, -t, -1], [-1, 0, -t]])
     assert forward_rank(d2) == 3
 
 
 def test_det_torsion_matrix():
-    t = RatFunc.t()
+    t = t_power(1)
     m = mat([
         [-t, -1, 0, rf(1, (-1, 1))],
         [1, 1, 1, 0],
@@ -406,7 +405,7 @@ def _assert_inverse_at_points(rows, reduced, pivots, sign, points):
 def test_fraction_free_gauss_jordan_against_evaluation(n, extra, data):
     a = data.draw(int_matrices(n, extra, int_polys(50, 3)))
     rows = [row + [[1] if i == j else [] for j in range(n)] for i, row in enumerate(a)]
-    reduced, pivots, sign = fraction_free_gauss_jordan(rows)
+    reduced, pivots, sign = gauss_jordan(rows)
     assert pivots == qt_rref(_over_q(rows))[1]
     b = [[row[c] for c in pivots] for row in rows]
     degree = (max(len(x) for row in b for x in row) * n
@@ -453,7 +452,7 @@ def test_fraction_free_gauss_jordan_sparse_propagator_shape(a):
     # not up to date.
     n = len(a)
     rows = [row + [[1] if i == j else [] for j in range(n)] for i, row in enumerate(a)]
-    reduced, pivots, sign = fraction_free_gauss_jordan(rows)
+    reduced, pivots, sign = gauss_jordan(rows)
     assert pivots == qt_rref(_over_q(rows))[1]
     b = [[row[c] for c in pivots] for row in rows]
     # deg(B*N) <= deg B + deg N, and deg det B <= the sum of the row degrees.
@@ -468,7 +467,7 @@ def test_fraction_free_gauss_jordan_sparse_propagator_shape(a):
 def test_fraction_free_gauss_jordan_sparse_rank_deficient(a):
     # A alone: zero and dependent rows end below the rank as zero rows, and
     # the result over its common pivot is the reduced form over Q(t).
-    reduced, pivots, sign = fraction_free_gauss_jordan(a)
+    reduced, pivots, sign = gauss_jordan(a)
     expected, expected_pivots, rank = qt_rref(_over_q(a))
     assert pivots == expected_pivots and sign in (1, -1)
     assert all(not any(row) for row in reduced[rank:])
@@ -481,7 +480,7 @@ def test_fraction_free_gauss_jordan_sparse_rank_deficient(a):
 def test_fraction_free_gauss_jordan_rank_deficient():
     # Second row = t * first: one pivot, and the zero column is skipped.
     rows = [[[], [1, 1], [2]], [[], [0, 1, 1], [0, 2]]]
-    reduced, pivots, sign = fraction_free_gauss_jordan(rows)
+    reduced, pivots, sign = gauss_jordan(rows)
     assert pivots == [1] and sign == 1
     assert reduced == [[[], [1, 1], [2]], [[], [], []]]
 
@@ -490,8 +489,8 @@ def _assert_forward_matches_gauss_jordan(rows):
     """Forward mode makes the same pivot choices as Gauss-Jordan: the same
     pivot columns, sign and last pivot, with zero rows below the rank.
     Returns (pivots, sign, last pivot)."""
-    reduced, pivots, sign = fraction_free_gauss_jordan(rows)
-    echelon, fw_pivots, fw_sign = fraction_free_gauss_jordan(rows, forward=True)
+    reduced, pivots, sign = gauss_jordan(rows)
+    echelon, fw_pivots, fw_sign = gauss_jordan(rows, forward=True)
     assert (fw_pivots, fw_sign) == (pivots, sign)
     rank = len(pivots)
     assert all(not any(row) for row in echelon[rank:])
@@ -576,12 +575,12 @@ def test_kernel_width_holds_every_coefficient(monkeypatch, name):
     assert len(calls) >= 2  # the propagator and the Fox minor
     for rows, bound, k in calls:
         monkeypatch.setattr(algebra, "_minor_bound", hadamard)
-        outputs = [fraction_free_gauss_jordan(rows, forward=f) for f in (False, True)]
+        outputs = [gauss_jordan(rows, forward=f) for f in (False, True)]
         largest = max((abs(c) for out, _, _ in outputs for row in out for x in row
                        for c in x), default=0)
         assert largest <= bound < 2 ** (k - 1)
         monkeypatch.setattr(algebra, "_minor_bound", _row_norm_bound)
-        assert [fraction_free_gauss_jordan(rows, forward=f) for f in (False, True)] == outputs
+        assert [gauss_jordan(rows, forward=f) for f in (False, True)] == outputs
 
 
 # -- gcd over Z[t] -------------------------------------------------------------

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
-                      UNKNOT_KINK, defect_terms, det_torsion,
+                      UNKNOT_KINK, defect_terms, det_torsion, eliminate,
                       find_basis_permutation, from_rows, hstack, is_identity,
                       mat, mat_add, pipeline, qt_defect, qt_equal_mod_Z, qt_g1,
                       qt_inverse, qt_lescop, qt_rref, qt_unit_equal, rf, scaled,
-                      submatrix, torus_pd)
+                      submatrix, t_power, torus_pd)
 from dehn import algebra, invariants
 from dehn.algebra import RatFunc, poly_add, poly_mul, unit_equal
 from dehn.errors import DehnError, NotExactError, UnsupportedRepresentationError
@@ -23,7 +23,7 @@ from dehn.invariants import (DefectValue, TorsionValue, _verify_identities,
 from dehn.mscomplex import ChainComplex, Representation, build_complex
 from dehn.oracle import milnor_check
 
-T = RatFunc.t()
+T = t_power(1)
 
 # Reference values for the trefoil with the maximal abelian representation.
 TORSION_TARGET = rf((1, -1, 1), (1, -1))  # (t^2-t+1)/(1-t), up to units
@@ -148,6 +148,35 @@ def test_verify_identities_rejects_every_unit_perturbation(text):
         for c in (1, -1):
             with pytest.raises(DehnError, match="g2\\*d2"):
                 _verify_identities(cx, dataclasses.replace(g, delta=bumped(g.delta, p, c)))
+
+
+@pytest.mark.parametrize("delta", [[], [0]])
+def test_verify_identities_rejects_a_zero_delta(delta):
+    # With N = 0 and delta = 0 every packed side reads 0, so each identity
+    # would pass; delta = 0 is rejected first, trimmed or not.
+    run = pipeline(FIG8)
+    cx, g = run.complex, run.propagator
+    zero = dataclasses.replace(g, numer=[[[] for _ in row] for row in g.numer], delta=delta)
+    with pytest.raises(DehnError, match="delta = 0"):
+        _verify_identities(cx, zero)
+
+
+_EXCHANGE_KNOTS = dict(CORPUS, **{"3_1 kinked": TREFOIL_KINKED, "4_1 kinked": FIG8_KINKED},
+                       **{f"T(2,{n})": torus_pd(n) for n in range(3, 22, 2)})
+
+
+@pytest.mark.parametrize("name", sorted(_EXCHANGE_KNOTS))
+def test_pivot_exchange_matches_the_full_elimination(name):
+    # For every coordinate s with d1[s] != 0, the propagator exchanged from
+    # the natural elimination equals the one a full elimination with s first
+    # among the unit columns gives: the same numer, delta, sign and selected.
+    cx = pipeline(_EXCHANGE_KNOTS[name]).complex
+    coords = [s for s in range(cx.c1_dim) if cx.d1_row[s]]
+    assert coords
+    for s in coords:
+        g = invariants._exchanged(cx, s)
+        order = [s] + [j for j in range(cx.c1_dim) if j != s]
+        assert (g.numer, g.delta, g.selected, g.sign) == eliminate(cx, order), s
 
 
 def _one_crossing_complex():
@@ -304,7 +333,7 @@ def test_fig8_torsion():
 
 def test_torsion_normalization_unit_bookkeeping():
     run = pipeline(TREFOIL)
-    unit = RatFunc(run.tor.unit_sign) * RatFunc.t_power(run.tor.unit_power)
+    unit = RatFunc(run.tor.unit_sign) * t_power(run.tor.unit_power)
     assert run.tor.raw == unit * run.tor.normalized
     assert run.tor.normalized.num.coeffs[0] > 0
     assert run.tor.normalized.den.coeffs[0] != 0
@@ -312,7 +341,7 @@ def test_torsion_normalization_unit_bookkeeping():
 
 def test_torsion_equal_up_to_units_cases():
     a = TorsionValue(TORSION_TARGET, TORSION_TARGET, 1, 0)
-    scaled = -(RatFunc.t_power(3)) * TORSION_TARGET
+    scaled = -(t_power(3)) * TORSION_TARGET
     b = TorsionValue(scaled, TORSION_TARGET, -1, 3)
     assert torsion_equal_up_to_units(a, b)
     other = rf((1, -3, 1), (1, -1))
@@ -396,7 +425,7 @@ def _ratfuncs(nonzero=False):
 @given(_ratfuncs(), _ratfuncs(), st.sampled_from((1, -1)), st.integers(-3, 3))
 def test_unit_equal_agrees_with_qt_reference(a, b, sign, m):
     assert unit_equal(a, b) == qt_unit_equal(a, b)
-    moved = RatFunc(sign) * RatFunc.t_power(m) * a
+    moved = RatFunc(sign) * t_power(m) * a
     assert unit_equal(a, moved) and qt_unit_equal(a, moved)
     if not a.is_zero():
         assert not unit_equal(a, a * rf((1, 1)))
@@ -435,7 +464,7 @@ def test_lescop_relation_on_corpus(name, text):
 
 def test_lescop_insensitive_to_torsion_unit():
     run = pipeline(TREFOIL)
-    scaled = -(RatFunc.t_power(5)) * run.tor.raw
+    scaled = -(t_power(5)) * run.tor.raw
     tor = TorsionValue(scaled, run.tor.normalized, -1, 5)
     assert check_lescop_relation(tor, run.d)
 

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
-                      is_zero_matrix, mat, qt_complex, qt_image, torus_pd)
-from dehn.algebra import RatFunc
+                      is_zero_matrix, mat, qt_complex, qt_image, t_power, torus_pd)
+from dehn.algebra import RatFunc, _unpack
 from dehn.dehngraph import (GroupRingTerm, build_d1, build_d2, build_dehn_graph,
                             graph_from_json, graph_to_json)
 from dehn.diagram import build_diagram, parse_pd
@@ -37,7 +37,7 @@ def test_abelian_exponent_matches_the_letter_by_letter_image(sign, letters):
     # images of its letters one at a time in Q(t).
     term = GroupRingTerm(sign, tuple(letters))
     m = Representation.abelian().exponent(term.word)
-    assert RatFunc(sign) * RatFunc.t_power(m) == qt_image(term)
+    assert RatFunc(sign) * t_power(m) == qt_image(term)
 
 
 # -- boundary matrices -----------------------------------------------------------
@@ -183,8 +183,9 @@ def test_exactness_witness_read_off_the_elimination(d2_rows, d1_row, witness):
 
 @pytest.mark.parametrize("text", [TREFOIL, FIG8_KINKED])
 def test_exactness_and_default_propagator_share_one_elimination(text, monkeypatch):
-    # The rank is read off the cached [d2 | I] elimination, and the
-    # propagator in the natural order reads the same one: one kernel call.
+    # The rank is read off the cached [d2 | I] elimination, and every
+    # propagator, in the natural order or under any seed, reads the same
+    # one: one kernel call per complex.
     calls = []
     kernel = mscomplex.fraction_free_gauss_jordan
     monkeypatch.setattr(mscomplex, "fraction_free_gauss_jordan",
@@ -192,10 +193,11 @@ def test_exactness_and_default_propagator_share_one_elimination(text, monkeypatc
     _, _, _, cx = _complex(text)
     assert check_exactness(cx).exact
     g = build_propagator(cx)
-    reduced, pivots, _ = cx.natural_elimination
-    assert calls == [False] and g.delta is reduced[-1][pivots[-1]]
-    build_propagator(cx, pivot_seed=3)
-    assert calls == [False, False]
+    reduced, pivots, _, k = cx.natural_elimination
+    assert calls == [False] and g.delta == _unpack(reduced[-1][pivots[-1]], k)
+    seeded = [build_propagator(cx, pivot_seed=seed) for seed in range(10)]
+    assert calls == [False]
+    assert len({h.selected for h in seeded}) > 1
 
 
 # -- serialization -------------------------------------------------------------------

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (ALEXANDER, CORPUS, FIG8, TREFOIL, UNKNOT_KINK, connected_sum,
-                      pipeline, poly, qt_fox_derivative, torus_pd)
+                      pipeline, poly, qt_fox_derivative, t_power, torus_pd)
 from dehn import oracle
-from dehn.algebra import Polynomial, RatFunc, fraction_free_gauss_jordan, unit_equal
+from dehn.algebra import Polynomial, RatFunc, _pack, fraction_free_gauss_jordan, unit_equal
 from dehn.diagram import WirtingerPresentation, build_diagram, parse_pd, wirtinger
 from dehn.errors import DehnError
 from dehn.oracle import AlexanderPolynomial, _fox_row, fox_alexander, milnor_check
@@ -57,13 +57,16 @@ def test_fox_minor_is_normalized(monkeypatch, minor):
     # the elimination's last pivot (a Z[t] minor, so a Laurent one comes in
     # times the t-power that clears it): the reported polynomial has a
     # nonzero constant term and a positive leading coefficient, and stays
-    # unit-equal to the minor.
+    # unit-equal to the minor. The kernel returns its rows packed; the
+    # planted pivot is packed at a width that holds it, returned as the
+    # width, since the oracle unpacks no other entry.
     planted = [0] * (len(minor.zden) - 1) + list(minor.znum)
+    width = 16
 
     def eliminate(rows, forward=False):
-        reduced, pivots, sign = fraction_free_gauss_jordan(rows, forward)
-        reduced[-1][pivots[-1]] = planted
-        return reduced, pivots, sign
+        reduced, pivots, sign, _ = fraction_free_gauss_jordan(rows, forward)
+        reduced[-1][pivots[-1]] = _pack(planted, width)
+        return reduced, pivots, sign, width
 
     monkeypatch.setattr(oracle, "fraction_free_gauss_jordan", eliminate)
     p = _alexander(TREFOIL).poly
@@ -105,7 +108,7 @@ def test_fox_rows_match_reference(word, gens):
     # A Laurent polynomial's reduced form is num / t^j with num(0) != 0.
     low = min((next(i for i, c in enumerate(e.znum) if c) - (len(e.zden) - 1)
                for e in expected if not e.is_zero()), default=0)
-    assert [RatFunc(x) for x in row] == [e * RatFunc.t_power(-low) for e in expected]
+    assert [RatFunc(x) for x in row] == [e * t_power(-low) for e in expected]
 
 
 def _shuffled(presentation, rng):
