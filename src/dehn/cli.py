@@ -2,14 +2,19 @@
 
 Subcommands: compute (full invariant JSON per knot), graph (DOT or JSON of
 the Dehn graph), check (the invariant/property suite), oracle (Alexander
-polynomial only). Input is an inline PD string or a file with one knot per
-line; lines starting with '#' and blank lines are skipped. Errors write a
-machine-readable JSON object to stderr and nothing to stdout.
+polynomial only), each declared by its sub-parser's per-knot function, task
+fields, text renderer and pass rule. One driver, `_run`, reads an inline PD
+string or a file with one knot per line ('#' lines and blank lines skipped),
+maps that function over the knots (in worker processes under `--parallel`),
+writes JSON, DOT or text in input order and returns the exit code. The
+parser is built once per process. Errors, usage errors included, write one
+JSON line to stderr and nothing to stdout; `--help` stays plain text.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,6 +30,9 @@ from .mscomplex import check_exactness
 from .oracle import fox_alexander
 from .pipeline import SCHEMA_VERSION, run_pipeline
 
+# The least value of each integer option that has one (--seeds is check's).
+_FLOORS = {"parallel": 1, "seeds": 0}
+
 
 def _read_inputs(args) -> List[str]:
     if (args.pd is None) == (args.file is None):
@@ -37,29 +45,10 @@ def _read_inputs(args) -> List[str]:
             raw_lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.file}: {exc}") from None
-    lines = []
-    for line in raw_lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        lines.append(line)
+    lines = [line for line in map(str.strip, raw_lines) if line and not line.startswith("#")]
     if not lines:
         raise ConfigError(f"no knots found in {args.file}")
     return lines
-
-
-def _emit(args, payloads: List[dict], text_renderer) -> None:
-    if args.format == "json":
-        out = payloads[0] if args.pd is not None else payloads
-        sys.stdout.write(json.dumps(out, indent=2) + "\n")
-    else:
-        for p in payloads:
-            sys.stdout.write(text_renderer(p))
-
-
-def _compute_one(task) -> dict:
-    pd_text, outer_region, pivot_seed = task
-    return run_pipeline(pd_text, outer_region, pivot_seed).to_json_dict()
 
 
 def _worker_count(parallel: int, tasks: int, cpus: Optional[int]) -> int:
@@ -68,29 +57,36 @@ def _worker_count(parallel: int, tasks: int, cpus: Optional[int]) -> int:
     return min(parallel, tasks, cpus or 1)
 
 
-def _map_tasks(fn, tasks, parallel: int):
-    workers = _worker_count(parallel, len(tasks), os.cpu_count())
+def _run(args) -> int:
+    """Map the subcommand's per-knot function over the input knots and write
+    the results in input order; exit code 0 if every result passes, else 1."""
+    tasks = [(text, *(getattr(args, name) for name in args.fields))
+             for text in _read_inputs(args)]
+    workers = _worker_count(args.parallel, len(tasks), os.cpu_count())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+            results = list(pool.map(args.one, tasks))
+    else:
+        results = [args.one(task) for task in tasks]
+    if args.format == "json":
+        out = results[0] if args.pd is not None else results
+        sys.stdout.write(json.dumps(out, indent=2) + "\n")
+    else:
+        sys.stdout.write("".join(map(args.render, results)))
+    return 0 if all(map(args.passed, results)) else 1
 
 
-def cmd_compute(args) -> int:
-    inputs = _read_inputs(args)
-    tasks = [(text, args.outer_region, args.pivot_seed) for text in inputs]
-    results = _map_tasks(_compute_one, tasks, args.parallel)
+def _compute_one(task) -> dict:
+    pd_text, outer_region, pivot_seed = task
+    return run_pipeline(pd_text, outer_region, pivot_seed).to_json_dict()
 
-    def render(r: dict) -> str:
-        checks = ", ".join(f"{k}={'ok' if v else 'FAIL'}"
-                           for k, v in r["checks"].items())
-        return (f"pd {r['pd']}  crossings {r['crossings']}\n"
-                f"  torsion    {r['torsion']['normalized']['display']}\n"
-                f"  defect     {r['defect']['representative']['display']}  (mod Z)\n"
-                f"  checks     {checks}\n")
 
-    _emit(args, results, render)
-    return 0 if all(all(r["checks"].values()) for r in results) else 1
+def _compute_text(r: dict) -> str:
+    checks = ", ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in r["checks"].items())
+    return (f"pd {r['pd']}  crossings {r['crossings']}\n"
+            f"  torsion    {r['torsion']['normalized']['display']}\n"
+            f"  defect     {r['defect']['representative']['display']}  (mod Z)\n"
+            f"  checks     {checks}\n")
 
 
 def _graph_one(task):
@@ -98,18 +94,6 @@ def _graph_one(task):
     diagram = build_diagram(parse_pd(pd_text), outer_region=outer_region)
     graph = build_dehn_graph(diagram, build_d1(diagram), build_d2(diagram))
     return export_dot(graph) if fmt == "dot" else graph_to_json(graph)
-
-
-def cmd_graph(args) -> int:
-    inputs = _read_inputs(args)
-    tasks = [(text, args.outer_region, args.format) for text in inputs]
-    outputs = _map_tasks(_graph_one, tasks, args.parallel)
-    if args.format == "dot":
-        sys.stdout.write("".join(outputs))
-    else:
-        out = outputs[0] if args.pd is not None else outputs
-        sys.stdout.write(json.dumps(out, indent=2) + "\n")
-    return 0
 
 
 def _check_one(task) -> dict:
@@ -131,7 +115,7 @@ def _check_one(task) -> dict:
             total = poly_add(total, [sign], shift=e - low)
         sums_ok = sums_ok and not total
     checks["corner_label_sums"] = sums_ok
-    checks["d2_consistency"] = not run.d2_violations  # run_pipeline raised on any
+    checks["d2_consistency"] = True  # run_pipeline raised on any violation
     checks["exact"] = check_exactness(cx).exact
     checks["propagator"] = True  # identities are verified at construction
     checks["lescop"] = run.lescop_ok
@@ -150,21 +134,9 @@ def _check_one(task) -> dict:
     return {"pd": run.pd.to_text(), "passed": all(checks.values()), "checks": checks}
 
 
-def cmd_check(args) -> int:
-    if args.seeds < 0:
-        raise ConfigError(f"--seeds must be at least 0, got {args.seeds}")
-    inputs = _read_inputs(args)
-    tasks = [(text, args.outer_region, args.seeds) for text in inputs]
-    results = _map_tasks(_check_one, tasks, args.parallel)
-
-    def render(r: dict) -> str:
-        status = "PASS" if r["passed"] else "FAIL"
-        detail = "" if r["passed"] else (
-            "  failing: " + ", ".join(k for k, v in r["checks"].items() if not v))
-        return f"{status} {r['pd']}{detail}\n"
-
-    _emit(args, results, render)
-    return 0 if all(r["passed"] for r in results) else 1
+def _check_text(r: dict) -> str:
+    failing = ", ".join(k for k, v in r["checks"].items() if not v)
+    return f"PASS {r['pd']}\n" if r["passed"] else f"FAIL {r['pd']}  failing: {failing}\n"
 
 
 def _oracle_one(task) -> dict:
@@ -178,16 +150,11 @@ def _oracle_one(task) -> dict:
     }
 
 
-def cmd_oracle(args) -> int:
-    inputs = _read_inputs(args)
-    tasks = [(text, args.outer_region) for text in inputs]
-    results = _map_tasks(_oracle_one, tasks, args.parallel)
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise `ConfigError` (exit 6); exit 2 means a bad PD code."""
 
-    def render(r: dict) -> str:
-        return f"{r['pd']}  alexander {r['display']}\n"
-
-    _emit(args, results, render)
-    return 0
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def _add_common(parser: argparse.ArgumentParser, formats, default_format) -> None:
@@ -200,8 +167,10 @@ def _add_common(parser: argparse.ArgumentParser, formats, default_format) -> Non
                         help="worker processes for multi-knot input")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The `dehn` parser, built on the first call and shared by later ones."""
+    parser = _Parser(
         prog="dehn",
         description="Knot exterior invariants (torsion and abelian defect) "
                     "from PD codes, in exact arithmetic.")
@@ -211,32 +180,38 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, ["json", "text"], "json")
     p.add_argument("--pivot-seed", type=int, default=None,
                    help="randomize the propagator coordinate choice")
-    p.set_defaults(fn=cmd_compute)
+    p.set_defaults(one=_compute_one, fields=("outer_region", "pivot_seed"),
+                   render=_compute_text, passed=lambda r: all(r["checks"].values()))
 
     p = sub.add_parser("graph", help="export the Dehn graph")
     _add_common(p, ["dot", "json"], "dot")
-    p.set_defaults(fn=cmd_graph)
+    p.set_defaults(one=_graph_one, fields=("outer_region", "format"),
+                   render=str, passed=lambda r: True)  # DOT text is written as is
 
     p = sub.add_parser("check", help="run the invariant/property suite")
     _add_common(p, ["json", "text"], "text")
     p.add_argument("--seeds", type=int, default=10,
                    help="number of propagator seeds for independence checks")
-    p.set_defaults(fn=cmd_check)
+    p.set_defaults(one=_check_one, fields=("outer_region", "seeds"),
+                   render=_check_text, passed=lambda r: r["passed"])
 
     p = sub.add_parser("oracle", help="Alexander polynomial via Fox calculus")
     _add_common(p, ["json", "text"], "json")
-    p.set_defaults(fn=cmd_oracle)
+    p.set_defaults(one=_oracle_one, fields=("outer_region",),
+                   render=lambda r: f"{r['pd']}  alexander {r['display']}\n",
+                   passed=lambda r: True)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.parallel < 1:
-            raise ConfigError(f"--parallel must be at least 1, got {args.parallel}")
-        return args.fn(args)
+        args = build_parser().parse_args(argv)
+        for name, low in _FLOORS.items():
+            value = getattr(args, name, low)
+            if value < low:
+                raise ConfigError(f"--{name} must be at least {low}, got {value}")
+        return _run(args)
     except DehnError as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc),
                              "exit_code": exc.exit_code},

@@ -59,24 +59,22 @@ def build_d1(diagram: KnotDiagram) -> CornerLabeling:
 
 def build_d2(diagram: KnotDiagram) -> RegionLabeling:
     """Breadth-first label propagation over the dual graph from the unbounded
-    region; deterministic because edges are scanned in ascending label order."""
+    region; deterministic because each region's edges are read in ascending
+    label order."""
+    # region -> (neighbouring region, word to cross the edge's arc), by edge.
+    crossings: Dict[int, List[Tuple[int, Word]]] = {r.id: [] for r in diagram.regions}
+    for e in sorted(diagram.edge_tail):
+        left, right = diagram.left_region(e), diagram.right_region(e)
+        gen = ((diagram.arc_of_edge[e], 1),)
+        crossings[left].append((right, gen))
+        crossings[right].append((left, word_inv(gen)))
     labels: RegionLabeling = {diagram.unbounded_region: ()}
-    frontier = [diagram.unbounded_region]
-    edges = sorted(diagram.edge_tail)
-    while frontier:
-        next_frontier = []
-        for region in frontier:
-            for e in edges:
-                left = diagram.left_region(e)
-                right = diagram.right_region(e)
-                gen = ((diagram.arc_of_edge[e], 1),)
-                if left == region and right not in labels:
-                    labels[right] = word_mul(gen, labels[left])
-                    next_frontier.append(right)
-                elif right == region and left not in labels:
-                    labels[left] = word_mul(word_inv(gen), labels[right])
-                    next_frontier.append(left)
-        frontier = next_frontier
+    queue = [diagram.unbounded_region]
+    for region in queue:  # the queue grows while it is read
+        for other, word in crossings[region]:
+            if other not in labels:
+                labels[other] = word_mul(word, labels[region])
+                queue.append(other)
     if len(labels) != len(diagram.regions):
         raise AssertionError("region adjacency graph is not connected")
     return labels

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from .dehngraph import (CornerLabeling, DehnGraph, RegionLabeling, build_d1,
                         build_d2, build_dehn_graph, check_d2)
@@ -32,7 +32,6 @@ class PipelineRun:
     tor: TorsionValue
     d: DefectValue
     alexander: AlexanderPolynomial
-    d2_violations: List[dict]
     lescop_ok: bool
     milnor_ok: bool
 
@@ -48,12 +47,13 @@ class PipelineRun:
             "defect": {
                 "representative": self.d.representative.to_json(),
             },
+            # run_pipeline raises unless exact, propagator and d2_consistency hold.
             "checks": {
                 "exact": True,
                 "propagator": True,
                 "lescop": self.lescop_ok,
                 "milnor": self.milnor_ok,
-                "d2_consistency": not self.d2_violations,
+                "d2_consistency": True,
             },
         }
 
@@ -85,7 +85,7 @@ def run_pipeline(pd_text: str, outer_region: Optional[int] = None,
     return PipelineRun(
         pd=pd, diagram=diagram, d1_labels=d1_labels, d2_labels=d2_labels,
         graph=graph, rep=rep, complex=cx, propagator=g, tor=tor, d=d,
-        alexander=alex, d2_violations=violations,
+        alexander=alex,
         lescop_ok=check_lescop_relation(tor, d),
         milnor_ok=milnor_check(tor, alex),
     )

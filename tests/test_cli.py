@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -69,13 +70,42 @@ def test_file_input_with_a_byte_order_mark(tmp_path, capsys):
         assert run_cli(capsys, "compute", "--file", str(marked)) == expected
 
 
-def test_compute_parallel_preserves_order(tmp_path, capsys):
+BATCH_CASES = [("compute", "json"), ("compute", "text"), ("graph", "dot"),
+               ("graph", "json"), ("check", "json"), ("check", "text"),
+               ("oracle", "json"), ("oracle", "text")]
+
+
+@pytest.mark.parametrize("command, fmt", BATCH_CASES, ids=[f"{c}-{f}" for c, f in BATCH_CASES])
+def test_batch_matches_single_knots(tmp_path, capsys, command, fmt):
+    # A --file batch prints the same under --parallel 2 as under --parallel 1,
+    # and its items are the knots' --pd outputs, in input order.
+    knots = (TREFOIL, UNKNOT_KINK, FIG8)
     f = tmp_path / "knots.txt"
-    f.write_text(f"{TREFOIL}\n{UNKNOT_KINK}\n{FIG8}\n")
-    code, out, _ = run_cli(capsys, "compute", "--file", str(f), "--parallel", "2")
-    assert code == 0
-    data = json.loads(out)
-    assert [d["crossings"] for d in data] == [3, 1, 4]
+    f.write_text("".join(f"{k}\n" for k in knots))
+    argv = (command, "--format", fmt) + (("--seeds", "3") if command == "check" else ())
+    singles = [run_cli(capsys, *argv, "--pd", k) for k in knots]
+    assert all(code == 0 and out and err == "" for code, out, err in singles)
+    batch = run_cli(capsys, *argv, "--file", str(f), "--parallel", "1")
+    assert batch[0] == 0 and batch[2] == ""
+    assert run_cli(capsys, *argv, "--file", str(f), "--parallel", "2") == batch
+    if fmt == "json":
+        assert json.loads(batch[1]) == [json.loads(out) for _, out, _ in singles]
+    else:
+        assert batch[1] == "".join(out for _, out, _ in singles)
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    assert run_cli(capsys, "oracle", "--pd", TREFOIL)[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(parser, *args, **kwargs):
+        built.append(parser)
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(capsys, "check", "--pd", TREFOIL, "--seeds", "1")[0] == 0
+    assert built == []
 
 
 def test_graph_dot_matches_library(capsys):
@@ -84,17 +114,6 @@ def test_graph_dot_matches_library(capsys):
     d = build_diagram(parse_pd(TREFOIL))
     expected = export_dot(build_dehn_graph(d, build_d1(d), build_d2(d)))
     assert out == expected
-
-
-def test_graph_parallel_matches_sequential(tmp_path, capsys):
-    f = tmp_path / "knots.txt"
-    f.write_text(f"{TREFOIL}\n{UNKNOT_KINK}\n{FIG8}\n")
-    for fmt in ("dot", "json"):
-        code, sequential, _ = run_cli(capsys, "graph", "--file", str(f), "--format", fmt)
-        assert code == 0
-        code, parallel, _ = run_cli(capsys, "graph", "--file", str(f), "--format", fmt,
-                                    "--parallel", "2")
-        assert code == 0 and parallel == sequential
 
 
 def test_graph_json(capsys):
@@ -125,6 +144,15 @@ def test_oracle_command(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["alexander"] == ["1", "-3", "1"]
+
+
+def test_a_failing_check_exits_1(capsys, monkeypatch):
+    import dehn.pipeline
+    monkeypatch.setattr(dehn.pipeline, "milnor_check", lambda *args: False)
+    code, out, _ = run_cli(capsys, "compute", "--pd", TREFOIL)
+    assert code == 1 and json.loads(out)["checks"]["milnor"] is False
+    code, out, _ = run_cli(capsys, "check", "--pd", TREFOIL, "--seeds", "1")
+    assert code == 1 and out.startswith("FAIL ") and out.endswith("  failing: milnor\n")
 
 
 # -- error handling --------------------------------------------------------------
@@ -232,6 +260,35 @@ def test_seeds_below_zero_is_a_config_error(capsys):
     code, out, _ = run_cli(capsys, "check", "--pd", TREFOIL, "--seeds", "0",
                            "--format", "json")
     assert code == 0 and json.loads(out)["checks"]["seed_independence"] is True
+
+
+USAGE_ERRORS = {
+    "parallel-not-int": ("compute", "--pd", TREFOIL, "--parallel", "abc"),
+    "seeds-not-int": ("check", "--pd", TREFOIL, "--seeds", "many"),
+    "pivot-seed-not-int": ("compute", "--pd", TREFOIL, "--pivot-seed", "1.5"),
+    "outer-region-not-int": ("oracle", "--pd", TREFOIL, "--outer-region", "outer"),
+    "unknown-flag": ("graph", "--pd", TREFOIL, "--bogus"),
+    "unknown-format": ("graph", "--pd", TREFOIL, "--format", "text"),
+    "missing-subcommand": (),
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_is_a_config_error(capsys, argv):
+    # argparse alone would print usage text and exit 2, the code of a bad PD.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 6 and out == "" and len(err.splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError" and error["exit_code"] == 6
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("check", "--help")], ids=["dehn", "check"])
+def test_help_is_plain_text(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 0 and captured.err == ""
+    assert captured.out.startswith("usage: dehn")
 
 
 def test_worker_count_is_capped_by_tasks_and_cpus():
