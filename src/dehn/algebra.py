@@ -3,13 +3,12 @@ kernel for polynomials and matrices over Z[t].
 
 A `RatFunc` is a pair of integer polynomials in a unique reduced form, and
 its arithmetic is the kernel's: `poly_mul`, `poly_add` and the gcd
-`zpoly_gcd`, a heuristic gcd on packed integers whose answer is proved by
-exact division, with a remainder-sequence fallback. Every elimination runs
-in the kernel too, through the one fraction-free loop
-`fraction_free_gauss_jordan` over Z[t], at a packing width proved by a
-Hadamard-type bound: Gauss-Jordan of a complex's [d2 | I], whose pivots
-give the exactness rank and whose rows give every propagator, and
-forward-only for the Fox minor's determinant. It returns its rows packed,
+`zpoly_gcd`, the primitive remainder sequence, with the cofactors taken by
+exact division. Every elimination runs in the kernel too, through the one
+fraction-free loop `fraction_free_gauss_jordan` over Z[t], at a packing
+width proved by a Hadamard-type bound: Gauss-Jordan of a complex's
+[d2 | I], whose pivots give the exactness rank and whose rows give every
+propagator, and forward-only for the Fox minor's determinant. It returns its rows packed,
 so each caller unpacks only the entries it reads.
 `FieldMatrix`, a dense matrix over Q(t), is the view that the complex and
 the propagator are read and serialized through; its reduced form and
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 Coeffish = Union[int, Fraction]
 
@@ -133,12 +132,11 @@ class RatFunc:
     __slots__ = ("znum", "zden")
 
     def __init__(self, num, den=(1,)):
-        (num, num_int), (den, den_int) = _coefficients(num), _coefficients(den)
-        if not (num_int and den_int):
-            scale = lcm(*(c.denominator for c in num), *(c.denominator for c in den))
-            num = [c.numerator * (scale // c.denominator) for c in num]
-            den = [c.numerator * (scale // c.denominator) for c in den]
-        num, den = _trim(num), _trim(den)
+        num, den = _coefficients(num), _coefficients(den)
+        # Both parts over the lcm of their denominators, 1 for ints.
+        scale = lcm(*(c.denominator for c in num), *(c.denominator for c in den))
+        num = _trim([c.numerator * (scale // c.denominator) for c in num])
+        den = _trim([c.numerator * (scale // c.denominator) for c in den])
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         # The gcd's cofactors have joint content 1; fixing the sign of the
@@ -148,6 +146,14 @@ class RatFunc:
             num, den = [-c for c in num], [-c for c in den]
         object.__setattr__(self, "znum", tuple(num))
         object.__setattr__(self, "zden", tuple(den))
+
+    @classmethod
+    def _reduced(cls, znum: Sequence[int], zden: Sequence[int]) -> "RatFunc":
+        """znum / zden for a pair already in the unique form, with no gcd."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "znum", tuple(znum))
+        object.__setattr__(out, "zden", tuple(zden))
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
@@ -192,11 +198,8 @@ class RatFunc:
 
     def __neg__(self) -> "RatFunc":
         # (-znum, zden) keeps joint content 1 and the denominator's sign, so
-        # it is already the reduced form: no gcd.
-        out = object.__new__(RatFunc)
-        object.__setattr__(out, "znum", tuple(-c for c in self.znum))
-        object.__setattr__(out, "zden", self.zden)
-        return out
+        # it is already the reduced form.
+        return RatFunc._reduced([-c for c in self.znum], self.zden)
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc(poly_add(poly_mul(self.znum, other.zden),
@@ -230,9 +233,7 @@ class RatFunc:
     # -- display / serialization --------------------------------------
 
     def __str__(self) -> str:
-        if len(self.zden) == 1:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
+        return _display(self.num, self.den)
 
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r}, {self.den!r})"
@@ -240,10 +241,11 @@ class RatFunc:
     def to_json(self) -> dict:
         """Machine-stable form: exact coefficient strings of `num` and `den`,
         constant term first."""
+        num, den = self.num, self.den
         return {
-            "num": [str(c) for c in self.num.coeffs],
-            "den": [str(c) for c in self.den.coeffs],
-            "display": str(self),
+            "num": [str(c) for c in num.coeffs],
+            "den": [str(c) for c in den.coeffs],
+            "display": _display(num, den),
         }
 
     @classmethod
@@ -251,22 +253,20 @@ class RatFunc:
         return cls([Fraction(c) for c in data["num"]], [Fraction(c) for c in data["den"]])
 
 
-def _coefficients(p) -> Tuple[list, bool]:
+def _display(num: Polynomial, den: Polynomial) -> str:
+    return str(num) if den.degree == 0 else f"({num})/({den})"
+
+
+def _coefficients(p) -> List[Coeffish]:
     """The coefficients of a Polynomial, a rational constant or a sequence of
-    rationals, as a new list, and whether they are all ints."""
+    rationals, as a new list."""
     if isinstance(p, Polynomial):
-        return list(p.coeffs), False
-    if isinstance(p, (int, Fraction)):
-        return [p], isinstance(p, int)
-    cs = list(p)
-    integral = True
+        return list(p.coeffs)
+    cs = [p] if isinstance(p, (int, Fraction)) else list(p)
     for c in cs:
-        if type(c) is not int:
-            if isinstance(c, Fraction):
-                integral = False
-            elif not isinstance(c, int):
-                raise TypeError(f"cannot use {type(c).__name__} as a rational coefficient")
-    return cs, integral
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"cannot use {type(c).__name__} as a rational coefficient")
+    return cs
 
 
 def _derivative(p: Sequence[int]) -> IntPoly:
@@ -614,19 +614,9 @@ def _exact_div(a: int, b: int) -> int:
 
 # -- gcd over Z[t] ---------------------------------------------------------
 #
-# GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 1989) on the packed
-# integers: for primitive f and g, take the integer gcd of f(2^k) and g(2^k)
-# with 2^k >= 2*min(|f|_inf, |g|_inf) + 2, and read a candidate h off its
-# signed base-2^k digits. Every root of f (say) has modulus below
-# 1 + |f|_inf <= 2^(k-1), so a nonconstant factor u of f has |u(2^k)| > 2^(k-1),
-# while the digits, and so the content of h, are at most 2^(k-1). If pp(h)
-# divides f and g, gcd(f, g) = pp(h) * u with u(2^k) dividing that content,
-# hence u = +-1 and pp(h) is the gcd. Divisibility is proved by exhibiting
-# the quotient, so an accepted candidate is never a guess; when the
-# candidates fail, the primitive polynomial remainder sequence (Collins 1967,
-# Brown 1971) decides.
-
-_HEURISTIC_TRIES = 4
+# The primitive polynomial remainder sequence (Collins 1967, Brown 1971) on
+# the primitive parts, with the content and the t-power split off first;
+# the cofactors are exact quotients.
 
 
 def _primitive(p: Sequence[int]) -> IntPoly:
@@ -637,27 +627,22 @@ def _primitive(p: Sequence[int]) -> IntPoly:
     return [x // c for x in p]
 
 
-def _exact_quotient(f: Sequence[int], h: Sequence[int]) -> Optional[IntPoly]:
-    """f / h in Z[t] if h divides f, else None; h is nonzero.
-
-    A quotient q of f has |q|_inf <= 2^deg(q) * |f|_1 (Mignotte), and the
-    packing width holds h * q under that bound. So if h divides f, the packed
-    division is exact and unpacks to q. Conversely, an exact division whose
-    quotient unpacks within the bound makes h * q and f two polynomials with
-    coefficients inside the width and the same packed value, hence equal.
-    """
-    if not f:
-        return []
-    dq = len(f) - len(h)
-    if dq < 0 or f[-1] % h[-1] or (h[0] and f[0] % h[0]):
-        return None
-    bound = (1 << dq) * _norm1(f)
-    k = _packing_bits(bound * _norm1(h))
-    q, rem = divmod(_pack(f, k), _pack(h, k))
-    if rem:
-        return None
-    q = _unpack(q, k)
-    return q if max(map(abs, q)) <= bound else None
+def _exact_quotient(f: Sequence[int], h: Sequence[int]) -> IntPoly:
+    """f / h in Z[t] by long division, for nonzero h; raises ArithmeticError
+    on a remainder."""
+    r, n, lead = list(f), len(h), h[-1]
+    q = []
+    for shift in range(len(r) - n, -1, -1):
+        c, rem = divmod(r[shift + n - 1], lead)
+        if rem:
+            raise ArithmeticError("inexact division in Z[t]")
+        if c:
+            for i, y in enumerate(h, shift):
+                r[i] -= c * y
+        q.append(c)
+    if any(r):
+        raise ArithmeticError("inexact division in Z[t]")
+    return q[::-1]
 
 
 def _prs_gcd(f: Sequence[int], g: Sequence[int]) -> IntPoly:
@@ -666,7 +651,7 @@ def _prs_gcd(f: Sequence[int], g: Sequence[int]) -> IntPoly:
     a, b = _primitive(f), _primitive(g)
     if len(a) < len(b):
         a, b = b, a
-    while b:
+    while len(b) > 1:
         # Pseudo-remainder of a by b, one leading term at a time.
         r, lb = list(a), b[-1]
         while len(r) >= len(b):
@@ -677,29 +662,8 @@ def _prs_gcd(f: Sequence[int], g: Sequence[int]) -> IntPoly:
             while r and not r[-1]:
                 r.pop()
         a, b = b, (_primitive(r) if r else [])
-    return a
-
-
-def _primitive_gcd(f: IntPoly, g: IntPoly) -> Tuple[IntPoly, IntPoly, IntPoly]:
-    """(h, f/h, g/h) for primitive f and g with nonzero constant terms."""
-    if len(f) == 1 or len(g) == 1:
-        return [1], f, g
-    k = (2 * min(max(map(abs, f)), max(map(abs, g))) + 1).bit_length()
-    for _ in range(_HEURISTIC_TRIES):
-        h = _primitive(_unpack(gcd(_pack(f, k), _pack(g, k)), k))
-        if len(h) == 1:
-            return h, f, g
-        qf = _exact_quotient(f, h)
-        if qf is not None:
-            qg = _exact_quotient(g, h)
-            if qg is not None:
-                return h, qf, qg
-        k += k // 2 + 1
-    h = _prs_gcd(f, g)
-    qf, qg = _exact_quotient(f, h), _exact_quotient(g, h)
-    if qf is None or qg is None:
-        raise ArithmeticError("remainder-sequence gcd does not divide its inputs")
-    return h, qf, qg
+    # A nonzero constant remainder leaves the gcd 1.
+    return [1] if b else a
 
 
 def zpoly_gcd(a: Sequence[int], b: Sequence[int]) -> Tuple[IntPoly, IntPoly, IntPoly]:
@@ -717,7 +681,9 @@ def zpoly_gcd(a: Sequence[int], b: Sequence[int]) -> Tuple[IntPoly, IntPoly, Int
     va = next(i for i, x in enumerate(a) if x)
     vb = next(i for i, x in enumerate(b) if x)
     v = min(va, vb)
-    h, qa, qb = _primitive_gcd([x // ca for x in a[va:]], [x // cb for x in b[vb:]])
+    f, g = [x // ca for x in a[va:]], [x // cb for x in b[vb:]]
+    h = _prs_gcd(f, g)
+    qa, qb = _exact_quotient(f, h), _exact_quotient(g, h)
     return ([0] * v + [c * x for x in h],
             [0] * (va - v) + [ca // c * x for x in qa],
             [0] * (vb - v) + [cb // c * x for x in qb])

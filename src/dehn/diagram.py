@@ -189,25 +189,15 @@ def _resolve_crossing(pd: PDCode, idx: int) -> Crossing:
 
 
 def _build_arcs(pd: PDCode, crossings: Tuple[Crossing, ...]):
-    """Arcs are maximal over-strand runs: merge over-in/over-out at each crossing."""
-    parent = {e: e for e in range(1, 2 * pd.k + 1)}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for c in crossings:
-        ra, rb = find(c.over_in), find(c.over_out)
-        if ra != rb:
-            parent[rb] = ra
-    classes: Dict[int, List[int]] = {}
-    for e in parent:
-        classes.setdefault(find(e), []).append(e)
-    ordered = sorted(classes.values(), key=min)
-    arc_of_edge = {e: i for i, edges in enumerate(ordered) for e in edges}
-    return len(ordered), arc_of_edge
+    """Arcs are maximal over-strand runs, so each ends at a crossing's
+    under-in edge. Walking the labels 1..2k, arc i starts after the i-th such
+    edge, and the run after the last one wraps into arc 0."""
+    ends = {c.under_in for c in crossings}
+    arc_of_edge, arc = {}, 0
+    for e in range(1, 2 * pd.k + 1):
+        arc_of_edge[e] = arc % len(ends)
+        arc += e in ends
+    return len(ends), arc_of_edge
 
 
 def _trace_faces(pd: PDCode) -> List[List[Tuple[int, int]]]:

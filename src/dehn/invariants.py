@@ -268,12 +268,14 @@ def _torsion_parts(cx: ChainComplex, g: Propagator) -> Tuple[IntPoly, Sequence[i
 
 def _strip_unit(f: RatFunc) -> Tuple[RatFunc, int, int]:
     """Write f = sign * t^m * g with g having nonzero constant terms in both
-    parts and positive numerator constant term."""
+    parts and positive numerator constant term. Stripping a unit from f's
+    coprime pair leaves a coprime pair with the same contents and the same
+    leading coefficient of the denominator, so g is already reduced."""
     a = next(i for i, c in enumerate(f.znum) if c)
     b = next(i for i, c in enumerate(f.zden) if c)
     num, den = f.znum[a:], f.zden[b:]
     sign = 1 if num[0] > 0 else -1
-    return RatFunc([sign * c for c in num], den), sign, a - b
+    return RatFunc._reduced([sign * c for c in num], den), sign, a - b
 
 
 def torsion_equal_up_to_units(a: TorsionValue, b: TorsionValue) -> bool:

@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -10,8 +9,9 @@ from conftest import (CORPUS, connected_sum, forward_rank, from_rows, gauss_jord
                       identity, mat, poly, poly_gcd, q_add, q_divmod, q_monic, q_mul,
                       qt_rref, rf, submatrix, t_power, torus_pd, transposed, zeros)
 from dehn import algebra
-from dehn.algebra import (FieldMatrix, Polynomial, RatFunc, _prs_gcd, common_denominator,
-                          pmat_mul, poly_add, poly_mul, unit_equal, zpoly_gcd)
+from dehn.algebra import (FieldMatrix, Polynomial, RatFunc, _exact_quotient, _prs_gcd,
+                          common_denominator, pmat_mul, poly_add, poly_mul, unit_equal,
+                          zpoly_gcd)
 from dehn.pipeline import compute_result
 
 # -- the Euclid reference gcd ------------------------------------------------
@@ -635,11 +635,11 @@ def test_zpoly_gcd_zero_operands():
     assert zpoly_gcd([0, 3], []) == ([0, 3], [1], [])
 
 
-def test_zpoly_gcd_cases_that_need_a_wider_packing():
-    # The first packing width gives a candidate that fails trial division
-    # here (once, then twice), so the answer comes from a wider one.
+def test_zpoly_gcd_fixed_cases():
+    # A coprime pair, and t^4 - 1 against (t + 1)(14t + 31).
     for a, b in (([59, 32, 66, 23], [-1, 2]), ([-1, 0, 0, 0, 1], [31, 45, 14])):
         _assert_gcd(a, b, *zpoly_gcd(a, b))
+    assert zpoly_gcd([-1, 0, 0, 0, 1], [31, 45, 14])[0] == [1, 1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -652,16 +652,34 @@ def test_prs_gcd_matches_euclid(data):
         assert q_monic(Polynomial(g)) == poly_gcd(Polynomial(a), Polynomial(b))
 
 
-def test_zpoly_gcd_falls_back_to_the_remainder_sequence(monkeypatch):
-    # With no heuristic tries every gcd of nonconstant primitive parts comes
-    # from the primitive remainder sequence.
-    monkeypatch.setattr(algebra, "_HEURISTIC_TRIES", 0)
-    rng = random.Random(6)
-    for _ in range(200):
-        h = [rng.randint(-5, 5) for _ in range(rng.randint(0, 3))] + [rng.randint(1, 5)]
-        a = poly_mul([rng.randint(-30, 30) for _ in range(rng.randint(1, 5))], h)
-        b = poly_mul([rng.randint(-30, 30) for _ in range(rng.randint(1, 5))], h)
-        _assert_gcd(a, b, *zpoly_gcd(a, b))
+@settings(max_examples=80, deadline=None)
+@given(int_polys(50, 5), int_polys(9, 4).filter(bool), st.integers(0, 3), st.integers(0, 2))
+def test_exact_quotient_of_planted_products(q, h, vq, vh):
+    # Negative leading coefficients, t-power factors and divisors of length 1
+    # are all drawn.
+    q = [0] * vq + q if q else []
+    h = [0] * vh + h
+    assert _exact_quotient(poly_mul(q, h), h) == q
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_polys(50, 5), int_polys(9, 4).filter(lambda h: len(h) > 1), st.data())
+def test_exact_quotient_raises_on_a_remainder(q, h, data):
+    r = data.draw(int_polys(20, len(h) - 1).filter(bool))
+    with pytest.raises(ArithmeticError):
+        _exact_quotient(poly_add(poly_mul(q, h), r), h)
+
+
+def test_exact_quotient_fixed_cases():
+    assert _exact_quotient([0, 0, 5], [0, 1]) == [0, 5]
+    assert _exact_quotient([6, -4], [-2]) == [-3, 2]
+    assert _exact_quotient([], [3, 1]) == []
+    # Every leading-term division is exact, and only the constant term
+    # leaves a remainder: (t + 1)^2 + 1 by t + 1, and 5t^2 + 1 by t.
+    for f, h in (([2, 2, 1], [1, 1]), ([1, 0, 5], [0, 1]),
+                 ([3], [1, 1]), ([1, 3], [1, 2]), ([1], [2])):
+        with pytest.raises(ArithmeticError):
+            _exact_quotient(f, h)
 
 
 def euclid_canonical(num, den):
@@ -714,6 +732,12 @@ def test_json_roundtrip():
     data = f.to_json()
     assert data["num"][1] == "1/2"
     assert RatFunc.from_json(data) == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(ratfuncs)
+def test_json_display_is_the_string_form(f):
+    assert f.to_json()["display"] == str(f)
 
 
 def test_json_is_canonical_coefficient_strings():

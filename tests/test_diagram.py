@@ -2,8 +2,9 @@ import dataclasses
 
 import pytest
 
-from conftest import (CORPUS, FIG8, HOPF_LINK, NON_PLANAR, TAILLESS_EDGES,
-                      TREFOIL, TREFOIL_KINKED, UNKNOT_KINK, pipeline)
+from conftest import (CORPUS, FIG8, FIG8_KINKED, HOPF_LINK, NON_PLANAR, TAILLESS_EDGES,
+                      TREFOIL, TREFOIL_KINKED, UNKNOT_KINK, connected_sum, pipeline,
+                      torus_pd)
 from dehn.diagram import (build_diagram, choose_unbounded, diagram_to_json,
                           parse_pd, wirtinger)
 from dehn.errors import (ConfigError, MultiComponentError, NotPlanarError,
@@ -99,6 +100,21 @@ def test_face_and_corner_counts(name, text):
     assert d.arc_count == d.k
     # every corner sits in exactly one region
     assert len(d.corner_region) == 4 * d.k
+
+
+@pytest.mark.parametrize("text", sorted(CORPUS.values()) + [TREFOIL_KINKED, FIG8_KINKED]
+                         + [torus_pd(n) for n in (9, 21)]
+                         + [connected_sum(FIG8, TREFOIL_KINKED, CORPUS["5_2"])])
+def test_arcs_are_maximal_over_strand_runs(text):
+    # e and succ(e) share an arc iff e enters a crossing over, and the arcs
+    # are numbered by their least edge.
+    d = build_diagram(parse_pd(text))
+    arcs, over_in = d.arc_of_edge, {c.over_in for c in d.crossings}
+    assert d.arc_count == d.k and sorted(arcs) == list(range(1, 2 * d.k + 1))
+    for e in arcs:
+        assert (arcs[e] == arcs[d.pd.succ(e)]) == (e in over_in or d.k == 1)
+    first = [min(e for e in arcs if arcs[e] == i) for i in range(d.arc_count)]
+    assert first == sorted(first)
 
 
 def test_every_edge_has_one_head_and_one_tail():

@@ -339,6 +339,24 @@ def test_torsion_normalization_unit_bookkeeping():
     assert run.tor.normalized.den.coeffs[0] != 0
 
 
+_unit_shifted = st.tuples(st.integers(0, 3),
+                          st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(any))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_unit_shifted, _unit_shifted, st.lists(st.integers(-4, 4), max_size=3).filter(any))
+def test_strip_unit_gives_the_gcd_form(num, den, common):
+    # f = t^a * n * h / (t^b * d * h), reduced by the gcd; the normalized
+    # part, built with no gcd, is the form the gcd gives its own parts.
+    f = RatFunc(poly_mul([0] * num[0] + num[1], common),
+                poly_mul([0] * den[0] + den[1], common))
+    g, sign, power = invariants._strip_unit(f)
+    reduced = RatFunc(g.znum, g.zden)
+    assert (g.znum, g.zden) == (reduced.znum, reduced.zden)
+    assert g.znum[0] > 0 and g.zden[0] != 0
+    assert RatFunc(sign) * t_power(power) * g == f
+
+
 def test_torsion_equal_up_to_units_cases():
     a = TorsionValue(TORSION_TARGET, TORSION_TARGET, 1, 0)
     scaled = -(t_power(3)) * TORSION_TARGET
