@@ -10,8 +10,7 @@ from .diagram import (Crossing, KnotDiagram, PDCode, Region,
                       parse_pd, wirtinger)
 from .errors import (ConfigError, DehnError, MultiComponentError,
                      NotExactError, NotPlanarError, PDLabelError,
-                     PDSyntaxError, RegionLabelError,
-                     UnsupportedRepresentationError)
+                     PDSyntaxError, RegionLabelError)
 from .invariants import (DefectValue, Propagator, TorsionValue,
                          build_propagator, check_lescop_relation, defect,
                          defect_equal_mod_Z, torsion, torsion_equal_up_to_units)

@@ -129,7 +129,7 @@ def _check_one(task) -> dict:
     tor, d = run.tor.raw, run.d.representative
     checks["seed_independence"] = all(
         _unit_equal(tor.znum, tor.zden, *_torsion_parts(cx, g))
-        and _differ_by_integer(d.znum, d.zden, *_defect_parts(run.graph, cx, g))
+        and _differ_by_integer(d.znum, d.zden, *_defect_parts(cx, g))
         for g in seeded.values())
     return {"pd": run.pd.to_text(), "passed": all(checks.values()), "checks": checks}
 

@@ -150,7 +150,6 @@ class KnotDiagram:
     unbounded_region: int
     corner_region: Dict[Tuple[int, int], int]
     edge_tail: Dict[int, Slot]
-    edge_head: Dict[int, Slot]
 
     @property
     def k(self) -> int:
@@ -255,11 +254,8 @@ def build_diagram(pd: PDCode, outer_region: Optional[int] = None) -> KnotDiagram
     regions = tuple(Region(i, tuple(corners)) for i, corners in enumerate(faces))
     corner_region = {corner: r.id for r in regions for corner in r.corners}
     edge_tail: Dict[int, Slot] = {}
-    edge_head: Dict[int, Slot] = {}
     for c in crossings:
-        edge_head[c.under_in] = (c.id, 0)
         edge_tail[c.under_out] = (c.id, 2)
-        edge_head[c.over_in] = (c.id, c.over_in_pos)
         edge_tail[c.over_out] = (c.id, (c.over_in_pos + 2) % 4)
     # Labels that chain at every crossing can still enter two crossings and
     # leave none; such an edge has no tail and the regions do not connect.
@@ -276,7 +272,7 @@ def build_diagram(pd: PDCode, outer_region: Optional[int] = None) -> KnotDiagram
                 f"(valid ids: 0..{len(regions) - 1})")
         unbounded = outer_region
     return KnotDiagram(pd, crossings, arc_count, arc_of_edge, regions,
-                       unbounded, corner_region, edge_tail, edge_head)
+                       unbounded, corner_region, edge_tail)
 
 
 @dataclass(frozen=True)

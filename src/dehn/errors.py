@@ -38,12 +38,6 @@ class NotExactError(DehnError):
     exit_code = 4
 
 
-class UnsupportedRepresentationError(DehnError):
-    """The requested computation is not available for this representation."""
-
-    exit_code = 5
-
-
 class ConfigError(DehnError):
     """Invalid run configuration (bad region override, bad flag combination)."""
 

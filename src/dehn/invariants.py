@@ -28,16 +28,22 @@ but not the scale of delta: (c * N, c * delta) passes them for any nonzero
 polynomial c, and its torsion is wrong by the factor c. The Milnor and
 Lescop checks of the pipeline are what pin delta.
 
-The defect is a rational function modulo the integers. Every edge whose
-label carries a nonempty word w contributes the exponent sum e of w (its class
-in the first homology of the knot exterior) times the image sign * t^e of
-the label times the matching propagator entry; edges whose label is a bare
-sign contribute nothing. Orientation conventions per degree: a
-crossing-to-region edge takes its G_2 entry; region-to-basepoint edges
-take their G_1 entry and enter with the opposite overall sign. This
-is the convention under which defect = t (d/dt) log(torsion) mod Z. The
-defect sums the terms as one numerator over Z[t] and makes the result
-canonical once.
+The defect is a rational function modulo the integers. The paper sums it
+over the labelled Dehn graph: every edge whose label maps to c * t^m
+contributes t (d/dt)(c * t^m) = m * c * t^m times its propagator entry, a
+crossing-to-region edge its G_2 entry and a region-to-basepoint edge its G_1
+entry with the opposite sign. The sum is linear in the labels, and the
+labels summed entry by entry are the boundary matrices, so it is the trace
+
+    defect = tr(t d2' * G2) - (t d1')[s] * g1[s],
+
+with ' the derivative in t of each entry: Jacobi's formula for t (d/dt)
+log det, the reason that defect = t (d/dt) log(torsion) mod Z. With G2 =
+N / delta, d1 = D1 / t^a and g1[s] = 1 / d1[s], the first term is num /
+delta, num the sum over the coefficients c_m, m >= 1, of the nonzero d2
+entries d2[i][j] of m * c_m * t^m * N[j][i]; the second is (t D1[s]' - a *
+D1[s]) / D1[s]. The defect is their difference, one fraction over Z[t]
+made canonical once.
 """
 
 from __future__ import annotations
@@ -45,15 +51,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import (FieldMatrix, IntPoly, RatFunc, _derivative, _exact_div, _pack,
                       _unpack, poly_add, poly_mul, unit_equal)
-from .dehngraph import BASEPOINT, DehnGraph
-from .errors import DehnError, NotExactError, UnsupportedRepresentationError
-from .mscomplex import ChainComplex, Representation, check_exactness
-from .words import exponent_sum
+from .errors import DehnError, NotExactError
+from .mscomplex import ChainComplex, check_exactness
 
 
 @dataclass(frozen=True)
@@ -287,57 +291,28 @@ class DefectValue:
     representative: RatFunc
 
 
-def _require_abelian(rep: Representation) -> None:
-    if rep.kind != "abelian":
-        raise UnsupportedRepresentationError(
-            "the defect is only computed for the abelian representation")
+def defect(cx: ChainComplex, g: Propagator) -> DefectValue:
+    """The trace of the module docstring, made canonical once."""
+    return DefectValue(RatFunc(*_defect_parts(cx, g)))
 
 
-def defect(graph: DehnGraph, cx: ChainComplex, g: Propagator,
-           rep: Representation) -> DefectValue:
-    """The sum of the per-edge terms of the module docstring, made canonical
-    once."""
-    _require_abelian(rep)
-    return DefectValue(RatFunc(*_defect_parts(graph, cx, g)))
-
-
-def _defect_parts(graph: DehnGraph, cx: ChainComplex,
-                  g: Propagator) -> Tuple[IntPoly, IntPoly]:
-    """The defect as an unreduced fraction num / den over Z[t].
-
-    Every term is c * t^m with c = sign * e and m = e for the label's sign
-    and exponent sum e. With `low` the least m, the G2 terms sum to t^low *
-    num / delta with num = sum of c * t^(m - low) * numer[r][j] over Z[t].
-    G1 is zero off row s, so only the G1 terms of row s count; they sum to
-    t^low * multiplier / d1[s] = t^low * multiplier * den / D1[s], added to
-    num / delta by cross-multiplication."""
+def _defect_parts(cx: ChainComplex, g: Propagator) -> Tuple[IntPoly, IntPoly]:
+    """The defect as an unreduced fraction over Z[t]: num * D1[s] - delta *
+    (t D1[s]' - a * D1[s]) over delta * D1[s], with num = tr(t d2' * N) and
+    t^a = d1_den. The a * D1[s] term is the derivative of t^-a; without it
+    the defect is off by the integer a, equal mod Z but not the same
+    representative. Only the nonzero d2 entries are visited."""
     s = g.selected[0]
-    g2_terms, g1_terms = [], []
-    for e in graph.edges:
-        w = e.label.word
-        if not w:
-            continue
-        m = exponent_sum(w)
-        c = e.label.sign * m
-        if e.target != BASEPOINT:
-            g2_terms.append((c, m, cx.position(e.source), cx.position(e.target)))
-        elif cx.position(e.source) == s:
-            g1_terms.append((-c, m))
-    low = min([m for _, m, _, _ in g2_terms] + [m for _, m in g1_terms], default=0)
     num: IntPoly = []
-    for c, m, r, j in g2_terms:
-        num = poly_add(num, g.numer[r][j], c, m - low)
-    multiplier: IntPoly = []
-    for c, m in g1_terms:
-        multiplier = poly_add(multiplier, [c], shift=m - low)
-    d1_s = cx.d1_row[s]
-    num = poly_add(poly_mul(num, d1_s), poly_mul(g.delta, poly_mul(multiplier, cx.d1_den)))
-    den = poly_mul(g.delta, d1_s)
-    if low >= 0:
-        num = [0] * low + num
-    else:
-        den = [0] * -low + den
-    return num, den
+    for i, row in enumerate(cx.d2_rows):
+        for j, x in compress(enumerate(row), row):
+            for m in range(1, len(x)):
+                if x[m]:
+                    num = poly_add(num, g.numer[j][i], m * x[m], m)
+    d1_s, a = cx.d1_row[s], len(cx.d1_den) - 1
+    td1_s = [(m - a) * c for m, c in enumerate(d1_s)]  # t D1[s]' - a * D1[s]
+    return (poly_add(poly_mul(num, d1_s), poly_mul(g.delta, td1_s), -1),
+            poly_mul(g.delta, d1_s))
 
 
 def _differ_by_integer(p1: IntPoly, q1: IntPoly, p2: IntPoly, q2: IntPoly) -> bool:

@@ -40,17 +40,16 @@ class Representation:
     the exactness check can fail.
     """
 
-    def __init__(self, kind: str, k: int):
-        self.kind = kind
+    def __init__(self, k: int):
         self._k = k
 
     @classmethod
     def abelian(cls) -> "Representation":
-        return cls("abelian", 1)
+        return cls(1)
 
     @classmethod
     def trivial(cls) -> "Representation":
-        return cls("trivial", 0)
+        return cls(0)
 
     def exponent(self, word: Word) -> int:
         """The power of t that the word maps to."""
@@ -77,10 +76,6 @@ class ChainComplex:
     @property
     def c0_dim(self) -> int:
         return len(self.c0_basis)
-
-    def position(self, vertex_id: str) -> int:
-        """The position of a vertex in its basis: its row or column index."""
-        return self._positions[vertex_id]
 
     @cached_property
     def d2(self) -> FieldMatrix:
@@ -131,15 +126,6 @@ class ChainComplex:
         if r1 != self.c0_dim:
             return ExactnessReport(False, f"rank(d1) = {r1} < {self.c0_dim}")
         return ExactnessReport(True)
-
-    @cached_property
-    def _positions(self) -> Dict[str, int]:
-        """Vertex id -> basis position, the first basis listing it winning."""
-        positions: Dict[str, int] = {}
-        for basis in (self.c2_basis, self.c1_basis, self.c0_basis):
-            for i, vertex_id in enumerate(basis):
-                positions.setdefault(vertex_id, i)
-        return positions
 
 
 def build_complex(graph: DehnGraph, rep: Representation) -> ChainComplex:

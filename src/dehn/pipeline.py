@@ -80,7 +80,7 @@ def run_pipeline(pd_text: str, outer_region: Optional[int] = None,
         raise NotExactError(f"complex is not exact: {report.witness}")
     g = build_propagator(cx, pivot_seed=pivot_seed)
     tor = torsion(cx, g)
-    d = defect(graph, cx, g, rep)
+    d = defect(cx, g)
     alex = fox_alexander(wirtinger(diagram))
     return PipelineRun(
         pd=pd, diagram=diagram, d1_labels=d1_labels, d2_labels=d2_labels,

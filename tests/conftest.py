@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from dehn.algebra import FieldMatrix, Polynomial, RatFunc, _unpack, fraction_free_gauss_jordan
 from dehn.dehngraph import BASEPOINT
-from dehn.invariants import DefectValue, _require_abelian
+from dehn.invariants import DefectValue
 from dehn.pipeline import run_pipeline
 from dehn.words import exponent_sum
 
@@ -375,11 +375,13 @@ def qt_fox_derivative(word, gen) -> RatFunc:
     return result
 
 
-def defect_terms(graph, cx, g, rep):
+def defect_terms(graph, cx, g):
     """Reference per-edge defect contributions (source, target, value), one
-    Q(t) value per word-bearing edge, read off the G1 and G2 matrices."""
-    _require_abelian(rep)
+    Q(t) value per word-bearing edge, read off the G1 and G2 matrices: the
+    paper's sum over the labelled Dehn graph, each vertex's row or column
+    looked up in the complex's bases."""
     g1 = qt_g1(cx, g)
+    c2, c1 = cx.c2_basis.index, cx.c1_basis.index
     terms = []
     for e in graph.edges:
         w = e.label.word
@@ -388,10 +390,10 @@ def defect_terms(graph, cx, g, rep):
         degree = exponent_sum(w)
         coeff = qt_image(e.label)
         if e.target == BASEPOINT:
-            entry = g1.entry(cx.position(e.source), 0)
+            entry = g1.entry(c1(e.source), 0)
             level_sign = -1
         else:
-            entry = g.g2.entry(cx.position(e.source), cx.position(e.target))
+            entry = g.g2.entry(c2(e.source), c1(e.target))
             level_sign = 1
         value = coeff * entry
         if degree != 1:
@@ -402,12 +404,12 @@ def defect_terms(graph, cx, g, rep):
     return terms
 
 
-def qt_defect(graph, cx, g, rep) -> DefectValue:
+def qt_defect(graph, cx, g) -> DefectValue:
     """Reference defect: the per-edge terms added one at a time in Q(t), each
     partial sum in canonical form, independent of the single-numerator sum
     behind `defect`."""
     total = RatFunc.zero()
-    for _, _, value in defect_terms(graph, cx, g, rep):
+    for _, _, value in defect_terms(graph, cx, g):
         total = total + value
     return DefectValue(total)
 

@@ -104,8 +104,7 @@ def test_criterion_6_propagator_independence():
         for seed in range(10):
             g = build_propagator(run.complex, pivot_seed=seed)
             assert torsion_equal_up_to_units(run.tor, torsion(run.complex, g)), name
-            assert defect_equal_mod_Z(
-                run.d, defect(run.graph, run.complex, g, run.rep)), name
+            assert defect_equal_mod_Z(run.d, defect(run.complex, g)), name
     _report(6, "10 pivot seeds per knot: unit-equal torsion, mod-Z-equal defect")
 
 

@@ -121,16 +121,17 @@ def test_every_edge_has_one_head_and_one_tail():
     for text in CORPUS.values():
         d = build_diagram(parse_pd(text))
         assert sorted(d.edge_tail) == list(range(1, 2 * d.k + 1))
-        assert sorted(d.edge_head) == list(range(1, 2 * d.k + 1))
-        for e in d.edge_tail:
-            assert d.edge_tail[e] != d.edge_head[e]
 
 
 def test_left_region_consistent_at_both_ends():
     for text in CORPUS.values():
         d = build_diagram(parse_pd(text))
+        # An edge enters a crossing at its under-in slot 0 or its over-in slot.
+        head = {c.edges[p]: (c.id, p) for c in d.crossings for p in (0, c.over_in_pos)}
+        assert sorted(head) == list(range(1, 2 * d.k + 1))
         for e in d.edge_tail:
-            hc, hp = d.edge_head[e]
+            hc, hp = head[e]
+            assert d.edge_tail[e] != (hc, hp)
             assert d.left_region(e) == d.corner_region[(hc, (hp - 1) % 4)]
             assert d.right_region(e) == d.corner_region[(hc, hp)]
 

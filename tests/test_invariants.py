@@ -13,8 +13,9 @@ from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
                       submatrix, t_power, torus_pd)
 from dehn import algebra, invariants
 from dehn.algebra import RatFunc, poly_add, poly_mul, unit_equal
-from dehn.errors import DehnError, NotExactError, UnsupportedRepresentationError
-from dehn.dehngraph import build_d1, build_d2, build_dehn_graph, graph_from_json
+from dehn.errors import DehnError, NotExactError
+from dehn.dehngraph import (build_d1, build_d2, build_dehn_graph, graph_from_json,
+                            graph_to_json)
 from dehn.diagram import build_diagram, parse_pd
 from dehn.invariants import (DefectValue, TorsionValue, _verify_identities,
                              build_propagator, check_lescop_relation, defect,
@@ -22,6 +23,7 @@ from dehn.invariants import (DefectValue, TorsionValue, _verify_identities,
                              torsion_equal_up_to_units)
 from dehn.mscomplex import ChainComplex, Representation, build_complex
 from dehn.oracle import milnor_check
+from test_cli import label_valid_pd
 
 T = t_power(1)
 
@@ -259,7 +261,7 @@ def test_identities_do_not_pin_the_scale_of_delta():
     assert wrong.g2 == g.g2
     tor = torsion(cx, wrong)
     assert tor.raw == run.tor.raw * rf(c)
-    assert defect(run.graph, cx, wrong, run.rep) == run.d
+    assert defect(cx, wrong) == run.d
     assert check_lescop_relation(run.tor, run.d) and milnor_check(run.tor, run.alexander)
     assert not check_lescop_relation(tor, run.d)
     assert not milnor_check(tor, run.alexander)
@@ -377,7 +379,7 @@ def test_trefoil_defect_value():
 
 def test_trefoil_defect_terms():
     run = pipeline(TREFOIL)
-    terms = defect_terms(run.graph, run.complex, run.propagator, run.rep)
+    terms = defect_terms(run.graph, run.complex, run.propagator)
     nonzero = sorted(str(v) for _, _, v in terms if not v.is_zero())
     expected = sorted(str(v) for v in [
         rf((0, -1), (1, -1, 1)) * rf((1, -1)),   # -t(1-t)/(t^2-t+1)
@@ -389,18 +391,18 @@ def test_trefoil_defect_terms():
 
 def test_defect_skips_bare_sign_labels():
     run = pipeline(TREFOIL)
-    terms = defect_terms(run.graph, run.complex, run.propagator, run.rep)
+    terms = defect_terms(run.graph, run.complex, run.propagator)
     word_edges = [e for e in run.graph.edges if e.label.word]
     assert len(terms) == len(word_edges)
 
 
-def test_defect_rejects_matrix_representation():
-    # Only the abelian representation has a defect; the trivial one is
-    # refused before the propagator is read.
-    run = pipeline(TREFOIL)
-    rep = Representation.trivial()
-    with pytest.raises(UnsupportedRepresentationError):
-        defect(run.graph, run.complex, run.propagator, rep)
+def test_trivial_representation_has_no_propagator():
+    # Under the trivial representation d1 vanishes, so the complex is not
+    # exact and no propagator, hence no defect, is built.
+    d = build_diagram(parse_pd(TREFOIL))
+    graph = build_dehn_graph(d, build_d1(d), build_d2(d))
+    with pytest.raises(NotExactError, match="rank\\(d1\\) = 0"):
+        build_propagator(build_complex(graph, Representation.trivial()))
 
 
 @pytest.mark.parametrize("name,text", sorted(CORPUS.items()))
@@ -408,8 +410,7 @@ def test_defect_matches_qt_reference_on_corpus(name, text):
     run = pipeline(text)
     for seed in [None] + list(range(10)):
         g = build_propagator(run.complex, pivot_seed=seed)
-        assert (defect(run.graph, run.complex, g, run.rep)
-                == qt_defect(run.graph, run.complex, g, run.rep)), seed
+        assert defect(run.complex, g) == qt_defect(run.graph, run.complex, g), seed
 
 
 @pytest.mark.parametrize("name,text", [("3_1_kinked", TREFOIL_KINKED),
@@ -417,7 +418,39 @@ def test_defect_matches_qt_reference_on_corpus(name, text):
                          + [(f"T(2,{n})", torus_pd(n)) for n in range(3, 22, 2)])
 def test_defect_matches_qt_reference(name, text):
     run = pipeline(text)
-    assert run.d == qt_defect(run.graph, run.complex, run.propagator, run.rep)
+    assert run.d == qt_defect(run.graph, run.complex, run.propagator)
+
+
+@settings(max_examples=100, deadline=None)
+@given(label_valid_pd())
+def test_defect_matches_qt_reference_on_label_valid_codes(text):
+    # For every code that makes a diagram, under every choice of the outer
+    # region, the trace over the complex equals the paper's per-edge sum.
+    try:
+        regions = build_diagram(parse_pd(text)).regions
+    except DehnError:
+        return
+    for region in regions:
+        run = pipeline(text, outer_region=region.id)
+        assert run.d == qt_defect(run.graph, run.complex, run.propagator), region.id
+
+
+def test_defect_matches_qt_reference_on_a_degree_2_column():
+    # Prefixing every corner word of one crossing with an arc generator
+    # multiplies its d2 column by t: the complex stays exact and the column
+    # reaches degree 2, which no diagram's complex does, so the m * c_m
+    # weights of the trace are checked past m = 1.
+    d = build_diagram(parse_pd(FIG8))
+    data = graph_to_json(build_dehn_graph(d, build_d1(d), build_d2(d)))
+    for edge in data["edges"]:
+        if edge["origin"][:2] == ["corner", 0]:
+            edge["word"] = [[data["arcs"][0], 1]] + edge["word"]
+    graph = graph_from_json(data)
+    cx = build_complex(graph, Representation.abelian())
+    assert max(len(x) for row in cx.d2_rows for x in row) == 3
+    for seed in [None] + list(range(4)):
+        g = build_propagator(cx, pivot_seed=seed)
+        assert defect(cx, g) == qt_defect(graph, cx, g), seed
 
 
 def test_defect_equal_mod_Z_cases():
@@ -493,7 +526,7 @@ def test_seed_independence(name, text):
     for seed in range(10):
         g = build_propagator(run.complex, pivot_seed=seed)
         tor_s = torsion(run.complex, g)
-        d_s = defect(run.graph, run.complex, g, run.rep)
+        d_s = defect(run.complex, g)
         assert torsion_equal_up_to_units(run.tor, tor_s)
         assert defect_equal_mod_Z(run.d, d_s)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
+from conftest import (CORPUS, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
                       is_zero_matrix, mat, qt_complex, qt_image, t_power, torus_pd)
 from dehn.algebra import RatFunc, _unpack
 from dehn.dehngraph import (GroupRingTerm, build_d1, build_d2, build_dehn_graph,
@@ -201,15 +201,6 @@ def test_exactness_and_default_propagator_share_one_elimination(text, monkeypatc
 
 
 # -- serialization -------------------------------------------------------------------
-
-
-def test_position_matches_basis_positions():
-    _, _, _, cx = _complex(FIG8)
-    for basis in (cx.c2_basis, cx.c1_basis, cx.c0_basis):
-        for i, vertex_id in enumerate(basis):
-            assert cx.position(vertex_id) == i
-    with pytest.raises(KeyError):
-        cx.position("no-such-vertex")
 
 
 def test_complex_json_bookkeeping():
