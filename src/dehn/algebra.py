@@ -474,11 +474,12 @@ def pmat_mul(a: Sequence[Sequence[IntPoly]],
     if any(len(row) != inner for row in a):
         raise ValueError("shape mismatch in matrix product")
     cols = len(b[0]) if inner else 0
-    # Every coefficient of (ab)_ij is at most sum_l |a_il|_1 * max |b|_1.
+    # Every coefficient of (ab)_ij is at most sum_l |a_il|_1 * max |b|_1;
+    # only the nonzero entries of b are measured and packed.
     bound = (max((sum(map(_norm1, row)) for row in a), default=0)
-             * max((_norm1(x) for row in b for x in row), default=0))
+             * max((_norm1(x) for row in b for x in row if x), default=0))
     k = _packing_bits(bound)
-    pb = [[_pack(x, k) for x in row] for row in b]
+    pb = [[_pack(x, k) if x else 0 for x in row] for row in b]
     out = []
     for row in a:
         terms = [(v, pb[l]) for l, v in enumerate(_pack(x, k) for x in row) if v]

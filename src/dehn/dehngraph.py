@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .diagram import KnotDiagram
+from .errors import DehnError
 from .words import (Word, format_word, free_reduce, generator_name,
                     word_inv, word_mul)
 
@@ -188,14 +189,20 @@ def graph_to_json(graph: DehnGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> DehnGraph:
+    """The inverse of `graph_to_json`; a letter naming no arc is a `DehnError`."""
     arc_names = tuple(data["arcs"])
     name_to_id = {name: i for i, name in enumerate(arc_names)}
     vertices = tuple(Vertex(v["id"], v["kind"], v["index"])
                      for v in data["vertices"])
+
+    def letter(e: dict, name: str, exp: int) -> Tuple[int, int]:
+        if name not in name_to_id:
+            raise DehnError(f"edge {e['from']} -> {e['to']}: letter {name!r} names no arc")
+        return name_to_id[name], exp
+
     edges = tuple(
         Edge(e["from"], e["to"],
-             GroupRingTerm(e["sign"],
-                           free_reduce([(name_to_id[g], x) for g, x in e["word"]])),
+             GroupRingTerm(e["sign"], free_reduce([letter(e, g, x) for g, x in e["word"]])),
              tuple(e["origin"]))
         for e in data["edges"]
     )

@@ -67,7 +67,7 @@ def parse_pd(text: str) -> PDCode:
         tuples = data
     else:
         matches = _X_FORM.findall(text)
-        leftover = _X_FORM.sub("", text).replace("PD", "").strip(" ,[]()\t")
+        leftover = re.sub(r"PD|[\s,\[\]()]", "", _X_FORM.sub("", text))
         if not matches or leftover:
             raise PDSyntaxError("malformed PD X-form syntax")
         tuples = [[int(x) for x in m] for m in matches]

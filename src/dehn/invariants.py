@@ -21,12 +21,13 @@ B * diag(I, 1/d1[s]), and
 
     raw torsion = det [d2 | g1] = sign * delta / d1[s].
 
-The three propagator identities are verified on every propagator as exact
-equalities over Z[t], each row and column of N packed once into one integer
-at widths proved from the propagator under test. They prove G2 = N / delta,
-but not the scale of delta: (c * N, c * delta) passes them for any nonzero
-polynomial c, and its torsion is wrong by the factor c. The Milnor and
-Lescop checks of the pipeline are what pin delta.
+The three propagator identities rest on the complex's exactness report,
+d1 * d2 = 0 included: on an exact complex, N * d2 = delta * id over Z[t]
+(each column of N packed once into one integer) and a zero column s of N
+imply them all. They prove G2 = N / delta, but not the scale of delta:
+(c * N, c * delta) passes them for any nonzero polynomial c, and its
+torsion is wrong by the factor c. The Milnor and Lescop checks of the
+pipeline are what pin delta.
 
 The defect is a rational function modulo the integers. The paper sums it
 over the labelled Dehn graph: every edge whose label maps to c * t^m
@@ -150,98 +151,77 @@ def _identity_widths(cx: ChainComplex, g: Propagator) -> Tuple[int, int]:
     """(k, L): the bits per coefficient and the coefficients per slot at
     which `_verify_identities` packs a propagator.
 
-    Each identity is an equality of rows (or columns) of polynomials, and it
-    holds iff every entry E of its difference row is zero. With a = the
-    largest 1-norm |D1[j]|_1 of d1's numerators (at least 1: d1 is nonzero
-    on an exact complex), |N| and |delta| the largest coefficient of N and
-    of delta, and n the largest row or column 1-norm of d2 (the sum of its
-    entries' 1-norms), every coefficient of every E is at most
+    N * d2 = delta * id is an equality of columns of polynomials, and it
+    holds iff every entry E of its difference column is zero. With |N| and
+    |delta| the largest coefficient of N and of delta, and n the largest
+    column 1-norm of d2 (the sum of its entries' 1-norms), every coefficient
+    of every E = (N * d2)[r][c] - delta * [r = c] is at most
 
-        bound = a * (|N| * n + |delta|),
+        bound = |N| * n + |delta|,
 
-    since a coefficient of p * q is at most |p|_1 times the largest of q:
-    (N * d2)[r][c] - delta * [r = c] and (d2 * N)[i][j] - delta * [i = j]
-    are within |N| * n + |delta|, and row s, D1[s] * (d2 * N)[s][j] -
-    delta * (D1[s] * [j = s] - D1[j]), is within |D1[s]|_1 * |N| * n +
-    |delta| * |D1[j]|_1 (the second term is zero at j = s). With l_X the
-    longest entry of X, every E has at most
+    since a coefficient of p * q is at most |p|_1 times the largest of q.
+    With l_X the longest entry of X, every E has at most
 
-        L = max(l_N + l_d2 - 1, l_delta) + l_D1 - 1
+        L = max(l_N + l_d2 - 1, l_delta)
 
-    coefficients, the longest product counted, row s's included. Take k =
-    bit_length(bound), so every coefficient is below 2^k, and K = k * L. A
-    row packed at t -> 2^k and column j -> 2^(K*j) is the value at t = 2^k
-    of sum_j t^(L*j) * E_j(t), whose coefficients are exactly those of the
-    E_j, since no E_j reaches the next slot. A nonzero polynomial with every
-    coefficient below 2^k in absolute value is nonzero at 2^k: its lowest
-    term c * 2^(k*m), 0 < |c| < 2^k, leaves a remainder modulo 2^(k*(m+1)).
-    So a packed difference row is zero iff the row is. The width is taken
-    from the propagator under test, so it covers a wrong one too."""
-    d2, d1 = cx.d2_rows, cx.d1_row
+    coefficients. Take k = bit_length(bound), so every coefficient is below
+    2^k, and K = k * L. A column packed at t -> 2^k and row r -> 2^(K*r) is
+    the value at t = 2^k of sum_r t^(L*r) * E_r(t), whose coefficients are
+    exactly those of the E_r, since no E_r reaches the next slot. A nonzero
+    polynomial with every coefficient below 2^k in absolute value is nonzero
+    at 2^k: its lowest term c * 2^(k*m), 0 < |c| < 2^k, leaves a remainder
+    modulo 2^(k*(m+1)). So a packed difference column is zero iff the column
+    is. The width is taken from the propagator under test, so it covers a
+    wrong one too."""
+    d2 = cx.d2_rows
     numer = list(chain.from_iterable(g.numer))
-    coeffs = list(chain.from_iterable(numer)) or [0]
-    norm_n = max(max(coeffs), -min(coeffs))
-    norms = [[sum(map(abs, x)) for x in row] for row in d2]
-    norm_d2 = max(map(sum, chain(norms, zip(*norms))), default=0)
-    a = max(sum(map(abs, x)) for x in d1)
-    bound = a * (norm_n * norm_d2 + max(map(abs, g.delta)))
+    norm_n = max(map(abs, chain.from_iterable(numer)), default=0)
+    norm_d2 = max((sum(sum(map(abs, x)) for x in col) for col in zip(*d2)), default=0)
+    bound = norm_n * norm_d2 + max(map(abs, g.delta))
     longest_n = max(map(len, numer), default=0)
     longest_d2 = max(map(len, chain.from_iterable(d2)), default=0)
-    slots = max(longest_n + longest_d2 - 1, len(g.delta)) + max(map(len, d1)) - 1
-    return bound.bit_length(), slots
+    return bound.bit_length(), max(longest_n + longest_d2 - 1, len(g.delta))
 
 
 def _verify_identities(cx: ChainComplex, g: Propagator) -> None:
-    """Check g2*d2 = id, d1*g1 = id and d2*g2 + g1*d1 = id as exact
-    equalities over Z[t]. With g2 = N / delta, d1 = D1 / den and g1 =
-    e_s / d1[s] they read N * d2 = delta * id and, row by row, (d2 * N)[i] =
-    delta * e_i for i != s, while row s, where g1 * d1 is D1 / D1[s], has
-    (d2 * N)[s][j] * D1[s] = delta * (D1[s] * [j = s] - D1[j]).
+    """Check g2*d2 = id, d1*g1 = id and d2*g2 + g1*d1 = id exactly, on a
+    complex that passed `check_exactness` (c1 = c2 + 1, d1 != 0, d1*d2 = 0),
+    by checking delta != 0, N * d2 = delta * id over Z[t] and that column s
+    of N is zero. Those are enough. N * d2 = delta * id makes d2 injective,
+    so im(d2) = ker(d1). If d1[s] were 0, then e_s = d2 * y with y != 0 and
+    N * e_s = delta * y != 0; the zero column forces d1[s] != 0, so g1 is
+    defined and d1*g1 = 1. M = d2 * N / delta + e_s * d1 / d1[s] fixes
+    every column of d2, because d1*d2 = 0, and fixes e_s, because column s
+    of N is zero; those c1 vectors form a basis, so M = id. The zero column
+    also removes the one freedom N * d2 = delta * id leaves open: adding a
+    multiple of D1 to a row of N.
 
-    d1*g1 = 1 holds by the definition of g1 once d1[s] != 0, which row s
-    forces: with D1[s] = 0 its left side is 0 and its right side -delta * D1
-    is not. They prove G2 = N / delta but not the scale of delta.
-
-    Each row and each column of N is packed once into one integer, at the
-    widths of `_identity_widths`. A column of N * d2 is then the sum, over
-    the nonzero entries of a column of d2, of the packed entry times a
-    packed column of N, and a row of d2 * N the same with the rows; each is
-    compared with delta shifted into its slot, delta << K*i, as one integer,
-    with no entry product and no unpacking.
+    Each column of N is packed once into one integer, at the widths of
+    `_identity_widths`. A column of N * d2 is then the sum, over the
+    nonzero entries of a column of d2, of the packed entry times a packed
+    column of N, compared with delta shifted into its slot, delta << K*c,
+    as one integer, with no entry product and no unpacking.
 
     delta = 0 is rejected first: every packed side would read 0."""
     if not any(g.delta):
         raise DehnError("propagator has delta = 0")
-    s, d1 = g.selected[0], cx.d1_row
     k, slots = _identity_widths(cx, g)
     width = k * slots  # K, the bits of one slot
 
     def packed(line) -> int:
         n = 0
         for v in reversed(line):
-            n = (n << width) + v
+            n = (n << width) + _pack(v, k)
         return n
 
-    def nonzeros(line) -> List[Tuple[int, int]]:
-        return [(j, _pack(x, k)) for j, x in enumerate(line) if x]
-
-    numer = [[_pack(x, k) for x in row] for row in g.numer]
     delta = _pack(g.delta, k)
-    columns = [packed(col) for col in zip(*numer)]
+    columns = [packed(col) for col in zip(*g.numer)]
     for c, col in enumerate(zip(*cx.d2_rows)):
-        if sum(v * columns[j] for j, v in nonzeros(col)) != delta << width * c:
+        if sum(_pack(x, k) * columns[j] for j, x in enumerate(col) if x) != delta << width * c:
             raise DehnError("propagator identity g2*d2 = id failed")
-    rows = [packed(row) for row in numer]
-    d1_s = _pack(d1[s], k)
-    for i, row in enumerate(cx.d2_rows):
-        product = sum(v * rows[r] for r, v in nonzeros(row))
-        if i != s:
-            ok = product == delta << width * i
-        else:
-            ok = product * d1_s == delta * ((d1_s << width * s)
-                                            - packed([_pack(x, k) for x in d1]))
-        if not ok:
-            raise DehnError("propagator identity d2*g2 + g1*d1 = id failed")
+    if any(row[g.selected[0]] for row in g.numer):
+        raise DehnError("propagator identity d2*g2 + g1*d1 = id failed: "
+                        "column s of N is not zero")
 
 
 @dataclass(frozen=True)

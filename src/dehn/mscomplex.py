@@ -13,7 +13,8 @@ of [d2 | I] is the only one a complex makes, and it is made once: the
 exactness report that `check_exactness` returns reads rank(d2) off its
 pivots, and every propagator, whatever its pivot seed, is read off its
 rows (`invariants.build_propagator`), each one once, through the memo
-`propagators`.
+`propagators`. That report, d1 * d2 = 0 included, is the complex's whole
+check; the propagator's own check rests on it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import FieldMatrix, IntPoly, RatFunc, fraction_free_gauss_jordan, poly_add
+from .algebra import FieldMatrix, IntPoly, RatFunc, fraction_free_gauss_jordan, pmat_mul, poly_add
 from .dehngraph import BASEPOINT, DehnGraph
 from .errors import DehnError
 from .words import Word, exponent_sum
@@ -110,12 +111,13 @@ class ChainComplex:
 
     @cached_property
     def _exactness(self) -> ExactnessReport:
-        """Exact iff d2 injects, d1 surjects, and the middle dimension
-        matches. [d2 | I] has full row rank, and the kernel's pivot columns
-        are the leftmost ones independent of those before them, so rank(d2)
-        is the number of pivots among the d2 columns of `natural_elimination`.
-        C_0 is one-dimensional, so rank(d1) is 1 iff d1 has a nonzero
-        entry."""
+        """Exact iff the middle dimension matches, d2 injects, d1 surjects and
+        d1 * d2 = 0. [d2 | I] has full row rank, and the kernel's pivot
+        columns are the leftmost ones independent of those before them, so
+        rank(d2) is the number of pivots among the d2 columns of
+        `natural_elimination`. C_0 is one-dimensional, so rank(d1) is 1 iff
+        d1 has a nonzero entry. d1 * d2 = 0 iff d1_row * d2_rows = 0 over
+        Z[t], tested last so that every earlier witness stays as it was."""
         if self.c1_dim != self.c2_dim + self.c0_dim:
             return ExactnessReport(False, "dimension mismatch: "
                                    f"{self.c1_dim} != {self.c2_dim} + {self.c0_dim}")
@@ -125,12 +127,16 @@ class ChainComplex:
         r1 = int(any(self.d1_row))
         if r1 != self.c0_dim:
             return ExactnessReport(False, f"rank(d1) = {r1} < {self.c0_dim}")
+        if any(pmat_mul([self.d1_row], self.d2_rows)[0]):
+            return ExactnessReport(False, "d1*d2 != 0")
         return ExactnessReport(True)
 
 
 def build_complex(graph: DehnGraph, rep: Representation) -> ChainComplex:
     """Add each edge's term sign * t^e into its entry over Z[t]. The d1 terms
-    are shifted by t^a, a = max(0, -least e), to make the row polynomial."""
+    are shifted by t^a, a = max(0, -least e), to make the row polynomial. An
+    edge that runs neither from a crossing to a region nor from a region to
+    the basepoint is a `DehnError` naming it."""
     c2_basis = tuple(v.id for v in graph.vertices if v.index == 2)
     c1_basis = tuple(v.id for v in graph.vertices if v.index == 1)
     c2_pos = {vid: i for i, vid in enumerate(c2_basis)}
@@ -139,9 +145,12 @@ def build_complex(graph: DehnGraph, rep: Representation) -> ChainComplex:
     d1_terms = []
     for e in graph.edges:
         m = rep.exponent(e.label.word)
-        if e.target == BASEPOINT:
+        if e.target == BASEPOINT and e.source in c1_pos:
             d1_terms.append((c1_pos[e.source], e.label.sign, m))
             continue
+        if e.source not in c2_pos or e.target not in c1_pos:
+            raise DehnError(f"edge {e.source} -> {e.target} runs neither from a "
+                            "crossing to a region nor from a region to the basepoint")
         if m < 0:
             raise DehnError(f"edge {e.source} -> {e.target} has label {e.label}, "
                             f"which maps to t^{m}: a boundary entry of d2 must be "
@@ -164,7 +173,8 @@ class ExactnessReport:
 
 
 def check_exactness(cx: ChainComplex) -> ExactnessReport:
-    """Exact iff d2 injects, d1 surjects, and the middle dimension matches.
+    """Exact iff the middle dimension matches, d2 injects, d1 surjects and
+    d1 * d2 = 0; the witness names the first of these that fails.
     The report is computed on the first call for a complex and read from it
     on every later one."""
     return cx._exactness

@@ -25,6 +25,8 @@ def test_parse_x_form():
     assert pd == parse_pd(TREFOIL)
     pd2 = parse_pd("PD[X[1,4,2,5], X[3,6,4,1], X[5,2,6,3]]")
     assert pd2 == parse_pd(TREFOIL)
+    for sep in ("\n", "\r\n"):
+        assert parse_pd(sep.join(["X(1,4,2,5)", "X(3,6,4,1)", "X(5,2,6,3)"])) == pd
 
 
 def test_parse_kink_unknot():
@@ -45,6 +47,9 @@ def test_parse_syntax_errors():
         parse_pd("[[1,4,2,5,9],[3,6,4,1]]")
     with pytest.raises(PDSyntaxError):
         parse_pd("[[true,2,2,1]]")
+    for sep in ("\n", "\r\n"):
+        with pytest.raises(PDSyntaxError, match="X-form"):
+            parse_pd(sep.join(["X(1,4,2,5)", "foo", "X(3,6,4,1)", "X(5,2,6,3)"]))
 
 
 def test_parse_multi_component():

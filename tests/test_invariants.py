@@ -188,48 +188,59 @@ def _one_crossing_complex():
                         c2_basis=("c",), c1_basis=("q0", "q1"), c0_basis=("inf",))
 
 
-def _packed_row(entries, k, slots):
-    """A row packed at t -> 2^k and column j -> 2^(k*slots*j)."""
-    return sum(algebra._pack(x, k) << (k * slots * j) for j, x in enumerate(entries))
+def _two_crossing_complex():
+    """d2 = ((1, 0), (0, 1), (0, 0)) and d1 = (0, 0, 1): exact, with the
+    propagator N = ((1, 0, 0), (0, 1, 0)), delta = 1 and s = 2. Column c of
+    N * d2 is column c of N."""
+    return ChainComplex(d2_rows=(((1,), ()), ((), (1,)), ((), ())), d1_den=(1,),
+                        d1_row=((), (), (1,)), c2_basis=("c0", "c1"),
+                        c1_basis=("q0", "q1", "q2"), c0_basis=("inf",))
+
+
+def _packed_column(entries, k, slots):
+    """A column packed at t -> 2^k and row r -> 2^(k*slots*r)."""
+    return sum(algebra._pack(x, k) << (k * slots * r) for r, x in enumerate(entries))
 
 
 def test_identity_width_one_bit_narrower_would_alias(monkeypatch):
-    # N = (1, 8 - t): row 0 of d2 * N is (1, 8 - t) against (delta, 0). The
-    # widths are k = 4 (coefficients up to 1 * (8 * 1 + 1) = 9) and L = 2;
-    # at k = 3, 8 - t packs to 8 - 8 = 0, and every identity passes.
-    cx = _one_crossing_complex()
+    # Column 0 of N * d2 is (1, 8 - t) against (delta, 0). The widths are
+    # k = 4 (coefficients up to 8 * 1 + 1 = 9) and L = 2; at k = 3, 8 - t
+    # packs to 8 - 8 = 0, and the check passes.
+    cx = _two_crossing_complex()
     g = build_propagator(cx)
-    assert (g.numer, g.delta, g.selected) == ([[[1], []]], [1], (1,))
-    wrong = dataclasses.replace(g, numer=[[[1], [8, -1]]])
+    assert (g.numer, g.delta, g.selected) == ([[[1], [], []], [[], [1], []]], [1], (2,))
+    wrong = dataclasses.replace(g, numer=[[[1], [], []], [[8, -1], [1], []]])
     k, slots = invariants._identity_widths(cx, wrong)
     assert (k, slots) == (4, 2)
-    assert _packed_row([[1], [8, -1]], k - 1, slots) == _packed_row([[1], []], k - 1, slots)
-    with pytest.raises(DehnError, match="d2\\*g2 \\+ g1\\*d1"):
+    assert _packed_column([[1], [8, -1]], k - 1, slots) == _packed_column([[1], []], k - 1, slots)
+    with pytest.raises(DehnError, match="g2\\*d2"):
         _verify_identities(cx, wrong)
     monkeypatch.setattr(invariants, "_identity_widths", lambda cx, g: (k - 1, slots))
     _verify_identities(cx, wrong)  # the alias the proved width rules out
 
 
-def test_identity_width_one_slot_shorter_would_alias():
-    # N = (1 + t^2, -1): row 0 of d2 * N differs from (delta, 0) by
-    # (t^2, -1). With L = 3 slots that is t^2 + -1 * t^3 at t = 2^k, nonzero;
-    # with one slot fewer the t^2 of column 0 and the -1 of column 1 land on
-    # the same power and cancel.
-    cx = _one_crossing_complex()
-    g = build_propagator(cx)
-    numer = [[[1, 0, 1], [-1]]]
-    k, slots = invariants._identity_widths(cx, dataclasses.replace(g, numer=numer))
+def test_identity_width_one_slot_shorter_would_alias(monkeypatch):
+    # Column 0 of N * d2 is (1 + t^2, -1), off (delta, 0) by (t^2, -1). With
+    # L = 3 slots that is t^2 - t^3 at t = 2^k, nonzero; with one slot fewer
+    # the t^2 of row 0 and the -1 of row 1 land on the same power and cancel.
+    cx = _two_crossing_complex()
+    wrong = dataclasses.replace(build_propagator(cx),
+                                numer=[[[1, 0, 1], [], []], [[-1], [1], []]])
+    k, slots = invariants._identity_widths(cx, wrong)
     assert (k, slots) == (2, 3)
-    assert _packed_row(numer[0], k, slots - 1) == _packed_row([[1], []], k, slots - 1)
-    assert _packed_row(numer[0], k, slots) != _packed_row([[1], []], k, slots)
-    with pytest.raises(DehnError):
-        _verify_identities(cx, dataclasses.replace(g, numer=numer))
+    assert (_packed_column([[1, 0, 1], [-1]], k, slots - 1)
+            == _packed_column([[1], []], k, slots - 1))
+    with pytest.raises(DehnError, match="g2\\*d2"):
+        _verify_identities(cx, wrong)
+    monkeypatch.setattr(invariants, "_identity_widths", lambda cx, g: (k, slots - 1))
+    _verify_identities(cx, wrong)  # the alias the proved width rules out
 
 
 def test_verify_identities_checks_the_homotopy_identity():
     # Adding the row D1 of d1's numerators to row r of N leaves N * d2
-    # unchanged, since d1*d2 = 0, but adds column r of d2 times D1 to d2 * N:
-    # only the third check can see it.
+    # unchanged, since d1*d2 = 0, but adds column r of d2 times D1 to d2 * N,
+    # breaking d2*g2 + g1*d1 = id. Only the zero test on column s of N sees
+    # it: D1[s] != 0 lands in that column.
     run = pipeline(FIG8)
     cx, g = run.complex, run.propagator
     numer = [list(row) for row in g.numer]
@@ -239,9 +250,9 @@ def test_verify_identities_checks_the_homotopy_identity():
 
 
 def test_verify_identities_rejects_a_zero_selected_entry_of_d1():
-    # g1 = e_s / d1[s] needs d1[s] != 0, and the row-s identity demands it:
-    # on the one-crossing complex with s = 0, where D1[0] = 0, its left side
-    # is 0 and its right side -delta * D1 is not.
+    # g1 = e_s / d1[s] needs d1[s] != 0, and the zero column demands it: on
+    # the one-crossing complex with s = 0, where D1[0] = 0, e_0 = d2 * 1, so
+    # column 0 of N is N * e_0 = delta, not zero.
     cx = _one_crossing_complex()
     g = build_propagator(cx)
     with pytest.raises(DehnError, match="d2\\*g2 \\+ g1\\*d1"):

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from conftest import (CORPUS, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
                       is_zero_matrix, mat, qt_complex, qt_image, t_power, torus_pd)
-from dehn.algebra import RatFunc, _unpack
+from dehn.algebra import RatFunc, _unpack, pmat_mul
 from dehn.dehngraph import (GroupRingTerm, build_d1, build_d2, build_dehn_graph,
                             graph_from_json, graph_to_json)
 from dehn.diagram import build_diagram, parse_pd
-from dehn.errors import DehnError
-from dehn import mscomplex
+from dehn.errors import DehnError, NotExactError
+from dehn import invariants, mscomplex
 from dehn.invariants import build_propagator
 from dehn.mscomplex import (ChainComplex, ExactnessReport, Representation, build_complex,
                             check_exactness, complex_to_json)
@@ -120,14 +120,34 @@ def test_complex_rows_on_label_valid_codes(text):
     assert (cx.d2, cx.d1) == qt_complex(g)
 
 
+def _trefoil_graph_json():
+    d = build_diagram(parse_pd(TREFOIL))
+    return graph_to_json(build_dehn_graph(d, build_d1(d), build_d2(d)))
+
+
 def test_build_complex_rejects_a_negative_power_in_d2():
     # A corner word inverted by hand maps to 1/t, so d2 would leave Z[t]:
     # build_complex names the edge instead of reading it.
-    d = build_diagram(parse_pd(TREFOIL))
-    data = graph_to_json(build_dehn_graph(d, build_d1(d), build_d2(d)))
+    data = _trefoil_graph_json()
     edge = next(e for e in data["edges"] if e["origin"][0] == "corner" and e["word"])
     edge["word"] = [[name, -exp] for name, exp in edge["word"]]
     with pytest.raises(DehnError, match=f"edge {edge['from']} -> {edge['to']}"):
+        build_complex(graph_from_json(data), Representation.abelian())
+
+
+@pytest.mark.parametrize("field,value,match", [
+    ("to", "nowhere", "edge p0 -> nowhere runs neither"),
+    ("to", "inf", "edge p0 -> inf runs neither"),  # crossing to basepoint
+    ("from", "q1", "edge q1 -> q0 runs neither"),  # region to region
+    ("word", [["zz", 1]], "edge p0 -> q0: letter 'zz' names no arc"),
+])
+def test_malformed_graph_json_names_the_edge(field, value, match):
+    # The first edge runs p0 -> q0; each change breaks it, and the
+    # graph_from_json -> build_complex path names it, with no KeyError.
+    data = _trefoil_graph_json()
+    assert (data["edges"][0]["from"], data["edges"][0]["to"]) == ("p0", "q0")
+    data["edges"][0][field] = value
+    with pytest.raises(DehnError, match=match):
         build_complex(graph_from_json(data), Representation.abelian())
 
 
@@ -173,12 +193,32 @@ def test_trivial_representation_not_exact():
     ((((1,),), ((),)), ((), ()), "rank(d1) = 0 < 1"),
     # c1 = 2, c2 = 0, c0 = 1.
     (((), ()), ((1,), ()), "dimension mismatch: 2 != 0 + 1"),
+    # d2 = (1, 0)^T injects and d1 = (1, 1) surjects, but d1 * d2 = 1.
+    ((((1,),), ((),)), ((1,), (1,)), "d1*d2 != 0"),
 ])
 def test_exactness_witness_read_off_the_elimination(d2_rows, d1_row, witness):
     c2 = len(d2_rows[0])
     cx = ChainComplex(d2_rows, (1,), d1_row, tuple(f"c{j}" for j in range(c2)),
                       tuple(f"q{i}" for i in range(len(d2_rows))), ("inf",))
     assert check_exactness(cx) == ExactnessReport(False, witness)
+
+
+def test_exactness_requires_d1_d2_zero():
+    # Flipping the sign of one corner edge of the trefoil's graph keeps the
+    # dimensions and both ranks, but d1 * d2 is no longer zero: the complex
+    # is not a complex, and no propagator is built on it.
+    data = _trefoil_graph_json()
+    assert data["edges"][0]["origin"] == ["corner", 0, 0]
+    data["edges"][0]["sign"] *= -1
+    cx = build_complex(graph_from_json(data), Representation.abelian())
+    assert pmat_mul([cx.d1_row], cx.d2_rows) == [[[0, 2, -2], [], []]]
+    assert sum(p < cx.c2_dim for p in cx.natural_elimination[1]) == cx.c2_dim
+    assert check_exactness(cx) == ExactnessReport(False, "d1*d2 != 0")
+    with pytest.raises(NotExactError, match="d1\\*d2 != 0"):
+        build_propagator(cx)
+    # The propagator's own check rests on this test: on the non-complex the
+    # propagator read off the elimination passes it.
+    invariants._verify_identities(cx, invariants._exchanged(cx, 0))
 
 
 @pytest.mark.parametrize("text", [TREFOIL, FIG8_KINKED])
