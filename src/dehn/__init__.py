@@ -1,7 +1,7 @@
 """Exact computation of Dehn graphs, Reidemeister torsion and the abelian
 defect invariant of knot exteriors from planar-diagram codes."""
 
-from .algebra import FieldMatrix, Polynomial, RatFunc, unit_equal
+from .algebra import FieldMatrix, Polynomial, RatFunc
 from .dehngraph import (DehnGraph, GroupRingTerm, build_d1, build_d2,
                         build_dehn_graph, check_d2, export_dot, graph_from_json,
                         graph_to_json)

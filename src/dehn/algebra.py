@@ -8,10 +8,13 @@ exact division. Every elimination runs in the kernel too, through the one
 fraction-free loop `fraction_free_gauss_jordan` over Z[t], at a packing
 width proved by a Hadamard-type bound: Gauss-Jordan of a complex's
 [d2 | I], whose pivots give the exactness rank and whose rows give every
-propagator, and forward-only for the Fox minor's determinant. It returns its rows packed,
-so each caller unpacks only the entries it reads.
-`FieldMatrix`, a dense matrix over Q(t), is the view that the complex and
-the propagator are read and serialized through; its reduced form and
+propagator, and forward-only for the Fox minor's determinant. It returns
+its rows packed, so each caller unpacks only the entries it reads. Every
+matrix product the library checks goes through the one test
+`is_diagonal_product`, rows * m = delta * I over Z[t] at a proved packing
+width, with delta = [] for a zero product; no product is ever unpacked.
+`FieldMatrix`, a dense matrix over Q(t), is the form a complex is
+serialized in and a propagator's G2 is shown in; its reduced form and
 determinant write each row over one denominator and call the same loop.
 `Polynomial`, with coefficients in Q, is a
 read-only view with no arithmetic: the monic-denominator display form of a
@@ -25,6 +28,7 @@ Q[t], so there is no precision ceiling and no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, List, Sequence, Tuple, Union
 
@@ -280,16 +284,11 @@ def _unit_free(p: IntPoly) -> IntPoly:
     return [-c for c in p[low:]] if low < len(p) and p[low] < 0 else p[low:]
 
 
-def unit_equal(a: RatFunc, b: RatFunc) -> bool:
-    """True iff a = ±t^m · b for some integer m; zero is only unit-equal to
-    zero. Cross-multiplied over Z[t], with no gcd."""
-    return _unit_equal(a.znum, a.zden, b.znum, b.zden)
-
-
 def _unit_equal(p1: Sequence[int], q1: Sequence[int],
                 p2: Sequence[int], q2: Sequence[int]) -> bool:
-    """`unit_equal` of p1/q1 and p2/q2 over Z[t], the fractions in any form,
-    reduced or not: p1/q1 = ±t^m · p2/q2 iff p1·q2 = ±t^m · p2·q1."""
+    """True iff p1/q1 = ±t^m · p2/q2 for some integer m, the fractions over
+    Z[t] in any form, reduced or not: iff p1·q2 = ±t^m · p2·q1, with no gcd.
+    Zero is only unit-equal to zero."""
     return _unit_free(poly_mul(p1, q2)) == _unit_free(poly_mul(p2, q1))
 
 
@@ -466,26 +465,64 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
     return _unpack(_pack(a, k) * _pack(b, k), k)
 
 
-def pmat_mul(a: Sequence[Sequence[IntPoly]],
-             b: Sequence[Sequence[IntPoly]]) -> List[List[IntPoly]]:
-    """Product of two matrices over Z[t], each a list of rows of coefficient
-    lists."""
-    inner = len(b)
-    if any(len(row) != inner for row in a):
+def is_diagonal_product(rows: Sequence[Sequence[IntPoly]], m: Sequence[Sequence[IntPoly]],
+                        delta: Sequence[int]) -> bool:
+    """Whether rows * m = delta * I over Z[t], each matrix a list of rows of
+    coefficient lists; with delta = [] whether rows * m = 0.
+
+    The test is an equality of columns of polynomials: it holds iff every
+    entry E of the difference rows * m - delta * I is zero. With |rows| and
+    |delta| the largest coefficient of rows and of delta, and n the largest
+    column 1-norm of m (the sum of its entries' 1-norms), every coefficient
+    of every E = (rows * m)[r][c] - delta * [r = c] is at most
+
+        bound = |rows| * n + |delta|,
+
+    since a coefficient of p * q is at most |p|_1 times the largest of q.
+    With l_X the longest entry of X, every E has at most
+
+        L = max(l_rows + l_m - 1, l_delta)
+
+    coefficients. Take k = bit_length(bound), so every coefficient is below
+    2^k, and K = k * L. A column packed at t -> 2^k and row r -> 2^(K*r) is
+    the value at t = 2^k of sum_r t^(L*r) * E_r(t), whose coefficients are
+    exactly those of the E_r, since no E_r reaches the next slot. A nonzero
+    polynomial with every coefficient below 2^k in absolute value is nonzero
+    at 2^k: its lowest term c * 2^(k*m), 0 < |c| < 2^k, leaves a remainder
+    modulo 2^(k*(m+1)). So a packed difference column is zero iff the column
+    is. The widths are read off the matrices under test, so they cover a
+    wrong product too. A zero entry adds nothing to a norm and is not
+    packed.
+
+    Each column of `rows` is packed once into one integer. A column of
+    rows * m is then the sum, over the nonzero entries of a column of m, of
+    the packed entry times a packed column of rows, compared with delta
+    shifted into its slot, delta << K*c, as one integer, with no entry
+    product and no unpacking."""
+    inner = len(m)
+    if any(len(row) != inner for row in rows):
         raise ValueError("shape mismatch in matrix product")
-    cols = len(b[0]) if inner else 0
-    # Every coefficient of (ab)_ij is at most sum_l |a_il|_1 * max |b|_1;
-    # only the nonzero entries of b are measured and packed.
-    bound = (max((sum(map(_norm1, row)) for row in a), default=0)
-             * max((_norm1(x) for row in b for x in row if x), default=0))
-    k = _packing_bits(bound)
-    pb = [[_pack(x, k) if x else 0 for x in row] for row in b]
-    out = []
-    for row in a:
-        terms = [(v, pb[l]) for l, v in enumerate(_pack(x, k) for x in row) if v]
-        out.append([_unpack(sum(v * brow[j] for v, brow in terms), k)
-                    for j in range(cols)])
-    return out
+    flat = list(chain.from_iterable(rows))
+    m_columns = list(zip(*m))
+    bound = (max(map(abs, chain.from_iterable(flat)), default=0)
+             * max((sum(_norm1(x) for x in col if x) for col in m_columns), default=0)
+             + max(map(abs, delta), default=0))
+    if not bound:
+        return True  # rows * m and delta are both zero
+    k = bound.bit_length()
+    longest = max(map(len, flat), default=0) + max(map(len, chain.from_iterable(m)), default=0)
+    width = k * max(longest - 1, len(delta))
+
+    def packed(line) -> int:
+        n = 0
+        for v in reversed(line):
+            n = (n << width) + (_pack(v, k) if v else 0)
+        return n
+
+    packed_delta = _pack(delta, k)
+    columns = [packed(col) for col in zip(*rows)] or [0] * inner
+    return all(sum(_pack(x, k) * columns[j] for j, x in enumerate(col) if x)
+               == packed_delta << width * c for c, col in enumerate(m_columns))
 
 
 def _minor_bound(rows: Sequence[Sequence[IntPoly]]) -> int:

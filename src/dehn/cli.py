@@ -21,11 +21,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional
 
-from .algebra import _unit_equal, poly_add
+from .algebra import poly_add
 from .dehngraph import build_d1, build_d2, build_dehn_graph, export_dot, graph_to_json
 from .diagram import build_diagram, parse_pd, wirtinger
 from .errors import ConfigError, DehnError
-from .invariants import _defect_parts, _differ_by_integer, _torsion_parts, build_propagator
+from .invariants import (build_propagator, defect, defect_equal_mod_Z, torsion,
+                         torsion_equal_up_to_units)
 from .mscomplex import check_exactness
 from .oracle import fox_alexander
 from .pipeline import SCHEMA_VERSION, run_pipeline
@@ -126,10 +127,9 @@ def _check_one(task) -> dict:
     seeded = {g.selected: g for g in (build_propagator(cx, pivot_seed=seed)
                                       for seed in range(seeds))}
     seeded.pop(run.propagator.selected, None)
-    tor, d = run.tor.raw, run.d.representative
     checks["seed_independence"] = all(
-        _unit_equal(tor.znum, tor.zden, *_torsion_parts(cx, g))
-        and _differ_by_integer(d.znum, d.zden, *_defect_parts(cx, g))
+        torsion_equal_up_to_units(run.tor, torsion(cx, g))
+        and defect_equal_mod_Z(run.d, defect(cx, g))
         for g in seeded.values())
     return {"pd": run.pd.to_text(), "passed": all(checks.values()), "checks": checks}
 

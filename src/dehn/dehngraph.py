@@ -189,21 +189,35 @@ def graph_to_json(graph: DehnGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> DehnGraph:
-    """The inverse of `graph_to_json`; a letter naming no arc is a `DehnError`."""
+    """The inverse of `graph_to_json`. A vertex or an edge with a field
+    missing, an edge sign other than +-1, and a word letter that names no arc
+    or has an exponent other than +-1 are each a `DehnError` naming the
+    vertex or the edge."""
     arc_names = tuple(data["arcs"])
     name_to_id = {name: i for i, name in enumerate(arc_names)}
-    vertices = tuple(Vertex(v["id"], v["kind"], v["index"])
-                     for v in data["vertices"])
 
-    def letter(e: dict, name: str, exp: int) -> Tuple[int, int]:
-        if name not in name_to_id:
-            raise DehnError(f"edge {e['from']} -> {e['to']}: letter {name!r} names no arc")
-        return name_to_id[name], exp
+    def fields(item: dict, what: str, keys: Tuple[str, ...]) -> tuple:
+        missing = [key for key in keys if key not in item]
+        if missing:
+            raise DehnError(f"{what} has no {missing[0]!r}")
+        return tuple(item[key] for key in keys)
 
-    edges = tuple(
-        Edge(e["from"], e["to"],
-             GroupRingTerm(e["sign"], free_reduce([letter(e, g, x) for g, x in e["word"]])),
-             tuple(e["origin"]))
-        for e in data["edges"]
-    )
-    return DehnGraph(vertices, edges, arc_names)
+    vertices = tuple(Vertex(*fields(v, f"vertex {v.get('id', i)!r}", ("id", "kind", "index")))
+                     for i, v in enumerate(data["vertices"]))
+    edges = []
+    for i, e in enumerate(data["edges"]):
+        source, target = fields(e, f"edge {i}", ("from", "to"))
+        what = f"edge {source} -> {target}"
+        sign, word, origin = fields(e, what, ("sign", "word", "origin"))
+        if sign not in (1, -1):
+            raise DehnError(f"{what}: sign {sign!r} is not +1 or -1")
+        letters = []
+        for name, exp in word:
+            if name not in name_to_id:
+                raise DehnError(f"{what}: letter {name!r} names no arc")
+            if exp not in (1, -1):
+                raise DehnError(f"{what}: letter {name!r} has exponent {exp!r}, not +1 or -1")
+            letters.append((name_to_id[name], exp))
+        edges.append(Edge(source, target, GroupRingTerm(sign, free_reduce(letters)),
+                          tuple(origin)))
+    return DehnGraph(vertices, tuple(edges), arc_names)

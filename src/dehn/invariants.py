@@ -13,6 +13,12 @@ the determinant of the square block matrix [d2 | g1] mapping the even
 chains to C_1; it is well defined up to +-t^m, and a canonical
 representative is obtained by stripping that unit.
 
+Both invariants are held as the computation leaves them, unreduced
+fractions over Z[t] (`TorsionValue`, `DefectValue`). Their comparisons,
+up to units, modulo the integers and in the Lescop relation, cross-multiply
+the pairs with no gcd; the Q(t) forms, one gcd each, are built only when a
+value is printed or read.
+
 The torsion is read off the propagator's elimination, with no determinant
 of its own. C_0 is one-dimensional, so one coordinate s is selected. Let e_s
 be its coordinate column and B = [d2 | e_s] the pivot columns of the
@@ -23,10 +29,10 @@ B * diag(I, 1/d1[s]), and
 
 The three propagator identities rest on the complex's exactness report,
 d1 * d2 = 0 included: on an exact complex, N * d2 = delta * id over Z[t]
-(each column of N packed once into one integer) and a zero column s of N
-imply them all. They prove G2 = N / delta, but not the scale of delta:
-(c * N, c * delta) passes them for any nonzero polynomial c, and its
-torsion is wrong by the factor c. The Milnor and Lescop checks of the
+(one `is_diagonal_product` test) and a zero column s of N imply them
+all. They prove G2 = N / delta, but not the scale of delta: (c * N, c *
+delta) passes them for any nonzero polynomial c, and its torsion is wrong
+by the factor c. The Milnor and Lescop checks of the
 pipeline are what pin delta.
 
 The defect is a rational function modulo the integers. The paper sums it
@@ -43,8 +49,7 @@ log det, the reason that defect = t (d/dt) log(torsion) mod Z. With G2 =
 N / delta, d1 = D1 / t^a and g1[s] = 1 / d1[s], the first term is num /
 delta, num the sum over the coefficients c_m, m >= 1, of the nonzero d2
 entries d2[i][j] of m * c_m * t^m * N[j][i]; the second is (t D1[s]' - a *
-D1[s]) / D1[s]. The defect is their difference, one fraction over Z[t]
-made canonical once.
+D1[s]) / D1[s]. The defect is their difference, one fraction over Z[t].
 """
 
 from __future__ import annotations
@@ -52,13 +57,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
-from typing import List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import List, Optional, Tuple
 
-from .algebra import (FieldMatrix, IntPoly, RatFunc, _derivative, _exact_div, _pack,
-                      _unpack, poly_add, poly_mul, unit_equal)
+from .algebra import (FieldMatrix, IntPoly, RatFunc, _derivative, _exact_div, _unit_equal,
+                      _unpack, is_diagonal_product, poly_add, poly_mul)
 from .errors import DehnError, NotExactError
-from .mscomplex import ChainComplex, check_exactness
+from .mscomplex import ChainComplex, ZPoly, check_exactness
 
 
 @dataclass(frozen=True)
@@ -147,42 +152,6 @@ def _exchanged(cx: ChainComplex, s: int) -> Propagator:
     return Propagator(numer, _unpack(v[s], k), (s,), sign)
 
 
-def _identity_widths(cx: ChainComplex, g: Propagator) -> Tuple[int, int]:
-    """(k, L): the bits per coefficient and the coefficients per slot at
-    which `_verify_identities` packs a propagator.
-
-    N * d2 = delta * id is an equality of columns of polynomials, and it
-    holds iff every entry E of its difference column is zero. With |N| and
-    |delta| the largest coefficient of N and of delta, and n the largest
-    column 1-norm of d2 (the sum of its entries' 1-norms), every coefficient
-    of every E = (N * d2)[r][c] - delta * [r = c] is at most
-
-        bound = |N| * n + |delta|,
-
-    since a coefficient of p * q is at most |p|_1 times the largest of q.
-    With l_X the longest entry of X, every E has at most
-
-        L = max(l_N + l_d2 - 1, l_delta)
-
-    coefficients. Take k = bit_length(bound), so every coefficient is below
-    2^k, and K = k * L. A column packed at t -> 2^k and row r -> 2^(K*r) is
-    the value at t = 2^k of sum_r t^(L*r) * E_r(t), whose coefficients are
-    exactly those of the E_r, since no E_r reaches the next slot. A nonzero
-    polynomial with every coefficient below 2^k in absolute value is nonzero
-    at 2^k: its lowest term c * 2^(k*m), 0 < |c| < 2^k, leaves a remainder
-    modulo 2^(k*(m+1)). So a packed difference column is zero iff the column
-    is. The width is taken from the propagator under test, so it covers a
-    wrong one too."""
-    d2 = cx.d2_rows
-    numer = list(chain.from_iterable(g.numer))
-    norm_n = max(map(abs, chain.from_iterable(numer)), default=0)
-    norm_d2 = max((sum(sum(map(abs, x)) for x in col) for col in zip(*d2)), default=0)
-    bound = norm_n * norm_d2 + max(map(abs, g.delta))
-    longest_n = max(map(len, numer), default=0)
-    longest_d2 = max(map(len, chain.from_iterable(d2)), default=0)
-    return bound.bit_length(), max(longest_n + longest_d2 - 1, len(g.delta))
-
-
 def _verify_identities(cx: ChainComplex, g: Propagator) -> None:
     """Check g2*d2 = id, d1*g1 = id and d2*g2 + g1*d1 = id exactly, on a
     complex that passed `check_exactness` (c1 = c2 + 1, d1 != 0, d1*d2 = 0),
@@ -196,29 +165,14 @@ def _verify_identities(cx: ChainComplex, g: Propagator) -> None:
     also removes the one freedom N * d2 = delta * id leaves open: adding a
     multiple of D1 to a row of N.
 
-    Each column of N is packed once into one integer, at the widths of
-    `_identity_widths`. A column of N * d2 is then the sum, over the
-    nonzero entries of a column of d2, of the packed entry times a packed
-    column of N, compared with delta shifted into its slot, delta << K*c,
-    as one integer, with no entry product and no unpacking.
+    N * d2 = delta * id is one `is_diagonal_product` test, each column of N
+    packed once into one integer at widths read off N, delta and d2.
 
     delta = 0 is rejected first: every packed side would read 0."""
     if not any(g.delta):
         raise DehnError("propagator has delta = 0")
-    k, slots = _identity_widths(cx, g)
-    width = k * slots  # K, the bits of one slot
-
-    def packed(line) -> int:
-        n = 0
-        for v in reversed(line):
-            n = (n << width) + _pack(v, k)
-        return n
-
-    delta = _pack(g.delta, k)
-    columns = [packed(col) for col in zip(*g.numer)]
-    for c, col in enumerate(zip(*cx.d2_rows)):
-        if sum(_pack(x, k) * columns[j] for j, x in enumerate(col) if x) != delta << width * c:
-            raise DehnError("propagator identity g2*d2 = id failed")
+    if not is_diagonal_product(g.numer, cx.d2_rows, g.delta):
+        raise DehnError("propagator identity g2*d2 = id failed")
     if any(row[g.selected[0]] for row in g.numer):
         raise DehnError("propagator identity d2*g2 + g1*d1 = id failed: "
                         "column s of N is not zero")
@@ -226,61 +180,65 @@ def _verify_identities(cx: ChainComplex, g: Propagator) -> None:
 
 @dataclass(frozen=True)
 class TorsionValue:
-    raw: RatFunc
-    normalized: RatFunc
-    unit_sign: int
-    unit_power: int
+    """The torsion num / den as computed, an unreduced fraction over Z[t].
+    The comparisons read the pair; the Q(t) forms are built, one gcd for
+    both, when first read. `==` compares pairs, not values."""
+
+    num: ZPoly
+    den: ZPoly
+
+    @cached_property
+    def raw(self) -> RatFunc:
+        return RatFunc(self.num, self.den)
+
+    @cached_property
+    def normalized(self) -> RatFunc:
+        """raw = sign * t^m * normalized, with nonzero constant terms in both
+        parts and a positive numerator constant term. Stripping a unit from
+        raw's coprime pair leaves a coprime pair with the same contents and
+        the same leading coefficient of the denominator, so it is already
+        reduced."""
+        znum, zden = self.raw.znum, self.raw.zden
+        num = znum[next(i for i, c in enumerate(znum) if c):]
+        den = zden[next(i for i, c in enumerate(zden) if c):]
+        sign = 1 if num[0] > 0 else -1
+        return RatFunc._reduced([sign * c for c in num], den)
 
 
 def torsion(cx: ChainComplex, g: Propagator) -> TorsionValue:
-    """Determinant of [d2 | g1] : C_2 + C_0 -> C_1, raw and normalized, read
-    off the propagator's elimination as sign * delta / d1[s]; the module
-    docstring derives it. With d1[s] = D1[s] / den that is sign * delta *
-    den / D1[s]."""
-    raw = RatFunc(*_torsion_parts(cx, g))
-    if raw.is_zero():
+    """Determinant of [d2 | g1] : C_2 + C_0 -> C_1, read off the
+    propagator's elimination as sign * delta / d1[s]; the module docstring
+    derives it. With d1[s] = D1[s] / den that is sign * delta * den / D1[s]."""
+    num = poly_mul([g.sign * c for c in g.delta], cx.d1_den)
+    if not num:
         raise DehnError("torsion determinant vanished on an exact complex")
-    normalized, sign, power = _strip_unit(raw)
-    return TorsionValue(raw, normalized, sign, power)
-
-
-def _torsion_parts(cx: ChainComplex, g: Propagator) -> Tuple[IntPoly, Sequence[int]]:
-    """The raw torsion as an unreduced fraction over Z[t]: sign * delta *
-    den and D1[s]."""
-    return poly_mul([g.sign * c for c in g.delta], cx.d1_den), cx.d1_row[g.selected[0]]
-
-
-def _strip_unit(f: RatFunc) -> Tuple[RatFunc, int, int]:
-    """Write f = sign * t^m * g with g having nonzero constant terms in both
-    parts and positive numerator constant term. Stripping a unit from f's
-    coprime pair leaves a coprime pair with the same contents and the same
-    leading coefficient of the denominator, so g is already reduced."""
-    a = next(i for i, c in enumerate(f.znum) if c)
-    b = next(i for i, c in enumerate(f.zden) if c)
-    num, den = f.znum[a:], f.zden[b:]
-    sign = 1 if num[0] > 0 else -1
-    return RatFunc._reduced([sign * c for c in num], den), sign, a - b
+    return TorsionValue(tuple(num), cx.d1_row[g.selected[0]])
 
 
 def torsion_equal_up_to_units(a: TorsionValue, b: TorsionValue) -> bool:
-    return unit_equal(a.raw, b.raw)
+    """True iff a = +-t^m * b, cross-multiplied over Z[t] with no gcd."""
+    return _unit_equal(a.num, a.den, b.num, b.den)
 
 
 @dataclass(frozen=True)
 class DefectValue:
-    representative: RatFunc
+    """The defect num / den as computed, an unreduced fraction over Z[t];
+    its canonical form is built, with one gcd, when first read. `==`
+    compares pairs, not values."""
+
+    num: ZPoly
+    den: ZPoly
+
+    @cached_property
+    def representative(self) -> RatFunc:
+        return RatFunc(self.num, self.den)
 
 
 def defect(cx: ChainComplex, g: Propagator) -> DefectValue:
-    """The trace of the module docstring, made canonical once."""
-    return DefectValue(RatFunc(*_defect_parts(cx, g)))
-
-
-def _defect_parts(cx: ChainComplex, g: Propagator) -> Tuple[IntPoly, IntPoly]:
-    """The defect as an unreduced fraction over Z[t]: num * D1[s] - delta *
-    (t D1[s]' - a * D1[s]) over delta * D1[s], with num = tr(t d2' * N) and
-    t^a = d1_den. The a * D1[s] term is the derivative of t^-a; without it
-    the defect is off by the integer a, equal mod Z but not the same
+    """The trace of the module docstring: num * D1[s] - delta * (t D1[s]' -
+    a * D1[s]) over delta * D1[s], with num = tr(t d2' * N) and t^a =
+    d1_den. The a * D1[s] term is the derivative of t^-a; without it the
+    defect is off by the integer a, equal mod Z but not the same
     representative. Only the nonzero d2 entries are visited."""
     s = g.selected[0]
     num: IntPoly = []
@@ -291,8 +249,8 @@ def _defect_parts(cx: ChainComplex, g: Propagator) -> Tuple[IntPoly, IntPoly]:
                     num = poly_add(num, g.numer[j][i], m * x[m], m)
     d1_s, a = cx.d1_row[s], len(cx.d1_den) - 1
     td1_s = [(m - a) * c for m, c in enumerate(d1_s)]  # t D1[s]' - a * D1[s]
-    return (poly_add(poly_mul(num, d1_s), poly_mul(g.delta, td1_s), -1),
-            poly_mul(g.delta, d1_s))
+    return DefectValue(tuple(poly_add(poly_mul(num, d1_s), poly_mul(g.delta, td1_s), -1)),
+                       tuple(poly_mul(g.delta, d1_s)))
 
 
 def _differ_by_integer(p1: IntPoly, q1: IntPoly, p2: IntPoly, q2: IntPoly) -> bool:
@@ -309,8 +267,7 @@ def _differ_by_integer(p1: IntPoly, q1: IntPoly, p2: IntPoly, q2: IntPoly) -> bo
 
 def defect_equal_mod_Z(a: DefectValue, b: DefectValue) -> bool:
     """True iff the difference is a constant with integer value."""
-    x, y = a.representative, b.representative
-    return _differ_by_integer(x.znum, x.zden, y.znum, y.zden)
+    return _differ_by_integer(a.num, a.den, b.num, b.den)
 
 
 def check_lescop_relation(tor: TorsionValue, d: DefectValue) -> bool:
@@ -318,10 +275,9 @@ def check_lescop_relation(tor: TorsionValue, d: DefectValue) -> bool:
 
     The unit ambiguity of the torsion shifts the logarithmic derivative by an
     integer, so the predicate is well defined on equivalence classes."""
-    if tor.raw.is_zero():
+    p, q = tor.num, tor.den
+    if not p:
         raise ValueError("torsion must be nonzero")
-    # With torsion = P / Q, t * (d/dt) log(torsion) = t * (P'Q - PQ') / (PQ).
-    p, q = tor.raw.znum, tor.raw.zden
+    # With torsion = P / Q in any form, t * (d/dt) log(torsion) = t * (P'Q - PQ') / (PQ).
     wronskian = poly_add(poly_mul(_derivative(p), q), poly_mul(p, _derivative(q)), -1)
-    x = d.representative
-    return _differ_by_integer(x.znum, x.zden, poly_add([], wronskian, shift=1), poly_mul(p, q))
+    return _differ_by_integer(d.num, d.den, poly_add([], wronskian, shift=1), poly_mul(p, q))

@@ -7,8 +7,8 @@ is the sum over the edges p -> q of the images of their labels. Every
 generator goes to the same scalar t^k (k = 1 abelian, k = 0 trivial), so a
 signed word maps to the sign times t^(k * exponent sum), and the complex is
 held over Z[t]: the corner labels +-1, +-x make d2 a matrix over Z[t], and
-d1, from the region labels, is one row over Z[t] over a power of t. The
-Q(t) matrices `d2` and `d1` are views built on first read. The elimination
+d1, from the region labels, is one row over Z[t] over a power of t. Only
+`complex_to_json` writes them as matrices over Q(t). The elimination
 of [d2 | I] is the only one a complex makes, and it is made once: the
 exactness report that `check_exactness` returns reads rank(d2) off its
 pivots, and every propagator, whatever its pivot seed, is read off its
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import FieldMatrix, IntPoly, RatFunc, fraction_free_gauss_jordan, pmat_mul, poly_add
+from .algebra import (FieldMatrix, IntPoly, RatFunc, fraction_free_gauss_jordan,
+                      is_diagonal_product, poly_add)
 from .dehngraph import BASEPOINT, DehnGraph
 from .errors import DehnError
 from .words import Word, exponent_sum
@@ -79,19 +80,6 @@ class ChainComplex:
         return len(self.c0_basis)
 
     @cached_property
-    def d2(self) -> FieldMatrix:
-        """d2 as a c1_dim x c2_dim matrix over Q(t), built on first read."""
-        zero = RatFunc.zero()
-        return FieldMatrix(self.c1_dim, self.c2_dim,
-                           [RatFunc(x) if x else zero for row in self.d2_rows for x in row])
-
-    @cached_property
-    def d1(self) -> FieldMatrix:
-        """d1 as a c0_dim x c1_dim matrix over Q(t), built on first read."""
-        return FieldMatrix(self.c0_dim, self.c1_dim,
-                           [RatFunc(x, self.d1_den) for x in self.d1_row])
-
-    @cached_property
     def natural_elimination(self) -> Tuple[List[List[int]], List[int], int, int]:
         """`fraction_free_gauss_jordan` of [d2 | I] over Z[t], its rows still
         packed, done once per complex: the exactness rank and every
@@ -127,7 +115,7 @@ class ChainComplex:
         r1 = int(any(self.d1_row))
         if r1 != self.c0_dim:
             return ExactnessReport(False, f"rank(d1) = {r1} < {self.c0_dim}")
-        if any(pmat_mul([self.d1_row], self.d2_rows)[0]):
+        if not is_diagonal_product([self.d1_row], self.d2_rows, []):
             return ExactnessReport(False, "d1*d2 != 0")
         return ExactnessReport(True)
 
@@ -181,13 +169,16 @@ def check_exactness(cx: ChainComplex) -> ExactnessReport:
 
 
 def complex_to_json(cx: ChainComplex) -> dict:
-    """Boundary matrices plus the bases that index their rows and columns."""
+    """Boundary matrices over Q(t) plus the bases that index their rows and
+    columns."""
+    d2 = FieldMatrix(cx.c1_dim, cx.c2_dim, [RatFunc(x) for row in cx.d2_rows for x in row])
+    d1 = FieldMatrix(cx.c0_dim, cx.c1_dim, [RatFunc(x, cx.d1_den) for x in cx.d1_row])
     return {
         "bases": {
             "c2": list(cx.c2_basis),
             "c1": list(cx.c1_basis),
             "c0": list(cx.c0_basis),
         },
-        "d2": cx.d2.to_json(),
-        "d1": cx.d1.to_json(),
+        "d2": d2.to_json(),
+        "d1": d1.to_json(),
     }

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra import (IntPoly, Polynomial, _unit_free, _unpack, fraction_free_gauss_jordan,
+from .algebra import (IntPoly, Polynomial, _unit_equal, _unpack, fraction_free_gauss_jordan,
                       poly_mul)
 from .diagram import WirtingerPresentation
 from .errors import DehnError
@@ -131,11 +131,10 @@ def fox_alexander(presentation: WirtingerPresentation) -> AlexanderPolynomial:
 
 def milnor_check(tor: TorsionValue, alex: AlexanderPolynomial) -> bool:
     """Torsion times (t - 1) is unit-equal to the Alexander polynomial, over
-    Z[t]: with torsion = P / Q and Delta = Delta' / L (L the lcm of its
-    denominators, 1 for every Fox Delta), L * P * (t - 1) = +-t^m * Delta' * Q."""
+    Z[t]: with torsion = P / Q in any form and Delta = Delta' / L (L the lcm
+    of its denominators, 1 for every Fox Delta), L * P * (t - 1) = +-t^m *
+    Delta' * Q."""
     coeffs = alex.poly.coeffs
     scale = lcm(*(c.denominator for c in coeffs))
     delta = [c.numerator * (scale // c.denominator) for c in coeffs]
-    p, q = tor.normalized.znum, tor.normalized.zden
-    return (_unit_free(poly_mul([scale * c for c in p], [-1, 1]))
-            == _unit_free(poly_mul(delta, q)))
+    return _unit_equal(poly_mul([scale * c for c in tor.num], [-1, 1]), tor.den, delta, [1])

@@ -6,9 +6,8 @@ import itertools
 import json
 from fractions import Fraction
 
-from dehn.algebra import FieldMatrix, Polynomial, RatFunc, _unpack, fraction_free_gauss_jordan
+from dehn.algebra import FieldMatrix, Polynomial, RatFunc, _pack, _unpack, fraction_free_gauss_jordan
 from dehn.dehngraph import BASEPOINT
-from dehn.invariants import DefectValue
 from dehn.pipeline import run_pipeline
 from dehn.words import exponent_sum
 
@@ -84,6 +83,16 @@ def _incoming(crossing, pos: int, edges: int) -> bool:
     return b_in if pos == 1 else not b_in
 
 
+def qt_d2(cx) -> FieldMatrix:
+    """d2 as a c1_dim x c2_dim matrix over Q(t), from the complex's Z[t] rows."""
+    return FieldMatrix(cx.c1_dim, cx.c2_dim, [RatFunc(x) for row in cx.d2_rows for x in row])
+
+
+def qt_d1(cx) -> FieldMatrix:
+    """d1 as a c0_dim x c1_dim matrix over Q(t): d1_row over d1_den."""
+    return FieldMatrix(cx.c0_dim, cx.c1_dim, [RatFunc(x, cx.d1_den) for x in cx.d1_row])
+
+
 def qt_g1(cx, g) -> FieldMatrix:
     """G1 as a c1_dim x 1 matrix over Q(t): 1/d1[s] on the row of the
     selected coordinate s, zero elsewhere."""
@@ -96,7 +105,7 @@ def qt_g1(cx, g) -> FieldMatrix:
 def det_torsion(cx, g) -> RatFunc:
     """Reference raw torsion: the determinant of [d2 | g1] itself, the form
     the torsion took before it was read off the propagator's elimination."""
-    return hstack(cx.d2, qt_g1(cx, g)).det()
+    return hstack(qt_d2(cx), qt_g1(cx, g)).det()
 
 
 @functools.lru_cache(maxsize=None)
@@ -170,6 +179,20 @@ def submatrix(m: FieldMatrix, row_idx, col_idx) -> FieldMatrix:
                        [m.entry(i, j) for i in row_idx for j in col_idx])
 
 
+def qt_product(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
+    """Schoolbook product over Q(t), each entry summed one term at a time."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch in matrix product")
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = RatFunc.zero()
+            for k in range(a.cols):
+                acc = acc + a.entry(i, k) * b.entry(k, j)
+            out.append(acc)
+    return FieldMatrix(a.rows, b.cols, out)
+
+
 def is_zero_matrix(m: FieldMatrix) -> bool:
     return all(e.is_zero() for e in m.entries)
 
@@ -202,6 +225,12 @@ def is_identity(matrix: FieldMatrix) -> bool:
 def forward_rank(matrix: FieldMatrix) -> int:
     """Rank by the kernel's forward elimination of the cleared rows."""
     return len(fraction_free_gauss_jordan(matrix.cleared_rows()[1], forward=True)[1])
+
+
+def packed_column(entries, k, slots):
+    """A column of Z[t] entries packed as `is_diagonal_product` packs one:
+    t -> 2^k and row r -> 2^(k*slots*r)."""
+    return sum(_pack(x, k) << (k * slots * r) for r, x in enumerate(entries))
 
 
 def gauss_jordan(rows, forward=False):
@@ -404,14 +433,14 @@ def defect_terms(graph, cx, g):
     return terms
 
 
-def qt_defect(graph, cx, g) -> DefectValue:
-    """Reference defect: the per-edge terms added one at a time in Q(t), each
-    partial sum in canonical form, independent of the single-numerator sum
-    behind `defect`."""
+def qt_defect(graph, cx, g) -> RatFunc:
+    """Reference defect representative: the per-edge terms added one at a
+    time in Q(t), each partial sum in canonical form, independent of the
+    single-numerator sum behind `defect`."""
     total = RatFunc.zero()
     for _, _, value in defect_terms(graph, cx, g):
         total = total + value
-    return DefectValue(total)
+    return total
 
 
 # -- Q(t) references for the comparisons over Z[t] ------------------------------

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (CORPUS, connected_sum, forward_rank, from_rows, gauss_jordan,
-                      identity, mat, poly, poly_gcd, q_add, q_divmod, q_monic, q_mul,
-                      qt_rref, rf, submatrix, t_power, torus_pd, transposed, zeros)
+                      identity, mat, packed_column, poly, poly_gcd, q_add, q_divmod, q_monic,
+                      q_mul, qt_product, qt_rref, rf, submatrix, t_power, torus_pd,
+                      transposed, zeros)
 from dehn import algebra
 from dehn.algebra import (FieldMatrix, Polynomial, RatFunc, _exact_quotient, _prs_gcd,
-                          common_denominator, pmat_mul, poly_add, poly_mul, unit_equal,
-                          zpoly_gcd)
+                          _unit_equal, common_denominator, is_diagonal_product, poly_add,
+                          poly_mul, zpoly_gcd)
 from dehn.pipeline import compute_result
 
 # -- the Euclid reference gcd ------------------------------------------------
@@ -103,11 +104,15 @@ def test_zero_is_zero_over_one():
 
 
 def test_unit_equal():
-    a = rf((1, -1, 1), (1, -1))
-    assert unit_equal(a, a)
-    assert unit_equal(a, -(t_power(3)) * a)
-    assert not unit_equal(a, rf((1, -3, 1), (1, -1)))
-    assert not unit_equal(a, a * rf((1, 1)))
+    # Over Z[t] pairs in any form: (t^2-t+1)/(1-t), the same times 2/2,
+    # -t^3 times it, and two fractions that differ by more than a unit.
+    a = ([1, -1, 1], [1, -1])
+    assert _unit_equal(*a, *a)
+    assert _unit_equal(*a, [2, -2, 2], [2, -2])
+    assert _unit_equal(*a, [0, 0, 0, -1, 1, -1], [1, -1])
+    assert not _unit_equal(*a, [1, -3, 1], [1, -1])
+    assert not _unit_equal(*a, [1, 0, 0, 1], [1, -1])
+    assert _unit_equal([], [1], [], [3]) and not _unit_equal([], [1], [1], [1])
 
 
 # -- matrices ---------------------------------------------------------------
@@ -334,20 +339,90 @@ def test_poly_mul_matches_polynomial_product(a, b, c, shift):
     assert poly_add(a, b) == poly_add(b, a, 1, 0)
 
 
-@settings(max_examples=40, deadline=None)
+def _diagonal(rows, cols, delta):
+    """delta * I as a rows x cols matrix over Q(t)."""
+    return FieldMatrix(rows, cols, [RatFunc(delta if i == j else []) for i in range(rows)
+                                    for j in range(cols)])
+
+
+def _bumped(matrix, data):
+    """A copy of a Z[t] matrix with one coefficient, drawn from `data`,
+    moved by +-1, one place past the top of its entry included."""
+    out = [[list(x) for x in row] for row in matrix]
+    i = data.draw(st.integers(0, len(out) - 1))
+    j = data.draw(st.integers(0, len(out[i]) - 1))
+    entry = out[i][j]
+    p = data.draw(st.integers(0, len(entry)))
+    entry.extend([0] * (p + 1 - len(entry)))
+    entry[p] += data.draw(st.sampled_from((1, -1)))
+    out[i][j] = _trim(entry)
+    return out
+
+
+def _check_agrees(rows, m, delta):
+    """is_diagonal_product against the Q(t) product; returns its answer."""
+    got = is_diagonal_product(rows, m, delta)
+    product = qt_product(_over_q(rows), _over_q(m))
+    assert got == (product == _diagonal(product.rows, product.cols, delta))
+    return got
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
-def test_pmat_mul_matches_field_matrix_product(m, n, p, data):
-    a = data.draw(int_matrices(m, n, int_polys(2 ** 40, 4)))
-    b = data.draw(int_matrices(n, p, int_polys(2 ** 40, 4)))
-    product = pmat_mul(a, b)
-    assert all(_is_trimmed(x) for row in product for x in row)
-    assert len(product) == m and all(len(row) == p for row in product)
-    assert _over_q(product) == _over_q(a) @ _over_q(b)
+def test_is_diagonal_product_matches_qt_product(m, n, p, data):
+    # Random products; planted zero products, every row a multiple of one
+    # row u and every column c * (u_j e_i - u_i e_j); planted delta * I, the
+    # identity block N of the kernel's [A | I] with N * A = delta * I. Each
+    # planted case also with one coefficient moved by 1.
+    polys = int_polys(2 ** 40, 4)
+    a = data.draw(int_matrices(m, n, polys))
+    b = data.draw(int_matrices(n, p, polys))
+    _check_agrees(a, b, [])
+    _check_agrees(a, b, data.draw(polys))
+    u = data.draw(int_matrices(1, n, polys))[0]
+    rows = [[poly_mul(c, x) for x in u] for c in data.draw(st.lists(polys, min_size=m,
+                                                                    max_size=m))]
+    columns = []
+    for _ in range(p):
+        column = [[] for _ in range(n)]
+        if n > 1:
+            i, j = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                             unique=True)))
+            c = data.draw(polys)
+            column[i], column[j] = poly_mul(c, u[j]), poly_mul([-1], poly_mul(c, u[i]))
+        columns.append(column)
+    zero = [list(row) for row in zip(*columns)]
+    assert _check_agrees(rows, zero, [])
+    _check_agrees(rows, _bumped(zero, data), [])
+    _check_agrees(_bumped(rows, data), zero, [])
+    square = data.draw(int_matrices(n, n, int_polys(50, 3)))
+    reduced, pivots, _ = gauss_jordan([row + [[1] if i == j else [] for j in range(n)]
+                                       for i, row in enumerate(square)])
+    if pivots == list(range(n)):
+        numer, delta = [row[n:] for row in reduced], reduced[-1][n - 1]
+        assert _check_agrees(numer, square, delta)
+        _check_agrees(_bumped(numer, data), square, delta)
+        _check_agrees(numer, _bumped(square, data), delta)
 
 
-def test_pmat_mul_shape_mismatch_raises():
+def test_is_diagonal_product_shape_mismatch_raises():
     with pytest.raises(ValueError):
-        pmat_mul([[[1], [1]]], [[[1]]])
+        is_diagonal_product([[[1], [1]]], [[[1]]], [])
+
+
+def test_zero_product_one_bit_narrower_would_alias():
+    # (-8 + t) * 1: the widths are k = 4 (coefficients up to 8 * 1) and one
+    # slot; at k = 3, -8 + t packs to -8 + 8 = 0.
+    assert packed_column([[-8, 1]], 3, 1) == 0 != packed_column([[-8, 1]], 4, 1)
+    assert not is_diagonal_product([[[-8, 1]]], [[[1]]], [])
+
+
+def test_zero_product_one_slot_shorter_would_alias():
+    # The column (t^2, -1) times 1: k = 1 and L = 3 coefficients per slot.
+    # With one coefficient fewer, the t^2 of row 0 and the -1 of row 1 land
+    # on the same power and cancel.
+    assert packed_column([[0, 0, 1], [-1]], 1, 2) == 0 != packed_column([[0, 0, 1], [-1]], 1, 3)
+    assert not is_diagonal_product([[[0, 0, 1]], [[-1]]], [[[1]]], [])
 
 
 def _at(coeffs, x):

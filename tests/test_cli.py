@@ -155,6 +155,30 @@ def test_a_failing_check_exits_1(capsys, monkeypatch):
     assert code == 1 and out.startswith("FAIL ") and out.endswith("  failing: milnor\n")
 
 
+@pytest.mark.parametrize("field", ["delta", "numer"])
+def test_a_disagreeing_seed_fails_check(capsys, monkeypatch, field):
+    # Every seeded propagator comes back with delta doubled, which doubles
+    # its torsion, or with N doubled, which moves its defect by a
+    # non-integer; the reported propagator is built by the pipeline and left
+    # alone. Only seed_independence fails.
+    import dataclasses
+    import dehn.cli
+    build = dehn.cli.build_propagator
+
+    def doubled(cx, pivot_seed=None):
+        g = build(cx, pivot_seed=pivot_seed)
+        if field == "delta":
+            return dataclasses.replace(g, delta=[2 * c for c in g.delta])
+        return dataclasses.replace(g, numer=[[[2 * c for c in x] for x in row]
+                                             for row in g.numer])
+
+    monkeypatch.setattr(dehn.cli, "build_propagator", doubled)
+    code, out, _ = run_cli(capsys, "check", "--pd", TREFOIL, "--seeds", "10", "--format", "json")
+    checks = json.loads(out)["checks"]
+    assert code == 1 and checks.pop("seed_independence") is False
+    assert all(checks.values())
+
+
 # -- error handling --------------------------------------------------------------
 
 

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
                       UNKNOT_KINK, defect_terms, det_torsion, eliminate,
                       find_basis_permutation, from_rows, hstack, is_identity,
-                      mat, mat_add, pipeline, qt_defect, qt_equal_mod_Z, qt_g1,
-                      qt_inverse, qt_lescop, qt_rref, qt_unit_equal, rf, scaled,
-                      submatrix, t_power, torus_pd)
-from dehn import algebra, invariants
-from dehn.algebra import RatFunc, poly_add, poly_mul, unit_equal
+                      mat, mat_add, pipeline, qt_d1, qt_d2, qt_defect, qt_equal_mod_Z,
+                      packed_column, qt_g1, qt_inverse, qt_lescop, qt_rref, qt_unit_equal,
+                      rf, scaled, submatrix, t_power, torus_pd)
+from dehn import invariants
+from dehn.algebra import RatFunc, poly_add, poly_mul
 from dehn.errors import DehnError, NotExactError
 from dehn.dehngraph import (build_d1, build_d2, build_dehn_graph, graph_from_json,
                             graph_to_json)
@@ -46,16 +46,17 @@ G1_FIXTURE = mat([[rf(1, (1, -1))], [0], [0], [0]])
 def test_propagator_identities(text):
     run = pipeline(text)
     cx, g = run.complex, run.propagator
-    assert is_identity(g.g2 @ cx.d2)
+    d2, d1 = qt_d2(cx), qt_d1(cx)
+    assert is_identity(g.g2 @ d2)
     g1 = qt_g1(cx, g)
-    assert is_identity(cx.d1 @ g1)
-    assert is_identity(mat_add(cx.d2 @ g.g2, g1 @ cx.d1))
+    assert is_identity(d1 @ g1)
+    assert is_identity(mat_add(d2 @ g.g2, g1 @ d1))
 
 
 def test_trefoil_default_propagator_matches_fixture():
     run = pipeline(TREFOIL)
     assert run.propagator.selected == (0,)
-    ours = {"d2": run.complex.d2, "d1": run.complex.d1,
+    ours = {"d2": qt_d2(run.complex), "d1": qt_d1(run.complex),
             "g2": run.propagator.g2, "g1": qt_g1(run.complex, run.propagator)}
     from test_mscomplex import TREFOIL_D1, TREFOIL_D2
     fixture = {"d2": TREFOIL_D2, "d1": TREFOIL_D1,
@@ -67,11 +68,12 @@ def test_propagator_random_seeds_all_valid():
     run = pipeline(TREFOIL)
     cx = run.complex
     propagators = [build_propagator(cx, pivot_seed=s) for s in range(10)]
+    d2, d1 = qt_d2(cx), qt_d1(cx)
     for g in propagators:
-        assert is_identity(g.g2 @ cx.d2)
+        assert is_identity(g.g2 @ d2)
         g1 = qt_g1(cx, g)
-        assert is_identity(cx.d1 @ g1)
-        assert is_identity(mat_add(cx.d2 @ g.g2, g1 @ cx.d1))
+        assert is_identity(d1 @ g1)
+        assert is_identity(mat_add(d2 @ g.g2, g1 @ d1))
     assert len({g.selected for g in propagators}) > 1  # genuinely different
 
 
@@ -95,10 +97,10 @@ def reference_propagator(cx, pivot_seed=None):
     for i in candidates:
         if len(selected) == c0:
             break
-        cols = hstack(_coordinate_columns(c1, selected + [i]), cx.d2)
+        cols = hstack(_coordinate_columns(c1, selected + [i]), qt_d2(cx))
         if qt_rref(cols)[2] == c2 + len(selected) + 1:
             selected.append(i)
-    basis = hstack(_coordinate_columns(c1, selected), cx.d2)
+    basis = hstack(_coordinate_columns(c1, selected), qt_d2(cx))
     g2 = submatrix(qt_inverse(basis), range(c0, c1), range(c1))
     return tuple(selected), g2
 
@@ -197,43 +199,31 @@ def _two_crossing_complex():
                         c1_basis=("q0", "q1", "q2"), c0_basis=("inf",))
 
 
-def _packed_column(entries, k, slots):
-    """A column packed at t -> 2^k and row r -> 2^(k*slots*r)."""
-    return sum(algebra._pack(x, k) << (k * slots * r) for r, x in enumerate(entries))
-
-
-def test_identity_width_one_bit_narrower_would_alias(monkeypatch):
-    # Column 0 of N * d2 is (1, 8 - t) against (delta, 0). The widths are
-    # k = 4 (coefficients up to 8 * 1 + 1 = 9) and L = 2; at k = 3, 8 - t
-    # packs to 8 - 8 = 0, and the check passes.
+def test_identity_width_one_bit_narrower_would_alias():
+    # Column 0 of N * d2 is (t - 7, 0) against (delta, 0) = (1, 0), off by
+    # (t - 8, 0). The widths are k = 4 (coefficients up to 7 * 1 + |delta|
+    # = 8) and L = 2; at k = 3, t - 8 packs to 8 - 8 = 0, and the check
+    # would pass. Without |delta| in the bound, k would be 3.
     cx = _two_crossing_complex()
     g = build_propagator(cx)
     assert (g.numer, g.delta, g.selected) == ([[[1], [], []], [[], [1], []]], [1], (2,))
-    wrong = dataclasses.replace(g, numer=[[[1], [], []], [[8, -1], [1], []]])
-    k, slots = invariants._identity_widths(cx, wrong)
-    assert (k, slots) == (4, 2)
-    assert _packed_column([[1], [8, -1]], k - 1, slots) == _packed_column([[1], []], k - 1, slots)
+    wrong = dataclasses.replace(g, numer=[[[-7, 1], [], []], [[], [1], []]])
+    assert packed_column([[-8, 1], []], 3, 2) == 0 != packed_column([[-8, 1], []], 4, 2)
     with pytest.raises(DehnError, match="g2\\*d2"):
         _verify_identities(cx, wrong)
-    monkeypatch.setattr(invariants, "_identity_widths", lambda cx, g: (k - 1, slots))
-    _verify_identities(cx, wrong)  # the alias the proved width rules out
 
 
-def test_identity_width_one_slot_shorter_would_alias(monkeypatch):
+def test_identity_width_one_slot_shorter_would_alias():
     # Column 0 of N * d2 is (1 + t^2, -1), off (delta, 0) by (t^2, -1). With
-    # L = 3 slots that is t^2 - t^3 at t = 2^k, nonzero; with one slot fewer
-    # the t^2 of row 0 and the -1 of row 1 land on the same power and cancel.
+    # k = 2 and L = 3 slots that is t^2 - t^3 at t = 2^k, nonzero; with one
+    # slot fewer the t^2 of row 0 and the -1 of row 1 land on the same power
+    # and cancel.
     cx = _two_crossing_complex()
     wrong = dataclasses.replace(build_propagator(cx),
                                 numer=[[[1, 0, 1], [], []], [[-1], [1], []]])
-    k, slots = invariants._identity_widths(cx, wrong)
-    assert (k, slots) == (2, 3)
-    assert (_packed_column([[1, 0, 1], [-1]], k, slots - 1)
-            == _packed_column([[1], []], k, slots - 1))
+    assert packed_column([[0, 0, 1], [-1]], 2, 2) == 0 != packed_column([[0, 0, 1], [-1]], 2, 3)
     with pytest.raises(DehnError, match="g2\\*d2"):
         _verify_identities(cx, wrong)
-    monkeypatch.setattr(invariants, "_identity_widths", lambda cx, g: (k, slots - 1))
-    _verify_identities(cx, wrong)  # the alias the proved width rules out
 
 
 def test_verify_identities_checks_the_homotopy_identity():
@@ -272,7 +262,7 @@ def test_identities_do_not_pin_the_scale_of_delta():
     assert wrong.g2 == g.g2
     tor = torsion(cx, wrong)
     assert tor.raw == run.tor.raw * rf(c)
-    assert defect(cx, wrong) == run.d
+    assert defect(cx, wrong).representative == run.d.representative
     assert check_lescop_relation(run.tor, run.d) and milnor_check(run.tor, run.alexander)
     assert not check_lescop_relation(tor, run.d)
     assert not milnor_check(tor, run.alexander)
@@ -291,7 +281,7 @@ def test_propagator_views_on_a_complex_without_crossings():
     g = build_propagator(cx)
     assert (g.g2.rows, g.g2.cols) == (0, 1)
     g1 = qt_g1(cx, g)
-    assert g1 == mat([[1]]) and is_identity(cx.d1 @ g1)
+    assert g1 == mat([[1]]) and is_identity(qt_d1(cx) @ g1)
     assert torsion(cx, g).raw == RatFunc.one()
 
 
@@ -307,10 +297,16 @@ def test_propagator_requires_exactness():
 # -- torsion ------------------------------------------------------------------
 
 
+def _value(cls, f):
+    """A TorsionValue or DefectValue holding f's reduced pair."""
+    return cls(f.znum, f.zden)
+
+
 def test_trefoil_torsion():
     run = pipeline(TREFOIL)
-    assert torsion_equal_up_to_units(run.tor, TorsionValue(
-        TORSION_TARGET, TORSION_TARGET, 1, 0))
+    again = torsion(run.complex, run.propagator)
+    assert again == run.tor and hash(again) == hash(run.tor)  # a value, hashable
+    assert torsion_equal_up_to_units(run.tor, _value(TorsionValue, TORSION_TARGET))
     assert run.tor.normalized == rf((1, -1, 1), (-1, 1))
     assert run.tor.raw == TORSION_TARGET
 
@@ -345,11 +341,10 @@ def test_fig8_torsion():
 
 
 def test_torsion_normalization_unit_bookkeeping():
-    run = pipeline(TREFOIL)
-    unit = RatFunc(run.tor.unit_sign) * t_power(run.tor.unit_power)
-    assert run.tor.raw == unit * run.tor.normalized
-    assert run.tor.normalized.num.coeffs[0] > 0
-    assert run.tor.normalized.den.coeffs[0] != 0
+    for text in (TREFOIL, FIG8_KINKED, torus_pd(9)):
+        tor = pipeline(text).tor
+        assert qt_unit_equal(tor.raw, tor.normalized), text
+        assert tor.normalized.znum[0] > 0 and tor.normalized.zden[0] != 0, text
 
 
 _unit_shifted = st.tuples(st.integers(0, 3),
@@ -359,25 +354,29 @@ _unit_shifted = st.tuples(st.integers(0, 3),
 @settings(max_examples=80, deadline=None)
 @given(_unit_shifted, _unit_shifted, st.lists(st.integers(-4, 4), max_size=3).filter(any))
 def test_strip_unit_gives_the_gcd_form(num, den, common):
-    # f = t^a * n * h / (t^b * d * h), reduced by the gcd; the normalized
-    # part, built with no gcd, is the form the gcd gives its own parts.
-    f = RatFunc(poly_mul([0] * num[0] + num[1], common),
-                poly_mul([0] * den[0] + den[1], common))
-    g, sign, power = invariants._strip_unit(f)
+    # t^a * n * h / (t^b * d * h) as an unreduced torsion: its raw form is
+    # the gcd's, and the normalized part, built from it with no second gcd,
+    # is the form the gcd gives its own parts.
+    tor = TorsionValue(tuple(poly_mul([0] * num[0] + num[1], common)),
+                       tuple(poly_mul([0] * den[0] + den[1], common)))
+    f, g = tor.raw, tor.normalized
+    assert f == RatFunc(tor.num, tor.den)
     reduced = RatFunc(g.znum, g.zden)
     assert (g.znum, g.zden) == (reduced.znum, reduced.zden)
     assert g.znum[0] > 0 and g.zden[0] != 0
-    assert RatFunc(sign) * t_power(power) * g == f
+    assert qt_unit_equal(f, g)
 
 
 def test_torsion_equal_up_to_units_cases():
-    a = TorsionValue(TORSION_TARGET, TORSION_TARGET, 1, 0)
-    scaled = -(t_power(3)) * TORSION_TARGET
-    b = TorsionValue(scaled, TORSION_TARGET, -1, 3)
+    a = _value(TorsionValue, TORSION_TARGET)
+    b = _value(TorsionValue, -(t_power(3)) * TORSION_TARGET)
     assert torsion_equal_up_to_units(a, b)
     other = rf((1, -3, 1), (1, -1))
-    assert not torsion_equal_up_to_units(a, TorsionValue(other, other, 1, 0))
+    assert not torsion_equal_up_to_units(a, _value(TorsionValue, other))
     assert torsion_equal_up_to_units(a, a)
+    # The pairs are compared in any form: (2 * P) / (2 * Q) is P / Q.
+    assert torsion_equal_up_to_units(a, TorsionValue(tuple(2 * c for c in a.num),
+                                                     tuple(2 * c for c in a.den)))
 
 
 # -- defect -------------------------------------------------------------------
@@ -385,7 +384,7 @@ def test_torsion_equal_up_to_units_cases():
 
 def test_trefoil_defect_value():
     run = pipeline(TREFOIL)
-    assert defect_equal_mod_Z(run.d, DefectValue(DEFECT_TARGET))
+    assert defect_equal_mod_Z(run.d, _value(DefectValue, DEFECT_TARGET))
 
 
 def test_trefoil_defect_terms():
@@ -421,7 +420,8 @@ def test_defect_matches_qt_reference_on_corpus(name, text):
     run = pipeline(text)
     for seed in [None] + list(range(10)):
         g = build_propagator(run.complex, pivot_seed=seed)
-        assert defect(run.complex, g) == qt_defect(run.graph, run.complex, g), seed
+        assert (defect(run.complex, g).representative
+                == qt_defect(run.graph, run.complex, g)), seed
 
 
 @pytest.mark.parametrize("name,text", [("3_1_kinked", TREFOIL_KINKED),
@@ -429,7 +429,7 @@ def test_defect_matches_qt_reference_on_corpus(name, text):
                          + [(f"T(2,{n})", torus_pd(n)) for n in range(3, 22, 2)])
 def test_defect_matches_qt_reference(name, text):
     run = pipeline(text)
-    assert run.d == qt_defect(run.graph, run.complex, run.propagator)
+    assert run.d.representative == qt_defect(run.graph, run.complex, run.propagator)
 
 
 @settings(max_examples=100, deadline=None)
@@ -443,7 +443,8 @@ def test_defect_matches_qt_reference_on_label_valid_codes(text):
         return
     for region in regions:
         run = pipeline(text, outer_region=region.id)
-        assert run.d == qt_defect(run.graph, run.complex, run.propagator), region.id
+        assert (run.d.representative
+                == qt_defect(run.graph, run.complex, run.propagator)), region.id
 
 
 def test_defect_matches_qt_reference_on_a_degree_2_column():
@@ -461,17 +462,17 @@ def test_defect_matches_qt_reference_on_a_degree_2_column():
     assert max(len(x) for row in cx.d2_rows for x in row) == 3
     for seed in [None] + list(range(4)):
         g = build_propagator(cx, pivot_seed=seed)
-        assert defect(cx, g) == qt_defect(graph, cx, g), seed
+        assert defect(cx, g).representative == qt_defect(graph, cx, g), seed
 
 
 def test_defect_equal_mod_Z_cases():
-    f = DefectValue(rf((0, 1), (1, -1, 1)))
-    shifted = DefectValue(f.representative + RatFunc(3))
-    assert defect_equal_mod_Z(f, shifted)
-    half = DefectValue(f.representative + rf((1,), (2,)))
-    assert not defect_equal_mod_Z(f, half)
-    plus_t = DefectValue(f.representative + T)
-    assert not defect_equal_mod_Z(f, plus_t)
+    f = rf((0, 1), (1, -1, 1))
+    d = _value(DefectValue, f)
+    assert defect_equal_mod_Z(d, _value(DefectValue, f + RatFunc(3)))
+    assert not defect_equal_mod_Z(d, _value(DefectValue, f + rf((1,), (2,))))
+    assert not defect_equal_mod_Z(d, _value(DefectValue, f + T))
+    # The pairs are compared in any form: (t * P) / (t * Q) is P / Q.
+    assert defect_equal_mod_Z(d, DefectValue((0,) + d.num, (0,) + d.den))
 
 
 # -- comparisons over Z[t] against their Q(t) references ------------------------
@@ -486,33 +487,39 @@ def _ratfuncs(nonzero=False):
 @settings(max_examples=200, deadline=None)
 @given(_ratfuncs(), _ratfuncs(), st.sampled_from((1, -1)), st.integers(-3, 3))
 def test_unit_equal_agrees_with_qt_reference(a, b, sign, m):
-    assert unit_equal(a, b) == qt_unit_equal(a, b)
+    def equal(x, y):
+        return torsion_equal_up_to_units(_value(TorsionValue, x), _value(TorsionValue, y))
+
+    assert equal(a, b) == qt_unit_equal(a, b)
     moved = RatFunc(sign) * t_power(m) * a
-    assert unit_equal(a, moved) and qt_unit_equal(a, moved)
+    assert equal(a, moved) and qt_unit_equal(a, moved)
     if not a.is_zero():
-        assert not unit_equal(a, a * rf((1, 1)))
+        assert not equal(a, a * rf((1, 1)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_ratfuncs(), _ratfuncs(), st.integers(-3, 3))
 def test_defect_equal_mod_Z_agrees_with_qt_reference(a, b, n):
-    x, y = DefectValue(a), DefectValue(b)
+    x, y = _value(DefectValue, a), _value(DefectValue, b)
     assert defect_equal_mod_Z(x, y) == qt_equal_mod_Z(a, b)
-    assert defect_equal_mod_Z(x, DefectValue(a + RatFunc(n)))
-    assert not defect_equal_mod_Z(x, DefectValue(a + rf(1, 2)))
+    assert defect_equal_mod_Z(x, _value(DefectValue, a + RatFunc(n)))
+    assert not defect_equal_mod_Z(x, _value(DefectValue, a + rf(1, 2)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_ratfuncs(nonzero=True), _ratfuncs(), st.integers(-3, 3))
 def test_lescop_relation_agrees_with_qt_reference(tor, d, n):
     def tv(f):
-        return TorsionValue(f, f, 1, 0)
+        return _value(TorsionValue, f)
 
-    assert check_lescop_relation(tv(tor), DefectValue(d)) == qt_lescop(tor, d)
+    def dv(f):
+        return _value(DefectValue, f)
+
+    assert check_lescop_relation(tv(tor), dv(d)) == qt_lescop(tor, d)
     log_derivative = T * tor.derivative() / tor
-    assert check_lescop_relation(tv(tor), DefectValue(log_derivative + RatFunc(n)))
-    assert not check_lescop_relation(tv(tor), DefectValue(log_derivative + rf(1, 2)))
-    assert not check_lescop_relation(tv(tor * rf((1, 1))), DefectValue(log_derivative))
+    assert check_lescop_relation(tv(tor), dv(log_derivative + RatFunc(n)))
+    assert not check_lescop_relation(tv(tor), dv(log_derivative + rf(1, 2)))
+    assert not check_lescop_relation(tv(tor * rf((1, 1))), dv(log_derivative))
 
 
 # -- relations ----------------------------------------------------------------
@@ -526,8 +533,7 @@ def test_lescop_relation_on_corpus(name, text):
 
 def test_lescop_insensitive_to_torsion_unit():
     run = pipeline(TREFOIL)
-    scaled = -(t_power(5)) * run.tor.raw
-    tor = TorsionValue(scaled, run.tor.normalized, -1, 5)
+    tor = _value(TorsionValue, -(t_power(5)) * run.tor.raw)
     assert check_lescop_relation(tor, run.d)
 
 

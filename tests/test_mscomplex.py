@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (CORPUS, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
-                      is_zero_matrix, mat, qt_complex, qt_image, t_power, torus_pd)
-from dehn.algebra import RatFunc, _unpack, pmat_mul
+from conftest import (CORPUS, FIG8_KINKED, TREFOIL, TREFOIL_KINKED, is_zero_matrix, mat,
+                      qt_complex, qt_d1, qt_d2, qt_image, t_power, torus_pd)
+from dehn.algebra import RatFunc, _pack, _unpack
 from dehn.dehngraph import (GroupRingTerm, build_d1, build_d2, build_dehn_graph,
                             graph_from_json, graph_to_json)
 from dehn.diagram import build_diagram, parse_pd
@@ -61,13 +61,14 @@ TREFOIL_D1 = mat([[(1, -1), (1, 0, -1), (1, -1), (1, -1)]])
 
 def test_trefoil_d2_matches_fixture_up_to_permutation():
     _, _, _, cx = _complex(TREFOIL)
-    assert cx.d2.rows == 4 and cx.d2.cols == 3
+    d2, d1 = qt_d2(cx), qt_d1(cx)
+    assert d2.rows == 4 and d2.cols == 3
     found = False
     for rperm in itertools.permutations(range(4)):
         for cperm in itertools.permutations(range(3)):
-            if all(TREFOIL_D2.entry(i, j) == cx.d2.entry(rperm[i], cperm[j])
+            if all(TREFOIL_D2.entry(i, j) == d2.entry(rperm[i], cperm[j])
                    for i in range(4) for j in range(3)) \
-               and all(TREFOIL_D1.entry(0, i) == cx.d1.entry(0, rperm[i])
+               and all(TREFOIL_D1.entry(0, i) == d1.entry(0, rperm[i])
                        for i in range(4)):
                 found = True
     assert found
@@ -75,14 +76,14 @@ def test_trefoil_d2_matches_fixture_up_to_permutation():
 
 def test_trefoil_d1_entries():
     _, _, _, cx = _complex(TREFOIL)
-    entries = sorted(str(cx.d1.entry(0, j)) for j in range(4))
+    entries = sorted(str(qt_d1(cx).entry(0, j)) for j in range(4))
     assert entries == sorted(["-t+1", "-t+1", "-t+1", "-t^2+1"])
 
 
 @pytest.mark.parametrize("text", sorted(CORPUS.values()))
 def test_d1_d2_is_zero(text):
     _, _, _, cx = _complex(text)
-    assert is_zero_matrix(cx.d1 @ cx.d2)
+    assert is_zero_matrix(qt_d1(cx) @ qt_d2(cx))
 
 
 FAST_PATH_KNOTS = (
@@ -96,20 +97,20 @@ FAST_PATH_KNOTS = (
 
 @pytest.mark.parametrize("text,outer", FAST_PATH_KNOTS)
 def test_abelian_complex_matches_general_path(text, outer):
-    # The Q(t) views of the Z[t] rows equal the reference complex, whose
-    # entries are sums of products of t and 1/t taken letter by letter.
+    # The Z[t] rows over Q(t) equal the reference complex, whose entries
+    # are sums of products of t and 1/t taken letter by letter.
     d = build_diagram(parse_pd(text), outer_region=outer)
     g = build_dehn_graph(d, build_d1(d), build_d2(d))
     cx = build_complex(g, Representation.abelian())
-    assert (cx.d2, cx.d1) == qt_complex(g)
+    assert (qt_d2(cx), qt_d1(cx)) == qt_complex(g)
 
 
 @settings(max_examples=150, deadline=None)
 @given(label_valid_pd())
 def test_complex_rows_on_label_valid_codes(text):
     # For every code that makes a diagram, d2 has only entries of degree at
-    # most 1 (sums of corner labels +-1 and +-t) and both views equal the
-    # reference complex.
+    # most 1 (sums of corner labels +-1 and +-t) and both boundary matrices
+    # over Q(t) equal the reference complex.
     try:
         d = build_diagram(parse_pd(text))
     except DehnError:
@@ -117,7 +118,7 @@ def test_complex_rows_on_label_valid_codes(text):
     g = build_dehn_graph(d, build_d1(d), build_d2(d))
     cx = build_complex(g, Representation.abelian())
     assert all(len(x) <= 2 for row in cx.d2_rows for x in row)
-    assert (cx.d2, cx.d1) == qt_complex(g)
+    assert (qt_d2(cx), qt_d1(cx)) == qt_complex(g)
 
 
 def _trefoil_graph_json():
@@ -151,14 +152,34 @@ def test_malformed_graph_json_names_the_edge(field, value, match):
         build_complex(graph_from_json(data), Representation.abelian())
 
 
+@pytest.mark.parametrize("edit,match", [
+    pytest.param(lambda data: data["edges"][0].update(word=[["a", 2]]),
+                 "edge p0 -> q0: letter 'a' has exponent 2, not \\+1 or -1", id="exponent-2"),
+    pytest.param(lambda data: data["edges"][0].pop("word"),
+                 "edge p0 -> q0 has no 'word'", id="no-word"),
+    pytest.param(lambda data: data["edges"][0].pop("from"), "edge 0 has no 'from'", id="no-from"),
+    pytest.param(lambda data: data["vertices"][0].pop("index"),
+                 "vertex 'p0' has no 'index'", id="no-index"),
+    pytest.param(lambda data: data["edges"][0].update(sign=3),
+                 "edge p0 -> q0: sign 3 is not \\+1 or -1", id="sign-3"),
+])
+def test_malformed_graph_json_is_a_dehn_error(edit, match):
+    # Each edit breaks the first vertex (p0) or the first edge (p0 -> q0):
+    # graph_from_json names it in a DehnError, with no ValueError or
+    # KeyError, and a sign of 3 is refused before it can reach d1 * d2.
+    data = _trefoil_graph_json()
+    edit(data)
+    with pytest.raises(DehnError, match=match):
+        graph_from_json(data)
+
+
 def test_d2_column_block_counts():
     d, _, _, cx = _complex(TREFOIL)
     for j, c in enumerate(d.crossings):
         bounded_corners = sum(
             1 for pos in range(4)
             if d.corner_region[(c.id, pos)] != d.unbounded_region)
-        nonzero = sum(1 for i in range(cx.d2.rows)
-                      if not cx.d2.entry(i, j).is_zero())
+        nonzero = sum(1 for row in cx.d2_rows if row[j])
         assert nonzero <= bounded_corners
         assert nonzero >= 1
 
@@ -177,7 +198,7 @@ def test_trivial_representation_not_exact():
     d = build_diagram(parse_pd(TREFOIL))
     rep = Representation.trivial()
     _, _, _, cx = _complex(TREFOIL, rep=rep)
-    assert is_zero_matrix(cx.d1)
+    assert is_zero_matrix(qt_d1(cx))
     report = check_exactness(cx)
     assert not report.exact
     assert "rank(d1)" in report.witness
@@ -211,7 +232,7 @@ def test_exactness_requires_d1_d2_zero():
     assert data["edges"][0]["origin"] == ["corner", 0, 0]
     data["edges"][0]["sign"] *= -1
     cx = build_complex(graph_from_json(data), Representation.abelian())
-    assert pmat_mul([cx.d1_row], cx.d2_rows) == [[[0, 2, -2], [], []]]
+    assert qt_d1(cx) @ qt_d2(cx) == mat([[(0, 2, -2), 0, 0]])
     assert sum(p < cx.c2_dim for p in cx.natural_elimination[1]) == cx.c2_dim
     assert check_exactness(cx) == ExactnessReport(False, "d1*d2 != 0")
     with pytest.raises(NotExactError, match="d1\\*d2 != 0"):
@@ -219,6 +240,17 @@ def test_exactness_requires_d1_d2_zero():
     # The propagator's own check rests on this test: on the non-complex the
     # propagator read off the elimination passes it.
     invariants._verify_identities(cx, invariants._exchanged(cx, 0))
+
+
+def test_d1_d2_one_bit_narrower_would_alias():
+    # d2 = ((1, 0), (0, 1), (0, 0)) injects and d1 = (t - 8, 0, 1) surjects,
+    # but d1 * d2 = (t - 8, 0). Its coefficients are at most 8 * 1, so the
+    # packing width is k = 4; at k = 3, t - 8 packs to 8 - 8 = 0 and the
+    # complex would pass as exact.
+    cx = ChainComplex((((1,), ()), ((), (1,)), ((), ())), (1,), ((-8, 1), (), (1,)),
+                      ("c0", "c1"), ("q0", "q1", "q2"), ("inf",))
+    assert _pack([-8, 1], 3) == 0 != _pack([-8, 1], 4)
+    assert check_exactness(cx) == ExactnessReport(False, "d1*d2 != 0")
 
 
 @pytest.mark.parametrize("text", [TREFOIL, FIG8_KINKED])

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (ALEXANDER, CORPUS, FIG8, TREFOIL, UNKNOT_KINK, connected_sum,
-                      pipeline, poly, qt_fox_derivative, t_power, torus_pd)
+                      pipeline, poly, qt_fox_derivative, qt_unit_equal, t_power, torus_pd)
 from dehn import oracle
-from dehn.algebra import Polynomial, RatFunc, _pack, fraction_free_gauss_jordan, unit_equal
+from dehn.algebra import Polynomial, RatFunc, _pack, fraction_free_gauss_jordan
 from dehn.diagram import WirtingerPresentation, build_diagram, parse_pd, wirtinger
 from dehn.errors import DehnError
 from dehn.oracle import AlexanderPolynomial, _fox_row, fox_alexander, milnor_check
@@ -71,7 +71,7 @@ def test_fox_minor_is_normalized(monkeypatch, minor):
     monkeypatch.setattr(oracle, "fraction_free_gauss_jordan", eliminate)
     p = _alexander(TREFOIL).poly
     assert p.coeffs[0] != 0 and p.coeffs[-1] > 0
-    assert unit_equal(RatFunc(p), minor)
+    assert qt_unit_equal(RatFunc(p), minor)
 
 
 def test_degenerate_presentation_rejected():
