@@ -13,12 +13,11 @@ its rows packed, so each caller unpacks only the entries it reads. Every
 matrix product the library checks goes through the one test
 `is_diagonal_product`, rows * m = delta * I over Z[t] at a proved packing
 width, with delta = [] for a zero product; no product is ever unpacked.
-`FieldMatrix`, a dense matrix over Q(t), is the form a complex is
-serialized in and a propagator's G2 is shown in; its reduced form and
-determinant write each row over one denominator and call the same loop.
-`Polynomial`, with coefficients in Q, is a
-read-only view with no arithmetic: the monic-denominator display form of a
-`RatFunc`'s parts and the type of the Fox oracle's Alexander polynomial.
+`FieldMatrix`, a dense matrix over Q(t), is the form a propagator's G2 is
+shown in; its reduced form and determinant write each row over one
+denominator and call the same loop. `Polynomial`, with coefficients in Q,
+is a read-only view with no arithmetic: the monic-denominator display form
+of a `RatFunc`'s parts and of the Fox oracle's Alexander polynomial.
 
 Everything here is immutable and pure: values can be shared freely between
 threads. Coefficients are Python ints in Z[t] and `fractions.Fraction` in
@@ -277,7 +276,7 @@ def _derivative(p: Sequence[int]) -> IntPoly:
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def _unit_free(p: IntPoly) -> IntPoly:
+def _unit_free(p: Sequence[int]) -> Sequence[int]:
     """p over Z[t] with its factor t^m stripped and its lowest coefficient
     made positive: P = +-t^m * Q for an integer m iff the two agree."""
     low = next((i for i, c in enumerate(p) if c), len(p))
@@ -386,13 +385,6 @@ class FieldMatrix:
         for d in lam:
             den = poly_mul(den, d)
         return RatFunc([sign * c for c in delta], den)
-
-    def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[e.to_json() for e in self.row(i)] for i in range(self.rows)],
-        }
 
 
 # -- matrices over Z[t] ----------------------------------------------------

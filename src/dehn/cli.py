@@ -145,7 +145,7 @@ def _oracle_one(task) -> dict:
     alex = fox_alexander(wirtinger(diagram))
     return {
         "pd": diagram.pd.to_text(),
-        "alexander": [str(c) for c in alex.poly.coeffs],
+        "alexander": [str(c) for c in alex.coeffs],
         "display": str(alex.poly),
     }
 

@@ -188,36 +188,55 @@ def graph_to_json(graph: DehnGraph) -> dict:
     }
 
 
-def graph_from_json(data: dict) -> DehnGraph:
-    """The inverse of `graph_to_json`. A vertex or an edge with a field
-    missing, an edge sign other than +-1, and a word letter that names no arc
-    or has an exponent other than +-1 are each a `DehnError` naming the
-    vertex or the edge."""
-    arc_names = tuple(data["arcs"])
-    name_to_id = {name: i for i, name in enumerate(arc_names)}
+def graph_from_json(data) -> DehnGraph:
+    """The inverse of `graph_to_json`. JSON of another shape is a `DehnError`
+    naming the item at fault: a graph, vertex or edge that is not an object,
+    lacks a field or has one of the wrong JSON type (true and false are not
+    integers, as in `parse_pd`), an arc name that is not a string, a vertex
+    index other than 0, 1 or 2, an edge sign other than +-1, and a word
+    letter that is not a [name, exponent] pair, names no arc or has an
+    exponent other than +-1."""
 
-    def fields(item: dict, what: str, keys: Tuple[str, ...]) -> tuple:
-        missing = [key for key in keys if key not in item]
-        if missing:
-            raise DehnError(f"{what} has no {missing[0]!r}")
-        return tuple(item[key] for key in keys)
+    def fields(item, what: str, types: Dict[str, type]) -> tuple:
+        if type(item) is not dict:
+            raise DehnError(f"{what} is not an object")
+        for key, kind in types.items():
+            if key not in item:
+                raise DehnError(f"{what} has no {key!r}")
+            if type(item[key]) is not kind:
+                raise DehnError(f"{what}: {key!r} has type {type(item[key]).__name__}, "
+                                f"not {kind.__name__}")
+        return tuple(item[key] for key in types)
 
-    vertices = tuple(Vertex(*fields(v, f"vertex {v.get('id', i)!r}", ("id", "kind", "index")))
-                     for i, v in enumerate(data["vertices"]))
+    arcs, vertex_items, edge_items = fields(data, "graph", dict.fromkeys(
+        ("arcs", "vertices", "edges"), list))
+    if any(type(name) is not str for name in arcs):
+        raise DehnError("an arc name is not a string")
+    name_to_id = {name: i for i, name in enumerate(arcs)}
+    vertices = []
+    for i, v in enumerate(vertex_items):
+        what = f"vertex {v.get('id', i)!r}" if type(v) is dict else f"vertex {i}"
+        vertex = Vertex(*fields(v, what, {"id": str, "kind": str, "index": int}))
+        if vertex.index not in (0, 1, 2):
+            raise DehnError(f"{what}: index {vertex.index} is not 0, 1 or 2")
+        vertices.append(vertex)
     edges = []
-    for i, e in enumerate(data["edges"]):
-        source, target = fields(e, f"edge {i}", ("from", "to"))
+    for i, e in enumerate(edge_items):
+        source, target = fields(e, f"edge {i}", {"from": str, "to": str})
         what = f"edge {source} -> {target}"
-        sign, word, origin = fields(e, what, ("sign", "word", "origin"))
+        sign, word, origin = fields(e, what, {"sign": int, "word": list, "origin": list})
         if sign not in (1, -1):
             raise DehnError(f"{what}: sign {sign!r} is not +1 or -1")
         letters = []
-        for name, exp in word:
-            if name not in name_to_id:
+        for letter in word:
+            if type(letter) is not list or len(letter) != 2:
+                raise DehnError(f"{what}: letter {letter!r} is not a [name, exponent] pair")
+            name, exp = letter
+            if type(name) is not str or name not in name_to_id:
                 raise DehnError(f"{what}: letter {name!r} names no arc")
-            if exp not in (1, -1):
+            if type(exp) is not int or exp not in (1, -1):
                 raise DehnError(f"{what}: letter {name!r} has exponent {exp!r}, not +1 or -1")
             letters.append((name_to_id[name], exp))
         edges.append(Edge(source, target, GroupRingTerm(sign, free_reduce(letters)),
                           tuple(origin)))
-    return DehnGraph(vertices, tuple(edges), arc_names)
+    return DehnGraph(tuple(vertices), tuple(edges), tuple(arcs))

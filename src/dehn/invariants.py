@@ -1,17 +1,17 @@
 """Combinatorial propagator, torsion and the abelian defect of an exact
 three-term complex.
 
-The propagator picks coordinate lines S of C_1 completing the image of d2 to
-a basis; G_1 inverts d1 on span(S) and G_2 inverts d2 on its image along
-span(S). G_2 is held as the fraction-free elimination leaves it, numerators
-over Z[t] and one common denominator delta, and its Q(t) matrix is built only
-when asked for. A complex is eliminated once, [d2 | I] in the natural
-coordinate order; a pivot seed that selects another coordinate gets its
-propagator from those rows by one fraction-free pivot exchange, and each
-distinct propagator is built and verified once per complex. Torsion is
-the determinant of the square block matrix [d2 | g1] mapping the even
-chains to C_1; it is well defined up to +-t^m, and a canonical
-representative is obtained by stripping that unit.
+C_0 has rank 1, so the propagator picks one coordinate s of C_1 whose line
+completes the image of d2 to a basis; G_1 inverts d1 on that line and G_2
+inverts d2 on its image along it. G_2 is held as the fraction-free
+elimination leaves it, numerators over Z[t] and one common denominator
+delta, and its Q(t) matrix is built only when asked for. A complex is
+eliminated once, [d2 | I] in the natural coordinate order; a pivot seed that
+selects another coordinate gets its propagator from those rows by one
+fraction-free pivot exchange, and each distinct propagator is built and
+verified once per complex. Torsion is the determinant of the square block
+matrix [d2 | g1] mapping the even chains to C_1; it is well defined up to
++-t^m, and a canonical representative is obtained by stripping that unit.
 
 Both invariants are held as the computation leaves them, unreduced
 fractions over Z[t] (`TorsionValue`, `DefectValue`). Their comparisons,
@@ -19,11 +19,10 @@ up to units, modulo the integers and in the Lescop relation, cross-multiply
 the pairs with no gcd; the Q(t) forms, one gcd each, are built only when a
 value is printed or read.
 
-The torsion is read off the propagator's elimination, with no determinant
-of its own. C_0 is one-dimensional, so one coordinate s is selected. Let e_s
-be its coordinate column and B = [d2 | e_s] the pivot columns of the
-elimination, so sign * delta = det B. G1 is e_s / d1[s], hence [d2 | g1] =
-B * diag(I, 1/d1[s]), and
+The torsion is read off the propagator's elimination, with no determinant of
+its own. Let e_s be the column of the selected coordinate s and
+B = [d2 | e_s] the pivot columns of the elimination, so sign * delta =
+det B. G1 is e_s / d1[s], hence [d2 | g1] = B * diag(I, 1/d1[s]), and
 
     raw torsion = det [d2 | g1] = sign * delta / d1[s].
 
@@ -58,10 +57,10 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .algebra import (FieldMatrix, IntPoly, RatFunc, _derivative, _exact_div, _unit_equal,
-                      _unpack, is_diagonal_product, poly_add, poly_mul)
+                      _unit_free, _unpack, is_diagonal_product, poly_add, poly_mul)
 from .errors import DehnError, NotExactError
 from .mscomplex import ChainComplex, ZPoly, check_exactness
 
@@ -75,14 +74,14 @@ class Propagator:
 
     numer: List[List[IntPoly]]  # c2_dim x c1_dim
     delta: IntPoly
-    selected: Tuple[int, ...]  # C_1 coordinates spanning the complement of im(d2)
+    selected: int  # the C_1 coordinate s whose line complements im(d2)
     sign: int
 
     @cached_property
     def g2(self) -> FieldMatrix:
         """G2 as a c2_dim x c1_dim matrix over Q(t), built on first use. The
-        complex is exact, so c1_dim = c2_dim + c0_dim."""
-        return FieldMatrix(len(self.numer), len(self.numer) + len(self.selected), [
+        complex is exact, so c1_dim = c2_dim + 1."""
+        return FieldMatrix(len(self.numer), len(self.numer) + 1, [
             RatFunc(x, self.delta) for row in self.numer for x in row])
 
 
@@ -149,7 +148,7 @@ def _exchanged(cx: ChainComplex, s: int) -> Propagator:
         rows = [[_exact_div(vs * a - row[s] * b, v0) if a or b else 0
                  for a, b in zip(row, v)] for row in rows]
     numer = [[_unpack(x, k) for x in row] for row in rows]
-    return Propagator(numer, _unpack(v[s], k), (s,), sign)
+    return Propagator(numer, _unpack(v[s], k), s, sign)
 
 
 def _verify_identities(cx: ChainComplex, g: Propagator) -> None:
@@ -173,7 +172,7 @@ def _verify_identities(cx: ChainComplex, g: Propagator) -> None:
         raise DehnError("propagator has delta = 0")
     if not is_diagonal_product(g.numer, cx.d2_rows, g.delta):
         raise DehnError("propagator identity g2*d2 = id failed")
-    if any(row[g.selected[0]] for row in g.numer):
+    if any(row[g.selected] for row in g.numer):
         raise DehnError("propagator identity d2*g2 + g1*d1 = id failed: "
                         "column s of N is not zero")
 
@@ -193,16 +192,13 @@ class TorsionValue:
 
     @cached_property
     def normalized(self) -> RatFunc:
-        """raw = sign * t^m * normalized, with nonzero constant terms in both
-        parts and a positive numerator constant term. Stripping a unit from
+        """raw = sign * t^m * normalized: the numerator in `_unit_free` form
+        and the denominator with its t-power stripped. Stripping a unit from
         raw's coprime pair leaves a coprime pair with the same contents and
-        the same leading coefficient of the denominator, so it is already
-        reduced."""
-        znum, zden = self.raw.znum, self.raw.zden
-        num = znum[next(i for i, c in enumerate(znum) if c):]
-        den = zden[next(i for i, c in enumerate(zden) if c):]
-        sign = 1 if num[0] > 0 else -1
-        return RatFunc._reduced([sign * c for c in num], den)
+        the same leading coefficient of the denominator, so it is reduced."""
+        zden = self.raw.zden
+        return RatFunc._reduced(_unit_free(self.raw.znum),
+                                zden[next(i for i, c in enumerate(zden) if c):])
 
 
 def torsion(cx: ChainComplex, g: Propagator) -> TorsionValue:
@@ -212,7 +208,7 @@ def torsion(cx: ChainComplex, g: Propagator) -> TorsionValue:
     num = poly_mul([g.sign * c for c in g.delta], cx.d1_den)
     if not num:
         raise DehnError("torsion determinant vanished on an exact complex")
-    return TorsionValue(tuple(num), cx.d1_row[g.selected[0]])
+    return TorsionValue(tuple(num), cx.d1_row[g.selected])
 
 
 def torsion_equal_up_to_units(a: TorsionValue, b: TorsionValue) -> bool:
@@ -240,7 +236,7 @@ def defect(cx: ChainComplex, g: Propagator) -> DefectValue:
     d1_den. The a * D1[s] term is the derivative of t^-a; without it the
     defect is off by the integer a, equal mod Z but not the same
     representative. Only the nonzero d2 entries are visited."""
-    s = g.selected[0]
+    s = g.selected
     num: IntPoly = []
     for i, row in enumerate(cx.d2_rows):
         for j, x in compress(enumerate(row), row):

@@ -2,13 +2,13 @@
 representation.
 
 C_2 has one basis vector per crossing vertex, C_1 one per bounded-region
-vertex, C_0 one for the basepoint. A boundary entry from vertex p to vertex q
+vertex, C_0 just the basepoint. A boundary entry from vertex p to vertex q
 is the sum over the edges p -> q of the images of their labels. Every
 generator goes to the same scalar t^k (k = 1 abelian, k = 0 trivial), so a
 signed word maps to the sign times t^(k * exponent sum), and the complex is
 held over Z[t]: the corner labels +-1, +-x make d2 a matrix over Z[t], and
 d1, from the region labels, is one row over Z[t] over a power of t. Only
-`complex_to_json` writes them as matrices over Q(t). The elimination
+`complex_to_json` writes them over Q(t), entry by entry. The elimination
 of [d2 | I] is the only one a complex makes, and it is made once: the
 exactness report that `check_exactness` returns reads rank(d2) off its
 pivots, and every propagator, whatever its pivot seed, is read off its
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import (FieldMatrix, IntPoly, RatFunc, fraction_free_gauss_jordan,
-                      is_diagonal_product, poly_add)
+from .algebra import (IntPoly, RatFunc, fraction_free_gauss_jordan, is_diagonal_product,
+                      poly_add)
 from .dehngraph import BASEPOINT, DehnGraph
 from .errors import DehnError
 from .words import Word, exponent_sum
@@ -65,7 +65,6 @@ class ChainComplex:
     d1_row: Tuple[ZPoly, ...]  # c1_dim: d1 = d1_row / d1_den
     c2_basis: Tuple[str, ...]  # crossing vertex ids
     c1_basis: Tuple[str, ...]  # region vertex ids
-    c0_basis: Tuple[str, ...]
 
     @property
     def c2_dim(self) -> int:
@@ -74,10 +73,6 @@ class ChainComplex:
     @property
     def c1_dim(self) -> int:
         return len(self.c1_basis)
-
-    @property
-    def c0_dim(self) -> int:
-        return len(self.c0_basis)
 
     @cached_property
     def natural_elimination(self) -> Tuple[List[List[int]], List[int], int, int]:
@@ -103,18 +98,17 @@ class ChainComplex:
         d1 * d2 = 0. [d2 | I] has full row rank, and the kernel's pivot
         columns are the leftmost ones independent of those before them, so
         rank(d2) is the number of pivots among the d2 columns of
-        `natural_elimination`. C_0 is one-dimensional, so rank(d1) is 1 iff
-        d1 has a nonzero entry. d1 * d2 = 0 iff d1_row * d2_rows = 0 over
+        `natural_elimination`. C_0 has rank 1, so d1 surjects iff it has a
+        nonzero entry. d1 * d2 = 0 iff d1_row * d2_rows = 0 over
         Z[t], tested last so that every earlier witness stays as it was."""
-        if self.c1_dim != self.c2_dim + self.c0_dim:
-            return ExactnessReport(False, "dimension mismatch: "
-                                   f"{self.c1_dim} != {self.c2_dim} + {self.c0_dim}")
+        if self.c1_dim != self.c2_dim + 1:
+            return ExactnessReport(False,
+                                   f"dimension mismatch: {self.c1_dim} != {self.c2_dim} + 1")
         r2 = sum(p < self.c2_dim for p in self.natural_elimination[1])
         if r2 != self.c2_dim:
             return ExactnessReport(False, f"rank(d2) = {r2} < {self.c2_dim}")
-        r1 = int(any(self.d1_row))
-        if r1 != self.c0_dim:
-            return ExactnessReport(False, f"rank(d1) = {r1} < {self.c0_dim}")
+        if not any(self.d1_row):
+            return ExactnessReport(False, "rank(d1) = 0 < 1")
         if not is_diagonal_product([self.d1_row], self.d2_rows, []):
             return ExactnessReport(False, "d1*d2 != 0")
         return ExactnessReport(True)
@@ -151,7 +145,7 @@ def build_complex(graph: DehnGraph, rep: Representation) -> ChainComplex:
         d1[j] = poly_add(d1[j], [sign], shift=m + a)
     return ChainComplex(tuple(tuple(tuple(x) for x in row) for row in d2),
                         (0,) * a + (1,), tuple(tuple(x) for x in d1),
-                        c2_basis, c1_basis, (BASEPOINT,))
+                        c2_basis, c1_basis)
 
 
 @dataclass(frozen=True)
@@ -169,16 +163,16 @@ def check_exactness(cx: ChainComplex) -> ExactnessReport:
 
 
 def complex_to_json(cx: ChainComplex) -> dict:
-    """Boundary matrices over Q(t) plus the bases that index their rows and
-    columns."""
-    d2 = FieldMatrix(cx.c1_dim, cx.c2_dim, [RatFunc(x) for row in cx.d2_rows for x in row])
-    d1 = FieldMatrix(cx.c0_dim, cx.c1_dim, [RatFunc(x, cx.d1_den) for x in cx.d1_row])
+    """Boundary matrices over Q(t), each entry written from its Z[t] form,
+    plus the bases that index their rows and columns."""
     return {
         "bases": {
             "c2": list(cx.c2_basis),
             "c1": list(cx.c1_basis),
-            "c0": list(cx.c0_basis),
+            "c0": [BASEPOINT],
         },
-        "d2": d2.to_json(),
-        "d1": d1.to_json(),
+        "d2": {"rows": cx.c1_dim, "cols": cx.c2_dim,
+               "entries": [[RatFunc(x).to_json() for x in row] for row in cx.d2_rows]},
+        "d1": {"rows": 1, "cols": cx.c1_dim,
+               "entries": [[RatFunc(x, cx.d1_den).to_json() for x in cx.d1_row]]},
     }

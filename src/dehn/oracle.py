@@ -4,18 +4,18 @@ This path never touches the Dehn graph, the chain complex or the propagator,
 so it is an independent check on the torsion pipeline through the classical
 identity: torsion times (t - 1) agrees with the Alexander polynomial up to
 +-t^m units. It shares only the Z[t] kernel: each Fox row is built over
-Z[t], and the minor is one forward elimination of its own matrix, in a
-banded order.
+Z[t], the minor is one forward elimination of its own matrix, in a banded
+order, and Delta is held over Z[t] in the kernel's one unit normal form,
+`_unit_free`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra import (IntPoly, Polynomial, _unit_equal, _unpack, fraction_free_gauss_jordan,
-                      poly_mul)
+from .algebra import (IntPoly, Polynomial, _unit_equal, _unit_free, _unpack,
+                      fraction_free_gauss_jordan, poly_mul)
 from .diagram import WirtingerPresentation
 from .errors import DehnError
 from .invariants import TorsionValue
@@ -24,9 +24,15 @@ from .words import Word
 
 @dataclass(frozen=True)
 class AlexanderPolynomial:
-    """Normalized: nonzero constant term, positive leading coefficient."""
+    """Delta over Z[t], constant term first, normalized: nonzero constant
+    term, positive lowest and so, Delta being symmetric, positive leading
+    coefficient. `poly` is its display form."""
 
-    poly: Polynomial
+    coeffs: Tuple[int, ...]
+
+    @property
+    def poly(self) -> Polynomial:
+        return Polynomial(self.coeffs)
 
     def __str__(self) -> str:
         return str(self.poly)
@@ -103,16 +109,16 @@ def fox_alexander(presentation: WirtingerPresentation) -> AlexanderPolynomial:
     so a vanishing first minor means the presentation is not one. Each row
     is shifted into Z[t] by a unit and the rows and columns are permuted
     into a banded order, which moves the determinant by +-t^m only; the
-    normalization strips that, so the forward elimination's last pivot is
-    the minor up to the unit; it is the one entry of the elimination
-    unpacked.
+    normalization, `_unit_free`, strips that, so the forward elimination's
+    last pivot is the minor up to the unit; it is the one entry of the
+    elimination unpacked.
     """
     gens = presentation.generators
     if len(gens) < 1:
         raise DehnError("presentation has no generators")
     k = len(gens)
     if k == 1:
-        return AlexanderPolynomial(Polynomial((1,)))
+        return AlexanderPolynomial((1,))
     if len(presentation.relations) < k - 1:
         raise DehnError(f"presentation has {len(presentation.relations)} relators; "
                         f"the Fox minor needs {k - 1}")
@@ -122,19 +128,10 @@ def fox_alexander(presentation: WirtingerPresentation) -> AlexanderPolynomial:
     reduced, pivots, _, width = fraction_free_gauss_jordan(rows, forward=True)
     if len(pivots) < k - 1:
         raise DehnError("the first maximal minor of the Fox matrix vanishes")
-    minor = _unpack(reduced[-1][pivots[-1]], width)
-    # Strip the t-power and make the leading coefficient positive.
-    low = next(i for i, c in enumerate(minor) if c)
-    sign = 1 if minor[-1] > 0 else -1
-    return AlexanderPolynomial(Polynomial(sign * c for c in minor[low:]))
+    return AlexanderPolynomial(tuple(_unit_free(_unpack(reduced[-1][pivots[-1]], width))))
 
 
 def milnor_check(tor: TorsionValue, alex: AlexanderPolynomial) -> bool:
     """Torsion times (t - 1) is unit-equal to the Alexander polynomial, over
-    Z[t]: with torsion = P / Q in any form and Delta = Delta' / L (L the lcm
-    of its denominators, 1 for every Fox Delta), L * P * (t - 1) = +-t^m *
-    Delta' * Q."""
-    coeffs = alex.poly.coeffs
-    scale = lcm(*(c.denominator for c in coeffs))
-    delta = [c.numerator * (scale // c.denominator) for c in coeffs]
-    return _unit_equal(poly_mul([scale * c for c in tor.num], [-1, 1]), tor.den, delta, [1])
+    Z[t]: with torsion = P / Q in any form, P * (t - 1) = +-t^m * Delta * Q."""
+    return _unit_equal(poly_mul(tor.num, [-1, 1]), tor.den, alex.coeffs, [1])

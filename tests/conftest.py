@@ -89,15 +89,15 @@ def qt_d2(cx) -> FieldMatrix:
 
 
 def qt_d1(cx) -> FieldMatrix:
-    """d1 as a c0_dim x c1_dim matrix over Q(t): d1_row over d1_den."""
-    return FieldMatrix(cx.c0_dim, cx.c1_dim, [RatFunc(x, cx.d1_den) for x in cx.d1_row])
+    """d1 as a 1 x c1_dim matrix over Q(t): d1_row over d1_den."""
+    return FieldMatrix(1, cx.c1_dim, [RatFunc(x, cx.d1_den) for x in cx.d1_row])
 
 
 def qt_g1(cx, g) -> FieldMatrix:
     """G1 as a c1_dim x 1 matrix over Q(t): 1/d1[s] on the row of the
     selected coordinate s, zero elsewhere."""
     entries = [RatFunc.zero()] * cx.c1_dim
-    s = g.selected[0]
+    s = g.selected
     entries[s] = RatFunc(cx.d1_den, cx.d1_row[s])
     return FieldMatrix(cx.c1_dim, 1, entries)
 
@@ -254,7 +254,7 @@ def eliminate(cx, order):
         unit[position[i]] = [1]
         rows.append(list(row) + unit)
     reduced, pivots, sign = gauss_jordan(rows)
-    selected = tuple(order[p - c2] for p in pivots if p >= c2)
+    [selected] = [order[p - c2] for p in pivots if p >= c2]
     numer = [[reduced[r][c2 + position[j]] for j in range(c1)] for r in range(c2)]
     return numer, reduced[-1][pivots[-1]], selected, sign
 

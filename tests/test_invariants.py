@@ -55,7 +55,7 @@ def test_propagator_identities(text):
 
 def test_trefoil_default_propagator_matches_fixture():
     run = pipeline(TREFOIL)
-    assert run.propagator.selected == (0,)
+    assert run.propagator.selected == 0
     ours = {"d2": qt_d2(run.complex), "d1": qt_d1(run.complex),
             "g2": run.propagator.g2, "g1": qt_g1(run.complex, run.propagator)}
     from test_mscomplex import TREFOIL_D1, TREFOIL_D2
@@ -85,24 +85,19 @@ def _coordinate_columns(dim, indices):
 
 
 def reference_propagator(cx, pivot_seed=None):
-    """The rule build_propagator must reproduce, over Q(t): take candidates in
-    the shuffled order, keep each one that raises the rank of [e_S | d2], and
-    read G2 off the inverse of [e_S | d2]. Ranks and the inverse come from
+    """The rule build_propagator must reproduce, over Q(t): select the first
+    candidate s, in the shuffled order, that makes [e_s | d2] full rank, and
+    read G2 off the inverse of [e_s | d2]. Ranks and the inverse come from
     the Q(t) reference elimination, not from the kernel under test."""
-    c2, c1, c0 = cx.c2_dim, cx.c1_dim, cx.c0_dim
+    c2, c1 = cx.c2_dim, cx.c1_dim
     candidates = list(range(c1))
     if pivot_seed is not None:
         random.Random(pivot_seed).shuffle(candidates)
-    selected = []
-    for i in candidates:
-        if len(selected) == c0:
-            break
-        cols = hstack(_coordinate_columns(c1, selected + [i]), qt_d2(cx))
-        if qt_rref(cols)[2] == c2 + len(selected) + 1:
-            selected.append(i)
-    basis = hstack(_coordinate_columns(c1, selected), qt_d2(cx))
-    g2 = submatrix(qt_inverse(basis), range(c0, c1), range(c1))
-    return tuple(selected), g2
+    selected = next(i for i in candidates
+                    if qt_rref(hstack(_coordinate_columns(c1, [i]), qt_d2(cx)))[2] == c2 + 1)
+    basis = hstack(_coordinate_columns(c1, [selected]), qt_d2(cx))
+    g2 = submatrix(qt_inverse(basis), range(1, c1), range(c1))
+    return selected, g2
 
 
 @pytest.mark.parametrize("name,text", sorted(CORPUS.items()))
@@ -187,7 +182,7 @@ def _one_crossing_complex():
     """d2 = (1, 0)^T and d1 = (0, 1): exact, with the propagator N = (1, 0),
     delta = 1 and s = 1."""
     return ChainComplex(d2_rows=(((1,),), ((),)), d1_den=(1,), d1_row=((), (1,)),
-                        c2_basis=("c",), c1_basis=("q0", "q1"), c0_basis=("inf",))
+                        c2_basis=("c",), c1_basis=("q0", "q1"))
 
 
 def _two_crossing_complex():
@@ -196,7 +191,7 @@ def _two_crossing_complex():
     N * d2 is column c of N."""
     return ChainComplex(d2_rows=(((1,), ()), ((), (1,)), ((), ())), d1_den=(1,),
                         d1_row=((), (), (1,)), c2_basis=("c0", "c1"),
-                        c1_basis=("q0", "q1", "q2"), c0_basis=("inf",))
+                        c1_basis=("q0", "q1", "q2"))
 
 
 def test_identity_width_one_bit_narrower_would_alias():
@@ -206,7 +201,7 @@ def test_identity_width_one_bit_narrower_would_alias():
     # would pass. Without |delta| in the bound, k would be 3.
     cx = _two_crossing_complex()
     g = build_propagator(cx)
-    assert (g.numer, g.delta, g.selected) == ([[[1], [], []], [[], [1], []]], [1], (2,))
+    assert (g.numer, g.delta, g.selected) == ([[[1], [], []], [[], [1], []]], [1], 2)
     wrong = dataclasses.replace(g, numer=[[[-7, 1], [], []], [[], [1], []]])
     assert packed_column([[-8, 1], []], 3, 2) == 0 != packed_column([[-8, 1], []], 4, 2)
     with pytest.raises(DehnError, match="g2\\*d2"):
@@ -246,7 +241,7 @@ def test_verify_identities_rejects_a_zero_selected_entry_of_d1():
     cx = _one_crossing_complex()
     g = build_propagator(cx)
     with pytest.raises(DehnError, match="d2\\*g2 \\+ g1\\*d1"):
-        _verify_identities(cx, dataclasses.replace(g, selected=(0,)))
+        _verify_identities(cx, dataclasses.replace(g, selected=0))
 
 
 def test_identities_do_not_pin_the_scale_of_delta():
@@ -270,7 +265,7 @@ def test_identities_do_not_pin_the_scale_of_delta():
 
 def test_propagator_views_on_a_complex_without_crossings():
     # One region joined to the basepoint by a +1 edge: C_2 = 0, and the
-    # views still have c1 = c2 + c0 rows.
+    # views still have c1 = c2 + 1 rows.
     graph = graph_from_json({
         "arcs": [],
         "vertices": [{"id": "q0", "kind": "region", "index": 1},

@@ -1,11 +1,12 @@
 import itertools
+from operator import delitem
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (CORPUS, FIG8_KINKED, TREFOIL, TREFOIL_KINKED, is_zero_matrix, mat,
-                      qt_complex, qt_d1, qt_d2, qt_image, t_power, torus_pd)
+from conftest import (CORPUS, FIG8_KINKED, TREFOIL, TREFOIL_KINKED, from_rows, is_zero_matrix,
+                      mat, qt_complex, qt_d1, qt_d2, qt_image, t_power, torus_pd)
 from dehn.algebra import RatFunc, _pack, _unpack
 from dehn.dehngraph import (GroupRingTerm, build_d1, build_d2, build_dehn_graph,
                             graph_from_json, graph_to_json)
@@ -155,22 +156,44 @@ def test_malformed_graph_json_names_the_edge(field, value, match):
 @pytest.mark.parametrize("edit,match", [
     pytest.param(lambda data: data["edges"][0].update(word=[["a", 2]]),
                  "edge p0 -> q0: letter 'a' has exponent 2, not \\+1 or -1", id="exponent-2"),
-    pytest.param(lambda data: data["edges"][0].pop("word"),
+    pytest.param(lambda data: delitem(data["edges"][0], "word"),
                  "edge p0 -> q0 has no 'word'", id="no-word"),
-    pytest.param(lambda data: data["edges"][0].pop("from"), "edge 0 has no 'from'", id="no-from"),
-    pytest.param(lambda data: data["vertices"][0].pop("index"),
+    pytest.param(lambda data: delitem(data["edges"][0], "from"), "edge 0 has no 'from'",
+                 id="no-from"),
+    pytest.param(lambda data: delitem(data["vertices"][0], "index"),
                  "vertex 'p0' has no 'index'", id="no-index"),
     pytest.param(lambda data: data["edges"][0].update(sign=3),
                  "edge p0 -> q0: sign 3 is not \\+1 or -1", id="sign-3"),
+    pytest.param(lambda data: data["edges"][0].update(word=[["a"]]),
+                 "edge p0 -> q0: letter \\['a'\\] is not a \\[name, exponent\\] pair",
+                 id="letter-without-exponent"),
+    pytest.param(lambda data: delitem(data, "arcs"), "graph has no 'arcs'", id="no-arcs"),
+    pytest.param(lambda data: delitem(data, "edges"), "graph has no 'edges'", id="no-edges"),
+    pytest.param(lambda data: data["edges"].insert(0, ["p0", "q0"]), "edge 0 is not an object",
+                 id="edge-not-an-object"),
+    pytest.param(lambda data: data["edges"][0].update(word="a"),
+                 "edge p0 -> q0: 'word' has type str, not list", id="word-not-a-list"),
+    pytest.param(lambda data: data["edges"][0].update(origin=7),
+                 "edge p0 -> q0: 'origin' has type int, not list", id="origin-not-a-list"),
+    pytest.param(lambda data: [data], "graph is not an object", id="top-level-list"),
+    pytest.param(lambda data: data["vertices"][0].update(index=7),
+                 "vertex 'p0': index 7 is not 0, 1 or 2", id="index-7"),
+    pytest.param(lambda data: data["edges"][0].update(sign=True),
+                 "edge p0 -> q0: 'sign' has type bool, not int", id="sign-true"),
+    pytest.param(lambda data: data["edges"][0].update(word=[["a", True]]),
+                 "edge p0 -> q0: letter 'a' has exponent True, not \\+1 or -1",
+                 id="exponent-true"),
 ])
 def test_malformed_graph_json_is_a_dehn_error(edit, match):
-    # Each edit breaks the first vertex (p0) or the first edge (p0 -> q0):
-    # graph_from_json names it in a DehnError, with no ValueError or
-    # KeyError, and a sign of 3 is refused before it can reach d1 * d2.
+    # Each edit breaks the document, the first vertex (p0) or the first edge
+    # (p0 -> q0), in place or by returning the document to read instead:
+    # graph_from_json names the item in a DehnError, with no ValueError,
+    # KeyError or TypeError. A sign of 3 is refused before it can reach
+    # d1 * d2, and JSON true is not the sign or exponent +1.
     data = _trefoil_graph_json()
-    edit(data)
+    document = edit(data)
     with pytest.raises(DehnError, match=match):
-        graph_from_json(data)
+        graph_from_json(data if document is None else document)
 
 
 def test_d2_column_block_counts():
@@ -212,7 +235,7 @@ def test_trivial_representation_not_exact():
      "rank(d2) = 1 < 2"),
     # d2 = (1, 0)^T injects, d1 = 0.
     ((((1,),), ((),)), ((), ()), "rank(d1) = 0 < 1"),
-    # c1 = 2, c2 = 0, c0 = 1.
+    # c1 = 2, c2 = 0.
     (((), ()), ((1,), ()), "dimension mismatch: 2 != 0 + 1"),
     # d2 = (1, 0)^T injects and d1 = (1, 1) surjects, but d1 * d2 = 1.
     ((((1,),), ((),)), ((1,), (1,)), "d1*d2 != 0"),
@@ -220,7 +243,7 @@ def test_trivial_representation_not_exact():
 def test_exactness_witness_read_off_the_elimination(d2_rows, d1_row, witness):
     c2 = len(d2_rows[0])
     cx = ChainComplex(d2_rows, (1,), d1_row, tuple(f"c{j}" for j in range(c2)),
-                      tuple(f"q{i}" for i in range(len(d2_rows))), ("inf",))
+                      tuple(f"q{i}" for i in range(len(d2_rows))))
     assert check_exactness(cx) == ExactnessReport(False, witness)
 
 
@@ -248,7 +271,7 @@ def test_d1_d2_one_bit_narrower_would_alias():
     # packing width is k = 4; at k = 3, t - 8 packs to 8 - 8 = 0 and the
     # complex would pass as exact.
     cx = ChainComplex((((1,), ()), ((), (1,)), ((), ())), (1,), ((-8, 1), (), (1,)),
-                      ("c0", "c1"), ("q0", "q1", "q2"), ("inf",))
+                      ("c0", "c1"), ("q0", "q1", "q2"))
     assert _pack([-8, 1], 3) == 0 != _pack([-8, 1], 4)
     assert check_exactness(cx) == ExactnessReport(False, "d1*d2 != 0")
 
@@ -282,3 +305,28 @@ def test_complex_json_bookkeeping():
     assert data["bases"]["c0"] == ["inf"]
     assert data["d2"]["rows"] == 4 and data["d2"]["cols"] == 3
     assert set(data) == {"bases", "d2", "d1"}
+
+
+def _matrix_json(m):
+    """The JSON form a Q(t) matrix took when it was written through a
+    FieldMatrix: its shape and every entry's `to_json`, row by row."""
+    return {"rows": m.rows, "cols": m.cols,
+            "entries": [[e.to_json() for e in m.row(i)] for i in range(m.rows)]}
+
+
+@pytest.mark.parametrize("name,text", sorted(CORPUS.items()))
+def test_complex_json_entries_match_the_qt_reference(name, text):
+    # Under every outer region, the d2 and d1 that complex_to_json writes
+    # from the Z[t] rows are the reference Q(t) matrices in the form a
+    # FieldMatrix wrote them in, and read back they equal the complex built
+    # letter by letter in Q(t).
+    for region in build_diagram(parse_pd(text)).regions:
+        d = build_diagram(parse_pd(text), outer_region=region.id)
+        g = build_dehn_graph(d, build_d1(d), build_d2(d))
+        cx = build_complex(g, Representation.abelian())
+        data = complex_to_json(cx)
+        assert data["d2"] == _matrix_json(qt_d2(cx)), region.id
+        assert data["d1"] == _matrix_json(qt_d1(cx)), region.id
+        assert tuple(from_rows([[RatFunc.from_json(e) for e in row]
+                                for row in data[key]["entries"]])
+                     for key in ("d2", "d1")) == qt_complex(g), region.id

@@ -12,6 +12,7 @@ from dehn.algebra import Polynomial, RatFunc, _pack, fraction_free_gauss_jordan
 from dehn.diagram import WirtingerPresentation, build_diagram, parse_pd, wirtinger
 from dehn.errors import DehnError
 from dehn.oracle import AlexanderPolynomial, _fox_row, fox_alexander, milnor_check
+from test_cli import label_valid_pd
 
 
 def _alexander(text):
@@ -47,6 +48,24 @@ def test_alexander_palindromic_up_to_units(name, text):
     assert p in (Polynomial(reversed_coeffs), Polynomial(-c for c in reversed_coeffs))
 
 
+@settings(max_examples=100, deadline=None)
+@given(label_valid_pd())
+def test_alexander_normal_form_on_label_valid_codes(text):
+    # For every code that makes a diagram, under every choice of the outer
+    # region, Delta is palindromic with a positive constant term, so the one
+    # unit normal form, a positive lowest coefficient, also makes its leading
+    # coefficient positive; and the Milnor check holds over Z[t].
+    try:
+        regions = build_diagram(parse_pd(text)).regions
+    except DehnError:
+        return
+    for region in regions:
+        run = pipeline(text, outer_region=region.id)
+        coeffs = run.alexander.coeffs
+        assert coeffs == coeffs[::-1] and coeffs[0] > 0, region.id
+        assert milnor_check(run.tor, run.alexander), region.id
+
+
 @pytest.mark.parametrize("minor", [
     RatFunc((0, 0, -1, 1, -1)),          # -t^2 * (t^2 - t + 1)
     RatFunc((-1, 1, -1), (0, 0, 0, 1)),  # -(t^2 - t + 1) / t^3
@@ -56,8 +75,8 @@ def test_fox_minor_is_normalized(monkeypatch, minor):
     # The corpus minors carry no positive t-power, so the unit is planted as
     # the elimination's last pivot (a Z[t] minor, so a Laurent one comes in
     # times the t-power that clears it): the reported polynomial has a
-    # nonzero constant term and a positive leading coefficient, and stays
-    # unit-equal to the minor. The kernel returns its rows packed; the
+    # positive constant term and, the minors being symmetric, a positive
+    # leading coefficient, and stays unit-equal to the minor. The kernel returns its rows packed; the
     # planted pivot is packed at a width that holds it, returned as the
     # width, since the oracle unpacks no other entry.
     planted = [0] * (len(minor.zden) - 1) + list(minor.znum)
@@ -70,7 +89,7 @@ def test_fox_minor_is_normalized(monkeypatch, minor):
 
     monkeypatch.setattr(oracle, "fraction_free_gauss_jordan", eliminate)
     p = _alexander(TREFOIL).poly
-    assert p.coeffs[0] != 0 and p.coeffs[-1] > 0
+    assert p.coeffs[0] > 0 and p.coeffs[-1] > 0
     assert qt_unit_equal(RatFunc(p), minor)
 
 
@@ -140,17 +159,17 @@ def test_shuffled_relators_and_generators_give_the_same_alexander(text):
 
 def test_milnor_trefoil():
     run = pipeline(TREFOIL)
-    assert milnor_check(run.tor, AlexanderPolynomial(poly(1, -1, 1)))
+    assert milnor_check(run.tor, AlexanderPolynomial((1, -1, 1)))
 
 
 def test_milnor_unknot():
     run = pipeline(UNKNOT_KINK)
-    assert milnor_check(run.tor, AlexanderPolynomial(poly(1)))
+    assert milnor_check(run.tor, AlexanderPolynomial((1,)))
 
 
 def test_milnor_negative_control():
     run = pipeline(TREFOIL)
-    assert not milnor_check(run.tor, AlexanderPolynomial(poly(1, -3, 1)))
+    assert not milnor_check(run.tor, AlexanderPolynomial((1, -3, 1)))
 
 
 @pytest.mark.parametrize("name,text", sorted(CORPUS.items()))
