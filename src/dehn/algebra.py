@@ -31,6 +31,8 @@ from itertools import chain
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, List, Sequence, Tuple, Union
 
+from .errors import DehnError
+
 Coeffish = Union[int, Fraction]
 
 
@@ -252,8 +254,36 @@ class RatFunc:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "RatFunc":
-        return cls([Fraction(c) for c in data["num"]], [Fraction(c) for c in data["den"]])
+    def from_json(cls, data) -> "RatFunc":
+        """The inverse of `to_json`; "display" is not read. JSON of another
+        shape is a `DehnError` naming the field at fault: a value that is not
+        an object, a "num" or "den" that is missing or not a list, a
+        coefficient that is neither an integer nor a string `Fraction` reads
+        (true, false and floats are refused: no floating point), and a zero
+        denominator."""
+        if type(data) is not dict:
+            raise DehnError("rational function is not an object")
+        parts = []
+        for key in ("num", "den"):
+            if key not in data:
+                raise DehnError(f"rational function has no {key!r}")
+            if type(data[key]) is not list:
+                raise DehnError(f"rational function: {key!r} has type "
+                                f"{type(data[key]).__name__}, not list")
+            coeffs = []
+            for c in data[key]:
+                if type(c) not in (int, str):
+                    raise DehnError(f"rational function: {key!r} has coefficient {c!r}, "
+                                    "not an integer or a string")
+                try:
+                    coeffs.append(Fraction(c))
+                except (ValueError, ZeroDivisionError):
+                    raise DehnError(f"rational function: {key!r} has coefficient {c!r}, "
+                                    "not a rational") from None
+            parts.append(coeffs)
+        if not any(parts[1]):
+            raise DehnError("rational function: 'den' is zero")
+        return cls(*parts)
 
 
 def _display(num: Polynomial, den: Polynomial) -> str:

@@ -18,7 +18,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional
 
 from .algebra import poly_add
@@ -65,6 +64,9 @@ def _run(args) -> int:
              for text in _read_inputs(args)]
     workers = _worker_count(args.parallel, len(tasks), os.cpu_count())
     if workers > 1:
+        # Imported here: the pool pulls in multiprocessing, which every
+        # one-process run would otherwise load at start-up.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(args.one, tasks))
     else:

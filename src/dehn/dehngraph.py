@@ -22,21 +22,27 @@ basepoint, labeled +1 and minus its region label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from ._value import Value, _set
 from .diagram import KnotDiagram
 from .errors import DehnError
 from .words import (Word, format_word, free_reduce, generator_name,
                     word_inv, word_mul)
 
 
-@dataclass(frozen=True)
-class GroupRingTerm:
+class GroupRingTerm(Value):
     """A signed group element: sign * word, with sign +1 or -1."""
 
     sign: int
     word: Word
+
+    # GroupRingTerm, Vertex and Edge are built by the dozen per knot, and a
+    # fixed signature sets the fields in about half the time of
+    # `Value.__init__`.
+    def __init__(self, sign: int, word: Word):
+        _set(self, "sign", sign)
+        _set(self, "word", word)
 
     def __str__(self) -> str:
         return ("+" if self.sign > 0 else "-") + format_word(self.word)
@@ -104,23 +110,31 @@ def check_d2(labeling: RegionLabeling, diagram: KnotDiagram, rep) -> List[dict]:
     return violations
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(Value):
     id: str
     kind: str  # crossing | region | basepoint
     index: int  # 2 | 1 | 0
 
+    def __init__(self, id: str, kind: str, index: int):
+        _set(self, "id", id)
+        _set(self, "kind", kind)
+        _set(self, "index", index)
 
-@dataclass(frozen=True)
-class Edge:
+
+class Edge(Value):
     source: str
     target: str
     label: GroupRingTerm
     origin: Tuple  # ("corner", crossing, pos) | ("region_plus"|"region_minus", region)
 
+    def __init__(self, source: str, target: str, label: GroupRingTerm, origin: Tuple):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "label", label)
+        _set(self, "origin", origin)
 
-@dataclass(frozen=True)
-class DehnGraph:
+
+class DehnGraph(Value):
     vertices: Tuple[Vertex, ...]
     edges: Tuple[Edge, ...]
     arc_names: Tuple[str, ...]

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ._value import Value, _set
 from .errors import (ConfigError, MultiComponentError, NotPlanarError,
                      PDLabelError, PDSyntaxError)
 from .words import Word, free_reduce, word_inv
@@ -34,8 +34,7 @@ Slot = Tuple[int, int]  # (crossing id, position 0..3)
 _X_FORM = re.compile(r"X[\(\[]\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*[\)\]]")
 
 
-@dataclass(frozen=True)
-class PDCode:
+class PDCode(Value):
     crossings: Tuple[Tuple[int, int, int, int], ...]
 
     @property
@@ -110,12 +109,20 @@ def _validate_single_component(pd: PDCode) -> None:
                 "the PD code is not a single-component knot with sequential labels")
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(Value):
     id: int
     edges: Tuple[int, int, int, int]
     over_in_pos: int  # 1 or 3
     sign: int
+
+    # Crossing and Region are built once per crossing and region, and a fixed
+    # signature sets the fields in about half the time of `Value.__init__`.
+    def __init__(self, id: int, edges: Tuple[int, int, int, int], over_in_pos: int,
+                 sign: int):
+        _set(self, "id", id)
+        _set(self, "edges", edges)
+        _set(self, "over_in_pos", over_in_pos)
+        _set(self, "sign", sign)
 
     @property
     def under_in(self) -> int:
@@ -134,14 +141,16 @@ class Crossing:
         return self.edges[(self.over_in_pos + 2) % 4]
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Value):
     id: int
     corners: Tuple[Tuple[int, int], ...]  # cyclic (crossing id, corner position)
 
+    def __init__(self, id: int, corners: Tuple[Tuple[int, int], ...]):
+        _set(self, "id", id)
+        _set(self, "corners", corners)
 
-@dataclass(frozen=True)
-class KnotDiagram:
+
+class KnotDiagram(Value):
     pd: PDCode
     crossings: Tuple[Crossing, ...]
     arc_count: int
@@ -275,8 +284,7 @@ def build_diagram(pd: PDCode, outer_region: Optional[int] = None) -> KnotDiagram
                        unbounded, corner_region, edge_tail)
 
 
-@dataclass(frozen=True)
-class WirtingerPresentation:
+class WirtingerPresentation(Value):
     generators: Tuple[int, ...]  # arc ids
     relations: Tuple[Word, ...]  # one relator per crossing, freely reduced
 

@@ -54,19 +54,19 @@ D1[s]) / D1[s]. The defect is their difference, one fraction over Z[t].
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from typing import List, Optional
 
-from .algebra import (FieldMatrix, IntPoly, RatFunc, _derivative, _exact_div, _unit_equal,
-                      _unit_free, _unpack, is_diagonal_product, poly_add, poly_mul)
+from ._value import Value
+from .algebra import (FieldMatrix, IntPoly, RatFunc, _derivative, _exact_div, _trim,
+                      _unit_equal, _unit_free, _unpack, is_diagonal_product, poly_add,
+                      poly_mul)
 from .errors import DehnError, NotExactError
 from .mscomplex import ChainComplex, ZPoly, check_exactness
 
 
-@dataclass(frozen=True)
-class Propagator:
+class Propagator(Value):
     """G2 held as the elimination left it: G2 = numer / delta over Z[t].
     `sign` is the elimination's row-swap sign. G1 is 1/d1[s] on the row of
     the selected coordinate s, read off the complex when needed, and with
@@ -177,8 +177,7 @@ def _verify_identities(cx: ChainComplex, g: Propagator) -> None:
                         "column s of N is not zero")
 
 
-@dataclass(frozen=True)
-class TorsionValue:
+class TorsionValue(Value):
     """The torsion num / den as computed, an unreduced fraction over Z[t].
     The comparisons read the pair; the Q(t) forms are built, one gcd for
     both, when first read. `==` compares pairs, not values."""
@@ -216,8 +215,7 @@ def torsion_equal_up_to_units(a: TorsionValue, b: TorsionValue) -> bool:
     return _unit_equal(a.num, a.den, b.num, b.den)
 
 
-@dataclass(frozen=True)
-class DefectValue:
+class DefectValue(Value):
     """The defect num / den as computed, an unreduced fraction over Z[t];
     its canonical form is built, with one gcd, when first read. `==`
     compares pairs, not values."""
@@ -241,8 +239,13 @@ def defect(cx: ChainComplex, g: Propagator) -> DefectValue:
     for i, row in enumerate(cx.d2_rows):
         for j, x in compress(enumerate(row), row):
             for m in range(1, len(x)):
-                if x[m]:
-                    num = poly_add(num, g.numer[j][i], m * x[m], m)
+                c = m * x[m]
+                if c:
+                    n = g.numer[j][i]
+                    num.extend([0] * (m + len(n) - len(num)))
+                    for k, y in enumerate(n, m):
+                        num[k] += c * y
+    _trim(num)
     d1_s, a = cx.d1_row[s], len(cx.d1_den) - 1
     td1_s = [(m - a) * c for m, c in enumerate(d1_s)]  # t D1[s]' - a * D1[s]
     return DefectValue(tuple(poly_add(poly_mul(num, d1_s), poly_mul(g.delta, td1_s), -1)),

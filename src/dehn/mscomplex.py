@@ -19,10 +19,10 @@ check; the propagator's own check rests on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
+from ._value import Value
 from .algebra import (IntPoly, RatFunc, fraction_free_gauss_jordan, is_diagonal_product,
                       poly_add)
 from .dehngraph import BASEPOINT, DehnGraph
@@ -58,8 +58,7 @@ class Representation:
         return self._k * exponent_sum(word)
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(Value):
     d2_rows: Tuple[Tuple[ZPoly, ...], ...]  # c1_dim x c2_dim, over Z[t]
     d1_den: ZPoly  # t^a
     d1_row: Tuple[ZPoly, ...]  # c1_dim: d1 = d1_row / d1_den
@@ -148,8 +147,7 @@ def build_complex(graph: DehnGraph, rep: Representation) -> ChainComplex:
                         c2_basis, c1_basis)
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
+class ExactnessReport(Value):
     exact: bool
     witness: Optional[str] = None
 

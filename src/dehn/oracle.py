@@ -11,9 +11,9 @@ order, and Delta is held over Z[t] in the kernel's one unit normal form,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from ._value import Value
 from .algebra import (IntPoly, Polynomial, _unit_equal, _unit_free, _unpack,
                       fraction_free_gauss_jordan, poly_mul)
 from .diagram import WirtingerPresentation
@@ -22,8 +22,7 @@ from .invariants import TorsionValue
 from .words import Word
 
 
-@dataclass(frozen=True)
-class AlexanderPolynomial:
+class AlexanderPolynomial(Value):
     """Delta over Z[t], constant term first, normalized: nonzero constant
     term, positive lowest and so, Delta being symmetric, positive leading
     coefficient. `poly` is its display form."""

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from ._value import Value
 from .dehngraph import (CornerLabeling, DehnGraph, RegionLabeling, build_d1,
                         build_d2, build_dehn_graph, check_d2)
 from .diagram import KnotDiagram, PDCode, build_diagram, parse_pd, wirtinger
@@ -19,8 +19,7 @@ from .oracle import AlexanderPolynomial, fox_alexander, milnor_check
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class PipelineRun:
+class PipelineRun(Value):
     pd: PDCode
     diagram: KnotDiagram
     d1_labels: CornerLabeling
@@ -82,13 +81,8 @@ def run_pipeline(pd_text: str, outer_region: Optional[int] = None,
     tor = torsion(cx, g)
     d = defect(cx, g)
     alex = fox_alexander(wirtinger(diagram))
-    return PipelineRun(
-        pd=pd, diagram=diagram, d1_labels=d1_labels, d2_labels=d2_labels,
-        graph=graph, rep=rep, complex=cx, propagator=g, tor=tor, d=d,
-        alexander=alex,
-        lescop_ok=check_lescop_relation(tor, d),
-        milnor_ok=milnor_check(tor, alex),
-    )
+    return PipelineRun(pd, diagram, d1_labels, d2_labels, graph, rep, cx, g, tor, d, alex,
+                       check_lescop_relation(tor, d), milnor_check(tor, alex))
 
 
 def compute_result(pd_text: str, outer_region: Optional[int] = None,

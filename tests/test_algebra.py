@@ -13,6 +13,7 @@ from dehn import algebra
 from dehn.algebra import (FieldMatrix, Polynomial, RatFunc, _exact_quotient, _prs_gcd,
                           _unit_equal, common_denominator, is_diagonal_product, poly_add,
                           poly_mul, zpoly_gcd)
+from dehn.errors import DehnError
 from dehn.pipeline import compute_result
 
 # -- the Euclid reference gcd ------------------------------------------------
@@ -807,6 +808,26 @@ def test_json_roundtrip():
     data = f.to_json()
     assert data["num"][1] == "1/2"
     assert RatFunc.from_json(data) == f
+
+
+@pytest.mark.parametrize("data, match", [
+    pytest.param([["1"], ["1"]], "is not an object", id="list"),
+    pytest.param({"num": ["1"]}, "has no 'den'", id="no-den"),
+    pytest.param({"den": ["1"]}, "has no 'num'", id="no-num"),
+    pytest.param({"num": "1", "den": ["1"]}, "'num' has type str, not list", id="num-str"),
+    pytest.param({"num": [True], "den": ["1"]}, "'num' has coefficient True", id="true"),
+    pytest.param({"num": ["1"], "den": [0.5]}, "'den' has coefficient 0.5", id="float"),
+    pytest.param({"num": ["x"], "den": ["1"]}, "'num' has coefficient 'x', not a rational",
+                 id="not-a-rational"),
+    pytest.param({"num": ["1/0"], "den": ["1"]}, "'num' has coefficient '1/0'", id="over-0"),
+    pytest.param({"num": ["1"], "den": ["0", "0"]}, "'den' is zero", id="zero-den"),
+    pytest.param({"num": ["1"], "den": []}, "'den' is zero", id="empty-den"),
+])
+def test_malformed_ratfunc_json_is_a_dehn_error(data, match):
+    # Each fault is named in a DehnError, never a bare KeyError, TypeError,
+    # ValueError or ZeroDivisionError, and JSON true or a float is no coefficient.
+    with pytest.raises(DehnError, match=match):
+        RatFunc.from_json(data)
 
 
 @settings(max_examples=60, deadline=None)

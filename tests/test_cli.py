@@ -5,11 +5,13 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import dehn
 from conftest import (FIG8, HOPF_LINK, NON_PLANAR, TAILLESS_EDGES, TREFOIL,
                       UNKNOT_KINK)
 from dehn.cli import _worker_count, main
@@ -161,16 +163,16 @@ def test_a_disagreeing_seed_fails_check(capsys, monkeypatch, field):
     # its torsion, or with N doubled, which moves its defect by a
     # non-integer; the reported propagator is built by the pipeline and left
     # alone. Only seed_independence fails.
-    import dataclasses
     import dehn.cli
+    from dehn.invariants import Propagator
     build = dehn.cli.build_propagator
 
     def doubled(cx, pivot_seed=None):
         g = build(cx, pivot_seed=pivot_seed)
         if field == "delta":
-            return dataclasses.replace(g, delta=[2 * c for c in g.delta])
-        return dataclasses.replace(g, numer=[[[2 * c for c in x] for x in row]
-                                             for row in g.numer])
+            return Propagator(g.numer, [2 * c for c in g.delta], g.selected, g.sign)
+        return Propagator([[[2 * c for c in x] for x in row] for row in g.numer],
+                          g.delta, g.selected, g.sign)
 
     monkeypatch.setattr(dehn.cli, "build_propagator", doubled)
     code, out, _ = run_cli(capsys, "check", "--pd", TREFOIL, "--seeds", "10", "--format", "json")
@@ -253,6 +255,19 @@ def test_import_loads_only_the_standard_library():
               "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] "
               "not in sys.stdlib_module_names | {'dehn', '__mp_main__'}))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_no_dataclasses_inspect_or_process_pool():
+    # Start-up cost of every fresh process: the value classes use no
+    # `dataclasses` (which loads `inspect`, `ast`, `dis` and `tokenize`), and
+    # the process pool, with multiprocessing, is imported only under --parallel.
+    src = str(Path(dehn.__file__).resolve().parents[1])
+    script = (f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
+              "import dehn, dehn.cli; new = set(sys.modules) - before; "
+              "print(sorted(new & {'dataclasses', 'inspect', 'concurrent.futures'}))")
+    proc = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
