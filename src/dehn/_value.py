@@ -9,7 +9,9 @@ _set = object.__setattr__
 class Value:
     """An immutable record. A subclass lists its fields as class annotations,
     in order; a class attribute of a field's name is that field's default.
-    `__init__` sets the fields once, positionally or by keyword. `==`
+    `__init__` sets the fields once, positionally or by keyword; a subclass
+    that normalizes its arguments first has its own `__init__`, which stores
+    the fields through `_set` or by calling this one. `==`
     compares them within one class, `hash` hashes their tuple and `repr` is
     `Name(field=value, ...)`. Instances keep a `__dict__`, so
     `functools.cached_property`, `copy` and `pickle` work on them."""

@@ -19,9 +19,12 @@ denominator and call the same loop. `Polynomial`, with coefficients in Q,
 is a read-only view with no arithmetic: the monic-denominator display form
 of a `RatFunc`'s parts and of the Fox oracle's Alexander polynomial.
 
-Everything here is immutable and pure: values can be shared freely between
-threads. Coefficients are Python ints in Z[t] and `fractions.Fraction` in
-Q[t], so there is no precision ceiling and no floating point anywhere.
+Everything here is immutable and pure: `Polynomial`, `RatFunc` and
+`FieldMatrix` are `dehn._value.Value`s, whose constructors trim, reduce or
+check the shape before they store the fields, and values can be shared
+freely between threads. Coefficients are Python ints in Z[t] and
+`fractions.Fraction` in Q[t], so there is no precision ceiling and no
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from itertools import chain
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, List, Sequence, Tuple, Union
 
+from ._value import Value, _set
 from .errors import DehnError
 
 Coeffish = Union[int, Fraction]
@@ -44,7 +48,7 @@ def _coerce(c: Coeffish) -> Fraction:
     raise TypeError(f"cannot use {type(c).__name__} as a rational coefficient")
 
 
-class Polynomial:
+class Polynomial(Value):
     """Univariate polynomial over Q, coefficients stored constant-term first:
     a read-only view for display and evaluation. All arithmetic runs on
     `RatFunc` and the Z[t] kernel.
@@ -53,16 +57,13 @@ class Polynomial:
     coefficient is nonzero.
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: Tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable[Coeffish] = ()):
         cs = [_coerce(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+        _set(self, "coeffs", tuple(cs))
 
     # -- structure ----------------------------------------------------
 
@@ -73,12 +74,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("Polynomial", self.coeffs))
 
     def __call__(self, x: Coeffish) -> Fraction:
         x = _coerce(x)
@@ -111,11 +106,8 @@ class Polynomial:
             text += sign + body
         return text
 
-    def __repr__(self) -> str:
-        return f"Polynomial({list(self.coeffs)!r})"
 
-
-class RatFunc:
+class RatFunc(Value):
     """Element of Q(t), stored as znum / zden: integer coefficient tuples,
     constant term first, with
 
@@ -134,7 +126,8 @@ class RatFunc:
     arithmetic results included, is reduced here by `zpoly_gcd`.
     """
 
-    __slots__ = ("znum", "zden")
+    znum: Tuple[int, ...]
+    zden: Tuple[int, ...]
 
     def __init__(self, num, den=(1,)):
         num, den = _coefficients(num), _coefficients(den)
@@ -149,19 +142,16 @@ class RatFunc:
         _, num, den = zpoly_gcd(num, den)
         if den[-1] < 0:
             num, den = [-c for c in num], [-c for c in den]
-        object.__setattr__(self, "znum", tuple(num))
-        object.__setattr__(self, "zden", tuple(den))
+        _set(self, "znum", tuple(num))
+        _set(self, "zden", tuple(den))
 
     @classmethod
     def _reduced(cls, znum: Sequence[int], zden: Sequence[int]) -> "RatFunc":
         """znum / zden for a pair already in the unique form, with no gcd."""
         out = object.__new__(cls)
-        object.__setattr__(out, "znum", tuple(znum))
-        object.__setattr__(out, "zden", tuple(zden))
+        _set(out, "znum", tuple(znum))
+        _set(out, "zden", tuple(zden))
         return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -193,13 +183,6 @@ class RatFunc:
         return not self.znum
 
     # -- arithmetic ---------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RatFunc)
-                and self.znum == other.znum and self.zden == other.zden)
-
-    def __hash__(self) -> int:
-        return hash(("RatFunc", self.znum, self.zden))
 
     def __neg__(self) -> "RatFunc":
         # (-znum, zden) keeps joint content 1 and the denominator's sign, so
@@ -321,21 +304,18 @@ def _unit_equal(p1: Sequence[int], q1: Sequence[int],
     return _unit_free(poly_mul(p1, q2)) == _unit_free(poly_mul(p2, q1))
 
 
-class FieldMatrix:
+class FieldMatrix(Value):
     """Dense row-major matrix over Q(t)."""
 
-    __slots__ = ("rows", "cols", "entries")
+    rows: int
+    cols: int
+    entries: Tuple[RatFunc, ...]
 
     def __init__(self, rows: int, cols: int, entries: Sequence[RatFunc]):
         entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match the matrix shape")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldMatrix is immutable")
+        super().__init__(rows, cols, entries)
 
     # -- access -------------------------------------------------------
 
@@ -344,13 +324,6 @@ class FieldMatrix:
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FieldMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self) -> int:
-        return hash(("FieldMatrix", self.rows, self.cols, self.entries))
 
     def __str__(self) -> str:
         return "[" + "; ".join(

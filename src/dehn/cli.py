@@ -28,7 +28,7 @@ from .invariants import (build_propagator, defect, defect_equal_mod_Z, torsion,
                          torsion_equal_up_to_units)
 from .mscomplex import check_exactness
 from .oracle import fox_alexander
-from .pipeline import SCHEMA_VERSION, run_pipeline
+from .pipeline import SCHEMA_VERSION, compute_result, run_pipeline
 
 # The least value of each integer option that has one (--seeds is check's).
 _FLOORS = {"parallel": 1, "seeds": 0}
@@ -81,7 +81,7 @@ def _run(args) -> int:
 
 def _compute_one(task) -> dict:
     pd_text, outer_region, pivot_seed = task
-    return run_pipeline(pd_text, outer_region, pivot_seed).to_json_dict()
+    return compute_result(pd_text, outer_region, pivot_seed)
 
 
 def _compute_text(r: dict) -> str:

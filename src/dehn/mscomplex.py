@@ -32,7 +32,7 @@ from .words import Word, exponent_sum
 ZPoly = Tuple[int, ...]  # a Z[t] coefficient tuple, constant term first
 
 
-class Representation:
+class Representation(Value):
     """A one-dimensional representation of the knot group: every arc
     generator goes to u = t^k, so a word goes to t^(k * exponent sum), and a
     signed word to its sign times that. The complex needs only the exponent.
@@ -42,8 +42,7 @@ class Representation:
     the exactness check can fail.
     """
 
-    def __init__(self, k: int):
-        self._k = k
+    k: int
 
     @classmethod
     def abelian(cls) -> "Representation":
@@ -55,7 +54,7 @@ class Representation:
 
     def exponent(self, word: Word) -> int:
         """The power of t that the word maps to."""
-        return self._k * exponent_sum(word)
+        return self.k * exponent_sum(word)
 
 
 class ChainComplex(Value):
