@@ -6,13 +6,16 @@ its arithmetic is the kernel's: `poly_mul`, `poly_add` and the gcd
 `zpoly_gcd`, the primitive remainder sequence, with the cofactors taken by
 exact division. Every elimination runs in the kernel too, through the one
 fraction-free loop `fraction_free_gauss_jordan` over Z[t], at a packing
-width proved by a Hadamard-type bound: Gauss-Jordan of a complex's
-[d2 | I], whose pivots give the exactness rank and whose rows give every
-propagator, and forward-only for the Fox minor's determinant. It returns
-its rows packed, so each caller unpacks only the entries it reads. Every
-matrix product the library checks goes through the one test
-`is_diagonal_product`, rows * m = delta * I over Z[t] at a proved packing
-width, with delta = [] for a zero product; no product is ever unpacked.
+width proved by a Hadamard-type bound. The library runs it forward only:
+on a complex's [d2 | e_s | I], whose pivots give the exactness rank and
+whose rows `fraction_free_back_substitution` turns into the scaled
+inverse every propagator is read off, and on the Fox minor. Its
+Gauss-Jordan mode serves `FieldMatrix.rref`. It returns its rows packed,
+so each caller unpacks only the entries it reads. Every matrix product
+the library checks goes through the one test `is_diagonal_product`,
+rows * m = delta * I over Z[t] at a proved packing width, with delta = []
+for a zero product, on coefficient lists or on packed rows, whose digits
+it bounds first; no product is ever unpacked.
 `FieldMatrix`, a dense matrix over Q(t), is the form a propagator's G2 is
 shown in; its reduced form and determinant write each row over one
 denominator and call the same loop. `Polynomial`, with coefficients in Q,
@@ -30,9 +33,9 @@ floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, isqrt, lcm, prod
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
 from ._value import Value, _set
 from .errors import DehnError
@@ -460,64 +463,105 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
     return _unpack(_pack(a, k) * _pack(b, k), k)
 
 
-def is_diagonal_product(rows: Sequence[Sequence[IntPoly]], m: Sequence[Sequence[IntPoly]],
-                        delta: Sequence[int]) -> bool:
+def product_headroom(m: Sequence[Sequence[IntPoly]]) -> int:
+    """c, the bits that `is_diagonal_product` keeps free above the digits of
+    packed rows multiplied into m: the bit length of n + 1, n the largest
+    column 1-norm of m (the sum of its entries' 1-norms), and at least 2."""
+    n = max((sum(_norm1(x) for x in col if x) for col in zip(*m)), default=0)
+    return max(2, (n + 1).bit_length())
+
+
+def is_diagonal_product(rows: Sequence[Sequence], m: Sequence[Sequence[IntPoly]],
+                        delta: Sequence[int], width: int = 0) -> bool:
     """Whether rows * m = delta * I over Z[t], each matrix a list of rows of
-    coefficient lists; with delta = [] whether rows * m = 0.
+    coefficient lists; with delta = [] whether rows * m = 0. Given `width`,
+    the entries of `rows` come packed instead: each is the integer
+    p(2^width) of the polynomial p whose signed base-2^width digits, the
+    ones `_unpack` reads, are its coefficients.
 
     The test is an equality of columns of polynomials: it holds iff every
-    entry E of the difference rows * m - delta * I is zero. With |rows| and
-    |delta| the largest coefficient of rows and of delta, and n the largest
-    column 1-norm of m (the sum of its entries' 1-norms), every coefficient
-    of every E = (rows * m)[r][c] - delta * [r = c] is at most
+    entry E of the difference rows * m - delta * I is zero. Let n be the
+    largest column 1-norm of m. A coefficient of p * q is at most |p|_1
+    times the largest of q, so if no coefficient of rows exceeds a and none
+    of delta exceeds b, none of any E = (rows * m)[r][c] - delta * [r = c]
+    exceeds a * n + b. With l the most coefficients an entry of rows has,
+    and l_m and l_delta those of m and delta, every E has at most
 
-        bound = |rows| * n + |delta|,
+        L = max(l + l_m - 1, l_delta)
 
-    since a coefficient of p * q is at most |p|_1 times the largest of q.
-    With l_X the longest entry of X, every E has at most
+    coefficients. Packed at t -> 2^k and row r -> 2^(K*r), K = k * L, a
+    column of differences is the value at t = 2^k of sum_r t^(L*r) * E_r(t),
+    whose coefficients are exactly those of the E_r, since no E_r reaches
+    the next slot. A nonzero polynomial with every coefficient below 2^k in
+    absolute value is nonzero at 2^k: its lowest term c * 2^(k*m), 0 < |c|
+    < 2^k, leaves a remainder modulo 2^(k*(m+1)). So once a * n + b < 2^k, a
+    packed difference column is zero iff the column is. The widths are read
+    off the matrices under test, so they cover a wrong product too.
 
-        L = max(l_rows + l_m - 1, l_delta)
+    Coefficient lists: a and b are the largest coefficients of rows and of
+    delta, k is the bit length of a * n + b, and l is read off the lists.
 
-    coefficients. Take k = bit_length(bound), so every coefficient is below
-    2^k, and K = k * L. A column packed at t -> 2^k and row r -> 2^(K*r) is
-    the value at t = 2^k of sum_r t^(L*r) * E_r(t), whose coefficients are
-    exactly those of the E_r, since no E_r reaches the next slot. A nonzero
-    polynomial with every coefficient below 2^k in absolute value is nonzero
-    at 2^k: its lowest term c * 2^(k*m), 0 < |c| < 2^k, leaves a remainder
-    modulo 2^(k*(m+1)). So a packed difference column is zero iff the column
-    is. The widths are read off the matrices under test, so they cover a
-    wrong product too. A zero entry adds nothing to a norm and is not
-    packed.
+    Packed rows: k = width, and the digits are proved small first. With c =
+    `product_headroom(m)`, so n + 1 < 2^c, and j = k - c, a = b = 2^j gives
+    a * n + b = 2^j * (n + 1) < 2^k. delta's coefficients are compared with
+    2^j. Every digit of every entry x is shown to lie in [-2^j, 2^j) by one
+    add and one mask: adding 2^j in each of S slots of k bits must leave a
+    nonnegative integer with no bit set outside the low j + 1 bits of each
+    slot. Then x is a sum of S digits of that range times 2^(k*i), and as
+    j < k these are its signed base-2^k digits, so l <= S. S loses no digit
+    and is exact: if the top digit of x is at slot i and every digit lies
+    in that range, then 2^(k*i - 1) < |x| < 2^(k*i + k - 1), since c >= 2
+    makes 2^j <= 2^(k-2), so i = bit_length(x) // k, and S is one more than
+    the largest of these. If a bound fails the answer is False: the product
+    cannot be certified at this width, whatever it is.
 
     Each column of `rows` is packed once into one integer. A column of
     rows * m is then the sum, over the nonzero entries of a column of m, of
     the packed entry times a packed column of rows, compared with delta
     shifted into its slot, delta << K*c, as one integer, with no entry
-    product and no unpacking."""
+    product and no unpacking. A zero entry adds nothing to a norm and is
+    not packed."""
     inner = len(m)
     if any(len(row) != inner for row in rows):
         raise ValueError("shape mismatch in matrix product")
-    flat = list(chain.from_iterable(rows))
     m_columns = list(zip(*m))
-    bound = (max(map(abs, chain.from_iterable(flat)), default=0)
-             * max((sum(_norm1(x) for x in col if x) for col in m_columns), default=0)
-             + max(map(abs, delta), default=0))
-    if not bound:
-        return True  # rows * m and delta are both zero
-    k = bound.bit_length()
-    longest = max(map(len, flat), default=0) + max(map(len, chain.from_iterable(m)), default=0)
-    width = k * max(longest - 1, len(delta))
+    top = max(map(abs, delta), default=0)
+    if width:
+        k = width
+        j = k - product_headroom(m)
+        if j < 0 or top > 1 << j:
+            return False
+        flat = list(chain.from_iterable(rows))
+        digits = max((abs(x).bit_length() for x in flat), default=0) // k + 1
+        ones = ((1 << k * digits) - 1) // ((1 << k) - 1)  # 1 in each slot
+        bias, outside = ones << j, ~(((2 << j) - 1) * ones)
+        if any(x and (x + bias) & outside for x in flat):
+            return False
+    else:
+        entries = list(chain.from_iterable(rows))
+        n = max((sum(_norm1(x) for x in col if x) for col in m_columns), default=0)
+        bound = max(map(abs, chain.from_iterable(entries)), default=0) * n + top
+        if not bound:
+            return True  # rows * m and delta are both zero
+        k = bound.bit_length()
+        rows = [[_pack(x, k) if x else 0 for x in row] for row in rows]
+        digits = max(map(len, entries), default=0)
+    slot = k * max(digits + max(map(len, chain.from_iterable(m)), default=0) - 1, len(delta))
 
     def packed(line) -> int:
-        n = 0
-        for v in reversed(line):
-            n = (n << width) + (_pack(v, k) if v else 0)
-        return n
+        """sum_r line[r] << slot*r, joining neighbours pairwise: linear-
+        times-log work where shifting one entry in at a time is quadratic."""
+        parts, shift = list(line) or [0], slot
+        while len(parts) > 1:
+            parts.append(0)
+            parts = [a + (b << shift) for a, b in zip(parts[::2], parts[1::2])]
+            shift *= 2
+        return parts[0]
 
     packed_delta = _pack(delta, k)
     columns = [packed(col) for col in zip(*rows)] or [0] * inner
-    return all(sum(_pack(x, k) * columns[j] for j, x in enumerate(col) if x)
-               == packed_delta << width * c for c, col in enumerate(m_columns))
+    return all(sum(_pack(x, k) * columns[i] for i, x in enumerate(col) if x)
+               == packed_delta << slot * c for c, col in enumerate(m_columns))
 
 
 def _minor_bound(rows: Sequence[Sequence[IntPoly]]) -> int:
@@ -535,14 +579,19 @@ def _minor_bound(rows: Sequence[Sequence[IntPoly]]) -> int:
     c^2 <= P, for P the smaller of the row and the column product, and
     |c| <= isqrt(P).
     """
-    squares = [[_norm1(x) ** 2 for x in row] for row in rows]
-    by_rows = prod(max(1, sum(row)) for row in squares)
-    by_cols = prod(max(1, sum(col)) for col in zip(*squares))
-    return isqrt(min(by_rows, by_cols))
+    by_rows, by_cols = 1, [0] * (len(rows[0]) if rows else 0)
+    for row in rows:
+        total = 0
+        for j in compress(range(len(row)), row):  # the nonzero entries
+            square = _norm1(row[j]) ** 2
+            total += square
+            by_cols[j] += square
+        by_rows *= max(1, total)
+    return isqrt(min(by_rows, prod(max(1, c) for c in by_cols)))
 
 
-def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]], forward: bool = False
-                               ) -> Tuple[List[List[int]], List[int], int, int]:
+def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]], forward: bool = False,
+                               headroom: int = 0) -> Tuple[List[List[int]], List[int], int, int]:
     """Reduced echelon form over Z[t] by fraction-free Gauss-Jordan elimination
     (Bareiss 1968, extended to the rows above each pivot); with `forward`,
     the echelon form of Bareiss's forward elimination.
@@ -552,9 +601,11 @@ def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]], forward: bool 
     its coefficients. k bounds every entry, so a caller unpacks only the
     entries it reads (a determinant its last pivot, a rank none), and can
     go on with exact packed arithmetic whose results are minors of the
-    input too. Pivot columns are found left to right and the pivot row is
-    the first one below with a nonzero entry,
-    so the pivot columns are the leftmost ones independent of those before
+    input too, as `fraction_free_back_substitution` does. k is the proved
+    width plus `headroom` bits, for a caller whose packed check needs them
+    (`is_diagonal_product` on packed rows). Pivot columns are found left to
+    right and the pivot row is the first one below with a nonzero entry, so
+    the pivot columns are the leftmost ones independent of those before
     them, and the rows below the rank are zero. In Gauss-Jordan mode row r
     of the result has its pivot in column pivots[r] and every pivot entry
     equals the last pivot delta. When the input has full row rank, its pivot
@@ -591,8 +642,8 @@ def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]], forward: bool 
     if any(len(row) != ncols for row in rows):
         raise ValueError("ragged rows")
     # Every entry met is a minor of the input.
-    k = _packing_bits(_minor_bound(rows))
-    m = [[_pack(x, k) for x in row] for row in rows]
+    k = _packing_bits(_minor_bound(rows)) + headroom
+    m = [[_pack(x, k) if x else 0 for x in row] for row in rows]
     level = [0] * nrows
     scale = [1]  # scale[s] = p_s
 
@@ -600,7 +651,8 @@ def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]], forward: bool 
         s = len(scale) - 1
         if level[r] != s:
             num, den = scale[s], scale[level[r]]
-            m[r] = [_exact_div(a * num, den) if a else 0 for a in m[r]]
+            divide = _exact_divider(den)
+            m[r] = [divide(a * num) if a else 0 for a in m[r]]
             level[r] = s
 
     pivots: List[int] = []
@@ -618,14 +670,13 @@ def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]], forward: bool 
             sign = -sign
         catch_up(pr)
         top = m[pr]
-        p, prev = top[pc], scale[-1]
+        p, divide = top[pc], _exact_divider(scale[-1])
         for r in range(pr + 1 if forward else 0, nrows):
             if r == pr or not m[r][pc]:
                 continue
             catch_up(r)
             f = m[r][pc]
-            m[r] = [_exact_div(p * a - f * b, prev) if b
-                    else (_exact_div(p * a, prev) if a else 0)
+            m[r] = [divide(p * a - f * b) if b else (divide(p * a) if a else 0)
                     for a, b in zip(m[r], top)]
             level[r] = pr + 1
         scale.append(p)
@@ -637,12 +688,68 @@ def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]], forward: bool 
     return m, pivots, sign, k
 
 
-def _exact_div(a: int, b: int) -> int:
-    """a / b for packed values, raising ArithmeticError on a remainder."""
-    q, rem = divmod(a, b)
-    if rem:
-        raise ArithmeticError("inexact division in fraction-free elimination")
-    return q
+def fraction_free_back_substitution(rows: Sequence[Sequence[int]], n: int) -> List[List[int]]:
+    """X = delta * A^-1 * R, packed at the width of `rows`, from the packed
+    forward echelon form `rows` of [A | R] that `fraction_free_gauss_jordan`
+    made with `forward`, A n x n with pivots in its columns 0..n-1 and delta
+    the last of them. A singular A leaves a zero on that diagonal, which is
+    a ValueError before any arithmetic.
+
+    The forward rows are [A | R] times an invertible matrix F on the left:
+    U = F * A is upper triangular and V = F * R. So X is the one solution
+    of U * X = delta * V, and row i of it is
+
+        X[i] = (delta * V[i] - sum_{j > i} U[i][j] * X[j]) / U[i][i],
+
+    from the last row up (Nakos, Turner and Williams, SIGSAM Bull. 31(3),
+    1997); the last row is V[n-1] itself, since U[n-1][n-1] = delta. Every
+    division is exact in Z[t]. By Cramer's rule X[i][c] = delta * det A_ic
+    / det A, with A_ic the matrix A whose column i is replaced by column c
+    of R, and delta = +-det A, the row swaps' sign: so X[i][c] = +-det A_ic,
+    a minor of the input [A | R], and the numerator above, which equals
+    U[i][i] * X[i][c], is its multiple in Z[t]. Packing is a ring map, and
+    U[i][i], a nonzero minor, is nonzero at the kernel's width, so each
+    packed quotient is the packed minor, and the width's bound holds for
+    it as for every entry of the elimination; a remainder still raises
+    ArithmeticError. Zero entries take no product and no division.
+    """
+    if len(rows) < n or not all(rows[i][i] for i in range(n)):
+        raise ValueError("singular matrix: a pivot is missing from its columns")
+    delta = rows[n - 1][n - 1]
+    x: List[List[int]] = [[]] * n
+    x[n - 1] = list(rows[n - 1][n:])
+    for i in range(n - 2, -1, -1):
+        row = rows[i]
+        acc = [delta * v for v in row[n:]]
+        for j in range(i + 1, n):
+            f = row[j]
+            if f:
+                acc = [a - f * y if y else a for a, y in zip(acc, x[j])]
+        divide = _exact_divider(row[i])
+        x[i] = [divide(a) if a else 0 for a in acc]
+    return x
+
+
+def _exact_divider(b: int) -> Callable[[int], int]:
+    """The map a -> a / b on packed values, raising ArithmeticError on a
+    remainder. A divisor +-2^s, the packing of +-t^m at a width dividing s,
+    divides by a shift, in time linear in a where a long division takes
+    time proportional to the product of the two lengths."""
+    size = abs(b)
+    if size & (size - 1):
+        def divide(a: int) -> int:
+            q, rem = divmod(a, b)
+            if rem:
+                raise ArithmeticError("inexact division in fraction-free elimination")
+            return q
+        return divide
+    shift, low = size.bit_length() - 1, size - 1
+
+    def shifted(a: int) -> int:
+        if a & low:
+            raise ArithmeticError("inexact division in fraction-free elimination")
+        return a >> shift if b > 0 else -(a >> shift)
+    return shifted
 
 
 # -- gcd over Z[t] ---------------------------------------------------------

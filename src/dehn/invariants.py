@@ -4,12 +4,14 @@ three-term complex.
 C_0 has rank 1, so the propagator picks one coordinate s of C_1 whose line
 completes the image of d2 to a basis; G_1 inverts d1 on that line and G_2
 inverts d2 on its image along it. G_2 is held as the fraction-free
-elimination leaves it, numerators over Z[t] and one common denominator
-delta, and its Q(t) matrix is built only when asked for. A complex is
-eliminated once, [d2 | I] in the natural coordinate order; a pivot seed that
-selects another coordinate gets its propagator from those rows by one
-fraction-free pivot exchange, and each distinct propagator is built and
-verified once per complex. Torsion is the determinant of the square block
+elimination leaves it, numerators N over Z[t], still packed, and one
+common denominator delta; N over Z[t] and its Q(t) matrix are built only
+when asked for. A complex is eliminated once, forward, and back
+substituted once, to delta * B^-1 with B = [d2 | e_s0], s0 the first
+coordinate where d1 is nonzero; a pivot seed that selects another
+coordinate gets its propagator from those rows by one fraction-free
+pivot exchange, and each distinct propagator is built and verified once
+per complex. Torsion is the determinant of the square block
 matrix [d2 | g1] mapping the even chains to C_1; it is well defined up to
 +-t^m, and a canonical representative is obtained by stripping that unit.
 
@@ -21,18 +23,20 @@ value is printed or read.
 
 The torsion is read off the propagator's elimination, with no determinant of
 its own. Let e_s be the column of the selected coordinate s and
-B = [d2 | e_s] the pivot columns of the elimination, so sign * delta =
-det B. G1 is e_s / d1[s], hence [d2 | g1] = B * diag(I, 1/d1[s]), and
+B = [d2 | e_s], so that N / delta is G2 = the rows of B^-1 belonging to
+d2 and sign * delta = det B. G1 is e_s / d1[s], hence [d2 | g1] = B *
+diag(I, 1/d1[s]), and
 
     raw torsion = det [d2 | g1] = sign * delta / d1[s].
 
 The three propagator identities rest on the complex's exactness report,
 d1 * d2 = 0 included: on an exact complex, N * d2 = delta * id over Z[t]
-(one `is_diagonal_product` test) and a zero column s of N imply them
-all. They prove G2 = N / delta, but not the scale of delta: (c * N, c *
-delta) passes them for any nonzero polynomial c, and its torsion is wrong
-by the factor c. The Milnor and Lescop checks of the
-pipeline are what pin delta.
+(one `is_diagonal_product` test on N's packed rows, exact at their width
+once their digits are bounded, see `_verify_identities`) and a zero
+column s of N imply them all. They prove G2 = N / delta, but not the
+scale of delta: (c * N, c * delta) passes them for any nonzero polynomial
+c, and its torsion is wrong by the factor c. The Milnor and Lescop checks
+of the pipeline are what pin delta.
 
 The defect is a rational function modulo the integers. The paper sums it
 over the labelled Dehn graph: every edge whose label maps to c * t^m
@@ -59,7 +63,7 @@ from itertools import compress
 from typing import List, Optional
 
 from ._value import Value
-from .algebra import (FieldMatrix, IntPoly, RatFunc, _derivative, _exact_div, _trim,
+from .algebra import (FieldMatrix, IntPoly, RatFunc, _derivative, _exact_divider, _trim,
                       _unit_equal, _unit_free, _unpack, is_diagonal_product, poly_add,
                       poly_mul)
 from .errors import DehnError, NotExactError
@@ -67,15 +71,22 @@ from .mscomplex import ChainComplex, ZPoly, check_exactness
 
 
 class Propagator(Value):
-    """G2 held as the elimination left it: G2 = numer / delta over Z[t].
-    `sign` is the elimination's row-swap sign. G1 is 1/d1[s] on the row of
-    the selected coordinate s, read off the complex when needed, and with
-    them the torsion needs no determinant of its own."""
+    """G2 held as the elimination left it: G2 = N / delta over Z[t], the
+    rows of N packed, each entry its polynomial at t = 2^width. `sign` is
+    the elimination's sign: sign * delta = det [d2 | e_s]. G1 is 1/d1[s] on
+    the row of the selected coordinate s, read off the complex when needed,
+    and with them the torsion needs no determinant of its own."""
 
-    numer: List[List[IntPoly]]  # c2_dim x c1_dim
+    packed: List[List[int]]  # N, c2_dim x c1_dim
+    width: int
     delta: IntPoly
     selected: int  # the C_1 coordinate s whose line complements im(d2)
     sign: int
+
+    @cached_property
+    def numer(self) -> List[List[IntPoly]]:
+        """N over Z[t], unpacked on first use."""
+        return [[_unpack(x, self.width) for x in row] for row in self.packed]
 
     @cached_property
     def g2(self) -> FieldMatrix:
@@ -90,24 +101,21 @@ def build_propagator(cx: ChainComplex, pivot_seed: Optional[int] = None) -> Prop
     order (default is ascending), giving genuinely different propagators whose
     torsion and defect must agree.
 
-    Every propagator is read off the complex's `natural_elimination` of
-    [d2 | I], which its exactness check has already made. Its last row has
-    its pivot in the unit column of the natural coordinate s0; the unit
-    part v of that row is nonzero exactly at the coordinates independent of
-    im(d2) (see `_exchanged`), so the candidate order selects s, the first
-    coordinate in it with v[s] != 0, as an elimination in that order would.
-    Each selected coordinate's propagator is built and verified once per
-    complex and kept in `cx.propagators`.
+    The candidate order selects s, the first coordinate in it with
+    d1[s] != 0. Exactness makes im(d2) = ker(d1), so these are exactly the
+    coordinates whose line completes im(d2) to a basis: the ones an
+    elimination of [d2 | I] in that order selects. Every propagator is read
+    off the complex's `scaled_inverse`, which selects s0, the first such
+    coordinate (see `_exchanged`). Each selected coordinate's propagator is
+    built and verified once per complex and kept in `cx.propagators`.
     """
     report = check_exactness(cx)
     if not report.exact:
         raise NotExactError(f"complex is not exact: {report.witness}")
-    reduced, _, _, _ = cx.natural_elimination
-    v = reduced[cx.c2_dim][cx.c2_dim:]
     order = list(range(cx.c1_dim))
     if pivot_seed is not None:
         random.Random(pivot_seed).shuffle(order)
-    s = next(j for j in order if v[j])
+    s = next(j for j in order if cx.d1_row[j])
     g = cx.propagators.get(s)
     if g is None:
         g = _exchanged(cx, s)
@@ -117,38 +125,32 @@ def build_propagator(cx: ChainComplex, pivot_seed: Optional[int] = None) -> Prop
 
 
 def _exchanged(cx: ChainComplex, s: int) -> Propagator:
-    """The propagator selecting coordinate s, from the natural elimination.
+    """The propagator selecting coordinate s, from `cx.scaled_inverse`.
 
-    On an exact complex [d2 | I] has full row rank c1 = c2 + 1, its pivot
-    columns are B0 = [d2 | e_s0], and the elimination leaves delta0 *
-    B0^-1 in its identity block, with delta0 its last pivot and sign *
-    delta0 = det B0. Row r < c2 of that block is N0[r], and the last row is
-    v = delta0 * phi, where phi is the functional that vanishes on im(d2)
-    with phi(e_s0) = 1. So B_s = [d2 | e_s] = B0 * E with E the identity
-    but for its last column (u, phi(e_s)), u = N0[.][s] / delta0; B_s is
-    invertible iff v[s] != 0, det B_s = sign * v[s], and inverting E gives
+    On an exact complex B0 = [d2 | e_s0] is invertible, and the scaled
+    inverse is delta0 * B0^-1, with sign * delta0 = det B0. Its row r < c2
+    is N0[r], and its last row is v = delta0 * phi, where phi is the
+    functional that vanishes on im(d2) with phi(e_s0) = 1. So B_s = [d2 |
+    e_s] = B0 * E with E the identity but for its last column (u,
+    phi(e_s)), u = N0[.][s] / delta0; B_s is invertible iff v[s] != 0,
+    det B_s = sign * v[s], and inverting E gives
 
         N_s[r] = (v[s] * N0[r] - N0[r][s] * v) / delta0,   delta_s = v[s],
 
-    one fraction-free pivot exchange (Edmonds 1967; Bareiss 1968). It is
-    the same delta_s * B_s^-1 that the elimination in any order selecting
-    s makes: its steps over the d2 columns are those of the natural one,
-    since the pivot search reads only those columns, and its last step
-    swaps no row, so `sign` is the same too. Its entries are minors
-    of [d2 | I], so the exchange runs on the packed rows at the
-    elimination's width and each division is checked exact. Only delta
-    and the c2 rows of N are unpacked."""
-    reduced, pivots, sign, k = cx.natural_elimination
-    c2 = cx.c2_dim
-    rows = [row[c2:] for row in reduced[:c2]]
-    v = reduced[c2][c2:]
-    s0 = pivots[-1] - c2
+    one fraction-free pivot exchange (Edmonds 1967; Bareiss 1968): the
+    same delta_s * B_s^-1 that an elimination selecting s makes, with the
+    same sign. Its entries are minors of [d2 | I], so the exchange runs on
+    the packed rows at the elimination's width and each division is
+    checked exact. Only delta is unpacked."""
+    _, _, sign, width = cx.forward_elimination
+    scaled = cx.scaled_inverse
+    c2, s0 = cx.c2_dim, cx.base_coordinate
+    rows, v = scaled[:c2], scaled[c2]
     if s != s0:
-        vs, v0 = v[s], v[s0]
-        rows = [[_exact_div(vs * a - row[s] * b, v0) if a or b else 0
+        vs, divide = v[s], _exact_divider(v[s0])
+        rows = [[divide(vs * a - row[s] * b) if a or b else 0
                  for a, b in zip(row, v)] for row in rows]
-    numer = [[_unpack(x, k) for x in row] for row in rows]
-    return Propagator(numer, _unpack(v[s], k), s, sign)
+    return Propagator(rows, width, _unpack(v[s], width), s, sign)
 
 
 def _verify_identities(cx: ChainComplex, g: Propagator) -> None:
@@ -164,15 +166,27 @@ def _verify_identities(cx: ChainComplex, g: Propagator) -> None:
     also removes the one freedom N * d2 = delta * id leaves open: adding a
     multiple of D1 to a row of N.
 
-    N * d2 = delta * id is one `is_diagonal_product` test, each column of N
-    packed once into one integer at widths read off N, delta and d2.
+    N is checked as it is held, packed at w = g.width; N is by definition
+    what its packed entries unpack to. N * d2 = delta * id is one
+    `is_diagonal_product` test on those packed rows. With c =
+    `product_headroom(d2)`, so n + 1 < 2^c for n the largest column 1-norm
+    of d2, it first shows, by one add and one mask per entry, that every
+    digit of N lies in [-2^j, 2^j), j = w - c, and it compares every
+    coefficient of delta with 2^j. Under those bounds every coefficient of
+    N * d2 - delta * id is at most 2^j * (n + 1) < 2^w, so the packed
+    product is zero exactly when the polynomial one is. A correct N and
+    delta are minors of [d2 | I], every coefficient below 2^(k-1) for k
+    the kernel's proved width, and the elimination packs them at w = k + c,
+    so j = k and they pass; an N with a digit past 2^j is refused, whether
+    or not its product holds. A packed entry is zero iff it unpacks to
+    zero, so column s is tested packed.
 
     delta = 0 is rejected first: every packed side would read 0."""
     if not any(g.delta):
         raise DehnError("propagator has delta = 0")
-    if not is_diagonal_product(g.numer, cx.d2_rows, g.delta):
+    if not is_diagonal_product(g.packed, cx.d2_rows, g.delta, g.width):
         raise DehnError("propagator identity g2*d2 = id failed")
-    if any(row[g.selected] for row in g.numer):
+    if any(row[g.selected] for row in g.packed):
         raise DehnError("propagator identity d2*g2 + g1*d1 = id failed: "
                         "column s of N is not zero")
 
@@ -238,10 +252,12 @@ def defect(cx: ChainComplex, g: Propagator) -> DefectValue:
     num: IntPoly = []
     for i, row in enumerate(cx.d2_rows):
         for j, x in compress(enumerate(row), row):
+            if len(x) < 2:
+                continue  # a constant entry has no t-power term
+            n = _unpack(g.packed[j][i], g.width)
             for m in range(1, len(x)):
                 c = m * x[m]
                 if c:
-                    n = g.numer[j][i]
                     num.extend([0] * (m + len(n) - len(num)))
                     for k, y in enumerate(n, m):
                         num[k] += c * y

@@ -8,13 +8,18 @@ generator goes to the same scalar t^k (k = 1 abelian, k = 0 trivial), so a
 signed word maps to the sign times t^(k * exponent sum), and the complex is
 held over Z[t]: the corner labels +-1, +-x make d2 a matrix over Z[t], and
 d1, from the region labels, is one row over Z[t] over a power of t. Only
-`complex_to_json` writes them over Q(t), entry by entry. The elimination
-of [d2 | I] is the only one a complex makes, and it is made once: the
-exactness report that `check_exactness` returns reads rank(d2) off its
-pivots, and every propagator, whatever its pivot seed, is read off its
-rows (`invariants.build_propagator`), each one once, through the memo
-`propagators`. That report, d1 * d2 = 0 included, is the complex's whole
-check; the propagator's own check rests on it.
+`complex_to_json` writes them over Q(t), entry by entry. A complex makes
+one elimination, once: the forward elimination of [B | I], B = [d2 |
+e_s0], with s0 the first coordinate where d1 is nonzero. The exactness
+report that `check_exactness` returns reads rank(d2) off its pivots. On
+an exact complex B is invertible, and one fraction-free back
+substitution of its rows gives delta * B^-1, off which every propagator,
+whatever its pivot seed, is read (`invariants.build_propagator`), each one
+once, through the memo `propagators`. The back substitution's divisions
+are exact and its values are minors of [B | I], so the elimination's
+proved width holds for them (`algebra.fraction_free_back_substitution`).
+That report, d1 * d2 = 0 included, is the complex's whole check; the
+propagator's own check rests on it.
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ._value import Value
-from .algebra import (IntPoly, RatFunc, fraction_free_gauss_jordan, is_diagonal_product,
-                      poly_add)
+from .algebra import (IntPoly, RatFunc, fraction_free_back_substitution,
+                      fraction_free_gauss_jordan, is_diagonal_product, poly_add,
+                      product_headroom)
 from .dehngraph import BASEPOINT, DehnGraph
 from .errors import DehnError
 from .words import Word, exponent_sum
@@ -73,16 +79,41 @@ class ChainComplex(Value):
         return len(self.c1_basis)
 
     @cached_property
-    def natural_elimination(self) -> Tuple[List[List[int]], List[int], int, int]:
-        """`fraction_free_gauss_jordan` of [d2 | I] over Z[t], its rows still
-        packed, done once per complex: the exactness rank and every
-        propagator read it."""
+    def base_coordinate(self) -> Optional[int]:
+        """s0, the first coordinate with d1[s0] != 0; None when d1 = 0."""
+        return next((j for j, x in enumerate(self.d1_row) if x), None)
+
+    @cached_property
+    def forward_elimination(self) -> Tuple[List[List[int]], List[int], int, int]:
+        """The forward `fraction_free_gauss_jordan` of [B | I] over Z[t],
+        B = [d2 | e_s0] (d2 alone when d1 = 0), done once per complex, its
+        rows packed and sorted by their count of nonzeros in B, fewest first
+        and ties in coordinate order, so that sparse rows pivot early.
+        Returns (rows, pivots, sign, width) with sign * delta = det B, the
+        sort's parity folded into `sign`. The width has c =
+        `product_headroom(d2)` bits of headroom over the kernel's proved
+        one, which the propagator's packed check needs (see
+        `invariants._verify_identities`)."""
+        c1, s0 = self.c1_dim, self.base_coordinate
         rows = []
         for i, row in enumerate(self.d2_rows):
-            unit: List[IntPoly] = [[]] * self.c1_dim
+            unit: List[IntPoly] = [[]] * c1
             unit[i] = [1]
-            rows.append(list(row) + unit)
-        return fraction_free_gauss_jordan(rows)
+            rows.append(list(row) + ([] if s0 is None else [[1] if i == s0 else []]) + unit)
+        order = sorted(range(c1), key=lambda i: sum(map(bool, rows[i][:-c1])))
+        reduced, pivots, sign, width = fraction_free_gauss_jordan(
+            [rows[i] for i in order], forward=True, headroom=product_headroom(self.d2_rows))
+        return reduced, pivots, sign * _parity(order), width
+
+    @cached_property
+    def scaled_inverse(self) -> List[List[int]]:
+        """delta * B^-1, packed at the width of `forward_elimination`, by
+        fraction-free back substitution on its rows; row r < c2 belongs to
+        column r of d2, the last row to e_s0. Read only on an exact
+        complex, where B is invertible (see `invariants._exchanged`). The
+        sort permutes the rows of [B | I] into [P * B | P], and back
+        substitution gives delta * (P * B)^-1 * P = delta * B^-1."""
+        return fraction_free_back_substitution(self.forward_elimination[0], self.c1_dim)
 
     @cached_property
     def propagators(self) -> Dict[int, object]:
@@ -93,16 +124,17 @@ class ChainComplex(Value):
     @cached_property
     def _exactness(self) -> ExactnessReport:
         """Exact iff the middle dimension matches, d2 injects, d1 surjects and
-        d1 * d2 = 0. [d2 | I] has full row rank, and the kernel's pivot
-        columns are the leftmost ones independent of those before them, so
-        rank(d2) is the number of pivots among the d2 columns of
-        `natural_elimination`. C_0 has rank 1, so d1 surjects iff it has a
-        nonzero entry. d1 * d2 = 0 iff d1_row * d2_rows = 0 over
-        Z[t], tested last so that every earlier witness stays as it was."""
+        d1 * d2 = 0. The kernel's pivot columns are the leftmost ones
+        independent of those before them, and the columns of d2 come
+        first, so rank(d2) is the number of pivots among them in
+        `forward_elimination`; sorting the rows changes no rank. C_0 has
+        rank 1, so d1 surjects iff it has a nonzero entry. d1 * d2 = 0 iff
+        d1_row * d2_rows = 0 over Z[t], tested last so that every earlier
+        witness stays as it was."""
         if self.c1_dim != self.c2_dim + 1:
             return ExactnessReport(False,
                                    f"dimension mismatch: {self.c1_dim} != {self.c2_dim} + 1")
-        r2 = sum(p < self.c2_dim for p in self.natural_elimination[1])
+        r2 = sum(p < self.c2_dim for p in self.forward_elimination[1])
         if r2 != self.c2_dim:
             return ExactnessReport(False, f"rank(d2) = {r2} < {self.c2_dim}")
         if not any(self.d1_row):
@@ -144,6 +176,17 @@ def build_complex(graph: DehnGraph, rep: Representation) -> ChainComplex:
     return ChainComplex(tuple(tuple(tuple(x) for x in row) for row in d2),
                         (0,) * a + (1,), tuple(tuple(x) for x in d1),
                         c2_basis, c1_basis)
+
+
+def _parity(order: List[int]) -> int:
+    """The sign of a permutation: a cycle of length l is l - 1 swaps."""
+    seen, sign = [False] * len(order), 1
+    for start in range(len(order)):
+        if not seen[start]:
+            seen[start], j = True, order[start]
+            while j != start:
+                seen[j], j, sign = True, order[j], -sign
+    return sign
 
 
 class ExactnessReport(Value):

@@ -240,12 +240,20 @@ def gauss_jordan(rows, forward=False):
     return [[_unpack(v, k) for v in row] for row in packed], pivots, sign
 
 
+def replaced(value, **fields):
+    """A copy of a value with some fields replaced: how the tests build a
+    wrong propagator by hand."""
+    return type(value)(**dict(zip(value._fields, value._values()), **fields))
+
+
 def eliminate(cx, order):
-    """[d2 | unit columns] of a complex eliminated in full over Z[t], the
-    unit column of coordinate order[p] at column c2 + p: the elimination
-    each seeded propagator took before the pivot exchange, kept as its
-    reference. Returns the propagator it gives as (numer, delta, selected,
-    sign), its columns in the natural coordinate order."""
+    """[d2 | unit columns] of a complex eliminated in full over Z[t] by the
+    kernel's Gauss-Jordan mode, the unit column of coordinate order[p] at
+    column c2 + p: the dense elimination propagators were once read off,
+    kept as the reference of the forward elimination, back substitution
+    and pivot exchange that replaced it. Returns the propagator it gives
+    as (numer, delta, selected, sign), its columns in the natural
+    coordinate order."""
     c2, c1 = cx.c2_dim, cx.c1_dim
     position = {coord: p for p, coord in enumerate(order)}
     rows = []

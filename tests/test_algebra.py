@@ -10,9 +10,10 @@ from conftest import (CORPUS, connected_sum, forward_rank, from_rows, gauss_jord
                       q_mul, qt_product, qt_rref, rf, submatrix, t_power, torus_pd,
                       transposed, zeros)
 from dehn import algebra
-from dehn.algebra import (FieldMatrix, Polynomial, RatFunc, _exact_quotient, _prs_gcd,
-                          _unit_equal, common_denominator, is_diagonal_product, poly_add,
-                          poly_mul, zpoly_gcd)
+from dehn.algebra import (FieldMatrix, Polynomial, RatFunc, _exact_quotient, _pack, _prs_gcd,
+                          _unit_equal, _unpack, common_denominator,
+                          fraction_free_back_substitution, fraction_free_gauss_jordan,
+                          is_diagonal_product, poly_add, poly_mul, product_headroom, zpoly_gcd)
 from dehn.errors import DehnError
 from dehn.pipeline import compute_result
 
@@ -360,11 +361,28 @@ def _bumped(matrix, data):
     return out
 
 
-def _check_agrees(rows, m, delta):
-    """is_diagonal_product against the Q(t) product; returns its answer."""
-    got = is_diagonal_product(rows, m, delta)
+def _holds(rows, m, delta):
+    """rows * m = delta * I by the Q(t) reference."""
     product = qt_product(_over_q(rows), _over_q(m))
-    assert got == (product == _diagonal(product.rows, product.cols, delta))
+    return product == _diagonal(product.rows, product.cols, delta)
+
+
+def _check_agrees(rows, m, delta, narrow=1):
+    """is_diagonal_product against the Q(t) product; returns its answer.
+    The packed test agrees too at a width with product_headroom(m) bits
+    above the largest coefficient, and at the width `narrow`, where it may
+    refuse to certify a true product, it answers True only for a true
+    product of the rows it unpacks."""
+    got = is_diagonal_product(rows, m, delta)
+    assert got == _holds(rows, m, delta)
+    largest = max(map(abs, [*delta, *(c for row in rows for x in row for c in x)]), default=0)
+    wide = largest.bit_length() + product_headroom(m)
+    for width in (wide, narrow):
+        packed = [[_pack(x, width) for x in row] for row in rows]
+        certified = is_diagonal_product(packed, m, delta, width)
+        assert certified == got if width == wide else (
+            not certified or _holds([[_unpack(x, width) for x in row] for row in packed],
+                                    m, delta))
     return got
 
 
@@ -378,8 +396,9 @@ def test_is_diagonal_product_matches_qt_product(m, n, p, data):
     polys = int_polys(2 ** 40, 4)
     a = data.draw(int_matrices(m, n, polys))
     b = data.draw(int_matrices(n, p, polys))
-    _check_agrees(a, b, [])
-    _check_agrees(a, b, data.draw(polys))
+    narrow = data.draw(st.integers(1, 48))
+    _check_agrees(a, b, [], narrow)
+    _check_agrees(a, b, data.draw(polys), narrow)
     u = data.draw(int_matrices(1, n, polys))[0]
     rows = [[poly_mul(c, x) for x in u] for c in data.draw(st.lists(polys, min_size=m,
                                                                     max_size=m))]
@@ -404,6 +423,48 @@ def test_is_diagonal_product_matches_qt_product(m, n, p, data):
         assert _check_agrees(numer, square, delta)
         _check_agrees(_bumped(numer, data), square, delta)
         _check_agrees(numer, _bumped(square, data), delta)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 1), st.data())
+def test_back_substitution_inverts_the_forward_rows(n, singular, data):
+    # A random square A over Z[t], rows shuffled as the propagator sorts
+    # them: [P * A | P] eliminated forward and back substituted gives X =
+    # delta * A^-1, so A * X = X * A = delta * I (the second on the packed
+    # rows, at the width with the product check's headroom), and X is +-1
+    # times the identity block of the Gauss-Jordan mode. A singular A,
+    # one row a combination of others, is reported by its pivots, and the
+    # back substitution refuses it before any arithmetic. A pivot replaced
+    # by a value dividing no numerator makes a division inexact.
+    a = data.draw(int_matrices(n, n, int_polys(9, 3)))
+    if singular and n > 1:
+        i, j, dst = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        c = data.draw(int_polys(3, 2))
+        a[dst] = [poly_add(poly_mul(c, x), y) for x, y in zip(a[i], a[j])]
+    order = data.draw(st.permutations(range(n)))
+    rows = [a[i] + [[1] if j == i else [] for j in range(n)] for i in order]
+    forward, pivots, _, width = fraction_free_gauss_jordan(rows, forward=True,
+                                                           headroom=product_headroom(a))
+    if pivots[:n] != list(range(n)):
+        assert qt_rref(_over_q(a))[2] < n
+        with pytest.raises(ValueError):
+            fraction_free_back_substitution(forward, n)
+        return
+    x = fraction_free_back_substitution(forward, n)
+    delta = _unpack(forward[n - 1][n - 1], width)
+    unpacked = [[_unpack(v, width) for v in row] for row in x]
+    assert is_diagonal_product(a, unpacked, delta)
+    assert is_diagonal_product(x, a, delta, width)
+    block = [row[n:] for row in gauss_jordan([a[i] + [[1] if j == i else [] for j in range(n)]
+                                              for i in range(n)])[0]]
+    assert unpacked in (block, [[[-c for c in v] for v in row] for row in block])
+    if n > 1:
+        c = next(c for c, v in enumerate(x[0]) if v)
+        numerator = forward[0][0] * x[0][c]
+        broken = [list(row) for row in forward]
+        broken[0][0] = 2 * abs(numerator) + 1
+        with pytest.raises(ArithmeticError):
+            fraction_free_back_substitution(broken, n)
 
 
 def test_is_diagonal_product_shape_mismatch_raises():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import dehn
 from conftest import (FIG8, HOPF_LINK, NON_PLANAR, TAILLESS_EDGES, TREFOIL,
-                      UNKNOT_KINK)
+                      UNKNOT_KINK, replaced)
 from dehn.cli import _worker_count, main
 from dehn.dehngraph import build_d1, build_d2, build_dehn_graph, export_dot
 from dehn.diagram import build_diagram, parse_pd
@@ -160,19 +160,19 @@ def test_a_failing_check_exits_1(capsys, monkeypatch):
 @pytest.mark.parametrize("field", ["delta", "numer"])
 def test_a_disagreeing_seed_fails_check(capsys, monkeypatch, field):
     # Every seeded propagator comes back with delta doubled, which doubles
-    # its torsion, or with N doubled, which moves its defect by a
-    # non-integer; the reported propagator is built by the pipeline and left
-    # alone. Only seed_independence fails.
+    # its torsion, or with N doubled, each packed entry times 2, which moves
+    # its defect by a non-integer; the reported propagator is built by the
+    # pipeline and left alone. Only seed_independence fails.
     import dehn.cli
-    from dehn.invariants import Propagator
     build = dehn.cli.build_propagator
 
     def doubled(cx, pivot_seed=None):
         g = build(cx, pivot_seed=pivot_seed)
         if field == "delta":
-            return Propagator(g.numer, [2 * c for c in g.delta], g.selected, g.sign)
-        return Propagator([[[2 * c for c in x] for x in row] for row in g.numer],
-                          g.delta, g.selected, g.sign)
+            return replaced(g, delta=[2 * c for c in g.delta])
+        wrong = replaced(g, packed=[[2 * x for x in row] for row in g.packed])
+        assert wrong.numer == [[[2 * c for c in x] for x in row] for row in g.numer]
+        return wrong
 
     monkeypatch.setattr(dehn.cli, "build_propagator", doubled)
     code, out, _ = run_cli(capsys, "check", "--pd", TREFOIL, "--seeds", "10", "--format", "json")

@@ -6,17 +6,17 @@ from hypothesis import strategies as st
 
 from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
                       UNKNOT_KINK, defect_terms, det_torsion, eliminate,
-                      find_basis_permutation, from_rows, hstack, is_identity,
+                      find_basis_permutation, from_rows, gauss_jordan, hstack, is_identity,
                       mat, mat_add, pipeline, qt_d1, qt_d2, qt_defect, qt_equal_mod_Z,
                       packed_column, qt_g1, qt_inverse, qt_lescop, qt_rref, qt_unit_equal,
-                      rf, scaled, submatrix, t_power, torus_pd)
-from dehn import invariants
-from dehn.algebra import RatFunc, poly_add, poly_mul
+                      replaced, rf, scaled, submatrix, t_power, torus_pd)
+from dehn import algebra, invariants
+from dehn.algebra import RatFunc, _pack, poly_add, poly_mul
 from dehn.errors import DehnError, NotExactError
 from dehn.dehngraph import (build_d1, build_d2, build_dehn_graph, graph_from_json,
                             graph_to_json)
 from dehn.diagram import build_diagram, parse_pd
-from dehn.invariants import (DefectValue, Propagator, TorsionValue, _verify_identities,
+from dehn.invariants import (DefectValue, TorsionValue, _verify_identities,
                              build_propagator, check_lescop_relation, defect,
                              defect_equal_mod_Z, torsion,
                              torsion_equal_up_to_units)
@@ -108,45 +108,46 @@ def test_propagator_matches_reference_rule(name, text):
 
 
 def test_verify_identities_rejects_a_perturbed_g2():
-    # Adding t to one numerator of N adds t / delta to that G2 entry.
+    # Adding t to one entry of N, 2^width to its packed value, adds
+    # t / delta to that G2 entry.
     run = pipeline(FIG8)
     cx, g = run.complex, run.propagator
     _verify_identities(cx, g)
-    numer = [list(row) for row in g.numer]
-    numer[1][2] = numer[1][2] + [0, 0]
-    numer[1][2][1] += 1
+    packed = [list(row) for row in g.packed]
+    packed[1][2] += 1 << g.width
+    wrong = replaced(g, packed=packed)
+    assert wrong.numer[1][2] == poly_add(g.numer[1][2], [0, 1])
     with pytest.raises(DehnError, match="g2\\*d2"):
-        _verify_identities(cx, Propagator(numer, g.delta, g.selected, g.sign))
+        _verify_identities(cx, wrong)
+
+
+def _bumped(poly, p, c):
+    """poly + c * t^p over Z[t]."""
+    return poly_add(poly, [c], shift=p)
 
 
 @pytest.mark.parametrize("text", [FIG8, torus_pd(7)])
 def test_verify_identities_rejects_every_unit_perturbation(text):
-    # +-1 on any one coefficient of N (one past the top of each entry too)
-    # or of delta: each fails an identity.
+    # +-1 on any one digit of a packed entry of N, one past the top of each
+    # entry too, is +-t^p on that entry; that, or +-1 on any one coefficient
+    # of delta, fails an identity.
     run = pipeline(text)
     cx, g = run.complex, run.propagator
     _verify_identities(cx, g)
-
-    def bumped(poly, p, c):
-        out = list(poly) + [0] * (p + 1 - len(poly))
-        out[p] += c
-        while out and not out[-1]:
-            out.pop()
-        return out
-
     for r, row in enumerate(g.numer):
         for j, x in enumerate(row):
             for p in range(len(x) + 1):
                 for c in (1, -1):
-                    numer = [list(line) for line in g.numer]
-                    numer[r][j] = bumped(x, p, c)
+                    packed = [list(line) for line in g.packed]
+                    packed[r][j] += c << g.width * p
+                    wrong = replaced(g, packed=packed)
+                    assert wrong.numer[r][j] == _bumped(x, p, c)
                     with pytest.raises(DehnError):
-                        _verify_identities(cx, Propagator(numer, g.delta, g.selected, g.sign))
+                        _verify_identities(cx, wrong)
     for p in range(len(g.delta) + 1):
         for c in (1, -1):
             with pytest.raises(DehnError, match="g2\\*d2"):
-                _verify_identities(cx, Propagator(g.numer, bumped(g.delta, p, c), g.selected,
-                                                  g.sign))
+                _verify_identities(cx, replaced(g, delta=_bumped(g.delta, p, c)))
 
 
 @pytest.mark.parametrize("delta", [[], [0]])
@@ -155,27 +156,61 @@ def test_verify_identities_rejects_a_zero_delta(delta):
     # would pass; delta = 0 is rejected first, trimmed or not.
     run = pipeline(FIG8)
     cx, g = run.complex, run.propagator
-    zero = Propagator([[[] for _ in row] for row in g.numer], delta, g.selected, g.sign)
+    zero = replaced(g, packed=[[0] * len(row) for row in g.packed], delta=delta)
     with pytest.raises(DehnError, match="delta = 0"):
         _verify_identities(cx, zero)
 
 
-_EXCHANGE_KNOTS = dict(CORPUS, **{"3_1 kinked": TREFOIL_KINKED, "4_1 kinked": FIG8_KINKED},
-                       **{f"T(2,{n})": torus_pd(n) for n in range(3, 22, 2)})
+# 3_1 # 4_1 # 5_2 # 6_1 spliced at seeded edges, with two Reidemeister-I
+# kinks: 20 crossings.
+COMPOSITE_KINKED = (
+    "[[7,10,8,11],[9,12,10,13],[11,8,12,9],[14,32,15,31],[18,16,19,15],[16,13,17,14],"
+    "[32,17,33,18],[36,39,37,40],[38,5,39,6],[40,35,1,36],[6,3,7,4],[4,37,5,38],"
+    "[29,20,30,21],[23,26,24,27],[19,25,20,24],[25,31,26,30],[21,28,22,29],[27,22,28,23],"
+    "[33,34,34,35],[1,2,2,3]]")
+_EXCHANGE_KNOTS = dict(CORPUS, **{"3_1 kinked": TREFOIL_KINKED, "4_1 kinked": FIG8_KINKED,
+                                  "3_1#4_1#5_2#6_1 kinked": COMPOSITE_KINKED},
+                       **{f"T(2,{n})": torus_pd(n) for n in range(3, 32, 2)})
 
 
 @pytest.mark.parametrize("name", sorted(_EXCHANGE_KNOTS))
 def test_pivot_exchange_matches_the_full_elimination(name):
     # For every coordinate s with d1[s] != 0, the propagator exchanged from
-    # the natural elimination equals the one a full elimination with s first
-    # among the unit columns gives: the same numer, delta, sign and selected.
+    # the scaled inverse is the one the dense Gauss-Jordan of [d2 | I], s
+    # first among the unit columns, gives: the same selected coordinate, the
+    # same G2 (N / delta, compared by cross-multiplication) and the same
+    # sign * delta = det [d2 | e_s]. How that determinant splits between
+    # sign and delta depends on the row order each elimination took.
     cx = pipeline(_EXCHANGE_KNOTS[name]).complex
     coords = [s for s in range(cx.c1_dim) if cx.d1_row[s]]
     assert coords
     for s in coords:
         g = invariants._exchanged(cx, s)
-        order = [s] + [j for j in range(cx.c1_dim) if j != s]
-        assert (g.numer, g.delta, g.selected, g.sign) == eliminate(cx, order), s
+        numer, delta, selected, sign = eliminate(
+            cx, [s] + [j for j in range(cx.c1_dim) if j != s])
+        assert g.selected == selected == s
+        assert [g.sign * c for c in g.delta] == [sign * c for c in delta], s
+        assert all(poly_mul(a, delta) == poly_mul(b, g.delta)
+                   for got, want in zip(g.numer, numer) for a, b in zip(got, want)), s
+
+
+@pytest.mark.parametrize("name,text", sorted(CORPUS.items()))
+def test_selection_matches_the_unit_part_of_the_full_elimination(name, text):
+    # The selection reads d1: the first coordinate in the seed's order with
+    # d1[s] != 0. The rule it replaced read v, the unit part of the last
+    # row of the dense Gauss-Jordan of [d2 | I]; exactness makes v
+    # proportional to d1, so both pick the same coordinate for every seed.
+    cx = pipeline(text).complex
+    c2, c1 = cx.c2_dim, cx.c1_dim
+    rows = [list(row) + [[1] if j == i else [] for j in range(c1)]
+            for i, row in enumerate(cx.d2_rows)]
+    v = gauss_jordan(rows)[0][c2][c2:]
+    for seed in [None] + list(range(12)):
+        order = list(range(c1))
+        if seed is not None:
+            random.Random(seed).shuffle(order)
+        assert build_propagator(cx, pivot_seed=seed).selected == next(
+            j for j in order if v[j]), seed
 
 
 def _one_crossing_complex():
@@ -194,29 +229,45 @@ def _two_crossing_complex():
                         c1_basis=("q0", "q1", "q2"))
 
 
-def test_identity_width_one_bit_narrower_would_alias():
-    # Column 0 of N * d2 is (t - 7, 0) against (delta, 0) = (1, 0), off by
-    # (t - 8, 0). The widths are k = 4 (coefficients up to 7 * 1 + |delta|
-    # = 8) and L = 2; at k = 3, t - 8 packs to 8 - 8 = 0, and the check
-    # would pass. Without |delta| in the bound, k would be 3.
-    cx = _two_crossing_complex()
+def test_identity_width_one_bit_narrower_would_alias(monkeypatch):
+    # d2 = ((0, 0), (1, 1), (1, -1)) and d1 = (1, 0, 0): exact, s = 0, and
+    # both columns of d2 have 1-norm n = 2, so the packed check keeps c = 2
+    # bits of headroom and bounds every digit of N by 2^j, j = width - 2.
+    # The packed rows h * ((0, 1, 1), (0, 1, -1)), h = 2^(width-1), with
+    # delta = t give N * d2 = 2^width * I = delta * I on the packed
+    # integers. But h unpacks to t - h and -h to -h, so row 0 of N * d2 is
+    # (2t - 2^width, 0), not (t, 0): the digit -h = -2^(j+1) makes a
+    # coefficient 2 * h = 2^width, which the packing cannot tell from 0.
+    # With one bit less headroom, digits up to 2^(j+1), the check accepts
+    # this wrong N; at c bits it refuses it. delta = t passes its own bound,
+    # so only the digit bound sees it.
+    cx = ChainComplex((((), ()), ((1,), (1,)), ((1,), (-1,))), (1,), ((1,), (), ()),
+                      ("c0", "c1"), ("q0", "q1", "q2"))
     g = build_propagator(cx)
-    assert (g.numer, g.delta, g.selected) == ([[[1], [], []], [[], [1], []]], [1], 2)
-    wrong = Propagator([[[-7, 1], [], []], [[], [1], []]], g.delta, g.selected, g.sign)
-    assert packed_column([[-8, 1], []], 3, 2) == 0 != packed_column([[-8, 1], []], 4, 2)
+    assert g.selected == 0 and algebra.product_headroom(cx.d2_rows) == 2
+    h = 1 << g.width - 1
+    wrong = replaced(g, packed=[[0, h, h], [0, h, -h]], delta=[0, 1])
+    assert wrong.numer == [[[], [-h, 1], [-h, 1]], [[], [-h, 1], [-h]]]
+    assert packed_column([[-2 * h, 1], [-2 * h, 1]], g.width, 2) == 0
     with pytest.raises(DehnError, match="g2\\*d2"):
         _verify_identities(cx, wrong)
+    monkeypatch.setattr(algebra, "product_headroom", lambda m: 1)
+    _verify_identities(cx, wrong)
 
 
 def test_identity_width_one_slot_shorter_would_alias():
-    # Column 0 of N * d2 is (1 + t^2, -1), off (delta, 0) by (t^2, -1). With
-    # k = 2 and L = 3 slots that is t^2 - t^3 at t = 2^k, nonzero; with one
-    # slot fewer the t^2 of row 0 and the -1 of row 1 land on the same power
-    # and cancel.
+    # Column 0 of N * d2 is (1 + t^2, -1), off (delta, 0) by (t^2, -1). N's
+    # longest entry has l = 3 digits and d2's l_m = 1, so each row of the
+    # packed column gets L = 3 digits: t^2 - t^(2*L) at t = 2^width,
+    # nonzero; with one slot fewer the t^2 of row 0 and the -1 of row 1
+    # land on the same power and cancel. The digits are within the bound.
     cx = _two_crossing_complex()
     g = build_propagator(cx)
-    wrong = Propagator([[[1, 0, 1], [], []], [[-1], [1], []]], g.delta, g.selected, g.sign)
-    assert packed_column([[0, 0, 1], [-1]], 2, 2) == 0 != packed_column([[0, 0, 1], [-1]], 2, 3)
+    assert (g.numer, g.delta, g.selected) == ([[[1], [], []], [[], [1], []]], [1], 2)
+    w = g.width
+    wrong = replaced(g, packed=[[1 + (1 << 2 * w), 0, 0], [-1, 1, 0]])
+    assert wrong.numer == [[[1, 0, 1], [], []], [[-1], [1], []]]
+    assert packed_column([[0, 0, 1], [-1]], w, 2) == 0 != packed_column([[0, 0, 1], [-1]], w, 3)
     with pytest.raises(DehnError, match="g2\\*d2"):
         _verify_identities(cx, wrong)
 
@@ -228,10 +279,10 @@ def test_verify_identities_checks_the_homotopy_identity():
     # it: D1[s] != 0 lands in that column.
     run = pipeline(FIG8)
     cx, g = run.complex, run.propagator
-    numer = [list(row) for row in g.numer]
-    numer[0] = [poly_add(x, y) for x, y in zip(numer[0], cx.d1_row)]
+    packed = [list(row) for row in g.packed]
+    packed[0] = [x + _pack(y, g.width) for x, y in zip(packed[0], cx.d1_row)]
     with pytest.raises(DehnError, match="d2\\*g2 \\+ g1\\*d1"):
-        _verify_identities(cx, Propagator(numer, g.delta, g.selected, g.sign))
+        _verify_identities(cx, replaced(g, packed=packed))
 
 
 def test_verify_identities_rejects_a_zero_selected_entry_of_d1():
@@ -241,18 +292,19 @@ def test_verify_identities_rejects_a_zero_selected_entry_of_d1():
     cx = _one_crossing_complex()
     g = build_propagator(cx)
     with pytest.raises(DehnError, match="d2\\*g2 \\+ g1\\*d1"):
-        _verify_identities(cx, Propagator(g.numer, g.delta, 0, g.sign))
+        _verify_identities(cx, replaced(g, selected=0))
 
 
 def test_identities_do_not_pin_the_scale_of_delta():
     # (c * N, c * delta) keeps G2 = N / delta and passes every identity, but
     # its torsion is wrong by the factor c; the Milnor and Lescop checks
-    # catch it.
+    # catch it. On the packed rows c * N is c(2^width) times each entry.
     run = pipeline(FIG8)
     cx, g = run.complex, run.propagator
     c = [1, 1]  # 1 + t
-    wrong = Propagator([[poly_mul(x, c) for x in row] for row in g.numer],
-                       poly_mul(g.delta, c), g.selected, g.sign)
+    wrong = replaced(g, packed=[[x * _pack(c, g.width) for x in row] for row in g.packed],
+                     delta=poly_mul(g.delta, c))
+    assert wrong.numer == [[poly_mul(x, c) for x in row] for row in g.numer]
     _verify_identities(cx, wrong)
     assert wrong.g2 == g.g2
     tor = torsion(cx, wrong)

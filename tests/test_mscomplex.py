@@ -256,7 +256,7 @@ def test_exactness_requires_d1_d2_zero():
     data["edges"][0]["sign"] *= -1
     cx = build_complex(graph_from_json(data), Representation.abelian())
     assert qt_d1(cx) @ qt_d2(cx) == mat([[(0, 2, -2), 0, 0]])
-    assert sum(p < cx.c2_dim for p in cx.natural_elimination[1]) == cx.c2_dim
+    assert sum(p < cx.c2_dim for p in cx.forward_elimination[1]) == cx.c2_dim
     assert check_exactness(cx) == ExactnessReport(False, "d1*d2 != 0")
     with pytest.raises(NotExactError, match="d1\\*d2 != 0"):
         build_propagator(cx)
@@ -278,20 +278,27 @@ def test_d1_d2_one_bit_narrower_would_alias():
 
 @pytest.mark.parametrize("text", [TREFOIL, FIG8_KINKED])
 def test_exactness_and_default_propagator_share_one_elimination(text, monkeypatch):
-    # The rank is read off the cached [d2 | I] elimination, and every
-    # propagator, in the natural order or under any seed, reads the same
-    # one: one kernel call per complex.
+    # The rank is read off the cached forward elimination of [d2 | e_s0 | I],
+    # and every propagator, in the natural order or under any seed, reads
+    # the one back substitution of its rows: one kernel call, in forward
+    # mode, per complex.
     calls = []
     kernel = mscomplex.fraction_free_gauss_jordan
     monkeypatch.setattr(mscomplex, "fraction_free_gauss_jordan",
-                        lambda rows, forward=False: calls.append(forward) or kernel(rows, forward))
+                        lambda rows, forward=False, headroom=0:
+                        calls.append(forward) or kernel(rows, forward, headroom))
+    solve = mscomplex.fraction_free_back_substitution
+    monkeypatch.setattr(mscomplex, "fraction_free_back_substitution",
+                        lambda rows, n: calls.append("back") or solve(rows, n))
     _, _, _, cx = _complex(text)
     assert check_exactness(cx).exact
+    assert calls == [True]
     g = build_propagator(cx)
-    reduced, pivots, _, k = cx.natural_elimination
-    assert calls == [False] and g.delta == _unpack(reduced[-1][pivots[-1]], k)
+    reduced, pivots, _, k = cx.forward_elimination
+    assert calls == [True, "back"] and g.selected == cx.base_coordinate
+    assert pivots == list(range(cx.c1_dim)) and g.delta == _unpack(reduced[-1][pivots[-1]], k)
     seeded = [build_propagator(cx, pivot_seed=seed) for seed in range(10)]
-    assert calls == [False]
+    assert calls == [True, "back"]
     assert len({h.selected for h in seeded}) > 1
 
 
