@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, isqrt, lcm, prod
-from typing import Callable, Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from ._value import Value, _set
 from .errors import DehnError
@@ -651,8 +651,7 @@ def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]], forward: bool 
         s = len(scale) - 1
         if level[r] != s:
             num, den = scale[s], scale[level[r]]
-            divide = _exact_divider(den)
-            m[r] = [divide(a * num) if a else 0 for a in m[r]]
+            m[r] = [_exact_div(a * num, den) if a else 0 for a in m[r]]
             level[r] = s
 
     pivots: List[int] = []
@@ -670,13 +669,14 @@ def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]], forward: bool 
             sign = -sign
         catch_up(pr)
         top = m[pr]
-        p, divide = top[pc], _exact_divider(scale[-1])
+        p, prev = top[pc], scale[-1]
         for r in range(pr + 1 if forward else 0, nrows):
             if r == pr or not m[r][pc]:
                 continue
             catch_up(r)
             f = m[r][pc]
-            m[r] = [divide(p * a - f * b) if b else (divide(p * a) if a else 0)
+            m[r] = [_exact_div(p * a - f * b, prev) if b
+                    else (_exact_div(p * a, prev) if a else 0)
                     for a, b in zip(m[r], top)]
             level[r] = pr + 1
         scale.append(p)
@@ -725,31 +725,16 @@ def fraction_free_back_substitution(rows: Sequence[Sequence[int]], n: int) -> Li
             f = row[j]
             if f:
                 acc = [a - f * y if y else a for a, y in zip(acc, x[j])]
-        divide = _exact_divider(row[i])
-        x[i] = [divide(a) if a else 0 for a in acc]
+        x[i] = [_exact_div(a, row[i]) if a else 0 for a in acc]
     return x
 
 
-def _exact_divider(b: int) -> Callable[[int], int]:
-    """The map a -> a / b on packed values, raising ArithmeticError on a
-    remainder. A divisor +-2^s, the packing of +-t^m at a width dividing s,
-    divides by a shift, in time linear in a where a long division takes
-    time proportional to the product of the two lengths."""
-    size = abs(b)
-    if size & (size - 1):
-        def divide(a: int) -> int:
-            q, rem = divmod(a, b)
-            if rem:
-                raise ArithmeticError("inexact division in fraction-free elimination")
-            return q
-        return divide
-    shift, low = size.bit_length() - 1, size - 1
-
-    def shifted(a: int) -> int:
-        if a & low:
-            raise ArithmeticError("inexact division in fraction-free elimination")
-        return a >> shift if b > 0 else -(a >> shift)
-    return shifted
+def _exact_div(a: int, b: int) -> int:
+    """a / b for packed values, raising ArithmeticError on a remainder."""
+    q, rem = divmod(a, b)
+    if rem:
+        raise ArithmeticError("inexact division in fraction-free elimination")
+    return q
 
 
 # -- gcd over Z[t] ---------------------------------------------------------

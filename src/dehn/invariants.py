@@ -63,7 +63,7 @@ from itertools import compress
 from typing import List, Optional
 
 from ._value import Value
-from .algebra import (FieldMatrix, IntPoly, RatFunc, _derivative, _exact_divider, _trim,
+from .algebra import (FieldMatrix, IntPoly, RatFunc, _derivative, _exact_div, _trim,
                       _unit_equal, _unit_free, _unpack, is_diagonal_product, poly_add,
                       poly_mul)
 from .errors import DehnError, NotExactError
@@ -147,8 +147,8 @@ def _exchanged(cx: ChainComplex, s: int) -> Propagator:
     c2, s0 = cx.c2_dim, cx.base_coordinate
     rows, v = scaled[:c2], scaled[c2]
     if s != s0:
-        vs, divide = v[s], _exact_divider(v[s0])
-        rows = [[divide(vs * a - row[s] * b) if a or b else 0
+        vs, v0 = v[s], v[s0]
+        rows = [[_exact_div(vs * a - row[s] * b, v0) if a or b else 0
                  for a, b in zip(row, v)] for row in rows]
     return Propagator(rows, width, _unpack(v[s], width), s, sign)
 

@@ -477,6 +477,9 @@ def test_zero_product_one_bit_narrower_would_alias():
     # slot; at k = 3, -8 + t packs to -8 + 8 = 0.
     assert packed_column([[-8, 1]], 3, 1) == 0 != packed_column([[-8, 1]], 4, 1)
     assert not is_diagonal_product([[[-8, 1]]], [[[1]]], [])
+    # (-7 + t) * 1 against delta = 1: the difference is the same -8 + t, and
+    # k = 4 only if |delta| is in the bound, 7 * 1 + 1; without it k = 3.
+    assert not is_diagonal_product([[[-7, 1]]], [[[1]]], [1])
 
 
 def test_zero_product_one_slot_shorter_would_alias():
