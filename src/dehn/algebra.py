@@ -33,7 +33,7 @@ floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, List, Sequence, Tuple, Union
 
@@ -579,15 +579,10 @@ def _minor_bound(rows: Sequence[Sequence[IntPoly]]) -> int:
     c^2 <= P, for P the smaller of the row and the column product, and
     |c| <= isqrt(P).
     """
-    by_rows, by_cols = 1, [0] * (len(rows[0]) if rows else 0)
-    for row in rows:
-        total = 0
-        for j in compress(range(len(row)), row):  # the nonzero entries
-            square = _norm1(row[j]) ** 2
-            total += square
-            by_cols[j] += square
-        by_rows *= max(1, total)
-    return isqrt(min(by_rows, prod(max(1, c) for c in by_cols)))
+    squares = [[_norm1(x) ** 2 if x else 0 for x in row] for row in rows]
+    by_rows = prod(max(1, sum(row)) for row in squares)
+    by_cols = prod(max(1, sum(col)) for col in zip(*squares))
+    return isqrt(min(by_rows, by_cols))
 
 
 def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]], forward: bool = False,
