@@ -5,12 +5,11 @@ A `RatFunc` is a pair of integer polynomials in a unique reduced form, and
 its arithmetic is the kernel's: `poly_mul`, `poly_add` and the gcd
 `zpoly_gcd`, the primitive remainder sequence, with the cofactors taken by
 exact division. Every elimination runs in the kernel too, through the one
-fraction-free loop `fraction_free_gauss_jordan` over Z[t], at a packing
-width proved by a Hadamard-type bound. The library runs it forward only:
-on a complex's [d2 | e_s | I], whose pivots give the exactness rank and
-whose rows `fraction_free_back_substitution` turns into the scaled
-inverse every propagator is read off, and on the Fox minor. Its
-Gauss-Jordan mode serves `FieldMatrix.rref`. It returns its rows packed,
+forward fraction-free loop `fraction_free_elimination` over Z[t], at a
+packing width proved by a Hadamard-type bound: on a complex's
+[d2 | e_s | I], whose pivots give the exactness rank and whose rows
+`fraction_free_back_substitution` turns into the scaled inverse every
+propagator is read off, and on the Fox minor. It returns its rows packed,
 so each caller unpacks only the entries it reads. Every matrix product
 the library checks goes through the one test `is_diagonal_product`,
 rows * m = delta * I over Z[t] at a proved packing width, with delta = []
@@ -18,7 +17,8 @@ for a zero product, on coefficient lists or on packed rows, whose digits
 it bounds first; no product is ever unpacked.
 `FieldMatrix`, a dense matrix over Q(t), is the form a propagator's G2 is
 shown in; its reduced form and determinant write each row over one
-denominator and call the same loop. `Polynomial`, with coefficients in Q,
+denominator and call the same loop, and the reduced form the back
+substitution after it. `Polynomial`, with coefficients in Q,
 is a read-only view with no arithmetic: the monic-denominator display form
 of a `RatFunc`'s parts and of the Fox oracle's Alexander polynomial.
 
@@ -367,14 +367,24 @@ class FieldMatrix(Value):
     def rref(self):
         """Reduced row echelon form.
 
-        Returns (rref matrix, pivot column list, rank). Scaling rows does not
-        change the reduced form, so it is the fraction-free elimination of the
-        cleared rows with each row divided by the common pivot.
+        Returns (rref matrix, pivot column list, rank). The first `rank`
+        rows of the forward elimination of the cleared rows are [U | V] in
+        their pivot and free columns, U upper triangular, and their back
+        substitution gives X = delta * U^-1 * V. Scaling rows does not change
+        the reduced form, so row i of it is 1 at pivots[i] and X[i] / delta
+        at the free columns; the rows below the rank are zero.
         """
-        reduced, pivots, _, k = fraction_free_gauss_jordan(self.cleared_rows()[1])
-        delta = _unpack(reduced[0][pivots[0]], k) if pivots else [1]
-        entries = [RatFunc(_unpack(x, k), delta) for row in reduced for x in row]
-        return FieldMatrix(self.rows, self.cols, entries), pivots, len(pivots)
+        reduced, pivots, _, k = fraction_free_elimination(self.cleared_rows()[1])
+        rank, free = len(pivots), [j for j in range(self.cols) if j not in pivots]
+        x = fraction_free_back_substitution(
+            [[row[j] for j in pivots + free] for row in reduced[:rank]], rank)
+        delta = _unpack(reduced[rank - 1][pivots[-1]], k) if rank else [1]
+        out = [[RatFunc.zero()] * self.cols for _ in range(self.rows)]
+        for i, p in enumerate(pivots):
+            out[i][p] = RatFunc.one()
+            for j, v in zip(free, x[i]):
+                out[i][j] = RatFunc(_unpack(v, k), delta)
+        return FieldMatrix(self.rows, self.cols, chain.from_iterable(out)), pivots, rank
 
     def det(self) -> RatFunc:
         """Exact determinant: sign * delta of the cleared rows over the
@@ -383,7 +393,7 @@ class FieldMatrix(Value):
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         lam, rows = self.cleared_rows()
-        reduced, pivots, sign, k = fraction_free_gauss_jordan(rows, forward=True)
+        reduced, pivots, sign, k = fraction_free_elimination(rows)
         if len(pivots) < self.rows:
             return RatFunc.zero()
         delta = _unpack(reduced[-1][pivots[-1]], k) if pivots else [1]
@@ -585,15 +595,14 @@ def _minor_bound(rows: Sequence[Sequence[IntPoly]]) -> int:
     return isqrt(min(by_rows, by_cols))
 
 
-def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]], forward: bool = False,
-                               headroom: int = 0) -> Tuple[List[List[int]], List[int], int, int]:
-    """Reduced echelon form over Z[t] by fraction-free Gauss-Jordan elimination
-    (Bareiss 1968, extended to the rows above each pivot); with `forward`,
-    the echelon form of Bareiss's forward elimination.
+def fraction_free_elimination(rows: Sequence[Sequence[IntPoly]],
+                              headroom: int = 0) -> Tuple[List[List[int]], List[int], int, int]:
+    """Row echelon form over Z[t] by Bareiss's forward fraction-free
+    elimination (Bareiss 1968).
 
-    Returns (reduced rows, pivot columns, sign, k), the rows still packed:
-    each entry is its polynomial at t = 2^k, and `_unpack(entry, k)` gives
-    its coefficients. k bounds every entry, so a caller unpacks only the
+    Returns (rows, pivot columns, sign, k), the rows still packed: each
+    entry is its polynomial at t = 2^k, and `_unpack(entry, k)` gives its
+    coefficients. k bounds every entry, so a caller unpacks only the
     entries it reads (a determinant its last pivot, a rank none), and can
     go on with exact packed arithmetic whose results are minors of the
     input too, as `fraction_free_back_substitution` does. k is the proved
@@ -601,36 +610,30 @@ def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]], forward: bool 
     (`is_diagonal_product` on packed rows). Pivot columns are found left to
     right and the pivot row is the first one below with a nonzero entry, so
     the pivot columns are the leftmost ones independent of those before
-    them, and the rows below the rank are zero. In Gauss-Jordan mode row r
-    of the result has its pivot in column pivots[r] and every pivot entry
-    equals the last pivot delta. When the input has full row rank, its pivot
-    columns form a square matrix B, the result is delta * B^-1 * input, and
-    sign * delta = det B, where sign = +-1 is the sign of the row swaps
-    made. Forward mode eliminates only the rows below each pivot: row r of
-    the result holds minors of order r + 1, and its pivot entry is the
-    leading principal minor of that order of the row-swapped B, so the last
-    pivot is delta and sign * delta = det B still. That is all a rank or a
-    determinant reads. Every quotient taken is exact in Z[t]; a remainder
-    raises ArithmeticError.
+    them, and the rows below the rank are zero. Row r of the result holds
+    minors of order r + 1, and its pivot entry is the leading principal
+    minor of that order of the row-swapped input restricted to the pivot
+    columns, so when the input has full row rank, its pivot columns form a
+    square matrix B and sign * delta = det B, for delta the last pivot and
+    sign = +-1 the sign of the row swaps made. Every quotient taken is exact
+    in Z[t]; a remainder raises ArithmeticError.
 
     Rows are rescaled lazily. With p_0 = 1 and p_s the pivot of step s, step
-    s sends a row r it eliminates to (p_s * r - f * top) / p_(s-1), where f
-    is r's entry in the pivot column, and leaves the pivot row as it is.
-    When f = 0 that is r * p_s / p_(s-1), so a row whose multiplier stays
-    zero from step l+1 to step s is r * p_s / p_l: level[r] = l records the
-    last step at which the row was brought up to date, and the row is
-    rescaled only when it is next used, as a pivot row or with a nonzero
-    multiplier, and, in Gauss-Jordan mode, once more at the end. That
-    catch-up division is exact: the up-to-date row is the row eager
-    elimination would hold, a row of minors of the input, so p_l divides
-    r * p_s in Z[t]. Forward mode keeps the same invariant for the rows it
-    eliminates, since eager forward Bareiss holds minors too (the leading
-    pivot block bordered by one row and one column). There a pivot row is
-    caught up when it is chosen and never touched again, and a row below
-    the rank ends at zero, which no rescaling changes, so forward mode skips
-    the final catch-up. Rescaling by the nonzero ratio p_s / p_l keeps zero
-    entries zero, so the pivot search may read rows that are not up to
-    date. Zero entries are skipped: they need no product and no division.
+    s sends a row r below the pivot row to (p_s * r - f * top) / p_(s-1),
+    where f is r's entry in the pivot column. When f = 0 that is
+    r * p_s / p_(s-1), so a row whose multiplier stays zero from step l+1
+    to step s is r * p_s / p_l: level[r] = l records the last step at which
+    the row was brought up to date, and the row is rescaled only when it is
+    next used, as a pivot row or with a nonzero multiplier. That catch-up
+    division is exact: the up-to-date row is the row eager elimination
+    would hold, a row of minors of the input (the leading pivot block
+    bordered by one row and one column), so p_l divides r * p_s in Z[t]. A
+    pivot row is caught up when it is chosen and never touched again, and
+    a row below the rank ends at zero, which no rescaling changes, so no
+    row needs a final catch-up. Rescaling by the nonzero ratio p_s / p_l
+    keeps zero entries zero, so the pivot search may read rows that are not
+    up to date. Zero entries are skipped: they need no product and no
+    division.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -665,8 +668,8 @@ def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]], forward: bool 
         catch_up(pr)
         top = m[pr]
         p, prev = top[pc], scale[-1]
-        for r in range(pr + 1 if forward else 0, nrows):
-            if r == pr or not m[r][pc]:
+        for r in range(pr + 1, nrows):
+            if not m[r][pc]:
                 continue
             catch_up(r)
             f = m[r][pc]
@@ -677,18 +680,15 @@ def fraction_free_gauss_jordan(rows: Sequence[Sequence[IntPoly]], forward: bool 
         scale.append(p)
         level[pr] = pr + 1
         pivots.append(pc)
-    if not forward:
-        for r in range(nrows):
-            catch_up(r)
     return m, pivots, sign, k
 
 
 def fraction_free_back_substitution(rows: Sequence[Sequence[int]], n: int) -> List[List[int]]:
     """X = delta * A^-1 * R, packed at the width of `rows`, from the packed
-    forward echelon form `rows` of [A | R] that `fraction_free_gauss_jordan`
-    made with `forward`, A n x n with pivots in its columns 0..n-1 and delta
-    the last of them. A singular A leaves a zero on that diagonal, which is
-    a ValueError before any arithmetic.
+    echelon form `rows` of [A | R] that `fraction_free_elimination` made,
+    A n x n with pivots in its columns 0..n-1 and delta the last of them.
+    A singular A leaves a zero on that diagonal, which is a ValueError
+    before any arithmetic; for n = 0, X has no rows.
 
     The forward rows are [A | R] times an invertible matrix F on the left:
     U = F * A is upper triangular and V = F * R. So X is the one solution
@@ -710,6 +710,8 @@ def fraction_free_back_substitution(rows: Sequence[Sequence[int]], n: int) -> Li
     """
     if len(rows) < n or not all(rows[i][i] for i in range(n)):
         raise ValueError("singular matrix: a pivot is missing from its columns")
+    if not n:
+        return []
     delta = rows[n - 1][n - 1]
     x: List[List[int]] = [[]] * n
     x[n - 1] = list(rows[n - 1][n:])

@@ -63,7 +63,7 @@ from itertools import compress
 from typing import List, Optional
 
 from ._value import Value
-from .algebra import (FieldMatrix, IntPoly, RatFunc, _derivative, _exact_div, _trim,
+from .algebra import (FieldMatrix, IntPoly, RatFunc, _derivative, _exact_div,
                       _unit_equal, _unit_free, _unpack, is_diagonal_product, poly_add,
                       poly_mul)
 from .errors import DehnError, NotExactError
@@ -256,12 +256,7 @@ def defect(cx: ChainComplex, g: Propagator) -> DefectValue:
                 continue  # a constant entry has no t-power term
             n = _unpack(g.packed[j][i], g.width)
             for m in range(1, len(x)):
-                c = m * x[m]
-                if c:
-                    num.extend([0] * (m + len(n) - len(num)))
-                    for k, y in enumerate(n, m):
-                        num[k] += c * y
-    _trim(num)
+                num = poly_add(num, n, m * x[m], m)
     d1_s, a = cx.d1_row[s], len(cx.d1_den) - 1
     td1_s = [(m - a) * c for m, c in enumerate(d1_s)]  # t D1[s]' - a * D1[s]
     return DefectValue(tuple(poly_add(poly_mul(num, d1_s), poly_mul(g.delta, td1_s), -1)),

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ._value import Value
 from .algebra import (IntPoly, RatFunc, fraction_free_back_substitution,
-                      fraction_free_gauss_jordan, is_diagonal_product, poly_add,
+                      fraction_free_elimination, is_diagonal_product, poly_add,
                       product_headroom)
 from .dehngraph import BASEPOINT, DehnGraph
 from .errors import DehnError
@@ -85,8 +85,8 @@ class ChainComplex(Value):
 
     @cached_property
     def forward_elimination(self) -> Tuple[List[List[int]], List[int], int, int]:
-        """The forward `fraction_free_gauss_jordan` of [B | I] over Z[t],
-        B = [d2 | e_s0] (d2 alone when d1 = 0), done once per complex, its
+        """The `fraction_free_elimination` of [B | I] over Z[t], B = [d2 |
+        e_s0] (e_s0 a zero column when d1 = 0), done once per complex, its
         rows packed and sorted by their count of nonzeros in B, fewest first
         and ties in coordinate order, so that sparse rows pivot early.
         Returns (rows, pivots, sign, width) with sign * delta = det B, the
@@ -99,10 +99,10 @@ class ChainComplex(Value):
         for i, row in enumerate(self.d2_rows):
             unit: List[IntPoly] = [[]] * c1
             unit[i] = [1]
-            rows.append(list(row) + ([] if s0 is None else [[1] if i == s0 else []]) + unit)
+            rows.append(list(row) + [[1] if i == s0 else []] + unit)
         order = sorted(range(c1), key=lambda i: sum(map(bool, rows[i][:-c1])))
-        reduced, pivots, sign, width = fraction_free_gauss_jordan(
-            [rows[i] for i in order], forward=True, headroom=product_headroom(self.d2_rows))
+        reduced, pivots, sign, width = fraction_free_elimination(
+            [rows[i] for i in order], headroom=product_headroom(self.d2_rows))
         return reduced, pivots, sign * _parity(order), width
 
     @cached_property

@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ._value import Value
 from .algebra import (IntPoly, Polynomial, _unit_equal, _unit_free, _unpack,
-                      fraction_free_gauss_jordan, poly_mul)
+                      fraction_free_elimination, poly_mul)
 from .diagram import WirtingerPresentation
 from .errors import DehnError
 from .invariants import TorsionValue
@@ -124,7 +124,7 @@ def fox_alexander(presentation: WirtingerPresentation) -> AlexanderPolynomial:
     dropped = min(gens)
     column = {g: j for j, g in enumerate(g for g in gens if g != dropped)}
     rows = _banded_order([_fox_row(rel, column) for rel in presentation.relations[:k - 1]])
-    reduced, pivots, _, width = fraction_free_gauss_jordan(rows, forward=True)
+    reduced, pivots, _, width = fraction_free_elimination(rows)
     if len(pivots) < k - 1:
         raise DehnError("the first maximal minor of the Fox matrix vanishes")
     return AlexanderPolynomial(tuple(_unit_free(_unpack(reduced[-1][pivots[-1]], width))))

@@ -6,7 +6,8 @@ import itertools
 import json
 from fractions import Fraction
 
-from dehn.algebra import FieldMatrix, Polynomial, RatFunc, _pack, _unpack, fraction_free_gauss_jordan
+from dehn import algebra
+from dehn.algebra import FieldMatrix, Polynomial, RatFunc, _pack, _unpack, fraction_free_elimination
 from dehn.dehngraph import BASEPOINT
 from dehn.pipeline import run_pipeline
 from dehn.words import exponent_sum
@@ -224,7 +225,7 @@ def is_identity(matrix: FieldMatrix) -> bool:
 
 def forward_rank(matrix: FieldMatrix) -> int:
     """Rank by the kernel's forward elimination of the cleared rows."""
-    return len(fraction_free_gauss_jordan(matrix.cleared_rows()[1], forward=True)[1])
+    return len(fraction_free_elimination(matrix.cleared_rows()[1])[1])
 
 
 def packed_column(entries, k, slots):
@@ -233,10 +234,71 @@ def packed_column(entries, k, slots):
     return sum(_pack(x, k) << (k * slots * r) for r, x in enumerate(entries))
 
 
+def reference_gauss_jordan(rows):
+    """Reduced echelon form over Z[t] by fraction-free Gauss-Jordan
+    elimination (Bareiss 1968, extended to the rows above each pivot), the
+    elimination the library once read every propagator off and now the
+    reference of its forward elimination, back substitution and
+    `FieldMatrix.rref`. Returns (rows, pivot columns, sign, k), packed at
+    the kernel's width k, read through `algebra._minor_bound` so that a
+    patched bound reaches it too.
+
+    It makes the kernel's pivot choices and its lazy rescaling, and also
+    eliminates the rows above each pivot: row r of the result has its pivot
+    in column pivots[r], every pivot entry equals the last pivot delta, and
+    with full row rank the result is delta * B^-1 * rows for B the pivot
+    columns, with sign * delta = det B. A final catch-up brings every row to
+    the last step; it is exact, since the up-to-date rows hold minors."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    k = algebra._packing_bits(algebra._minor_bound(rows))
+    m = [[_pack(x, k) if x else 0 for x in row] for row in rows]
+    level = [0] * nrows
+    scale = [1]
+
+    def catch_up(r):
+        s = len(scale) - 1
+        if level[r] != s:
+            m[r] = [algebra._exact_div(a * scale[s], scale[level[r]]) if a else 0
+                    for a in m[r]]
+            level[r] = s
+
+    pivots, sign = [], 1
+    for pc in range(ncols):
+        pr = len(pivots)
+        if pr == nrows:
+            break
+        pivot_row = next((r for r in range(pr, nrows) if m[r][pc]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != pr:
+            m[pr], m[pivot_row] = m[pivot_row], m[pr]
+            level[pr], level[pivot_row] = level[pivot_row], level[pr]
+            sign = -sign
+        catch_up(pr)
+        top = m[pr]
+        p, prev = top[pc], scale[-1]
+        for r in range(nrows):
+            if r == pr or not m[r][pc]:
+                continue
+            catch_up(r)
+            f = m[r][pc]
+            m[r] = [algebra._exact_div(p * a - f * b, prev) for a, b in zip(m[r], top)]
+            level[r] = pr + 1
+        scale.append(p)
+        level[pr] = pr + 1
+        pivots.append(pc)
+    for r in range(nrows):
+        catch_up(r)
+    return m, pivots, sign, k
+
+
 def gauss_jordan(rows, forward=False):
-    """`fraction_free_gauss_jordan` with every entry of its packed rows
+    """`reference_gauss_jordan`, or with `forward` the kernel's
+    `fraction_free_elimination`, with every entry of its packed rows
     unpacked: (rows over Z[t], pivots, sign)."""
-    packed, pivots, sign, k = fraction_free_gauss_jordan(rows, forward)
+    eliminate = fraction_free_elimination if forward else reference_gauss_jordan
+    packed, pivots, sign, k = eliminate(rows)
     return [[_unpack(v, k) for v in row] for row in packed], pivots, sign
 
 
@@ -247,8 +309,8 @@ def replaced(value, **fields):
 
 
 def eliminate(cx, order):
-    """[d2 | unit columns] of a complex eliminated in full over Z[t] by the
-    kernel's Gauss-Jordan mode, the unit column of coordinate order[p] at
+    """[d2 | unit columns] of a complex eliminated in full over Z[t] by
+    `reference_gauss_jordan`, the unit column of coordinate order[p] at
     column c2 + p: the dense elimination propagators were once read off,
     kept as the reference of the forward elimination, back substitution
     and pivot exchange that replaced it. Returns the propagator it gives

@@ -12,7 +12,7 @@ from conftest import (CORPUS, connected_sum, forward_rank, from_rows, gauss_jord
 from dehn import algebra
 from dehn.algebra import (FieldMatrix, Polynomial, RatFunc, _exact_quotient, _pack, _prs_gcd,
                           _unit_equal, _unpack, common_denominator,
-                          fraction_free_back_substitution, fraction_free_gauss_jordan,
+                          fraction_free_back_substitution, fraction_free_elimination,
                           is_diagonal_product, poly_add, poly_mul, product_headroom, zpoly_gcd)
 from dehn.errors import DehnError
 from dehn.pipeline import compute_result
@@ -128,6 +128,19 @@ def test_rref_identity():
 
 def test_rref_zero():
     assert forward_rank(zeros(2, 3)) == 0
+
+
+@pytest.mark.parametrize("rows, pivots", [
+    ([[0, 1, t_power(1)], [0, 1, 1]], [1, 2]),  # a first column of zeros
+    ([[rf(1, (-1, 1)), t_power(1), 2], [rf((0, 1), (-1, 1)), t_power(2), rf((0, 2))]],
+     [0]),  # rank 1, over a denominator
+    ([[0, 0, 0], [0, 0, 0]], []),
+], ids=["zero-first-column", "rank-1", "zero"])
+def test_rref_fixed_cases_match_qt_reference(rows, pivots):
+    m = mat(rows)
+    reduced, got, rank = m.rref()
+    assert (reduced, got, rank) == qt_rref(m)
+    assert got == pivots and rank == len(pivots)
 
 
 def test_rref_boundary_matrix_rank():
@@ -432,7 +445,7 @@ def test_back_substitution_inverts_the_forward_rows(n, singular, data):
     # them: [P * A | P] eliminated forward and back substituted gives X =
     # delta * A^-1, so A * X = X * A = delta * I (the second on the packed
     # rows, at the width with the product check's headroom), and X is +-1
-    # times the identity block of the Gauss-Jordan mode. A singular A,
+    # times the identity block of `reference_gauss_jordan`. A singular A,
     # one row a combination of others, is reported by its pivots, and the
     # back substitution refuses it before any arithmetic. A pivot replaced
     # by a value dividing no numerator makes a division inexact.
@@ -443,8 +456,7 @@ def test_back_substitution_inverts_the_forward_rows(n, singular, data):
         a[dst] = [poly_add(poly_mul(c, x), y) for x, y in zip(a[i], a[j])]
     order = data.draw(st.permutations(range(n)))
     rows = [a[i] + [[1] if j == i else [] for j in range(n)] for i in order]
-    forward, pivots, _, width = fraction_free_gauss_jordan(rows, forward=True,
-                                                           headroom=product_headroom(a))
+    forward, pivots, _, width = fraction_free_elimination(rows, headroom=product_headroom(a))
     if pivots[:n] != list(range(n)):
         assert qt_rref(_over_q(a))[2] < n
         with pytest.raises(ValueError):
@@ -465,6 +477,12 @@ def test_back_substitution_inverts_the_forward_rows(n, singular, data):
         broken[0][0] = 2 * abs(numerator) + 1
         with pytest.raises(ArithmeticError):
             fraction_free_back_substitution(broken, n)
+
+
+def test_back_substitution_of_an_empty_system():
+    # n = 0: no unknowns, so X has no rows, whatever columns R has.
+    assert fraction_free_back_substitution([], 0) == []
+    assert fraction_free_back_substitution([[5, 7]], 0) == []
 
 
 def test_is_diagonal_product_shape_mismatch_raises():
@@ -626,9 +644,9 @@ def test_fraction_free_gauss_jordan_rank_deficient():
 
 
 def _assert_forward_matches_gauss_jordan(rows):
-    """Forward mode makes the same pivot choices as Gauss-Jordan: the same
-    pivot columns, sign and last pivot, with zero rows below the rank.
-    Returns (pivots, sign, last pivot)."""
+    """The kernel makes the same pivot choices as `reference_gauss_jordan`:
+    the same pivot columns, sign and last pivot, with zero rows below the
+    rank. Returns (pivots, sign, last pivot)."""
     reduced, pivots, sign = gauss_jordan(rows)
     echelon, fw_pivots, fw_sign = gauss_jordan(rows, forward=True)
     assert (fw_pivots, fw_sign) == (pivots, sign)
@@ -697,8 +715,9 @@ _WIDTH_KNOTS.update({
 @pytest.mark.parametrize("name", sorted(_WIDTH_KNOTS))
 def test_kernel_width_holds_every_coefficient(monkeypatch, name):
     # Record the input of every kernel call of a whole computation, with
-    # the width k it packs at. Each coefficient the kernel unpacks, in
-    # either mode, lies within the Hadamard-type bound and so below
+    # the width k it packs at. Each coefficient the kernel unpacks, and
+    # each one `reference_gauss_jordan` unpacks on the same input, lies
+    # within the Hadamard-type bound and so below
     # 2^(k-1), and the output equals the one at the wider width of the row
     # 1-norm product: a k narrowed below a coefficient changes an output.
     calls = []

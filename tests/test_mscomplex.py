@@ -280,25 +280,23 @@ def test_d1_d2_one_bit_narrower_would_alias():
 def test_exactness_and_default_propagator_share_one_elimination(text, monkeypatch):
     # The rank is read off the cached forward elimination of [d2 | e_s0 | I],
     # and every propagator, in the natural order or under any seed, reads
-    # the one back substitution of its rows: one kernel call, in forward
-    # mode, per complex.
+    # the one back substitution of its rows: one kernel call per complex.
     calls = []
-    kernel = mscomplex.fraction_free_gauss_jordan
-    monkeypatch.setattr(mscomplex, "fraction_free_gauss_jordan",
-                        lambda rows, forward=False, headroom=0:
-                        calls.append(forward) or kernel(rows, forward, headroom))
+    kernel = mscomplex.fraction_free_elimination
+    monkeypatch.setattr(mscomplex, "fraction_free_elimination",
+                        lambda rows, headroom=0: calls.append("forward") or kernel(rows, headroom))
     solve = mscomplex.fraction_free_back_substitution
     monkeypatch.setattr(mscomplex, "fraction_free_back_substitution",
                         lambda rows, n: calls.append("back") or solve(rows, n))
     _, _, _, cx = _complex(text)
     assert check_exactness(cx).exact
-    assert calls == [True]
+    assert calls == ["forward"]
     g = build_propagator(cx)
     reduced, pivots, _, k = cx.forward_elimination
-    assert calls == [True, "back"] and g.selected == cx.base_coordinate
+    assert calls == ["forward", "back"] and g.selected == cx.base_coordinate
     assert pivots == list(range(cx.c1_dim)) and g.delta == _unpack(reduced[-1][pivots[-1]], k)
     seeded = [build_propagator(cx, pivot_seed=seed) for seed in range(10)]
-    assert calls == [True, "back"]
+    assert calls == ["forward", "back"]
     assert len({h.selected for h in seeded}) > 1
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import (ALEXANDER, CORPUS, FIG8, TREFOIL, UNKNOT_KINK, connected_sum,
                       pipeline, poly, qt_fox_derivative, qt_unit_equal, t_power, torus_pd)
 from dehn import oracle
-from dehn.algebra import Polynomial, RatFunc, _pack, fraction_free_gauss_jordan
+from dehn.algebra import Polynomial, RatFunc, _pack, fraction_free_elimination
 from dehn.diagram import WirtingerPresentation, build_diagram, parse_pd, wirtinger
 from dehn.errors import DehnError
 from dehn.oracle import AlexanderPolynomial, _fox_row, fox_alexander, milnor_check
@@ -82,12 +82,12 @@ def test_fox_minor_is_normalized(monkeypatch, minor):
     planted = [0] * (len(minor.zden) - 1) + list(minor.znum)
     width = 16
 
-    def eliminate(rows, forward=False):
-        reduced, pivots, sign, _ = fraction_free_gauss_jordan(rows, forward)
+    def eliminate(rows):
+        reduced, pivots, sign, _ = fraction_free_elimination(rows)
         reduced[-1][pivots[-1]] = _pack(planted, width)
         return reduced, pivots, sign, width
 
-    monkeypatch.setattr(oracle, "fraction_free_gauss_jordan", eliminate)
+    monkeypatch.setattr(oracle, "fraction_free_elimination", eliminate)
     p = _alexander(TREFOIL).poly
     assert p.coeffs[0] > 0 and p.coeffs[-1] > 0
     assert qt_unit_equal(RatFunc(p), minor)
