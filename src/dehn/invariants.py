@@ -3,17 +3,19 @@ three-term complex.
 
 C_0 has rank 1, so the propagator picks one coordinate s of C_1 whose line
 completes the image of d2 to a basis; G_1 inverts d1 on that line and G_2
-inverts d2 on its image along it. G_2 is held as the fraction-free
-elimination leaves it, numerators N over Z[t], still packed, and one
-common denominator delta; N over Z[t] and its Q(t) matrix are built only
-when asked for. A complex is eliminated once, forward, and back
-substituted once, to delta * B^-1 with B = [d2 | e_s0], s0 the first
-coordinate where d1 is nonzero; a pivot seed that selects another
-coordinate gets its propagator from those rows by one fraction-free
-pivot exchange, and each distinct propagator is built and verified once
-per complex. Torsion is the determinant of the square block
-matrix [d2 | g1] mapping the even chains to C_1; it is well defined up to
-+-t^m, and a canonical representative is obtained by stripping that unit.
+inverts d2 on its image along it. G_2 is N / delta, numerators N over Z[t]
+and one common denominator delta. A complex is eliminated once, forward,
+and back substituted once, to delta0 * B0^-1 with B0 = [d2 | e_s0], s0
+the first coordinate where d1 is nonzero: its rows N0, then v. The base
+propagator, the one that selects s0, is N0 over delta0, verified once per
+complex. A pivot seed that selects another coordinate s gets the
+propagator of B_s = [d2 | e_s], a rank-one change of B0: it is held as
+delta = v[s] alone, and its torsion and defect are read off v, column s
+of N0 and two terms built once per complex, never off its own N, which is
+built by the exchange only when read. Torsion is the determinant of the
+square block matrix [d2 | g1] mapping the even chains to C_1; it is well
+defined up to +-t^m, and a canonical representative is obtained by
+stripping that unit.
 
 Both invariants are held as the computation leaves them, unreduced
 fractions over Z[t] (`TorsionValue`, `DefectValue`). Their comparisons,
@@ -36,7 +38,9 @@ once their digits are bounded, see `_verify_identities`) and a zero
 column s of N imply them all. They prove G2 = N / delta, but not the
 scale of delta: (c * N, c * delta) passes them for any nonzero polynomial
 c, and its torsion is wrong by the factor c. The Milnor and Lescop checks
-of the pipeline are what pin delta.
+of the pipeline are what pin delta. A seeded propagator inherits them
+from the base one and one more packed test, v * d2 = 0
+(`ChainComplex.functional`); `Propagator.packed` gives the proof.
 
 The defect is a rational function modulo the integers. The paper sums it
 over the labelled Dehn graph: every edge whose label maps to c * t^m
@@ -50,38 +54,81 @@ labels summed entry by entry are the boundary matrices, so it is the trace
 with ' the derivative in t of each entry: Jacobi's formula for t (d/dt)
 log det, the reason that defect = t (d/dt) log(torsion) mod Z. With G2 =
 N / delta, d1 = D1 / t^a and g1[s] = 1 / d1[s], the first term is num /
-delta, num the sum over the coefficients c_m, m >= 1, of the nonzero d2
-entries d2[i][j] of m * c_m * t^m * N[j][i]; the second is (t D1[s]' - a *
-D1[s]) / D1[s]. The defect is their difference, one fraction over Z[t].
+delta, num = tr(t d2' * N), the sum over the coefficients c_m, m >= 1,
+of the nonzero d2 entries d2[i][j] of m * c_m * t^m * N[j][i]; the second
+is (t D1[s]' - a * D1[s]) / D1[s]. The defect is their difference, one
+fraction over Z[t]. num is computed once per complex, for the base
+propagator (`ChainComplex.base_trace`); a seeded propagator's is read off
+it (`_trace`).
 """
 
 from __future__ import annotations
 
 import random
-from functools import cached_property
-from itertools import compress
-from typing import List, Optional
+from functools import cached_property, lru_cache
+from typing import List, Optional, Tuple
 
 from ._value import Value
 from .algebra import (FieldMatrix, IntPoly, RatFunc, _derivative, _exact_div,
-                      _unit_equal, _unit_free, _unpack, is_diagonal_product, poly_add,
-                      poly_mul)
+                      _exact_quotient, _unit_equal, _unit_free, _unpack,
+                      is_diagonal_product, poly_add, poly_mul)
 from .errors import DehnError, NotExactError
 from .mscomplex import ChainComplex, ZPoly, check_exactness
 
 
 class Propagator(Value):
-    """G2 held as the elimination left it: G2 = N / delta over Z[t], the
-    rows of N packed, each entry its polynomial at t = 2^width. `sign` is
-    the elimination's sign: sign * delta = det [d2 | e_s]. G1 is 1/d1[s] on
-    the row of the selected coordinate s, read off the complex when needed,
-    and with them the torsion needs no determinant of its own."""
+    """G2 = N / delta over Z[t] for the selected coordinate s, read off the
+    complex's scaled inverse delta0 * B0^-1 (`ChainComplex.scaled_inverse`:
+    the rows N0, then v), whose entries are packed at `width`, each its
+    polynomial at t = 2^width. `base` is s0, the coordinate B0 selects.
+    `sign` is the elimination's sign: sign * delta = det [d2 | e_s]. G1 is
+    1/d1[s] on the row of s, read off the complex when needed, and with
+    them the torsion needs no determinant of its own. Only delta = v[s] is
+    unpacked when the propagator is built; N (`packed`), its unpacked form
+    and its Q(t) matrix are views built on first read."""
 
-    packed: List[List[int]]  # N, c2_dim x c1_dim
+    inverse: List[List[int]]  # delta0 * B0^-1, shared by the complex's propagators
     width: int
+    base: int
     delta: IntPoly
     selected: int  # the C_1 coordinate s whose line complements im(d2)
     sign: int
+
+    @cached_property
+    def packed(self) -> List[List[int]]:
+        """N, c2_dim x c1_dim, packed: N0 itself when s = s0, else N0
+        exchanged to s.
+
+        On an exact complex B0 = [d2 | e_s0] is invertible, and its row r <
+        c2 of delta0 * B0^-1 is N0[r], its last row v = delta0 * phi, with
+        phi the functional that vanishes on im(d2) and phi(e_s0) = 1. So
+        B_s = [d2 | e_s] = B0 * E with E the identity but for its last
+        column (u, phi(e_s)), u = N0[.][s] / delta0; B_s is invertible iff
+        v[s] != 0, det B_s = sign * v[s], and inverting E gives
+
+            N_s[r] = (v[s] * N0[r] - N0[r][s] * v) / delta0,   delta_s = v[s],
+
+        one fraction-free pivot exchange (Edmonds 1967; Bareiss 1968): the
+        same delta_s * B_s^-1 that an elimination selecting s makes, with
+        the same sign. Its entries are minors of [d2 | I], so the exchange
+        runs on the packed rows at the elimination's width and each
+        division is checked exact.
+
+        N_s passes the propagator check whenever the base one does and v *
+        d2 = 0: N_s * d2 = (v[s] * N0 * d2 - N0[.][s] * (v * d2)) / delta0
+        = (v[s] * delta0 * id - 0) / delta0 = delta_s * id, and column s of
+        N_s is (v[s] * N0[r][s] - N0[r][s] * v[s]) / delta0 = 0; delta_s !=
+        0 is checked when the propagator is built. So the three identities
+        hold for it (`_verify_identities`). The library builds N_s only
+        when it is read: its torsion needs delta_s alone, its defect the
+        trace that `_trace` reads off the base propagator."""
+        rows, v = self.inverse[:-1], self.inverse[-1]
+        s, s0 = self.selected, self.base
+        if s == s0:
+            return rows
+        vs, v0 = v[s], v[s0]
+        return [[_exact_div(vs * a - row[s] * b, v0) if a or b else 0
+                 for a, b in zip(row, v)] for row in rows]
 
     @cached_property
     def numer(self) -> List[List[IntPoly]]:
@@ -96,6 +143,17 @@ class Propagator(Value):
             RatFunc(x, self.delta) for row in self.numer for x in row])
 
 
+@lru_cache(maxsize=1024)
+def _candidate_order(pivot_seed: Optional[int], n: int) -> Tuple[int, ...]:
+    """The candidate order of n coordinates: ascending, or shuffled by
+    `random.Random(pivot_seed)`. Cached: `check` asks for the same few
+    orders on every knot of a size."""
+    order = list(range(n))
+    if pivot_seed is not None:
+        random.Random(pivot_seed).shuffle(order)
+    return tuple(order)
+
+
 def build_propagator(cx: ChainComplex, pivot_seed: Optional[int] = None) -> Propagator:
     """Construct a propagator; `pivot_seed` shuffles the candidate coordinate
     order (default is ascending), giving genuinely different propagators whose
@@ -106,51 +164,47 @@ def build_propagator(cx: ChainComplex, pivot_seed: Optional[int] = None) -> Prop
     coordinates whose line completes im(d2) to a basis: the ones an
     elimination of [d2 | I] in that order selects. Every propagator is read
     off the complex's `scaled_inverse`, which selects s0, the first such
-    coordinate (see `_exchanged`). Each selected coordinate's propagator is
-    built and verified once per complex and kept in `cx.propagators`.
+    coordinate (see `_propagator`). Each selected coordinate's propagator
+    is built once per complex and kept in `cx.propagators`.
     """
     report = check_exactness(cx)
     if not report.exact:
         raise NotExactError(f"complex is not exact: {report.witness}")
-    order = list(range(cx.c1_dim))
-    if pivot_seed is not None:
-        random.Random(pivot_seed).shuffle(order)
-    s = next(j for j in order if cx.d1_row[j])
+    s = next(j for j in _candidate_order(pivot_seed, cx.c1_dim) if cx.d1_row[j])
     g = cx.propagators.get(s)
     if g is None:
-        g = _exchanged(cx, s)
-        _verify_identities(cx, g)
-        cx.propagators[s] = g
+        g = cx.propagators[s] = _propagator(cx, s)
     return g
 
 
-def _exchanged(cx: ChainComplex, s: int) -> Propagator:
-    """The propagator selecting coordinate s, from `cx.scaled_inverse`.
-
-    On an exact complex B0 = [d2 | e_s0] is invertible, and the scaled
-    inverse is delta0 * B0^-1, with sign * delta0 = det B0. Its row r < c2
-    is N0[r], and its last row is v = delta0 * phi, where phi is the
-    functional that vanishes on im(d2) with phi(e_s0) = 1. So B_s = [d2 |
-    e_s] = B0 * E with E the identity but for its last column (u,
-    phi(e_s)), u = N0[.][s] / delta0; B_s is invertible iff v[s] != 0,
-    det B_s = sign * v[s], and inverting E gives
-
-        N_s[r] = (v[s] * N0[r] - N0[r][s] * v) / delta0,   delta_s = v[s],
-
-    one fraction-free pivot exchange (Edmonds 1967; Bareiss 1968): the
-    same delta_s * B_s^-1 that an elimination selecting s makes, with the
-    same sign. Its entries are minors of [d2 | I], so the exchange runs on
-    the packed rows at the elimination's width and each division is
-    checked exact. Only delta is unpacked."""
+def _propagator(cx: ChainComplex, s: int) -> Propagator:
+    """The propagator selecting s, checked. For s = s0 it is N0 over delta0
+    = v[s0], and `_verify_identities` checks it. For another s it is delta
+    = v[s], with v = `cx.functional`, certified once per complex by v * d2
+    = 0, on top of the base propagator's check; `Propagator.packed` proves
+    that this is enough, given delta != 0. That costs O(1) here, after the
+    one test of v."""
     _, _, sign, width = cx.forward_elimination
-    scaled = cx.scaled_inverse
-    c2, s0 = cx.c2_dim, cx.base_coordinate
-    rows, v = scaled[:c2], scaled[c2]
-    if s != s0:
-        vs, v0 = v[s], v[s0]
-        rows = [[_exact_div(vs * a - row[s] * b, v0) if a or b else 0
-                 for a, b in zip(row, v)] for row in rows]
-    return Propagator(rows, width, _unpack(v[s], width), s, sign)
+    s0, inverse = cx.base_coordinate, cx.scaled_inverse
+    if s == s0:
+        g = Propagator(inverse, width, s0, _unpack(inverse[-1][s], width), s, sign)
+        _verify_identities(cx, g)
+        return g
+    _base(cx)  # the check a seeded propagator rests on
+    g = Propagator(inverse, width, s0, cx.functional[s], s, sign)
+    if not any(g.delta):
+        raise DehnError("propagator has delta = 0")
+    return g
+
+
+def _base(cx: ChainComplex) -> Propagator:
+    """The base propagator, selecting s0, built and verified once per
+    complex."""
+    s0 = cx.base_coordinate
+    g = cx.propagators.get(s0)
+    if g is None:
+        g = cx.propagators[s0] = _propagator(cx, s0)
+    return g
 
 
 def _verify_identities(cx: ChainComplex, g: Propagator) -> None:
@@ -244,23 +298,38 @@ class DefectValue(Value):
 
 def defect(cx: ChainComplex, g: Propagator) -> DefectValue:
     """The trace of the module docstring: num * D1[s] - delta * (t D1[s]' -
-    a * D1[s]) over delta * D1[s], with num = tr(t d2' * N) and t^a =
-    d1_den. The a * D1[s] term is the derivative of t^-a; without it the
-    defect is off by the integer a, equal mod Z but not the same
-    representative. Only the nonzero d2 entries are visited."""
+    a * D1[s]) over delta * D1[s], with num = tr(t d2' * N) (`_trace`) and
+    t^a = d1_den. The a * D1[s] term is the derivative of t^-a; without it
+    the defect is off by the integer a, equal mod Z but not the same
+    representative."""
     s = g.selected
-    num: IntPoly = []
-    for i, row in enumerate(cx.d2_rows):
-        for j, x in compress(enumerate(row), row):
-            if len(x) < 2:
-                continue  # a constant entry has no t-power term
-            n = _unpack(g.packed[j][i], g.width)
-            for m in range(1, len(x)):
-                num = poly_add(num, n, m * x[m], m)
+    num = _trace(cx, g)
     d1_s, a = cx.d1_row[s], len(cx.d1_den) - 1
     td1_s = [(m - a) * c for m, c in enumerate(d1_s)]  # t D1[s]' - a * D1[s]
     return DefectValue(tuple(poly_add(poly_mul(num, d1_s), poly_mul(g.delta, td1_s), -1)),
                        tuple(poly_mul(g.delta, d1_s)))
+
+
+def _trace(cx: ChainComplex, g: Propagator) -> IntPoly:
+    """num = tr(t d2' * N) for g, read off the base propagator: with N =
+    (delta * N0 - N0[.][s] * v) / delta0 and delta = v[s] (see
+    `Propagator.packed`), and tr(t d2' * N0[.][s] * v) = v * t d2' *
+    N0[.][s],
+
+        num = (delta * num0 - sum_j N0[j][s] * w[j]) / delta0,
+
+    num0 = `cx.base_trace` and w = `cx.weights`. That is one product per
+    nonzero N0[j][s], and the division is exact, checked. For the base
+    propagator column s0 of N0 is zero and delta = delta0, so num is num0
+    itself, and w, which needs v, is not built."""
+    base, s = _base(cx), g.selected
+    if s == base.selected and g.delta == base.delta:
+        return cx.base_trace
+    column = [(j, row[s]) for j, row in enumerate(base.packed) if row[s]]
+    num = poly_mul(g.delta, cx.base_trace)
+    for j, x in column:
+        num = poly_add(num, poly_mul(_unpack(x, base.width), cx.weights[j]), -1)
+    return _exact_quotient(num, base.delta)
 
 
 def _differ_by_integer(p1: IntPoly, q1: IntPoly, p2: IntPoly, q2: IntPoly) -> bool:

@@ -13,22 +13,28 @@ one elimination, once: the forward elimination of [B | I], B = [d2 |
 e_s0], with s0 the first coordinate where d1 is nonzero. The exactness
 report that `check_exactness` returns reads rank(d2) off its pivots. On
 an exact complex B is invertible, and one fraction-free back
-substitution of its rows gives delta * B^-1, off which every propagator,
-whatever its pivot seed, is read (`invariants.build_propagator`), each one
-once, through the memo `propagators`. The back substitution's divisions
-are exact and its values are minors of [B | I], so the elimination's
-proved width holds for them (`algebra.fraction_free_back_substitution`).
-That report, d1 * d2 = 0 included, is the complex's whole check; the
-propagator's own check rests on it.
+substitution of its rows gives delta * B^-1: the base propagator's
+numerators N0, and v = delta * phi, phi the functional that vanishes on
+im(d2) with phi(e_s0) = 1. Every propagator, whatever its pivot seed, is
+read off those rows (`invariants.build_propagator`): a seeded one by a
+rank-one change, which needs v only once per complex, certified by one
+packed product test (`functional`), and whose defect reads two trace
+terms built once per complex (`base_trace`, `weights`). The back
+substitution's divisions are exact and its values are minors of [B | I],
+so the elimination's proved width holds for them
+(`algebra.fraction_free_back_substitution`). That report, d1 * d2 = 0
+included, is the complex's whole check; the propagator's own check rests
+on it.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 from ._value import Value
-from .algebra import (IntPoly, RatFunc, fraction_free_back_substitution,
+from .algebra import (IntPoly, RatFunc, _unpack, fraction_free_back_substitution,
                       fraction_free_elimination, is_diagonal_product, poly_add,
                       product_headroom)
 from .dehngraph import BASEPOINT, DehnGraph
@@ -110,15 +116,64 @@ class ChainComplex(Value):
         """delta * B^-1, packed at the width of `forward_elimination`, by
         fraction-free back substitution on its rows; row r < c2 belongs to
         column r of d2, the last row to e_s0. Read only on an exact
-        complex, where B is invertible (see `invariants._exchanged`). The
+        complex, where B is invertible (see `invariants.Propagator`). The
         sort permutes the rows of [B | I] into [P * B | P], and back
         substitution gives delta * (P * B)^-1 * P = delta * B^-1."""
         return fraction_free_back_substitution(self.forward_elimination[0], self.c1_dim)
 
     @cached_property
+    def functional(self) -> List[IntPoly]:
+        """v = delta0 * phi over Z[t], the last row of `scaled_inverse`,
+        unpacked once one packed `is_diagonal_product` test has certified
+        v * d2 = 0 at the elimination's width; a failed test is a
+        `DehnError`. The test bounds the digits of v first, with the
+        headroom the width keeps for it, as for the propagator's N (see
+        `invariants._verify_identities`). On an exact complex v * d2 = 0
+        leaves v one degree of freedom, a multiple of phi, and v[s0] =
+        delta0, the base propagator's verified delta, holds by
+        construction, so v is pinned. Read only for a propagator that
+        selects another coordinate than s0."""
+        v, width = self.scaled_inverse[self.c2_dim], self.forward_elimination[3]
+        if not is_diagonal_product([v], self.d2_rows, [], width):
+            raise DehnError("propagator identity v*d2 = 0 failed")
+        return [_unpack(x, width) for x in v]
+
+    @cached_property
+    def base_trace(self) -> IntPoly:
+        """num0 = tr(t d2' * N0) over Z[t], N0 all rows of `scaled_inverse`
+        but the last: the sum over the coefficients c_m, m >= 1, of the
+        nonzero entries d2[i][j] of m * c_m * t^m * N0[j][i]. Only those
+        N0[j][i] are unpacked. The base propagator's defect numerator, off
+        which every seeded one's is read (`invariants._trace`)."""
+        num: IntPoly = []
+        rows, width = self.scaled_inverse, self.forward_elimination[3]
+        for i, row in enumerate(self.d2_rows):
+            for j, x in compress(enumerate(row), row):
+                if len(x) < 2:
+                    continue  # a constant entry has no t-power term
+                n = _unpack(rows[j][i], width)
+                for m in range(1, len(x)):
+                    num = poly_add(num, n, m * x[m], m)
+        return num
+
+    @cached_property
+    def weights(self) -> List[IntPoly]:
+        """w = v * t d2' over Z[t], v = `functional`: w[j] is the sum over
+        the nonzero d2[i][j] and their coefficients c_m, m >= 1, of m * c_m
+        * t^m * v[i]. Read only for a seeded propagator's defect
+        (`invariants._trace`)."""
+        w: List[IntPoly] = [[] for _ in range(self.c2_dim)]
+        for vi, row in zip(self.functional, self.d2_rows):
+            if vi:
+                for j, x in compress(enumerate(row), row):
+                    for m in range(1, len(x)):
+                        w[j] = poly_add(w[j], vi, m * x[m], m)
+        return w
+
+    @cached_property
     def propagators(self) -> Dict[int, object]:
         """The propagators built on this complex, by selected coordinate:
-        `invariants.build_propagator` builds and verifies each one once."""
+        `invariants.build_propagator` builds each one once."""
         return {}
 
     @cached_property

@@ -9,6 +9,7 @@ from fractions import Fraction
 from dehn import algebra
 from dehn.algebra import FieldMatrix, Polynomial, RatFunc, _pack, _unpack, fraction_free_elimination
 from dehn.dehngraph import BASEPOINT
+from dehn.invariants import DefectValue, TorsionValue
 from dehn.pipeline import run_pipeline
 from dehn.words import exponent_sum
 
@@ -304,8 +305,12 @@ def gauss_jordan(rows, forward=False):
 
 def replaced(value, **fields):
     """A copy of a value with some fields replaced: how the tests build a
-    wrong propagator by hand."""
-    return type(value)(**dict(zip(value._fields, value._values()), **fields))
+    wrong propagator by hand. A name that is not a field presets the cached
+    view of that name, such as a propagator's `packed` or `trace`."""
+    views = {f: fields.pop(f) for f in list(fields) if f not in value._fields}
+    copy = type(value)(**dict(zip(value._fields, value._values()), **fields))
+    vars(copy).update(views)
+    return copy
 
 
 def eliminate(cx, order):
@@ -327,6 +332,26 @@ def eliminate(cx, order):
     [selected] = [order[p - c2] for p in pivots if p >= c2]
     numer = [[reduced[r][c2 + position[j]] for j in range(c1)] for r in range(c2)]
     return numer, reduced[-1][pivots[-1]], selected, sign
+
+
+def materialized_invariants(cx, g):
+    """The torsion and defect pairs of g read off its own N, unpacked in
+    full: sign * delta * d1_den over D1[s], and the trace sum over every
+    entry of t d2' * N, as the library read every propagator before a
+    seeded one was read off the base propagator by a rank-one change."""
+    s, num = g.selected, []
+    for i, row in enumerate(cx.d2_rows):
+        for j, x in enumerate(row):
+            for m in range(1, len(x)):
+                num = algebra.poly_add(num, g.numer[j][i], m * x[m], m)
+    d1_s, a = cx.d1_row[s], len(cx.d1_den) - 1
+    td1_s = [(m - a) * c for m, c in enumerate(d1_s)]
+    tor = TorsionValue(tuple(algebra.poly_mul([g.sign * c for c in g.delta], cx.d1_den)),
+                       d1_s)
+    d = DefectValue(tuple(algebra.poly_add(algebra.poly_mul(num, d1_s),
+                                           algebra.poly_mul(g.delta, td1_s), -1)),
+                    tuple(algebra.poly_mul(g.delta, d1_s)))
+    return tor, d
 
 
 # -- polynomial arithmetic over Q ----------------------------------------------

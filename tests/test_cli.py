@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import dehn
 from conftest import (FIG8, HOPF_LINK, NON_PLANAR, TAILLESS_EDGES, TREFOIL,
                       UNKNOT_KINK, replaced)
+from dehn.algebra import poly_add
 from dehn.cli import _worker_count, main
 from dehn.dehngraph import build_d1, build_d2, build_dehn_graph, export_dot
 from dehn.diagram import build_diagram, parse_pd
@@ -160,19 +161,24 @@ def test_a_failing_check_exits_1(capsys, monkeypatch):
 @pytest.mark.parametrize("field", ["delta", "numer"])
 def test_a_disagreeing_seed_fails_check(capsys, monkeypatch, field):
     # Every seeded propagator comes back with delta doubled, which doubles
-    # its torsion, or with N doubled, each packed entry times 2, which moves
-    # its defect by a non-integer; the reported propagator is built by the
-    # pipeline and left alone. Only seed_independence fails.
+    # its torsion; or the trace numerator num0 that every seeded defect is
+    # read off, the base propagator's, is moved by t * delta0 once, which
+    # moves each seeded defect by t, not an integer. The reported
+    # propagator and its invariants are built by the pipeline first and
+    # left alone. Only seed_independence fails.
     import dehn.cli
     build = dehn.cli.build_propagator
+    moved = set()
 
     def doubled(cx, pivot_seed=None):
         g = build(cx, pivot_seed=pivot_seed)
         if field == "delta":
             return replaced(g, delta=[2 * c for c in g.delta])
-        wrong = replaced(g, packed=[[2 * x for x in row] for row in g.packed])
-        assert wrong.numer == [[[2 * c for c in x] for x in row] for row in g.numer]
-        return wrong
+        if id(cx) not in moved:
+            delta0 = cx.propagators[cx.base_coordinate].delta
+            vars(cx)["base_trace"] = poly_add(cx.base_trace, delta0, shift=1)
+            moved.add(id(cx))
+        return g
 
     monkeypatch.setattr(dehn.cli, "build_propagator", doubled)
     code, out, _ = run_cli(capsys, "check", "--pd", TREFOIL, "--seeds", "10", "--format", "json")

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import strategies as st
 from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
                       UNKNOT_KINK, defect_terms, det_torsion, eliminate,
                       find_basis_permutation, from_rows, gauss_jordan, hstack, is_identity,
-                      mat, mat_add, pipeline, qt_d1, qt_d2, qt_defect, qt_equal_mod_Z,
+                      mat, mat_add, materialized_invariants, pipeline, qt_d1, qt_d2, qt_defect, qt_equal_mod_Z,
                       packed_column, qt_g1, qt_inverse, qt_lescop, qt_rref, qt_unit_equal,
                       replaced, rf, scaled, submatrix, t_power, torus_pd)
-from dehn import algebra, invariants
+from dehn import algebra, invariants, mscomplex
 from dehn.algebra import RatFunc, _pack, poly_add, poly_mul
 from dehn.errors import DehnError, NotExactError
 from dehn.dehngraph import (build_d1, build_d2, build_dehn_graph, graph_from_json,
@@ -22,6 +23,7 @@ from dehn.invariants import (DefectValue, TorsionValue, _verify_identities,
                              torsion_equal_up_to_units)
 from dehn.mscomplex import ChainComplex, Representation, build_complex
 from dehn.oracle import milnor_check
+from dehn.pipeline import run_pipeline
 from test_cli import label_valid_pd
 
 T = t_power(1)
@@ -185,13 +187,161 @@ def test_pivot_exchange_matches_the_full_elimination(name):
     coords = [s for s in range(cx.c1_dim) if cx.d1_row[s]]
     assert coords
     for s in coords:
-        g = invariants._exchanged(cx, s)
+        g = invariants._propagator(cx, s)
         numer, delta, selected, sign = eliminate(
             cx, [s] + [j for j in range(cx.c1_dim) if j != s])
         assert g.selected == selected == s
         assert [g.sign * c for c in g.delta] == [sign * c for c in delta], s
         assert all(poly_mul(a, delta) == poly_mul(b, g.delta)
                    for got, want in zip(g.numer, numer) for a, b in zip(got, want)), s
+
+
+_RANK_ONE_KNOTS = dict(CORPUS, **{"3_1 kinked": TREFOIL_KINKED, "4_1 kinked": FIG8_KINKED},
+                      **{f"T(2,{n})": torus_pd(n) for n in range(3, 16, 2)})
+
+
+def _regions(text):
+    return [region.id for region in build_diagram(parse_pd(text)).regions]
+
+
+def _t_derivative(p):
+    """t * p' over Z[t]."""
+    return poly_add([], [m * c for m, c in enumerate(p)])
+
+
+@pytest.mark.parametrize("name", sorted(_RANK_ONE_KNOTS))
+def test_rank_one_read_matches_the_materialized_exchange(name):
+    # Under every outer region, for every coordinate s with d1[s] != 0, the
+    # torsion and defect read off delta_s = v[s] and the base propagator
+    # are the pairs read off N_s itself, built by the exchange and unpacked
+    # in full; that N_s passes the propagator check. The torsion and the
+    # defect never build it.
+    text = _RANK_ONE_KNOTS[name]
+    for region in _regions(text):
+        cx = pipeline(text, outer_region=region).complex
+        for s in (j for j in range(cx.c1_dim) if cx.d1_row[j]):
+            g = invariants._propagator(cx, s)
+            tor, d = torsion(cx, g), defect(cx, g)
+            assert "packed" not in vars(g) or s == cx.base_coordinate, (region, s)
+            assert (tor, d) == materialized_invariants(cx, g), (region, s)
+            _verify_identities(cx, g)
+
+
+@pytest.mark.parametrize("name", sorted(_RANK_ONE_KNOTS))
+def test_seeded_trace_numerator_is_the_derivative_of_delta(name):
+    # Jacobi's formula, exactly: tr(t d2' * N_s) is delta_s * tr(B_s^-1 *
+    # t B_s') = t * delta_s', B_s = [d2 | e_s], for every selected s. A test
+    # oracle only: the library keeps the paper's trace, so the Lescop check
+    # and seed independence still compare two computations.
+    text = _RANK_ONE_KNOTS[name]
+    for region in _regions(text):
+        cx = pipeline(text, outer_region=region).complex
+        for s in (j for j in range(cx.c1_dim) if cx.d1_row[j]):
+            g = invariants._propagator(cx, s)
+            assert invariants._trace(cx, g) == _t_derivative(g.delta), (region, s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(label_valid_pd())
+def test_seeded_trace_numerator_is_the_derivative_of_delta_on_label_valid_codes(text):
+    try:
+        regions = _regions(text)
+    except DehnError:
+        return
+    for region in regions:
+        cx = pipeline(text, outer_region=region).complex
+        for seed in [None] + list(range(4)):
+            g = build_propagator(cx, pivot_seed=seed)
+            assert invariants._trace(cx, g) == _t_derivative(g.delta), (region, seed)
+
+
+@pytest.mark.parametrize("text", [FIG8, torus_pd(7)])
+def test_a_bumped_functional_is_refused(text):
+    # +-1 on any one digit of a packed entry v[j], one past the top of the
+    # entry too, is +-t^p on v[j], which puts t^p * d2[j] != 0 into v * d2:
+    # the one packed test of v refuses it before a seeded propagator is
+    # built, whichever s it selects, even s0, whose delta0 the base
+    # propagator has already read off the unbumped v.
+    fields = pipeline(text).complex._values()
+    cx = ChainComplex(*fields)
+    s0, width, c2 = cx.base_coordinate, cx.forward_elimination[3], cx.c2_dim
+    s = next(j for j in range(cx.c1_dim) if cx.d1_row[j] and j != s0)
+    for j, x in enumerate(cx.functional):
+        for p in range(len(x) + 1):
+            for c in (1, -1):
+                bumped = ChainComplex(*fields)
+                invariants._base(bumped)
+                bumped.scaled_inverse[c2][j] += c << width * p
+                with pytest.raises(DehnError, match="v\\*d2 = 0"):
+                    invariants._propagator(bumped, s)
+
+
+def test_a_seeded_propagator_with_zero_delta_is_refused():
+    # On an exact complex the certified v is a multiple of D1 with v[s0] =
+    # delta0, so v[s] != 0 wherever d1[s] != 0; a v that reads 0 at a
+    # selected s is refused all the same, as delta = 0 is for the base.
+    cx = ChainComplex(*pipeline(FIG8).complex._values())
+    s = next(j for j in range(cx.c1_dim) if cx.d1_row[j] and j != cx.base_coordinate)
+    vars(cx)["functional"] = [[] if j == s else x for j, x in enumerate(cx.functional)]
+    with pytest.raises(DehnError, match="delta = 0"):
+        invariants._propagator(cx, s)
+
+
+@pytest.mark.parametrize("text", [TREFOIL, FIG8_KINKED, torus_pd(9)])
+def test_seeded_propagators_make_one_product_test_per_complex(text, monkeypatch):
+    # Ten seeded propagators with their torsion and defect, on a complex
+    # whose reported invariants are read: one more `is_diagonal_product`
+    # call, on the one row v, and no exact division over N0. No seeded
+    # propagator builds its N.
+    run = run_pipeline(text)
+    cx = run.complex
+    rows, divisions = [], []
+    test = mscomplex.is_diagonal_product
+    monkeypatch.setattr(mscomplex, "is_diagonal_product",
+                        lambda r, m, d, w=0: rows.append(len(r)) or test(r, m, d, w))
+    monkeypatch.setattr(invariants, "is_diagonal_product",
+                        lambda r, m, d, w=0: rows.append(len(r)) or test(r, m, d, w))
+    monkeypatch.setattr(invariants, "_exact_div", lambda a, b: divisions.append(b))
+    seeded = [build_propagator(cx, pivot_seed=seed) for seed in range(10)]
+    for g in seeded:
+        torsion(cx, g), defect(cx, g)
+    assert rows == [1] and divisions == []
+    assert len({g.selected for g in seeded}) > 1
+    assert all("packed" not in vars(g) for g in seeded if g is not run.propagator)
+    # A seeded request on a fresh complex verifies the base propagator it
+    # rests on first: the exactness test, N0 * d2 = delta0 * I, then v.
+    fresh = ChainComplex(*cx._values())
+    rows.clear()
+    build_propagator(fresh, pivot_seed=next(seed for seed, g in enumerate(seeded)
+                                            if g.selected != cx.base_coordinate))
+    assert rows == [1, cx.c2_dim, 1]
+
+
+def test_seeded_propagators_leave_no_reference_cycle():
+    # The complex keeps its propagators, so no propagator keeps the complex:
+    # a run and its seeded propagators, views read, are freed by reference
+    # counting, with nothing left for the cycle collector.
+    gc.collect()
+    gc.disable()
+    try:
+        run = run_pipeline(FIG8)
+        for seed in range(10):
+            g = build_propagator(run.complex, pivot_seed=seed)
+            torsion(run.complex, g), defect(run.complex, g), g.g2
+        del run, g
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_candidate_order_is_the_seeded_shuffle():
+    # The cached order is the one a fresh Random(seed) shuffle gives.
+    for seed in range(41):
+        for n in range(1, 41):
+            order = list(range(n))
+            random.Random(seed).shuffle(order)
+            assert invariants._candidate_order(seed, n) == tuple(order), (seed, n)
+    assert invariants._candidate_order(None, 4) == (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize("name,text", sorted(CORPUS.items()))
@@ -292,7 +442,7 @@ def test_verify_identities_rejects_a_zero_selected_entry_of_d1():
     cx = _one_crossing_complex()
     g = build_propagator(cx)
     with pytest.raises(DehnError, match="d2\\*g2 \\+ g1\\*d1"):
-        _verify_identities(cx, replaced(g, selected=0))
+        _verify_identities(cx, replaced(g, selected=0, packed=g.packed))
 
 
 def test_identities_do_not_pin_the_scale_of_delta():

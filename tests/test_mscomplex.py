@@ -262,7 +262,7 @@ def test_exactness_requires_d1_d2_zero():
         build_propagator(cx)
     # The propagator's own check rests on this test: on the non-complex the
     # propagator read off the elimination passes it.
-    invariants._verify_identities(cx, invariants._exchanged(cx, 0))
+    invariants._verify_identities(cx, invariants._propagator(cx, cx.base_coordinate))
 
 
 def test_d1_d2_one_bit_narrower_would_alias():
