@@ -126,8 +126,14 @@ def _check_one(task) -> dict:
     # Seeds that select the same coordinate share one propagator, so each
     # distinct one but the reported one is compared once, over Z[t] with no
     # gcd: its torsion with the reported one up to units, its defect mod Z.
-    seeded = {g.selected: g for g in (build_propagator(cx, pivot_seed=seed)
-                                      for seed in range(seeds))}
+    # Once every coordinate with d1[s] != 0 is selected, later seeds can add
+    # none, so the drawing stops.
+    seeded, candidates = {}, sum(map(bool, cx.d1_row))
+    for seed in range(seeds):
+        if len(seeded) == candidates:
+            break
+        g = build_propagator(cx, pivot_seed=seed)
+        seeded[g.selected] = g
     seeded.pop(run.propagator.selected, None)
     checks["seed_independence"] = all(
         torsion_equal_up_to_units(run.tor, torsion(cx, g))

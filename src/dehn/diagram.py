@@ -58,7 +58,7 @@ def parse_pd(text: str) -> PDCode:
     if text.startswith("["):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
             raise PDSyntaxError(f"malformed PD bracket syntax: {exc}") from None
         if (not isinstance(data, list) or not data
                 or not all(isinstance(c, list) for c in data)):
@@ -69,7 +69,10 @@ def parse_pd(text: str) -> PDCode:
         leftover = re.sub(r"PD|[\s,\[\]()]", "", _X_FORM.sub("", text))
         if not matches or leftover:
             raise PDSyntaxError("malformed PD X-form syntax")
-        tuples = [[int(x) for x in m] for m in matches]
+        try:
+            tuples = [[int(x) for x in m] for m in matches]
+        except ValueError as exc:  # more digits than int() converts
+            raise PDSyntaxError(f"malformed PD label: {exc}") from None
     crossings = []
     for c in tuples:
         # bool is a subclass of int, but JSON true/false are not labels.

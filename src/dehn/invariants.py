@@ -6,13 +6,13 @@ completes the image of d2 to a basis; G_1 inverts d1 on that line and G_2
 inverts d2 on its image along it. G_2 is N / delta, numerators N over Z[t]
 and one common denominator delta. A complex is eliminated once, forward,
 and back substituted once, to delta0 * B0^-1 with B0 = [d2 | e_s0], s0
-the first coordinate where d1 is nonzero: its rows N0, then v. The base
-propagator, the one that selects s0, is N0 over delta0, verified once per
-complex. A pivot seed that selects another coordinate s gets the
-propagator of B_s = [d2 | e_s], a rank-one change of B0: it is held as
-delta = v[s] alone, and its torsion and defect are read off v, column s
-of N0 and two terms built once per complex, never off its own N, which is
-built by the exchange only when read. Torsion is the determinant of the
+the first coordinate where d1 is nonzero: its rows N0, then v, certified
+once per complex where they are made. The base propagator, the one that
+selects s0, is N0 over delta0. A pivot seed that selects another
+coordinate s gets the propagator of B_s = [d2 | e_s], a rank-one change
+of B0: it is held as delta = v[s] alone, and its torsion and defect are
+read off v, column s of N0 and two terms built once per complex, never
+off its own N, which is built by the exchange only when read. Torsion is the determinant of the
 square block matrix [d2 | g1] mapping the even chains to C_1; it is well
 defined up to +-t^m, and a canonical representative is obtained by
 stripping that unit.
@@ -32,15 +32,15 @@ diag(I, 1/d1[s]), and
     raw torsion = det [d2 | g1] = sign * delta / d1[s].
 
 The three propagator identities rest on the complex's exactness report,
-d1 * d2 = 0 included: on an exact complex, N * d2 = delta * id over Z[t]
-(one `is_diagonal_product` test on N's packed rows, exact at their width
-once their digits are bounded, see `_verify_identities`) and a zero
-column s of N imply them all. They prove G2 = N / delta, but not the
-scale of delta: (c * N, c * delta) passes them for any nonzero polynomial
-c, and its torsion is wrong by the factor c. The Milnor and Lescop checks
-of the pipeline are what pin delta. A seeded propagator inherits them
-from the base one and one more packed test, v * d2 = 0
-(`ChainComplex.functional`); `Propagator.packed` gives the proof.
+d1 * d2 = 0 included, and on one certificate of its scaled inverse X =
+delta0 * B0^-1: delta0 != 0 and X * B0 = delta0 * I over Z[t], one
+`is_diagonal_product` test on X's packed rows, exact at their width once
+their digits are bounded (`mscomplex._certify_inverse`, which proves them
+for the base propagator; `Propagator.packed` proves them for a seeded
+one, given its delta != 0). They prove G2 = N / delta, but not the scale
+of delta: (c * X, c * delta0) passes the certificate for any nonzero
+polynomial c, and its torsion is wrong by the factor c. The Milnor and
+Lescop checks of the pipeline are what pin delta.
 
 The defect is a rational function modulo the integers. The paper sums it
 over the labelled Dehn graph: every edge whose label maps to c * t^m
@@ -70,8 +70,8 @@ from typing import List, Optional, Tuple
 
 from ._value import Value
 from .algebra import (FieldMatrix, IntPoly, RatFunc, _derivative, _exact_div,
-                      _exact_quotient, _unit_equal, _unit_free, _unpack,
-                      is_diagonal_product, poly_add, poly_mul)
+                      _exact_quotient, _unit_equal, _unit_free, _unpack, poly_add,
+                      poly_mul)
 from .errors import DehnError, NotExactError
 from .mscomplex import ChainComplex, ZPoly, check_exactness
 
@@ -114,12 +114,14 @@ class Propagator(Value):
         runs on the packed rows at the elimination's width and each
         division is checked exact.
 
-        N_s passes the propagator check whenever the base one does and v *
-        d2 = 0: N_s * d2 = (v[s] * N0 * d2 - N0[.][s] * (v * d2)) / delta0
-        = (v[s] * delta0 * id - 0) / delta0 = delta_s * id, and column s of
+        N_s satisfies the three identities whenever X passes its
+        certificate (`mscomplex._certify_inverse`: N0 * d2 = delta0 * id,
+        column s0 of N0 zero, v * d2 = 0 and v[s0] = delta0, with delta0 !=
+        0): N_s * d2 = (v[s] * N0 * d2 - N0[.][s] * (v * d2)) / delta0 =
+        (v[s] * delta0 * id - 0) / delta0 = delta_s * id, and column s of
         N_s is (v[s] * N0[r][s] - N0[r][s] * v[s]) / delta0 = 0; delta_s !=
-        0 is checked when the propagator is built. So the three identities
-        hold for it (`_verify_identities`). The library builds N_s only
+        0 is checked when the propagator is built. The certificate's proof
+        for s0 then holds for s, word for word. The library builds N_s only
         when it is read: its torsion needs delta_s alone, its defect the
         trace that `_trace` reads off the base propagator."""
         rows, v = self.inverse[:-1], self.inverse[-1]
@@ -178,71 +180,16 @@ def build_propagator(cx: ChainComplex, pivot_seed: Optional[int] = None) -> Prop
 
 
 def _propagator(cx: ChainComplex, s: int) -> Propagator:
-    """The propagator selecting s, checked. For s = s0 it is N0 over delta0
-    = v[s0], and `_verify_identities` checks it. For another s it is delta
-    = v[s], with v = `cx.functional`, certified once per complex by v * d2
-    = 0, on top of the base propagator's check; `Propagator.packed` proves
-    that this is enough, given delta != 0. That costs O(1) here, after the
-    one test of v."""
+    """The propagator selecting s: delta = v[s], read off the complex's
+    scaled inverse, which `mscomplex._certify_inverse` certified where it
+    was made, and refused if zero. `Propagator.packed` proves that this is
+    enough; it costs O(1) after the one certificate per complex."""
     _, _, sign, width = cx.forward_elimination
-    s0, inverse = cx.base_coordinate, cx.scaled_inverse
-    if s == s0:
-        g = Propagator(inverse, width, s0, _unpack(inverse[-1][s], width), s, sign)
-        _verify_identities(cx, g)
-        return g
-    _base(cx)  # the check a seeded propagator rests on
-    g = Propagator(inverse, width, s0, cx.functional[s], s, sign)
-    if not any(g.delta):
+    inverse = cx.scaled_inverse
+    delta = _unpack(inverse[-1][s], width)
+    if not delta:
         raise DehnError("propagator has delta = 0")
-    return g
-
-
-def _base(cx: ChainComplex) -> Propagator:
-    """The base propagator, selecting s0, built and verified once per
-    complex."""
-    s0 = cx.base_coordinate
-    g = cx.propagators.get(s0)
-    if g is None:
-        g = cx.propagators[s0] = _propagator(cx, s0)
-    return g
-
-
-def _verify_identities(cx: ChainComplex, g: Propagator) -> None:
-    """Check g2*d2 = id, d1*g1 = id and d2*g2 + g1*d1 = id exactly, on a
-    complex that passed `check_exactness` (c1 = c2 + 1, d1 != 0, d1*d2 = 0),
-    by checking delta != 0, N * d2 = delta * id over Z[t] and that column s
-    of N is zero. Those are enough. N * d2 = delta * id makes d2 injective,
-    so im(d2) = ker(d1). If d1[s] were 0, then e_s = d2 * y with y != 0 and
-    N * e_s = delta * y != 0; the zero column forces d1[s] != 0, so g1 is
-    defined and d1*g1 = 1. M = d2 * N / delta + e_s * d1 / d1[s] fixes
-    every column of d2, because d1*d2 = 0, and fixes e_s, because column s
-    of N is zero; those c1 vectors form a basis, so M = id. The zero column
-    also removes the one freedom N * d2 = delta * id leaves open: adding a
-    multiple of D1 to a row of N.
-
-    N is checked as it is held, packed at w = g.width; N is by definition
-    what its packed entries unpack to. N * d2 = delta * id is one
-    `is_diagonal_product` test on those packed rows. With c =
-    `product_headroom(d2)`, so n + 1 < 2^c for n the largest column 1-norm
-    of d2, it first shows, by one add and one mask per entry, that every
-    digit of N lies in [-2^j, 2^j), j = w - c, and it compares every
-    coefficient of delta with 2^j. Under those bounds every coefficient of
-    N * d2 - delta * id is at most 2^j * (n + 1) < 2^w, so the packed
-    product is zero exactly when the polynomial one is. A correct N and
-    delta are minors of [d2 | I], every coefficient below 2^(k-1) for k
-    the kernel's proved width, and the elimination packs them at w = k + c,
-    so j = k and they pass; an N with a digit past 2^j is refused, whether
-    or not its product holds. A packed entry is zero iff it unpacks to
-    zero, so column s is tested packed.
-
-    delta = 0 is rejected first: every packed side would read 0."""
-    if not any(g.delta):
-        raise DehnError("propagator has delta = 0")
-    if not is_diagonal_product(g.packed, cx.d2_rows, g.delta, g.width):
-        raise DehnError("propagator identity g2*d2 = id failed")
-    if any(row[g.selected] for row in g.packed):
-        raise DehnError("propagator identity d2*g2 + g1*d1 = id failed: "
-                        "column s of N is not zero")
+    return Propagator(inverse, width, cx.base_coordinate, delta, s, sign)
 
 
 class TorsionValue(Value):
@@ -318,18 +265,20 @@ def _trace(cx: ChainComplex, g: Propagator) -> IntPoly:
 
         num = (delta * num0 - sum_j N0[j][s] * w[j]) / delta0,
 
-    num0 = `cx.base_trace` and w = `cx.weights`. That is one product per
-    nonzero N0[j][s], and the division is exact, checked. For the base
-    propagator column s0 of N0 is zero and delta = delta0, so num is num0
-    itself, and w, which needs v, is not built."""
-    base, s = _base(cx), g.selected
-    if s == base.selected and g.delta == base.delta:
+    num0 = `cx.base_trace` and w = `cx.weights`, column s of N0 and delta0
+    = v[s0] read off g. That is one product per nonzero N0[j][s], and the
+    division is exact, checked. For the base propagator, which selects s0
+    with delta = delta0, column s0 of N0 is zero, so num is num0 itself,
+    and w, which needs v, is not built."""
+    s, width, inverse = g.selected, g.width, g.inverse
+    delta0 = _unpack(inverse[-1][g.base], width)
+    if s == g.base and g.delta == delta0:
         return cx.base_trace
-    column = [(j, row[s]) for j, row in enumerate(base.packed) if row[s]]
     num = poly_mul(g.delta, cx.base_trace)
-    for j, x in column:
-        num = poly_add(num, poly_mul(_unpack(x, base.width), cx.weights[j]), -1)
-    return _exact_quotient(num, base.delta)
+    for j, row in enumerate(inverse[:-1]):
+        if row[s]:
+            num = poly_add(num, poly_mul(_unpack(row[s], width), cx.weights[j]), -1)
+    return _exact_quotient(num, delta0)
 
 
 def _differ_by_integer(p1: IntPoly, q1: IntPoly, p2: IntPoly, q2: IntPoly) -> bool:

@@ -9,21 +9,22 @@ signed word maps to the sign times t^(k * exponent sum), and the complex is
 held over Z[t]: the corner labels +-1, +-x make d2 a matrix over Z[t], and
 d1, from the region labels, is one row over Z[t] over a power of t. Only
 `complex_to_json` writes them over Q(t), entry by entry. A complex makes
-one elimination, once: the forward elimination of [B | I], B = [d2 |
+one elimination, once: the forward elimination of [B0 | I], B0 = [d2 |
 e_s0], with s0 the first coordinate where d1 is nonzero. The exactness
 report that `check_exactness` returns reads rank(d2) off its pivots. On
-an exact complex B is invertible, and one fraction-free back
-substitution of its rows gives delta * B^-1: the base propagator's
-numerators N0, and v = delta * phi, phi the functional that vanishes on
-im(d2) with phi(e_s0) = 1. Every propagator, whatever its pivot seed, is
-read off those rows (`invariants.build_propagator`): a seeded one by a
-rank-one change, which needs v only once per complex, certified by one
-packed product test (`functional`), and whose defect reads two trace
-terms built once per complex (`base_trace`, `weights`). The back
-substitution's divisions are exact and its values are minors of [B | I],
-so the elimination's proved width holds for them
+an exact complex B0 is invertible, and one fraction-free back
+substitution of its rows gives X = delta0 * B0^-1: the base propagator's
+numerators N0, and v = delta0 * phi, phi the functional that vanishes on
+im(d2) with phi(e_s0) = 1. One packed product test, X * B0 = delta0 *
+I, certifies X where it is made (`_certify_inverse`), and every
+propagator, whatever its pivot seed, is read off it
+(`invariants.build_propagator`): the base one as N0 over delta0, a
+seeded one by a rank-one change, whose defect reads two trace terms
+built once per complex (`base_trace`, `weights`). The back
+substitution's divisions are exact and its values are minors of [B0 |
+I], so the elimination's proved width holds for them
 (`algebra.fraction_free_back_substitution`). That report, d1 * d2 = 0
-included, is the complex's whole check; the propagator's own check rests
+included, is the complex's whole check of itself; the certificate rests
 on it.
 """
 
@@ -90,53 +91,51 @@ class ChainComplex(Value):
         return next((j for j, x in enumerate(self.d1_row) if x), None)
 
     @cached_property
+    def _b0(self) -> List[List[ZPoly]]:
+        """B0 = [d2 | e_s0] over Z[t], row by row (e_s0 = 0 when d1 = 0)."""
+        s0 = self.base_coordinate
+        return [list(row) + [(1,) if i == s0 else ()] for i, row in enumerate(self.d2_rows)]
+
+    @cached_property
     def forward_elimination(self) -> Tuple[List[List[int]], List[int], int, int]:
-        """The `fraction_free_elimination` of [B | I] over Z[t], B = [d2 |
-        e_s0] (e_s0 a zero column when d1 = 0), done once per complex, its
-        rows packed and sorted by their count of nonzeros in B, fewest first
-        and ties in coordinate order, so that sparse rows pivot early.
-        Returns (rows, pivots, sign, width) with sign * delta = det B, the
-        sort's parity folded into `sign`. The width has c =
-        `product_headroom(d2)` bits of headroom over the kernel's proved
-        one, which the propagator's packed check needs (see
-        `invariants._verify_identities`)."""
-        c1, s0 = self.c1_dim, self.base_coordinate
+        """The `fraction_free_elimination` of [B0 | I] over Z[t], done once
+        per complex, its rows packed and sorted by their count of nonzeros
+        in B0, fewest first and ties in coordinate order, so that sparse
+        rows pivot early. Returns (rows, pivots, sign, width) with sign *
+        delta = det B0, the sort's parity folded into `sign`. The width has
+        c = `product_headroom(B0)` bits of headroom over the kernel's proved
+        one, which the certificate of the inverse needs (see
+        `_certify_inverse`)."""
+        c1, b0 = self.c1_dim, self._b0
         rows = []
-        for i, row in enumerate(self.d2_rows):
-            unit: List[IntPoly] = [[]] * c1
-            unit[i] = [1]
-            rows.append(list(row) + [[1] if i == s0 else []] + unit)
-        order = sorted(range(c1), key=lambda i: sum(map(bool, rows[i][:-c1])))
+        for i, row in enumerate(b0):
+            unit: List[ZPoly] = [()] * c1
+            unit[i] = (1,)
+            rows.append(row + unit)
+        order = sorted(range(c1), key=lambda i: sum(map(bool, b0[i])))
         reduced, pivots, sign, width = fraction_free_elimination(
-            [rows[i] for i in order], headroom=product_headroom(self.d2_rows))
+            [rows[i] for i in order], headroom=product_headroom(b0))
         return reduced, pivots, sign * _parity(order), width
 
     @cached_property
     def scaled_inverse(self) -> List[List[int]]:
-        """delta * B^-1, packed at the width of `forward_elimination`, by
-        fraction-free back substitution on its rows; row r < c2 belongs to
+        """X = delta0 * B0^-1, packed at the width of `forward_elimination`,
+        by fraction-free back substitution on its rows and certified by
+        `_certify_inverse` before it is returned: row r < c2 belongs to
         column r of d2, the last row to e_s0. Read only on an exact
-        complex, where B is invertible (see `invariants.Propagator`). The
-        sort permutes the rows of [B | I] into [P * B | P], and back
-        substitution gives delta * (P * B)^-1 * P = delta * B^-1."""
-        return fraction_free_back_substitution(self.forward_elimination[0], self.c1_dim)
+        complex, where B0 is invertible (see `invariants.Propagator`). The
+        sort permutes the rows of [B0 | I] into [P * B0 | P], and back
+        substitution gives delta0 * (P * B0)^-1 * P = delta0 * B0^-1."""
+        x = fraction_free_back_substitution(self.forward_elimination[0], self.c1_dim)
+        _certify_inverse(self, x)
+        return x
 
     @cached_property
     def functional(self) -> List[IntPoly]:
         """v = delta0 * phi over Z[t], the last row of `scaled_inverse`,
-        unpacked once one packed `is_diagonal_product` test has certified
-        v * d2 = 0 at the elimination's width; a failed test is a
-        `DehnError`. The test bounds the digits of v first, with the
-        headroom the width keeps for it, as for the propagator's N (see
-        `invariants._verify_identities`). On an exact complex v * d2 = 0
-        leaves v one degree of freedom, a multiple of phi, and v[s0] =
-        delta0, the base propagator's verified delta, holds by
-        construction, so v is pinned. Read only for a propagator that
-        selects another coordinate than s0."""
-        v, width = self.scaled_inverse[self.c2_dim], self.forward_elimination[3]
-        if not is_diagonal_product([v], self.d2_rows, [], width):
-            raise DehnError("propagator identity v*d2 = 0 failed")
-        return [_unpack(x, width) for x in v]
+        unpacked. Read only for a seeded propagator's defect (`weights`)."""
+        width = self.forward_elimination[3]
+        return [_unpack(x, width) for x in self.scaled_inverse[-1]]
 
     @cached_property
     def base_trace(self) -> IntPoly:
@@ -231,6 +230,47 @@ def build_complex(graph: DehnGraph, rep: Representation) -> ChainComplex:
     return ChainComplex(tuple(tuple(tuple(x) for x in row) for row in d2),
                         (0,) * a + (1,), tuple(tuple(x) for x in d1),
                         c2_basis, c1_basis)
+
+
+def _certify_inverse(cx: ChainComplex, x: List[List[int]]) -> None:
+    """Certify X = delta0 * B0^-1, packed at w = the width of
+    `cx.forward_elimination`, B0 = [d2 | e_s0], by checking delta0 = X[c2][s0]
+    != 0 and X * B0 = delta0 * I over Z[t]; a failure is a `DehnError`.
+    Row r < c2 of that equation says N0[r] * d2 = delta0 * e_r and N0[r][s0]
+    = 0, the last row v * d2 = 0 and v[s0] = delta0, so it is one packed
+    `is_diagonal_product` test of all of X.
+
+    On a complex that passed `check_exactness` (c1 = c2 + 1, d1 != 0, d1 *
+    d2 = 0), that makes the base propagator, N0 over delta0 selecting s0,
+    satisfy g2*d2 = id, d1*g1 = id and d2*g2 + g1*d1 = id. N0 * d2 = delta0
+    * id makes d2 injective, so im(d2) = ker(d1). If d1[s0] were 0, then
+    e_s0 = d2 * y with y != 0 and N0 * e_s0 = delta0 * y != 0; the zero
+    column forces d1[s0] != 0, so g1 is defined and d1*g1 = 1. M = d2 * N0
+    / delta0 + e_s0 * d1 / d1[s0] fixes every column of d2, because d1*d2 =
+    0, and fixes e_s0, because column s0 of N0 is zero; those c1 vectors
+    form a basis, so M = id. The equation also makes B0 invertible and X
+    = delta0 * B0^-1 itself, so v = delta0 * phi, which every seeded
+    propagator reads (`invariants.Propagator.packed` proves its identities
+    from these rows). It does not pin the scale of delta0: (c * X, c *
+    delta0) passes for any nonzero polynomial c.
+
+    X is checked as it is held, packed; X is by definition what its packed
+    entries unpack to. The packed test is exact once it has bounded every
+    digit of X and delta0 by 2^j, j = w - c, c = `product_headroom(B0)`
+    (`algebra.is_diagonal_product`). A correct X and delta0 are minors of
+    [B0 | I], every coefficient below 2^(k-1) for k the kernel's proved
+    width, and the elimination packs at w = k + c, so they pass; an X with
+    a digit past 2^j is refused, whether or not its product holds. delta0
+    = 0 is refused first: with X = 0 every packed side would read 0."""
+    width = cx.forward_elimination[3]
+    delta0 = _unpack(x[-1][cx.base_coordinate], width)
+    if not delta0:
+        raise DehnError("propagator has delta = 0")
+    # v and e_s0 go first: the test packs each column of X into one integer,
+    # row r in slot r, and v, dense, in the top slot would widen them all.
+    if not is_diagonal_product(x[-1:] + x[:-1], [row[-1:] + row[:-1] for row in cx._b0],
+                               delta0, width):
+        raise DehnError("propagator identity X * [d2 | e_s0] = delta0 * I failed")
 
 
 def _parity(order: List[int]) -> int:

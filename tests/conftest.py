@@ -334,6 +334,16 @@ def eliminate(cx, order):
     return numer, reduced[-1][pivots[-1]], selected, sign
 
 
+def satisfies_identities(cx, g):
+    """The three propagator identities of g on an exact complex, by the
+    criterion the library once checked each propagator with: delta != 0,
+    N * d2 = delta * I over Z[t] and column s of N zero (the proof is at
+    `mscomplex._certify_inverse`). N is unpacked in full and the product
+    is tested on coefficient lists, not packed rows."""
+    return (any(g.delta) and algebra.is_diagonal_product(g.numer, cx.d2_rows, g.delta)
+            and not any(row[g.selected] for row in g.numer))
+
+
 def materialized_invariants(cx, g):
     """The torsion and defect pairs of g read off its own N, unpacked in
     full: sign * delta * d1_den over D1[s], and the trace sum over every

@@ -284,6 +284,25 @@ def test_boolean_label_is_a_syntax_error(capsys):
     assert json.loads(err)["error"]["type"] == "PDSyntaxError"
 
 
+_HUGE_LABEL = "1" * 4301  # one digit past CPython's default int-string limit
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 1000, f"[[{_HUGE_LABEL},1,2,3]]", f"X({_HUGE_LABEL},1,2,3)"],
+    ids=["deep-nesting", "huge-bracket-label", "huge-x-form-label"])
+@pytest.mark.parametrize("command", ["compute", "graph", "check", "oracle"])
+def test_deep_nesting_and_huge_labels_are_pd_errors(capsys, command, text):
+    # Nesting past the recursion limit of json.loads, and a label with more
+    # digits than int() converts, are syntax errors: exit 2, one JSON line
+    # on stderr, no traceback. On an interpreter whose int() has no such
+    # limit (3.10) the huge label parses, and the label check refuses it.
+    code, out, err = run_cli(capsys, command, "--pd", text)
+    assert code == 2 and out == ""
+    limited = hasattr(sys, "get_int_max_str_digits")
+    want = "PDSyntaxError" if text.startswith("[[[") or limited else "PDLabelError"
+    assert json.loads(err)["error"]["type"] == want
+
+
 def test_missing_file_is_a_config_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "compute", "--file", str(tmp_path / "missing.txt"))
     assert code == 6 and out == ""
@@ -305,6 +324,29 @@ def test_seeds_below_zero_is_a_config_error(capsys):
     code, out, _ = run_cli(capsys, "check", "--pd", TREFOIL, "--seeds", "0",
                            "--format", "json")
     assert code == 0 and json.loads(out)["checks"]["seed_independence"] is True
+
+
+@pytest.mark.parametrize("text", [TREFOIL, FIG8])
+def test_a_huge_seed_count_returns_the_same_check(capsys, monkeypatch, text):
+    # The drawing stops once every coordinate with d1[s] != 0 is selected,
+    # so 10**18 seeds return, with the JSON that 10**4 seeds print. A drawing
+    # that did not stop fails at its thousandth propagator instead of hanging.
+    import dehn.cli
+    build, calls = dehn.cli.build_propagator, []
+
+    def counted(cx, pivot_seed=None):
+        calls.append(pivot_seed)
+        assert len(calls) < 1000, "check drew seeds past every selectable coordinate"
+        return build(cx, pivot_seed=pivot_seed)
+
+    monkeypatch.setattr(dehn.cli, "build_propagator", counted)
+    outs = []
+    for seeds in (10**18, 10**4):
+        code, out, _ = run_cli(capsys, "check", "--pd", text, "--seeds", str(seeds),
+                               "--format", "json")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 USAGE_ERRORS = {

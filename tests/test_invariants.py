@@ -10,18 +10,17 @@ from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
                       find_basis_permutation, from_rows, gauss_jordan, hstack, is_identity,
                       mat, mat_add, materialized_invariants, pipeline, qt_d1, qt_d2, qt_defect, qt_equal_mod_Z,
                       packed_column, qt_g1, qt_inverse, qt_lescop, qt_rref, qt_unit_equal,
-                      replaced, rf, scaled, submatrix, t_power, torus_pd)
+                      replaced, rf, satisfies_identities, scaled, submatrix, t_power, torus_pd)
 from dehn import algebra, invariants, mscomplex
-from dehn.algebra import RatFunc, _pack, poly_add, poly_mul
+from dehn.algebra import RatFunc, _pack, _unpack, poly_add, poly_mul
 from dehn.errors import DehnError, NotExactError
 from dehn.dehngraph import (build_d1, build_d2, build_dehn_graph, graph_from_json,
                             graph_to_json)
 from dehn.diagram import build_diagram, parse_pd
-from dehn.invariants import (DefectValue, TorsionValue, _verify_identities,
-                             build_propagator, check_lescop_relation, defect,
-                             defect_equal_mod_Z, torsion,
-                             torsion_equal_up_to_units)
-from dehn.mscomplex import ChainComplex, Representation, build_complex
+from dehn.invariants import (DefectValue, TorsionValue, build_propagator,
+                             check_lescop_relation, defect, defect_equal_mod_Z,
+                             torsion, torsion_equal_up_to_units)
+from dehn.mscomplex import ChainComplex, Representation, _certify_inverse, build_complex
 from dehn.oracle import milnor_check
 from dehn.pipeline import run_pipeline
 from test_cli import label_valid_pd
@@ -109,18 +108,28 @@ def test_propagator_matches_reference_rule(name, text):
         assert (g.selected, g.g2) == reference_propagator(cx, seed), seed
 
 
+# The message of a failed certificate X * B0 = delta0 * I.
+CERTIFICATE = "X \\* \\[d2 \\| e_s0\\] = delta0 \\* I failed"
+
+
+def _inverse(cx):
+    """The complex's scaled inverse X as a fresh list of packed rows, and
+    its width."""
+    return [list(row) for row in cx.scaled_inverse], cx.forward_elimination[3]
+
+
 def test_verify_identities_rejects_a_perturbed_g2():
-    # Adding t to one entry of N, 2^width to its packed value, adds
-    # t / delta to that G2 entry.
+    # Adding t to one entry of N0, 2^width to its packed value in X, adds
+    # t / delta to that G2 entry; the certificate of X refuses it.
     run = pipeline(FIG8)
     cx, g = run.complex, run.propagator
-    _verify_identities(cx, g)
-    packed = [list(row) for row in g.packed]
-    packed[1][2] += 1 << g.width
-    wrong = replaced(g, packed=packed)
+    x, width = _inverse(cx)
+    _certify_inverse(cx, x)
+    x[1][2] += 1 << width
+    wrong = replaced(g, inverse=x)
     assert wrong.numer[1][2] == poly_add(g.numer[1][2], [0, 1])
-    with pytest.raises(DehnError, match="g2\\*d2"):
-        _verify_identities(cx, wrong)
+    with pytest.raises(DehnError, match=CERTIFICATE):
+        _certify_inverse(cx, x)
 
 
 def _bumped(poly, p, c):
@@ -130,37 +139,34 @@ def _bumped(poly, p, c):
 
 @pytest.mark.parametrize("text", [FIG8, torus_pd(7)])
 def test_verify_identities_rejects_every_unit_perturbation(text):
-    # +-1 on any one digit of a packed entry of N, one past the top of each
-    # entry too, is +-t^p on that entry; that, or +-1 on any one coefficient
-    # of delta, fails an identity.
-    run = pipeline(text)
-    cx, g = run.complex, run.propagator
-    _verify_identities(cx, g)
-    for r, row in enumerate(g.numer):
-        for j, x in enumerate(row):
-            for p in range(len(x) + 1):
+    # +-1 on any one digit of a packed entry of X, one past the top of each
+    # entry too, is +-t^p on that entry of N0 or of v; on v[s0] it moves
+    # delta0 as well. Each fails the certificate.
+    cx = pipeline(text).complex
+    x, width = _inverse(cx)
+    _certify_inverse(cx, x)
+    for r, row in enumerate(x):
+        for j, entry in enumerate(row):
+            for p in range(len(_unpack(entry, width)) + 1):
                 for c in (1, -1):
-                    packed = [list(line) for line in g.packed]
-                    packed[r][j] += c << g.width * p
-                    wrong = replaced(g, packed=packed)
-                    assert wrong.numer[r][j] == _bumped(x, p, c)
+                    wrong = [list(line) for line in x]
+                    wrong[r][j] += c << width * p
+                    assert _unpack(wrong[r][j], width) == _bumped(_unpack(entry, width), p, c)
                     with pytest.raises(DehnError):
-                        _verify_identities(cx, wrong)
-    for p in range(len(g.delta) + 1):
-        for c in (1, -1):
-            with pytest.raises(DehnError, match="g2\\*d2"):
-                _verify_identities(cx, replaced(g, delta=_bumped(g.delta, p, c)))
+                        _certify_inverse(cx, wrong)
 
 
-@pytest.mark.parametrize("delta", [[], [0]])
-def test_verify_identities_rejects_a_zero_delta(delta):
-    # With N = 0 and delta = 0 every packed side reads 0, so each identity
-    # would pass; delta = 0 is rejected first, trimmed or not.
-    run = pipeline(FIG8)
-    cx, g = run.complex, run.propagator
-    zero = replaced(g, packed=[[0] * len(row) for row in g.packed], delta=delta)
-    with pytest.raises(DehnError, match="delta = 0"):
-        _verify_identities(cx, zero)
+def test_verify_identities_rejects_a_zero_delta():
+    # With X = 0, or N0 = 0 beside the true v with v[s0] = 0, every packed
+    # side of X * B0 = delta0 * I reads 0, so the product test would pass;
+    # delta0 = v[s0] = 0 is refused first.
+    cx = pipeline(FIG8).complex
+    x, _ = _inverse(cx)
+    v = [0 if j == cx.base_coordinate else e for j, e in enumerate(x[-1])]
+    zero = [[0] * len(row) for row in x[:-1]]
+    for wrong in (zero + [[0] * len(v)], zero + [v]):
+        with pytest.raises(DehnError, match="delta = 0"):
+            _certify_inverse(cx, wrong)
 
 
 # 3_1 # 4_1 # 5_2 # 6_1 spliced at seeded edges, with two Reidemeister-I
@@ -224,7 +230,7 @@ def test_rank_one_read_matches_the_materialized_exchange(name):
             tor, d = torsion(cx, g), defect(cx, g)
             assert "packed" not in vars(g) or s == cx.base_coordinate, (region, s)
             assert (tor, d) == materialized_invariants(cx, g), (region, s)
-            _verify_identities(cx, g)
+            assert satisfies_identities(cx, g), (region, s)
 
 
 @pytest.mark.parametrize("name", sorted(_RANK_ONE_KNOTS))
@@ -256,65 +262,70 @@ def test_seeded_trace_numerator_is_the_derivative_of_delta_on_label_valid_codes(
 
 
 @pytest.mark.parametrize("text", [FIG8, torus_pd(7)])
-def test_a_bumped_functional_is_refused(text):
-    # +-1 on any one digit of a packed entry v[j], one past the top of the
-    # entry too, is +-t^p on v[j], which puts t^p * d2[j] != 0 into v * d2:
-    # the one packed test of v refuses it before a seeded propagator is
-    # built, whichever s it selects, even s0, whose delta0 the base
-    # propagator has already read off the unbumped v.
+def test_a_bumped_functional_is_refused(text, monkeypatch):
+    # +-1 on any one digit of a packed entry v[j] that the back substitution
+    # returns, one past the top of the entry too, is +-t^p on v[j], which
+    # puts t^p * d2[j] != 0 into v * d2 or moves v[s0] off delta0: the
+    # certificate refuses X where it is made, before any propagator, base or
+    # seeded, is read off it.
     fields = pipeline(text).complex._values()
     cx = ChainComplex(*fields)
-    s0, width, c2 = cx.base_coordinate, cx.forward_elimination[3], cx.c2_dim
+    s0, width = cx.base_coordinate, cx.forward_elimination[3]
     s = next(j for j in range(cx.c1_dim) if cx.d1_row[j] and j != s0)
+    solve = mscomplex.fraction_free_back_substitution
     for j, x in enumerate(cx.functional):
         for p in range(len(x) + 1):
             for c in (1, -1):
-                bumped = ChainComplex(*fields)
-                invariants._base(bumped)
-                bumped.scaled_inverse[c2][j] += c << width * p
-                with pytest.raises(DehnError, match="v\\*d2 = 0"):
-                    invariants._propagator(bumped, s)
+                def bumped(rows, n, j=j, p=p, c=c):
+                    out = solve(rows, n)
+                    out[-1][j] += c << width * p
+                    return out
+                monkeypatch.setattr(mscomplex, "fraction_free_back_substitution", bumped)
+                for selected in (s0, s):
+                    with pytest.raises(DehnError):
+                        invariants._propagator(ChainComplex(*fields), selected)
 
 
 def test_a_seeded_propagator_with_zero_delta_is_refused():
-    # On an exact complex the certified v is a multiple of D1 with v[s0] =
-    # delta0, so v[s] != 0 wherever d1[s] != 0; a v that reads 0 at a
-    # selected s is refused all the same, as delta = 0 is for the base.
+    # On an exact complex the certified v is delta0 * phi, so v[s] != 0
+    # wherever d1[s] != 0; an X that reads 0 at a selected s, set in past
+    # its certificate, is refused all the same, as delta0 = 0 is.
     cx = ChainComplex(*pipeline(FIG8).complex._values())
     s = next(j for j in range(cx.c1_dim) if cx.d1_row[j] and j != cx.base_coordinate)
-    vars(cx)["functional"] = [[] if j == s else x for j, x in enumerate(cx.functional)]
+    x, _ = _inverse(cx)
+    x[-1][s] = 0
+    vars(cx)["scaled_inverse"] = x
     with pytest.raises(DehnError, match="delta = 0"):
         invariants._propagator(cx, s)
 
 
 @pytest.mark.parametrize("text", [TREFOIL, FIG8_KINKED, torus_pd(9)])
 def test_seeded_propagators_make_one_product_test_per_complex(text, monkeypatch):
-    # Ten seeded propagators with their torsion and defect, on a complex
-    # whose reported invariants are read: one more `is_diagonal_product`
-    # call, on the one row v, and no exact division over N0. No seeded
-    # propagator builds its N.
-    run = run_pipeline(text)
-    cx = run.complex
-    rows, divisions = [], []
+    # `compute` makes one packed `is_diagonal_product` test, the certificate
+    # of X on its c1 rows, beside the exactness test d1 * d2 = 0 on
+    # coefficient lists. Ten seeded propagators with their torsion and
+    # defect add no test and no exact division over N0, and none builds its N.
+    calls, divisions = [], []
     test = mscomplex.is_diagonal_product
     monkeypatch.setattr(mscomplex, "is_diagonal_product",
-                        lambda r, m, d, w=0: rows.append(len(r)) or test(r, m, d, w))
-    monkeypatch.setattr(invariants, "is_diagonal_product",
-                        lambda r, m, d, w=0: rows.append(len(r)) or test(r, m, d, w))
+                        lambda r, m, d, w=0: calls.append((len(r), w)) or test(r, m, d, w))
     monkeypatch.setattr(invariants, "_exact_div", lambda a, b: divisions.append(b))
+    run = run_pipeline(text)
+    cx = run.complex
+    assert calls == [(1, 0), (cx.c1_dim, cx.forward_elimination[3])]
+    calls.clear()
     seeded = [build_propagator(cx, pivot_seed=seed) for seed in range(10)]
     for g in seeded:
         torsion(cx, g), defect(cx, g)
-    assert rows == [1] and divisions == []
+    assert calls == [] and divisions == []
     assert len({g.selected for g in seeded}) > 1
     assert all("packed" not in vars(g) for g in seeded if g is not run.propagator)
-    # A seeded request on a fresh complex verifies the base propagator it
-    # rests on first: the exactness test, N0 * d2 = delta0 * I, then v.
+    # A seeded request on a fresh complex makes the same two tests first:
+    # exactness, then the certificate that every propagator rests on.
     fresh = ChainComplex(*cx._values())
-    rows.clear()
     build_propagator(fresh, pivot_seed=next(seed for seed, g in enumerate(seeded)
                                             if g.selected != cx.base_coordinate))
-    assert rows == [1, cx.c2_dim, 1]
+    assert calls == [(1, 0), (cx.c1_dim, cx.forward_elimination[3])]
 
 
 def test_seeded_propagators_leave_no_reference_cycle():
@@ -380,86 +391,87 @@ def _two_crossing_complex():
 
 
 def test_identity_width_one_bit_narrower_would_alias(monkeypatch):
-    # d2 = ((0, 0), (1, 1), (1, -1)) and d1 = (1, 0, 0): exact, s = 0, and
-    # both columns of d2 have 1-norm n = 2, so the packed check keeps c = 2
-    # bits of headroom and bounds every digit of N by 2^j, j = width - 2.
-    # The packed rows h * ((0, 1, 1), (0, 1, -1)), h = 2^(width-1), with
-    # delta = t give N * d2 = 2^width * I = delta * I on the packed
-    # integers. But h unpacks to t - h and -h to -h, so row 0 of N * d2 is
+    # d2 = ((0, 0), (1, 1), (1, -1)) and d1 = (1, 0, 0): exact, s0 = 0, and
+    # both columns of d2 have 1-norm n = 2, the column e_0 of B0 = [d2 |
+    # e_0] 1, so the certificate keeps c = 2 bits of headroom and bounds
+    # every digit of X by 2^j, j = width - 2. The packed rows h * ((0, 1,
+    # 1), (0, 1, -1)), h = 2^(width-1), of N0 with v = (t, 0, 0), so
+    # delta0 = t, give X * B0 = 2^width * I = delta0 * I on the packed
+    # integers. But h unpacks to t - h and -h to -h, so row 0 of N0 * d2 is
     # (2t - 2^width, 0), not (t, 0): the digit -h = -2^(j+1) makes a
     # coefficient 2 * h = 2^width, which the packing cannot tell from 0.
-    # With one bit less headroom, digits up to 2^(j+1), the check accepts
-    # this wrong N; at c bits it refuses it. delta = t passes its own bound,
-    # so only the digit bound sees it.
+    # With one bit less headroom, digits up to 2^(j+1), the certificate
+    # accepts this wrong X; at c bits it refuses it. delta0 = t passes its
+    # own bound, so only the digit bound sees it.
     cx = ChainComplex((((), ()), ((1,), (1,)), ((1,), (-1,))), (1,), ((1,), (), ()),
                       ("c0", "c1"), ("q0", "q1", "q2"))
     g = build_propagator(cx)
-    assert g.selected == 0 and algebra.product_headroom(cx.d2_rows) == 2
+    assert g.selected == 0 and algebra.product_headroom(cx._b0) == 2
     h = 1 << g.width - 1
-    wrong = replaced(g, packed=[[0, h, h], [0, h, -h]], delta=[0, 1])
+    x = [[0, h, h], [0, h, -h], [1 << g.width, 0, 0]]
+    wrong = replaced(g, inverse=x, delta=[0, 1])
     assert wrong.numer == [[[], [-h, 1], [-h, 1]], [[], [-h, 1], [-h]]]
     assert packed_column([[-2 * h, 1], [-2 * h, 1]], g.width, 2) == 0
-    with pytest.raises(DehnError, match="g2\\*d2"):
-        _verify_identities(cx, wrong)
+    with pytest.raises(DehnError, match=CERTIFICATE):
+        _certify_inverse(cx, x)
     monkeypatch.setattr(algebra, "product_headroom", lambda m: 1)
-    _verify_identities(cx, wrong)
+    _certify_inverse(cx, x)
 
 
 def test_identity_width_one_slot_shorter_would_alias():
-    # Column 0 of N * d2 is (1 + t^2, -1), off (delta, 0) by (t^2, -1). N's
-    # longest entry has l = 3 digits and d2's l_m = 1, so each row of the
-    # packed column gets L = 3 digits: t^2 - t^(2*L) at t = 2^width,
-    # nonzero; with one slot fewer the t^2 of row 0 and the -1 of row 1
-    # land on the same power and cancel. The digits are within the bound.
+    # Column 0 of X * B0 is (1 + t^2, -1, 0), off (delta0, 0, 0) by (t^2,
+    # -1, 0). X's longest entry has l = 3 digits and B0's l_m = 1, so each
+    # row of the packed column gets L = 3 digits: t^2 - t^(2*L) at t =
+    # 2^width, nonzero; with one slot fewer the t^2 of row 0 and the -1 of
+    # row 1 land on the same power and cancel. The digits are within the
+    # bound.
     cx = _two_crossing_complex()
     g = build_propagator(cx)
     assert (g.numer, g.delta, g.selected) == ([[[1], [], []], [[], [1], []]], [1], 2)
     w = g.width
-    wrong = replaced(g, packed=[[1 + (1 << 2 * w), 0, 0], [-1, 1, 0]])
+    x = [[1 + (1 << 2 * w), 0, 0], [-1, 1, 0], list(cx.scaled_inverse[-1])]
+    wrong = replaced(g, inverse=x)
     assert wrong.numer == [[[1, 0, 1], [], []], [[-1], [1], []]]
     assert packed_column([[0, 0, 1], [-1]], w, 2) == 0 != packed_column([[0, 0, 1], [-1]], w, 3)
-    with pytest.raises(DehnError, match="g2\\*d2"):
-        _verify_identities(cx, wrong)
+    with pytest.raises(DehnError, match=CERTIFICATE):
+        _certify_inverse(cx, x)
 
 
 def test_verify_identities_checks_the_homotopy_identity():
-    # Adding the row D1 of d1's numerators to row r of N leaves N * d2
-    # unchanged, since d1*d2 = 0, but adds column r of d2 times D1 to d2 * N,
-    # breaking d2*g2 + g1*d1 = id. Only the zero test on column s of N sees
-    # it: D1[s] != 0 lands in that column.
-    run = pipeline(FIG8)
-    cx, g = run.complex, run.propagator
-    packed = [list(row) for row in g.packed]
-    packed[0] = [x + _pack(y, g.width) for x, y in zip(packed[0], cx.d1_row)]
-    with pytest.raises(DehnError, match="d2\\*g2 \\+ g1\\*d1"):
-        _verify_identities(cx, replaced(g, packed=packed))
-
-
-def test_verify_identities_rejects_a_zero_selected_entry_of_d1():
-    # g1 = e_s / d1[s] needs d1[s] != 0, and the zero column demands it: on
-    # the one-crossing complex with s = 0, where D1[0] = 0, e_0 = d2 * 1, so
-    # column 0 of N is N * e_0 = delta, not zero.
-    cx = _one_crossing_complex()
-    g = build_propagator(cx)
-    with pytest.raises(DehnError, match="d2\\*g2 \\+ g1\\*d1"):
-        _verify_identities(cx, replaced(g, selected=0, packed=g.packed))
+    # Adding the row D1 of d1's numerators to row r of N0 leaves N0 * d2
+    # unchanged, since d1*d2 = 0, but adds column r of d2 times D1 to d2 *
+    # N0, breaking d2*g2 + g1*d1 = id. Only the column e_s0 of B0 sees it:
+    # D1[s0] != 0 lands in column s0 of N0. Tested against d2 alone, the
+    # same X passes.
+    cx = pipeline(FIG8).complex
+    x, width = _inverse(cx)
+    x[0] = [a + _pack(y, width) for a, y in zip(x[0], cx.d1_row)]
+    delta0 = _unpack(x[-1][cx.base_coordinate], width)
+    assert algebra.is_diagonal_product(x, cx.d2_rows, delta0, width)
+    with pytest.raises(DehnError, match=CERTIFICATE):
+        _certify_inverse(cx, x)
 
 
 def test_identities_do_not_pin_the_scale_of_delta():
-    # (c * N, c * delta) keeps G2 = N / delta and passes every identity, but
-    # its torsion is wrong by the factor c; the Milnor and Lescop checks
-    # catch it. On the packed rows c * N is c(2^width) times each entry.
+    # (c * X, c * delta0) passes the certificate and keeps G2 = N / delta,
+    # but its torsion is wrong by the factor c; the Milnor and Lescop checks
+    # catch it. On the packed rows c * X is c(2^width) times each entry. A
+    # complex that holds c * X reads the base propagator (c * N0, c *
+    # delta0) off it, and its trace c * num0.
     run = pipeline(FIG8)
     cx, g = run.complex, run.propagator
     c = [1, 1]  # 1 + t
-    wrong = replaced(g, packed=[[x * _pack(c, g.width) for x in row] for row in g.packed],
-                     delta=poly_mul(g.delta, c))
-    assert wrong.numer == [[poly_mul(x, c) for x in row] for row in g.numer]
-    _verify_identities(cx, wrong)
+    x = [[e * _pack(c, g.width) for e in row] for row in cx.scaled_inverse]
+    _certify_inverse(cx, x)
+    scaled = ChainComplex(*cx._values())
+    vars(scaled)["scaled_inverse"] = x
+    wrong = invariants._propagator(scaled, g.selected)
+    assert wrong.delta == poly_mul(g.delta, c)
+    assert wrong.numer == [[poly_mul(e, c) for e in row] for row in g.numer]
     assert wrong.g2 == g.g2
-    tor = torsion(cx, wrong)
+    tor = torsion(scaled, wrong)
     assert tor.raw == run.tor.raw * rf(c)
-    assert defect(cx, wrong).representative == run.d.representative
+    assert defect(scaled, wrong).representative == run.d.representative
     assert check_lescop_relation(run.tor, run.d) and milnor_check(run.tor, run.alexander)
     assert not check_lescop_relation(tor, run.d)
     assert not milnor_check(tor, run.alexander)

@@ -260,9 +260,9 @@ def test_exactness_requires_d1_d2_zero():
     assert check_exactness(cx) == ExactnessReport(False, "d1*d2 != 0")
     with pytest.raises(NotExactError, match="d1\\*d2 != 0"):
         build_propagator(cx)
-    # The propagator's own check rests on this test: on the non-complex the
-    # propagator read off the elimination passes it.
-    invariants._verify_identities(cx, invariants._propagator(cx, cx.base_coordinate))
+    # The certificate of the scaled inverse rests on this test: on the
+    # non-complex, X passes it, and a propagator is read off it.
+    invariants._propagator(cx, cx.base_coordinate)
 
 
 def test_d1_d2_one_bit_narrower_would_alias():
