@@ -156,17 +156,17 @@ def test_verify_identities_rejects_every_unit_perturbation(text):
                         _certify_inverse(cx, wrong)
 
 
-def test_verify_identities_rejects_a_zero_delta():
+@pytest.mark.parametrize("keep_v", [False, True], ids=["delta0", "delta1"])
+def test_verify_identities_rejects_a_zero_delta(keep_v):
     # With X = 0, or N0 = 0 beside the true v with v[s0] = 0, every packed
     # side of X * B0 = delta0 * I reads 0, so the product test would pass;
     # delta0 = v[s0] = 0 is refused first.
     cx = pipeline(FIG8).complex
     x, _ = _inverse(cx)
     v = [0 if j == cx.base_coordinate else e for j, e in enumerate(x[-1])]
-    zero = [[0] * len(row) for row in x[:-1]]
-    for wrong in (zero + [[0] * len(v)], zero + [v]):
-        with pytest.raises(DehnError, match="delta = 0"):
-            _certify_inverse(cx, wrong)
+    wrong = [[0] * len(row) for row in x[:-1]] + [v if keep_v else [0] * len(v)]
+    with pytest.raises(DehnError, match="delta = 0"):
+        _certify_inverse(cx, wrong)
 
 
 # 3_1 # 4_1 # 5_2 # 6_1 spliced at seeded edges, with two Reidemeister-I
