@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from typing import Dict, List, Optional, Tuple
 
 from ._value import Value, _set
@@ -55,10 +56,18 @@ def parse_pd(text: str) -> PDCode:
     text = text.strip()
     if not text:
         raise PDSyntaxError("empty PD text")
+    # CPython (3.11, and 3.10.7 on) converts no integer of more digits than
+    # its limit; where there is none, the label check refuses such a label.
+    # Only a text longer than the limit can hold one.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < len(text):
+        digits = max(map(len, re.findall(r"\d+", text)), default=0)
+        if digits > limit:
+            raise PDSyntaxError(f"PD label of {digits} digits exceeds the limit of {limit} digits")
     if text.startswith("["):
         try:
             data = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
+        except (ValueError, RecursionError) as exc:  # also nested too deep
             raise PDSyntaxError(f"malformed PD bracket syntax: {exc}") from None
         if (not isinstance(data, list) or not data
                 or not all(isinstance(c, list) for c in data)):
@@ -69,10 +78,7 @@ def parse_pd(text: str) -> PDCode:
         leftover = re.sub(r"PD|[\s,\[\]()]", "", _X_FORM.sub("", text))
         if not matches or leftover:
             raise PDSyntaxError("malformed PD X-form syntax")
-        try:
-            tuples = [[int(x) for x in m] for m in matches]
-        except ValueError as exc:  # more digits than int() converts
-            raise PDSyntaxError(f"malformed PD label: {exc}") from None
+        tuples = [[int(x) for x in m] for m in matches]
     crossings = []
     for c in tuples:
         # bool is a subclass of int, but JSON true/false are not labels.

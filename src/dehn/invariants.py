@@ -10,12 +10,12 @@ the first coordinate where d1 is nonzero: its rows N0, then v, certified
 once per complex where they are made. The base propagator, the one that
 selects s0, is N0 over delta0. A pivot seed that selects another
 coordinate s gets the propagator of B_s = [d2 | e_s], a rank-one change
-of B0: it is held as delta = v[s] alone, and its torsion and defect are
-read off v, column s of N0 and two terms built once per complex, never
-off its own N, which is built by the exchange only when read. Torsion is the determinant of the
-square block matrix [d2 | g1] mapping the even chains to C_1; it is well
-defined up to +-t^m, and a canonical representative is obtained by
-stripping that unit.
+of B0: it is held as delta = v[s] alone. Its torsion needs delta alone;
+its defect reads the entries of its N that the trace needs off X, one
+pivot exchange each (`_exchanged`), and N itself is built only when read.
+Torsion is the determinant of the square block matrix [d2 | g1] mapping
+the even chains to C_1; it is well defined up to +-t^m, and a canonical
+representative is obtained by stripping that unit.
 
 Both invariants are held as the computation leaves them, unreduced
 fractions over Z[t] (`TorsionValue`, `DefectValue`). Their comparisons,
@@ -57,9 +57,8 @@ N / delta, d1 = D1 / t^a and g1[s] = 1 / d1[s], the first term is num /
 delta, num = tr(t d2' * N), the sum over the coefficients c_m, m >= 1,
 of the nonzero d2 entries d2[i][j] of m * c_m * t^m * N[j][i]; the second
 is (t D1[s]' - a * D1[s]) / D1[s]. The defect is their difference, one
-fraction over Z[t]. num is computed once per complex, for the base
-propagator (`ChainComplex.base_trace`); a seeded propagator's is read off
-it (`_trace`).
+fraction over Z[t]. num reads N only where d2 has a t-power term, each
+entry exchanged off X (`_trace`), by one path for every propagator.
 """
 
 from __future__ import annotations
@@ -70,8 +69,7 @@ from typing import List, Optional, Tuple
 
 from ._value import Value
 from .algebra import (FieldMatrix, IntPoly, RatFunc, _derivative, _exact_div,
-                      _exact_quotient, _unit_equal, _unit_free, _unpack, poly_add,
-                      poly_mul)
+                      _unit_equal, _unit_free, _unpack, poly_add, poly_mul)
 from .errors import DehnError, NotExactError
 from .mscomplex import ChainComplex, ZPoly, check_exactness
 
@@ -96,8 +94,8 @@ class Propagator(Value):
 
     @cached_property
     def packed(self) -> List[List[int]]:
-        """N, c2_dim x c1_dim, packed: N0 itself when s = s0, else N0
-        exchanged to s.
+        """N, c2_dim x c1_dim, packed: N0 exchanged to s, entry by entry
+        (`_exchanged`).
 
         On an exact complex B0 = [d2 | e_s0] is invertible, and its row r <
         c2 of delta0 * B0^-1 is N0[r], its last row v = delta0 * phi, with
@@ -122,15 +120,11 @@ class Propagator(Value):
         N_s is (v[s] * N0[r][s] - N0[r][s] * v[s]) / delta0 = 0; delta_s !=
         0 is checked when the propagator is built. The certificate's proof
         for s0 then holds for s, word for word. The library builds N_s only
-        when it is read: its torsion needs delta_s alone, its defect the
-        trace that `_trace` reads off the base propagator."""
-        rows, v = self.inverse[:-1], self.inverse[-1]
-        s, s0 = self.selected, self.base
-        if s == s0:
-            return rows
-        vs, v0 = v[s], v[s0]
-        return [[_exact_div(vs * a - row[s] * b, v0) if a or b else 0
-                 for a, b in zip(row, v)] for row in rows]
+        when it is read: its torsion needs delta_s alone, and its defect
+        reads single entries by the same exchange (`_exchanged`)."""
+        x, s0, s = self.inverse, self.base, self.selected
+        return [[_exchanged(x, s0, s, j, i) for i in range(len(x))]
+                for j in range(len(x) - 1)]
 
     @cached_property
     def numer(self) -> List[List[IntPoly]]:
@@ -258,27 +252,29 @@ def defect(cx: ChainComplex, g: Propagator) -> DefectValue:
 
 
 def _trace(cx: ChainComplex, g: Propagator) -> IntPoly:
-    """num = tr(t d2' * N) for g, read off the base propagator: with N =
-    (delta * N0 - N0[.][s] * v) / delta0 and delta = v[s] (see
-    `Propagator.packed`), and tr(t d2' * N0[.][s] * v) = v * t d2' *
-    N0[.][s],
+    """num = tr(t d2' * N) for g: the sum over the coefficients c_m, m >= 1,
+    of the entries d2[i][j] of m * c_m * t^m * N[j][i]. Only the N[j][i]
+    under an entry with a t-power term are read, each by `_exchanged` and
+    unpacked; N itself is never built."""
+    x, width, s0, s = g.inverse, g.width, g.base, g.selected
+    num: IntPoly = []
+    for i, row in enumerate(cx.d2_rows):
+        for j, e in enumerate(row):
+            if len(e) > 1:  # a constant entry has no t-power term
+                n = _unpack(_exchanged(x, s0, s, j, i), width)
+                for m in range(1, len(e)):
+                    num = poly_add(num, n, m * e[m], m)
+    return num
 
-        num = (delta * num0 - sum_j N0[j][s] * w[j]) / delta0,
 
-    num0 = `cx.base_trace` and w = `cx.weights`, column s of N0 and delta0
-    = v[s0] read off g. That is one product per nonzero N0[j][s], and the
-    division is exact, checked. For the base propagator, which selects s0
-    with delta = delta0, column s0 of N0 is zero, so num is num0 itself,
-    and w, which needs v, is not built."""
-    s, width, inverse = g.selected, g.width, g.inverse
-    delta0 = _unpack(inverse[-1][g.base], width)
-    if s == g.base and g.delta == delta0:
-        return cx.base_trace
-    num = poly_mul(g.delta, cx.base_trace)
-    for j, row in enumerate(inverse[:-1]):
-        if row[s]:
-            num = poly_add(num, poly_mul(_unpack(row[s], width), cx.weights[j]), -1)
-    return _exact_quotient(num, delta0)
+def _exchanged(x: List[List[int]], s0: int, s: int, j: int, i: int) -> int:
+    """N_s[j][i] = (v[s] * N0[j][i] - N0[j][s] * v[i]) / v[s0], packed, off
+    the rows N0, then v, of X = `ChainComplex.scaled_inverse`: the pivot
+    exchange of `Propagator.packed`, one entry at a time, its division
+    checked exact. Column s0 of N0 is zero, so for s = s0 it is N0[j][i]."""
+    v = x[-1]
+    a, b = x[j][i], v[i]
+    return _exact_div(v[s] * a - x[j][s] * b, v[s0]) if a or b else 0
 
 
 def _differ_by_integer(p1: IntPoly, q1: IntPoly, p2: IntPoly, q2: IntPoly) -> bool:

@@ -19,8 +19,8 @@ im(d2) with phi(e_s0) = 1. One packed product test, X * B0 = delta0 *
 I, certifies X where it is made (`_certify_inverse`), and every
 propagator, whatever its pivot seed, is read off it
 (`invariants.build_propagator`): the base one as N0 over delta0, a
-seeded one by a rank-one change, whose defect reads two trace terms
-built once per complex (`base_trace`, `weights`). The back
+seeded one by a rank-one change. The complex keeps nothing for the
+defect, which each propagator reads off X itself. The back
 substitution's divisions are exact and its values are minors of [B0 |
 I], so the elimination's proved width holds for them
 (`algebra.fraction_free_back_substitution`). That report, d1 * d2 = 0
@@ -31,7 +31,6 @@ on it.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 from ._value import Value
@@ -129,45 +128,6 @@ class ChainComplex(Value):
         x = fraction_free_back_substitution(self.forward_elimination[0], self.c1_dim)
         _certify_inverse(self, x)
         return x
-
-    @cached_property
-    def functional(self) -> List[IntPoly]:
-        """v = delta0 * phi over Z[t], the last row of `scaled_inverse`,
-        unpacked. Read only for a seeded propagator's defect (`weights`)."""
-        width = self.forward_elimination[3]
-        return [_unpack(x, width) for x in self.scaled_inverse[-1]]
-
-    @cached_property
-    def base_trace(self) -> IntPoly:
-        """num0 = tr(t d2' * N0) over Z[t], N0 all rows of `scaled_inverse`
-        but the last: the sum over the coefficients c_m, m >= 1, of the
-        nonzero entries d2[i][j] of m * c_m * t^m * N0[j][i]. Only those
-        N0[j][i] are unpacked. The base propagator's defect numerator, off
-        which every seeded one's is read (`invariants._trace`)."""
-        num: IntPoly = []
-        rows, width = self.scaled_inverse, self.forward_elimination[3]
-        for i, row in enumerate(self.d2_rows):
-            for j, x in compress(enumerate(row), row):
-                if len(x) < 2:
-                    continue  # a constant entry has no t-power term
-                n = _unpack(rows[j][i], width)
-                for m in range(1, len(x)):
-                    num = poly_add(num, n, m * x[m], m)
-        return num
-
-    @cached_property
-    def weights(self) -> List[IntPoly]:
-        """w = v * t d2' over Z[t], v = `functional`: w[j] is the sum over
-        the nonzero d2[i][j] and their coefficients c_m, m >= 1, of m * c_m
-        * t^m * v[i]. Read only for a seeded propagator's defect
-        (`invariants._trace`)."""
-        w: List[IntPoly] = [[] for _ in range(self.c2_dim)]
-        for vi, row in zip(self.functional, self.d2_rows):
-            if vi:
-                for j, x in compress(enumerate(row), row):
-                    for m in range(1, len(x)):
-                        w[j] = poly_add(w[j], vi, m * x[m], m)
-        return w
 
     @cached_property
     def propagators(self) -> Dict[int, object]:

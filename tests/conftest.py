@@ -347,8 +347,8 @@ def satisfies_identities(cx, g):
 def materialized_invariants(cx, g):
     """The torsion and defect pairs of g read off its own N, unpacked in
     full: sign * delta * d1_den over D1[s], and the trace sum over every
-    entry of t d2' * N, as the library read every propagator before a
-    seeded one was read off the base propagator by a rank-one change."""
+    entry of t d2' * N: the reference for the library's trace, which reads
+    only the entries of N under the t-power entries of d2."""
     s, num = g.selected, []
     for i, row in enumerate(cx.d2_rows):
         for j, x in enumerate(row):

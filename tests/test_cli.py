@@ -18,6 +18,7 @@ from dehn.algebra import poly_add
 from dehn.cli import _worker_count, main
 from dehn.dehngraph import build_d1, build_d2, build_dehn_graph, export_dot
 from dehn.diagram import build_diagram, parse_pd
+from dehn.invariants import DefectValue
 
 
 def run_cli(capsys, *argv):
@@ -161,26 +162,25 @@ def test_a_failing_check_exits_1(capsys, monkeypatch):
 @pytest.mark.parametrize("field", ["delta", "numer"])
 def test_a_disagreeing_seed_fails_check(capsys, monkeypatch, field):
     # Every seeded propagator comes back with delta doubled, which doubles
-    # its torsion; or the trace numerator num0 that every seeded defect is
-    # read off, the base propagator's, is moved by t * delta0 once, which
-    # moves each seeded defect by t, not an integer. The reported
-    # propagator and its invariants are built by the pipeline first and
-    # left alone. Only seed_independence fails.
+    # its torsion; or every seeded defect comes back with t added to its
+    # numerator over its denominator, which moves it by t, not an integer.
+    # The reported propagator and its invariants are built by the pipeline
+    # first and left alone. Only seed_independence fails.
     import dehn.cli
-    build = dehn.cli.build_propagator
-    moved = set()
+    build, read_defect = dehn.cli.build_propagator, dehn.cli.defect
 
     def doubled(cx, pivot_seed=None):
         g = build(cx, pivot_seed=pivot_seed)
-        if field == "delta":
-            return replaced(g, delta=[2 * c for c in g.delta])
-        if id(cx) not in moved:
-            delta0 = cx.propagators[cx.base_coordinate].delta
-            vars(cx)["base_trace"] = poly_add(cx.base_trace, delta0, shift=1)
-            moved.add(id(cx))
-        return g
+        return replaced(g, delta=[2 * c for c in g.delta])
 
-    monkeypatch.setattr(dehn.cli, "build_propagator", doubled)
+    def moved(cx, g):
+        d = read_defect(cx, g)
+        return DefectValue(tuple(poly_add(d.num, d.den, shift=1)), d.den)
+
+    if field == "delta":
+        monkeypatch.setattr(dehn.cli, "build_propagator", doubled)
+    else:
+        monkeypatch.setattr(dehn.cli, "defect", moved)
     code, out, _ = run_cli(capsys, "check", "--pd", TREFOIL, "--seeds", "10", "--format", "json")
     checks = json.loads(out)["checks"]
     assert code == 1 and checks.pop("seed_independence") is False
@@ -295,12 +295,19 @@ def test_deep_nesting_and_huge_labels_are_pd_errors(capsys, command, text):
     # Nesting past the recursion limit of json.loads, and a label with more
     # digits than int() converts, are syntax errors: exit 2, one JSON line
     # on stderr, no traceback. On an interpreter whose int() has no such
-    # limit (3.10) the huge label parses, and the label check refuses it.
+    # limit (before 3.10.7) the huge label parses, and the label check
+    # refuses it. The message is the program's own: it names the label's
+    # digit count and the limit, not the interpreter's advice on raising it.
     code, out, err = run_cli(capsys, command, "--pd", text)
     assert code == 2 and out == ""
     limited = hasattr(sys, "get_int_max_str_digits")
     want = "PDSyntaxError" if text.startswith("[[[") or limited else "PDLabelError"
-    assert json.loads(err)["error"]["type"] == want
+    error = json.loads(err)["error"]
+    assert error["type"] == want
+    assert "set_int_max_str_digits" not in err
+    if limited and _HUGE_LABEL in text:
+        assert error["message"] == (f"PD label of {len(_HUGE_LABEL)} digits exceeds "
+                                    f"the limit of {sys.get_int_max_str_digits()} digits")
 
 
 def test_missing_file_is_a_config_error(tmp_path, capsys):

@@ -17,13 +17,20 @@ selected coordinate was still a one-element tuple, the key `check` dedups
 its seeds by.
 
 tests/data/compute_scale_v1.jsonl holds `json.dumps(compute_result(pd))` for
-every knot of SCALE_KNOTS, one line each, in order: T(2,31), T(2,51) and a
-48-crossing composite, past the sizes of the other files. It was written
-while the propagator was still read off a Gauss-Jordan elimination of
-[d2 | I]. The composite's PD text was made once by the benchmark's
-composite recipe (perfbench/families.py, rng = random.Random(7)): the
-summands 5_2, 6_1, 4_1, 3_1, 5_1, 6_1, 5_2, 4_1 spliced in at seeded edges,
-then ten seeded Reidemeister-I kinks.
+every knot of SCALE_KNOTS, one line each, in order: T(2,31), T(2,51), a
+48-crossing and a 98-crossing composite, past the sizes of the other files.
+Its first three lines were written while the propagator was still read off
+a Gauss-Jordan elimination of [d2 | I], the fourth while seeded
+propagators' defects were read off the base one by a rank-one identity.
+The composites' PD texts were made once by the benchmark's composite
+recipe (perfbench/families.py, rng = random.Random(7)): the summands 5_2,
+6_1, 4_1, 3_1, 5_1, 6_1, 5_2, 4_1 spliced in at seeded edges, then ten
+seeded Reidemeister-I kinks; for the 98-crossing one, those eight and then
+6_1, 5_2, 5_1, 6_1, 4_1, 3_1, 5_2, 6_1, then twenty kinks.
+
+tests/data/check_scale_v1.jsonl holds, for the 98-crossing composite, the
+JSON that `dehn check --seeds 12 --format json --pd <pd>` prints, re-dumped
+on one line by `json.dumps`, written with the fourth line above.
 """
 
 import contextlib
@@ -54,7 +61,31 @@ COMPOSITE_48 = (
     "[79,74,80,75],[63,76,64,77],[75,64,76,65],[65,78,66,79],[68,74,69,73],[72,70,73,69],"
     "[70,67,71,68],[66,71,67,72],[37,38,38,39],[6,7,7,8],[16,17,17,18],[48,49,49,50],"
     "[59,60,60,61],[41,42,42,43],[3,4,4,5],[10,11,11,12],[82,83,83,84],[1,2,2,3]]")
-SCALE_KNOTS = [("T2_31", torus_pd(31)), ("T2_51", torus_pd(51)), ("composite_48", COMPOSITE_48)]
+COMPOSITE_98 = (
+    "[[162,165,163,166],[164,159,165,160],[166,161,167,162],[160,127,161,128],"
+    "[158,163,159,164],[179,168,180,169],[173,176,174,177],[167,175,168,174],"
+    "[175,21,176,20],[171,178,172,179],[177,172,178,173],[120,22,121,21],[124,122,125,121],"
+    "[122,81,123,82],[22,123,23,124],[67,70,68,71],[69,66,70,67],[65,68,66,69],"
+    "[76,71,77,72],[78,73,79,74],[80,75,81,76],[72,77,73,78],[74,79,75,80],"
+    "[180,189,181,190],[194,3,195,4],[188,196,189,195],[196,182,1,181],[190,19,191,20],"
+    "[4,193,5,194],[117,82,118,83],[119,114,120,115],[85,116,86,117],[115,88,116,89],"
+    "[89,118,90,119],[96,114,97,113],[112,98,113,97],[98,91,99,92],[90,111,91,112],"
+    "[29,62,30,63],[23,26,24,27],[43,25,44,24],[25,31,26,30],[63,28,64,29],[27,64,28,65],"
+    "[40,33,41,34],[42,37,43,38],[34,39,35,40],[38,35,39,36],[36,41,37,42],[48,59,49,60],"
+    "[56,61,57,62],[58,45,59,46],[60,49,61,50],[44,57,45,58],[128,133,129,134],"
+    "[152,155,153,156],[132,154,133,153],[154,132,155,131],[134,157,135,158],"
+    "[156,135,157,136],[105,111,106,110],[109,107,110,106],[107,100,108,101],"
+    "[99,108,100,109],[183,186,184,187],[185,182,186,183],[187,184,188,185],[8,11,9,12],"
+    "[10,15,11,16],[12,5,13,6],[16,13,17,14],[14,9,15,10],[136,139,137,140],"
+    "[146,149,147,150],[138,148,139,147],[148,138,149,137],[140,151,141,152],"
+    "[150,141,151,142],[6,7,7,8],[17,18,18,19],[191,192,192,193],[31,32,32,33],"
+    "[125,126,126,127],[46,47,47,48],[92,95,93,96],[50,51,51,52],[86,87,87,88],"
+    "[52,53,53,54],[142,145,143,146],[101,104,102,105],[93,94,94,95],[143,144,144,145],"
+    "[169,170,170,171],[129,130,130,131],[83,84,84,85],[54,55,55,56],[102,103,103,104],"
+    "[1,2,2,3]]")
+SCALE_KNOTS = [("T2_31", torus_pd(31)), ("T2_51", torus_pd(51)), ("composite_48", COMPOSITE_48),
+               ("composite_98", COMPOSITE_98)]
+CHECK_SCALE_GOLDEN = Path(__file__).parent / "data" / "check_scale_v1.jsonl"
 CASES = [(name, pd, seed) for name, pd in KNOTS for seed in SEEDS]
 
 
@@ -87,13 +118,18 @@ def test_check_golden_file_has_one_line_per_knot():
     assert len(golden_lines(CHECK_GOLDEN)) == len(KNOTS)
 
 
-@pytest.mark.parametrize("index", range(len(KNOTS)), ids=[name for name, _ in KNOTS])
-def test_check_json_matches_golden(index):
-    _, pd = KNOTS[index]
+def check_json(pd):
+    """The JSON that `dehn check --seeds 12 --format json` prints, on one line."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["check", "--seeds", "12", "--format", "json", "--pd", pd]) == 0
-    assert json.dumps(json.loads(out.getvalue())) == golden_lines(CHECK_GOLDEN)[index]
+    return json.dumps(json.loads(out.getvalue()))
+
+
+@pytest.mark.parametrize("index", range(len(KNOTS)), ids=[name for name, _ in KNOTS])
+def test_check_json_matches_golden(index):
+    _, pd = KNOTS[index]
+    assert check_json(pd) == golden_lines(CHECK_GOLDEN)[index]
 
 
 def test_scale_golden_file_has_one_line_per_knot():
@@ -104,3 +140,7 @@ def test_scale_golden_file_has_one_line_per_knot():
 def test_compute_json_matches_golden_at_scale(index):
     _, pd = SCALE_KNOTS[index]
     assert json.dumps(compute_result(pd)) == golden_lines(SCALE_GOLDEN)[index]
+
+
+def test_check_json_matches_golden_at_scale():
+    assert golden_lines(CHECK_SCALE_GOLDEN) == [check_json(COMPOSITE_98)]

@@ -218,9 +218,10 @@ def _t_derivative(p):
 @pytest.mark.parametrize("name", sorted(_RANK_ONE_KNOTS))
 def test_rank_one_read_matches_the_materialized_exchange(name):
     # Under every outer region, for every coordinate s with d1[s] != 0, the
-    # torsion and defect read off delta_s = v[s] and the base propagator
-    # are the pairs read off N_s itself, built by the exchange and unpacked
-    # in full; that N_s passes the propagator check. The torsion and the
+    # torsion read off delta_s = v[s] and the defect read off the entries
+    # of N_s under the t-power entries of d2, each exchanged off X, are the
+    # pairs read off N_s itself, built by the exchange and unpacked in
+    # full; that N_s passes the propagator check. The torsion and the
     # defect never build it.
     text = _RANK_ONE_KNOTS[name]
     for region in _regions(text):
@@ -228,7 +229,7 @@ def test_rank_one_read_matches_the_materialized_exchange(name):
         for s in (j for j in range(cx.c1_dim) if cx.d1_row[j]):
             g = invariants._propagator(cx, s)
             tor, d = torsion(cx, g), defect(cx, g)
-            assert "packed" not in vars(g) or s == cx.base_coordinate, (region, s)
+            assert "packed" not in vars(g), (region, s)
             assert (tor, d) == materialized_invariants(cx, g), (region, s)
             assert satisfies_identities(cx, g), (region, s)
 
@@ -273,8 +274,8 @@ def test_a_bumped_functional_is_refused(text, monkeypatch):
     s0, width = cx.base_coordinate, cx.forward_elimination[3]
     s = next(j for j in range(cx.c1_dim) if cx.d1_row[j] and j != s0)
     solve = mscomplex.fraction_free_back_substitution
-    for j, x in enumerate(cx.functional):
-        for p in range(len(x) + 1):
+    for j, entry in enumerate(cx.scaled_inverse[-1]):
+        for p in range(len(_unpack(entry, width)) + 1):
             for c in (1, -1):
                 def bumped(rows, n, j=j, p=p, c=c):
                     out = solve(rows, n)
@@ -304,22 +305,30 @@ def test_seeded_propagators_make_one_product_test_per_complex(text, monkeypatch)
     # `compute` makes one packed `is_diagonal_product` test, the certificate
     # of X on its c1 rows, beside the exactness test d1 * d2 = 0 on
     # coefficient lists. Ten seeded propagators with their torsion and
-    # defect add no test and no exact division over N0, and none builds its N.
+    # defect add no test, and none builds its N: a seeded defect reads one
+    # exchanged entry, one exact division, per t-power entry of d2, and
+    # the torsion none.
     calls, divisions = [], []
-    test = mscomplex.is_diagonal_product
+    test, divide = mscomplex.is_diagonal_product, invariants._exact_div
     monkeypatch.setattr(mscomplex, "is_diagonal_product",
                         lambda r, m, d, w=0: calls.append((len(r), w)) or test(r, m, d, w))
-    monkeypatch.setattr(invariants, "_exact_div", lambda a, b: divisions.append(b))
+    monkeypatch.setattr(invariants, "_exact_div",
+                        lambda a, b: divisions.append(b) or divide(a, b))
     run = run_pipeline(text)
     cx = run.complex
     assert calls == [(1, 0), (cx.c1_dim, cx.forward_elimination[3])]
     calls.clear()
+    entries = sum(len(e) > 1 for row in cx.d2_rows for e in row)
     seeded = [build_propagator(cx, pivot_seed=seed) for seed in range(10)]
     for g in seeded:
-        torsion(cx, g), defect(cx, g)
-    assert calls == [] and divisions == []
+        divisions.clear()
+        torsion(cx, g)
+        assert divisions == []
+        defect(cx, g)
+        assert 0 < len(divisions) <= entries
+    assert calls == []
     assert len({g.selected for g in seeded}) > 1
-    assert all("packed" not in vars(g) for g in seeded if g is not run.propagator)
+    assert all("packed" not in vars(g) for g in seeded)
     # A seeded request on a fresh complex makes the same two tests first:
     # exactness, then the certificate that every propagator rests on.
     fresh = ChainComplex(*cx._values())
