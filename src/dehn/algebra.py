@@ -1,10 +1,10 @@
-"""Exact arithmetic in Q and Q(t), dense matrices over Q(t), and a small
-kernel for polynomials and matrices over Z[t].
+"""Values in Q(t), dense matrices over Q(t), and a small kernel for
+polynomials and matrices over Z[t].
 
-A `RatFunc` is a pair of integer polynomials in a unique reduced form, and
-its arithmetic is the kernel's: `poly_mul`, `poly_add` and the gcd
-`zpoly_gcd`, the primitive remainder sequence, with the cofactors taken by
-exact division. Every elimination runs in the kernel too, through the one
+A `RatFunc` is a value with no arithmetic: a pair of integer polynomials
+in a unique reduced form, which its constructor makes with the kernel's gcd
+`zpoly_gcd`, the primitive remainder sequence, the cofactors taken by exact
+division. Every elimination runs in the kernel, through the one
 forward fraction-free loop `fraction_free_elimination` over Z[t], at a
 packing width proved by a Hadamard-type bound: on a complex's
 [d2 | e_s | I], whose pivots give the exactness rank and whose rows
@@ -16,11 +16,12 @@ rows * m = delta * I over Z[t] at a proved packing width, with delta = []
 for a zero product, on coefficient lists or on packed rows, whose digits
 it bounds first; no product is ever unpacked.
 `FieldMatrix`, a dense matrix over Q(t), is the form a propagator's G2 is
-shown in; its reduced form and determinant write each row over one
-denominator and call the same loop, and the reduced form the back
-substitution after it. `Polynomial`, with coefficients in Q,
-is a read-only view with no arithmetic: the monic-denominator display form
-of a `RatFunc`'s parts and of the Fox oracle's Alexander polynomial.
+shown in; its product, reduced form and determinant write each row over
+one denominator and run over Z[t], the last two through the same loop and
+the reduced form through the back substitution after it. `Polynomial`,
+with coefficients in Q, is a read-only view with no arithmetic: the
+monic-denominator display form of a `RatFunc`'s parts and of the Fox
+oracle's Alexander polynomial.
 
 Everything here is immutable and pure: `Polynomial`, `RatFunc` and
 `FieldMatrix` are `dehn._value.Value`s, whose constructors trim, reduce or
@@ -53,8 +54,8 @@ def _coerce(c: Coeffish) -> Fraction:
 
 class Polynomial(Value):
     """Univariate polynomial over Q, coefficients stored constant-term first:
-    a read-only view for display and evaluation. All arithmetic runs on
-    `RatFunc` and the Z[t] kernel.
+    a read-only view for display, with no arithmetic; the library computes
+    in the Z[t] kernel.
 
     The zero polynomial is the empty coefficient tuple; otherwise the leading
     coefficient is nonzero.
@@ -77,13 +78,6 @@ class Polynomial(Value):
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __call__(self, x: Coeffish) -> Fraction:
-        x = _coerce(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     # -- display ------------------------------------------------------
 
@@ -125,8 +119,8 @@ class RatFunc(Value):
     denominator, the form of the schema-v1 JSON strings.
 
     `RatFunc(num, den)` takes Polynomials, rational constants or sequences of
-    int and Fraction coefficients (trailing zeros allowed); every value,
-    arithmetic results included, is reduced here by `zpoly_gcd`.
+    int and Fraction coefficients (trailing zeros allowed), reduced here by
+    `zpoly_gcd`. It has no arithmetic: the library computes over Z[t].
     """
 
     znum: Tuple[int, ...]
@@ -156,16 +150,6 @@ class RatFunc(Value):
         _set(out, "zden", tuple(zden))
         return out
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "RatFunc":
-        return _ZERO
-
-    @classmethod
-    def one(cls) -> "RatFunc":
-        return _ONE
-
     # -- parts over Q -------------------------------------------------
 
     @property
@@ -184,42 +168,6 @@ class RatFunc(Value):
 
     def is_zero(self) -> bool:
         return not self.znum
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __neg__(self) -> "RatFunc":
-        # (-znum, zden) keeps joint content 1 and the denominator's sign, so
-        # it is already the reduced form.
-        return RatFunc._reduced([-c for c in self.znum], self.zden)
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(poly_add(poly_mul(self.znum, other.zden),
-                                poly_mul(other.znum, self.zden)),
-                       poly_mul(self.zden, other.zden))
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return self + (-other)
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(poly_mul(self.znum, other.znum), poly_mul(self.zden, other.zden))
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(poly_mul(self.znum, other.zden), poly_mul(self.zden, other.znum))
-
-    def derivative(self) -> "RatFunc":
-        """Quotient-rule derivative, in canonical form."""
-        num, den = self.znum, self.zden
-        return RatFunc(poly_add(poly_mul(_derivative(num), den),
-                                poly_mul(num, _derivative(den)), -1),
-                       poly_mul(den, den))
-
-    def __call__(self, x: Coeffish) -> Fraction:
-        d = self.den(x)
-        if d == 0:
-            raise ZeroDivisionError(f"{self} has a pole at t={x}")
-        return self.num(x) / d
 
     # -- display / serialization --------------------------------------
 
@@ -333,26 +281,26 @@ class FieldMatrix(Value):
             ", ".join(str(e) for e in self.row(i)) for i in range(self.rows)
         ) + "]"
 
-    # -- arithmetic and elimination -------------------------------------
+    # -- product and elimination ----------------------------------------
     #
     # No library path calls `__matmul__`, `rref` or `det`; they stay because
     # perfbench keys its algebra.matmul/rref/det metrics on these methods.
 
     def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
+        """Over Z[t]: with row i of self rows[i] / lam[i] and column j of
+        other col / mu, entry (i, j) is rows[i] . col / (lam[i] * mu)."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        zero = RatFunc.zero()
+        lam, rows = self.cleared_rows()
+        columns = [common_denominator(other.entries[j::other.cols]) for j in range(other.cols)]
         out = []
-        for i in range(self.rows):
-            srow = self.row(i)
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = srow[k]
-                    if a.is_zero():
-                        continue
-                    acc = acc + a * other.entry(k, j)
-                out.append(acc)
+        for den, row in zip(lam, rows):
+            for mu, col in columns:
+                acc: IntPoly = []
+                for a, b in zip(row, col):
+                    if a and b:
+                        acc = poly_add(acc, poly_mul(a, b))
+                out.append(RatFunc(acc, poly_mul(den, mu)))
         return FieldMatrix(self.rows, other.cols, out)
 
     def cleared_rows(self) -> Tuple[List[IntPoly], List[List[IntPoly]]]:
@@ -379,9 +327,9 @@ class FieldMatrix(Value):
         x = fraction_free_back_substitution(
             [[row[j] for j in pivots + free] for row in reduced[:rank]], rank)
         delta = _unpack(reduced[rank - 1][pivots[-1]], k) if rank else [1]
-        out = [[RatFunc.zero()] * self.cols for _ in range(self.rows)]
+        out = [[RatFunc(())] * self.cols for _ in range(self.rows)]
         for i, p in enumerate(pivots):
-            out[i][p] = RatFunc.one()
+            out[i][p] = RatFunc((1,))
             for j, v in zip(free, x[i]):
                 out[i][j] = RatFunc(_unpack(v, k), delta)
         return FieldMatrix(self.rows, self.cols, chain.from_iterable(out)), pivots, rank
@@ -395,7 +343,7 @@ class FieldMatrix(Value):
         lam, rows = self.cleared_rows()
         reduced, pivots, sign, k = fraction_free_elimination(rows)
         if len(pivots) < self.rows:
-            return RatFunc.zero()
+            return RatFunc(())
         delta = _unpack(reduced[-1][pivots[-1]], k) if pivots else [1]
         den = [1]
         for d in lam:
@@ -822,8 +770,3 @@ def common_denominator(entries: Sequence[RatFunc]) -> Tuple[IntPoly, List[IntPol
         cofactors[d] = _exact_quotient(den, d)
     return den, [poly_mul(e.znum, cofactors[e.zden]) for e in entries]
 
-
-# Shared by RatFunc.zero() and RatFunc.one(); made last, since the
-# constructor needs the kernel above.
-_ZERO = RatFunc(())
-_ONE = RatFunc((1,))

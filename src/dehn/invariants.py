@@ -274,7 +274,11 @@ def _exchanged(x: List[List[int]], s0: int, s: int, j: int, i: int) -> int:
     checked exact. Column s0 of N0 is zero, so for s = s0 it is N0[j][i]."""
     v = x[-1]
     a, b = x[j][i], v[i]
-    return _exact_div(v[s] * a - x[j][s] * b, v[s0]) if a or b else 0
+    try:
+        return _exact_div(v[s] * a - x[j][s] * b, v[s0]) if a or b else 0
+    except ArithmeticError:
+        raise ArithmeticError(f"inexact division in the pivot exchange to s = {s}: "
+                              f"entry N_s[{j}][{i}]") from None
 
 
 def _differ_by_integer(p1: IntPoly, q1: IntPoly, p2: IntPoly, q2: IntPoly) -> bool:

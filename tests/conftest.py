@@ -98,7 +98,7 @@ def qt_d1(cx) -> FieldMatrix:
 def qt_g1(cx, g) -> FieldMatrix:
     """G1 as a c1_dim x 1 matrix over Q(t): 1/d1[s] on the row of the
     selected coordinate s, zero elsewhere."""
-    entries = [RatFunc.zero()] * cx.c1_dim
+    entries = [RatFunc(0)] * cx.c1_dim
     s = g.selected
     entries[s] = RatFunc(cx.d1_den, cx.d1_row[s])
     return FieldMatrix(cx.c1_dim, 1, entries)
@@ -162,18 +162,18 @@ def from_rows(rows) -> FieldMatrix:
 
 
 def identity(n: int) -> FieldMatrix:
-    one, zero = RatFunc.one(), RatFunc.zero()
+    one, zero = RatFunc(1), RatFunc(0)
     return FieldMatrix(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
 
 
 def zeros(rows: int, cols: int) -> FieldMatrix:
-    return FieldMatrix(rows, cols, [RatFunc.zero()] * (rows * cols))
+    return FieldMatrix(rows, cols, [RatFunc(0)] * (rows * cols))
 
 
 def mat_add(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError("shape mismatch in matrix addition")
-    return FieldMatrix(a.rows, a.cols, [x + y for x, y in zip(a.entries, b.entries)])
+    return FieldMatrix(a.rows, a.cols, [qt_add(x, y) for x, y in zip(a.entries, b.entries)])
 
 
 def submatrix(m: FieldMatrix, row_idx, col_idx) -> FieldMatrix:
@@ -188,9 +188,9 @@ def qt_product(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     out = []
     for i in range(a.rows):
         for j in range(b.cols):
-            acc = RatFunc.zero()
+            acc = RatFunc(0)
             for k in range(a.cols):
-                acc = acc + a.entry(i, k) * b.entry(k, j)
+                acc = qt_add(acc, qt_mul(a.entry(i, k), b.entry(k, j)))
             out.append(acc)
     return FieldMatrix(a.rows, b.cols, out)
 
@@ -204,7 +204,7 @@ def mat(rows) -> FieldMatrix:
 
 
 def scaled(matrix: FieldMatrix, c: RatFunc) -> FieldMatrix:
-    return FieldMatrix(matrix.rows, matrix.cols, [c * a for a in matrix.entries])
+    return FieldMatrix(matrix.rows, matrix.cols, [qt_mul(c, a) for a in matrix.entries])
 
 
 def transposed(matrix: FieldMatrix) -> FieldMatrix:
@@ -413,6 +413,69 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return q_monic(a)
 
 
+def q_derivative(p: Polynomial) -> Polynomial:
+    return Polynomial(i * c for i, c in enumerate(p.coeffs) if i)
+
+
+def q_eval(p: Polynomial, x) -> Fraction:
+    """p(x) by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+# -- the field Q(t) --------------------------------------------------------------
+#
+# `RatFunc` is a value with no arithmetic. These are the field operations the
+# tests compute with, on the monic-denominator parts `num` and `den` by the
+# Q[t] reference above, each result reduced once by the constructor: so the
+# references the kernel is checked against never run on its `poly_mul` or
+# `poly_add`.
+
+
+def qt_add(a: RatFunc, b: RatFunc) -> RatFunc:
+    if a.is_zero() or b.is_zero():
+        return b if a.is_zero() else a
+    (an, ad), (bn, bd) = (a.num, a.den), (b.num, b.den)
+    return RatFunc(q_add(q_mul(an, bd), q_mul(bn, ad)), q_mul(ad, bd))
+
+
+def qt_neg(a: RatFunc) -> RatFunc:
+    return RatFunc(q_add(Polynomial(), a.num, -1), a.den)
+
+
+def qt_sub(a: RatFunc, b: RatFunc) -> RatFunc:
+    return qt_add(a, qt_neg(b))
+
+
+def qt_mul(a: RatFunc, b: RatFunc) -> RatFunc:
+    if a.is_zero() or b.is_zero():
+        return RatFunc(0)
+    return RatFunc(q_mul(a.num, b.num), q_mul(a.den, b.den))
+
+
+def qt_div(a: RatFunc, b: RatFunc) -> RatFunc:
+    if b.is_zero():
+        raise ZeroDivisionError("division by the zero rational function")
+    return RatFunc(q_mul(a.num, b.den), q_mul(a.den, b.num))
+
+
+def qt_derivative(f: RatFunc) -> RatFunc:
+    """(num' * den - num * den') / den^2, the quotient rule."""
+    num, den = f.num, f.den
+    return RatFunc(q_add(q_mul(q_derivative(num), den), q_mul(num, q_derivative(den)), -1),
+                   q_mul(den, den))
+
+
+def qt_eval(f: RatFunc, x) -> Fraction:
+    """f(x) for a rational x; ZeroDivisionError at a pole."""
+    d = q_eval(f.den, x)
+    if d == 0:
+        raise ZeroDivisionError(f"{f} has a pole at t={x}")
+    return q_eval(f.num, x) / d
+
+
 def qt_rref(matrix: FieldMatrix):
     """Reference reduced row echelon form by Gauss-Jordan elimination over
     Q(t), independent of the Z[t] kernel behind `FieldMatrix.rref`.
@@ -434,15 +497,15 @@ def qt_rref(matrix: FieldMatrix):
         if pivot_row is None:
             continue
         m[pr], m[pivot_row] = m[pivot_row], m[pr]
-        inv = RatFunc.one() / m[pr][pc]
-        m[pr] = [inv * e for e in m[pr]]
+        inv = qt_div(RatFunc(1), m[pr][pc])
+        m[pr] = [qt_mul(inv, e) for e in m[pr]]
         for r in range(nrows):
             if r == pr:
                 continue
             f = m[r][pc]
             if f.is_zero():
                 continue
-            m[r] = [a - f * b for a, b in zip(m[r], m[pr])]
+            m[r] = [qt_sub(a, qt_mul(f, b)) for a, b in zip(m[r], m[pr])]
         pivots.append(pc)
         pr += 1
         if pr == nrows:
@@ -467,10 +530,10 @@ def qt_image(term) -> RatFunc:
     canonical form, independent of the exponent sum behind
     `Representation.exponent`."""
     t = t_power(1)
-    out = RatFunc.one()
+    out = RatFunc(1)
     for _, exp in term.word:
-        out = out * t if exp == 1 else out / t
-    return out if term.sign == 1 else -out
+        out = qt_mul(out, t) if exp == 1 else qt_div(out, t)
+    return out if term.sign == 1 else qt_neg(out)
 
 
 def qt_complex(graph):
@@ -480,14 +543,14 @@ def qt_complex(graph):
     follow the graph's vertex order, as the complex's bases do."""
     c2 = [v.id for v in graph.vertices if v.index == 2]
     c1 = [v.id for v in graph.vertices if v.index == 1]
-    d2 = [[RatFunc.zero()] * len(c2) for _ in c1]
-    d1 = [[RatFunc.zero()] * len(c1)]
+    d2 = [[RatFunc(0)] * len(c2) for _ in c1]
+    d1 = [[RatFunc(0)] * len(c1)]
     for e in graph.edges:
         if e.target == BASEPOINT:
             row, j = d1[0], c1.index(e.source)
         else:
             row, j = d2[c1.index(e.target)], c2.index(e.source)
-        row[j] = row[j] + qt_image(e.label)
+        row[j] = qt_add(row[j], qt_image(e.label))
     return from_rows(d2), from_rows(d1)
 
 
@@ -495,17 +558,17 @@ def qt_fox_derivative(word, gen) -> RatFunc:
     """Reference abelianized Fox derivative: one t-power added at a time in
     Q(t), each partial sum in canonical form, independent of the single
     Laurent polynomial behind `fox_alexander`."""
-    result = RatFunc.zero()
+    result = RatFunc(0)
     power = 0
     for g, e in word:
         if e == 1:
             if g == gen:
-                result = result + t_power(power)
+                result = qt_add(result, t_power(power))
             power += 1
         else:
             power -= 1
             if g == gen:
-                result = result - t_power(power)
+                result = qt_sub(result, t_power(power))
     return result
 
 
@@ -529,11 +592,11 @@ def defect_terms(graph, cx, g):
         else:
             entry = g.g2.entry(c2(e.source), c1(e.target))
             level_sign = 1
-        value = coeff * entry
+        value = qt_mul(coeff, entry)
         if degree != 1:
-            value = value * RatFunc(degree)
+            value = qt_mul(value, RatFunc(degree))
         if level_sign < 0:
-            value = -value
+            value = qt_neg(value)
         terms.append((e.source, e.target, value))
     return terms
 
@@ -542,9 +605,9 @@ def qt_defect(graph, cx, g) -> RatFunc:
     """Reference defect representative: the per-edge terms added one at a
     time in Q(t), each partial sum in canonical form, independent of the
     single-numerator sum behind `defect`."""
-    total = RatFunc.zero()
+    total = RatFunc(0)
     for _, _, value in defect_terms(graph, cx, g):
-        total = total + value
+        total = qt_add(total, value)
     return total
 
 
@@ -555,21 +618,21 @@ def qt_unit_equal(a: RatFunc, b: RatFunc) -> bool:
     """Reference `unit_equal`: the ratio a / b, reduced in Q(t), is +-t^m."""
     if a.is_zero() or b.is_zero():
         return a.is_zero() and b.is_zero()
-    q = a / b
+    q = qt_div(a, b)
     return (not any(q.znum[:-1]) and not any(q.zden[:-1])
             and abs(q.znum[-1]) == 1 == q.zden[-1])
 
 
 def qt_equal_mod_Z(a: RatFunc, b: RatFunc) -> bool:
     """Reference `defect_equal_mod_Z`: a - b, reduced in Q(t), is an integer."""
-    diff = a - b
+    diff = qt_sub(a, b)
     return is_constant(diff) and as_constant(diff).denominator == 1
 
 
 def qt_lescop(tor: RatFunc, d: RatFunc) -> bool:
     """Reference `check_lescop_relation`: d = t * tor' / tor modulo the
     integers, in Q(t)."""
-    return qt_equal_mod_Z(d, t_power(1) * tor.derivative() / tor)
+    return qt_equal_mod_Z(d, qt_div(qt_mul(t_power(1), qt_derivative(tor)), tor))
 
 
 def find_basis_permutation(ours, fixture):

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (CORPUS, connected_sum, forward_rank, from_rows, gauss_jordan,
-                      identity, mat, packed_column, poly, poly_gcd, q_add, q_divmod, q_monic,
-                      q_mul, qt_product, qt_rref, rf, submatrix, t_power, torus_pd,
+                      identity, mat, packed_column, poly, poly_gcd, q_add, q_divmod, q_eval,
+                      q_monic, q_mul, qt_add, qt_derivative, qt_div, qt_eval, qt_mul, qt_neg,
+                      qt_product, qt_rref, qt_sub, rf, submatrix, t_power, torus_pd,
                       transposed, zeros)
 from dehn import algebra
 from dehn.algebra import (FieldMatrix, Polynomial, RatFunc, _exact_quotient, _pack, _prs_gcd,
@@ -42,12 +43,14 @@ def test_gcd_divides_both():
     assert q_divmod(a, g)[1].is_zero() and q_divmod(b, g)[1].is_zero()
 
 
-# -- rational function arithmetic ------------------------------------------
+# -- the Q(t) field reference ------------------------------------------------
+#
+# RatFunc has no arithmetic; these check conftest's field operations on it.
 
 
 def test_mul_matches_worked_value():
     # (1/(1-t)) * (t^2-t+1) has monic denominator t-1 after canonicalization.
-    product = rf(1, (1, -1)) * rf((1, -1, 1))
+    product = qt_mul(rf(1, (1, -1)), rf((1, -1, 1)))
     assert product == rf((-1, 1, -1), (-1, 1))
     assert product.den == poly(-1, 1)
     assert product.num == poly(-1, 1, -1)
@@ -55,7 +58,7 @@ def test_mul_matches_worked_value():
 
 def test_additive_identity():
     a = rf((2, 3), (1, 0, 1))
-    assert a + RatFunc.zero() == a
+    assert qt_add(a, RatFunc(0)) == a
 
 
 def test_sub_cross_checked_by_evaluation():
@@ -63,15 +66,17 @@ def test_sub_cross_checked_by_evaluation():
     # denominator: numerator (2t^2-t)(t-1) - t(t^2-t+1) = t^3 - 2t^2.
     a = rf((0, -1, 2), (1, -1, 1))
     b = rf((0, 1), (-1, 1))
-    diff = a - b
+    diff = qt_sub(a, b)
     assert diff == rf((0, 0, -2, 1), (-1, 2, -2, 1))
     for x in (Fraction(2), Fraction(3), Fraction(-1, 2), Fraction(7, 3)):
-        assert diff(x) == a(x) - b(x)
+        assert qt_eval(diff, x) == qt_eval(a, x) - qt_eval(b, x)
+    with pytest.raises(ZeroDivisionError):
+        qt_eval(b, 1)
 
 
 def test_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        rf((1, 1)) / RatFunc.zero()
+        qt_div(rf((1, 1)), RatFunc(0))
     with pytest.raises(ZeroDivisionError):
         RatFunc(poly(1), Polynomial())
 
@@ -80,21 +85,21 @@ def test_division_by_zero_raises():
 
 
 def test_derivative_power_rule():
-    assert rf((0, 0, 1)).derivative() == rf((0, 2))
+    assert qt_derivative(rf((0, 0, 1))) == rf((0, 2))
 
 
 def test_derivative_quotient_rule():
-    assert rf(1, (1, -1)).derivative() == rf(1, (1, -2, 1))
+    assert qt_derivative(rf(1, (1, -1))) == rf(1, (1, -2, 1))
 
 
 def test_log_derivative_identity():
     # t*(d/dt)log((t^2-t+1)/(1-t)) computed term by term equals the closed form.
     t = t_power(1)
-    lhs = t * rf((-1, 2), (1, -1, 1)) + t * rf(1, (1, -1))
-    rhs = rf((0, -1, 2), (1, -1, 1)) - rf((0, 1), (-1, 1))
+    lhs = qt_add(qt_mul(t, rf((-1, 2), (1, -1, 1))), qt_mul(t, rf(1, (1, -1))))
+    rhs = qt_sub(rf((0, -1, 2), (1, -1, 1)), rf((0, 1), (-1, 1)))
     assert lhs == rhs
     f = rf((1, -1, 1), (1, -1))
-    assert t * f.derivative() / f == rhs
+    assert qt_div(qt_mul(t, qt_derivative(f)), f) == rhs
 
 
 # -- canonical form ---------------------------------------------------------
@@ -144,31 +149,78 @@ def test_rref_fixed_cases_match_qt_reference(rows, pivots):
 
 
 def test_rref_boundary_matrix_rank():
-    t = t_power(1)
-    d2 = mat([[-t, -1, 0], [1, 1, 1], [0, -t, -1], [-1, 0, -t]])
+    minus_t = qt_neg(t_power(1))
+    d2 = mat([[minus_t, -1, 0], [1, 1, 1], [0, minus_t, -1], [-1, 0, minus_t]])
     assert forward_rank(d2) == 3
 
 
 def test_det_torsion_matrix():
-    t = t_power(1)
+    minus_t = qt_neg(t_power(1))
     m = mat([
-        [-t, -1, 0, rf(1, (-1, 1))],
+        [minus_t, -1, 0, rf(1, (-1, 1))],
         [1, 1, 1, 0],
-        [0, -t, -1, 0],
-        [-1, 0, -t, 0],
+        [0, minus_t, -1, 0],
+        [-1, 0, minus_t, 0],
     ])
     assert m.det() == rf((1, -1, 1), (1, -1))
 
 
 def test_det_identity_and_repeated_row():
-    assert identity(4).det() == RatFunc.one()
+    assert identity(4).det() == RatFunc(1)
     m = mat([[1, 2], [1, 2]])
-    assert m.det() == RatFunc.zero()
+    assert m.det() == RatFunc(0)
 
 
 def test_det_non_square_raises():
     with pytest.raises(ValueError):
         zeros(2, 3).det()
+
+
+# The product runs over Z[t], each row of the left factor and each column of
+# the right one over its own common denominator; qt_product adds one term at
+# a time in Q(t).
+_PRODUCT_CASES = {
+    # 1/(t-1) and t/(t+1) in one row, a column over t^2+1, another over 2t.
+    "mixed-denominators": ([[rf(1, (-1, 1)), rf((0, 1), (1, 1))], [2, rf(1, (0, 1))]],
+                           [[rf((1, 1), (1, 0, 1)), rf(1, (0, 2))],
+                            [rf((0, 0, 1), (1, 0, 1)), rf(Fraction(1, 2))]]),
+    # A zero entry in each factor, a zero row, and a right factor with more
+    # columns than rows.
+    "zero-entries": ([[0, rf(1, (-1, 1))], [0, 0]],
+                     [[rf((0, 1), (1, 1)), 0, 1], [0, 3, rf(1, (0, 1))]]),
+    # Terms that cancel to zero, and a denominator that the other factor's
+    # numerator cancels.
+    "cancelling": ([[rf(1, (-1, 1)), rf(-1, (-1, 1))]], [[1, (-1, 1)], [1, 0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRODUCT_CASES))
+def test_matmul_fixed_cases_match_qt_product(name):
+    a, b = (mat(rows) for rows in _PRODUCT_CASES[name])
+    assert a @ b == qt_product(a, b)
+
+
+def test_matmul_cancelling_case_values():
+    a, b = (mat(rows) for rows in _PRODUCT_CASES["cancelling"])
+    assert a @ b == mat([[0, 1]])
+
+
+@pytest.mark.parametrize("left, right, shape", [
+    ((1, 0), (0, 1), (1, 1)),  # an empty sum: one zero entry
+    ((2, 2), (2, 0), (2, 0)),  # no columns
+    ((0, 2), (2, 3), (0, 3)),  # no rows
+])
+def test_matmul_empty_shapes_match_qt_product(left, right, shape):
+    a = FieldMatrix(*left, [rf((1, 1), (0, 1))] * (left[0] * left[1]))
+    b = FieldMatrix(*right, [rf(2, (1, 1))] * (right[0] * right[1]))
+    product = a @ b
+    assert (product.rows, product.cols) == shape
+    assert product == qt_product(a, b) == zeros(*shape)
+
+
+def test_matmul_shape_mismatch_raises():
+    with pytest.raises(ValueError):
+        zeros(2, 3) @ zeros(2, 3)
 
 
 
@@ -184,14 +236,14 @@ nonzero_ratfuncs = ratfuncs.filter(lambda f: not f.is_zero())
 @settings(max_examples=60, deadline=None)
 @given(ratfuncs, nonzero_ratfuncs)
 def test_field_axiom_div_mul_roundtrip(a, b):
-    assert (a / b) * b == a
+    assert qt_mul(qt_div(a, b), b) == a
 
 
 @settings(max_examples=60, deadline=None)
 @given(ratfuncs, ratfuncs, ratfuncs)
 def test_field_axioms_distributivity(a, b, c):
-    assert a * (b + c) == a * b + a * c
-    assert a + b == b + a
+    assert qt_mul(a, qt_add(b, c)) == qt_add(qt_mul(a, b), qt_mul(a, c))
+    assert qt_add(a, b) == qt_add(b, a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -215,12 +267,12 @@ def test_canonicalization_idempotent(f):
 @settings(max_examples=60, deadline=None)
 @given(ratfuncs)
 def test_negation_keeps_the_reduced_form(f):
-    # (-znum, zden) is built with no gcd; it must be the form the
-    # constructor gives.
-    neg = -f
+    # The reduced form of -f is (-znum, zden): negation keeps joint content
+    # 1 and the sign of the denominator's leading coefficient.
+    neg = qt_neg(f)
     assert (neg.znum, neg.zden) == (tuple(-c for c in f.znum), f.zden)
-    assert neg == RatFunc([-c for c in f.znum], f.zden) == RatFunc(-1) * f
-    assert -neg == f and (f + neg).is_zero()
+    assert neg == RatFunc([-c for c in f.znum], f.zden) == qt_mul(RatFunc(-1), f)
+    assert qt_neg(neg) == f and qt_add(f, neg).is_zero()
 
 
 def test_ratfunc_integer_and_rational_parts_agree():
@@ -237,8 +289,9 @@ def test_ratfunc_integer_and_rational_parts_agree():
 @given(small_polys, small_polys)
 def test_poly_mul_evaluation_homomorphism(p, q):
     x = Fraction(5, 3)
-    assert (RatFunc(p) * RatFunc(q))(x) == q_mul(p, q)(x) == p(x) * q(x)
-    assert (RatFunc(p) + RatFunc(q))(x) == q_add(p, q)(x) == p(x) + q(x)
+    px, qx = q_eval(p, x), q_eval(q, x)
+    assert qt_eval(qt_mul(RatFunc(p), RatFunc(q)), x) == q_eval(q_mul(p, q), x) == px * qx
+    assert qt_eval(qt_add(RatFunc(p), RatFunc(q)), x) == q_eval(q_add(p, q), x) == px + qx
 
 
 @settings(max_examples=40, deadline=None)
@@ -253,15 +306,15 @@ def test_poly_gcd_divides(a, b):
 def _cofactor_det(m: FieldMatrix) -> RatFunc:
     n = m.rows
     if n == 0:
-        return RatFunc.one()
+        return RatFunc(1)
     if n == 1:
         return m.entry(0, 0)
-    total = RatFunc.zero()
+    total = RatFunc(0)
     sign = 1
     for j in range(n):
         minor = submatrix(m, range(1, n), [c for c in range(n) if c != j])
-        term = m.entry(0, j) * _cofactor_det(minor)
-        total = total + (term if sign > 0 else -term)
+        term = qt_mul(m.entry(0, j), _cofactor_det(minor))
+        total = qt_add(total, term if sign > 0 else qt_neg(term))
         sign = -sign
     return total
 
@@ -307,12 +360,21 @@ def test_rref_rank_inverse_match_qt_reference(nrows, ncols, dependent, data):
     for _ in range(dependent):
         i, j = (data.draw(st.integers(0, len(rows) - 1)) for _ in range(2))
         c = data.draw(entry_palette)
-        combo = [c * a + b for a, b in zip(rows[i], rows[j])]
+        combo = [qt_add(qt_mul(c, a), b) for a, b in zip(rows[i], rows[j])]
         rows.insert(data.draw(st.integers(0, len(rows))), combo)
     m = from_rows(rows)
     expected = qt_rref(m)
     assert m.rref() == expected
     assert forward_rank(m) == expected[2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_matmul_matches_qt_product(rows, inner, cols, data):
+    a, b = (FieldMatrix(r, c, data.draw(st.lists(entry_palette, min_size=r * c,
+                                                  max_size=r * c)))
+            for r, c in ((rows, inner), (inner, cols)))
+    assert a @ b == qt_product(a, b)
 
 
 # -- the Z[t] kernel ---------------------------------------------------------
@@ -681,7 +743,7 @@ def test_forward_det_and_rank_match_gauss_jordan_and_fractions(n, dependent, dat
     expected_rank = qt_rref(m)[2]
     assert forward_rank(m) == expected_rank == len(pivots)
     assert m.det() == (RatFunc([sign * c for c in last]) if len(pivots) == n
-                       else RatFunc.zero())
+                       else RatFunc(0))
 
 
 @settings(max_examples=8, deadline=None)

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,9 @@ from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
                       UNKNOT_KINK, defect_terms, det_torsion, eliminate,
                       find_basis_permutation, from_rows, gauss_jordan, hstack, is_identity,
                       mat, mat_add, materialized_invariants, pipeline, qt_d1, qt_d2, qt_defect, qt_equal_mod_Z,
-                      packed_column, qt_g1, qt_inverse, qt_lescop, qt_rref, qt_unit_equal,
-                      replaced, rf, satisfies_identities, scaled, submatrix, t_power, torus_pd)
+                      packed_column, qt_add, qt_derivative, qt_div, qt_g1, qt_inverse,
+                      qt_lescop, qt_mul, qt_neg, qt_rref, qt_sub, qt_unit_equal, replaced, rf,
+                      satisfies_identities, scaled, submatrix, t_power, torus_pd)
 from dehn import algebra, invariants, mscomplex
 from dehn.algebra import RatFunc, _pack, _unpack, poly_add, poly_mul
 from dehn.errors import DehnError, NotExactError
@@ -29,7 +31,7 @@ T = t_power(1)
 
 # Reference values for the trefoil with the maximal abelian representation.
 TORSION_TARGET = rf((1, -1, 1), (1, -1))  # (t^2-t+1)/(1-t), up to units
-DEFECT_TARGET = rf((0, -1, 2), (1, -1, 1)) - rf((0, 1), (-1, 1))
+DEFECT_TARGET = qt_sub(rf((0, -1, 2), (1, -1, 1)), rf((0, 1), (-1, 1)))
 
 G2_FIXTURE = scaled(mat([
     [0, (0, 0, 1), (0, 1), (-1, 1)],
@@ -78,9 +80,9 @@ def test_propagator_random_seeds_all_valid():
 
 
 def _coordinate_columns(dim, indices):
-    cols = [[RatFunc.zero()] * len(indices) for _ in range(dim)]
+    cols = [[RatFunc(0)] * len(indices) for _ in range(dim)]
     for j, i in enumerate(indices):
-        cols[i][j] = RatFunc.one()
+        cols[i][j] = RatFunc(1)
     return from_rows(cols)
 
 
@@ -300,6 +302,23 @@ def test_a_seeded_propagator_with_zero_delta_is_refused():
         invariants._propagator(cx, s)
 
 
+def test_an_inexact_pivot_exchange_names_the_exchange():
+    # One entry N0[j][i] of an X set in past its certificate, moved by 1:
+    # the exchange to s adds v[s] to the numerator of N_s[j][i], which
+    # v[s0] does not divide. The error names the exchange and the entry,
+    # not the elimination whose division it shares.
+    cx = pipeline(FIG8).complex
+    x, _ = _inverse(cx)
+    s0, v = cx.base_coordinate, x[-1]
+    s = next(j for j in range(cx.c1_dim) if cx.d1_row[j] and j != s0 and v[j] % v[s0])
+    j, i = 0, next(i for i in range(cx.c1_dim) if i != s)
+    invariants._exchanged(x, s0, s, j, i)
+    x[j][i] += 1
+    with pytest.raises(ArithmeticError, match=re.escape(
+            f"inexact division in the pivot exchange to s = {s}: entry N_s[{j}][{i}]")):
+        invariants._exchanged(x, s0, s, j, i)
+
+
 @pytest.mark.parametrize("text", [TREFOIL, FIG8_KINKED, torus_pd(9)])
 def test_seeded_propagators_make_one_product_test_per_complex(text, monkeypatch):
     # `compute` makes one packed `is_diagonal_product` test, the certificate
@@ -479,7 +498,7 @@ def test_identities_do_not_pin_the_scale_of_delta():
     assert wrong.numer == [[poly_mul(e, c) for e in row] for row in g.numer]
     assert wrong.g2 == g.g2
     tor = torsion(scaled, wrong)
-    assert tor.raw == run.tor.raw * rf(c)
+    assert tor.raw == qt_mul(run.tor.raw, rf(c))
     assert defect(scaled, wrong).representative == run.d.representative
     assert check_lescop_relation(run.tor, run.d) and milnor_check(run.tor, run.alexander)
     assert not check_lescop_relation(tor, run.d)
@@ -500,7 +519,7 @@ def test_propagator_views_on_a_complex_without_crossings():
     assert (g.g2.rows, g.g2.cols) == (0, 1)
     g1 = qt_g1(cx, g)
     assert g1 == mat([[1]]) and is_identity(qt_d1(cx) @ g1)
-    assert torsion(cx, g).raw == RatFunc.one()
+    assert torsion(cx, g).raw == RatFunc(1)
 
 
 def test_propagator_requires_exactness():
@@ -587,7 +606,7 @@ def test_strip_unit_gives_the_gcd_form(num, den, common):
 
 def test_torsion_equal_up_to_units_cases():
     a = _value(TorsionValue, TORSION_TARGET)
-    b = _value(TorsionValue, -(t_power(3)) * TORSION_TARGET)
+    b = _value(TorsionValue, qt_mul(qt_neg(t_power(3)), TORSION_TARGET))
     assert torsion_equal_up_to_units(a, b)
     other = rf((1, -3, 1), (1, -1))
     assert not torsion_equal_up_to_units(a, _value(TorsionValue, other))
@@ -610,7 +629,7 @@ def test_trefoil_defect_terms():
     terms = defect_terms(run.graph, run.complex, run.propagator)
     nonzero = sorted(str(v) for _, _, v in terms if not v.is_zero())
     expected = sorted(str(v) for v in [
-        rf((0, -1), (1, -1, 1)) * rf((1, -1)),   # -t(1-t)/(t^2-t+1)
+        qt_mul(rf((0, -1), (1, -1, 1)), rf((1, -1))),  # -t(1-t)/(t^2-t+1)
         rf((0, 0, 1), (1, -1, 1)),               # (-t)(-t)/(t^2-t+1)
         rf((0, 1), (1, -1)),                     # t/(1-t)
     ])
@@ -686,9 +705,9 @@ def test_defect_matches_qt_reference_on_a_degree_2_column():
 def test_defect_equal_mod_Z_cases():
     f = rf((0, 1), (1, -1, 1))
     d = _value(DefectValue, f)
-    assert defect_equal_mod_Z(d, _value(DefectValue, f + RatFunc(3)))
-    assert not defect_equal_mod_Z(d, _value(DefectValue, f + rf((1,), (2,))))
-    assert not defect_equal_mod_Z(d, _value(DefectValue, f + T))
+    assert defect_equal_mod_Z(d, _value(DefectValue, qt_add(f, RatFunc(3))))
+    assert not defect_equal_mod_Z(d, _value(DefectValue, qt_add(f, rf((1,), (2,)))))
+    assert not defect_equal_mod_Z(d, _value(DefectValue, qt_add(f, T)))
     # The pairs are compared in any form: (t * P) / (t * Q) is P / Q.
     assert defect_equal_mod_Z(d, DefectValue((0,) + d.num, (0,) + d.den))
 
@@ -709,10 +728,10 @@ def test_unit_equal_agrees_with_qt_reference(a, b, sign, m):
         return torsion_equal_up_to_units(_value(TorsionValue, x), _value(TorsionValue, y))
 
     assert equal(a, b) == qt_unit_equal(a, b)
-    moved = RatFunc(sign) * t_power(m) * a
+    moved = qt_mul(qt_mul(RatFunc(sign), t_power(m)), a)
     assert equal(a, moved) and qt_unit_equal(a, moved)
     if not a.is_zero():
-        assert not equal(a, a * rf((1, 1)))
+        assert not equal(a, qt_mul(a, rf((1, 1))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -720,8 +739,8 @@ def test_unit_equal_agrees_with_qt_reference(a, b, sign, m):
 def test_defect_equal_mod_Z_agrees_with_qt_reference(a, b, n):
     x, y = _value(DefectValue, a), _value(DefectValue, b)
     assert defect_equal_mod_Z(x, y) == qt_equal_mod_Z(a, b)
-    assert defect_equal_mod_Z(x, _value(DefectValue, a + RatFunc(n)))
-    assert not defect_equal_mod_Z(x, _value(DefectValue, a + rf(1, 2)))
+    assert defect_equal_mod_Z(x, _value(DefectValue, qt_add(a, RatFunc(n))))
+    assert not defect_equal_mod_Z(x, _value(DefectValue, qt_add(a, rf(1, 2))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -734,10 +753,10 @@ def test_lescop_relation_agrees_with_qt_reference(tor, d, n):
         return _value(DefectValue, f)
 
     assert check_lescop_relation(tv(tor), dv(d)) == qt_lescop(tor, d)
-    log_derivative = T * tor.derivative() / tor
-    assert check_lescop_relation(tv(tor), dv(log_derivative + RatFunc(n)))
-    assert not check_lescop_relation(tv(tor), dv(log_derivative + rf(1, 2)))
-    assert not check_lescop_relation(tv(tor * rf((1, 1))), dv(log_derivative))
+    log_derivative = qt_div(qt_mul(T, qt_derivative(tor)), tor)
+    assert check_lescop_relation(tv(tor), dv(qt_add(log_derivative, RatFunc(n))))
+    assert not check_lescop_relation(tv(tor), dv(qt_add(log_derivative, rf(1, 2))))
+    assert not check_lescop_relation(tv(qt_mul(tor, rf((1, 1)))), dv(log_derivative))
 
 
 # -- relations ----------------------------------------------------------------
@@ -749,9 +768,40 @@ def test_lescop_relation_on_corpus(name, text):
     assert check_lescop_relation(run.tor, run.d)
 
 
+def _assert_defect_is_the_log_derivative(text):
+    """Under every outer region and pivot seed None, 0..3, the defect's
+    representative is t * (d/dt) log(raw torsion), exactly, in Q(t) by the
+    conftest reference: raw = sign * delta * t^a / D1[s] makes t * (log
+    raw)' = t * delta'/delta + a - t * D1[s]'/D1[s], the defect's formula
+    once the trace is t * delta' (Jacobi). The Lescop check compares the two
+    modulo the integers only."""
+    for region in _regions(text):
+        cx = pipeline(text, outer_region=region).complex
+        for seed in [None] + list(range(4)):
+            g = build_propagator(cx, pivot_seed=seed)
+            raw = torsion(cx, g).raw
+            assert (defect(cx, g).representative
+                    == qt_div(qt_mul(T, qt_derivative(raw)), raw)), (region, seed)
+
+
+@pytest.mark.parametrize("name,text", sorted(CORPUS.items()))
+def test_defect_is_exactly_the_log_derivative_of_the_raw_torsion(name, text):
+    _assert_defect_is_the_log_derivative(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_valid_pd())
+def test_defect_is_exactly_the_log_derivative_on_label_valid_codes(text):
+    try:
+        _regions(text)
+    except DehnError:
+        return
+    _assert_defect_is_the_log_derivative(text)
+
+
 def test_lescop_insensitive_to_torsion_unit():
     run = pipeline(TREFOIL)
-    tor = _value(TorsionValue, -(t_power(5)) * run.tor.raw)
+    tor = _value(TorsionValue, qt_mul(qt_neg(t_power(5)), run.tor.raw))
     assert check_lescop_relation(tor, run.d)
 
 

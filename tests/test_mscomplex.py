@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (CORPUS, FIG8_KINKED, TREFOIL, TREFOIL_KINKED, from_rows, is_zero_matrix,
-                      mat, qt_complex, qt_d1, qt_d2, qt_image, t_power, torus_pd)
+                      mat, qt_complex, qt_d1, qt_d2, qt_image, qt_mul, t_power, torus_pd)
 from dehn.algebra import RatFunc, _pack, _unpack
 from dehn.dehngraph import (GroupRingTerm, build_d1, build_d2, build_dehn_graph,
                             graph_from_json, graph_to_json)
@@ -38,7 +38,7 @@ def test_abelian_exponent_matches_the_letter_by_letter_image(sign, letters):
     # images of its letters one at a time in Q(t).
     term = GroupRingTerm(sign, tuple(letters))
     m = Representation.abelian().exponent(term.word)
-    assert RatFunc(sign) * t_power(m) == qt_image(term)
+    assert qt_mul(RatFunc(sign), t_power(m)) == qt_image(term)
 
 
 # -- boundary matrices -----------------------------------------------------------
