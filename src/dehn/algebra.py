@@ -39,7 +39,7 @@ from math import gcd, isqrt, lcm, prod
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from ._value import Value, _set
-from .errors import DehnError
+from .errors import DehnError, _json_fields
 
 Coeffish = Union[int, Fraction]
 
@@ -195,17 +195,11 @@ class RatFunc(Value):
         coefficient that is neither an integer nor a string `Fraction` reads
         (true, false and floats are refused: no floating point), and a zero
         denominator."""
-        if type(data) is not dict:
-            raise DehnError("rational function is not an object")
-        parts = []
-        for key in ("num", "den"):
-            if key not in data:
-                raise DehnError(f"rational function has no {key!r}")
-            if type(data[key]) is not list:
-                raise DehnError(f"rational function: {key!r} has type "
-                                f"{type(data[key]).__name__}, not list")
+        keys, parts = ("num", "den"), []
+        for key, value in zip(keys, _json_fields(data, "rational function",
+                                                 dict.fromkeys(keys, list))):
             coeffs = []
-            for c in data[key]:
+            for c in value:
                 if type(c) not in (int, str):
                     raise DehnError(f"rational function: {key!r} has coefficient {c!r}, "
                                     "not an integer or a string")
@@ -506,7 +500,7 @@ def is_diagonal_product(rows: Sequence[Sequence], m: Sequence[Sequence[IntPoly]]
         digits = max(map(len, entries), default=0)
     slot = k * max(digits + max(map(len, chain.from_iterable(m)), default=0) - 1, len(delta))
 
-    def packed(line) -> int:
+    def join_slots(line) -> int:
         """sum_r line[r] << slot*r, joining neighbours pairwise: linear-
         times-log work where shifting one entry in at a time is quadratic."""
         parts, shift = list(line) or [0], slot
@@ -517,7 +511,7 @@ def is_diagonal_product(rows: Sequence[Sequence], m: Sequence[Sequence[IntPoly]]
         return parts[0]
 
     packed_delta = _pack(delta, k)
-    columns = [packed(col) for col in zip(*rows)] or [0] * inner
+    columns = [join_slots(col) for col in zip(*rows)] or [0] * inner
     return all(sum(_pack(x, k) * columns[i] for i, x in enumerate(col) if x)
                == packed_delta << slot * c for c, col in enumerate(m_columns))
 

@@ -8,7 +8,8 @@ string or a file with one knot per line ('#' lines and blank lines skipped),
 maps that function over the knots (in worker processes under `--parallel`),
 writes JSON, DOT or text in input order and returns the exit code. The
 parser is built once per process. Errors, usage errors included, write one
-JSON line to stderr and nothing to stdout; `--help` stays plain text.
+JSON line to stderr and nothing to stdout; an error in a --file knot names
+its line. `--help` stays plain text.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import functools
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .algebra import poly_add
 from .dehngraph import build_d1, build_d2, build_dehn_graph, export_dot, graph_to_json
@@ -34,21 +35,23 @@ from .pipeline import SCHEMA_VERSION, compute_result, run_pipeline
 _FLOORS = {"parallel": 1, "seeds": 0}
 
 
-def _read_inputs(args) -> List[str]:
+def _read_inputs(args) -> List[Tuple[Optional[int], str]]:
+    """(line, text) per knot: its physical line in --file, None for --pd."""
     if (args.pd is None) == (args.file is None):
         raise ConfigError("exactly one of --pd and --file is required")
     if args.pd is not None:
-        return [args.pd]
+        return [(None, args.pd)]
     try:
         # utf-8-sig drops a leading byte order mark.
         with open(args.file, "r", encoding="utf-8-sig") as fh:
             raw_lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.file}: {exc}") from None
-    lines = [line for line in map(str.strip, raw_lines) if line and not line.startswith("#")]
-    if not lines:
+    knots = [(n, line) for n, line in enumerate(map(str.strip, raw_lines), 1)
+             if line and not line.startswith("#")]
+    if not knots:
         raise ConfigError(f"no knots found in {args.file}")
-    return lines
+    return knots
 
 
 def _worker_count(parallel: int, tasks: int, cpus: Optional[int]) -> int:
@@ -57,20 +60,32 @@ def _worker_count(parallel: int, tasks: int, cpus: Optional[int]) -> int:
     return min(parallel, tasks, cpus or 1)
 
 
+def _on_line(one, line: Optional[int], task):
+    """one(task), a `DehnError` for the knot on line N of --file re-raised as
+    its type with "line N: " before its message. Module-level: it pickles."""
+    try:
+        return one(task)
+    except DehnError as exc:
+        if line is None:
+            raise
+        raise type(exc)(f"line {line}: {exc}") from None
+
+
 def _run(args) -> int:
     """Map the subcommand's per-knot function over the input knots and write
     the results in input order; exit code 0 if every result passes, else 1."""
-    tasks = [(text, *(getattr(args, name) for name in args.fields))
-             for text in _read_inputs(args)]
+    lines, texts = zip(*_read_inputs(args))
+    tasks = [(text, *(getattr(args, name) for name in args.fields)) for text in texts]
+    run = functools.partial(_on_line, args.one)
     workers = _worker_count(args.parallel, len(tasks), os.cpu_count())
     if workers > 1:
         # Imported here: the pool pulls in multiprocessing, which every
         # one-process run would otherwise load at start-up.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(args.one, tasks))
+            results = list(pool.map(run, lines, tasks))
     else:
-        results = [args.one(task) for task in tasks]
+        results = list(map(run, lines, tasks))
     if args.format == "json":
         out = results[0] if args.pd is not None else results
         sys.stdout.write(json.dumps(out, indent=2) + "\n")

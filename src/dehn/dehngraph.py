@@ -26,7 +26,7 @@ from typing import Dict, List, Tuple
 
 from ._value import Value, _set
 from .diagram import KnotDiagram
-from .errors import DehnError
+from .errors import DehnError, _json_fields
 from .words import (Word, format_word, free_reduce, generator_name,
                     word_inv, word_mul)
 
@@ -210,19 +210,7 @@ def graph_from_json(data) -> DehnGraph:
     index other than 0, 1 or 2, an edge sign other than +-1, and a word
     letter that is not a [name, exponent] pair, names no arc or has an
     exponent other than +-1."""
-
-    def fields(item, what: str, types: Dict[str, type]) -> tuple:
-        if type(item) is not dict:
-            raise DehnError(f"{what} is not an object")
-        for key, kind in types.items():
-            if key not in item:
-                raise DehnError(f"{what} has no {key!r}")
-            if type(item[key]) is not kind:
-                raise DehnError(f"{what}: {key!r} has type {type(item[key]).__name__}, "
-                                f"not {kind.__name__}")
-        return tuple(item[key] for key in types)
-
-    arcs, vertex_items, edge_items = fields(data, "graph", dict.fromkeys(
+    arcs, vertex_items, edge_items = _json_fields(data, "graph", dict.fromkeys(
         ("arcs", "vertices", "edges"), list))
     if any(type(name) is not str for name in arcs):
         raise DehnError("an arc name is not a string")
@@ -230,15 +218,15 @@ def graph_from_json(data) -> DehnGraph:
     vertices = []
     for i, v in enumerate(vertex_items):
         what = f"vertex {v.get('id', i)!r}" if type(v) is dict else f"vertex {i}"
-        vertex = Vertex(*fields(v, what, {"id": str, "kind": str, "index": int}))
+        vertex = Vertex(*_json_fields(v, what, {"id": str, "kind": str, "index": int}))
         if vertex.index not in (0, 1, 2):
             raise DehnError(f"{what}: index {vertex.index} is not 0, 1 or 2")
         vertices.append(vertex)
     edges = []
     for i, e in enumerate(edge_items):
-        source, target = fields(e, f"edge {i}", {"from": str, "to": str})
+        source, target = _json_fields(e, f"edge {i}", {"from": str, "to": str})
         what = f"edge {source} -> {target}"
-        sign, word, origin = fields(e, what, {"sign": int, "word": list, "origin": list})
+        sign, word, origin = _json_fields(e, what, {"sign": int, "word": list, "origin": list})
         if sign not in (1, -1):
             raise DehnError(f"{what}: sign {sign!r} is not +1 or -1")
         letters = []

@@ -36,7 +36,7 @@ d1 * d2 = 0 included, and on one certificate of its scaled inverse X =
 delta0 * B0^-1: delta0 != 0 and X * B0 = delta0 * I over Z[t], one
 `is_diagonal_product` test on X's packed rows, exact at their width once
 their digits are bounded (`mscomplex._certify_inverse`, which proves them
-for the base propagator; `Propagator.packed` proves them for a seeded
+for the base propagator; `Propagator.numer` proves them for a seeded
 one, given its delta != 0). They prove G2 = N / delta, but not the scale
 of delta: (c * X, c * delta0) passes the certificate for any nonzero
 polynomial c, and its torsion is wrong by the factor c. The Milnor and
@@ -82,8 +82,8 @@ class Propagator(Value):
     `sign` is the elimination's sign: sign * delta = det [d2 | e_s]. G1 is
     1/d1[s] on the row of s, read off the complex when needed, and with
     them the torsion needs no determinant of its own. Only delta = v[s] is
-    unpacked when the propagator is built; N (`packed`), its unpacked form
-    and its Q(t) matrix are views built on first read."""
+    unpacked when the propagator is built; N (`numer`) and its Q(t) matrix
+    are views built on first read."""
 
     inverse: List[List[int]]  # delta0 * B0^-1, shared by the complex's propagators
     width: int
@@ -93,9 +93,9 @@ class Propagator(Value):
     sign: int
 
     @cached_property
-    def packed(self) -> List[List[int]]:
-        """N, c2_dim x c1_dim, packed: N0 exchanged to s, entry by entry
-        (`_exchanged`).
+    def numer(self) -> List[List[IntPoly]]:
+        """N, c2_dim x c1_dim over Z[t], built on first read: N0 exchanged
+        to s, entry by entry (`_exchanged`), and unpacked.
 
         On an exact complex B0 = [d2 | e_s0] is invertible, and its row r <
         c2 of delta0 * B0^-1 is N0[r], its last row v = delta0 * phi, with
@@ -122,14 +122,9 @@ class Propagator(Value):
         for s0 then holds for s, word for word. The library builds N_s only
         when it is read: its torsion needs delta_s alone, and its defect
         reads single entries by the same exchange (`_exchanged`)."""
-        x, s0, s = self.inverse, self.base, self.selected
-        return [[_exchanged(x, s0, s, j, i) for i in range(len(x))]
+        x, width, s0, s = self.inverse, self.width, self.base, self.selected
+        return [[_unpack(_exchanged(x, s0, s, j, i), width) for i in range(len(x))]
                 for j in range(len(x) - 1)]
-
-    @cached_property
-    def numer(self) -> List[List[IntPoly]]:
-        """N over Z[t], unpacked on first use."""
-        return [[_unpack(x, self.width) for x in row] for row in self.packed]
 
     @cached_property
     def g2(self) -> FieldMatrix:
@@ -160,23 +155,19 @@ def build_propagator(cx: ChainComplex, pivot_seed: Optional[int] = None) -> Prop
     coordinates whose line completes im(d2) to a basis: the ones an
     elimination of [d2 | I] in that order selects. Every propagator is read
     off the complex's `scaled_inverse`, which selects s0, the first such
-    coordinate (see `_propagator`). Each selected coordinate's propagator
-    is built once per complex and kept in `cx.propagators`.
+    coordinate (see `_propagator`).
     """
     report = check_exactness(cx)
     if not report.exact:
         raise NotExactError(f"complex is not exact: {report.witness}")
     s = next(j for j in _candidate_order(pivot_seed, cx.c1_dim) if cx.d1_row[j])
-    g = cx.propagators.get(s)
-    if g is None:
-        g = cx.propagators[s] = _propagator(cx, s)
-    return g
+    return _propagator(cx, s)
 
 
 def _propagator(cx: ChainComplex, s: int) -> Propagator:
     """The propagator selecting s: delta = v[s], read off the complex's
     scaled inverse, which `mscomplex._certify_inverse` certified where it
-    was made, and refused if zero. `Propagator.packed` proves that this is
+    was made, and refused if zero. `Propagator.numer` proves that this is
     enough; it costs O(1) after the one certificate per complex."""
     _, _, sign, width = cx.forward_elimination
     inverse = cx.scaled_inverse
@@ -270,7 +261,7 @@ def _trace(cx: ChainComplex, g: Propagator) -> IntPoly:
 def _exchanged(x: List[List[int]], s0: int, s: int, j: int, i: int) -> int:
     """N_s[j][i] = (v[s] * N0[j][i] - N0[j][s] * v[i]) / v[s0], packed, off
     the rows N0, then v, of X = `ChainComplex.scaled_inverse`: the pivot
-    exchange of `Propagator.packed`, one entry at a time, its division
+    exchange of `Propagator.numer`, one entry at a time, its division
     checked exact. Column s0 of N0 is zero, so for s = s0 it is N0[j][i]."""
     v = x[-1]
     a, b = x[j][i], v[i]

@@ -31,7 +31,7 @@ on it.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ._value import Value
 from .algebra import (IntPoly, RatFunc, _unpack, fraction_free_back_substitution,
@@ -130,12 +130,6 @@ class ChainComplex(Value):
         return x
 
     @cached_property
-    def propagators(self) -> Dict[int, object]:
-        """The propagators built on this complex, by selected coordinate:
-        `invariants.build_propagator` builds each one once."""
-        return {}
-
-    @cached_property
     def _exactness(self) -> ExactnessReport:
         """Exact iff the middle dimension matches, d2 injects, d1 surjects and
         d1 * d2 = 0. The kernel's pivot columns are the leftmost ones
@@ -210,7 +204,7 @@ def _certify_inverse(cx: ChainComplex, x: List[List[int]]) -> None:
     0, and fixes e_s0, because column s0 of N0 is zero; those c1 vectors
     form a basis, so M = id. The equation also makes B0 invertible and X
     = delta0 * B0^-1 itself, so v = delta0 * phi, which every seeded
-    propagator reads (`invariants.Propagator.packed` proves its identities
+    propagator reads (`invariants.Propagator.numer` proves its identities
     from these rows). It does not pin the scale of delta0: (c * X, c *
     delta0) passes for any nonzero polynomial c.
 

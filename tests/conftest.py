@@ -306,7 +306,7 @@ def gauss_jordan(rows, forward=False):
 def replaced(value, **fields):
     """A copy of a value with some fields replaced: how the tests build a
     wrong propagator by hand. A name that is not a field presets the cached
-    view of that name, such as a propagator's `packed` or `trace`."""
+    view of that name, such as a propagator's `numer`."""
     views = {f: fields.pop(f) for f in list(fields) if f not in value._fields}
     copy = type(value)(**dict(zip(value._fields, value._values()), **fields))
     vars(copy).update(views)

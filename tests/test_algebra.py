@@ -960,6 +960,7 @@ def test_json_roundtrip():
     pytest.param({"num": ["1"]}, "has no 'den'", id="no-den"),
     pytest.param({"den": ["1"]}, "has no 'num'", id="no-num"),
     pytest.param({"num": "1", "den": ["1"]}, "'num' has type str, not list", id="num-str"),
+    pytest.param({"num": ["1"], "den": "1"}, "'den' has type str, not list", id="den-str"),
     pytest.param({"num": [True], "den": ["1"]}, "'num' has coefficient True", id="true"),
     pytest.param({"num": ["1"], "den": [0.5]}, "'den' has coefficient 0.5", id="float"),
     pytest.param({"num": ["x"], "den": ["1"]}, "'num' has coefficient 'x', not a rational",

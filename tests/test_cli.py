@@ -190,6 +190,25 @@ def test_a_disagreeing_seed_fails_check(capsys, monkeypatch, field):
 # -- error handling --------------------------------------------------------------
 
 
+@pytest.mark.parametrize("command", ["compute", "graph", "check", "oracle"])
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_a_batch_error_names_its_line(tmp_path, capsys, command, parallel):
+    # A DehnError raised for a --file knot keeps its type, exit code and
+    # message, prefixed with the knot's physical line, comments and blank
+    # lines counted; stdout stays empty and stderr holds one JSON line.
+    _, _, single = run_cli(capsys, command, "--pd", "X(1,2")
+    want = json.loads(single)["error"]
+    assert want["message"] == "malformed PD X-form syntax"  # --pd names no line
+    for text, line in ((f"{TREFOIL}\nX(1,2\n{FIG8}\n", 2),
+                       (f"# corpus\n\n{TREFOIL}\nX(1,2\n", 4)):
+        f = tmp_path / "knots.txt"
+        f.write_text(text)
+        code, out, err = run_cli(capsys, command, "--file", str(f), "--parallel", parallel)
+        assert code == want["exit_code"] == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == dict(want, message=f"line {line}: {want['message']}")
+
+
 def test_parse_error_exit_code(capsys):
     code, out, err = run_cli(capsys, "compute", "--pd", "[[1,4,2")
     assert code == 2 and out == ""

@@ -231,7 +231,7 @@ def test_rank_one_read_matches_the_materialized_exchange(name):
         for s in (j for j in range(cx.c1_dim) if cx.d1_row[j]):
             g = invariants._propagator(cx, s)
             tor, d = torsion(cx, g), defect(cx, g)
-            assert "packed" not in vars(g), (region, s)
+            assert "numer" not in vars(g), (region, s)
             assert (tor, d) == materialized_invariants(cx, g), (region, s)
             assert satisfies_identities(cx, g), (region, s)
 
@@ -347,7 +347,7 @@ def test_seeded_propagators_make_one_product_test_per_complex(text, monkeypatch)
         assert 0 < len(divisions) <= entries
     assert calls == []
     assert len({g.selected for g in seeded}) > 1
-    assert all("packed" not in vars(g) for g in seeded)
+    assert all("numer" not in vars(g) for g in seeded)
     # A seeded request on a fresh complex makes the same two tests first:
     # exactness, then the certificate that every propagator rests on.
     fresh = ChainComplex(*cx._values())
@@ -357,9 +357,9 @@ def test_seeded_propagators_make_one_product_test_per_complex(text, monkeypatch)
 
 
 def test_seeded_propagators_leave_no_reference_cycle():
-    # The complex keeps its propagators, so no propagator keeps the complex:
-    # a run and its seeded propagators, views read, are freed by reference
-    # counting, with nothing left for the cycle collector.
+    # A propagator keeps X, not the complex, and the complex keeps no
+    # propagator: a run and its seeded propagators, views read, are freed
+    # by reference counting, with nothing left for the cycle collector.
     gc.collect()
     gc.disable()
     try:
