@@ -13,7 +13,8 @@ from .errors import (ConfigError, DehnError, MultiComponentError,
                      PDSyntaxError, RegionLabelError)
 from .invariants import (DefectValue, Propagator, TorsionValue,
                          build_propagator, check_lescop_relation, defect,
-                         defect_equal_mod_Z, torsion, torsion_equal_up_to_units)
+                         defect_equal_mod_Z, propagator_at, torsion,
+                         torsion_equal_up_to_units)
 from .mscomplex import (ChainComplex, ExactnessReport, Representation,
                         build_complex, check_exactness, complex_to_json)
 from .oracle import AlexanderPolynomial, fox_alexander, milnor_check

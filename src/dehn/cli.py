@@ -25,14 +25,14 @@ from .algebra import poly_add
 from .dehngraph import build_d1, build_d2, build_dehn_graph, export_dot, graph_to_json
 from .diagram import build_diagram, parse_pd, wirtinger
 from .errors import ConfigError, DehnError
-from .invariants import (build_propagator, defect, defect_equal_mod_Z, torsion,
+from .invariants import (defect, defect_equal_mod_Z, propagator_at, torsion,
                          torsion_equal_up_to_units)
 from .mscomplex import check_exactness
 from .oracle import fox_alexander
 from .pipeline import SCHEMA_VERSION, compute_result, run_pipeline
 
-# The least value of each integer option that has one (--seeds is check's).
-_FLOORS = {"parallel": 1, "seeds": 0}
+# The least value of each integer option that has one.
+_FLOORS = {"parallel": 1}
 
 
 def _read_inputs(args) -> List[Tuple[Optional[int], str]]:
@@ -115,7 +115,7 @@ def _graph_one(task):
 
 
 def _check_one(task) -> dict:
-    pd_text, outer_region, seeds = task
+    pd_text, outer_region = task
     run = run_pipeline(pd_text, outer_region)
     diagram, cx, rep = run.diagram, run.complex, run.rep
     exact = check_exactness(cx).exact  # run_pipeline required it, d1 * d2 = 0 included
@@ -138,22 +138,15 @@ def _check_one(task) -> dict:
     checks["propagator"] = True  # identities are verified at construction
     checks["lescop"] = run.lescop_ok
     checks["milnor"] = run.milnor_ok
-    # Seeds that select the same coordinate share one propagator, so each
-    # distinct one but the reported one is compared once, over Z[t] with no
-    # gcd: its torsion with the reported one up to units, its defect mod Z.
-    # Once every coordinate with d1[s] != 0 is selected, later seeds can add
-    # none, so the drawing stops.
-    seeded, candidates = {}, sum(map(bool, cx.d1_row))
-    for seed in range(seeds):
-        if len(seeded) == candidates:
-            break
-        g = build_propagator(cx, pivot_seed=seed)
-        seeded[g.selected] = g
-    seeded.pop(run.propagator.selected, None)
+    # Every coordinate with d1[s] != 0 selects a propagator, so each one but
+    # the reported one is compared with it, over Z[t] with no gcd: its
+    # torsion up to units, its defect mod Z.
+    others = (propagator_at(cx, s) for s, d1_s in enumerate(cx.d1_row)
+              if d1_s and s != run.propagator.selected)
     checks["seed_independence"] = all(
         torsion_equal_up_to_units(run.tor, torsion(cx, g))
         and defect_equal_mod_Z(run.d, defect(cx, g))
-        for g in seeded.values())
+        for g in others)
     return {"pd": run.pd.to_text(), "passed": all(checks.values()), "checks": checks}
 
 
@@ -213,9 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the invariant/property suite")
     _add_common(p, ["json", "text"], "text")
-    p.add_argument("--seeds", type=int, default=10,
-                   help="number of propagator seeds for independence checks")
-    p.set_defaults(one=_check_one, fields=("outer_region", "seeds"),
+    p.set_defaults(one=_check_one, fields=("outer_region",),
                    render=_check_text, passed=lambda r: r["passed"])
 
     p = sub.add_parser("oracle", help="Alexander polynomial via Fox calculus")

@@ -7,7 +7,7 @@ of the over strand, +1 before on the right, +x after on the left, -1 after on
 the right. With positions numbered counterclockwise and o the over-in
 position, that is corner o-1: -x, corner o: +1, corner o+1: -1, corner o+2: +x.
 
-The region labeling seeds the unbounded region with the empty word and
+The region labeling starts the unbounded region with the empty word and
 propagates across arcs: crossing an arc from its left side to its right side
 multiplies on the left by the arc generator. Labels are freely reduced words;
 equalities that depend on the knot group relations are only ever checked

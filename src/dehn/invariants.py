@@ -7,12 +7,13 @@ inverts d2 on its image along it. G_2 is N / delta, numerators N over Z[t]
 and one common denominator delta. A complex is eliminated once, forward,
 and back substituted once, to delta0 * B0^-1 with B0 = [d2 | e_s0], s0
 the first coordinate where d1 is nonzero: its rows N0, then v, certified
-once per complex where they are made. The base propagator, the one that
-selects s0, is N0 over delta0. A pivot seed that selects another
-coordinate s gets the propagator of B_s = [d2 | e_s], a rank-one change
-of B0: it is held as delta = v[s] alone. Its torsion needs delta alone;
-its defect reads the entries of its N that the trace needs off X, one
-pivot exchange each (`_exchanged`), and N itself is built only when read.
+once per complex where they are made. Every propagator is read off them
+by its coordinate (`propagator_at`; `build_propagator` picks the
+coordinate by a pivot seed). The one that selects s0 is N0 over delta0;
+one that selects another coordinate s is the propagator of B_s = [d2 |
+e_s], a rank-one change of B0, held as delta = v[s] alone. Its torsion
+needs delta alone, its defect one exact division (`_trace`), and N itself
+is built only when read.
 Torsion is the determinant of the square block matrix [d2 | g1] mapping
 the even chains to C_1; it is well defined up to +-t^m, and a canonical
 representative is obtained by stripping that unit.
@@ -36,9 +37,9 @@ d1 * d2 = 0 included, and on one certificate of its scaled inverse X =
 delta0 * B0^-1: delta0 != 0 and X * B0 = delta0 * I over Z[t], one
 `is_diagonal_product` test on X's packed rows, exact at their width once
 their digits are bounded (`mscomplex._certify_inverse`, which proves them
-for the base propagator; `Propagator.numer` proves them for a seeded
-one, given its delta != 0). They prove G2 = N / delta, but not the scale
-of delta: (c * X, c * delta0) passes the certificate for any nonzero
+for the base propagator; `Propagator.numer` proves them for any other
+coordinate, given its delta != 0). They prove G2 = N / delta, but not the
+scale of delta: (c * X, c * delta0) passes the certificate for any nonzero
 polynomial c, and its torsion is wrong by the factor c. The Milnor and
 Lescop checks of the pipeline are what pin delta.
 
@@ -57,19 +58,39 @@ N / delta, d1 = D1 / t^a and g1[s] = 1 / d1[s], the first term is num /
 delta, num = tr(t d2' * N), the sum over the coefficients c_m, m >= 1,
 of the nonzero d2 entries d2[i][j] of m * c_m * t^m * N[j][i]; the second
 is (t D1[s]' - a * D1[s]) / D1[s]. The defect is their difference, one
-fraction over Z[t]. num reads N only where d2 has a t-power term, each
-entry exchanged off X (`_trace`), by one path for every propagator.
+fraction over Z[t].
+
+num is read off X by one formula for every propagator (`_trace`). The
+entries of N_s are N_s[j][i] = (v[s] * N0[j][i] - N0[j][s] * v[i]) /
+delta0, the pivot exchange of `Propagator.numer`, so with w_ij = t
+d2'[i][j] the edge sum regroups as
+
+    num_s = (v[s] * T - sum_j N0[j][s] * u[j]) / delta0,
+    T = sum_ij w_ij * N0[j][i],   u[j] = sum_i w_ij * v[i]:
+
+the same sum over the same edges, its shared factors taken out, with one
+exact division. For s = s0 it is T, since column s0 of N0 is zero and
+v[s0] = delta0. The sum runs on X's entries packed at the width w, a ring
+homomorphism, so the quotient is num_s at t = 2^w, and it unpacks to
+num_s once every coefficient of num_s lies below 2^(w-1). Every entry of
+N_s is a minor of [B0 | I]: a cofactor of B_s, whose columns are those of
+d2 and the unit column e_s. So each of its coefficients is below
+2^(k-1), k the kernel's proved width, and a coefficient of w_ij *
+N_s[j][i] is below |w_ij|_1 * 2^(k-1). Summed over the entries, every
+coefficient of num_s is below W * 2^(k-1) <= 2^(w-1), where W is the sum
+over the entries of d2 of |t d2'|_1, and the complex packs at w >= k +
+W.bit_length() (`mscomplex.ChainComplex.forward_elimination`).
 """
 
 from __future__ import annotations
 
 import random
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from ._value import Value
 from .algebra import (FieldMatrix, IntPoly, RatFunc, _derivative, _exact_div,
-                      _unit_equal, _unit_free, _unpack, poly_add, poly_mul)
+                      _pack, _unit_equal, _unit_free, _unpack, poly_add, poly_mul)
 from .errors import DehnError, NotExactError
 from .mscomplex import ChainComplex, ZPoly, check_exactness
 
@@ -83,7 +104,8 @@ class Propagator(Value):
     1/d1[s] on the row of s, read off the complex when needed, and with
     them the torsion needs no determinant of its own. Only delta = v[s] is
     unpacked when the propagator is built; N (`numer`) and its Q(t) matrix
-    are views built on first read."""
+    are views built on first read, and the defect reads neither
+    (`_trace`)."""
 
     inverse: List[List[int]]  # delta0 * B0^-1, shared by the complex's propagators
     width: int
@@ -121,7 +143,7 @@ class Propagator(Value):
         0 is checked when the propagator is built. The certificate's proof
         for s0 then holds for s, word for word. The library builds N_s only
         when it is read: its torsion needs delta_s alone, and its defect
-        reads single entries by the same exchange (`_exchanged`)."""
+        reads the exchange summed over the edges (`_trace`)."""
         x, width, s0, s = self.inverse, self.width, self.base, self.selected
         return [[_unpack(_exchanged(x, s0, s, j, i), width) for i in range(len(x))]
                 for j in range(len(x) - 1)]
@@ -134,11 +156,9 @@ class Propagator(Value):
             RatFunc(x, self.delta) for row in self.numer for x in row])
 
 
-@lru_cache(maxsize=1024)
 def _candidate_order(pivot_seed: Optional[int], n: int) -> Tuple[int, ...]:
     """The candidate order of n coordinates: ascending, or shuffled by
-    `random.Random(pivot_seed)`. Cached: `check` asks for the same few
-    orders on every knot of a size."""
+    `random.Random(pivot_seed)`."""
     order = list(range(n))
     if pivot_seed is not None:
         random.Random(pivot_seed).shuffle(order)
@@ -153,22 +173,24 @@ def build_propagator(cx: ChainComplex, pivot_seed: Optional[int] = None) -> Prop
     The candidate order selects s, the first coordinate in it with
     d1[s] != 0. Exactness makes im(d2) = ker(d1), so these are exactly the
     coordinates whose line completes im(d2) to a basis: the ones an
-    elimination of [d2 | I] in that order selects. Every propagator is read
-    off the complex's `scaled_inverse`, which selects s0, the first such
-    coordinate (see `_propagator`).
+    elimination of [d2 | I] in that order selects; the propagator is
+    `propagator_at(cx, s)`.
     """
+    # None only when d1 = 0, a complex that `propagator_at` refuses as not exact.
+    s = next((j for j in _candidate_order(pivot_seed, cx.c1_dim) if cx.d1_row[j]), None)
+    return propagator_at(cx, s)
+
+
+def propagator_at(cx: ChainComplex, s: int) -> Propagator:
+    """The propagator selecting coordinate s, on a complex that passes
+    `check_exactness` (else `NotExactError`): delta = v[s], read off the
+    complex's scaled inverse, which `mscomplex._certify_inverse` certified
+    where it was made, and refused if zero, as it is wherever d1[s] = 0.
+    `Propagator.numer` proves that this is enough; it costs O(1) after the
+    one certificate per complex."""
     report = check_exactness(cx)
     if not report.exact:
         raise NotExactError(f"complex is not exact: {report.witness}")
-    s = next(j for j in _candidate_order(pivot_seed, cx.c1_dim) if cx.d1_row[j])
-    return _propagator(cx, s)
-
-
-def _propagator(cx: ChainComplex, s: int) -> Propagator:
-    """The propagator selecting s: delta = v[s], read off the complex's
-    scaled inverse, which `mscomplex._certify_inverse` certified where it
-    was made, and refused if zero. `Propagator.numer` proves that this is
-    enough; it costs O(1) after the one certificate per complex."""
     _, _, sign, width = cx.forward_elimination
     inverse = cx.scaled_inverse
     delta = _unpack(inverse[-1][s], width)
@@ -243,19 +265,25 @@ def defect(cx: ChainComplex, g: Propagator) -> DefectValue:
 
 
 def _trace(cx: ChainComplex, g: Propagator) -> IntPoly:
-    """num = tr(t d2' * N) for g: the sum over the coefficients c_m, m >= 1,
-    of the entries d2[i][j] of m * c_m * t^m * N[j][i]. Only the N[j][i]
-    under an entry with a t-power term are read, each by `_exchanged` and
-    unpacked; N itself is never built."""
-    x, width, s0, s = g.inverse, g.width, g.base, g.selected
-    num: IntPoly = []
+    """num = tr(t d2' * N) for g, regrouped as in the module docstring:
+    (v[s] * T - sum_j N0[j][s] * u[j]) / delta0, with T (`total`) = sum
+    w_ij * N0[j][i] and u[j] = sum_i w_ij * v[i], w_ij = t d2'[i][j] packed
+    at the width. Only the entries of d2 with a t-power term are read; N is never
+    built. One exact division and one unpack, both proved in the module
+    docstring; an inexact division is an ArithmeticError naming s."""
+    x, width, s = g.inverse, g.width, g.selected
+    v, u, total = x[-1], [0] * (len(x) - 1), 0
     for i, row in enumerate(cx.d2_rows):
         for j, e in enumerate(row):
             if len(e) > 1:  # a constant entry has no t-power term
-                n = _unpack(_exchanged(x, s0, s, j, i), width)
-                for m in range(1, len(e)):
-                    num = poly_add(num, n, m * e[m], m)
-    return num
+                w = _pack([m * c for m, c in enumerate(e)], width)
+                total += w * x[j][i]
+                u[j] += w * v[i]
+    num = v[s] * total - sum(x[j][s] * uj for j, uj in enumerate(u) if uj)
+    try:
+        return _unpack(_exact_div(num, v[g.base]), width)
+    except ArithmeticError:
+        raise ArithmeticError(f"inexact division in the trace of s = {s}") from None
 
 
 def _exchanged(x: List[List[int]], s0: int, s: int, j: int, i: int) -> int:

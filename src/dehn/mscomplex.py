@@ -17,15 +17,20 @@ substitution of its rows gives X = delta0 * B0^-1: the base propagator's
 numerators N0, and v = delta0 * phi, phi the functional that vanishes on
 im(d2) with phi(e_s0) = 1. One packed product test, X * B0 = delta0 *
 I, certifies X where it is made (`_certify_inverse`), and every
-propagator, whatever its pivot seed, is read off it
-(`invariants.build_propagator`): the base one as N0 over delta0, a
-seeded one by a rank-one change. The complex keeps nothing for the
-defect, which each propagator reads off X itself. The back
-substitution's divisions are exact and its values are minors of [B0 |
-I], so the elimination's proved width holds for them
-(`algebra.fraction_free_back_substitution`). That report, d1 * d2 = 0
-included, is the complex's whole check of itself; the certificate rests
-on it.
+propagator, whatever coordinate it selects, is read off it
+(`invariants.propagator_at`): the base one as N0 over delta0, another by
+a rank-one change. The complex keeps nothing for the defect: each
+propagator reads it off X itself, the paper's edge sum regrouped over
+the pivot exchange, with one exact division (`invariants._trace`). The
+back substitution's divisions are exact and its values are minors of [B0
+| I], so the elimination's proved width holds for them
+(`algebra.fraction_free_back_substitution`). The elimination packs with
+headroom over that width for the two packed reads that need it: the
+certificate's product test, and the trace's one unpack, whose
+coefficients are bounded by W times those of a minor, W the sum over the
+entries of d2 of |t d2'|_1 (`ChainComplex.forward_elimination`). The
+exactness report, d1 * d2 = 0 included, is the complex's whole check of
+itself; the certificate rests on it.
 """
 
 from __future__ import annotations
@@ -101,10 +106,17 @@ class ChainComplex(Value):
         per complex, its rows packed and sorted by their count of nonzeros
         in B0, fewest first and ties in coordinate order, so that sparse
         rows pivot early. Returns (rows, pivots, sign, width) with sign *
-        delta = det B0, the sort's parity folded into `sign`. The width has
-        c = `product_headroom(B0)` bits of headroom over the kernel's proved
-        one, which the certificate of the inverse needs (see
-        `_certify_inverse`)."""
+        delta = det B0, the sort's parity folded into `sign`.
+
+        The width is the kernel's proved one, k, plus max(c, b) bits of
+        headroom. c = `product_headroom(B0)` is what the certificate of the
+        inverse needs (see `_certify_inverse`). b = W.bit_length(), W =
+        sum_ij |t d2'[i][j]|_1, is what the trace's unpack needs
+        (`invariants._trace`): every coefficient of a minor of [B0 | I] is
+        below 2^(k-1), every entry of a propagator's N is such a minor, so
+        every coefficient of its trace sum_ij t d2'[i][j] * N[j][i] is
+        below W * 2^(k-1) <= 2^(k+b-1), inside the signed digits of the
+        width."""
         c1, b0 = self.c1_dim, self._b0
         rows = []
         for i, row in enumerate(b0):
@@ -112,8 +124,11 @@ class ChainComplex(Value):
             unit[i] = (1,)
             rows.append(row + unit)
         order = sorted(range(c1), key=lambda i: sum(map(bool, b0[i])))
+        trace_norm = sum(m * abs(c) for row in self.d2_rows for e in row
+                         for m, c in enumerate(e))
         reduced, pivots, sign, width = fraction_free_elimination(
-            [rows[i] for i in order], headroom=product_headroom(b0))
+            [rows[i] for i in order],
+            headroom=max(product_headroom(b0), trace_norm.bit_length()))
         return reduced, pivots, sign * _parity(order), width
 
     @cached_property
@@ -203,7 +218,7 @@ def _certify_inverse(cx: ChainComplex, x: List[List[int]]) -> None:
     / delta0 + e_s0 * d1 / d1[s0] fixes every column of d2, because d1*d2 =
     0, and fixes e_s0, because column s0 of N0 is zero; those c1 vectors
     form a basis, so M = id. The equation also makes B0 invertible and X
-    = delta0 * B0^-1 itself, so v = delta0 * phi, which every seeded
+    = delta0 * B0^-1 itself, so v = delta0 * phi, which every other
     propagator reads (`invariants.Propagator.numer` proves its identities
     from these rows). It does not pin the scale of delta0: (c * X, c *
     delta0) passes for any nonzero polynomial c.
@@ -213,7 +228,7 @@ def _certify_inverse(cx: ChainComplex, x: List[List[int]]) -> None:
     digit of X and delta0 by 2^j, j = w - c, c = `product_headroom(B0)`
     (`algebra.is_diagonal_product`). A correct X and delta0 are minors of
     [B0 | I], every coefficient below 2^(k-1) for k the kernel's proved
-    width, and the elimination packs at w = k + c, so they pass; an X with
+    width, and the elimination packs at w >= k + c, so they pass; an X with
     a digit past 2^j is refused, whether or not its product holds. delta0
     = 0 is refused first: with X = 0 every packed side would read 0."""
     width = cx.forward_elimination[3]

@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 import dehn
 from conftest import (FIG8, HOPF_LINK, NON_PLANAR, TAILLESS_EDGES, TREFOIL,
-                      UNKNOT_KINK, replaced)
+                      UNKNOT_KINK, replaced, torus_pd)
 from dehn.algebra import poly_add
 from dehn.cli import _worker_count, main
 from dehn.dehngraph import build_d1, build_d2, build_dehn_graph, export_dot
 from dehn.diagram import build_diagram, parse_pd
-from dehn.invariants import DefectValue
+from dehn.invariants import DefectValue, build_propagator
+from dehn.pipeline import run_pipeline
 
 
 def run_cli(capsys, *argv):
@@ -86,7 +87,7 @@ def test_batch_matches_single_knots(tmp_path, capsys, command, fmt):
     knots = (TREFOIL, UNKNOT_KINK, FIG8)
     f = tmp_path / "knots.txt"
     f.write_text("".join(f"{k}\n" for k in knots))
-    argv = (command, "--format", fmt) + (("--seeds", "3") if command == "check" else ())
+    argv = (command, "--format", fmt)
     singles = [run_cli(capsys, *argv, "--pd", k) for k in knots]
     assert all(code == 0 and out and err == "" for code, out, err in singles)
     batch = run_cli(capsys, *argv, "--file", str(f), "--parallel", "1")
@@ -108,7 +109,7 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
         init(parser, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    assert run_cli(capsys, "check", "--pd", TREFOIL, "--seeds", "1")[0] == 0
+    assert run_cli(capsys, "check", "--pd", TREFOIL)[0] == 0
     assert built == []
 
 
@@ -129,14 +130,13 @@ def test_graph_json(capsys):
 
 
 def test_check_command(capsys):
-    code, out, _ = run_cli(capsys, "check", "--pd", TREFOIL, "--seeds", "3")
+    code, out, _ = run_cli(capsys, "check", "--pd", TREFOIL)
     assert code == 0
     assert out.startswith("PASS")
 
 
 def test_check_json(capsys):
-    code, out, _ = run_cli(capsys, "check", "--pd", UNKNOT_KINK, "--seeds", "2",
-                           "--format", "json")
+    code, out, _ = run_cli(capsys, "check", "--pd", UNKNOT_KINK, "--format", "json")
     assert code == 0
     data = json.loads(out)
     assert data["passed"] is True
@@ -155,22 +155,22 @@ def test_a_failing_check_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(dehn.pipeline, "milnor_check", lambda *args: False)
     code, out, _ = run_cli(capsys, "compute", "--pd", TREFOIL)
     assert code == 1 and json.loads(out)["checks"]["milnor"] is False
-    code, out, _ = run_cli(capsys, "check", "--pd", TREFOIL, "--seeds", "1")
+    code, out, _ = run_cli(capsys, "check", "--pd", TREFOIL)
     assert code == 1 and out.startswith("FAIL ") and out.endswith("  failing: milnor\n")
 
 
 @pytest.mark.parametrize("field", ["delta", "numer"])
 def test_a_disagreeing_seed_fails_check(capsys, monkeypatch, field):
-    # Every seeded propagator comes back with delta doubled, which doubles
-    # its torsion; or every seeded defect comes back with t added to its
-    # numerator over its denominator, which moves it by t, not an integer.
-    # The reported propagator and its invariants are built by the pipeline
-    # first and left alone. Only seed_independence fails.
+    # Every other coordinate's propagator comes back with delta doubled,
+    # which doubles its torsion; or its defect comes back with t added to
+    # its numerator over its denominator, which moves it by t, not an
+    # integer. The reported propagator and its invariants are built by the
+    # pipeline first and left alone. Only seed_independence fails.
     import dehn.cli
-    build, read_defect = dehn.cli.build_propagator, dehn.cli.defect
+    build, read_defect = dehn.cli.propagator_at, dehn.cli.defect
 
-    def doubled(cx, pivot_seed=None):
-        g = build(cx, pivot_seed=pivot_seed)
+    def doubled(cx, s):
+        g = build(cx, s)
         return replaced(g, delta=[2 * c for c in g.delta])
 
     def moved(cx, g):
@@ -178,10 +178,35 @@ def test_a_disagreeing_seed_fails_check(capsys, monkeypatch, field):
         return DefectValue(tuple(poly_add(d.num, d.den, shift=1)), d.den)
 
     if field == "delta":
-        monkeypatch.setattr(dehn.cli, "build_propagator", doubled)
+        monkeypatch.setattr(dehn.cli, "propagator_at", doubled)
     else:
         monkeypatch.setattr(dehn.cli, "defect", moved)
-    code, out, _ = run_cli(capsys, "check", "--pd", TREFOIL, "--seeds", "10", "--format", "json")
+    code, out, _ = run_cli(capsys, "check", "--pd", TREFOIL, "--format", "json")
+    checks = json.loads(out)["checks"]
+    assert code == 1 and checks.pop("seed_independence") is False
+    assert all(checks.values())
+
+
+def test_check_compares_every_selectable_coordinate(capsys, monkeypatch):
+    # On T(2,15) the pivot seeds 0 to 9 select 7 of the 16 coordinates, and
+    # never coordinate 15. Only that coordinate's defect moves, by t: a
+    # check that compared a sample of the coordinates would pass, and one
+    # that compares every coordinate with d1[s] != 0 fails
+    # seed_independence alone.
+    import dehn.cli
+    read_defect, text = dehn.cli.defect, torus_pd(15)
+    cx = run_pipeline(text).complex
+    assert cx.d1_row[15] and all(cx.d1_row)
+    assert 15 not in {build_propagator(cx, pivot_seed=seed).selected for seed in range(10)}
+
+    def moved(cx, g):
+        d = read_defect(cx, g)
+        if g.selected != 15:
+            return d
+        return DefectValue(tuple(poly_add(d.num, d.den, shift=1)), d.den)
+
+    monkeypatch.setattr(dehn.cli, "defect", moved)
+    code, out, _ = run_cli(capsys, "check", "--pd", text, "--format", "json")
     checks = json.loads(out)["checks"]
     assert code == 1 and checks.pop("seed_independence") is False
     assert all(checks.values())
@@ -342,42 +367,10 @@ def test_parallel_below_one_is_a_config_error(capsys):
         assert json.loads(err)["error"]["type"] == "ConfigError"
 
 
-def test_seeds_below_zero_is_a_config_error(capsys):
-    # A negative count would check no seed and still report seed_independence.
-    code, out, err = run_cli(capsys, "check", "--pd", TREFOIL, "--seeds", "-3")
-    assert code == 6 and out == ""
-    assert json.loads(err)["error"]["type"] == "ConfigError"
-    code, out, _ = run_cli(capsys, "check", "--pd", TREFOIL, "--seeds", "0",
-                           "--format", "json")
-    assert code == 0 and json.loads(out)["checks"]["seed_independence"] is True
-
-
-@pytest.mark.parametrize("text", [TREFOIL, FIG8])
-def test_a_huge_seed_count_returns_the_same_check(capsys, monkeypatch, text):
-    # The drawing stops once every coordinate with d1[s] != 0 is selected,
-    # so 10**18 seeds return, with the JSON that 10**4 seeds print. A drawing
-    # that did not stop fails at its thousandth propagator instead of hanging.
-    import dehn.cli
-    build, calls = dehn.cli.build_propagator, []
-
-    def counted(cx, pivot_seed=None):
-        calls.append(pivot_seed)
-        assert len(calls) < 1000, "check drew seeds past every selectable coordinate"
-        return build(cx, pivot_seed=pivot_seed)
-
-    monkeypatch.setattr(dehn.cli, "build_propagator", counted)
-    outs = []
-    for seeds in (10**18, 10**4):
-        code, out, _ = run_cli(capsys, "check", "--pd", text, "--seeds", str(seeds),
-                               "--format", "json")
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
-
-
 USAGE_ERRORS = {
     "parallel-not-int": ("compute", "--pd", TREFOIL, "--parallel", "abc"),
     "seeds-not-int": ("check", "--pd", TREFOIL, "--seeds", "many"),
+    "seeds-removed": ("check", "--pd", TREFOIL, "--seeds", "3"),
     "pivot-seed-not-int": ("compute", "--pd", TREFOIL, "--pivot-seed", "1.5"),
     "outer-region-not-int": ("oracle", "--pd", TREFOIL, "--outer-region", "outer"),
     "unknown-flag": ("graph", "--pd", TREFOIL, "--bogus"),

@@ -11,10 +11,11 @@ every knot of KNOTS, one line each, in order. It was written while the Fox
 oracle still normalized its determinant as a polynomial over Q.
 
 tests/data/check_v1.jsonl holds, for every knot of KNOTS, one line each, in
-order, the JSON that `dehn check --seeds 12 --format json --pd <pd>` prints,
-re-dumped on one line by `json.dumps`. It was written while a propagator's
-selected coordinate was still a one-element tuple, the key `check` dedups
-its seeds by.
+order, the JSON that `dehn check --format json --pd <pd>` prints, re-dumped
+on one line by `json.dumps`. It was written while `check` still compared
+only the coordinates that twelve shuffled pivot seeds selected, and a
+propagator's selected coordinate was still a one-element tuple; `check`
+now compares every coordinate with d1[s] != 0 and prints the same.
 
 tests/data/compute_scale_v1.jsonl holds `json.dumps(compute_result(pd))` for
 every knot of SCALE_KNOTS, one line each, in order: T(2,31), T(2,51), a
@@ -29,8 +30,9 @@ seeded Reidemeister-I kinks; for the 98-crossing one, those eight and then
 6_1, 5_2, 5_1, 6_1, 4_1, 3_1, 5_2, 6_1, then twenty kinks.
 
 tests/data/check_scale_v1.jsonl holds, for the 98-crossing composite, the
-JSON that `dehn check --seeds 12 --format json --pd <pd>` prints, re-dumped
-on one line by `json.dumps`, written with the fourth line above.
+JSON that `dehn check --format json --pd <pd>` prints, re-dumped on one
+line by `json.dumps`, written with the fourth line above, when `check`
+compared twelve seeds' coordinates rather than all 80.
 """
 
 import contextlib
@@ -119,10 +121,10 @@ def test_check_golden_file_has_one_line_per_knot():
 
 
 def check_json(pd):
-    """The JSON that `dehn check --seeds 12 --format json` prints, on one line."""
+    """The JSON that `dehn check --format json` prints, on one line."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(["check", "--seeds", "12", "--format", "json", "--pd", pd]) == 0
+        assert cli.main(["check", "--format", "json", "--pd", pd]) == 0
     return json.dumps(json.loads(out.getvalue()))
 
 

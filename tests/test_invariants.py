@@ -26,6 +26,7 @@ from dehn.mscomplex import ChainComplex, Representation, _certify_inverse, build
 from dehn.oracle import milnor_check
 from dehn.pipeline import run_pipeline
 from test_cli import label_valid_pd
+from test_golden import SCALE_KNOTS
 
 T = t_power(1)
 
@@ -195,7 +196,7 @@ def test_pivot_exchange_matches_the_full_elimination(name):
     coords = [s for s in range(cx.c1_dim) if cx.d1_row[s]]
     assert coords
     for s in coords:
-        g = invariants._propagator(cx, s)
+        g = invariants.propagator_at(cx, s)
         numer, delta, selected, sign = eliminate(
             cx, [s] + [j for j in range(cx.c1_dim) if j != s])
         assert g.selected == selected == s
@@ -229,7 +230,7 @@ def test_rank_one_read_matches_the_materialized_exchange(name):
     for region in _regions(text):
         cx = pipeline(text, outer_region=region).complex
         for s in (j for j in range(cx.c1_dim) if cx.d1_row[j]):
-            g = invariants._propagator(cx, s)
+            g = invariants.propagator_at(cx, s)
             tor, d = torsion(cx, g), defect(cx, g)
             assert "numer" not in vars(g), (region, s)
             assert (tor, d) == materialized_invariants(cx, g), (region, s)
@@ -246,7 +247,7 @@ def test_seeded_trace_numerator_is_the_derivative_of_delta(name):
     for region in _regions(text):
         cx = pipeline(text, outer_region=region).complex
         for s in (j for j in range(cx.c1_dim) if cx.d1_row[j]):
-            g = invariants._propagator(cx, s)
+            g = invariants.propagator_at(cx, s)
             assert invariants._trace(cx, g) == _t_derivative(g.delta), (region, s)
 
 
@@ -262,6 +263,50 @@ def test_seeded_trace_numerator_is_the_derivative_of_delta_on_label_valid_codes(
         for seed in [None] + list(range(4)):
             g = build_propagator(cx, pivot_seed=seed)
             assert invariants._trace(cx, g) == _t_derivative(g.delta), (region, seed)
+
+
+def _per_entry_trace(cx, g):
+    """tr(t d2' * N) for g summed entry by entry, the paper's edge sum as
+    written: each entry N_s[j][i] under a t-power entry of d2 read by
+    `invariants._exchanged` and unpacked, the entry `Propagator.numer`
+    builds there, without building the rest of N."""
+    x, width, num = g.inverse, g.width, []
+    for i, row in enumerate(cx.d2_rows):
+        for j, e in enumerate(row):
+            if len(e) > 1:
+                n = _unpack(invariants._exchanged(x, g.base, g.selected, j, i), width)
+                for m in range(1, len(e)):
+                    num = poly_add(num, n, m * e[m], m)
+    return num
+
+
+# The corpus under every outer region, T(2,n) for n <= 31, and the knots of
+# the scale golden file, T(2,31) among them.
+_TRACE_CASES = ([(name, region) for name in sorted(CORPUS)
+                 for region in _regions(CORPUS[name])]
+                + [(f"T(2,{n})", None) for n in range(3, 32, 2)]
+                + [(name, None) for name, _ in SCALE_KNOTS if name != "T2_31"])
+_TRACE_KNOTS = dict(CORPUS, **{f"T(2,{n})": torus_pd(n) for n in range(3, 32, 2)},
+                    **dict(SCALE_KNOTS))
+
+
+@pytest.mark.parametrize("name,region", _TRACE_CASES,
+                         ids=[f"{name}-{region}" for name, region in _TRACE_CASES])
+def test_regrouped_trace_is_the_per_entry_edge_sum(name, region):
+    # For every coordinate s with d1[s] != 0, the trace regrouped over the
+    # pivot exchange, one division by delta0, is the sum of the exchanged
+    # entries, one division each; and the width holds its proof: at least
+    # the kernel's proved width for [B0 | I] plus the bits of W = sum_ij
+    # |t d2'[i][j]|_1.
+    cx = pipeline(_TRACE_KNOTS[name], outer_region=region).complex
+    rows = [list(row) + [(1,) if j == i else () for j in range(cx.c1_dim)]
+            for i, row in enumerate(cx._b0)]
+    w = sum(m * abs(c) for row in cx.d2_rows for e in row for m, c in enumerate(e))
+    proved = algebra._packing_bits(algebra._minor_bound(rows))
+    assert cx.forward_elimination[3] >= proved + w.bit_length()
+    for s in (j for j in range(cx.c1_dim) if cx.d1_row[j]):
+        g = invariants.propagator_at(cx, s)
+        assert invariants._trace(cx, g) == _per_entry_trace(cx, g), s
 
 
 @pytest.mark.parametrize("text", [FIG8, torus_pd(7)])
@@ -286,7 +331,7 @@ def test_a_bumped_functional_is_refused(text, monkeypatch):
                 monkeypatch.setattr(mscomplex, "fraction_free_back_substitution", bumped)
                 for selected in (s0, s):
                     with pytest.raises(DehnError):
-                        invariants._propagator(ChainComplex(*fields), selected)
+                        invariants.propagator_at(ChainComplex(*fields), selected)
 
 
 def test_a_seeded_propagator_with_zero_delta_is_refused():
@@ -299,7 +344,7 @@ def test_a_seeded_propagator_with_zero_delta_is_refused():
     x[-1][s] = 0
     vars(cx)["scaled_inverse"] = x
     with pytest.raises(DehnError, match="delta = 0"):
-        invariants._propagator(cx, s)
+        invariants.propagator_at(cx, s)
 
 
 def test_an_inexact_pivot_exchange_names_the_exchange():
@@ -319,14 +364,31 @@ def test_an_inexact_pivot_exchange_names_the_exchange():
         invariants._exchanged(x, s0, s, j, i)
 
 
+def test_an_inexact_trace_names_the_trace():
+    # One entry v[i] of an X set in past its certificate, i neither s0 nor
+    # s, moved by 1: u[j] moves by w_ij = t d2'[i][j] wherever row i of d2
+    # has a t-power term, so the trace's numerator v[s] * T - sum_j
+    # N0[j][s] * u[j] moves by -sum_j N0[j][s] * w_ij, which v[s0] does not
+    # divide. The error names the trace and s.
+    cx = pipeline(FIG8).complex
+    x, _ = _inverse(cx)
+    s0 = cx.base_coordinate
+    s = next(j for j in range(cx.c1_dim) if cx.d1_row[j] and j != s0)
+    i = next(j for j in range(cx.c1_dim) if j not in (s0, s))
+    g = invariants.propagator_at(cx, s)
+    x[-1][i] += 1
+    with pytest.raises(ArithmeticError, match=re.escape(
+            f"inexact division in the trace of s = {s}")):
+        invariants._trace(cx, replaced(g, inverse=x))
+
+
 @pytest.mark.parametrize("text", [TREFOIL, FIG8_KINKED, torus_pd(9)])
 def test_seeded_propagators_make_one_product_test_per_complex(text, monkeypatch):
     # `compute` makes one packed `is_diagonal_product` test, the certificate
     # of X on its c1 rows, beside the exactness test d1 * d2 = 0 on
     # coefficient lists. Ten seeded propagators with their torsion and
-    # defect add no test, and none builds its N: a seeded defect reads one
-    # exchanged entry, one exact division, per t-power entry of d2, and
-    # the torsion none.
+    # defect add no test, and none builds its N: a defect makes one exact
+    # division, by delta0, and the torsion none.
     calls, divisions = [], []
     test, divide = mscomplex.is_diagonal_product, invariants._exact_div
     monkeypatch.setattr(mscomplex, "is_diagonal_product",
@@ -337,14 +399,13 @@ def test_seeded_propagators_make_one_product_test_per_complex(text, monkeypatch)
     cx = run.complex
     assert calls == [(1, 0), (cx.c1_dim, cx.forward_elimination[3])]
     calls.clear()
-    entries = sum(len(e) > 1 for row in cx.d2_rows for e in row)
     seeded = [build_propagator(cx, pivot_seed=seed) for seed in range(10)]
     for g in seeded:
         divisions.clear()
         torsion(cx, g)
         assert divisions == []
         defect(cx, g)
-        assert 0 < len(divisions) <= entries
+        assert divisions == [cx.scaled_inverse[-1][cx.base_coordinate]]
     assert calls == []
     assert len({g.selected for g in seeded}) > 1
     assert all("numer" not in vars(g) for g in seeded)
@@ -374,7 +435,7 @@ def test_seeded_propagators_leave_no_reference_cycle():
 
 
 def test_candidate_order_is_the_seeded_shuffle():
-    # The cached order is the one a fresh Random(seed) shuffle gives.
+    # The order is the one a fresh Random(seed) shuffle gives.
     for seed in range(41):
         for n in range(1, 41):
             order = list(range(n))
@@ -493,7 +554,7 @@ def test_identities_do_not_pin_the_scale_of_delta():
     _certify_inverse(cx, x)
     scaled = ChainComplex(*cx._values())
     vars(scaled)["scaled_inverse"] = x
-    wrong = invariants._propagator(scaled, g.selected)
+    wrong = invariants.propagator_at(scaled, g.selected)
     assert wrong.delta == poly_mul(g.delta, c)
     assert wrong.numer == [[poly_mul(e, c) for e in row] for row in g.numer]
     assert wrong.g2 == g.g2

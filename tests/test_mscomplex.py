@@ -12,10 +12,10 @@ from dehn.dehngraph import (GroupRingTerm, build_d1, build_d2, build_dehn_graph,
                             graph_from_json, graph_to_json)
 from dehn.diagram import build_diagram, parse_pd
 from dehn.errors import DehnError, NotExactError
-from dehn import invariants, mscomplex
+from dehn import mscomplex
 from dehn.invariants import build_propagator
-from dehn.mscomplex import (ChainComplex, ExactnessReport, Representation, build_complex,
-                            check_exactness, complex_to_json)
+from dehn.mscomplex import (ChainComplex, ExactnessReport, Representation, _certify_inverse,
+                            build_complex, check_exactness, complex_to_json)
 from test_cli import label_valid_pd
 
 # -- representations ----------------------------------------------------------
@@ -261,8 +261,9 @@ def test_exactness_requires_d1_d2_zero():
     with pytest.raises(NotExactError, match="d1\\*d2 != 0"):
         build_propagator(cx)
     # The certificate of the scaled inverse rests on this test: on the
-    # non-complex, X passes it, and a propagator is read off it.
-    invariants._propagator(cx, cx.base_coordinate)
+    # non-complex, X is made and passes it, and only the exactness report
+    # keeps a propagator from being read off it.
+    _certify_inverse(cx, cx.scaled_inverse)
 
 
 def test_d1_d2_one_bit_narrower_would_alias():
