@@ -21,18 +21,14 @@ import os
 import sys
 from typing import List, Optional, Tuple
 
-from .algebra import poly_add
+from .algebra import poly_add, poly_mul
 from .dehngraph import build_d1, build_d2, build_dehn_graph, export_dot, graph_to_json
 from .diagram import build_diagram, parse_pd, wirtinger
 from .errors import ConfigError, DehnError
-from .invariants import (defect, defect_equal_mod_Z, propagator_at, torsion,
-                         torsion_equal_up_to_units)
+from .invariants import defect, propagator_at, torsion
 from .mscomplex import check_exactness
 from .oracle import fox_alexander
 from .pipeline import SCHEMA_VERSION, compute_result, run_pipeline
-
-# The least value of each integer option that has one.
-_FLOORS = {"parallel": 1}
 
 
 def _read_inputs(args) -> List[Tuple[Optional[int], str]]:
@@ -95,8 +91,8 @@ def _run(args) -> int:
 
 
 def _compute_one(task) -> dict:
-    pd_text, outer_region, pivot_seed = task
-    return compute_result(pd_text, outer_region, pivot_seed)
+    pd_text, outer_region = task
+    return compute_result(pd_text, outer_region)
 
 
 def _compute_text(r: dict) -> str:
@@ -138,16 +134,20 @@ def _check_one(task) -> dict:
     checks["propagator"] = True  # identities are verified at construction
     checks["lescop"] = run.lescop_ok
     checks["milnor"] = run.milnor_ok
-    # Every coordinate with d1[s] != 0 selects a propagator, so each one but
-    # the reported one is compared with it, over Z[t] with no gcd: its
-    # torsion up to units, its defect mod Z.
+    # Every coordinate with d1[s] != 0 selects a propagator, and each gives
+    # the reported torsion and defect exactly (`dehn.invariants`), so each
+    # one but the reported one is compared with them, pair by pair,
+    # cross-multiplied over Z[t] with no gcd.
     others = (propagator_at(cx, s) for s, d1_s in enumerate(cx.d1_row)
               if d1_s and s != run.propagator.selected)
     checks["seed_independence"] = all(
-        torsion_equal_up_to_units(run.tor, torsion(cx, g))
-        and defect_equal_mod_Z(run.d, defect(cx, g))
-        for g in others)
+        _same(run.tor, torsion(cx, g)) and _same(run.d, defect(cx, g)) for g in others)
     return {"pd": run.pd.to_text(), "passed": all(checks.values()), "checks": checks}
+
+
+def _same(a, b) -> bool:
+    """Whether two `TorsionValue`s or `DefectValue`s are the same fraction."""
+    return poly_mul(a.num, b.den) == poly_mul(b.num, a.den)
 
 
 def _check_text(r: dict) -> str:
@@ -194,9 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="full invariant computation")
     _add_common(p, ["json", "text"], "json")
-    p.add_argument("--pivot-seed", type=int, default=None,
-                   help="randomize the propagator coordinate choice")
-    p.set_defaults(one=_compute_one, fields=("outer_region", "pivot_seed"),
+    p.set_defaults(one=_compute_one, fields=("outer_region",),
                    render=_compute_text, passed=lambda r: all(r["checks"].values()))
 
     p = sub.add_parser("graph", help="export the Dehn graph")
@@ -221,10 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        for name, low in _FLOORS.items():
-            value = getattr(args, name, low)
-            if value < low:
-                raise ConfigError(f"--{name} must be at least {low}, got {value}")
+        if args.parallel < 1:
+            raise ConfigError(f"--parallel must be at least 1, got {args.parallel}")
         return _run(args)
     except DehnError as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc),

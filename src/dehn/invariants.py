@@ -8,8 +8,8 @@ and one common denominator delta. A complex is eliminated once, forward,
 and back substituted once, to delta0 * B0^-1 with B0 = [d2 | e_s0], s0
 the first coordinate where d1 is nonzero: its rows N0, then v, certified
 once per complex where they are made. Every propagator is read off them
-by its coordinate (`propagator_at`; `build_propagator` picks the
-coordinate by a pivot seed). The one that selects s0 is N0 over delta0;
+by its coordinate (`propagator_at`; `build_propagator` reads the one at
+s0). The one that selects s0 is N0 over delta0;
 one that selects another coordinate s is the propagator of B_s = [d2 |
 e_s], a rank-one change of B0, held as delta = v[s] alone. Its torsion
 needs delta alone, its defect one exact division (`_trace`), and N itself
@@ -31,6 +31,13 @@ d2 and sign * delta = det B. G1 is e_s / d1[s], hence [d2 | g1] = B *
 diag(I, 1/d1[s]), and
 
     raw torsion = det [d2 | g1] = sign * delta / d1[s].
+
+It is the same fraction for every s with d1[s] != 0: g1 moves by
+e_s / d1[s] - e_s' / d1[s'], which lies in ker d1 = im d2, so the
+determinant does not. The defect's representative is exactly t (d/dt)
+log of the raw torsion (Jacobi's formula, below), so it does not move
+either; `check` compares every coordinate's pairs with the reported ones
+by cross-multiplication.
 
 The three propagator identities rest on the complex's exactness report,
 d1 * d2 = 0 included, and on one certificate of its scaled inverse X =
@@ -84,9 +91,8 @@ W.bit_length() (`mscomplex.ChainComplex.forward_elimination`).
 
 from __future__ import annotations
 
-import random
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import List
 
 from ._value import Value
 from .algebra import (FieldMatrix, IntPoly, RatFunc, _derivative, _exact_div,
@@ -156,29 +162,14 @@ class Propagator(Value):
             RatFunc(x, self.delta) for row in self.numer for x in row])
 
 
-def _candidate_order(pivot_seed: Optional[int], n: int) -> Tuple[int, ...]:
-    """The candidate order of n coordinates: ascending, or shuffled by
-    `random.Random(pivot_seed)`."""
-    order = list(range(n))
-    if pivot_seed is not None:
-        random.Random(pivot_seed).shuffle(order)
-    return tuple(order)
-
-
-def build_propagator(cx: ChainComplex, pivot_seed: Optional[int] = None) -> Propagator:
-    """Construct a propagator; `pivot_seed` shuffles the candidate coordinate
-    order (default is ascending), giving genuinely different propagators whose
-    torsion and defect must agree.
-
-    The candidate order selects s, the first coordinate in it with
-    d1[s] != 0. Exactness makes im(d2) = ker(d1), so these are exactly the
-    coordinates whose line completes im(d2) to a basis: the ones an
-    elimination of [d2 | I] in that order selects; the propagator is
-    `propagator_at(cx, s)`.
-    """
-    # None only when d1 = 0, a complex that `propagator_at` refuses as not exact.
-    s = next((j for j in _candidate_order(pivot_seed, cx.c1_dim) if cx.d1_row[j]), None)
-    return propagator_at(cx, s)
+def build_propagator(cx: ChainComplex) -> Propagator:
+    """The propagator at s0, the first coordinate with d1[s0] != 0:
+    `propagator_at(cx, cx.base_coordinate)`. Exactness makes im(d2) =
+    ker(d1), so the coordinates with d1[s] != 0 are exactly those whose
+    line completes im(d2) to a basis, and each of them gives the same
+    torsion and defect (the module docstring)."""
+    # s0 is None only when d1 = 0, a complex that `propagator_at` refuses as not exact.
+    return propagator_at(cx, cx.base_coordinate)
 
 
 def propagator_at(cx: ChainComplex, s: int) -> Propagator:

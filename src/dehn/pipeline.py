@@ -57,8 +57,7 @@ class PipelineRun(Value):
         }
 
 
-def run_pipeline(pd_text: str, outer_region: Optional[int] = None,
-                 pivot_seed: Optional[int] = None) -> PipelineRun:
+def run_pipeline(pd_text: str, outer_region: Optional[int] = None) -> PipelineRun:
     """Parse, build the labeled graph and complex, and compute every invariant.
 
     Raises the error hierarchy in `dehn.errors` for invalid input, non-planar
@@ -77,7 +76,7 @@ def run_pipeline(pd_text: str, outer_region: Optional[int] = None,
     report = check_exactness(cx)  # build_propagator re-checks; fail early here
     if not report.exact:
         raise NotExactError(f"complex is not exact: {report.witness}")
-    g = build_propagator(cx, pivot_seed=pivot_seed)
+    g = build_propagator(cx)
     tor = torsion(cx, g)
     d = defect(cx, g)
     alex = fox_alexander(wirtinger(diagram))
@@ -85,6 +84,5 @@ def run_pipeline(pd_text: str, outer_region: Optional[int] = None,
                        check_lescop_relation(tor, d), milnor_check(tor, alex))
 
 
-def compute_result(pd_text: str, outer_region: Optional[int] = None,
-                   pivot_seed: Optional[int] = None) -> dict:
-    return run_pipeline(pd_text, outer_region, pivot_seed).to_json_dict()
+def compute_result(pd_text: str, outer_region: Optional[int] = None) -> dict:
+    return run_pipeline(pd_text, outer_region).to_json_dict()

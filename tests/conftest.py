@@ -9,7 +9,9 @@ from fractions import Fraction
 from dehn import algebra
 from dehn.algebra import FieldMatrix, Polynomial, RatFunc, _pack, _unpack, fraction_free_elimination
 from dehn.dehngraph import BASEPOINT
-from dehn.invariants import DefectValue, TorsionValue
+from dehn.invariants import (DefectValue, TorsionValue, check_lescop_relation, defect,
+                             propagator_at, torsion)
+from dehn.oracle import milnor_check
 from dehn.pipeline import run_pipeline
 from dehn.words import exponent_sum
 
@@ -111,8 +113,34 @@ def det_torsion(cx, g) -> RatFunc:
 
 
 @functools.lru_cache(maxsize=None)
-def pipeline(pd_text, outer_region=None, pivot_seed=None):
-    return run_pipeline(pd_text, outer_region=outer_region, pivot_seed=pivot_seed)
+def pipeline(pd_text, outer_region=None):
+    return run_pipeline(pd_text, outer_region=outer_region)
+
+
+def selectable(cx):
+    """The coordinates s with d1[s] != 0: those a propagator can select."""
+    return [s for s, x in enumerate(cx.d1_row) if x]
+
+
+def spread(cx, n):
+    """At most n selectable coordinates, evenly spaced from the first to
+    the last: a fixed sample where reading every one costs too much."""
+    coords = selectable(cx)
+    if len(coords) <= n:
+        return coords
+    return sorted({coords[i * (len(coords) - 1) // (n - 1)] for i in range(n)})
+
+
+def compute_result_at(pd_text, s):
+    """The `compute` JSON of a knot read through the propagator at
+    coordinate s: its `PipelineRun` with the propagator, torsion, defect
+    and the checks on them replaced by those at s."""
+    run = pipeline(pd_text)
+    cx = run.complex
+    g = propagator_at(cx, s)
+    tor, d = torsion(cx, g), defect(cx, g)
+    return replaced(run, propagator=g, tor=tor, d=d, lescop_ok=check_lescop_relation(tor, d),
+                    milnor_ok=milnor_check(tor, run.alexander)).to_json_dict()
 
 
 def poly(*coeffs) -> Polynomial:

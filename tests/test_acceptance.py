@@ -13,14 +13,14 @@ import pytest
 from conftest import (CORPUS, FIG8, FIG8_KINKED, HOPF_LINK, TREFOIL,
                       TREFOIL_KINKED, find_basis_permutation, is_identity,
                       is_zero_matrix, mat, mat_add, pipeline, poly, qt_d1, qt_d2, qt_g1,
-                      qt_add, qt_image, qt_sub, rf, scaled)
+                      qt_add, qt_image, qt_sub, rf, scaled, selectable)
 from dehn.algebra import RatFunc
 from dehn.dehngraph import build_d1, build_d2, build_dehn_graph, check_d2
 from dehn.diagram import build_diagram, parse_pd
 from dehn.errors import MultiComponentError
 from dehn.invariants import (DefectValue, TorsionValue, build_propagator,
                              check_lescop_relation, defect, defect_equal_mod_Z,
-                             torsion, torsion_equal_up_to_units)
+                             propagator_at, torsion, torsion_equal_up_to_units)
 from dehn.mscomplex import Representation, build_complex, check_exactness
 from dehn.oracle import milnor_check
 from dehn.pipeline import run_pipeline
@@ -101,11 +101,12 @@ def test_criterion_5_milnor_relation_on_corpus():
 def test_criterion_6_propagator_independence():
     for name, text in sorted(CORPUS.items()):
         run = pipeline(text)
-        for seed in range(10):
-            g = build_propagator(run.complex, pivot_seed=seed)
-            assert torsion_equal_up_to_units(run.tor, torsion(run.complex, g)), name
-            assert defect_equal_mod_Z(run.d, defect(run.complex, g)), name
-    _report(6, "10 pivot seeds per knot: unit-equal torsion, mod-Z-equal defect")
+        for s in selectable(run.complex):
+            g = propagator_at(run.complex, s)
+            assert torsion_equal_up_to_units(run.tor, torsion(run.complex, g)), (name, s)
+            assert defect_equal_mod_Z(run.d, defect(run.complex, g)), (name, s)
+    _report(6, "every coordinate with d1[s] != 0 per knot: unit-equal torsion, "
+               "mod-Z-equal defect")
 
 
 def test_criterion_7_diagram_independence():

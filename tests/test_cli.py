@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 import dehn
 from conftest import (FIG8, HOPF_LINK, NON_PLANAR, TAILLESS_EDGES, TREFOIL,
-                      UNKNOT_KINK, replaced, torus_pd)
+                      UNKNOT_KINK, replaced, selectable, torus_pd)
 from dehn.algebra import poly_add
 from dehn.cli import _worker_count, main
 from dehn.dehngraph import build_d1, build_d2, build_dehn_graph, export_dot
 from dehn.diagram import build_diagram, parse_pd
-from dehn.invariants import DefectValue, build_propagator
+from dehn.invariants import DefectValue
 from dehn.pipeline import run_pipeline
 
 
@@ -159,13 +159,16 @@ def test_a_failing_check_exits_1(capsys, monkeypatch):
     assert code == 1 and out.startswith("FAIL ") and out.endswith("  failing: milnor\n")
 
 
-@pytest.mark.parametrize("field", ["delta", "numer"])
+@pytest.mark.parametrize("field", ["delta", "numer", "sign"])
 def test_a_disagreeing_seed_fails_check(capsys, monkeypatch, field):
     # Every other coordinate's propagator comes back with delta doubled,
     # which doubles its torsion; or its defect comes back with t added to
     # its numerator over its denominator, which moves it by t, not an
-    # integer. The reported propagator and its invariants are built by the
-    # pipeline first and left alone. Only seed_independence fails.
+    # integer; or its sign comes back flipped, which moves its torsion by
+    # the unit -1: the same class up to units, but not the same fraction,
+    # which every coordinate gives. The reported propagator and its
+    # invariants are built by the pipeline first and left alone. Only
+    # seed_independence fails, on 3_1 and on T(2,9).
     import dehn.cli
     build, read_defect = dehn.cli.propagator_at, dehn.cli.defect
 
@@ -173,31 +176,35 @@ def test_a_disagreeing_seed_fails_check(capsys, monkeypatch, field):
         g = build(cx, s)
         return replaced(g, delta=[2 * c for c in g.delta])
 
+    def flipped(cx, s):
+        g = build(cx, s)
+        return g if s == cx.base_coordinate else replaced(g, sign=-g.sign)
+
     def moved(cx, g):
         d = read_defect(cx, g)
         return DefectValue(tuple(poly_add(d.num, d.den, shift=1)), d.den)
 
-    if field == "delta":
-        monkeypatch.setattr(dehn.cli, "propagator_at", doubled)
-    else:
+    if field == "numer":
         monkeypatch.setattr(dehn.cli, "defect", moved)
-    code, out, _ = run_cli(capsys, "check", "--pd", TREFOIL, "--format", "json")
-    checks = json.loads(out)["checks"]
-    assert code == 1 and checks.pop("seed_independence") is False
-    assert all(checks.values())
+    else:
+        monkeypatch.setattr(dehn.cli, "propagator_at", doubled if field == "delta" else flipped)
+    for text in (TREFOIL, torus_pd(9)):
+        code, out, _ = run_cli(capsys, "check", "--pd", text, "--format", "json")
+        checks = json.loads(out)["checks"]
+        assert code == 1 and checks.pop("seed_independence") is False, text
+        assert all(checks.values()), text
 
 
 def test_check_compares_every_selectable_coordinate(capsys, monkeypatch):
-    # On T(2,15) the pivot seeds 0 to 9 select 7 of the 16 coordinates, and
-    # never coordinate 15. Only that coordinate's defect moves, by t: a
-    # check that compared a sample of the coordinates would pass, and one
-    # that compares every coordinate with d1[s] != 0 fails
-    # seed_independence alone.
+    # On T(2,15) all 16 coordinates have d1[s] != 0, and the reported
+    # propagator selects coordinate 0. Only coordinate 15's defect moves,
+    # by t, the last one a check reaches: a check that compared a sample of
+    # the coordinates could pass, and one that compares every coordinate
+    # with d1[s] != 0 fails seed_independence alone.
     import dehn.cli
     read_defect, text = dehn.cli.defect, torus_pd(15)
     cx = run_pipeline(text).complex
-    assert cx.d1_row[15] and all(cx.d1_row)
-    assert 15 not in {build_propagator(cx, pivot_seed=seed).selected for seed in range(10)}
+    assert selectable(cx) == list(range(16)) and cx.base_coordinate == 0
 
     def moved(cx, g):
         d = read_defect(cx, g)
@@ -364,14 +371,16 @@ def test_parallel_below_one_is_a_config_error(capsys):
     for value in ("0", "-3"):
         code, out, err = run_cli(capsys, "compute", "--pd", TREFOIL, "--parallel", value)
         assert code == 6 and out == ""
-        assert json.loads(err)["error"]["type"] == "ConfigError"
+        error = json.loads(err)["error"]
+        assert error["type"] == "ConfigError"
+        assert error["message"] == f"--parallel must be at least 1, got {value}"
 
 
 USAGE_ERRORS = {
     "parallel-not-int": ("compute", "--pd", TREFOIL, "--parallel", "abc"),
     "seeds-not-int": ("check", "--pd", TREFOIL, "--seeds", "many"),
     "seeds-removed": ("check", "--pd", TREFOIL, "--seeds", "3"),
-    "pivot-seed-not-int": ("compute", "--pd", TREFOIL, "--pivot-seed", "1.5"),
+    "pivot-seed-removed": ("compute", "--pd", TREFOIL, "--pivot-seed", "1"),
     "outer-region-not-int": ("oracle", "--pd", TREFOIL, "--outer-region", "outer"),
     "unknown-flag": ("graph", "--pd", TREFOIL, "--bogus"),
     "unknown-format": ("graph", "--pd", TREFOIL, "--format", "text"),

@@ -1,10 +1,17 @@
 """Schema-v1 `compute` JSON, the `oracle` JSON and the `check` JSON stay
 byte-identical to the committed golden files.
 
-tests/data/compute_v1.jsonl holds `json.dumps(compute_result(pd, pivot_seed=s))`
-for every case of CASES, one line each, in order. It was written before the
-propagator moved to fraction-free elimination over Z[t]; a change to any line
-is a change of schema-v1 output.
+tests/data/compute_v1.jsonl holds four lines per knot of KNOTS, one for
+every case of CASES, in order. They were written as
+`json.dumps(compute_result(pd, pivot_seed=s))` for the seeds s = None, 0,
+1, 2 of SEEDS, which chose the propagator's coordinate while `compute`
+still took one, and before the propagator moved to fraction-free
+elimination over Z[t]. The four lines of a knot are byte-identical: every
+coordinate gives the same torsion and defect. Each line is now checked
+against `json.dumps(compute_result(pd))`, under the id of the seed that
+wrote it, and against the JSON read through the propagator of every
+coordinate with d1[s] != 0. A change to any line is a change of
+schema-v1 output.
 
 tests/data/oracle_v1.jsonl holds `json.dumps(cli._oracle_one((pd, None)))` for
 every knot of KNOTS, one line each, in order. It was written while the Fox
@@ -13,9 +20,10 @@ oracle still normalized its determinant as a polynomial over Q.
 tests/data/check_v1.jsonl holds, for every knot of KNOTS, one line each, in
 order, the JSON that `dehn check --format json --pd <pd>` prints, re-dumped
 on one line by `json.dumps`. It was written while `check` still compared
-only the coordinates that twelve shuffled pivot seeds selected, and a
-propagator's selected coordinate was still a one-element tuple; `check`
-now compares every coordinate with d1[s] != 0 and prints the same.
+only the coordinates that twelve shuffled pivot seeds selected, up to
+units and modulo the integers, and a propagator's selected coordinate was
+still a one-element tuple; `check` now compares every coordinate with
+d1[s] != 0, exactly, and prints the same.
 
 tests/data/compute_scale_v1.jsonl holds `json.dumps(compute_result(pd))` for
 every knot of SCALE_KNOTS, one line each, in order: T(2,31), T(2,51), a
@@ -32,7 +40,8 @@ seeded Reidemeister-I kinks; for the 98-crossing one, those eight and then
 tests/data/check_scale_v1.jsonl holds, for the 98-crossing composite, the
 JSON that `dehn check --format json --pd <pd>` prints, re-dumped on one
 line by `json.dumps`, written with the fourth line above, when `check`
-compared twelve seeds' coordinates rather than all 80.
+compared twelve seeds' coordinates rather than all 80, and up to units
+and modulo the integers rather than exactly.
 """
 
 import contextlib
@@ -42,7 +51,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS, FIG8_KINKED, TREFOIL_KINKED, torus_pd
+from conftest import (CORPUS, FIG8_KINKED, TREFOIL_KINKED, compute_result_at, pipeline,
+                      selectable, torus_pd)
 from dehn import cli
 from dehn.pipeline import compute_result
 
@@ -52,7 +62,7 @@ CHECK_GOLDEN = Path(__file__).parent / "data" / "check_v1.jsonl"
 T2_7 = "[[1,8,2,9],[3,10,4,11],[5,12,6,13],[7,14,8,1],[9,2,10,3],[11,4,12,5],[13,6,14,7]]"
 KNOTS = ([(name, CORPUS[name]) for name in sorted(CORPUS)]
          + [("3_1_kinked", TREFOIL_KINKED), ("4_1_kinked", FIG8_KINKED), ("T2_7", T2_7)])
-SEEDS = (None, 0, 1, 2)
+SEEDS = (None, 0, 1, 2)  # the seeds the lines of GOLDEN were written with
 SCALE_GOLDEN = Path(__file__).parent / "data" / "compute_scale_v1.jsonl"
 COMPOSITE_48 = (
     "[[92,95,93,96],[94,89,95,90],[96,91,1,92],[90,87,91,88],[88,93,89,94],[21,8,22,9],"
@@ -102,8 +112,18 @@ def test_golden_file_has_one_line_per_case():
 @pytest.mark.parametrize("index", range(len(CASES)),
                          ids=[f"{name}-seed{seed}" for name, _, seed in CASES])
 def test_compute_json_matches_golden(index):
-    _, pd, seed = CASES[index]
-    assert json.dumps(compute_result(pd, pivot_seed=seed)) == golden_lines()[index]
+    _, pd, _ = CASES[index]
+    assert json.dumps(compute_result(pd)) == golden_lines()[index]
+
+
+@pytest.mark.parametrize("index", range(len(KNOTS)), ids=[name for name, _ in KNOTS])
+def test_compute_json_matches_golden_at_every_coordinate(index):
+    # The JSON read through the propagator of every coordinate with d1[s]
+    # != 0 is the knot's line, byte for byte.
+    _, pd = KNOTS[index]
+    line = golden_lines()[index * len(SEEDS)]
+    for s in selectable(pipeline(pd).complex):
+        assert json.dumps(compute_result_at(pd, s)) == line, s
 
 
 def test_oracle_golden_file_has_one_line_per_knot():
