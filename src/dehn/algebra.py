@@ -7,14 +7,13 @@ in a unique reduced form, which its constructor makes with the kernel's gcd
 division. Every elimination runs in the kernel, through the one
 forward fraction-free loop `fraction_free_elimination` over Z[t], at a
 packing width proved by a Hadamard-type bound: on a complex's
-[d2 | e_s | I], whose pivots give the exactness rank and whose rows
+[d2 | e_s0 | I], whose pivots give the exactness rank and whose rows
 `fraction_free_back_substitution` turns into the scaled inverse every
 propagator is read off, and on the Fox minor. It returns its rows packed,
 so each caller unpacks only the entries it reads. Every matrix product
 the library checks goes through the one test `is_diagonal_product`,
-rows * m = delta * I over Z[t] at a proved packing width, with delta = []
-for a zero product, on coefficient lists or on packed rows, whose digits
-it bounds first; no product is ever unpacked.
+rows * m = delta * I over Z[t] on packed rows, with delta = [] for a zero
+product, whose digits it bounds first; no product is ever unpacked.
 `FieldMatrix`, a dense matrix over Q(t), is the form a propagator's G2 is
 shown in; its product, reduced form and determinant write each row over
 one denominator and run over Z[t], the last two through the same loop and
@@ -44,14 +43,6 @@ from .errors import DehnError, _json_fields
 Coeffish = Union[int, Fraction]
 
 
-def _coerce(c: Coeffish) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"cannot use {type(c).__name__} as a rational coefficient")
-
-
 class Polynomial(Value):
     """Univariate polynomial over Q, coefficients stored constant-term first:
     a read-only view for display, with no arithmetic; the library computes
@@ -64,7 +55,7 @@ class Polynomial(Value):
     coeffs: Tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable[Coeffish] = ()):
-        cs = [_coerce(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in _coefficients(coeffs)]
         while cs and cs[-1] == 0:
             cs.pop()
         _set(self, "coeffs", tuple(cs))
@@ -220,7 +211,9 @@ def _display(num: Polynomial, den: Polynomial) -> str:
 
 def _coefficients(p) -> List[Coeffish]:
     """The coefficients of a Polynomial, a rational constant or a sequence of
-    rationals, as a new list."""
+    rationals, as a new list: the one coercion of `Polynomial` and
+    `RatFunc`, a TypeError for a coefficient that is not an int or a
+    Fraction."""
     if isinstance(p, Polynomial):
         return list(p.coeffs)
     cs = [p] if isinstance(p, (int, Fraction)) else list(p)
@@ -230,8 +223,11 @@ def _coefficients(p) -> List[Coeffish]:
     return cs
 
 
-def _derivative(p: Sequence[int]) -> IntPoly:
-    return [i * c for i, c in enumerate(p)][1:]
+def _euler(p: Sequence[int]) -> IntPoly:
+    """theta(p) = t * p' over Z[t], the Euler operator: it sends c * t^m to
+    m * c * t^m, the paper's contribution of an edge labelled c * t^m, and
+    theta(P) / P is t * (d/dt) log P."""
+    return _trim([m * c for m, c in enumerate(p)])
 
 
 def _unit_free(p: Sequence[int]) -> Sequence[int]:
@@ -419,17 +415,17 @@ def product_headroom(m: Sequence[Sequence[IntPoly]]) -> int:
     """c, the bits that `is_diagonal_product` keeps free above the digits of
     packed rows multiplied into m: the bit length of n + 1, n the largest
     column 1-norm of m (the sum of its entries' 1-norms), and at least 2."""
-    n = max((sum(_norm1(x) for x in col if x) for col in zip(*m)), default=0)
+    n = max((sum(map(_norm1, filter(None, col))) for col in zip(*m)), default=0)
     return max(2, (n + 1).bit_length())
 
 
-def is_diagonal_product(rows: Sequence[Sequence], m: Sequence[Sequence[IntPoly]],
-                        delta: Sequence[int], width: int = 0) -> bool:
-    """Whether rows * m = delta * I over Z[t], each matrix a list of rows of
-    coefficient lists; with delta = [] whether rows * m = 0. Given `width`,
-    the entries of `rows` come packed instead: each is the integer
+def is_diagonal_product(rows: Sequence[Sequence[int]], m: Sequence[Sequence[IntPoly]],
+                        delta: Sequence[int], width: int) -> bool:
+    """Whether rows * m = delta * I over Z[t], with delta = [] whether rows *
+    m = 0. The entries of `rows` come packed: each is the integer
     p(2^width) of the polynomial p whose signed base-2^width digits, the
-    ones `_unpack` reads, are its coefficients.
+    ones `_unpack` reads, are its coefficients; m is a list of rows of
+    coefficient lists.
 
     The test is an equality of columns of polynomials: it holds iff every
     entry E of the difference rows * m - delta * I is zero. Let n be the
@@ -447,13 +443,9 @@ def is_diagonal_product(rows: Sequence[Sequence], m: Sequence[Sequence[IntPoly]]
     the next slot. A nonzero polynomial with every coefficient below 2^k in
     absolute value is nonzero at 2^k: its lowest term c * 2^(k*m), 0 < |c|
     < 2^k, leaves a remainder modulo 2^(k*(m+1)). So once a * n + b < 2^k, a
-    packed difference column is zero iff the column is. The widths are read
-    off the matrices under test, so they cover a wrong product too.
+    packed difference column is zero iff the column is.
 
-    Coefficient lists: a and b are the largest coefficients of rows and of
-    delta, k is the bit length of a * n + b, and l is read off the lists.
-
-    Packed rows: k = width, and the digits are proved small first. With c =
+    Here k = width, and the digits are proved small first. With c =
     `product_headroom(m)`, so n + 1 < 2^c, and j = k - c, a = b = 2^j gives
     a * n + b = 2^j * (n + 1) < 2^k. delta's coefficients are compared with
     2^j. Every digit of every entry x is shown to lie in [-2^j, 2^j) by one
@@ -465,7 +457,8 @@ def is_diagonal_product(rows: Sequence[Sequence], m: Sequence[Sequence[IntPoly]]
     in that range, then 2^(k*i - 1) < |x| < 2^(k*i + k - 1), since c >= 2
     makes 2^j <= 2^(k-2), so i = bit_length(x) // k, and S is one more than
     the largest of these. If a bound fails the answer is False: the product
-    cannot be certified at this width, whatever it is.
+    cannot be certified at this width, whatever it is. The bounds are read
+    off the matrices under test, so they cover a wrong product too.
 
     Each column of `rows` is packed once into one integer. A column of
     rows * m is then the sum, over the nonzero entries of a column of m, of
@@ -476,28 +469,16 @@ def is_diagonal_product(rows: Sequence[Sequence], m: Sequence[Sequence[IntPoly]]
     inner = len(m)
     if any(len(row) != inner for row in rows):
         raise ValueError("shape mismatch in matrix product")
-    m_columns = list(zip(*m))
-    top = max(map(abs, delta), default=0)
-    if width:
-        k = width
-        j = k - product_headroom(m)
-        if j < 0 or top > 1 << j:
-            return False
-        flat = list(chain.from_iterable(rows))
-        digits = max((abs(x).bit_length() for x in flat), default=0) // k + 1
-        ones = ((1 << k * digits) - 1) // ((1 << k) - 1)  # 1 in each slot
-        bias, outside = ones << j, ~(((2 << j) - 1) * ones)
-        if any(x and (x + bias) & outside for x in flat):
-            return False
-    else:
-        entries = list(chain.from_iterable(rows))
-        n = max((sum(_norm1(x) for x in col if x) for col in m_columns), default=0)
-        bound = max(map(abs, chain.from_iterable(entries)), default=0) * n + top
-        if not bound:
-            return True  # rows * m and delta are both zero
-        k = bound.bit_length()
-        rows = [[_pack(x, k) if x else 0 for x in row] for row in rows]
-        digits = max(map(len, entries), default=0)
+    k = width
+    j = k - product_headroom(m)
+    if j < 0 or max(map(abs, delta), default=0) > 1 << j:
+        return False
+    flat = list(chain.from_iterable(rows))
+    digits = max((abs(x).bit_length() for x in flat), default=0) // k + 1
+    ones = ((1 << k * digits) - 1) // ((1 << k) - 1)  # 1 in each slot
+    bias, outside = ones << j, ~(((2 << j) - 1) * ones)
+    if any(x and (x + bias) & outside for x in flat):
+        return False
     slot = k * max(digits + max(map(len, chain.from_iterable(m)), default=0) - 1, len(delta))
 
     def join_slots(line) -> int:
@@ -513,7 +494,7 @@ def is_diagonal_product(rows: Sequence[Sequence], m: Sequence[Sequence[IntPoly]]
     packed_delta = _pack(delta, k)
     columns = [join_slots(col) for col in zip(*rows)] or [0] * inner
     return all(sum(_pack(x, k) * columns[i] for i, x in enumerate(col) if x)
-               == packed_delta << slot * c for c, col in enumerate(m_columns))
+               == packed_delta << slot * c for c, col in enumerate(zip(*m)))
 
 
 def _minor_bound(rows: Sequence[Sequence[IntPoly]]) -> int:

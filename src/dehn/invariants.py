@@ -59,8 +59,10 @@ labels summed entry by entry are the boundary matrices, so it is the trace
 
     defect = tr(t d2' * G2) - (t d1')[s] * g1[s],
 
-with ' the derivative in t of each entry: Jacobi's formula for t (d/dt)
-log det, the reason that defect = t (d/dt) log(torsion) mod Z. With G2 =
+with ' the derivative in t of each entry, so that t d2' is the Euler
+operator theta = t (d/dt) of each entry (`algebra._euler`): Jacobi's
+formula for theta log det, the reason that defect = theta log(torsion)
+mod Z, the form `check_lescop_relation` tests. With G2 =
 N / delta, d1 = D1 / t^a and g1[s] = 1 / d1[s], the first term is num /
 delta, num = tr(t d2' * N), the sum over the coefficients c_m, m >= 1,
 of the nonzero d2 entries d2[i][j] of m * c_m * t^m * N[j][i]; the second
@@ -95,8 +97,8 @@ from functools import cached_property
 from typing import List
 
 from ._value import Value
-from .algebra import (FieldMatrix, IntPoly, RatFunc, _derivative, _exact_div,
-                      _pack, _unit_equal, _unit_free, _unpack, poly_add, poly_mul)
+from .algebra import (FieldMatrix, IntPoly, RatFunc, _euler, _exact_div, _pack,
+                      _unit_equal, _unit_free, _unpack, poly_add, poly_mul)
 from .errors import DehnError, NotExactError
 from .mscomplex import ChainComplex, ZPoly, check_exactness
 
@@ -250,7 +252,7 @@ def defect(cx: ChainComplex, g: Propagator) -> DefectValue:
     s = g.selected
     num = _trace(cx, g)
     d1_s, a = cx.d1_row[s], len(cx.d1_den) - 1
-    td1_s = [(m - a) * c for m, c in enumerate(d1_s)]  # t D1[s]' - a * D1[s]
+    td1_s = poly_add(_euler(d1_s), d1_s, -a)  # t D1[s]' - a * D1[s]
     return DefectValue(tuple(poly_add(poly_mul(num, d1_s), poly_mul(g.delta, td1_s), -1)),
                        tuple(poly_mul(g.delta, d1_s)))
 
@@ -267,7 +269,7 @@ def _trace(cx: ChainComplex, g: Propagator) -> IntPoly:
     for i, row in enumerate(cx.d2_rows):
         for j, e in enumerate(row):
             if len(e) > 1:  # a constant entry has no t-power term
-                w = _pack([m * c for m, c in enumerate(e)], width)
+                w = _pack(_euler(e), width)
                 total += w * x[j][i]
                 u[j] += w * v[i]
     num = v[s] * total - sum(x[j][s] * uj for j, uj in enumerate(u) if uj)
@@ -316,6 +318,6 @@ def check_lescop_relation(tor: TorsionValue, d: DefectValue) -> bool:
     p, q = tor.num, tor.den
     if not p:
         raise ValueError("torsion must be nonzero")
-    # With torsion = P / Q in any form, t * (d/dt) log(torsion) = t * (P'Q - PQ') / (PQ).
-    wronskian = poly_add(poly_mul(_derivative(p), q), poly_mul(p, _derivative(q)), -1)
-    return _differ_by_integer(d.num, d.den, poly_add([], wronskian, shift=1), poly_mul(p, q))
+    # With torsion = P / Q in any form, t * (d/dt) log(torsion) = (tP'Q - PtQ') / (PQ).
+    wronskian = poly_add(poly_mul(_euler(p), q), poly_mul(p, _euler(q)), -1)
+    return _differ_by_integer(d.num, d.den, wronskian, poly_mul(p, q))

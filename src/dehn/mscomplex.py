@@ -26,11 +26,11 @@ back substitution's divisions are exact and its values are minors of [B0
 | I], so the elimination's proved width holds for them
 (`algebra.fraction_free_back_substitution`). The elimination packs with
 headroom over that width for the two packed reads that need it: the
-certificate's product test, and the trace's one unpack, whose
-coefficients are bounded by W times those of a minor, W the sum over the
-entries of d2 of |t d2'|_1 (`ChainComplex.forward_elimination`). The
-exactness report, d1 * d2 = 0 included, is the complex's whole check of
-itself; the certificate rests on it.
+certificate's product test, and the trace's one unpack, whose width the
+`invariants` module docstring proves. The exactness report, d1 * d2 = 0
+included, is the complex's whole check of itself; the certificate rests
+on it. Its product test packs D1 at a width of its own, since D1 is no
+minor of [B0 | I] (`ChainComplex._exactness`).
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ from functools import cached_property
 from typing import List, Optional, Tuple
 
 from ._value import Value
-from .algebra import (IntPoly, RatFunc, _unpack, fraction_free_back_substitution,
-                      fraction_free_elimination, is_diagonal_product, poly_add,
-                      product_headroom)
+from .algebra import (IntPoly, RatFunc, _euler, _norm1, _pack, _unpack,
+                      fraction_free_back_substitution, fraction_free_elimination,
+                      is_diagonal_product, poly_add, product_headroom)
 from .dehngraph import BASEPOINT, DehnGraph
 from .errors import DehnError
 from .words import Word, exponent_sum
@@ -111,12 +111,8 @@ class ChainComplex(Value):
         The width is the kernel's proved one, k, plus max(c, b) bits of
         headroom. c = `product_headroom(B0)` is what the certificate of the
         inverse needs (see `_certify_inverse`). b = W.bit_length(), W =
-        sum_ij |t d2'[i][j]|_1, is what the trace's unpack needs
-        (`invariants._trace`): every coefficient of a minor of [B0 | I] is
-        below 2^(k-1), every entry of a propagator's N is such a minor, so
-        every coefficient of its trace sum_ij t d2'[i][j] * N[j][i] is
-        below W * 2^(k-1) <= 2^(k+b-1), inside the signed digits of the
-        width."""
+        sum_ij |t d2'[i][j]|_1, is what the trace's one unpack needs; the
+        `invariants` module docstring proves it."""
         c1, b0 = self.c1_dim, self._b0
         rows = []
         for i, row in enumerate(b0):
@@ -124,8 +120,7 @@ class ChainComplex(Value):
             unit[i] = (1,)
             rows.append(row + unit)
         order = sorted(range(c1), key=lambda i: sum(map(bool, b0[i])))
-        trace_norm = sum(m * abs(c) for row in self.d2_rows for e in row
-                         for m, c in enumerate(e))
+        trace_norm = sum(_norm1(_euler(e)) for row in self.d2_rows for e in row if e)
         reduced, pivots, sign, width = fraction_free_elimination(
             [rows[i] for i in order],
             headroom=max(product_headroom(b0), trace_norm.bit_length()))
@@ -152,8 +147,21 @@ class ChainComplex(Value):
         first, so rank(d2) is the number of pivots among them in
         `forward_elimination`; sorting the rows changes no rank. C_0 has
         rank 1, so d1 surjects iff it has a nonzero entry. d1 * d2 = 0 iff
-        d1_row * d2_rows = 0 over Z[t], tested last so that every earlier
-        witness stays as it was."""
+        D1 * d2 = 0 over Z[t], D1 = `d1_row`, tested last so that every
+        earlier witness stays as it was, by one packed
+        `is_diagonal_product` test with delta = [].
+
+        D1 packs at a width of its own, w = b + c, with b the bit length of
+        its largest coefficient and c = `product_headroom(d2)`. The
+        elimination's width would not do: D1 is no minor of [B0 | I], and
+        a complex read from JSON can give it coefficients of any size. At
+        that width their digits could fail the test's bound, a zero
+        product reported nonzero, or pass it as the digits of another row,
+        whose product with d2 is zero where D1's is not. At w every
+        coefficient of D1 is below 2^b = 2^(w - c) in absolute value,
+        inside the digits the test admits, and below 2^(w-1), so its
+        digits are its coefficients: the test is exact, true iff D1 * d2 =
+        0."""
         if self.c1_dim != self.c2_dim + 1:
             return ExactnessReport(False,
                                    f"dimension mismatch: {self.c1_dim} != {self.c2_dim} + 1")
@@ -162,7 +170,10 @@ class ChainComplex(Value):
             return ExactnessReport(False, f"rank(d2) = {r2} < {self.c2_dim}")
         if not any(self.d1_row):
             return ExactnessReport(False, "rank(d1) = 0 < 1")
-        if not is_diagonal_product([self.d1_row], self.d2_rows, []):
+        width = (max(abs(c) for x in self.d1_row for c in x).bit_length()
+                 + product_headroom(self.d2_rows))
+        if not is_diagonal_product([[_pack(x, width) for x in self.d1_row]],
+                                   self.d2_rows, [], width):
             return ExactnessReport(False, "d1*d2 != 0")
         return ExactnessReport(True)
 

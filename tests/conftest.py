@@ -366,9 +366,19 @@ def satisfies_identities(cx, g):
     """The three propagator identities of g on an exact complex, by the
     criterion the library once checked each propagator with: delta != 0,
     N * d2 = delta * I over Z[t] and column s of N zero (the proof is at
-    `mscomplex._certify_inverse`). N is unpacked in full and the product
-    is tested on coefficient lists, not packed rows."""
-    return (any(g.delta) and algebra.is_diagonal_product(g.numer, cx.d2_rows, g.delta)
+    `mscomplex._certify_inverse`). N is unpacked in full and each entry of
+    N * d2 is summed over Z[t] here, with no packed product test."""
+    def entry(r, c):
+        acc = []
+        for i, x in enumerate(g.numer[r]):
+            if x and cx.d2_rows[i][c]:
+                acc = algebra.poly_add(acc, algebra.poly_mul(x, cx.d2_rows[i][c]))
+        return acc
+
+    c2 = len(g.numer)
+    return (any(g.delta)
+            and all(entry(r, c) == (list(g.delta) if r == c else [])
+                    for r in range(c2) for c in range(c2))
             and not any(row[g.selected] for row in g.numer))
 
 

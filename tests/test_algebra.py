@@ -442,23 +442,30 @@ def _holds(rows, m, delta):
     return product == _diagonal(product.rows, product.cols, delta)
 
 
+def _packed_test(rows, m, delta, width=None):
+    """is_diagonal_product on `rows` packed at `width`; by default at the
+    width with product_headroom(m) bits above the bit length of the largest
+    coefficient of rows and delta, where every digit passes its bound and
+    the answer is exact."""
+    if width is None:
+        largest = max(map(abs, [*delta, *(c for row in rows for x in row for c in x)]),
+                      default=0)
+        width = largest.bit_length() + product_headroom(m)
+    return is_diagonal_product([[_pack(x, width) for x in row] for row in rows], m, delta,
+                               width)
+
+
 def _check_agrees(rows, m, delta, narrow=1):
-    """is_diagonal_product against the Q(t) product; returns its answer.
-    The packed test agrees too at a width with product_headroom(m) bits
-    above the largest coefficient, and at the width `narrow`, where it may
-    refuse to certify a true product, it answers True only for a true
-    product of the rows it unpacks."""
-    got = is_diagonal_product(rows, m, delta)
-    assert got == _holds(rows, m, delta)
-    largest = max(map(abs, [*delta, *(c for row in rows for x in row for c in x)]), default=0)
-    wide = largest.bit_length() + product_headroom(m)
-    for width in (wide, narrow):
-        packed = [[_pack(x, width) for x in row] for row in rows]
-        certified = is_diagonal_product(packed, m, delta, width)
-        assert certified == got if width == wide else (
-            not certified or _holds([[_unpack(x, width) for x in row] for row in packed],
-                                    m, delta))
-    return got
+    """is_diagonal_product against the Q(t) product; returns the Q(t)
+    answer. The test agrees with it at the default width of `_packed_test`,
+    and at the width `narrow`, where it may refuse to certify a true
+    product, it answers True only for a true product of the rows it
+    unpacks."""
+    holds = _holds(rows, m, delta)
+    assert _packed_test(rows, m, delta) == holds
+    assert not _packed_test(rows, m, delta, narrow) or _holds(
+        [[_unpack(_pack(x, narrow), narrow) for x in row] for row in rows], m, delta)
+    return holds
 
 
 @settings(max_examples=60, deadline=None)
@@ -527,7 +534,7 @@ def test_back_substitution_inverts_the_forward_rows(n, singular, data):
     x = fraction_free_back_substitution(forward, n)
     delta = _unpack(forward[n - 1][n - 1], width)
     unpacked = [[_unpack(v, width) for v in row] for row in x]
-    assert is_diagonal_product(a, unpacked, delta)
+    assert _packed_test(a, unpacked, delta)
     assert is_diagonal_product(x, a, delta, width)
     block = [row[n:] for row in gauss_jordan([a[i] + [[1] if j == i else [] for j in range(n)]
                                               for i in range(n)])[0]]
@@ -549,25 +556,35 @@ def test_back_substitution_of_an_empty_system():
 
 def test_is_diagonal_product_shape_mismatch_raises():
     with pytest.raises(ValueError):
-        is_diagonal_product([[[1], [1]]], [[[1]]], [])
+        is_diagonal_product([[1, 1]], [[[1]]], [], 4)
 
 
-def test_zero_product_one_bit_narrower_would_alias():
-    # (-8 + t) * 1: the widths are k = 4 (coefficients up to 8 * 1) and one
-    # slot; at k = 3, -8 + t packs to -8 + 8 = 0.
-    assert packed_column([[-8, 1]], 3, 1) == 0 != packed_column([[-8, 1]], 4, 1)
-    assert not is_diagonal_product([[[-8, 1]]], [[[1]]], [])
-    # (-7 + t) * 1 against delta = 1: the difference is the same -8 + t, and
-    # k = 4 only if |delta| is in the bound, 7 * 1 + 1; without it k = 3.
-    assert not is_diagonal_product([[[-7, 1]]], [[[1]]], [1])
+def test_zero_product_one_bit_narrower_would_alias(monkeypatch):
+    # The row (-h + t, -h), h = 2^(k-1), times the column (1, 1) is -2^k +
+    # t, which packs to 0 at width k = 6. The digit -h is a signed digit of
+    # the width, but the column norm n = 2 takes c = 2 bits of headroom,
+    # digits in [-2^(k-2), 2^(k-2)), so the test refuses to certify; with
+    # one bit less it admits -h and the wrong product passes.
+    k, h, column = 6, 1 << 5, [[[1]], [[1]]]
+    assert packed_column([[-2 * h, 1]], k, 1) == 0 and product_headroom(column) == 2
+    row = [[_pack([-h, 1], k), _pack([-h], k)]]
+    assert not is_diagonal_product(row, column, [], k)
+    # (-4 + t) * 1 against delta = 12 at k = 4, c = 2: the difference -16 + t
+    # packs to 0, and only the bound 2^(k-c) = 4 on delta's coefficients
+    # refuses it.
+    assert _pack([-4, 1], 4) == _pack([12], 4)
+    assert not is_diagonal_product([[_pack([-4, 1], 4)]], [[[1]]], [12], 4)
+    monkeypatch.setattr(algebra, "product_headroom", lambda m: 1)
+    assert is_diagonal_product(row, column, [], k)
 
 
 def test_zero_product_one_slot_shorter_would_alias():
-    # The column (t^2, -1) times 1: k = 1 and L = 3 coefficients per slot.
-    # With one coefficient fewer, the t^2 of row 0 and the -1 of row 1 land
+    # The column (t^2, -1) times 1 at k = 3: its digits pass the bound, the
+    # entry t^2 has l = 3 digits, so each row of the packed column gets L = 3
+    # slots. With one slot fewer, the t^2 of row 0 and the -1 of row 1 land
     # on the same power and cancel.
-    assert packed_column([[0, 0, 1], [-1]], 1, 2) == 0 != packed_column([[0, 0, 1], [-1]], 1, 3)
-    assert not is_diagonal_product([[[0, 0, 1]], [[-1]]], [[[1]]], [])
+    assert packed_column([[0, 0, 1], [-1]], 3, 2) == 0 != packed_column([[0, 0, 1], [-1]], 3, 3)
+    assert not is_diagonal_product([[_pack([0, 0, 1], 3)], [_pack([-1], 3)]], [[[1]]], [], 3)
 
 
 def _at(coeffs, x):

@@ -393,20 +393,21 @@ def test_an_inexact_trace_names_the_trace():
 
 @pytest.mark.parametrize("text", [TREFOIL, FIG8_KINKED, torus_pd(9)])
 def test_seeded_propagators_make_one_product_test_per_complex(text, monkeypatch):
-    # `compute` makes one packed `is_diagonal_product` test, the certificate
-    # of X on its c1 rows, beside the exactness test d1 * d2 = 0 on
-    # coefficient lists. The propagators of every coordinate with their
-    # torsion and defect add no test, and none builds its N: a defect
-    # makes one exact division, by delta0, and the torsion none.
+    # `compute` makes two packed `is_diagonal_product` tests: the exactness
+    # test d1 * d2 = 0 on D1's one row, and the certificate of X on its c1
+    # rows at the elimination's width. The propagators of every coordinate
+    # with their torsion and defect add no test, and none builds its N: a
+    # defect makes one exact division, by delta0, and the torsion none.
     calls, divisions = [], []
     test, divide = mscomplex.is_diagonal_product, invariants._exact_div
     monkeypatch.setattr(mscomplex, "is_diagonal_product",
-                        lambda r, m, d, w=0: calls.append((len(r), w)) or test(r, m, d, w))
+                        lambda r, m, d, w: calls.append((len(r), w)) or test(r, m, d, w))
     monkeypatch.setattr(invariants, "_exact_div",
                         lambda a, b: divisions.append(b) or divide(a, b))
     run = run_pipeline(text)
     cx = run.complex
-    assert calls == [(1, 0), (cx.c1_dim, cx.forward_elimination[3])]
+    assert [r for r, _ in calls] == [1, cx.c1_dim]
+    assert calls[1][1] == cx.forward_elimination[3]
     calls.clear()
     propagators = [invariants.propagator_at(cx, s) for s in selectable(cx)]
     for g in propagators:
@@ -424,7 +425,8 @@ def test_seeded_propagators_make_one_product_test_per_complex(text, monkeypatch)
     fresh = ChainComplex(*cx._values())
     invariants.propagator_at(fresh, propagators[-1].selected)
     assert propagators[-1].selected != cx.base_coordinate
-    assert calls == [(1, 0), (cx.c1_dim, cx.forward_elimination[3])]
+    assert [r for r, _ in calls] == [1, cx.c1_dim]
+    assert calls[1][1] == cx.forward_elimination[3]
 
 
 def test_seeded_propagators_leave_no_reference_cycle():

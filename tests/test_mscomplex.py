@@ -240,12 +240,19 @@ def test_trivial_representation_not_exact():
     (((), ()), ((1,), ()), "dimension mismatch: 2 != 0 + 1"),
     # d2 = (1, 0)^T injects and d1 = (1, 1) surjects, but d1 * d2 = 1.
     ((((1,),), ((),)), ((1,), (1,)), "d1*d2 != 0"),
+    # D1 = (D, -D), D = 3 + 10^30 t, far past the 4 bits the elimination of
+    # [d2 | e_s0 | I] packs at, which never reads D1: d1 * d2 = 0, exact.
+    ((((1,),), ((1,),)), ((3, 10 ** 30), (-3, -10 ** 30)), None),
+    # D1 = (2^100 t, -16 + (1 - 2^100) t): d1 * d2 = -16 + t, nonzero,
+    # though it packs to 0 at that width 4, where D1's packed entries
+    # 2^104 and -2^104 have digits small enough to pass.
+    ((((1,),), ((1,),)), ((0, 1 << 100), (-16, 1 - (1 << 100))), "d1*d2 != 0"),
 ])
 def test_exactness_witness_read_off_the_elimination(d2_rows, d1_row, witness):
     c2 = len(d2_rows[0])
     cx = ChainComplex(d2_rows, (1,), d1_row, tuple(f"c{j}" for j in range(c2)),
                       tuple(f"q{i}" for i in range(len(d2_rows))))
-    assert check_exactness(cx) == ExactnessReport(False, witness)
+    assert check_exactness(cx) == ExactnessReport(witness is None, witness)
 
 
 def test_exactness_requires_d1_d2_zero():
@@ -269,8 +276,8 @@ def test_exactness_requires_d1_d2_zero():
 
 def test_d1_d2_one_bit_narrower_would_alias():
     # d2 = ((1, 0), (0, 1), (0, 0)) injects and d1 = (t - 8, 0, 1) surjects,
-    # but d1 * d2 = (t - 8, 0). Its coefficients are at most 8 * 1, so the
-    # packing width is k = 4; at k = 3, t - 8 packs to 8 - 8 = 0 and the
+    # but d1 * d2 = (t - 8, 0). D1 packs at 4 bits for its coefficient 8
+    # plus 2 of headroom for d2; at k = 3, t - 8 packs to 8 - 8 = 0 and the
     # complex would pass as exact.
     cx = ChainComplex((((1,), ()), ((), (1,)), ((), ())), (1,), ((-8, 1), (), (1,)),
                       ("c0", "c1"), ("q0", "q1", "q2"))
