@@ -368,6 +368,8 @@ def _pack(coeffs: Sequence[int], k: int) -> int:
 
 
 def _unpack(n: int, k: int) -> IntPoly:
+    if k < 2:  # the digits {-1, 0} of width 1 cannot sum to n > 0
+        raise ValueError(f"cannot unpack at width {k}: signed digits need 2 bits")
     out = []
     mask, half, base = (1 << k) - 1, 1 << (k - 1), 1 << k
     while n:

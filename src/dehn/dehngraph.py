@@ -14,10 +14,11 @@ equalities that depend on the knot group relations are only ever checked
 under a representation (check_d2), never by rewriting.
 
 The graph has one vertex per crossing (index 2), one per bounded region
-(index 1) and one basepoint (index 0). Every corner incidence with a bounded
-region contributes its own edge, so a region meeting a crossing twice (a
-kink) yields two parallel edges; each bounded region gets two edges to the
-basepoint, labeled +1 and minus its region label.
+(index 1) and one basepoint (index 0), always "inf"; a `DehnGraph` holds
+the ids of the first two groups in order. Every corner incidence with a
+bounded region contributes its own edge, so a region meeting a crossing
+twice (a kink) yields two parallel edges; each bounded region gets two
+edges to the basepoint, labeled +1 and minus its region label.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class GroupRingTerm(Value):
     sign: int
     word: Word
 
-    # GroupRingTerm, Vertex and Edge are built by the dozen per knot, and a
+    # GroupRingTerm and Edge are built by the dozen per knot, and a
     # fixed signature sets the fields in about half the time of
     # `Value.__init__`.
     def __init__(self, sign: int, word: Word):
@@ -110,17 +111,6 @@ def check_d2(labeling: RegionLabeling, diagram: KnotDiagram, rep) -> List[dict]:
     return violations
 
 
-class Vertex(Value):
-    id: str
-    kind: str  # crossing | region | basepoint
-    index: int  # 2 | 1 | 0
-
-    def __init__(self, id: str, kind: str, index: int):
-        _set(self, "id", id)
-        _set(self, "kind", kind)
-        _set(self, "index", index)
-
-
 class Edge(Value):
     source: str
     target: str
@@ -135,12 +125,21 @@ class Edge(Value):
 
 
 class DehnGraph(Value):
-    vertices: Tuple[Vertex, ...]
+    crossing_vertices: Tuple[str, ...]  # index 2, the basis of C_2
+    region_vertices: Tuple[str, ...]  # index 1, the basis of C_1
     edges: Tuple[Edge, ...]
     arc_names: Tuple[str, ...]
 
 
-BASEPOINT = "inf"
+BASEPOINT = "inf"  # the one vertex of index 0
+# A vertex's Morse index -> its kind and its DOT shape.
+_KINDS = {2: ("crossing", "box"), 1: ("region", "ellipse"), 0: ("basepoint", "doublecircle")}
+
+
+def _indexed_vertices(graph: DehnGraph) -> List[Tuple[str, int]]:
+    """(id, Morse index) of every vertex: crossings, regions, the basepoint."""
+    return ([(v, 2) for v in graph.crossing_vertices]
+            + [(v, 1) for v in graph.region_vertices] + [(BASEPOINT, 0)])
 
 
 def build_dehn_graph(diagram: KnotDiagram, d1: CornerLabeling,
@@ -148,11 +147,6 @@ def build_dehn_graph(diagram: KnotDiagram, d1: CornerLabeling,
     bounded = diagram.bounded_regions()
     crossing_vertex = {c.id: f"p{c.id}" for c in diagram.crossings}
     region_vertex = {r.id: f"q{i}" for i, r in enumerate(bounded)}
-    vertices = (
-        [Vertex(crossing_vertex[c.id], "crossing", 2) for c in diagram.crossings]
-        + [Vertex(region_vertex[r.id], "region", 1) for r in bounded]
-        + [Vertex(BASEPOINT, "basepoint", 0)]
-    )
     edges: List[Edge] = []
     for c in diagram.crossings:
         for pos in range(4):
@@ -167,16 +161,14 @@ def build_dehn_graph(diagram: KnotDiagram, d1: CornerLabeling,
         edges.append(Edge(region_vertex[r.id], BASEPOINT,
                           GroupRingTerm(-1, d2[r.id]), ("region_minus", r.id)))
     arc_names = tuple(generator_name(i) for i in range(diagram.arc_count))
-    return DehnGraph(tuple(vertices), tuple(edges), arc_names)
-
-
-_DOT_SHAPES = {2: "box", 1: "ellipse", 0: "doublecircle"}
+    return DehnGraph(tuple(crossing_vertex.values()), tuple(region_vertex.values()),
+                     tuple(edges), arc_names)
 
 
 def export_dot(graph: DehnGraph) -> str:
     lines = ["digraph dehn {"]
-    for v in graph.vertices:
-        lines.append(f'  "{v.id}" [shape={_DOT_SHAPES[v.index]} label="{v.id}:{v.index}"];')
+    for v, index in _indexed_vertices(graph):
+        lines.append(f'  "{v}" [shape={_KINDS[index][1]} label="{v}:{index}"];')
     for e in graph.edges:
         lines.append(f'  "{e.source}" -> "{e.target}" [label="{e.label}"];')
     lines.append("}")
@@ -186,9 +178,8 @@ def export_dot(graph: DehnGraph) -> str:
 def graph_to_json(graph: DehnGraph) -> dict:
     return {
         "arcs": list(graph.arc_names),
-        "vertices": [
-            {"id": v.id, "kind": v.kind, "index": v.index} for v in graph.vertices
-        ],
+        "vertices": [{"id": v, "kind": _KINDS[index][0], "index": index}
+                     for v, index in _indexed_vertices(graph)],
         "edges": [
             {
                 "from": e.source,
@@ -207,21 +198,29 @@ def graph_from_json(data) -> DehnGraph:
     naming the item at fault: a graph, vertex or edge that is not an object,
     lacks a field or has one of the wrong JSON type (true and false are not
     integers, as in `parse_pd`), an arc name that is not a string, a vertex
-    index other than 0, 1 or 2, an edge sign other than +-1, and a word
-    letter that is not a [name, exponent] pair, names no arc or has an
-    exponent other than +-1."""
+    index other than 0, 1 or 2 or a kind not of that index, a repeated
+    vertex id, index-0 vertices other than one "inf", an edge sign other
+    than +-1, and a word letter that is not a [name, exponent] pair, names
+    no arc or has an exponent other than +-1."""
     arcs, vertex_items, edge_items = _json_fields(data, "graph", dict.fromkeys(
         ("arcs", "vertices", "edges"), list))
     if any(type(name) is not str for name in arcs):
         raise DehnError("an arc name is not a string")
     name_to_id = {name: i for i, name in enumerate(arcs)}
-    vertices = []
+    index_of: Dict[str, int] = {}
     for i, v in enumerate(vertex_items):
         what = f"vertex {v.get('id', i)!r}" if type(v) is dict else f"vertex {i}"
-        vertex = Vertex(*_json_fields(v, what, {"id": str, "kind": str, "index": int}))
-        if vertex.index not in (0, 1, 2):
-            raise DehnError(f"{what}: index {vertex.index} is not 0, 1 or 2")
-        vertices.append(vertex)
+        vid, kind, index = _json_fields(v, what, {"id": str, "kind": str, "index": int})
+        if index not in _KINDS:
+            raise DehnError(f"{what}: index {index} is not 0, 1 or 2")
+        if kind != _KINDS[index][0]:
+            raise DehnError(f"{what}: kind {kind!r} does not match index {index}")
+        if vid in index_of:
+            raise DehnError(f"{what} is repeated")
+        index_of[vid] = index
+    groups = {index: [v for v, i in index_of.items() if i == index] for index in _KINDS}
+    if groups[0] != [BASEPOINT]:
+        raise DehnError(f"the index-0 vertices are {groups[0]}, not [{BASEPOINT!r}]")
     edges = []
     for i, e in enumerate(edge_items):
         source, target = _json_fields(e, f"edge {i}", {"from": str, "to": str})
@@ -241,4 +240,4 @@ def graph_from_json(data) -> DehnGraph:
             letters.append((name_to_id[name], exp))
         edges.append(Edge(source, target, GroupRingTerm(sign, free_reduce(letters)),
                           tuple(origin)))
-    return DehnGraph(tuple(vertices), tuple(edges), tuple(arcs))
+    return DehnGraph(tuple(groups[2]), tuple(groups[1]), tuple(edges), tuple(arcs))

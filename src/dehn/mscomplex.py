@@ -29,8 +29,8 @@ headroom over that width for the two packed reads that need it: the
 certificate's product test, and the trace's one unpack, whose width the
 `invariants` module docstring proves. The exactness report, d1 * d2 = 0
 included, is the complex's whole check of itself; the certificate rests
-on it. Its product test packs D1 at a width of its own, since D1 is no
-minor of [B0 | I] (`ChainComplex._exactness`).
+on it. Its product test packs D1 at D1's own bits above the elimination's
+width, since D1 is no minor of [B0 | I] (`ChainComplex._exactness`).
 """
 
 from __future__ import annotations
@@ -151,17 +151,17 @@ class ChainComplex(Value):
         earlier witness stays as it was, by one packed
         `is_diagonal_product` test with delta = [].
 
-        D1 packs at a width of its own, w = b + c, with b the bit length of
-        its largest coefficient and c = `product_headroom(d2)`. The
-        elimination's width would not do: D1 is no minor of [B0 | I], and
-        a complex read from JSON can give it coefficients of any size. At
-        that width their digits could fail the test's bound, a zero
-        product reported nonzero, or pass it as the digits of another row,
-        whose product with d2 is zero where D1's is not. At w every
-        coefficient of D1 is below 2^b = 2^(w - c) in absolute value,
-        inside the digits the test admits, and below 2^(w-1), so its
-        digits are its coefficients: the test is exact, true iff D1 * d2 =
-        0."""
+        D1 packs at w = b + W, b the bit length of its largest coefficient
+        and W the width of `forward_elimination`. W alone would not do: D1
+        is no minor of [B0 | I], and a complex read from JSON can give it
+        coefficients of any size, whose digits at W could fail the test's
+        bound, a zero product reported nonzero, or pass it as the digits of
+        another row, whose product with d2 is zero where D1's is not. W is
+        a proved width of at least 2 bits plus at least c =
+        `product_headroom(B0)` = `product_headroom(d2)`, so W >= c + 2, and
+        every coefficient of D1 is below 2^b < 2^(w - c) in absolute
+        value, inside the digits the test admits, and below 2^(w-1): its
+        digits are its coefficients, and the test is exact."""
         if self.c1_dim != self.c2_dim + 1:
             return ExactnessReport(False,
                                    f"dimension mismatch: {self.c1_dim} != {self.c2_dim} + 1")
@@ -171,7 +171,7 @@ class ChainComplex(Value):
         if not any(self.d1_row):
             return ExactnessReport(False, "rank(d1) = 0 < 1")
         width = (max(abs(c) for x in self.d1_row for c in x).bit_length()
-                 + product_headroom(self.d2_rows))
+                 + self.forward_elimination[3])
         if not is_diagonal_product([[_pack(x, width) for x in self.d1_row]],
                                    self.d2_rows, [], width):
             return ExactnessReport(False, "d1*d2 != 0")
@@ -183,11 +183,9 @@ def build_complex(graph: DehnGraph, rep: Representation) -> ChainComplex:
     are shifted by t^a, a = max(0, -least e), to make the row polynomial. An
     edge that runs neither from a crossing to a region nor from a region to
     the basepoint is a `DehnError` naming it."""
-    c2_basis = tuple(v.id for v in graph.vertices if v.index == 2)
-    c1_basis = tuple(v.id for v in graph.vertices if v.index == 1)
-    c2_pos = {vid: i for i, vid in enumerate(c2_basis)}
-    c1_pos = {vid: i for i, vid in enumerate(c1_basis)}
-    d2: List[List[IntPoly]] = [[[] for _ in c2_basis] for _ in c1_basis]
+    c2_pos = {vid: i for i, vid in enumerate(graph.crossing_vertices)}
+    c1_pos = {vid: i for i, vid in enumerate(graph.region_vertices)}
+    d2: List[List[IntPoly]] = [[[] for _ in c2_pos] for _ in c1_pos]
     d1_terms = []
     for e in graph.edges:
         m = rep.exponent(e.label.word)
@@ -204,12 +202,12 @@ def build_complex(graph: DehnGraph, rep: Representation) -> ChainComplex:
         i, j = c1_pos[e.target], c2_pos[e.source]
         d2[i][j] = poly_add(d2[i][j], [e.label.sign], shift=m)
     a = max([0] + [-m for _, _, m in d1_terms])
-    d1: List[IntPoly] = [[] for _ in c1_basis]
+    d1: List[IntPoly] = [[] for _ in c1_pos]
     for j, sign, m in d1_terms:
         d1[j] = poly_add(d1[j], [sign], shift=m + a)
     return ChainComplex(tuple(tuple(tuple(x) for x in row) for row in d2),
                         (0,) * a + (1,), tuple(tuple(x) for x in d1),
-                        c2_basis, c1_basis)
+                        graph.crossing_vertices, graph.region_vertices)
 
 
 def _certify_inverse(cx: ChainComplex, x: List[List[int]]) -> None:

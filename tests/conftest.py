@@ -578,9 +578,8 @@ def qt_complex(graph):
     """Reference boundary matrices (d2, d1) over Q(t): each entry the sum of
     the `qt_image` images of its edges' labels, added one term at a time in
     Q(t), independent of the Z[t] rows of `build_complex`. Rows and columns
-    follow the graph's vertex order, as the complex's bases do."""
-    c2 = [v.id for v in graph.vertices if v.index == 2]
-    c1 = [v.id for v in graph.vertices if v.index == 1]
+    follow the graph's vertex groups, as the complex's bases do."""
+    c2, c1 = list(graph.crossing_vertices), list(graph.region_vertices)
     d2 = [[RatFunc(0)] * len(c2) for _ in c1]
     d1 = [[RatFunc(0)] * len(c1)]
     for e in graph.edges:

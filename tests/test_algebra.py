@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -414,6 +417,28 @@ def test_poly_mul_matches_polynomial_product(a, b, c, shift):
     assert _is_trimmed(total)
     assert Polynomial(total) == q_add(Polynomial(a), Polynomial([0] * shift + b), c)
     assert poly_add(a, b) == poly_add(b, a, 1, 0)
+
+
+def test_unpack_refuses_a_width_below_two():
+    # At width 1 the signed digits are {-1, 0}, which cannot sum to a
+    # positive number, so reading them would never end. The calls run in a
+    # child process with 512 MB of address space and 20 s, so that an
+    # unpack that does not refuse fails this test instead of filling memory.
+    src = str(Path(algebra.__file__).resolve().parents[1])
+    script = (f"import resource, sys; sys.path.insert(0, {src!r})\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+              "from dehn.algebra import _unpack\n"
+              "for k in (1, 0, -2):\n"
+              "    try:\n"
+              "        _unpack(5, k)\n"
+              "    except ValueError as exc:\n"
+              "        print(exc)\n")
+    proc = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True,
+                          text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"cannot unpack at width {k}: signed digits need 2 bits" for k in (1, 0, -2)]
+    assert _unpack(_pack([-2, 1, 0, 1], 2), 2) == [-2, 1, 0, 1]
 
 
 def _diagonal(rows, cols, delta):

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import CORPUS, TREFOIL, UNKNOT_KINK, qt_add, qt_image
 from dehn.algebra import RatFunc
-from dehn.dehngraph import (build_d1, build_d2, build_dehn_graph, check_d2,
+from dehn.dehngraph import (BASEPOINT, build_d1, build_d2, build_dehn_graph, check_d2,
                             export_dot, graph_from_json, graph_to_json)
 from dehn.diagram import build_diagram, parse_pd
 from dehn.mscomplex import Representation
@@ -102,9 +102,14 @@ def _graph(text, outer_region=None):
     return d, build_dehn_graph(d, build_d1(d), build_d2(d))
 
 
+def _vertex_count(g):
+    """Crossings, bounded regions and the one basepoint."""
+    return len(g.crossing_vertices) + len(g.region_vertices) + 1
+
+
 def test_trefoil_graph_counts():
     d, g = _graph(TREFOIL)
-    assert len(g.vertices) == 8
+    assert _vertex_count(g) == 8
     corner_edges = [e for e in g.edges if e.origin[0] == "corner"]
     region_edges = [e for e in g.edges if e.origin[0].startswith("region")]
     assert len(corner_edges) == 9  # 12 corners minus the 3 on the outer face
@@ -116,7 +121,8 @@ def test_trefoil_graph_counts():
 def test_graph_counts_general(text):
     d, g = _graph(text)
     k = d.k
-    assert len(g.vertices) == 2 * k + 2
+    assert (len(g.crossing_vertices), len(g.region_vertices)) == (k, k + 1)
+    assert _vertex_count(g) == 2 * k + 2
     outer_corners = len(d.regions[d.unbounded_region].corners)
     corner_edges = [e for e in g.edges if e.origin[0] == "corner"]
     assert len(corner_edges) == 4 * k - outer_corners
@@ -127,14 +133,16 @@ def test_graph_counts_general(text):
 @pytest.mark.parametrize("text", sorted(CORPUS.values()))
 def test_graph_bipartite_by_index(text):
     d, g = _graph(text)
-    index = {v.id: v.index for v in g.vertices}
+    index = {**dict.fromkeys(g.crossing_vertices, 2), **dict.fromkeys(g.region_vertices, 1),
+             BASEPOINT: 0}
+    assert len(index) == _vertex_count(g)
     for e in g.edges:
         assert index[e.source] - index[e.target] == 1
 
 
 def test_vertex_index_labels():
     _, g = _graph(TREFOIL)
-    kinds = {v.kind: v.index for v in g.vertices}
+    kinds = {v["kind"]: v["index"] for v in graph_to_json(g)["vertices"]}
     assert kinds == {"crossing": 2, "region": 1, "basepoint": 0}
 
 
@@ -152,7 +160,7 @@ def test_kink_gives_parallel_edges():
     d0 = build_diagram(parse_pd(UNKNOT_KINK))
     outer = next(r.id for r in d0.regions if len(r.corners) == 1)
     d, g = _graph(UNKNOT_KINK, outer_region=outer)
-    assert len(g.vertices) == 4  # 2k+2 with k = 1
+    assert _vertex_count(g) == 4  # 2k+2 with k = 1
     pairs = {}
     for e in g.edges:
         if e.origin[0] == "corner":
@@ -184,3 +192,10 @@ def test_graph_json_roundtrip():
     again = graph_to_json(graph_from_json(data))
     assert json.dumps(data) == json.dumps(again)
     assert graph_from_json(data) == g
+
+
+@pytest.mark.parametrize("text", sorted(CORPUS.values()))
+def test_graph_json_roundtrip_under_every_outer_region(text):
+    for region in build_diagram(parse_pd(text)).regions:
+        _, g = _graph(text, region.id)
+        assert graph_from_json(graph_to_json(g)) == g, region.id

@@ -42,6 +42,13 @@ JSON that `dehn check --format json --pd <pd>` prints, re-dumped on one
 line by `json.dumps`, written with the fourth line above, when `check`
 compared twelve seeds' coordinates rather than all 80, and up to units
 and modulo the integers rather than exactly.
+
+tests/data/graph_v1.jsonl holds, for every knot of KNOTS, one line each, in
+order, `json.dumps({"json": j, "dot": d})`: j the JSON that `dehn graph
+--format json --pd <pd>` prints, read back, and d the DOT text that `dehn
+graph --format dot --pd <pd>` prints. It was written while a Dehn graph
+still held each vertex as an object with an id, a kind and an index,
+before it held the ids in one group per Morse index.
 """
 
 import contextlib
@@ -98,6 +105,7 @@ COMPOSITE_98 = (
 SCALE_KNOTS = [("T2_31", torus_pd(31)), ("T2_51", torus_pd(51)), ("composite_48", COMPOSITE_48),
                ("composite_98", COMPOSITE_98)]
 CHECK_SCALE_GOLDEN = Path(__file__).parent / "data" / "check_scale_v1.jsonl"
+GRAPH_GOLDEN = Path(__file__).parent / "data" / "graph_v1.jsonl"
 CASES = [(name, pd, seed) for name, pd in KNOTS for seed in SEEDS]
 
 
@@ -140,12 +148,17 @@ def test_check_golden_file_has_one_line_per_knot():
     assert len(golden_lines(CHECK_GOLDEN)) == len(KNOTS)
 
 
-def check_json(pd):
-    """The JSON that `dehn check --format json` prints, on one line."""
+def cli_stdout(*argv):
+    """What `dehn <argv>` prints on stdout; it must exit 0."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(["check", "--format", "json", "--pd", pd]) == 0
-    return json.dumps(json.loads(out.getvalue()))
+        assert cli.main(list(argv)) == 0
+    return out.getvalue()
+
+
+def check_json(pd):
+    """The JSON that `dehn check --format json` prints, on one line."""
+    return json.dumps(json.loads(cli_stdout("check", "--format", "json", "--pd", pd)))
 
 
 @pytest.mark.parametrize("index", range(len(KNOTS)), ids=[name for name, _ in KNOTS])
@@ -166,3 +179,15 @@ def test_compute_json_matches_golden_at_scale(index):
 
 def test_check_json_matches_golden_at_scale():
     assert golden_lines(CHECK_SCALE_GOLDEN) == [check_json(COMPOSITE_98)]
+
+
+def test_graph_golden_file_has_one_line_per_knot():
+    assert len(golden_lines(GRAPH_GOLDEN)) == len(KNOTS)
+
+
+@pytest.mark.parametrize("index", range(len(KNOTS)), ids=[name for name, _ in KNOTS])
+def test_graph_json_and_dot_match_golden(index):
+    _, pd = KNOTS[index]
+    line = {"json": json.loads(cli_stdout("graph", "--format", "json", "--pd", pd)),
+            "dot": cli_stdout("graph", "--format", "dot", "--pd", pd)}
+    assert json.dumps(line) == golden_lines(GRAPH_GOLDEN)[index]

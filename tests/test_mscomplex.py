@@ -184,13 +184,28 @@ def test_malformed_graph_json_names_the_edge(field, value, match):
     pytest.param(lambda data: data["edges"][0].update(word=[["a", True]]),
                  "edge p0 -> q0: letter 'a' has exponent True, not \\+1 or -1",
                  id="exponent-true"),
+    pytest.param(lambda data: data["vertices"][0].update(kind="region"),
+                 "vertex 'p0': kind 'region' does not match index 2", id="kind-not-index"),
+    pytest.param(lambda data: data["vertices"].append(dict(data["vertices"][3])),
+                 "vertex 'q0' is repeated", id="repeated-id"),
+    pytest.param(lambda data: data["vertices"][-1].update(id="base"),
+                 "the index-0 vertices are \\['base'\\], not \\['inf'\\]",
+                 id="renamed-basepoint"),
+    pytest.param(lambda data: delitem(data["vertices"], -1),
+                 "the index-0 vertices are \\[\\], not \\['inf'\\]", id="no-basepoint"),
+    pytest.param(lambda data: data["vertices"].append(
+                     {"id": "o", "kind": "basepoint", "index": 0}),
+                 "the index-0 vertices are \\['inf', 'o'\\], not \\['inf'\\]",
+                 id="second-basepoint"),
 ])
 def test_malformed_graph_json_is_a_dehn_error(edit, match):
-    # Each edit breaks the document, the first vertex (p0) or the first edge
-    # (p0 -> q0), in place or by returning the document to read instead:
+    # Each edit breaks the document, a vertex (p0, q0 or inf) or the first
+    # edge (p0 -> q0), in place or by returning the document to read instead:
     # graph_from_json names the item in a DehnError, with no ValueError,
     # KeyError or TypeError. A sign of 3 is refused before it can reach
-    # d1 * d2, and JSON true is not the sign or exponent +1.
+    # d1 * d2, and JSON true is not the sign or exponent +1. A vertex's
+    # Morse index fixes its kind, its id is its own, and the one vertex of
+    # index 0 is the basepoint "inf".
     data = _trefoil_graph_json()
     document = edit(data)
     with pytest.raises(DehnError, match=match):

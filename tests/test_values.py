@@ -25,8 +25,7 @@ def trefoil_values() -> dict:
     copies and pickles carry them."""
     run = run_pipeline(TREFOIL)
     values = [run.pd, run.diagram.crossings[0], run.diagram.regions[0], run.diagram,
-              wirtinger(run.diagram), run.graph.edges[0].label, run.graph.vertices[0],
-              run.graph.edges[0], run.graph, run.complex, check_exactness(run.complex),
+              wirtinger(run.diagram), run.graph.edges[0].label, run.graph.edges[0], run.graph, run.complex, check_exactness(run.complex),
               run.propagator, run.tor, run.d, run.alexander, run, run.alexander.poly,
               run.tor.raw, run.propagator.g2, run.rep]
     return {type(v).__name__: v for v in values}
