@@ -12,9 +12,9 @@ from .errors import (ConfigError, DehnError, MultiComponentError,
                      NotExactError, NotPlanarError, PDLabelError,
                      PDSyntaxError, RegionLabelError)
 from .invariants import (DefectValue, Propagator, TorsionValue,
-                         build_propagator, check_lescop_relation, defect,
-                         defect_equal_mod_Z, propagator_at, torsion,
-                         torsion_equal_up_to_units)
+                         build_propagator, check_lescop_relation,
+                         coordinates_agree, defect, defect_equal_mod_Z,
+                         propagator_at, torsion, torsion_equal_up_to_units)
 from .mscomplex import (ChainComplex, ExactnessReport, Representation,
                         build_complex, check_exactness, complex_to_json)
 from .oracle import AlexanderPolynomial, fox_alexander, milnor_check

@@ -413,6 +413,18 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
     return _unpack(_pack(a, k) * _pack(b, k), k)
 
 
+def _products_cancel(*terms: Tuple[int, Sequence[int], Sequence[int]]) -> bool:
+    """Whether the sum of c * a * b over the terms (c, a, b) is 0 in Z[t],
+    read off one packed value instead of a product per term. No coefficient
+    of the sum exceeds B, the sum of |c| * max|a| * |b|_1, so at k bits, k
+    the bit length of B, each lies below 2^k in absolute value, and then
+    the sum is 0 iff its value at t = 2^k is: its lowest nonzero term c' *
+    2^(k*m), 0 < |c'| < 2^k, leaves a remainder modulo 2^(k*(m+1)), and
+    every higher term is a multiple of that."""
+    k = sum(abs(c) * max(map(abs, a), default=0) * _norm1(b) for c, a, b in terms).bit_length()
+    return not sum(c * _pack(a, k) * _pack(b, k) for c, a, b in terms)
+
+
 def product_headroom(m: Sequence[Sequence[IntPoly]]) -> int:
     """c, the bits that `is_diagonal_product` keeps free above the digits of
     packed rows multiplied into m: the bit length of n + 1, n the largest

@@ -19,13 +19,12 @@ import functools
 import json
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .algebra import poly_add, poly_mul
+from . import invariants
 from .dehngraph import build_d1, build_d2, build_dehn_graph, export_dot, graph_to_json
 from .diagram import build_diagram, parse_pd, wirtinger
 from .errors import ConfigError, DehnError
-from .invariants import defect, propagator_at, torsion
 from .mscomplex import check_exactness
 from .oracle import fox_alexander
 from .pipeline import SCHEMA_VERSION, compute_result, run_pipeline
@@ -120,14 +119,13 @@ def _check_one(task) -> dict:
     checks["d1_d2_zero"] = exact
     sums_ok = True
     for c in diagram.crossings:
-        # Each corner label maps to sign * t^e; the sum times t^-(least e).
-        terms = [(label.sign, rep.exponent(label.word))
-                 for label in (run.d1_labels[(c.id, pos)] for pos in range(4))]
-        low = min(e for _, e in terms)
-        total: List[int] = []
-        for sign, e in terms:
-            total = poly_add(total, [sign], shift=e - low)
-        sums_ok = sums_ok and not total
+        # Each corner label maps to sign * t^e, and the four at a crossing
+        # sum to zero iff their signs cancel at every exponent e.
+        signs: Dict[int, int] = {}
+        for label in (run.d1_labels[(c.id, pos)] for pos in range(4)):
+            e = rep.exponent(label.word)
+            signs[e] = signs.get(e, 0) + label.sign
+        sums_ok = sums_ok and not any(signs.values())
     checks["corner_label_sums"] = sums_ok
     checks["d2_consistency"] = True  # run_pipeline raised on any violation
     checks["exact"] = exact
@@ -135,19 +133,9 @@ def _check_one(task) -> dict:
     checks["lescop"] = run.lescop_ok
     checks["milnor"] = run.milnor_ok
     # Every coordinate with d1[s] != 0 selects a propagator, and each gives
-    # the reported torsion and defect exactly (`dehn.invariants`), so each
-    # one but the reported one is compared with them, pair by pair,
-    # cross-multiplied over Z[t] with no gcd.
-    others = (propagator_at(cx, s) for s, d1_s in enumerate(cx.d1_row)
-              if d1_s and s != run.propagator.selected)
-    checks["seed_independence"] = all(
-        _same(run.tor, torsion(cx, g)) and _same(run.d, defect(cx, g)) for g in others)
+    # the reported torsion and defect exactly (`dehn.invariants`).
+    checks["seed_independence"] = invariants.coordinates_agree(cx, run.propagator)
     return {"pd": run.pd.to_text(), "passed": all(checks.values()), "checks": checks}
-
-
-def _same(a, b) -> bool:
-    """Whether two `TorsionValue`s or `DefectValue`s are the same fraction."""
-    return poly_mul(a.num, b.den) == poly_mul(b.num, a.den)
 
 
 def _check_text(r: dict) -> str:

@@ -136,6 +136,14 @@ BASEPOINT = "inf"  # the one vertex of index 0
 _KINDS = {2: ("crossing", "box"), 1: ("region", "ellipse"), 0: ("basepoint", "doublecircle")}
 
 
+# The two kinds of edge, by the Morse indices of their ends, and the origin
+# graph_to_json writes on each: one of the tags, then `count` integer ids.
+_EDGE_ORIGINS = {
+    (2, 1): (("corner",), 2, "['corner', crossing, position 0..3]"),
+    (1, 0): (("region_plus", "region_minus"), 1, "['region_plus' or 'region_minus', region]"),
+}
+
+
 def _indexed_vertices(graph: DehnGraph) -> List[Tuple[str, int]]:
     """(id, Morse index) of every vertex: crossings, regions, the basepoint."""
     return ([(v, 2) for v in graph.crossing_vertices]
@@ -199,9 +207,13 @@ def graph_from_json(data) -> DehnGraph:
     lacks a field or has one of the wrong JSON type (true and false are not
     integers, as in `parse_pd`), an arc name that is not a string, a vertex
     index other than 0, 1 or 2 or a kind not of that index, a repeated
-    vertex id, index-0 vertices other than one "inf", an edge sign other
-    than +-1, and a word letter that is not a [name, exponent] pair, names
-    no arc or has an exponent other than +-1."""
+    vertex id, index-0 vertices other than one "inf", an edge with an end
+    no vertex declares or that runs neither from a crossing to a region nor
+    from a region to "inf", an origin other than ["corner", crossing,
+    position 0..3] on the first and ["region_plus" or "region_minus",
+    region] on the second, an edge sign other than +-1, and a word letter
+    that is not a [name, exponent] pair, names no arc or has an exponent
+    other than +-1."""
     arcs, vertex_items, edge_items = _json_fields(data, "graph", dict.fromkeys(
         ("arcs", "vertices", "edges"), list))
     if any(type(name) is not str for name in arcs):
@@ -226,6 +238,15 @@ def graph_from_json(data) -> DehnGraph:
         source, target = _json_fields(e, f"edge {i}", {"from": str, "to": str})
         what = f"edge {source} -> {target}"
         sign, word, origin = _json_fields(e, what, {"sign": int, "word": list, "origin": list})
+        ends = (index_of.get(source), index_of.get(target))
+        if ends not in _EDGE_ORIGINS:
+            raise DehnError(f"{what} runs neither from a crossing to a region nor from "
+                            "a region to the basepoint")
+        tags, count, shape = _EDGE_ORIGINS[ends]
+        tag, *ids = origin or [None]
+        if (tag not in tags or len(ids) != count or any(type(i) is not int for i in ids)
+                or (tag == "corner" and ids[1] not in range(4))):
+            raise DehnError(f"{what}: origin {origin!r} is not {shape}")
         if sign not in (1, -1):
             raise DehnError(f"{what}: sign {sign!r} is not +1 or -1")
         letters = []

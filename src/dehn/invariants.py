@@ -37,7 +37,7 @@ e_s / d1[s] - e_s' / d1[s'], which lies in ker d1 = im d2, so the
 determinant does not. The defect's representative is exactly t (d/dt)
 log of the raw torsion (Jacobi's formula, below), so it does not move
 either; `check` compares every coordinate's pairs with the reported ones
-by cross-multiplication.
+exactly (`coordinates_agree`, last below).
 
 The three propagator identities rest on the complex's exactness report,
 d1 * d2 = 0 included, and on one certificate of its scaled inverse X =
@@ -69,7 +69,7 @@ of the nonzero d2 entries d2[i][j] of m * c_m * t^m * N[j][i]; the second
 is (t D1[s]' - a * D1[s]) / D1[s]. The defect is their difference, one
 fraction over Z[t].
 
-num is read off X by one formula for every propagator (`_trace`). The
+num is read off X by one formula for every propagator (`_traces`). The
 entries of N_s are N_s[j][i] = (v[s] * N0[j][i] - N0[j][s] * v[i]) /
 delta0, the pivot exchange of `Propagator.numer`, so with w_ij = t
 d2'[i][j] the edge sum regroups as
@@ -89,16 +89,45 @@ N_s[j][i] is below |w_ij|_1 * 2^(k-1). Summed over the entries, every
 coefficient of num_s is below W * 2^(k-1) <= 2^(w-1), where W is the sum
 over the entries of d2 of |t d2'|_1, and the complex packs at w >= k +
 W.bit_length() (`mscomplex.ChainComplex.forward_elimination`).
+
+T and u do not depend on s, so `_traces` forms them once and reads num_s
+for any s off them. `coordinates_agree` compares every coordinate s with
+d1[s] != 0 against a propagator's own coordinate r in the same way, with
+no fraction built. Write D = D1 and tau_s = t D[s]' - a * D[s]; the
+torsion at s is sign * delta_s * t^a / D[s], the defect (num_s * D[s] -
+delta_s * tau_s) / (delta_s * D[s]), and sign is the elimination's, the
+same for every s. Cross-multiplied over Z[t], an integral domain, the
+torsions agree iff
+
+    (I)   delta_s * D[r] = delta_r * D[s],
+
+sign * t^a cancelled. The defects agree iff
+
+    (num_r * D[r] - delta_r * tau_r) * delta_s * D[s]
+        = (num_s * D[s] - delta_s * tau_s) * delta_r * D[r].
+
+Given (I), put delta_r * D[s] for delta_s * D[r] on both sides: the left
+is delta_r * D[s] * (num_r * D[s] - delta_s * tau_r), the right delta_r *
+D[s] * (num_s * D[r] - delta_r * tau_s). delta_r and D[s] are nonzero, so
+given (I) the defects agree iff
+
+    (II)  num_s * D[r] - delta_r * tau_s = num_r * D[s] - delta_s * tau_r,
+
+products of delta or num by the short entries of D1, where the cross-
+multiplied test makes four of degree about twice theirs. (I) and (II) are
+each moved to one side and tested for zero, exactly, by one packed value
+(`algebra._products_cancel`). For r = s0, num_r = T.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import List
+from typing import Callable, List
 
 from ._value import Value
 from .algebra import (FieldMatrix, IntPoly, RatFunc, _euler, _exact_div, _pack,
-                      _unit_equal, _unit_free, _unpack, poly_add, poly_mul)
+                      _products_cancel, _unit_equal, _unit_free, _unpack, poly_add,
+                      poly_mul)
 from .errors import DehnError, NotExactError
 from .mscomplex import ChainComplex, ZPoly, check_exactness
 
@@ -250,21 +279,53 @@ def defect(cx: ChainComplex, g: Propagator) -> DefectValue:
     the defect is off by the integer a, equal mod Z but not the same
     representative."""
     s = g.selected
-    num = _trace(cx, g)
-    d1_s, a = cx.d1_row[s], len(cx.d1_den) - 1
-    td1_s = poly_add(_euler(d1_s), d1_s, -a)  # t D1[s]' - a * D1[s]
-    return DefectValue(tuple(poly_add(poly_mul(num, d1_s), poly_mul(g.delta, td1_s), -1)),
+    num, d1_s, tau_s = _trace(cx, g), cx.d1_row[s], _tau(cx, s)
+    return DefectValue(tuple(poly_add(poly_mul(num, d1_s), poly_mul(g.delta, tau_s), -1)),
                        tuple(poly_mul(g.delta, d1_s)))
 
 
+def _tau(cx: ChainComplex, s: int) -> IntPoly:
+    """tau_s = t D1[s]' - a * D1[s], with t^a = d1_den."""
+    d1_s = cx.d1_row[s]
+    return poly_add(_euler(d1_s), d1_s, -(len(cx.d1_den) - 1))
+
+
+def coordinates_agree(cx: ChainComplex, g: Propagator) -> bool:
+    """Whether the propagator of every other coordinate s with d1[s] != 0
+    gives g's torsion and defect, the same fractions exactly: (I), then
+    (II) of the module docstring, over Z[t] with no gcd, coordinate by
+    coordinate in order. T and u are formed once, for every coordinate
+    (`_traces`). A zero delta_s is `propagator_at`'s DehnError, an inexact
+    division the trace's ArithmeticError naming s; a coordinate that fails
+    (I) makes no division."""
+    num, r, delta_r = _traces(cx, g), g.selected, g.delta
+    d1_r, num_r, tau_r = cx.d1_row[r], num(r), _tau(cx, r)
+    for s, d1_s in enumerate(cx.d1_row):
+        if not d1_s or s == r:
+            continue
+        delta_s = propagator_at(cx, s).delta
+        if not _products_cancel((1, delta_s, d1_r), (-1, delta_r, d1_s)):  # (I)
+            return False
+        if not _products_cancel((1, num(s), d1_r), (-1, delta_r, _tau(cx, s)),  # (II)
+                                (-1, num_r, d1_s), (1, delta_s, tau_r)):
+            return False
+    return True
+
+
 def _trace(cx: ChainComplex, g: Propagator) -> IntPoly:
-    """num = tr(t d2' * N) for g, regrouped as in the module docstring:
-    (v[s] * T - sum_j N0[j][s] * u[j]) / delta0, with T (`total`) = sum
-    w_ij * N0[j][i] and u[j] = sum_i w_ij * v[i], w_ij = t d2'[i][j] packed
-    at the width. Only the entries of d2 with a t-power term are read; N is never
-    built. One exact division and one unpack, both proved in the module
-    docstring; an inexact division is an ArithmeticError naming s."""
-    x, width, s = g.inverse, g.width, g.selected
+    """num = tr(t d2' * N) for g alone: `_traces` at its coordinate."""
+    return _traces(cx, g)(g.selected)
+
+
+def _traces(cx: ChainComplex, g: Propagator) -> Callable[[int], IntPoly]:
+    """s -> num_s = tr(t d2' * N_s) for every coordinate s of g's complex,
+    regrouped as in the module docstring: (v[s] * T - sum_j N0[j][s] *
+    u[j]) / delta0, with T (`total`) = sum w_ij * N0[j][i] and u[j] = sum_i
+    w_ij * v[i], w_ij = t d2'[i][j] packed at the width, formed here, once.
+    Only the entries of d2 with a t-power term are read; no N is built.
+    One exact division and one unpack per coordinate, both proved in the
+    module docstring; an inexact division is an ArithmeticError naming s."""
+    x, width = g.inverse, g.width
     v, u, total = x[-1], [0] * (len(x) - 1), 0
     for i, row in enumerate(cx.d2_rows):
         for j, e in enumerate(row):
@@ -272,11 +333,17 @@ def _trace(cx: ChainComplex, g: Propagator) -> IntPoly:
                 w = _pack(_euler(e), width)
                 total += w * x[j][i]
                 u[j] += w * v[i]
-    num = v[s] * total - sum(x[j][s] * uj for j, uj in enumerate(u) if uj)
-    try:
-        return _unpack(_exact_div(num, v[g.base]), width)
-    except ArithmeticError:
-        raise ArithmeticError(f"inexact division in the trace of s = {s}") from None
+    terms = [(x[j], uj) for j, uj in enumerate(u) if uj]
+    delta0 = v[g.base]
+
+    def num(s: int) -> IntPoly:
+        packed = v[s] * total - sum(row[s] * uj for row, uj in terms)
+        try:
+            return _unpack(_exact_div(packed, delta0), width)
+        except ArithmeticError:
+            raise ArithmeticError(f"inexact division in the trace of s = {s}") from None
+
+    return num
 
 
 def _exchanged(x: List[List[int]], s0: int, s: int, j: int, i: int) -> int:

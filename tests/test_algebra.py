@@ -297,6 +297,23 @@ def test_poly_mul_evaluation_homomorphism(p, q):
     assert qt_eval(qt_add(RatFunc(p), RatFunc(q)), x) == q_eval(q_add(p, q), x) == px + qx
 
 
+zpolys = st.lists(st.integers(min_value=-2**70, max_value=2**70), max_size=6).map(algebra._trim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=-3, max_value=3), zpolys, zpolys), max_size=4))
+def test_products_cancel_is_the_sum_of_products(terms):
+    # Whether sum c * a * b is 0 in Z[t], against the sum built by poly_mul
+    # and poly_add; then with that sum taken off, which cancels, and with
+    # the sum plus t^2 taken off, which leaves -t^2.
+    total = []
+    for c, a, b in terms:
+        total = poly_add(total, poly_mul(a, b), c)
+    assert algebra._products_cancel(*terms) == (not total)
+    assert algebra._products_cancel(*terms, (-1, total, [1]))
+    assert not algebra._products_cancel(*terms, (-1, poly_add(total, [1], shift=2), [1]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(nonzero_polys, nonzero_polys)
 def test_poly_gcd_divides(a, b):

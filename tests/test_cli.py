@@ -16,9 +16,8 @@ from conftest import (FIG8, HOPF_LINK, NON_PLANAR, TAILLESS_EDGES, TREFOIL,
                       UNKNOT_KINK, replaced, selectable, torus_pd)
 from dehn.algebra import poly_add
 from dehn.cli import _worker_count, main
-from dehn.dehngraph import build_d1, build_d2, build_dehn_graph, export_dot
+from dehn.dehngraph import GroupRingTerm, build_d1, build_d2, build_dehn_graph, export_dot
 from dehn.diagram import build_diagram, parse_pd
-from dehn.invariants import DefectValue
 from dehn.pipeline import run_pipeline
 
 
@@ -162,32 +161,30 @@ def test_a_failing_check_exits_1(capsys, monkeypatch):
 @pytest.mark.parametrize("field", ["delta", "numer", "sign"])
 def test_a_disagreeing_seed_fails_check(capsys, monkeypatch, field):
     # Every other coordinate's propagator comes back with delta doubled,
-    # which doubles its torsion; or its defect comes back with t added to
-    # its numerator over its denominator, which moves it by t, not an
-    # integer; or its sign comes back flipped, which moves its torsion by
-    # the unit -1: the same class up to units, but not the same fraction,
-    # which every coordinate gives. The reported propagator and its
-    # invariants are built by the pipeline first and left alone. Only
-    # seed_independence fails, on 3_1 and on T(2,9).
-    import dehn.cli
-    build, read_defect = dehn.cli.propagator_at, dehn.cli.defect
+    # which doubles its torsion; or its trace numerator comes back moved by
+    # t * delta_s, which moves its defect by t, not an integer; or its delta
+    # comes back negated, which moves its torsion by the unit -1: the same
+    # class up to units, but not the same fraction, which every coordinate
+    # gives. The reported propagator and its invariants are built by the
+    # pipeline first and left alone. Only seed_independence fails, on 3_1
+    # and on T(2,9).
+    import dehn.invariants
+    build, traces = dehn.invariants.propagator_at, dehn.invariants._traces
+    factor = {"delta": 2, "sign": -1}.get(field)
 
-    def doubled(cx, s):
+    def scaled(cx, s):
         g = build(cx, s)
-        return replaced(g, delta=[2 * c for c in g.delta])
-
-    def flipped(cx, s):
-        g = build(cx, s)
-        return g if s == cx.base_coordinate else replaced(g, sign=-g.sign)
+        return g if s == cx.base_coordinate else replaced(g, delta=[factor * c for c in g.delta])
 
     def moved(cx, g):
-        d = read_defect(cx, g)
-        return DefectValue(tuple(poly_add(d.num, d.den, shift=1)), d.den)
+        num = traces(cx, g)
+        return lambda s: (num(s) if s == cx.base_coordinate
+                          else poly_add(num(s), build(cx, s).delta, shift=1))
 
     if field == "numer":
-        monkeypatch.setattr(dehn.cli, "defect", moved)
+        monkeypatch.setattr(dehn.invariants, "_traces", moved)
     else:
-        monkeypatch.setattr(dehn.cli, "propagator_at", doubled if field == "delta" else flipped)
+        monkeypatch.setattr(dehn.invariants, "propagator_at", scaled)
     for text in (TREFOIL, torus_pd(9)):
         code, out, _ = run_cli(capsys, "check", "--pd", text, "--format", "json")
         checks = json.loads(out)["checks"]
@@ -197,26 +194,65 @@ def test_a_disagreeing_seed_fails_check(capsys, monkeypatch, field):
 
 def test_check_compares_every_selectable_coordinate(capsys, monkeypatch):
     # On T(2,15) all 16 coordinates have d1[s] != 0, and the reported
-    # propagator selects coordinate 0. Only coordinate 15's defect moves,
-    # by t, the last one a check reaches: a check that compared a sample of
-    # the coordinates could pass, and one that compares every coordinate
-    # with d1[s] != 0 fails seed_independence alone.
-    import dehn.cli
-    read_defect, text = dehn.cli.defect, torus_pd(15)
+    # propagator selects coordinate 0. Only coordinate 15's trace numerator
+    # moves, by t * delta_15, which moves its defect by t, the last one a
+    # check reaches: a check that compared a sample of the coordinates could
+    # pass, and one that compares every coordinate with d1[s] != 0 fails
+    # seed_independence alone.
+    import dehn.invariants
+    traces, text = dehn.invariants._traces, torus_pd(15)
     cx = run_pipeline(text).complex
     assert selectable(cx) == list(range(16)) and cx.base_coordinate == 0
 
     def moved(cx, g):
-        d = read_defect(cx, g)
-        if g.selected != 15:
-            return d
-        return DefectValue(tuple(poly_add(d.num, d.den, shift=1)), d.den)
+        num = traces(cx, g)
+        delta = dehn.invariants.propagator_at(cx, 15).delta
+        return lambda s: poly_add(num(s), delta, shift=1) if s == 15 else num(s)
 
-    monkeypatch.setattr(dehn.cli, "defect", moved)
+    monkeypatch.setattr(dehn.invariants, "_traces", moved)
     code, out, _ = run_cli(capsys, "check", "--pd", text, "--format", "json")
     checks = json.loads(out)["checks"]
     assert code == 1 and checks.pop("seed_independence") is False
     assert all(checks.values())
+
+
+def test_check_forms_the_trace_sums_once_per_comparison(capsys, monkeypatch):
+    # T and u, the sums of the trace that do not depend on the coordinate,
+    # are formed once for the reported defect and once for the comparison
+    # of all 15 other coordinates of T(2,15), not once per coordinate.
+    import dehn.invariants
+    traces, formed = dehn.invariants._traces, []
+    monkeypatch.setattr(dehn.invariants, "_traces",
+                        lambda cx, g: formed.append(g.selected) or traces(cx, g))
+    code, out, _ = run_cli(capsys, "check", "--pd", torus_pd(15))
+    assert code == 0 and out.startswith("PASS")
+    assert formed == [0, 0]
+
+
+@pytest.mark.parametrize("edit", ["sign", "word"])
+def test_a_corrupted_corner_label_fails_check(capsys, monkeypatch, edit):
+    # One corner label of the reported run, its sign flipped or its word
+    # lengthened by the crossing's over arc, no longer cancels at its
+    # crossing: the labels no longer sum to zero there, and check fails
+    # corner_label_sums alone. Nothing else check reads comes from them.
+    import dehn.cli
+    run_at = dehn.cli.run_pipeline
+
+    def corrupted(*args):
+        run = run_at(*args)
+        labels = dict(run.d1_labels)
+        key = next(iter(labels))
+        label = labels[key]
+        labels[key] = (GroupRingTerm(-label.sign, label.word) if edit == "sign" else
+                       GroupRingTerm(label.sign, label.word + ((0, 1),)))
+        return replaced(run, d1_labels=labels)
+
+    monkeypatch.setattr(dehn.cli, "run_pipeline", corrupted)
+    for text in (TREFOIL, torus_pd(9)):
+        code, out, _ = run_cli(capsys, "check", "--pd", text, "--format", "json")
+        checks = json.loads(out)["checks"]
+        assert code == 1 and checks.pop("corner_label_sums") is False, text
+        assert all(checks.values()), text
 
 
 # -- error handling --------------------------------------------------------------

@@ -391,6 +391,85 @@ def test_an_inexact_trace_names_the_trace():
         invariants._trace(cx, replaced(g, inverse=x))
 
 
+_AGREE_KNOTS = dict(CORPUS, **{"3_1 kinked": TREFOIL_KINKED, "4_1 kinked": FIG8_KINKED},
+                    **{f"T(2,{n})": torus_pd(n) for n in range(3, 32, 2)},
+                    composite_48=dict(SCALE_KNOTS)["composite_48"])
+
+
+def _pairwise_agree(cx, g):
+    """The comparison as the propagator of each coordinate makes it: the
+    torsion and defect of every other coordinate with d1[s] != 0, each
+    pair cross-multiplied against g's, in order, stopping at the first
+    that differs."""
+    def same(a, b):
+        return poly_mul(a.num, b.den) == poly_mul(b.num, a.den)
+
+    tor, d = torsion(cx, g), defect(cx, g)
+    others = (invariants.propagator_at(cx, s) for s in selectable(cx) if s != g.selected)
+    return all(same(tor, torsion(cx, h)) and same(d, defect(cx, h)) for h in others)
+
+
+@pytest.mark.parametrize("name", sorted(_AGREE_KNOTS))
+def test_coordinates_agree_is_the_pairwise_comparison(name, monkeypatch):
+    # (I) and (II) on sums formed once give the pairwise test's boolean,
+    # and raise its error at the same point, against the propagator of s0
+    # and of the first other coordinate: as built; with delta_f doubled or
+    # negated at one coordinate f; with num_f moved by t * delta_f or by
+    # delta_f, so the defect moves by t or by the integer 1, not the same
+    # fraction either way; with an inexact trace at f; and with that one
+    # behind a coordinate e whose delta is doubled, which (I) refuses
+    # before any division. The corpus and the kinked knots are read under
+    # every outer region.
+    text = _AGREE_KNOTS[name]
+    regions = _regions(text) if name in CORPUS or "kinked" in name else [None]
+    build, traces = invariants.propagator_at, invariants._traces
+
+    def outcome(compare, cx, g):
+        try:
+            return compare(cx, g)
+        except ArithmeticError as exc:
+            return str(exc)
+
+    def inject(faults):
+        def propagator_at(cx, s):
+            g = build(cx, s)
+            c = faults.get(("delta", s))
+            return g if c is None else replaced(g, delta=[c * x for x in g.delta])
+
+        def _traces(cx, g):
+            num = traces(cx, g)
+
+            def faulty(s):
+                if ("inexact", s) in faults:
+                    raise ArithmeticError(f"inexact division in the trace of s = {s}")
+                shift = faults.get(("num", s))
+                return num(s) if shift is None else poly_add(num(s), build(cx, s).delta,
+                                                             shift=shift)
+            return faulty
+
+        monkeypatch.setattr(invariants, "propagator_at", propagator_at)
+        monkeypatch.setattr(invariants, "_traces", _traces)
+
+    for region in regions:
+        cx = pipeline(text, outer_region=region).complex
+        coords = selectable(cx)
+        for r in coords[:2]:
+            g = build(cx, r)
+            others = [s for s in coords if s != r]
+            e, f = (others[0], others[-1]) if others else (None, None)
+            for faults, want in [
+                    ({}, True),
+                    ({("delta", f): 2}, False), ({("delta", f): -1}, False),
+                    ({("num", f): 1}, False), ({("num", f): 0}, False),
+                    ({("inexact", f): True}, f"inexact division in the trace of s = {f}"),
+                    ({("delta", e): 2, ("inexact", f): True}, False)]:
+                inject(faults)
+                got = outcome(invariants.coordinates_agree, cx, g)
+                assert got == outcome(_pairwise_agree, cx, g), (region, r, faults)
+                assert got == (want if others else True), (region, r, faults)
+                monkeypatch.undo()
+
+
 @pytest.mark.parametrize("text", [TREFOIL, FIG8_KINKED, torus_pd(9)])
 def test_seeded_propagators_make_one_product_test_per_complex(text, monkeypatch):
     # `compute` makes two packed `is_diagonal_product` tests: the exactness

@@ -197,6 +197,17 @@ def test_malformed_graph_json_names_the_edge(field, value, match):
                      {"id": "o", "kind": "basepoint", "index": 0}),
                  "the index-0 vertices are \\['inf', 'o'\\], not \\['inf'\\]",
                  id="second-basepoint"),
+    pytest.param(lambda data: data["edges"][0].update(to="nowhere"),
+                 "edge p0 -> nowhere runs neither from a crossing to a region nor from a "
+                 "region to the basepoint", id="undeclared-end"),
+    pytest.param(lambda data: data["edges"][0].update({"from": "q0", "to": "p0"}),
+                 "edge q0 -> p0 runs neither", id="region-to-crossing"),
+    pytest.param(lambda data: data["edges"][0].update(origin=["bogus", "x"]),
+                 "edge p0 -> q0: origin \\['bogus', 'x'\\] is not \\['corner', crossing, "
+                 "position 0..3\\]", id="bogus-origin"),
+    pytest.param(lambda data: data["edges"][-1].update(origin=["corner", 0, 0]),
+                 "origin \\['corner', 0, 0\\] is not \\['region_plus' or 'region_minus', "
+                 "region\\]", id="corner-origin-on-a-basepoint-edge"),
 ])
 def test_malformed_graph_json_is_a_dehn_error(edit, match):
     # Each edit breaks the document, a vertex (p0, q0 or inf) or the first
@@ -205,7 +216,9 @@ def test_malformed_graph_json_is_a_dehn_error(edit, match):
     # KeyError or TypeError. A sign of 3 is refused before it can reach
     # d1 * d2, and JSON true is not the sign or exponent +1. A vertex's
     # Morse index fixes its kind, its id is its own, and the one vertex of
-    # index 0 is the basepoint "inf".
+    # index 0 is the basepoint "inf". An edge runs between declared
+    # vertices, from a crossing to a region or from a region to "inf", and
+    # carries the origin graph_to_json writes on an edge of its kind.
     data = _trefoil_graph_json()
     document = edit(data)
     with pytest.raises(DehnError, match=match):
