@@ -10,10 +10,12 @@ packing width proved by a Hadamard-type bound: on a complex's
 [d2 | e_s0 | I], whose pivots give the exactness rank and whose rows
 `fraction_free_back_substitution` turns into the scaled inverse every
 propagator is read off, and on the Fox minor. It returns its rows packed,
-so each caller unpacks only the entries it reads. Every matrix product
-the library checks goes through the one test `is_diagonal_product`,
-rows * m = delta * I over Z[t] on packed rows, with delta = [] for a zero
-product, whose digits it bounds first; no product is ever unpacked.
+so each caller unpacks only the entries it reads. Packed rows, whose
+digits must be bounded first, are tested by `is_diagonal_product`, rows
+* m = delta * I over Z[t], and its one library caller is the certificate
+X * B0 = delta0 * I. Coefficient lists are tested by `_products_cancel`,
+a sum of products against zero at a width read off its own terms: a
+complex's d1 * d2 = 0 and `check`'s comparisons. No product is unpacked.
 `FieldMatrix`, a dense matrix over Q(t), is the form a propagator's G2 is
 shown in; its product, reduced form and determinant write each row over
 one denominator and run over Z[t], the last two through the same loop and

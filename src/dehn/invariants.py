@@ -12,7 +12,7 @@ by its coordinate (`propagator_at`; `build_propagator` reads the one at
 s0). The one that selects s0 is N0 over delta0;
 one that selects another coordinate s is the propagator of B_s = [d2 |
 e_s], a rank-one change of B0, held as delta = v[s] alone. Its torsion
-needs delta alone, its defect one exact division (`_trace`), and N itself
+needs delta alone, its defect one exact division (`_traces`), and N itself
 is built only when read.
 Torsion is the determinant of the square block matrix [d2 | g1] mapping
 the even chains to C_1; it is well defined up to +-t^m, and a canonical
@@ -142,7 +142,7 @@ class Propagator(Value):
     them the torsion needs no determinant of its own. Only delta = v[s] is
     unpacked when the propagator is built; N (`numer`) and its Q(t) matrix
     are views built on first read, and the defect reads neither
-    (`_trace`)."""
+    (`_traces`)."""
 
     inverse: List[List[int]]  # delta0 * B0^-1, shared by the complex's propagators
     width: int
@@ -180,7 +180,7 @@ class Propagator(Value):
         0 is checked when the propagator is built. The certificate's proof
         for s0 then holds for s, word for word. The library builds N_s only
         when it is read: its torsion needs delta_s alone, and its defect
-        reads the exchange summed over the edges (`_trace`)."""
+        reads the exchange summed over the edges (`_traces`)."""
         x, width, s0, s = self.inverse, self.width, self.base, self.selected
         return [[_unpack(_exchanged(x, s0, s, j, i), width) for i in range(len(x))]
                 for j in range(len(x) - 1)]
@@ -274,12 +274,12 @@ class DefectValue(Value):
 
 def defect(cx: ChainComplex, g: Propagator) -> DefectValue:
     """The trace of the module docstring: num * D1[s] - delta * (t D1[s]' -
-    a * D1[s]) over delta * D1[s], with num = tr(t d2' * N) (`_trace`) and
+    a * D1[s]) over delta * D1[s], with num = tr(t d2' * N) (`_traces`) and
     t^a = d1_den. The a * D1[s] term is the derivative of t^-a; without it
     the defect is off by the integer a, equal mod Z but not the same
     representative."""
     s = g.selected
-    num, d1_s, tau_s = _trace(cx, g), cx.d1_row[s], _tau(cx, s)
+    num, d1_s, tau_s = _traces(cx, g)(s), cx.d1_row[s], _tau(cx, s)
     return DefectValue(tuple(poly_add(poly_mul(num, d1_s), poly_mul(g.delta, tau_s), -1)),
                        tuple(poly_mul(g.delta, d1_s)))
 
@@ -310,11 +310,6 @@ def coordinates_agree(cx: ChainComplex, g: Propagator) -> bool:
                                 (-1, num_r, d1_s), (1, delta_s, tau_r)):
             return False
     return True
-
-
-def _trace(cx: ChainComplex, g: Propagator) -> IntPoly:
-    """num = tr(t d2' * N) for g alone: `_traces` at its coordinate."""
-    return _traces(cx, g)(g.selected)
 
 
 def _traces(cx: ChainComplex, g: Propagator) -> Callable[[int], IntPoly]:

@@ -21,7 +21,7 @@ propagator, whatever coordinate it selects, is read off it
 (`invariants.propagator_at`): the base one as N0 over delta0, another by
 a rank-one change. The complex keeps nothing for the defect: each
 propagator reads it off X itself, the paper's edge sum regrouped over
-the pivot exchange, with one exact division (`invariants._trace`). The
+the pivot exchange, with one exact division (`invariants._traces`). The
 back substitution's divisions are exact and its values are minors of [B0
 | I], so the elimination's proved width holds for them
 (`algebra.fraction_free_back_substitution`). The elimination packs with
@@ -29,8 +29,8 @@ headroom over that width for the two packed reads that need it: the
 certificate's product test, and the trace's one unpack, whose width the
 `invariants` module docstring proves. The exactness report, d1 * d2 = 0
 included, is the complex's whole check of itself; the certificate rests
-on it. Its product test packs D1 at D1's own bits above the elimination's
-width, since D1 is no minor of [B0 | I] (`ChainComplex._exactness`).
+on it. It tests d1 * d2 = 0 on D1 and d2 as the complex holds them, as
+coefficient lists, so it borrows no width (`ChainComplex._exactness`).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from functools import cached_property
 from typing import List, Optional, Tuple
 
 from ._value import Value
-from .algebra import (IntPoly, RatFunc, _euler, _norm1, _pack, _unpack,
+from .algebra import (IntPoly, RatFunc, _euler, _norm1, _products_cancel, _unpack,
                       fraction_free_back_substitution, fraction_free_elimination,
                       is_diagonal_product, poly_add, product_headroom)
 from .dehngraph import BASEPOINT, DehnGraph
@@ -148,20 +148,9 @@ class ChainComplex(Value):
         `forward_elimination`; sorting the rows changes no rank. C_0 has
         rank 1, so d1 surjects iff it has a nonzero entry. d1 * d2 = 0 iff
         D1 * d2 = 0 over Z[t], D1 = `d1_row`, tested last so that every
-        earlier witness stays as it was, by one packed
-        `is_diagonal_product` test with delta = [].
-
-        D1 packs at w = b + W, b the bit length of its largest coefficient
-        and W the width of `forward_elimination`. W alone would not do: D1
-        is no minor of [B0 | I], and a complex read from JSON can give it
-        coefficients of any size, whose digits at W could fail the test's
-        bound, a zero product reported nonzero, or pass it as the digits of
-        another row, whose product with d2 is zero where D1's is not. W is
-        a proved width of at least 2 bits plus at least c =
-        `product_headroom(B0)` = `product_headroom(d2)`, so W >= c + 2, and
-        every coefficient of D1 is below 2^b < 2^(w - c) in absolute
-        value, inside the digits the test admits, and below 2^(w-1): its
-        digits are its coefficients, and the test is exact."""
+        earlier witness stays as it was, one column of d2 at a time by
+        `algebra._products_cancel`, exact at a width it reads off D1 and
+        that column, whatever their size."""
         if self.c1_dim != self.c2_dim + 1:
             return ExactnessReport(False,
                                    f"dimension mismatch: {self.c1_dim} != {self.c2_dim} + 1")
@@ -170,10 +159,8 @@ class ChainComplex(Value):
             return ExactnessReport(False, f"rank(d2) = {r2} < {self.c2_dim}")
         if not any(self.d1_row):
             return ExactnessReport(False, "rank(d1) = 0 < 1")
-        width = (max(abs(c) for x in self.d1_row for c in x).bit_length()
-                 + self.forward_elimination[3])
-        if not is_diagonal_product([[_pack(x, width) for x in self.d1_row]],
-                                   self.d2_rows, [], width):
+        if not all(_products_cancel(*((1, x, e) for x, e in zip(self.d1_row, col) if x and e))
+                   for col in zip(*self.d2_rows)):
             return ExactnessReport(False, "d1*d2 != 0")
         return ExactnessReport(True)
 

@@ -197,9 +197,10 @@ def test_pivot_exchange_matches_the_full_elimination(name):
     # For every coordinate s with d1[s] != 0, the propagator exchanged from
     # the scaled inverse is the one the dense Gauss-Jordan of [d2 | I], s
     # first among the unit columns, gives: the same selected coordinate, the
-    # same G2 (N / delta, compared by cross-multiplication) and the same
-    # sign * delta = det [d2 | e_s]. How that determinant splits between
-    # sign and delta depends on the row order each elimination took.
+    # same sign * delta = det [d2 | e_s] and the same G2 = N / delta. How
+    # that determinant splits between sign and delta depends on the row
+    # order each elimination took: delta = eps * delta_ref, eps = sign *
+    # g.sign, so N / delta = N_ref / delta_ref iff N = eps * N_ref.
     cx = pipeline(_EXCHANGE_KNOTS[name]).complex
     coords = selectable(cx)
     assert coords
@@ -209,8 +210,8 @@ def test_pivot_exchange_matches_the_full_elimination(name):
             cx, [s] + [j for j in range(cx.c1_dim) if j != s])
         assert g.selected == selected == s
         assert [g.sign * c for c in g.delta] == [sign * c for c in delta], s
-        assert all(poly_mul(a, delta) == poly_mul(b, g.delta)
-                   for got, want in zip(g.numer, numer) for a, b in zip(got, want)), s
+        eps = sign * g.sign
+        assert g.numer == [[[eps * c for c in b] for b in row] for row in numer], s
 
 
 _RANK_ONE_KNOTS = dict(CORPUS, **{"3_1 kinked": TREFOIL_KINKED, "4_1 kinked": FIG8_KINKED},
@@ -256,7 +257,7 @@ def test_seeded_trace_numerator_is_the_derivative_of_delta(name):
         cx = pipeline(text, outer_region=region).complex
         for s in selectable(cx):
             g = invariants.propagator_at(cx, s)
-            assert invariants._trace(cx, g) == _t_derivative(g.delta), (region, s)
+            assert invariants._traces(cx, g)(s) == _t_derivative(g.delta), (region, s)
 
 
 @settings(max_examples=40, deadline=None)
@@ -271,7 +272,7 @@ def test_seeded_trace_numerator_is_the_derivative_of_delta_on_label_valid_codes(
         cx = pipeline(text, outer_region=region).complex
         for s in spread(cx, 5):
             g = invariants.propagator_at(cx, s)
-            assert invariants._trace(cx, g) == _t_derivative(g.delta), (region, s)
+            assert invariants._traces(cx, g)(s) == _t_derivative(g.delta), (region, s)
 
 
 def _per_entry_trace(cx, g):
@@ -315,7 +316,7 @@ def test_regrouped_trace_is_the_per_entry_edge_sum(name, region):
     assert cx.forward_elimination[3] >= proved + w.bit_length()
     for s in selectable(cx):
         g = invariants.propagator_at(cx, s)
-        assert invariants._trace(cx, g) == _per_entry_trace(cx, g), s
+        assert invariants._traces(cx, g)(s) == _per_entry_trace(cx, g), s
 
 
 @pytest.mark.parametrize("text", [FIG8, torus_pd(7)])
@@ -388,7 +389,7 @@ def test_an_inexact_trace_names_the_trace():
     x[-1][i] += 1
     with pytest.raises(ArithmeticError, match=re.escape(
             f"inexact division in the trace of s = {s}")):
-        invariants._trace(cx, replaced(g, inverse=x))
+        invariants._traces(cx, replaced(g, inverse=x))(s)
 
 
 _AGREE_KNOTS = dict(CORPUS, **{"3_1 kinked": TREFOIL_KINKED, "4_1 kinked": FIG8_KINKED},
@@ -472,11 +473,11 @@ def test_coordinates_agree_is_the_pairwise_comparison(name, monkeypatch):
 
 @pytest.mark.parametrize("text", [TREFOIL, FIG8_KINKED, torus_pd(9)])
 def test_seeded_propagators_make_one_product_test_per_complex(text, monkeypatch):
-    # `compute` makes two packed `is_diagonal_product` tests: the exactness
-    # test d1 * d2 = 0 on D1's one row, and the certificate of X on its c1
-    # rows at the elimination's width. The propagators of every coordinate
-    # with their torsion and defect add no test, and none builds its N: a
-    # defect makes one exact division, by delta0, and the torsion none.
+    # `compute` makes one packed `is_diagonal_product` test, the certificate
+    # of X on its c1 rows at the elimination's width. The propagators of
+    # every coordinate with their torsion and defect add no test, and none
+    # builds its N: a defect makes one exact division, by delta0, and the
+    # torsion none.
     calls, divisions = [], []
     test, divide = mscomplex.is_diagonal_product, invariants._exact_div
     monkeypatch.setattr(mscomplex, "is_diagonal_product",
@@ -485,8 +486,7 @@ def test_seeded_propagators_make_one_product_test_per_complex(text, monkeypatch)
                         lambda a, b: divisions.append(b) or divide(a, b))
     run = run_pipeline(text)
     cx = run.complex
-    assert [r for r, _ in calls] == [1, cx.c1_dim]
-    assert calls[1][1] == cx.forward_elimination[3]
+    assert calls == [(cx.c1_dim, cx.forward_elimination[3])]
     calls.clear()
     propagators = [invariants.propagator_at(cx, s) for s in selectable(cx)]
     for g in propagators:
@@ -499,13 +499,11 @@ def test_seeded_propagators_make_one_product_test_per_complex(text, monkeypatch)
     assert len(propagators) > 1
     assert all("numer" not in vars(g) for g in propagators)
     # A request for another coordinate on a fresh complex makes the same
-    # two tests first: exactness, then the certificate that every
-    # propagator rests on.
+    # one test, the certificate that every propagator rests on.
     fresh = ChainComplex(*cx._values())
     invariants.propagator_at(fresh, propagators[-1].selected)
     assert propagators[-1].selected != cx.base_coordinate
-    assert [r for r, _ in calls] == [1, cx.c1_dim]
-    assert calls[1][1] == cx.forward_elimination[3]
+    assert calls == [(cx.c1_dim, cx.forward_elimination[3])]
 
 
 def test_seeded_propagators_leave_no_reference_cycle():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import (CORPUS, FIG8_KINKED, TREFOIL, TREFOIL_KINKED, from_rows, is_zero_matrix,
                       mat, qt_complex, qt_d1, qt_d2, qt_image, qt_mul, selectable, t_power,
                       torus_pd)
-from dehn.algebra import RatFunc, _pack, _unpack
+from dehn.algebra import RatFunc, _unpack
 from dehn.dehngraph import (GroupRingTerm, build_d1, build_d2, build_dehn_graph,
                             graph_from_json, graph_to_json)
 from dehn.diagram import build_diagram, parse_pd
@@ -269,12 +269,14 @@ def test_trivial_representation_not_exact():
     # d2 = (1, 0)^T injects and d1 = (1, 1) surjects, but d1 * d2 = 1.
     ((((1,),), ((),)), ((1,), (1,)), "d1*d2 != 0"),
     # D1 = (D, -D), D = 3 + 10^30 t, far past the 4 bits the elimination of
-    # [d2 | e_s0 | I] packs at, which never reads D1: d1 * d2 = 0, exact.
+    # [d2 | e_s0 | I] packs at: d1 * d2 = 0 over Z[t], exact.
     ((((1,),), ((1,),)), ((3, 10 ** 30), (-3, -10 ** 30)), None),
     # D1 = (2^100 t, -16 + (1 - 2^100) t): d1 * d2 = -16 + t, nonzero,
-    # though it packs to 0 at that width 4, where D1's packed entries
-    # 2^104 and -2^104 have digits small enough to pass.
+    # though its value at t = 2^4, the elimination's width, is 0.
     ((((1,),), ((1,),)), ((0, 1 << 100), (-16, 1 - (1 << 100))), "d1*d2 != 0"),
+    # d2 = ((1, 0), (0, 1), (0, 0)) injects and d1 = (t - 8, 0, 1)
+    # surjects, but d1 * d2 = (t - 8, 0), which packed at 3 bits reads 0.
+    ((((1,), ()), ((), (1,)), ((), ())), ((-8, 1), (), (1,)), "d1*d2 != 0"),
 ])
 def test_exactness_witness_read_off_the_elimination(d2_rows, d1_row, witness):
     c2 = len(d2_rows[0])
@@ -283,34 +285,45 @@ def test_exactness_witness_read_off_the_elimination(d2_rows, d1_row, witness):
     assert check_exactness(cx) == ExactnessReport(witness is None, witness)
 
 
-def test_exactness_requires_d1_d2_zero():
-    # Flipping the sign of one corner edge of the trefoil's graph keeps the
-    # dimensions and both ranks, but d1 * d2 is no longer zero: the complex
-    # is not a complex, and no propagator is built on it.
+def _sign_flipped_trefoil(origin):
+    """The trefoil's complex with the sign of the corner edge at `origin`
+    flipped: the dimensions and both ranks are kept, but d1 * d2 is no
+    longer zero, so it is not a complex."""
     data = _trefoil_graph_json()
-    assert data["edges"][0]["origin"] == ["corner", 0, 0]
-    data["edges"][0]["sign"] *= -1
+    edge = next(e for e in data["edges"] if e["origin"] == origin)
+    edge["sign"] *= -1
     cx = build_complex(graph_from_json(data), Representation.abelian())
-    assert qt_d1(cx) @ qt_d2(cx) == mat([[(0, 2, -2), 0, 0]])
     assert sum(p < cx.c2_dim for p in cx.forward_elimination[1]) == cx.c2_dim
-    assert check_exactness(cx) == ExactnessReport(False, "d1*d2 != 0")
-    with pytest.raises(NotExactError, match="d1\\*d2 != 0"):
-        build_propagator(cx)
+    return cx
+
+
+def test_exactness_requires_d1_d2_zero():
+    # No propagator is built on the non-complex, whichever column of d1 *
+    # d2 is nonzero: crossing 0's first corner edge moves column 0, and
+    # crossing 2's, into a region where d1 is nonzero too, the last.
+    for origin, product in [(["corner", 0, 0], [[(0, 2, -2), 0, 0]]),
+                            (["corner", 2, 0], [[0, 0, (0, 2, -2)]])]:
+        cx = _sign_flipped_trefoil(origin)
+        assert qt_d1(cx) @ qt_d2(cx) == mat(product), origin
+        assert check_exactness(cx) == ExactnessReport(False, "d1*d2 != 0"), origin
+        with pytest.raises(NotExactError, match="d1\\*d2 != 0"):
+            build_propagator(cx)
     # The certificate of the scaled inverse rests on this test: on the
     # non-complex, X is made and passes it, and only the exactness report
     # keeps a propagator from being read off it.
     _certify_inverse(cx, cx.scaled_inverse)
 
 
-def test_d1_d2_one_bit_narrower_would_alias():
-    # d2 = ((1, 0), (0, 1), (0, 0)) injects and d1 = (t - 8, 0, 1) surjects,
-    # but d1 * d2 = (t - 8, 0). D1 packs at 4 bits for its coefficient 8
-    # plus 2 of headroom for d2; at k = 3, t - 8 packs to 8 - 8 = 0 and the
-    # complex would pass as exact.
-    cx = ChainComplex((((1,), ()), ((), (1,)), ((), ())), (1,), ((-8, 1), (), (1,)),
-                      ("c0", "c1"), ("q0", "q1", "q2"))
-    assert _pack([-8, 1], 3) == 0 != _pack([-8, 1], 4)
-    assert check_exactness(cx) == ExactnessReport(False, "d1*d2 != 0")
+@pytest.mark.parametrize("text", [TREFOIL, FIG8_KINKED, TREFOIL_KINKED])
+def test_exactness_makes_no_packed_product_test(text, monkeypatch):
+    # d1 * d2 = 0 is tested on coefficient lists: the report, exact or
+    # not, reads no packed row and makes no `is_diagonal_product` test.
+    def refuse(*args):
+        raise AssertionError("is_diagonal_product called")
+    monkeypatch.setattr(mscomplex, "is_diagonal_product", refuse)
+    _, _, _, cx = _complex(text)
+    assert check_exactness(cx) == ExactnessReport(True)
+    assert not check_exactness(_sign_flipped_trefoil(["corner", 2, 0])).exact
 
 
 @pytest.mark.parametrize("text", [TREFOIL, FIG8_KINKED])
