@@ -40,7 +40,6 @@ from math import gcd, isqrt, lcm, prod
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from ._value import Value, _set
-from .errors import DehnError, _json_fields
 
 Coeffish = Union[int, Fraction]
 
@@ -179,32 +178,6 @@ class RatFunc(Value):
             "den": [str(c) for c in den.coeffs],
             "display": _display(num, den),
         }
-
-    @classmethod
-    def from_json(cls, data) -> "RatFunc":
-        """The inverse of `to_json`; "display" is not read. JSON of another
-        shape is a `DehnError` naming the field at fault: a value that is not
-        an object, a "num" or "den" that is missing or not a list, a
-        coefficient that is neither an integer nor a string `Fraction` reads
-        (true, false and floats are refused: no floating point), and a zero
-        denominator."""
-        keys, parts = ("num", "den"), []
-        for key, value in zip(keys, _json_fields(data, "rational function",
-                                                 dict.fromkeys(keys, list))):
-            coeffs = []
-            for c in value:
-                if type(c) not in (int, str):
-                    raise DehnError(f"rational function: {key!r} has coefficient {c!r}, "
-                                    "not an integer or a string")
-                try:
-                    coeffs.append(Fraction(c))
-                except (ValueError, ZeroDivisionError):
-                    raise DehnError(f"rational function: {key!r} has coefficient {c!r}, "
-                                    "not a rational") from None
-            parts.append(coeffs)
-        if not any(parts[1]):
-            raise DehnError("rational function: 'den' is zero")
-        return cls(*parts)
 
 
 def _display(num: Polynomial, den: Polynomial) -> str:
@@ -437,11 +410,11 @@ def product_headroom(m: Sequence[Sequence[IntPoly]]) -> int:
 
 def is_diagonal_product(rows: Sequence[Sequence[int]], m: Sequence[Sequence[IntPoly]],
                         delta: Sequence[int], width: int) -> bool:
-    """Whether rows * m = delta * I over Z[t], with delta = [] whether rows *
-    m = 0. The entries of `rows` come packed: each is the integer
-    p(2^width) of the polynomial p whose signed base-2^width digits, the
-    ones `_unpack` reads, are its coefficients; m is a list of rows of
-    coefficient lists.
+    """Whether rows * m = delta * I over Z[t]; delta = [] is no mode of its
+    own, only delta = 0 in the same test. The entries of `rows` come
+    packed: each is the integer p(2^width) of the polynomial p whose signed
+    base-2^width digits, the ones `_unpack` reads, are its coefficients; m
+    is a list of rows of coefficient lists.
 
     The test is an equality of columns of polynomials: it holds iff every
     entry E of the difference rows * m - delta * I is zero. Let n be the

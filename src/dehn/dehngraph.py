@@ -27,9 +27,7 @@ from typing import Dict, List, Tuple
 
 from ._value import Value, _set
 from .diagram import KnotDiagram
-from .errors import DehnError, _json_fields
-from .words import (Word, format_word, free_reduce, generator_name,
-                    word_inv, word_mul)
+from .words import Word, format_word, generator_name, word_inv, word_mul
 
 
 class GroupRingTerm(Value):
@@ -136,14 +134,6 @@ BASEPOINT = "inf"  # the one vertex of index 0
 _KINDS = {2: ("crossing", "box"), 1: ("region", "ellipse"), 0: ("basepoint", "doublecircle")}
 
 
-# The two kinds of edge, by the Morse indices of their ends, and the origin
-# graph_to_json writes on each: one of the tags, then `count` integer ids.
-_EDGE_ORIGINS = {
-    (2, 1): (("corner",), 2, "['corner', crossing, position 0..3]"),
-    (1, 0): (("region_plus", "region_minus"), 1, "['region_plus' or 'region_minus', region]"),
-}
-
-
 def _indexed_vertices(graph: DehnGraph) -> List[Tuple[str, int]]:
     """(id, Morse index) of every vertex: crossings, regions, the basepoint."""
     return ([(v, 2) for v in graph.crossing_vertices]
@@ -199,66 +189,3 @@ def graph_to_json(graph: DehnGraph) -> dict:
             for e in graph.edges
         ],
     }
-
-
-def graph_from_json(data) -> DehnGraph:
-    """The inverse of `graph_to_json`. JSON of another shape is a `DehnError`
-    naming the item at fault: a graph, vertex or edge that is not an object,
-    lacks a field or has one of the wrong JSON type (true and false are not
-    integers, as in `parse_pd`), an arc name that is not a string, a vertex
-    index other than 0, 1 or 2 or a kind not of that index, a repeated
-    vertex id, index-0 vertices other than one "inf", an edge with an end
-    no vertex declares or that runs neither from a crossing to a region nor
-    from a region to "inf", an origin other than ["corner", crossing,
-    position 0..3] on the first and ["region_plus" or "region_minus",
-    region] on the second, an edge sign other than +-1, and a word letter
-    that is not a [name, exponent] pair, names no arc or has an exponent
-    other than +-1."""
-    arcs, vertex_items, edge_items = _json_fields(data, "graph", dict.fromkeys(
-        ("arcs", "vertices", "edges"), list))
-    if any(type(name) is not str for name in arcs):
-        raise DehnError("an arc name is not a string")
-    name_to_id = {name: i for i, name in enumerate(arcs)}
-    index_of: Dict[str, int] = {}
-    for i, v in enumerate(vertex_items):
-        what = f"vertex {v.get('id', i)!r}" if type(v) is dict else f"vertex {i}"
-        vid, kind, index = _json_fields(v, what, {"id": str, "kind": str, "index": int})
-        if index not in _KINDS:
-            raise DehnError(f"{what}: index {index} is not 0, 1 or 2")
-        if kind != _KINDS[index][0]:
-            raise DehnError(f"{what}: kind {kind!r} does not match index {index}")
-        if vid in index_of:
-            raise DehnError(f"{what} is repeated")
-        index_of[vid] = index
-    groups = {index: [v for v, i in index_of.items() if i == index] for index in _KINDS}
-    if groups[0] != [BASEPOINT]:
-        raise DehnError(f"the index-0 vertices are {groups[0]}, not [{BASEPOINT!r}]")
-    edges = []
-    for i, e in enumerate(edge_items):
-        source, target = _json_fields(e, f"edge {i}", {"from": str, "to": str})
-        what = f"edge {source} -> {target}"
-        sign, word, origin = _json_fields(e, what, {"sign": int, "word": list, "origin": list})
-        ends = (index_of.get(source), index_of.get(target))
-        if ends not in _EDGE_ORIGINS:
-            raise DehnError(f"{what} runs neither from a crossing to a region nor from "
-                            "a region to the basepoint")
-        tags, count, shape = _EDGE_ORIGINS[ends]
-        tag, *ids = origin or [None]
-        if (tag not in tags or len(ids) != count or any(type(i) is not int for i in ids)
-                or (tag == "corner" and ids[1] not in range(4))):
-            raise DehnError(f"{what}: origin {origin!r} is not {shape}")
-        if sign not in (1, -1):
-            raise DehnError(f"{what}: sign {sign!r} is not +1 or -1")
-        letters = []
-        for letter in word:
-            if type(letter) is not list or len(letter) != 2:
-                raise DehnError(f"{what}: letter {letter!r} is not a [name, exponent] pair")
-            name, exp = letter
-            if type(name) is not str or name not in name_to_id:
-                raise DehnError(f"{what}: letter {name!r} names no arc")
-            if type(exp) is not int or exp not in (1, -1):
-                raise DehnError(f"{what}: letter {name!r} has exponent {exp!r}, not +1 or -1")
-            letters.append((name_to_id[name], exp))
-        edges.append(Edge(source, target, GroupRingTerm(sign, free_reduce(letters)),
-                          tuple(origin)))
-    return DehnGraph(tuple(groups[2]), tuple(groups[1]), tuple(edges), tuple(arcs))

@@ -309,29 +309,3 @@ def wirtinger(diagram: KnotDiagram) -> WirtingerPresentation:
         relator = ((over, e), (uin, 1), (over, -e)) + word_inv(((uout, 1),))
         relations.append(free_reduce(relator))
     return WirtingerPresentation(tuple(range(diagram.arc_count)), tuple(relations))
-
-
-def diagram_to_json(diagram: KnotDiagram) -> dict:
-    """Debug serialization: crossings, arcs, regions and the corner table."""
-    return {
-        "pd": diagram.pd.to_text(),
-        "crossings": [
-            {
-                "id": c.id,
-                "edges": list(c.edges),
-                "sign": c.sign,
-                "over_in_pos": c.over_in_pos,
-                "over_arc": diagram.over_arc(c),
-            }
-            for c in diagram.crossings
-        ],
-        "arcs": {str(e): a for e, a in sorted(diagram.arc_of_edge.items())},
-        "regions": [
-            {
-                "id": r.id,
-                "corners": [list(c) for c in r.corners],
-                "unbounded": r.id == diagram.unbounded_region,
-            }
-            for r in diagram.regions
-        ],
-    }

@@ -49,17 +49,3 @@ class RegionLabelError(DehnError):
     representation, so the Dehn graph does not give a chain complex."""
 
     exit_code = 7
-
-
-def _json_fields(item, what: str, types: dict) -> tuple:
-    """`item`'s values of the keys of `types`, in order; an item that is not an
-    object, lacks a key or has a value of another type is a `DehnError`."""
-    if type(item) is not dict:
-        raise DehnError(f"{what} is not an object")
-    for key, kind in types.items():
-        if key not in item:
-            raise DehnError(f"{what} has no {key!r}")
-        if type(item[key]) is not kind:
-            raise DehnError(f"{what}: {key!r} has type {type(item[key]).__name__}, "
-                            f"not {kind.__name__}")
-    return tuple(item[key] for key in types)

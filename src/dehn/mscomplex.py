@@ -7,9 +7,9 @@ is the sum over the edges p -> q of the images of their labels. Every
 generator goes to the same scalar t^k (k = 1 abelian, k = 0 trivial), so a
 signed word maps to the sign times t^(k * exponent sum), and the complex is
 held over Z[t]: the corner labels +-1, +-x make d2 a matrix over Z[t], and
-d1, from the region labels, is one row over Z[t] over a power of t. Only
-`complex_to_json` writes them over Q(t), entry by entry. A complex makes
-one elimination, once: the forward elimination of [B0 | I], B0 = [d2 |
+d1, from the region labels, is one row over Z[t] over a power of t. It is
+held and checked over Z[t] only, never over Q(t). A complex makes one
+elimination, once: the forward elimination of [B0 | I], B0 = [d2 |
 e_s0], with s0 the first coordinate where d1 is nonzero. The exactness
 report that `check_exactness` returns reads rank(d2) off its pivots. On
 an exact complex B0 is invertible, and one fraction-free back
@@ -39,7 +39,7 @@ from functools import cached_property
 from typing import List, Optional, Tuple
 
 from ._value import Value
-from .algebra import (IntPoly, RatFunc, _euler, _norm1, _products_cancel, _unpack,
+from .algebra import (IntPoly, _euler, _norm1, _products_cancel, _unpack,
                       fraction_free_back_substitution, fraction_free_elimination,
                       is_diagonal_product, poly_add, product_headroom)
 from .dehngraph import BASEPOINT, DehnGraph
@@ -260,19 +260,3 @@ def check_exactness(cx: ChainComplex) -> ExactnessReport:
     The report is computed on the first call for a complex and read from it
     on every later one."""
     return cx._exactness
-
-
-def complex_to_json(cx: ChainComplex) -> dict:
-    """Boundary matrices over Q(t), each entry written from its Z[t] form,
-    plus the bases that index their rows and columns."""
-    return {
-        "bases": {
-            "c2": list(cx.c2_basis),
-            "c1": list(cx.c1_basis),
-            "c0": [BASEPOINT],
-        },
-        "d2": {"rows": cx.c1_dim, "cols": cx.c2_dim,
-               "entries": [[RatFunc(x).to_json() for x in row] for row in cx.d2_rows]},
-        "d1": {"rows": 1, "cols": cx.c1_dim,
-               "entries": [[RatFunc(x, cx.d1_den).to_json() for x in cx.d1_row]]},
-    }

@@ -13,7 +13,7 @@ from dehn.invariants import (DefectValue, TorsionValue, check_lescop_relation, d
                              propagator_at, torsion)
 from dehn.oracle import milnor_check
 from dehn.pipeline import run_pipeline
-from dehn.words import exponent_sum
+from dehn.words import exponent_sum, free_reduce
 
 # PD codes from the standard knot tables (bracket form, sequential labels).
 UNKNOT_KINK = "[[1,2,2,1]]"
@@ -339,6 +339,17 @@ def replaced(value, **fields):
     copy = type(value)(**dict(zip(value._fields, value._values()), **fields))
     vars(copy).update(views)
     return copy
+
+
+def relabeled(graph, origin, **label):
+    """A copy of a Dehn graph whose edge at `origin` has the fields `label`
+    of its label replaced, the word freely reduced: how the tests build a
+    graph that no diagram makes."""
+    def edit(e):
+        new = replaced(e.label, **label)
+        return replaced(e, label=replaced(new, word=free_reduce(new.word)))
+    return replaced(graph, edges=tuple(edit(e) if e.origin == origin else e
+                                       for e in graph.edges))
 
 
 def eliminate(cx, order):

@@ -18,7 +18,6 @@ from dehn.algebra import (FieldMatrix, Polynomial, RatFunc, _exact_quotient, _pa
                           _unit_equal, _unpack, common_denominator,
                           fraction_free_back_substitution, fraction_free_elimination,
                           is_diagonal_product, poly_add, poly_mul, product_headroom, zpoly_gcd)
-from dehn.errors import DehnError
 from dehn.pipeline import compute_result
 
 # -- the Euclid reference gcd ------------------------------------------------
@@ -1007,34 +1006,6 @@ def test_common_denominator_recovers_entries(entries):
 # -- serialization -----------------------------------------------------------
 
 
-def test_json_roundtrip():
-    f = rf((0, Fraction(1, 2), -1), (2, 0, 1))
-    data = f.to_json()
-    assert data["num"][1] == "1/2"
-    assert RatFunc.from_json(data) == f
-
-
-@pytest.mark.parametrize("data, match", [
-    pytest.param([["1"], ["1"]], "is not an object", id="list"),
-    pytest.param({"num": ["1"]}, "has no 'den'", id="no-den"),
-    pytest.param({"den": ["1"]}, "has no 'num'", id="no-num"),
-    pytest.param({"num": "1", "den": ["1"]}, "'num' has type str, not list", id="num-str"),
-    pytest.param({"num": ["1"], "den": "1"}, "'den' has type str, not list", id="den-str"),
-    pytest.param({"num": [True], "den": ["1"]}, "'num' has coefficient True", id="true"),
-    pytest.param({"num": ["1"], "den": [0.5]}, "'den' has coefficient 0.5", id="float"),
-    pytest.param({"num": ["x"], "den": ["1"]}, "'num' has coefficient 'x', not a rational",
-                 id="not-a-rational"),
-    pytest.param({"num": ["1/0"], "den": ["1"]}, "'num' has coefficient '1/0'", id="over-0"),
-    pytest.param({"num": ["1"], "den": ["0", "0"]}, "'den' is zero", id="zero-den"),
-    pytest.param({"num": ["1"], "den": []}, "'den' is zero", id="empty-den"),
-])
-def test_malformed_ratfunc_json_is_a_dehn_error(data, match):
-    # Each fault is named in a DehnError, never a bare KeyError, TypeError,
-    # ValueError or ZeroDivisionError, and JSON true or a float is no coefficient.
-    with pytest.raises(DehnError, match=match):
-        RatFunc.from_json(data)
-
-
 @settings(max_examples=60, deadline=None)
 @given(ratfuncs)
 def test_json_display_is_the_string_form(f):
@@ -1044,3 +1015,7 @@ def test_json_display_is_the_string_form(f):
 def test_json_is_canonical_coefficient_strings():
     f = rf((0, -1), (1,))
     assert f.to_json() == {"num": ["0", "-1"], "den": ["1"], "display": "-t"}
+    # A rational coefficient is written as the string "p/q".
+    f = rf((0, Fraction(1, 2), -1), (2, 0, 1))
+    assert f.to_json() == {"num": ["0", "1/2", "-1"], "den": ["2", "0", "1"],
+                           "display": "(-t^2+1/2*t)/(t^2+2)"}

@@ -1,11 +1,9 @@
-import json
-
 import pytest
 
 from conftest import CORPUS, TREFOIL, UNKNOT_KINK, qt_add, qt_image
 from dehn.algebra import RatFunc
 from dehn.dehngraph import (BASEPOINT, build_d1, build_d2, build_dehn_graph, check_d2,
-                            export_dot, graph_from_json, graph_to_json)
+                            export_dot, graph_to_json)
 from dehn.diagram import build_diagram, parse_pd
 from dehn.mscomplex import Representation
 from dehn.words import exponent_sum, word_mul
@@ -184,18 +182,3 @@ def test_dot_empty_word_label():
     _, g = _graph(TREFOIL)
     dot = export_dot(g)
     assert 'label="+1"' in dot
-
-
-def test_graph_json_roundtrip():
-    _, g = _graph(TREFOIL)
-    data = graph_to_json(g)
-    again = graph_to_json(graph_from_json(data))
-    assert json.dumps(data) == json.dumps(again)
-    assert graph_from_json(data) == g
-
-
-@pytest.mark.parametrize("text", sorted(CORPUS.values()))
-def test_graph_json_roundtrip_under_every_outer_region(text):
-    for region in build_diagram(parse_pd(text)).regions:
-        _, g = _graph(text, region.id)
-        assert graph_from_json(graph_to_json(g)) == g, region.id

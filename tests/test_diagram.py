@@ -3,8 +3,7 @@ import pytest
 from conftest import (CORPUS, FIG8, FIG8_KINKED, HOPF_LINK, NON_PLANAR, TAILLESS_EDGES,
                       TREFOIL, TREFOIL_KINKED, UNKNOT_KINK, connected_sum, pipeline,
                       torus_pd)
-from dehn.diagram import (KnotDiagram, build_diagram, choose_unbounded,
-                          diagram_to_json, parse_pd, wirtinger)
+from dehn.diagram import KnotDiagram, build_diagram, choose_unbounded, parse_pd, wirtinger
 from dehn.errors import (ConfigError, MultiComponentError, NotPlanarError,
                          PDLabelError, PDSyntaxError)
 from dehn.words import exponent_sum
@@ -213,15 +212,3 @@ def test_wirtinger_relators_abelianize_to_zero(text):
     d = build_diagram(parse_pd(text))
     for rel in wirtinger(d).relations:
         assert exponent_sum(rel) == 0
-
-
-# -- serialization ---------------------------------------------------------------
-
-
-def test_diagram_json_shape():
-    d = build_diagram(parse_pd(TREFOIL_KINKED))
-    data = diagram_to_json(d)
-    assert data["pd"] == parse_pd(TREFOIL_KINKED).to_text()
-    assert len(data["crossings"]) == 4
-    assert len(data["regions"]) == 6
-    assert sum(1 for r in data["regions"] if r["unbounded"]) == 1

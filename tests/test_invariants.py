@@ -10,14 +10,14 @@ from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
                       find_basis_permutation, from_rows, gauss_jordan, hstack, is_identity,
                       mat, mat_add, materialized_invariants, pipeline, qt_d1, qt_d2, qt_defect, qt_equal_mod_Z,
                       packed_column, qt_add, qt_derivative, qt_div, qt_g1, qt_inverse,
-                      qt_lescop, qt_mul, qt_neg, qt_rref, qt_sub, qt_unit_equal, replaced, rf,
-                      satisfies_identities, scaled, selectable, spread, submatrix, t_power,
-                      torus_pd)
+                      qt_lescop, qt_mul, qt_neg, qt_rref, qt_sub, qt_unit_equal, relabeled,
+                      replaced, rf, satisfies_identities, scaled, selectable, spread, submatrix,
+                      t_power, torus_pd)
 from dehn import algebra, invariants, mscomplex
 from dehn.algebra import RatFunc, _pack, _unpack, poly_add, poly_mul
 from dehn.errors import DehnError, NotExactError
-from dehn.dehngraph import (build_d1, build_d2, build_dehn_graph, graph_from_json,
-                            graph_to_json)
+from dehn.dehngraph import (DehnGraph, Edge, GroupRingTerm, build_d1, build_d2,
+                            build_dehn_graph)
 from dehn.diagram import build_diagram, parse_pd
 from dehn.invariants import (DefectValue, TorsionValue, build_propagator,
                              check_lescop_relation, defect, defect_equal_mod_Z,
@@ -646,12 +646,8 @@ def test_identities_do_not_pin_the_scale_of_delta():
 def test_propagator_views_on_a_complex_without_crossings():
     # One region joined to the basepoint by a +1 edge: C_2 = 0, and the
     # views still have c1 = c2 + 1 rows.
-    graph = graph_from_json({
-        "arcs": [],
-        "vertices": [{"id": "q0", "kind": "region", "index": 1},
-                     {"id": "inf", "kind": "basepoint", "index": 0}],
-        "edges": [{"from": "q0", "to": "inf", "sign": 1, "word": [],
-                   "origin": ["region_plus", 0]}]})
+    edge = Edge("q0", "inf", GroupRingTerm(1, ()), ("region_plus", 0))
+    graph = DehnGraph((), ("q0",), (edge,), ())
     cx = build_complex(graph, Representation.abelian())
     g = build_propagator(cx)
     assert (g.g2.rows, g.g2.cols) == (0, 1)
@@ -830,11 +826,10 @@ def test_defect_matches_qt_reference_on_a_degree_2_column():
     # reaches degree 2, which no diagram's complex does, so the m * c_m
     # weights of the trace are checked past m = 1.
     d = build_diagram(parse_pd(FIG8))
-    data = graph_to_json(build_dehn_graph(d, build_d1(d), build_d2(d)))
-    for edge in data["edges"]:
-        if edge["origin"][:2] == ["corner", 0]:
-            edge["word"] = [[data["arcs"][0], 1]] + edge["word"]
-    graph = graph_from_json(data)
+    graph = build_dehn_graph(d, build_d1(d), build_d2(d))
+    for edge in graph.edges:
+        if edge.origin[:2] == ("corner", 0):
+            graph = relabeled(graph, edge.origin, word=((0, 1),) + edge.label.word)
     cx = build_complex(graph, Representation.abelian())
     assert max(len(x) for row in cx.d2_rows for x in row) == 3
     for s in selectable(cx):

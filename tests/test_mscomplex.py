@@ -1,22 +1,20 @@
 import itertools
-from operator import delitem
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (CORPUS, FIG8_KINKED, TREFOIL, TREFOIL_KINKED, from_rows, is_zero_matrix,
-                      mat, qt_complex, qt_d1, qt_d2, qt_image, qt_mul, selectable, t_power,
-                      torus_pd)
+from conftest import (CORPUS, FIG8_KINKED, TREFOIL, TREFOIL_KINKED, is_zero_matrix, mat,
+                      qt_complex, qt_d1, qt_d2, qt_image, qt_mul, relabeled, replaced,
+                      selectable, t_power, torus_pd)
 from dehn.algebra import RatFunc, _unpack
-from dehn.dehngraph import (GroupRingTerm, build_d1, build_d2, build_dehn_graph,
-                            graph_from_json, graph_to_json)
+from dehn.dehngraph import GroupRingTerm, build_d1, build_d2, build_dehn_graph
 from dehn.diagram import build_diagram, parse_pd
 from dehn.errors import DehnError, NotExactError
 from dehn import mscomplex
 from dehn.invariants import build_propagator, propagator_at
 from dehn.mscomplex import (ChainComplex, ExactnessReport, Representation, _certify_inverse,
-                            build_complex, check_exactness, complex_to_json)
+                            build_complex, check_exactness)
 from test_cli import label_valid_pd
 
 # -- representations ----------------------------------------------------------
@@ -123,106 +121,38 @@ def test_complex_rows_on_label_valid_codes(text):
     assert (qt_d2(cx), qt_d1(cx)) == qt_complex(g)
 
 
-def _trefoil_graph_json():
+def _trefoil_graph():
     d = build_diagram(parse_pd(TREFOIL))
-    return graph_to_json(build_dehn_graph(d, build_d1(d), build_d2(d)))
+    return build_dehn_graph(d, build_d1(d), build_d2(d))
 
 
 def test_build_complex_rejects_a_negative_power_in_d2():
     # A corner word inverted by hand maps to 1/t, so d2 would leave Z[t]:
     # build_complex names the edge instead of reading it.
-    data = _trefoil_graph_json()
-    edge = next(e for e in data["edges"] if e["origin"][0] == "corner" and e["word"])
-    edge["word"] = [[name, -exp] for name, exp in edge["word"]]
-    with pytest.raises(DehnError, match=f"edge {edge['from']} -> {edge['to']}"):
-        build_complex(graph_from_json(data), Representation.abelian())
+    graph = _trefoil_graph()
+    edge = next(e for e in graph.edges if e.origin[0] == "corner" and e.label.word)
+    graph = relabeled(graph, edge.origin, word=[(x, -exp) for x, exp in edge.label.word])
+    with pytest.raises(DehnError, match=f"edge {edge.source} -> {edge.target}"):
+        build_complex(graph, Representation.abelian())
 
 
-@pytest.mark.parametrize("field,value,match", [
-    ("to", "nowhere", "edge p0 -> nowhere runs neither"),
-    ("to", "inf", "edge p0 -> inf runs neither"),  # crossing to basepoint
-    ("from", "q1", "edge q1 -> q0 runs neither"),  # region to region
-    ("word", [["zz", 1]], "edge p0 -> q0: letter 'zz' names no arc"),
+@pytest.mark.parametrize("ends", [
+    pytest.param({"target": "nowhere"}, id="undeclared-end"),
+    pytest.param({"target": "inf"}, id="crossing-to-basepoint"),
+    pytest.param({"source": "q1"}, id="region-to-region"),
 ])
-def test_malformed_graph_json_names_the_edge(field, value, match):
-    # The first edge runs p0 -> q0; each change breaks it, and the
-    # graph_from_json -> build_complex path names it, with no KeyError.
-    data = _trefoil_graph_json()
-    assert (data["edges"][0]["from"], data["edges"][0]["to"]) == ("p0", "q0")
-    data["edges"][0][field] = value
-    with pytest.raises(DehnError, match=match):
-        build_complex(graph_from_json(data), Representation.abelian())
-
-
-@pytest.mark.parametrize("edit,match", [
-    pytest.param(lambda data: data["edges"][0].update(word=[["a", 2]]),
-                 "edge p0 -> q0: letter 'a' has exponent 2, not \\+1 or -1", id="exponent-2"),
-    pytest.param(lambda data: delitem(data["edges"][0], "word"),
-                 "edge p0 -> q0 has no 'word'", id="no-word"),
-    pytest.param(lambda data: delitem(data["edges"][0], "from"), "edge 0 has no 'from'",
-                 id="no-from"),
-    pytest.param(lambda data: delitem(data["vertices"][0], "index"),
-                 "vertex 'p0' has no 'index'", id="no-index"),
-    pytest.param(lambda data: data["edges"][0].update(sign=3),
-                 "edge p0 -> q0: sign 3 is not \\+1 or -1", id="sign-3"),
-    pytest.param(lambda data: data["edges"][0].update(word=[["a"]]),
-                 "edge p0 -> q0: letter \\['a'\\] is not a \\[name, exponent\\] pair",
-                 id="letter-without-exponent"),
-    pytest.param(lambda data: delitem(data, "arcs"), "graph has no 'arcs'", id="no-arcs"),
-    pytest.param(lambda data: delitem(data, "edges"), "graph has no 'edges'", id="no-edges"),
-    pytest.param(lambda data: data["edges"].insert(0, ["p0", "q0"]), "edge 0 is not an object",
-                 id="edge-not-an-object"),
-    pytest.param(lambda data: data["edges"][0].update(word="a"),
-                 "edge p0 -> q0: 'word' has type str, not list", id="word-not-a-list"),
-    pytest.param(lambda data: data["edges"][0].update(origin=7),
-                 "edge p0 -> q0: 'origin' has type int, not list", id="origin-not-a-list"),
-    pytest.param(lambda data: [data], "graph is not an object", id="top-level-list"),
-    pytest.param(lambda data: data["vertices"][0].update(index=7),
-                 "vertex 'p0': index 7 is not 0, 1 or 2", id="index-7"),
-    pytest.param(lambda data: data["edges"][0].update(sign=True),
-                 "edge p0 -> q0: 'sign' has type bool, not int", id="sign-true"),
-    pytest.param(lambda data: data["edges"][0].update(word=[["a", True]]),
-                 "edge p0 -> q0: letter 'a' has exponent True, not \\+1 or -1",
-                 id="exponent-true"),
-    pytest.param(lambda data: data["vertices"][0].update(kind="region"),
-                 "vertex 'p0': kind 'region' does not match index 2", id="kind-not-index"),
-    pytest.param(lambda data: data["vertices"].append(dict(data["vertices"][3])),
-                 "vertex 'q0' is repeated", id="repeated-id"),
-    pytest.param(lambda data: data["vertices"][-1].update(id="base"),
-                 "the index-0 vertices are \\['base'\\], not \\['inf'\\]",
-                 id="renamed-basepoint"),
-    pytest.param(lambda data: delitem(data["vertices"], -1),
-                 "the index-0 vertices are \\[\\], not \\['inf'\\]", id="no-basepoint"),
-    pytest.param(lambda data: data["vertices"].append(
-                     {"id": "o", "kind": "basepoint", "index": 0}),
-                 "the index-0 vertices are \\['inf', 'o'\\], not \\['inf'\\]",
-                 id="second-basepoint"),
-    pytest.param(lambda data: data["edges"][0].update(to="nowhere"),
-                 "edge p0 -> nowhere runs neither from a crossing to a region nor from a "
-                 "region to the basepoint", id="undeclared-end"),
-    pytest.param(lambda data: data["edges"][0].update({"from": "q0", "to": "p0"}),
-                 "edge q0 -> p0 runs neither", id="region-to-crossing"),
-    pytest.param(lambda data: data["edges"][0].update(origin=["bogus", "x"]),
-                 "edge p0 -> q0: origin \\['bogus', 'x'\\] is not \\['corner', crossing, "
-                 "position 0..3\\]", id="bogus-origin"),
-    pytest.param(lambda data: data["edges"][-1].update(origin=["corner", 0, 0]),
-                 "origin \\['corner', 0, 0\\] is not \\['region_plus' or 'region_minus', "
-                 "region\\]", id="corner-origin-on-a-basepoint-edge"),
-])
-def test_malformed_graph_json_is_a_dehn_error(edit, match):
-    # Each edit breaks the document, a vertex (p0, q0 or inf) or the first
-    # edge (p0 -> q0), in place or by returning the document to read instead:
-    # graph_from_json names the item in a DehnError, with no ValueError,
-    # KeyError or TypeError. A sign of 3 is refused before it can reach
-    # d1 * d2, and JSON true is not the sign or exponent +1. A vertex's
-    # Morse index fixes its kind, its id is its own, and the one vertex of
-    # index 0 is the basepoint "inf". An edge runs between declared
-    # vertices, from a crossing to a region or from a region to "inf", and
-    # carries the origin graph_to_json writes on an edge of its kind.
-    data = _trefoil_graph_json()
-    document = edit(data)
-    with pytest.raises(DehnError, match=match):
-        graph_from_json(data if document is None else document)
+def test_build_complex_names_an_edge_that_runs_neither(ends):
+    # The first edge runs p0 -> q0; moving one of its ends leaves it neither
+    # crossing -> region nor region -> basepoint, and build_complex names
+    # it in a DehnError, with no KeyError.
+    graph = _trefoil_graph()
+    first = graph.edges[0]
+    assert (first.source, first.target) == ("p0", "q0")
+    edge = replaced(first, **ends)
+    graph = replaced(graph, edges=(edge,) + graph.edges[1:])
+    with pytest.raises(DehnError, match=f"edge {edge.source} -> {edge.target} runs neither "
+                       "from a crossing to a region nor from a region to the basepoint"):
+        build_complex(graph, Representation.abelian())
 
 
 def test_d2_column_block_counts():
@@ -289,10 +219,10 @@ def _sign_flipped_trefoil(origin):
     """The trefoil's complex with the sign of the corner edge at `origin`
     flipped: the dimensions and both ranks are kept, but d1 * d2 is no
     longer zero, so it is not a complex."""
-    data = _trefoil_graph_json()
-    edge = next(e for e in data["edges"] if e["origin"] == origin)
-    edge["sign"] *= -1
-    cx = build_complex(graph_from_json(data), Representation.abelian())
+    graph = _trefoil_graph()
+    edge = next(e for e in graph.edges if e.origin == origin)
+    cx = build_complex(relabeled(graph, origin, sign=-edge.label.sign),
+                       Representation.abelian())
     assert sum(p < cx.c2_dim for p in cx.forward_elimination[1]) == cx.c2_dim
     return cx
 
@@ -301,8 +231,8 @@ def test_exactness_requires_d1_d2_zero():
     # No propagator is built on the non-complex, whichever column of d1 *
     # d2 is nonzero: crossing 0's first corner edge moves column 0, and
     # crossing 2's, into a region where d1 is nonzero too, the last.
-    for origin, product in [(["corner", 0, 0], [[(0, 2, -2), 0, 0]]),
-                            (["corner", 2, 0], [[0, 0, (0, 2, -2)]])]:
+    for origin, product in [(("corner", 0, 0), [[(0, 2, -2), 0, 0]]),
+                            (("corner", 2, 0), [[0, 0, (0, 2, -2)]])]:
         cx = _sign_flipped_trefoil(origin)
         assert qt_d1(cx) @ qt_d2(cx) == mat(product), origin
         assert check_exactness(cx) == ExactnessReport(False, "d1*d2 != 0"), origin
@@ -323,7 +253,7 @@ def test_exactness_makes_no_packed_product_test(text, monkeypatch):
     monkeypatch.setattr(mscomplex, "is_diagonal_product", refuse)
     _, _, _, cx = _complex(text)
     assert check_exactness(cx) == ExactnessReport(True)
-    assert not check_exactness(_sign_flipped_trefoil(["corner", 2, 0])).exact
+    assert not check_exactness(_sign_flipped_trefoil(("corner", 2, 0))).exact
 
 
 @pytest.mark.parametrize("text", [TREFOIL, FIG8_KINKED])
@@ -348,40 +278,3 @@ def test_exactness_and_default_propagator_share_one_elimination(text, monkeypatc
     propagators = [propagator_at(cx, s) for s in selectable(cx)]
     assert calls == ["forward", "back"]
     assert len(propagators) > 1
-
-
-# -- serialization -------------------------------------------------------------------
-
-
-def test_complex_json_bookkeeping():
-    _, _, _, cx = _complex(TREFOIL)
-    data = complex_to_json(cx)
-    assert data["bases"]["c2"] == ["p0", "p1", "p2"]
-    assert data["bases"]["c0"] == ["inf"]
-    assert data["d2"]["rows"] == 4 and data["d2"]["cols"] == 3
-    assert set(data) == {"bases", "d2", "d1"}
-
-
-def _matrix_json(m):
-    """The JSON form a Q(t) matrix took when it was written through a
-    FieldMatrix: its shape and every entry's `to_json`, row by row."""
-    return {"rows": m.rows, "cols": m.cols,
-            "entries": [[e.to_json() for e in m.row(i)] for i in range(m.rows)]}
-
-
-@pytest.mark.parametrize("name,text", sorted(CORPUS.items()))
-def test_complex_json_entries_match_the_qt_reference(name, text):
-    # Under every outer region, the d2 and d1 that complex_to_json writes
-    # from the Z[t] rows are the reference Q(t) matrices in the form a
-    # FieldMatrix wrote them in, and read back they equal the complex built
-    # letter by letter in Q(t).
-    for region in build_diagram(parse_pd(text)).regions:
-        d = build_diagram(parse_pd(text), outer_region=region.id)
-        g = build_dehn_graph(d, build_d1(d), build_d2(d))
-        cx = build_complex(g, Representation.abelian())
-        data = complex_to_json(cx)
-        assert data["d2"] == _matrix_json(qt_d2(cx)), region.id
-        assert data["d1"] == _matrix_json(qt_d1(cx)), region.id
-        assert tuple(from_rows([[RatFunc.from_json(e) for e in row]
-                                for row in data[key]["entries"]])
-                     for key in ("d2", "d1")) == qt_complex(g), region.id
