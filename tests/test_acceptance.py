@@ -3,10 +3,12 @@
 All comparisons are exact (zero tolerance): torsion equality is up to +-t^m
 units with an exact normalized representative, defect equality is modulo an
 integer constant. Run with `pytest tests/test_acceptance.py -v -s` to see the
-per-criterion lines.
+per-criterion lines. The README's library example runs last, and must
+print what its comments say.
 """
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -165,3 +167,15 @@ def test_criterion_9_negative_controls():
     with pytest.raises(MultiComponentError):
         parse_pd(HOPF_LINK)
     _report(9, "trivial rep flagged non-exact, corruption detected, link rejected")
+
+
+def test_readme_library_example(capsys):
+    # The first python block of README.md must print, in order, the `# ...`
+    # comments on its print calls, so the README keeps up with the API.
+    fence = "`" * 3
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split(fence + "python\n", 1)[1].split(fence, 1)[0]
+    want = [line.split("#", 1)[1].strip()
+            for line in block.splitlines() if line.startswith("print(")]
+    exec(block, {})
+    assert capsys.readouterr().out.splitlines() == want
