@@ -9,20 +9,27 @@ forward fraction-free loop `fraction_free_elimination` over Z[t], at a
 packing width proved by a Hadamard-type bound: on a complex's
 [d2 | e_s0 | I], whose pivots give the exactness rank and whose rows
 `fraction_free_back_substitution` turns into the scaled inverse every
-propagator is read off, and on the Fox minor. It returns its rows packed,
-so each caller unpacks only the entries it reads. Packed rows, whose
-digits must be bounded first, are tested by `is_diagonal_product`, rows
-* m = delta * I over Z[t], and its one library caller is the certificate
-X * B0 = delta0 * I. Coefficient lists are tested by `_products_cancel`,
-a sum of products against zero at a width read off its own terms: a
-complex's d1 * d2 = 0 and `check`'s comparisons. No product is unpacked.
+propagator is read off, and on the Fox minor. It takes its input by
+nonzeros, each row a mapping from column to entry, so reading the input
+and proving the width cost one step per nonzero entry; the loop itself
+works on dense packed rows. It returns its rows packed, so each caller
+unpacks only the entries it reads. Packed rows, whose digits must be
+bounded first, are tested by `is_diagonal_product`, rows * m = delta * I
+over Z[t] with m given by its sparse columns, and its one library caller
+is the certificate X * B0 = delta0 * I. Coefficient lists are tested by
+`_products_cancel`, a sum of products against zero at a width read off
+its own terms: a complex's d1 * d2 = 0 and `check`'s comparisons. No
+product is unpacked.
 `FieldMatrix`, a dense matrix over Q(t), is the form a propagator's G2 is
 shown in; its product, reduced form and determinant write each row over
 one denominator and run over Z[t], the last two through the same loop and
 the reduced form through the back substitution after it. `Polynomial`,
 with coefficients in Q, is a read-only view with no arithmetic: the
 monic-denominator display form of a `RatFunc`'s parts and of the Fox
-oracle's Alexander polynomial.
+oracle's Alexander polynomial. Both print through one printer over
+(numerator, denominator) pairs of integers (`_poly_text`), and a
+`RatFunc`'s JSON strings are read off its integer pair with no `Fraction`
+or `Polynomial` built.
 
 Everything here is immutable and pure: `Polynomial`, `RatFunc` and
 `FieldMatrix` are `dehn._value.Value`s, whose constructors trim, reduce or
@@ -37,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt, lcm, prod
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from ._value import Value, _set
 
@@ -74,26 +81,7 @@ class Polynomial(Value):
     # -- display ------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for power in range(self.degree, -1, -1):
-            c = self.coeffs[power]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if power == 0:
-                body = str(mag)
-            else:
-                var = "t" if power == 1 else f"t^{power}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = (first_sign if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += sign + body
-        return text
+        return _poly_text([(c.numerator, c.denominator) for c in self.coeffs])
 
 
 class RatFunc(Value):
@@ -164,7 +152,7 @@ class RatFunc(Value):
     # -- display / serialization --------------------------------------
 
     def __str__(self) -> str:
-        return _display(self.num, self.den)
+        return _display(*self._over_lead())
 
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r}, {self.den!r})"
@@ -172,16 +160,60 @@ class RatFunc(Value):
     def to_json(self) -> dict:
         """Machine-stable form: exact coefficient strings of `num` and `den`,
         constant term first."""
-        num, den = self.num, self.den
+        num, den = self._over_lead()
         return {
-            "num": [str(c) for c in num.coeffs],
-            "den": [str(c) for c in den.coeffs],
+            "num": [_ratio(*c) for c in num],
+            "den": [_ratio(*c) for c in den],
             "display": _display(num, den),
         }
 
+    def _over_lead(self) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
+        """The coefficients of `num` and `den`, each c / lead, lead the
+        leading coefficient of zden, as reduced (numerator, denominator)
+        pairs, with no Fraction built."""
+        lead = self.zden[-1]
+        return [_over(c, lead) for c in self.znum], [_over(c, lead) for c in self.zden]
 
-def _display(num: Polynomial, den: Polynomial) -> str:
-    return str(num) if den.degree == 0 else f"({num})/({den})"
+
+# -- display -----------------------------------------------------------------
+#
+# One printer, over (numerator, denominator) pairs of integers: a reduced
+# fraction with a positive denominator, the form `Fraction` holds and prints.
+
+
+def _over(c: int, lead: int) -> Tuple[int, int]:
+    """c / lead in lowest terms as a pair, for lead > 0: (c // g, lead // g),
+    g = gcd(c, lead), so that, as in `Fraction`, the sign sits on the
+    numerator; 0 is (0, 1)."""
+    g = gcd(c, lead)
+    return c // g, lead // g
+
+
+def _ratio(n: int, d: int) -> str:
+    """n / d as `str(Fraction(n, d))` writes it, for n / d reduced, d > 0."""
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _poly_text(coeffs: Sequence[Tuple[int, int]]) -> str:
+    """A polynomial over Q, highest power first, from its coefficients as
+    (numerator, denominator) pairs, constant term first, with no trailing
+    zero: a coefficient of magnitude 1 is left off its power of t, and "0"
+    is the zero polynomial."""
+    text = ""
+    for power in range(len(coeffs) - 1, -1, -1):
+        n, d = coeffs[power]
+        if not n:
+            continue
+        term = _ratio(abs(n), d)
+        if power:
+            var = "t" if power == 1 else f"t^{power}"
+            term = var if term == "1" else f"{term}*{var}"
+        text += ("-" if n < 0 else "+") + term
+    return text.removeprefix("+") or "0"
+
+
+def _display(num: Sequence[Tuple[int, int]], den: Sequence[Tuple[int, int]]) -> str:
+    return _poly_text(num) if len(den) == 1 else f"({_poly_text(num)})/({_poly_text(den)})"
 
 
 def _coefficients(p) -> List[Coeffish]:
@@ -287,7 +319,8 @@ class FieldMatrix(Value):
         the reduced form, so row i of it is 1 at pivots[i] and X[i] / delta
         at the free columns; the rows below the rank are zero.
         """
-        reduced, pivots, _, k = fraction_free_elimination(self.cleared_rows()[1])
+        reduced, pivots, _, k = fraction_free_elimination(
+            [_nonzeros(row) for row in self.cleared_rows()[1]], self.cols, 0)
         rank, free = len(pivots), [j for j in range(self.cols) if j not in pivots]
         x = fraction_free_back_substitution(
             [[row[j] for j in pivots + free] for row in reduced[:rank]], rank)
@@ -306,7 +339,8 @@ class FieldMatrix(Value):
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         lam, rows = self.cleared_rows()
-        reduced, pivots, sign, k = fraction_free_elimination(rows)
+        reduced, pivots, sign, k = fraction_free_elimination(
+            [_nonzeros(row) for row in rows], self.cols, 0)
         if len(pivots) < self.rows:
             return RatFunc(())
         delta = _unpack(reduced[-1][pivots[-1]], k) if pivots else [1]
@@ -319,20 +353,27 @@ class FieldMatrix(Value):
 # -- matrices over Z[t] ----------------------------------------------------
 #
 # A polynomial here is a list of int coefficients, constant term first, with
-# no trailing zeros; [] is zero. Products use Kronecker substitution: a
-# polynomial whose coefficients lie below 2^(k-1) in absolute value is packed
-# into the integer f(2^k), one CPython multiplication multiplies two packed
-# polynomials, and the signed base-2^k digits of a packed value are its
-# coefficients. Evaluation at 2^k is a ring map, and a quotient that is exact
-# in Z[t] stays exact after it, so a whole computation can run on packed
-# integers and be unpacked once, when k bounds every coefficient unpacked.
-# Under that bound a packed value is zero exactly when its polynomial is.
-# Intermediate products need no bound, only the values unpacked or tested
-# for zero. In the elimination those are minors of its input, and k comes
+# no trailing zeros; [] is zero. A sparse matrix is read by its nonzero
+# entries: the kernel takes each row as a mapping from column to entry, and
+# the product test each column of m as (row, entry) pairs. Products use
+# Kronecker substitution: a polynomial whose coefficients lie below 2^(k-1)
+# in absolute value is packed into the integer f(2^k), one CPython
+# multiplication multiplies two packed polynomials, and the signed base-2^k
+# digits of a packed value are its coefficients. Evaluation at 2^k is a ring
+# map, and a quotient that is exact in Z[t] stays exact after it, so a whole
+# computation can run on packed integers and be unpacked once, when k bounds
+# every coefficient unpacked. Under that bound a packed value is zero
+# exactly when its polynomial is. Intermediate products need no bound, only
+# the values unpacked or tested for zero. In the elimination those are minors of its input, and k comes
 # from `_minor_bound`, a proved bound on every coefficient of every minor;
 # every division still checks its remainder.
 
 IntPoly = List[int]
+
+
+def _nonzeros(row: Sequence[IntPoly]) -> Dict[int, IntPoly]:
+    """A dense row as the kernel reads it: column -> entry, nonzero entries only."""
+    return {j: x for j, x in enumerate(row) if x}
 
 
 def _pack(coeffs: Sequence[int], k: int) -> int:
@@ -400,21 +441,25 @@ def _products_cancel(*terms: Tuple[int, Sequence[int], Sequence[int]]) -> bool:
     return not sum(c * _pack(a, k) * _pack(b, k) for c, a, b in terms)
 
 
-def product_headroom(m: Sequence[Sequence[IntPoly]]) -> int:
+def product_headroom(columns: Sequence[Sequence[Tuple[int, IntPoly]]]) -> int:
     """c, the bits that `is_diagonal_product` keeps free above the digits of
-    packed rows multiplied into m: the bit length of n + 1, n the largest
-    column 1-norm of m (the sum of its entries' 1-norms), and at least 2."""
-    n = max((sum(map(_norm1, filter(None, col))) for col in zip(*m)), default=0)
+    packed rows multiplied into m, given by its `columns` of (row, entry)
+    pairs: the bit length of n + 1, n the largest column 1-norm of m (the
+    sum of its entries' 1-norms), and at least 2."""
+    n = max((sum(_norm1(x) for _, x in col) for col in columns), default=0)
     return max(2, (n + 1).bit_length())
 
 
-def is_diagonal_product(rows: Sequence[Sequence[int]], m: Sequence[Sequence[IntPoly]],
+def is_diagonal_product(rows: Sequence[Sequence[int]],
+                        columns: Sequence[Sequence[Tuple[int, IntPoly]]],
                         delta: Sequence[int], width: int) -> bool:
     """Whether rows * m = delta * I over Z[t]; delta = [] is no mode of its
     own, only delta = 0 in the same test. The entries of `rows` come
     packed: each is the integer p(2^width) of the polynomial p whose signed
-    base-2^width digits, the ones `_unpack` reads, are its coefficients; m
-    is a list of rows of coefficient lists.
+    base-2^width digits, the ones `_unpack` reads, are its coefficients. m
+    comes sparse, by its `columns`: column c is a sequence of (i, m[i][c])
+    pairs, coefficient lists, one for each nonzero entry, every i below the
+    length of a row of `rows`; a row of m that no pair names is zero.
 
     The test is an equality of columns of polynomials: it holds iff every
     entry E of the difference rows * m - delta * I is zero. Let n be the
@@ -449,47 +494,47 @@ def is_diagonal_product(rows: Sequence[Sequence[int]], m: Sequence[Sequence[IntP
     cannot be certified at this width, whatever it is. The bounds are read
     off the matrices under test, so they cover a wrong product too.
 
-    Each column of `rows` is packed once into one integer. A column of
-    rows * m is then the sum, over the nonzero entries of a column of m, of
-    the packed entry times a packed column of rows, compared with delta
-    shifted into its slot, delta << K*c, as one integer, with no entry
-    product and no unpacking. A zero entry adds nothing to a norm and is
-    not packed."""
-    inner = len(m)
-    if any(len(row) != inner for row in rows):
+    Each column of `rows` is packed once into one integer, all of them
+    together: neighbouring rows are joined pairwise, entry by entry, then
+    neighbouring pairs, and so on, linear-times-log work where shifting one
+    row in at a time is quadratic. A column of rows * m is then the sum,
+    over the nonzero entries of a column of m, of the packed entry times a
+    packed column of rows, compared with delta shifted into its slot, delta
+    << K*c, as one integer, with no entry product and no unpacking. A zero
+    entry adds nothing to a norm and is not packed."""
+    inner = len(rows[0]) if rows else 0
+    if (any(len(row) != inner for row in rows)
+            or any(not 0 <= i < inner for col in columns for i, _ in col)):
         raise ValueError("shape mismatch in matrix product")
     k = width
-    j = k - product_headroom(m)
+    j = k - product_headroom(columns)
     if j < 0 or max(map(abs, delta), default=0) > 1 << j:
         return False
     flat = list(chain.from_iterable(rows))
-    digits = max((abs(x).bit_length() for x in flat), default=0) // k + 1
+    digits = max(map(abs, flat), default=0).bit_length() // k + 1
     ones = ((1 << k * digits) - 1) // ((1 << k) - 1)  # 1 in each slot
     bias, outside = ones << j, ~(((2 << j) - 1) * ones)
     if any(x and (x + bias) & outside for x in flat):
         return False
-    slot = k * max(digits + max(map(len, chain.from_iterable(m)), default=0) - 1, len(delta))
-
-    def join_slots(line) -> int:
-        """sum_r line[r] << slot*r, joining neighbours pairwise: linear-
-        times-log work where shifting one entry in at a time is quadratic."""
-        parts, shift = list(line) or [0], slot
-        while len(parts) > 1:
-            parts.append(0)
-            parts = [a + (b << shift) for a, b in zip(parts[::2], parts[1::2])]
-            shift *= 2
-        return parts[0]
-
-    packed_delta = _pack(delta, k)
-    columns = [join_slots(col) for col in zip(*rows)] or [0] * inner
-    return all(sum(_pack(x, k) * columns[i] for i, x in enumerate(col) if x)
-               == packed_delta << slot * c for c, col in enumerate(zip(*m)))
+    slot = k * max(digits + max((len(x) for col in columns for _, x in col), default=0) - 1,
+                   len(delta))
+    # packed[i] = sum_r rows[r][i] << slot*r.
+    lines, shift = [list(row) for row in rows] or [[0] * inner], slot
+    while len(lines) > 1:
+        odd = lines[-1:] if len(lines) % 2 else []
+        lines = [[a + (b << shift) for a, b in zip(low, high)]
+                 for low, high in zip(lines[::2], lines[1::2])] + odd
+        shift *= 2
+    packed, packed_delta = lines[0], _pack(delta, k)
+    return all(sum(_pack(x, k) * packed[i] for i, x in col if x)
+               == packed_delta << slot * c for c, col in enumerate(columns))
 
 
-def _minor_bound(rows: Sequence[Sequence[IntPoly]]) -> int:
+def _minor_bound(rows: Sequence[Mapping[int, IntPoly]]) -> int:
     """The largest absolute value a coefficient of a minor of `rows` can
     have, by the Hadamard-type bound of Goldstein and Graham (SIAM Review
-    16, 1974).
+    16, 1974); each row is a mapping from column to entry, read by its
+    nonzero entries.
 
     For a square matrix A over Z[t], Parseval's identity makes the sum of
     the squared coefficients of det A the mean of |det A(z)|^2 over the unit
@@ -499,18 +544,32 @@ def _minor_bound(rows: Sequence[Sequence[IntPoly]]) -> int:
     left out removes terms; the same holds with rows and columns exchanged,
     since det A = det A^T. So every coefficient c of every minor has
     c^2 <= P, for P the smaller of the row and the column product, and
-    |c| <= isqrt(P).
+    |c| <= isqrt(P). A zero entry adds nothing to either sum, and a column
+    with none is a factor 1, so both products are read off the nonzero
+    entries alone.
     """
-    squares = [[_norm1(x) ** 2 if x else 0 for x in row] for row in rows]
-    by_rows = prod(max(1, sum(row)) for row in squares)
-    by_cols = prod(max(1, sum(col)) for col in zip(*squares))
-    return isqrt(min(by_rows, by_cols))
+    by_rows, by_cols = 1, {}
+    for row in rows:
+        total = 0
+        for j, x in row.items():
+            if x:
+                square = _norm1(x) ** 2
+                total += square
+                by_cols[j] = by_cols.get(j, 0) + square
+        by_rows *= max(1, total)
+    return isqrt(min(by_rows, prod(by_cols.values())))
 
 
-def fraction_free_elimination(rows: Sequence[Sequence[IntPoly]],
-                              headroom: int = 0) -> Tuple[List[List[int]], List[int], int, int]:
+def fraction_free_elimination(rows: Sequence[Mapping[int, IntPoly]], ncols: int,
+                              headroom: int) -> Tuple[List[List[int]], List[int], int, int]:
     """Row echelon form over Z[t] by Bareiss's forward fraction-free
     elimination (Bareiss 1968).
+
+    The input comes sparse: each row is a mapping from column, in
+    range(ncols), to its entry, and a column it does not name is zero, so
+    reading it and bounding its minors cost one step per nonzero entry. A
+    column outside the range is a ValueError. The rows are packed into
+    dense lists, which the elimination works on.
 
     Returns (rows, pivot columns, sign, k), the rows still packed: each
     entry is its polynomial at t = 2^k, and `_unpack(entry, k)` gives its
@@ -548,12 +607,15 @@ def fraction_free_elimination(rows: Sequence[Sequence[IntPoly]],
     division.
     """
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("ragged rows")
     # Every entry met is a minor of the input.
     k = _packing_bits(_minor_bound(rows)) + headroom
-    m = [[_pack(x, k) if x else 0 for x in row] for row in rows]
+    m = [[0] * ncols for _ in range(nrows)]
+    for packed, row in zip(m, rows):
+        for j, x in row.items():
+            if not 0 <= j < ncols:
+                raise ValueError(f"column {j} outside the {ncols} columns")
+            if x:
+                packed[j] = _pack(x, k)
     level = [0] * nrows
     scale = [1]  # scale[s] = p_s
 

@@ -91,9 +91,10 @@ over the entries of d2 of |t d2'|_1, and the complex packs at w >= k +
 W.bit_length() (`mscomplex.ChainComplex.forward_elimination`).
 
 T and u do not depend on s, so `_traces` forms them once and reads num_s
-for any s off them. `coordinates_agree` compares every coordinate s with
-d1[s] != 0 against a propagator's own coordinate r in the same way, with
-no fraction built. Write D = D1 and tau_s = t D[s]' - a * D[s]; the
+for any s off them; u only when a coordinate other than s0 is read, so the
+defect of the base propagator forms T alone. `coordinates_agree` compares
+every coordinate s with d1[s] != 0 against a propagator's own coordinate r
+in the same way, with no fraction built. Write D = D1 and tau_s = t D[s]' - a * D[s]; the
 torsion at s is sign * delta_s * t^a / D[s], the defect (num_s * D[s] -
 delta_s * tau_s) / (delta_s * D[s]), and sign is the elimination's, the
 same for every s. Cross-multiplied over Z[t], an integral domain, the
@@ -121,8 +122,8 @@ each moved to one side and tested for zero, exactly, by one packed value
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Callable, List
+from functools import cache, cached_property
+from typing import Callable, List, Tuple
 
 from ._value import Value
 from .algebra import (FieldMatrix, IntPoly, RatFunc, _euler, _exact_div, _pack,
@@ -316,23 +317,35 @@ def _traces(cx: ChainComplex, g: Propagator) -> Callable[[int], IntPoly]:
     """s -> num_s = tr(t d2' * N_s) for every coordinate s of g's complex,
     regrouped as in the module docstring: (v[s] * T - sum_j N0[j][s] *
     u[j]) / delta0, with T (`total`) = sum w_ij * N0[j][i] and u[j] = sum_i
-    w_ij * v[i], w_ij = t d2'[i][j] packed at the width, formed here, once.
-    Only the entries of d2 with a t-power term are read; no N is built.
-    One exact division and one unpack per coordinate, both proved in the
-    module docstring; an inexact division is an ArithmeticError naming s."""
-    x, width = g.inverse, g.width
-    v, u, total = x[-1], [0] * (len(x) - 1), 0
-    for i, row in enumerate(cx.d2_rows):
-        for j, e in enumerate(row):
+    w_ij * v[i], w_ij = t d2'[i][j] packed at the width, formed here, once:
+    T at once, u on the first read of a coordinate other than s0 = g.base,
+    since column s0 of N0 is zero and num_s0 = v[s0] * T / delta0 needs
+    none. Only the entries of d2 with a t-power term are read, column by
+    column; no N is built. One exact division and one unpack per
+    coordinate, both proved in the module docstring; an inexact division is
+    an ArithmeticError naming s."""
+    x, width, s0 = g.inverse, g.width, g.base
+    v, total, entries = x[-1], 0, []
+    for j, col in enumerate(cx.d2_cols):
+        for i, e in col:
             if len(e) > 1:  # a constant entry has no t-power term
                 w = _pack(_euler(e), width)
                 total += w * x[j][i]
-                u[j] += w * v[i]
-    terms = [(x[j], uj) for j, uj in enumerate(u) if uj]
-    delta0 = v[g.base]
+                entries.append((j, i, w))
+    delta0 = v[s0]
+
+    @cache
+    def terms() -> List[Tuple[List[int], int]]:
+        """(N0[j], u[j]) for every j with u[j] != 0."""
+        u = [0] * len(cx.d2_cols)
+        for j, i, w in entries:
+            u[j] += w * v[i]
+        return [(x[j], uj) for j, uj in enumerate(u) if uj]
 
     def num(s: int) -> IntPoly:
-        packed = v[s] * total - sum(row[s] * uj for row, uj in terms)
+        packed = v[s] * total
+        if s != s0:
+            packed -= sum(row[s] * uj for row, uj in terms())
         try:
             return _unpack(_exact_div(packed, delta0), width)
         except ArithmeticError:

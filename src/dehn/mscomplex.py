@@ -8,8 +8,13 @@ generator goes to the same scalar t^k (k = 1 abelian, k = 0 trivial), so a
 signed word maps to the sign times t^(k * exponent sum), and the complex is
 held over Z[t]: the corner labels +-1, +-x make d2 a matrix over Z[t], and
 d1, from the region labels, is one row over Z[t] over a power of t. It is
-held and checked over Z[t] only, never over Q(t). A complex makes one
-elimination, once: the forward elimination of [B0 | I], B0 = [d2 |
+held and checked over Z[t] only, never over Q(t). d2 is held by its
+nonzeros, one column per crossing (`ChainComplex.d2_cols`): a crossing
+has four corners, so a column has at most four nonzero entries, and every
+reader of d2, the elimination's input and its widths, the certificate and
+d1 * d2 = 0 here and the trace in `invariants`, walks those columns, so
+its work grows with the crossings, not with their square. A complex makes
+one elimination, once: the forward elimination of [B0 | I], B0 = [d2 |
 e_s0], with s0 the first coordinate where d1 is nonzero. The exactness
 report that `check_exactness` returns reads rank(d2) off its pivots. On
 an exact complex B0 is invertible, and one fraction-free back
@@ -36,10 +41,10 @@ coefficient lists, so it borrows no width (`ChainComplex._exactness`).
 from __future__ import annotations
 
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ._value import Value
-from .algebra import (IntPoly, _euler, _norm1, _products_cancel, _unpack,
+from .algebra import (IntPoly, _products_cancel, _trim, _unpack,
                       fraction_free_back_substitution, fraction_free_elimination,
                       is_diagonal_product, poly_add, product_headroom)
 from .dehngraph import BASEPOINT, DehnGraph
@@ -75,7 +80,9 @@ class Representation(Value):
 
 
 class ChainComplex(Value):
-    d2_rows: Tuple[Tuple[ZPoly, ...], ...]  # c1_dim x c2_dim, over Z[t]
+    # d2 by its nonzeros: one column per crossing, its (row, entry) pairs
+    # over Z[t] in ascending row order, zero entries left out.
+    d2_cols: Tuple[Tuple[Tuple[int, ZPoly], ...], ...]
     d1_den: ZPoly  # t^a
     d1_row: Tuple[ZPoly, ...]  # c1_dim: d1 = d1_row / d1_den
     c2_basis: Tuple[str, ...]  # crossing vertex ids
@@ -95,10 +102,11 @@ class ChainComplex(Value):
         return next((j for j, x in enumerate(self.d1_row) if x), None)
 
     @cached_property
-    def _b0(self) -> List[List[ZPoly]]:
-        """B0 = [d2 | e_s0] over Z[t], row by row (e_s0 = 0 when d1 = 0)."""
+    def _b0_columns(self) -> List[Tuple[Tuple[int, ZPoly], ...]]:
+        """B0 = [d2 | e_s0] over Z[t] by its nonzeros: the columns of d2,
+        then e_s0, which is zero when d1 = 0."""
         s0 = self.base_coordinate
-        return [list(row) + [(1,) if i == s0 else ()] for i, row in enumerate(self.d2_rows)]
+        return [*self.d2_cols, () if s0 is None else ((s0, (1,)),)]
 
     @cached_property
     def forward_elimination(self) -> Tuple[List[List[int]], List[int], int, int]:
@@ -112,18 +120,22 @@ class ChainComplex(Value):
         headroom. c = `product_headroom(B0)` is what the certificate of the
         inverse needs (see `_certify_inverse`). b = W.bit_length(), W =
         sum_ij |t d2'[i][j]|_1, is what the trace's one unpack needs; the
-        `invariants` module docstring proves it."""
-        c1, b0 = self.c1_dim, self._b0
-        rows = []
-        for i, row in enumerate(b0):
-            unit: List[ZPoly] = [()] * c1
-            unit[i] = (1,)
-            rows.append(row + unit)
-        order = sorted(range(c1), key=lambda i: sum(map(bool, b0[i])))
-        trace_norm = sum(_norm1(_euler(e)) for row in self.d2_rows for e in row if e)
+        `invariants` module docstring proves it. Every count and norm here
+        is read off the nonzeros of B0, and the rows go to the kernel as
+        mappings from column to entry."""
+        b0 = self._b0_columns
+        rows: List[Dict[int, ZPoly]] = [{} for _ in self.c1_basis]
+        for j, col in enumerate(b0):
+            for i, e in col:
+                rows[i][j] = e
+        order = sorted(range(self.c1_dim), key=lambda i: len(rows[i]))
+        for i, row in enumerate(rows):
+            row[len(b0) + i] = (1,)
+        trace_norm = sum(m * abs(c) for col in self.d2_cols for _, e in col
+                         for m, c in enumerate(e))
         reduced, pivots, sign, width = fraction_free_elimination(
-            [rows[i] for i in order],
-            headroom=max(product_headroom(b0), trace_norm.bit_length()))
+            [rows[i] for i in order], len(b0) + self.c1_dim,
+            max(product_headroom(b0), trace_norm.bit_length()))
         return reduced, pivots, sign * _parity(order), width
 
     @cached_property
@@ -146,11 +158,9 @@ class ChainComplex(Value):
         independent of those before them, and the columns of d2 come
         first, so rank(d2) is the number of pivots among them in
         `forward_elimination`; sorting the rows changes no rank. C_0 has
-        rank 1, so d1 surjects iff it has a nonzero entry. d1 * d2 = 0 iff
-        D1 * d2 = 0 over Z[t], D1 = `d1_row`, tested last so that every
-        earlier witness stays as it was, one column of d2 at a time by
-        `algebra._products_cancel`, exact at a width it reads off D1 and
-        that column, whatever their size."""
+        rank 1, so d1 surjects iff it has a nonzero entry. d1 * d2 = 0
+        (`_d1_d2_vanishes`) is tested last, so that every earlier witness
+        stays as it was."""
         if self.c1_dim != self.c2_dim + 1:
             return ExactnessReport(False,
                                    f"dimension mismatch: {self.c1_dim} != {self.c2_dim} + 1")
@@ -159,20 +169,29 @@ class ChainComplex(Value):
             return ExactnessReport(False, f"rank(d2) = {r2} < {self.c2_dim}")
         if not any(self.d1_row):
             return ExactnessReport(False, "rank(d1) = 0 < 1")
-        if not all(_products_cancel(*((1, x, e) for x, e in zip(self.d1_row, col) if x and e))
-                   for col in zip(*self.d2_rows)):
+        if not self._d1_d2_vanishes():
             return ExactnessReport(False, "d1*d2 != 0")
         return ExactnessReport(True)
 
+    def _d1_d2_vanishes(self) -> bool:
+        """d1 * d2 = 0 iff D1 * d2 = 0 over Z[t], D1 = `d1_row`: one column
+        of d2 at a time, over its nonzeros, by `algebra._products_cancel`,
+        exact at a width it reads off D1 and that column, whatever their
+        size."""
+        d1 = self.d1_row
+        return all(_products_cancel(*((1, d1[i], e) for i, e in col if d1[i]))
+                   for col in self.d2_cols)
+
 
 def build_complex(graph: DehnGraph, rep: Representation) -> ChainComplex:
-    """Add each edge's term sign * t^e into its entry over Z[t]. The d1 terms
-    are shifted by t^a, a = max(0, -least e), to make the row polynomial. An
-    edge that runs neither from a crossing to a region nor from a region to
-    the basepoint is a `DehnError` naming it."""
+    """Add each edge's term sign * t^e into its entry over Z[t], a d2 entry
+    into its crossing's column, which holds only the regions it meets. The
+    d1 terms are shifted by t^a, a = max(0, -least e), to make the row
+    polynomial. An edge that runs neither from a crossing to a region nor
+    from a region to the basepoint is a `DehnError` naming it."""
     c2_pos = {vid: i for i, vid in enumerate(graph.crossing_vertices)}
     c1_pos = {vid: i for i, vid in enumerate(graph.region_vertices)}
-    d2: List[List[IntPoly]] = [[[] for _ in c2_pos] for _ in c1_pos]
+    d2: List[Dict[int, IntPoly]] = [{} for _ in c2_pos]
     d1_terms = []
     for e in graph.edges:
         m = rep.exponent(e.label.word)
@@ -186,13 +205,16 @@ def build_complex(graph: DehnGraph, rep: Representation) -> ChainComplex:
             raise DehnError(f"edge {e.source} -> {e.target} has label {e.label}, "
                             f"which maps to t^{m}: a boundary entry of d2 must be "
                             "a polynomial in t")
-        i, j = c1_pos[e.target], c2_pos[e.source]
-        d2[i][j] = poly_add(d2[i][j], [e.label.sign], shift=m)
+        entry = d2[c2_pos[e.source]].setdefault(c1_pos[e.target], [])
+        entry.extend([0] * (m + 1 - len(entry)))
+        entry[m] += e.label.sign
     a = max([0] + [-m for _, _, m in d1_terms])
     d1: List[IntPoly] = [[] for _ in c1_pos]
     for j, sign, m in d1_terms:
         d1[j] = poly_add(d1[j], [sign], shift=m + a)
-    return ChainComplex(tuple(tuple(tuple(x) for x in row) for row in d2),
+    # Terms that cancel leave zeros to trim, and an entry trimmed to zero is left out.
+    return ChainComplex(tuple(tuple((i, tuple(x)) for i, x in sorted(col.items()) if _trim(x))
+                              for col in d2),
                         (0,) * a + (1,), tuple(tuple(x) for x in d1),
                         graph.crossing_vertices, graph.region_vertices)
 
@@ -233,8 +255,8 @@ def _certify_inverse(cx: ChainComplex, x: List[List[int]]) -> None:
         raise DehnError("propagator has delta = 0")
     # v and e_s0 go first: the test packs each column of X into one integer,
     # row r in slot r, and v, dense, in the top slot would widen them all.
-    if not is_diagonal_product(x[-1:] + x[:-1], [row[-1:] + row[:-1] for row in cx._b0],
-                               delta0, width):
+    b0 = cx._b0_columns
+    if not is_diagonal_product(x[-1:] + x[:-1], b0[-1:] + b0[:-1], delta0, width):
         raise DehnError("propagator identity X * [d2 | e_s0] = delta0 * I failed")
 
 

@@ -37,11 +37,12 @@ class AlexanderPolynomial(Value):
         return str(self.poly)
 
 
-def _fox_row(word: Word, column: Dict[int, int]) -> List[IntPoly]:
+def _fox_row(word: Word, column: Dict[int, int]) -> Dict[int, IntPoly]:
     """The abelianized Fox derivatives of a word with respect to the
     generators of `column` (generator -> column index), every generator
-    sent to t, as one row over Z[t]: the row of Laurent polynomials times
-    t^-m, m its least power of t (a unit)."""
+    sent to t, as one row over Z[t] by its nonzeros, column index -> entry:
+    the row of Laurent polynomials times t^-m, m its least power of t (a
+    unit)."""
     terms: Dict[Tuple[int, int], int] = {}  # (column, power of t) -> coefficient
     power = 0
     for g, e in word:
@@ -54,27 +55,26 @@ def _fox_row(word: Word, column: Dict[int, int]) -> List[IntPoly]:
             power += 1
     terms = {key: c for key, c in terms.items() if c}
     low = min((m for _, m in terms), default=0)
-    row: List[IntPoly] = [[] for _ in column]
+    row: Dict[int, IntPoly] = {}
     for (j, m), c in sorted(terms.items()):
-        entry = row[j]
+        entry = row.setdefault(j, [])
         entry.extend([0] * (m - low + 1 - len(entry)))
         entry[m - low] = c
     return row
 
 
-def _banded_order(rows: Sequence[Sequence[IntPoly]]) -> List[List[IntPoly]]:
-    """The rows with their columns in reverse Cuthill-McKee order (Cuthill
-    and McKee 1969, reversed by George 1971) on the graph joining two
-    columns that share a row, and the rows sorted by their first nonzero
-    column. A Wirtinger row has at most three nonzeros, and the order keeps
-    them near the diagonal, so the forward elimination fills only a band.
-    Permuting rows and columns changes the determinant by a sign at most."""
-    ncols = len(rows[0]) if rows else 0
-    support = [[j for j, x in enumerate(row) if x] for row in rows]
+def _banded_order(rows: Sequence[Dict[int, IntPoly]], ncols: int) -> List[Dict[int, IntPoly]]:
+    """The rows, each a mapping from column to nonzero entry, with their
+    `ncols` columns in reverse Cuthill-McKee order (Cuthill and McKee
+    1969, reversed by George 1971) on the graph joining two columns that
+    share a row, and the rows sorted by their first nonzero column. A
+    Wirtinger row has at most three nonzeros, and the order keeps them near
+    the diagonal, so the forward elimination fills only a band. Permuting
+    rows and columns changes the determinant by a sign at most."""
     neighbours: List[set] = [set() for _ in range(ncols)]
-    for cols in support:
-        for j in cols:
-            neighbours[j].update(cols)
+    for row in rows:
+        for j in row:
+            neighbours[j].update(row)
     degree = [len(n) for n in neighbours]
     seen = [False] * ncols
     order: List[int] = []
@@ -95,8 +95,9 @@ def _banded_order(rows: Sequence[Sequence[IntPoly]]) -> List[List[IntPoly]]:
     position = [0] * ncols
     for p, j in enumerate(order):
         position[j] = p
-    first = [min((position[j] for j in cols), default=ncols) for cols in support]
-    return [[rows[r][j] for j in order] for r in sorted(range(len(rows)), key=first.__getitem__)]
+    first = [min((position[j] for j in row), default=ncols) for row in rows]
+    return [{position[j]: x for j, x in rows[r].items()}
+            for r in sorted(range(len(rows)), key=first.__getitem__)]
 
 
 def fox_alexander(presentation: WirtingerPresentation) -> AlexanderPolynomial:
@@ -123,8 +124,8 @@ def fox_alexander(presentation: WirtingerPresentation) -> AlexanderPolynomial:
                         f"the Fox minor needs {k - 1}")
     dropped = min(gens)
     column = {g: j for j, g in enumerate(g for g in gens if g != dropped)}
-    rows = _banded_order([_fox_row(rel, column) for rel in presentation.relations[:k - 1]])
-    reduced, pivots, _, width = fraction_free_elimination(rows)
+    rows = _banded_order([_fox_row(rel, column) for rel in presentation.relations[:k - 1]], k - 1)
+    reduced, pivots, _, width = fraction_free_elimination(rows, k - 1, 0)
     if len(pivots) < k - 1:
         raise DehnError("the first maximal minor of the Fox matrix vanishes")
     return AlexanderPolynomial(tuple(_unit_free(_unpack(reduced[-1][pivots[-1]], width))))

@@ -5,6 +5,7 @@ import functools
 import itertools
 import json
 from fractions import Fraction
+from math import isqrt, prod
 
 from dehn import algebra
 from dehn.algebra import FieldMatrix, Polynomial, RatFunc, _pack, _unpack, fraction_free_elimination
@@ -88,8 +89,72 @@ def _incoming(crossing, pos: int, edges: int) -> bool:
 
 
 def qt_d2(cx) -> FieldMatrix:
-    """d2 as a c1_dim x c2_dim matrix over Q(t), from the complex's Z[t] rows."""
-    return FieldMatrix(cx.c1_dim, cx.c2_dim, [RatFunc(x) for row in cx.d2_rows for x in row])
+    """d2 as a c1_dim x c2_dim matrix over Q(t), from the complex's Z[t] columns."""
+    return FieldMatrix(cx.c1_dim, cx.c2_dim, [RatFunc(x) for row in dense_d2(cx) for x in row])
+
+
+# -- dense and sparse forms of matrices over Z[t] ------------------------------
+#
+# The library reads a matrix over Z[t] by its nonzeros: a complex holds d2 by
+# columns of (row, entry) pairs, the kernel takes rows as mappings from column
+# to entry, and the product test takes m by sparse columns. These write a
+# dense matrix, a list of rows of coefficient lists with () or [] for zero, in
+# each form and back, so the tests state their matrices in full.
+
+
+def dense_d2(cx):
+    """d2 of a complex as c1_dim rows of c2_dim entries, () for zero."""
+    rows = [[()] * cx.c2_dim for _ in range(cx.c1_dim)]
+    for j, col in enumerate(cx.d2_cols):
+        for i, x in col:
+            rows[i][j] = x
+    return rows
+
+
+def sparse_columns(rows):
+    """A dense matrix by its columns of nonzeros: for each column the
+    (row, entry) pairs of its nonzero entries in row order, entries as
+    tuples, the form of `ChainComplex.d2_cols`."""
+    ncols = len(rows[0]) if rows else 0
+    return tuple(tuple((i, tuple(row[j])) for i, row in enumerate(rows) if row[j])
+                 for j in range(ncols))
+
+
+def sparse_rows(rows):
+    """A dense matrix as the kernel reads it: each row a mapping from
+    column to entry, nonzero entries only."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def dense_rows(rows, ncols):
+    """Rows given as mappings from column to entry, written out in full
+    over `ncols` columns, [] for zero."""
+    return [[list(row.get(j, [])) for j in range(ncols)] for row in rows]
+
+
+def reference_d2(graph, rep):
+    """d2 over Z[t] as the complex was once built, a dense c1_dim x c2_dim
+    matrix, () for zero: each crossing-to-region edge's term sign * t^e
+    added into its entry, rows and columns in the graph's vertex order."""
+    c2 = {vid: j for j, vid in enumerate(graph.crossing_vertices)}
+    c1 = {vid: i for i, vid in enumerate(graph.region_vertices)}
+    rows = [[[] for _ in c2] for _ in c1]
+    for e in graph.edges:
+        if e.target != BASEPOINT:
+            i, j = c1[e.target], c2[e.source]
+            rows[i][j] = algebra.poly_add(rows[i][j], [e.label.sign],
+                                          shift=rep.exponent(e.label.word))
+    return [[tuple(x) for x in row] for row in rows]
+
+
+def dense_minor_bound(rows):
+    """`algebra._minor_bound` as it read a dense matrix: the Hadamard-type
+    bound from the squared 1-norms of every entry, row by row and column by
+    column, zeros included."""
+    squares = [[algebra._norm1(x) ** 2 if x else 0 for x in row] for row in rows]
+    by_rows = prod(max(1, sum(row)) for row in squares)
+    by_cols = prod(max(1, sum(col)) for col in zip(*squares))
+    return isqrt(min(by_rows, by_cols))
 
 
 def qt_d1(cx) -> FieldMatrix:
@@ -254,7 +319,8 @@ def is_identity(matrix: FieldMatrix) -> bool:
 
 def forward_rank(matrix: FieldMatrix) -> int:
     """Rank by the kernel's forward elimination of the cleared rows."""
-    return len(fraction_free_elimination(matrix.cleared_rows()[1])[1])
+    return len(fraction_free_elimination(sparse_rows(matrix.cleared_rows()[1]),
+                                         matrix.cols, 0)[1])
 
 
 def packed_column(entries, k, slots):
@@ -263,24 +329,28 @@ def packed_column(entries, k, slots):
     return sum(_pack(x, k) << (k * slots * r) for r, x in enumerate(entries))
 
 
-def reference_gauss_jordan(rows):
+def reference_gauss_jordan(rows, above=True):
     """Reduced echelon form over Z[t] by fraction-free Gauss-Jordan
     elimination (Bareiss 1968, extended to the rows above each pivot), the
     elimination the library once read every propagator off and now the
     reference of its forward elimination, back substitution and
-    `FieldMatrix.rref`. Returns (rows, pivot columns, sign, k), packed at
-    the kernel's width k, read through `algebra._minor_bound` so that a
-    patched bound reaches it too.
+    `FieldMatrix.rref`. It reads dense rows. Returns (rows, pivot columns,
+    sign, k), packed at the kernel's width k, read through
+    `algebra._minor_bound` so that a patched bound reaches it too.
 
     It makes the kernel's pivot choices and its lazy rescaling, and also
     eliminates the rows above each pivot: row r of the result has its pivot
     in column pivots[r], every pivot entry equals the last pivot delta, and
     with full row rank the result is delta * B^-1 * rows for B the pivot
     columns, with sign * delta = det B. A final catch-up brings every row to
-    the last step; it is exact, since the up-to-date rows hold minors."""
+    the last step; it is exact, since the up-to-date rows hold minors.
+
+    With `above` false it eliminates only below each pivot and makes no
+    final catch-up: the kernel's forward elimination as it read a dense
+    matrix, the reference its sparse input is tested against."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    k = algebra._packing_bits(algebra._minor_bound(rows))
+    k = algebra._packing_bits(algebra._minor_bound(sparse_rows(rows)))
     m = [[_pack(x, k) if x else 0 for x in row] for row in rows]
     level = [0] * nrows
     scale = [1]
@@ -307,7 +377,7 @@ def reference_gauss_jordan(rows):
         catch_up(pr)
         top = m[pr]
         p, prev = top[pc], scale[-1]
-        for r in range(nrows):
+        for r in range(0 if above else pr + 1, nrows):
             if r == pr or not m[r][pc]:
                 continue
             catch_up(r)
@@ -317,17 +387,20 @@ def reference_gauss_jordan(rows):
         scale.append(p)
         level[pr] = pr + 1
         pivots.append(pc)
-    for r in range(nrows):
+    for r in range(nrows if above else 0):
         catch_up(r)
     return m, pivots, sign, k
 
 
 def gauss_jordan(rows, forward=False):
-    """`reference_gauss_jordan`, or with `forward` the kernel's
-    `fraction_free_elimination`, with every entry of its packed rows
-    unpacked: (rows over Z[t], pivots, sign)."""
-    eliminate = fraction_free_elimination if forward else reference_gauss_jordan
-    packed, pivots, sign, k = eliminate(rows)
+    """`reference_gauss_jordan` of dense rows, or with `forward` the
+    kernel's `fraction_free_elimination` of their nonzeros, with every
+    entry of its packed rows unpacked: (rows over Z[t], pivots, sign)."""
+    if forward:
+        ncols = len(rows[0]) if rows else 0
+        packed, pivots, sign, k = fraction_free_elimination(sparse_rows(rows), ncols, 0)
+    else:
+        packed, pivots, sign, k = reference_gauss_jordan(rows)
     return [[_unpack(v, k) for v in row] for row in packed], pivots, sign
 
 
@@ -363,7 +436,7 @@ def eliminate(cx, order):
     c2, c1 = cx.c2_dim, cx.c1_dim
     position = {coord: p for p, coord in enumerate(order)}
     rows = []
-    for i, row in enumerate(cx.d2_rows):
+    for i, row in enumerate(dense_d2(cx)):
         unit = [[]] * c1
         unit[position[i]] = [1]
         rows.append(list(row) + unit)
@@ -379,11 +452,13 @@ def satisfies_identities(cx, g):
     N * d2 = delta * I over Z[t] and column s of N zero (the proof is at
     `mscomplex._certify_inverse`). N is unpacked in full and each entry of
     N * d2 is summed over Z[t] here, with no packed product test."""
+    d2 = dense_d2(cx)
+
     def entry(r, c):
         acc = []
         for i, x in enumerate(g.numer[r]):
-            if x and cx.d2_rows[i][c]:
-                acc = algebra.poly_add(acc, algebra.poly_mul(x, cx.d2_rows[i][c]))
+            if x and d2[i][c]:
+                acc = algebra.poly_add(acc, algebra.poly_mul(x, d2[i][c]))
         return acc
 
     c2 = len(g.numer)
@@ -399,7 +474,7 @@ def materialized_invariants(cx, g):
     entry of t d2' * N: the reference for the library's trace, which reads
     only the entries of N under the t-power entries of d2."""
     s, num = g.selected, []
-    for i, row in enumerate(cx.d2_rows):
+    for i, row in enumerate(dense_d2(cx)):
         for j, x in enumerate(row):
             for m in range(1, len(x)):
                 num = algebra.poly_add(num, g.numer[j][i], m * x[m], m)
@@ -411,6 +486,46 @@ def materialized_invariants(cx, g):
                                            algebra.poly_mul(g.delta, td1_s), -1)),
                     tuple(algebra.poly_mul(g.delta, d1_s)))
     return tor, d
+
+
+# -- the printer as it read Fractions ------------------------------------------
+#
+# `Polynomial.__str__` and `RatFunc.to_json` as they were before the library
+# printed integer pairs: the reference its one printer is tested against.
+
+
+def fraction_text(p: Polynomial) -> str:
+    """The display string of a polynomial over Q, read off its Fractions."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    for power in range(p.degree, -1, -1):
+        c = p.coeffs[power]
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        if power == 0:
+            body = str(mag)
+        else:
+            var = "t" if power == 1 else f"t^{power}"
+            body = var if mag == 1 else f"{mag}*{var}"
+        parts.append((sign, body))
+    first_sign, first_body = parts[0]
+    text = (first_sign if first_sign == "-" else "") + first_body
+    for sign, body in parts[1:]:
+        text += sign + body
+    return text
+
+
+def fraction_json(f: RatFunc) -> dict:
+    """The schema-v1 form of a RatFunc, built from its `num` and `den`
+    Polynomials and their Fractions."""
+    num, den = f.num, f.den
+    display = fraction_text(num) if den.degree == 0 else (
+        f"({fraction_text(num)})/({fraction_text(den)})")
+    return {"num": [str(c) for c in num.coeffs], "den": [str(c) for c in den.coeffs],
+            "display": display}
 
 
 # -- polynomial arithmetic over Q ----------------------------------------------

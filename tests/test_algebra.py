@@ -5,14 +5,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (CORPUS, connected_sum, forward_rank, from_rows, gauss_jordan,
-                      identity, mat, packed_column, poly, poly_gcd, q_add, q_divmod, q_eval,
-                      q_monic, q_mul, qt_add, qt_derivative, qt_div, qt_eval, qt_mul, qt_neg,
-                      qt_product, qt_rref, qt_sub, rf, submatrix, t_power, torus_pd,
-                      transposed, zeros)
+from conftest import (CORPUS, connected_sum, dense_minor_bound, dense_rows, forward_rank,
+                      fraction_json, fraction_text, from_rows, gauss_jordan, identity, mat,
+                      packed_column, poly, poly_gcd, q_add, q_divmod, q_eval, q_monic, q_mul,
+                      qt_add, qt_derivative, qt_div, qt_eval, qt_mul, qt_neg, qt_product,
+                      qt_rref, qt_sub, reference_gauss_jordan, rf, sparse_columns, sparse_rows,
+                      submatrix, t_power, torus_pd, transposed, zeros)
 from dehn import algebra
 from dehn.algebra import (FieldMatrix, Polynomial, RatFunc, _exact_quotient, _pack, _prs_gcd,
                           _unit_equal, _unpack, common_denominator,
@@ -491,9 +492,9 @@ def _packed_test(rows, m, delta, width=None):
     if width is None:
         largest = max(map(abs, [*delta, *(c for row in rows for x in row for c in x)]),
                       default=0)
-        width = largest.bit_length() + product_headroom(m)
-    return is_diagonal_product([[_pack(x, width) for x in row] for row in rows], m, delta,
-                               width)
+        width = largest.bit_length() + product_headroom(sparse_columns(m))
+    return is_diagonal_product([[_pack(x, width) for x in row] for row in rows],
+                               sparse_columns(m), delta, width)
 
 
 def _check_agrees(rows, m, delta, narrow=1):
@@ -566,7 +567,8 @@ def test_back_substitution_inverts_the_forward_rows(n, singular, data):
         a[dst] = [poly_add(poly_mul(c, x), y) for x, y in zip(a[i], a[j])]
     order = data.draw(st.permutations(range(n)))
     rows = [a[i] + [[1] if j == i else [] for j in range(n)] for i in order]
-    forward, pivots, _, width = fraction_free_elimination(rows, headroom=product_headroom(a))
+    forward, pivots, _, width = fraction_free_elimination(
+        sparse_rows(rows), 2 * n, product_headroom(sparse_columns(a)))
     if pivots[:n] != list(range(n)):
         assert qt_rref(_over_q(a))[2] < n
         with pytest.raises(ValueError):
@@ -576,7 +578,7 @@ def test_back_substitution_inverts_the_forward_rows(n, singular, data):
     delta = _unpack(forward[n - 1][n - 1], width)
     unpacked = [[_unpack(v, width) for v in row] for row in x]
     assert _packed_test(a, unpacked, delta)
-    assert is_diagonal_product(x, a, delta, width)
+    assert is_diagonal_product(x, sparse_columns(a), delta, width)
     block = [row[n:] for row in gauss_jordan([a[i] + [[1] if j == i else [] for j in range(n)]
                                               for i in range(n)])[0]]
     assert unpacked in (block, [[[-c for c in v] for v in row] for row in block])
@@ -596,8 +598,12 @@ def test_back_substitution_of_an_empty_system():
 
 
 def test_is_diagonal_product_shape_mismatch_raises():
+    # m comes by its nonzeros, so a shape mismatch is an entry of m in a
+    # row past the length of the rows, or rows of unequal length.
     with pytest.raises(ValueError):
-        is_diagonal_product([[1, 1]], [[[1]]], [], 4)
+        is_diagonal_product([[1]], sparse_columns([[[1]], [[1]]]), [], 4)
+    with pytest.raises(ValueError):
+        is_diagonal_product([[1, 1], [1]], sparse_columns([[[1]], [[1]]]), [], 4)
 
 
 def test_zero_product_one_bit_narrower_would_alias(monkeypatch):
@@ -606,7 +612,7 @@ def test_zero_product_one_bit_narrower_would_alias(monkeypatch):
     # the width, but the column norm n = 2 takes c = 2 bits of headroom,
     # digits in [-2^(k-2), 2^(k-2)), so the test refuses to certify; with
     # one bit less it admits -h and the wrong product passes.
-    k, h, column = 6, 1 << 5, [[[1]], [[1]]]
+    k, h, column = 6, 1 << 5, sparse_columns([[[1]], [[1]]])
     assert packed_column([[-2 * h, 1]], k, 1) == 0 and product_headroom(column) == 2
     row = [[_pack([-h, 1], k), _pack([-h], k)]]
     assert not is_diagonal_product(row, column, [], k)
@@ -614,7 +620,7 @@ def test_zero_product_one_bit_narrower_would_alias(monkeypatch):
     # packs to 0, and only the bound 2^(k-c) = 4 on delta's coefficients
     # refuses it.
     assert _pack([-4, 1], 4) == _pack([12], 4)
-    assert not is_diagonal_product([[_pack([-4, 1], 4)]], [[[1]]], [12], 4)
+    assert not is_diagonal_product([[_pack([-4, 1], 4)]], sparse_columns([[[1]]]), [12], 4)
     monkeypatch.setattr(algebra, "product_headroom", lambda m: 1)
     assert is_diagonal_product(row, column, [], k)
 
@@ -625,7 +631,8 @@ def test_zero_product_one_slot_shorter_would_alias():
     # slots. With one slot fewer, the t^2 of row 0 and the -1 of row 1 land
     # on the same power and cancel.
     assert packed_column([[0, 0, 1], [-1]], 3, 2) == 0 != packed_column([[0, 0, 1], [-1]], 3, 3)
-    assert not is_diagonal_product([[_pack([0, 0, 1], 3)], [_pack([-1], 3)]], [[[1]]], [], 3)
+    assert not is_diagonal_product([[_pack([0, 0, 1], 3)], [_pack([-1], 3)]],
+                                   sparse_columns([[[1]]]), [], 3)
 
 
 def _at(coeffs, x):
@@ -816,12 +823,43 @@ def test_forward_matches_gauss_jordan_on_sparse_rank_deficient_rows(a):
         [row + [[1] if i == j else [] for j in range(n)] for i, row in enumerate(a)])
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 3), st.data())
+def test_sparse_input_matches_the_dense_reference(nrows, ncols, headroom, data):
+    # The kernel reads its rows by their nonzeros. On any shape, the empty
+    # matrix, zero rows and zero entries included, its bound on the minors
+    # is the one read off every entry, and it returns the packed rows,
+    # pivots, sign and width of the forward elimination of the dense rows,
+    # with `headroom` bits added to the width; zero entries written into
+    # the mappings change nothing.
+    rows = data.draw(int_matrices(nrows, ncols, int_polys(30, 3)))
+    for i in data.draw(st.lists(st.integers(0, nrows - 1), max_size=2)) if nrows else ():
+        rows[i] = [[] for _ in range(ncols)]
+    assert algebra._minor_bound(sparse_rows(rows)) == dense_minor_bound(rows)
+    packed, pivots, sign, k = reference_gauss_jordan(rows, above=False)
+    got = fraction_free_elimination(sparse_rows(rows), ncols, headroom)
+    assert got[1:] == (pivots, sign, k + headroom)
+    assert [[_unpack(v, got[3]) for v in row] for row in got[0]] == [
+        [_unpack(v, k) for v in row] for row in packed]
+    if not headroom:
+        assert got[0] == packed
+    full = [dict(enumerate(row)) for row in rows]
+    assert fraction_free_elimination(full, ncols, headroom) == got
+
+
+def test_elimination_refuses_a_column_outside_its_range():
+    with pytest.raises(ValueError):
+        fraction_free_elimination([{0: [1]}, {2: [1]}], 2, 0)
+    with pytest.raises(ValueError):
+        fraction_free_elimination([{-1: [1]}], 2, 0)
+
+
 def _row_norm_bound(rows):
     """The product of the row 1-norms: a looser bound on every minor's
     coefficients, and so a wider packing."""
     bound = 1
     for row in rows:
-        bound *= max(1, sum(sum(map(abs, x)) for x in row))
+        bound *= max(1, sum(sum(map(abs, x)) for x in row.values()))
     return bound
 
 
@@ -845,7 +883,8 @@ def test_kernel_width_holds_every_coefficient(monkeypatch, name):
 
     def recording(rows):
         bound = hadamard(rows)
-        calls.append(([list(row) for row in rows], bound, algebra._packing_bits(bound)))
+        ncols = max((j + 1 for row in rows for j in row), default=0)
+        calls.append((dense_rows(rows, ncols), bound, algebra._packing_bits(bound)))
         return bound
 
     monkeypatch.setattr(algebra, "_minor_bound", recording)
@@ -1020,6 +1059,26 @@ def test_json_roundtrip():
     assert data["num"][1] == "1/2"
     assert RatFunc([Fraction(c) for c in data["num"]],
                    [Fraction(c) for c in data["den"]]) == f
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_polys(12, 5), int_polys(12, 4).filter(bool))
+@example([], [1])
+@example([5], [3])
+@example([-6], [-4])
+@example([0, 3, -6], [4, 0, -2])
+@example([1, 0, -1], [0, 0, 0, 7])
+@example([-3, 2 ** 70], [6, 0, -(3 ** 50)])
+def test_printer_matches_the_fraction_path(num, den):
+    # The one printer reads integer pairs; the reference reads the Fractions
+    # of `num` and `den`. Non-monic leading coefficients of the denominator,
+    # zero and constants give the same strings.
+    f = RatFunc(num, den)
+    assert f.to_json() == fraction_json(f)
+    assert str(f) == fraction_json(f)["display"]
+    assert str(f.num) == fraction_text(f.num) and str(f.den) == fraction_text(f.den)
+    q = Polynomial([Fraction(n, i + 2) for i, n in enumerate(num)])
+    assert str(q) == fraction_text(q)
 
 
 def test_json_is_canonical_coefficient_strings():

@@ -131,6 +131,14 @@ RULES = [
          "the only packed values it reads are the elimination's. Fails on a use "
          "of `_pack` in mscomplex.py.",
          "row = _pack(d1[0], width)"),
+    Rule("The complex holds d2 by its nonzeros", "**/*.py", r"\bd2_rows\b|\b_b0\b",
+         "A crossing has four corners, so a column of d2 has at most four nonzero "
+         "entries: the complex holds d2 as one column of (row, entry) pairs per "
+         "crossing (`ChainComplex.d2_cols`), and its readers, the elimination's "
+         "input and widths, the certificate, d1 * d2 = 0 and the trace, walk those "
+         "columns, so the work per knot grows with the crossings. Fails on a dense "
+         "d2 field or reader, `d2_rows`, or a dense B0, `_b0`, in src/dehn.",
+         "    for i, row in enumerate(cx.d2_rows):"),
     Rule("No JSON reader in the library, and no Q(t) in the complex", "**/*.py",
          r"from_json|_json_fields|diagram_to_json|complex_to_json", _NO_JSON_READER,
          "def graph_from_json(data):"),

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED,
-                      UNKNOT_KINK, defect_terms, det_torsion, eliminate,
+                      UNKNOT_KINK, defect_terms, dense_d2, det_torsion, eliminate,
                       find_basis_permutation, from_rows, gauss_jordan, hstack, is_identity,
                       mat, mat_add, materialized_invariants, pipeline, qt_d1, qt_d2, qt_defect, qt_equal_mod_Z,
                       packed_column, qt_add, qt_derivative, qt_div, qt_g1, qt_inverse,
                       qt_lescop, qt_mul, qt_neg, qt_rref, qt_sub, qt_unit_equal, relabeled,
                       replaced, rf, satisfies_identities, scaled, selectable, spread, submatrix,
-                      t_power, torus_pd)
+                      sparse_columns, sparse_rows, t_power, torus_pd)
 from dehn import algebra, invariants, mscomplex
 from dehn.algebra import RatFunc, _pack, _unpack, poly_add, poly_mul
 from dehn.errors import DehnError, NotExactError
@@ -281,7 +281,7 @@ def _per_entry_trace(cx, g):
     `invariants._exchanged` and unpacked, the entry `Propagator.numer`
     builds there, without building the rest of N."""
     x, width, num = g.inverse, g.width, []
-    for i, row in enumerate(cx.d2_rows):
+    for i, row in enumerate(dense_d2(cx)):
         for j, e in enumerate(row):
             if len(e) > 1:
                 n = _unpack(invariants._exchanged(x, g.base, g.selected, j, i), width)
@@ -309,10 +309,11 @@ def test_regrouped_trace_is_the_per_entry_edge_sum(name, region):
     # the kernel's proved width for [B0 | I] plus the bits of W = sum_ij
     # |t d2'[i][j]|_1.
     cx = pipeline(_TRACE_KNOTS[name], outer_region=region).complex
+    b0 = [row + [(1,) if i == cx.base_coordinate else ()] for i, row in enumerate(dense_d2(cx))]
     rows = [list(row) + [(1,) if j == i else () for j in range(cx.c1_dim)]
-            for i, row in enumerate(cx._b0)]
-    w = sum(m * abs(c) for row in cx.d2_rows for e in row for m, c in enumerate(e))
-    proved = algebra._packing_bits(algebra._minor_bound(rows))
+            for i, row in enumerate(b0)]
+    w = sum(m * abs(c) for row in dense_d2(cx) for e in row for m, c in enumerate(e))
+    proved = algebra._packing_bits(algebra._minor_bound(sparse_rows(rows)))
     assert cx.forward_elimination[3] >= proved + w.bit_length()
     for s in selectable(cx):
         g = invariants.propagator_at(cx, s)
@@ -342,6 +343,22 @@ def test_a_bumped_functional_is_refused(text, monkeypatch):
                 for selected in (s0, s):
                     with pytest.raises(DehnError):
                         invariants.propagator_at(ChainComplex(*fields), selected)
+
+
+def test_the_base_defect_forms_t_alone():
+    # u[j] = sum_i w_ij * v[i] is formed only when a coordinate other than
+    # s0 is read: with every entry of v but v[s0] unreadable, the base
+    # propagator's defect is the same, and the trace of another coordinate
+    # reads v.
+    run = pipeline(FIG8)
+    cx, g = run.complex, run.propagator
+    assert g.selected == g.base
+    x = [list(row) for row in g.inverse]
+    x[-1] = [e if i == g.base else None for i, e in enumerate(x[-1])]
+    assert defect(cx, replaced(g, inverse=x)) == run.d
+    s = next(s for s in selectable(cx) if s != g.base)
+    with pytest.raises(TypeError):
+        invariants._traces(cx, replaced(g, inverse=x))(s)
 
 
 def test_a_seeded_propagator_with_zero_delta_is_refused():
@@ -534,7 +551,7 @@ def test_selection_matches_the_unit_part_of_the_full_elimination(name, text):
     cx = pipeline(text).complex
     c2, c1 = cx.c2_dim, cx.c1_dim
     rows = [list(row) + [[1] if j == i else [] for j in range(c1)]
-            for i, row in enumerate(cx.d2_rows)]
+            for i, row in enumerate(dense_d2(cx))]
     v = gauss_jordan(rows)[0][c2][c2:]
     assert selectable(cx) == [j for j in range(c1) if v[j]]
     assert build_propagator(cx).selected == next(j for j in range(c1) if v[j])
@@ -543,7 +560,7 @@ def test_selection_matches_the_unit_part_of_the_full_elimination(name, text):
 def _one_crossing_complex():
     """d2 = (1, 0)^T and d1 = (0, 1): exact, with the propagator N = (1, 0),
     delta = 1 and s = 1."""
-    return ChainComplex(d2_rows=(((1,),), ((),)), d1_den=(1,), d1_row=((), (1,)),
+    return ChainComplex(d2_cols=sparse_columns((((1,),), ((),))), d1_den=(1,), d1_row=((), (1,)),
                         c2_basis=("c",), c1_basis=("q0", "q1"))
 
 
@@ -551,7 +568,7 @@ def _two_crossing_complex():
     """d2 = ((1, 0), (0, 1), (0, 0)) and d1 = (0, 0, 1): exact, with the
     propagator N = ((1, 0, 0), (0, 1, 0)), delta = 1 and s = 2. Column c of
     N * d2 is column c of N."""
-    return ChainComplex(d2_rows=(((1,), ()), ((), (1,)), ((), ())), d1_den=(1,),
+    return ChainComplex(d2_cols=sparse_columns((((1,), ()), ((), (1,)), ((), ()))), d1_den=(1,),
                         d1_row=((), (), (1,)), c2_basis=("c0", "c1"),
                         c1_basis=("q0", "q1", "q2"))
 
@@ -569,10 +586,10 @@ def test_identity_width_one_bit_narrower_would_alias(monkeypatch):
     # With one bit less headroom, digits up to 2^(j+1), the certificate
     # accepts this wrong X; at c bits it refuses it. delta0 = t passes its
     # own bound, so only the digit bound sees it.
-    cx = ChainComplex((((), ()), ((1,), (1,)), ((1,), (-1,))), (1,), ((1,), (), ()),
-                      ("c0", "c1"), ("q0", "q1", "q2"))
+    cx = ChainComplex(sparse_columns((((), ()), ((1,), (1,)), ((1,), (-1,)))), (1,),
+                      ((1,), (), ()), ("c0", "c1"), ("q0", "q1", "q2"))
     g = build_propagator(cx)
-    assert g.selected == 0 and algebra.product_headroom(cx._b0) == 2
+    assert g.selected == 0 and algebra.product_headroom(cx._b0_columns) == 2
     h = 1 << g.width - 1
     x = [[0, h, h], [0, h, -h], [1 << g.width, 0, 0]]
     wrong = replaced(g, inverse=x, delta=[0, 1])
@@ -613,7 +630,7 @@ def test_verify_identities_checks_the_homotopy_identity():
     x, width = _inverse(cx)
     x[0] = [a + _pack(y, width) for a, y in zip(x[0], cx.d1_row)]
     delta0 = _unpack(x[-1][cx.base_coordinate], width)
-    assert algebra.is_diagonal_product(x, cx.d2_rows, delta0, width)
+    assert algebra.is_diagonal_product(x, cx.d2_cols, delta0, width)
     with pytest.raises(DehnError, match=CERTIFICATE):
         _certify_inverse(cx, x)
 
@@ -831,7 +848,7 @@ def test_defect_matches_qt_reference_on_a_degree_2_column():
         if edge.origin[:2] == ("corner", 0):
             graph = relabeled(graph, edge.origin, word=((0, 1),) + edge.label.word)
     cx = build_complex(graph, Representation.abelian())
-    assert max(len(x) for row in cx.d2_rows for x in row) == 3
+    assert max(len(x) for row in dense_d2(cx) for x in row) == 3
     for s in selectable(cx):
         g = invariants.propagator_at(cx, s)
         assert defect(cx, g).representative == qt_defect(graph, cx, g), s

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (CORPUS, FIG8_KINKED, TREFOIL, TREFOIL_KINKED, is_zero_matrix, mat,
-                      qt_complex, qt_d1, qt_d2, qt_image, qt_mul, relabeled, replaced,
-                      selectable, t_power, torus_pd)
+from conftest import (CORPUS, FIG8_KINKED, TREFOIL, TREFOIL_KINKED, dense_d2, is_zero_matrix,
+                      mat, qt_complex, qt_d1, qt_d2, qt_image, qt_mul, reference_d2, relabeled,
+                      replaced, selectable, sparse_columns, t_power, torus_pd)
 from dehn.algebra import RatFunc, _unpack
 from dehn.dehngraph import GroupRingTerm, build_d1, build_d2, build_dehn_graph
 from dehn.diagram import build_diagram, parse_pd
@@ -16,6 +16,7 @@ from dehn.invariants import build_propagator, propagator_at
 from dehn.mscomplex import (ChainComplex, ExactnessReport, Representation, _certify_inverse,
                             build_complex, check_exactness)
 from test_cli import label_valid_pd
+from test_golden import COMPOSITE_48
 
 # -- representations ----------------------------------------------------------
 
@@ -117,7 +118,7 @@ def test_complex_rows_on_label_valid_codes(text):
         return
     g = build_dehn_graph(d, build_d1(d), build_d2(d))
     cx = build_complex(g, Representation.abelian())
-    assert all(len(x) <= 2 for row in cx.d2_rows for x in row)
+    assert all(len(x) <= 2 for row in dense_d2(cx) for x in row)
     assert (qt_d2(cx), qt_d1(cx)) == qt_complex(g)
 
 
@@ -161,9 +162,61 @@ def test_d2_column_block_counts():
         bounded_corners = sum(
             1 for pos in range(4)
             if d.corner_region[(c.id, pos)] != d.unbounded_region)
-        nonzero = sum(1 for row in cx.d2_rows if row[j])
+        nonzero = sum(1 for row in dense_d2(cx) if row[j])
         assert nonzero <= bounded_corners
         assert nonzero >= 1
+
+
+D2_KNOTS = dict(CORPUS, **{"3_1-kinked": TREFOIL_KINKED, "4_1-kinked": FIG8_KINKED})
+D2_CASES = ([pytest.param(text, region.id, id=f"{name}-outer{region.id}")
+             for name, text in sorted(D2_KNOTS.items())
+             for region in build_diagram(parse_pd(text)).regions]
+            + [pytest.param(torus_pd(n), None, id=f"T(2,{n})") for n in range(3, 32, 2)]
+            + [pytest.param(COMPOSITE_48, None, id="composite_48")])
+
+
+@pytest.mark.parametrize("text,outer", D2_CASES)
+def test_d2_columns_are_the_dense_d2(text, outer):
+    # The complex holds d2 by its nonzeros, one column per crossing; they
+    # are the columns of the dense d2 that each edge's term is added into,
+    # and written out in full they are that matrix, under either
+    # representation.
+    d = build_diagram(parse_pd(text), outer_region=outer)
+    graph = build_dehn_graph(d, build_d1(d), build_d2(d))
+    for rep in (Representation.abelian(), Representation.trivial()):
+        cx = build_complex(graph, rep)
+        assert cx.d2_cols == sparse_columns(reference_d2(graph, rep))
+        assert dense_d2(cx) == reference_d2(graph, rep)
+
+
+def test_an_entry_whose_terms_cancel_is_left_out():
+    # Under outer region 0 the kink's crossing p0 meets region q0 at two
+    # corners, labelled -t and -1. With the second made +t the entry is
+    # -t + t = 0, so column p0 holds no pair for q0, as the dense d2 has a
+    # zero there.
+    d = build_diagram(parse_pd(CORPUS["unknot_kink"]), outer_region=0)
+    graph = build_dehn_graph(d, build_d1(d), build_d2(d))
+    corners = [e for e in graph.edges if (e.source, e.target) == ("p0", "q0")]
+    assert [e.label for e in corners] == [GroupRingTerm(-1, ((0, 1),)), GroupRingTerm(-1, ())]
+    graph = relabeled(graph, corners[1].origin, sign=1, word=((0, 1),))
+    cx = build_complex(graph, Representation.abelian())
+    rows = [i for i, _ in cx.d2_cols[cx.c2_basis.index("p0")]]
+    assert cx.c1_basis.index("q0") not in rows
+    assert cx.d2_cols == sparse_columns(reference_d2(graph, Representation.abelian()))
+
+
+def test_a_large_complex_holds_at_most_four_nonzeros_per_crossing():
+    # T(2,2001): a crossing has four corners, so each of the 2001 columns
+    # of d2 holds at most four nonzero entries, in ascending row order, and
+    # d1 * d2 = 0 is tested over them, column by column, without the
+    # elimination that the rank of d2 would need at this size.
+    d = build_diagram(parse_pd(torus_pd(2001)))
+    cx = build_complex(build_dehn_graph(d, build_d1(d), build_d2(d)), Representation.abelian())
+    assert len(cx.d2_cols) == cx.c2_dim == 2001
+    assert all(1 <= len(col) <= 4 for col in cx.d2_cols)
+    assert all(all(e for _, e in col) and [i for i, _ in col] == sorted({i for i, _ in col})
+               for col in cx.d2_cols)
+    assert cx._d1_d2_vanishes()
 
 
 # -- exactness ---------------------------------------------------------------------
@@ -210,7 +263,7 @@ def test_trivial_representation_not_exact():
 ])
 def test_exactness_witness_read_off_the_elimination(d2_rows, d1_row, witness):
     c2 = len(d2_rows[0])
-    cx = ChainComplex(d2_rows, (1,), d1_row, tuple(f"c{j}" for j in range(c2)),
+    cx = ChainComplex(sparse_columns(d2_rows), (1,), d1_row, tuple(f"c{j}" for j in range(c2)),
                       tuple(f"q{i}" for i in range(len(d2_rows))))
     assert check_exactness(cx) == ExactnessReport(witness is None, witness)
 
@@ -264,7 +317,8 @@ def test_exactness_and_default_propagator_share_one_elimination(text, monkeypatc
     calls = []
     kernel = mscomplex.fraction_free_elimination
     monkeypatch.setattr(mscomplex, "fraction_free_elimination",
-                        lambda rows, headroom=0: calls.append("forward") or kernel(rows, headroom))
+                        lambda rows, ncols, headroom: calls.append("forward")
+                        or kernel(rows, ncols, headroom))
     solve = mscomplex.fraction_free_back_substitution
     monkeypatch.setattr(mscomplex, "fraction_free_back_substitution",
                         lambda rows, n: calls.append("back") or solve(rows, n))

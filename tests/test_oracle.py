@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (ALEXANDER, CORPUS, FIG8, TREFOIL, UNKNOT_KINK, connected_sum,
-                      pipeline, poly, q_eval, qt_fox_derivative, qt_mul, qt_unit_equal,
+                      dense_rows, pipeline, poly, q_eval, qt_fox_derivative, qt_mul, qt_unit_equal,
                       t_power, torus_pd)
 from dehn import oracle
 from dehn.algebra import Polynomial, RatFunc, _pack, fraction_free_elimination
@@ -83,8 +83,8 @@ def test_fox_minor_is_normalized(monkeypatch, minor):
     planted = [0] * (len(minor.zden) - 1) + list(minor.znum)
     width = 16
 
-    def eliminate(rows):
-        reduced, pivots, sign, _ = fraction_free_elimination(rows)
+    def eliminate(rows, ncols, headroom):
+        reduced, pivots, sign, _ = fraction_free_elimination(rows, ncols, headroom)
         reduced[-1][pivots[-1]] = _pack(planted, width)
         return reduced, pivots, sign, width
 
@@ -122,7 +122,7 @@ signed_words = st.lists(st.tuples(st.integers(0, 3), st.sampled_from((1, -1))), 
 def test_fox_rows_match_reference(word, gens):
     # Unreduced words too: both sides read the word letter by letter. The
     # row over Z[t] is the reference row times t^-m, m its least power.
-    row = _fox_row(tuple(word), {g: j for j, g in enumerate(gens)})
+    row = dense_rows([_fox_row(tuple(word), {g: j for j, g in enumerate(gens)})], len(gens))[0]
     expected = [qt_fox_derivative(word, g) for g in gens]
     assert all(x[-1] != 0 for x in row if x)
     # A Laurent polynomial's reduced form is num / t^j with num(0) != 0.
