@@ -75,9 +75,6 @@ class Polynomial(Value):
         """Degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     # -- display ------------------------------------------------------
 
     def __str__(self) -> str:
@@ -143,11 +140,6 @@ class RatFunc(Value):
         """The monic denominator over Q."""
         lead = self.zden[-1]
         return Polynomial(Fraction(c, lead) for c in self.zden)
-
-    # -- predicates ---------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.znum
 
     # -- display / serialization --------------------------------------
 

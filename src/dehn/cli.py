@@ -134,7 +134,7 @@ def _check_one(task) -> dict:
     checks["milnor"] = run.milnor_ok
     # Every coordinate with d1[s] != 0 selects a propagator, and each gives
     # the reported torsion and defect exactly (`dehn.invariants`).
-    checks["seed_independence"] = invariants.coordinates_agree(cx, run.propagator)
+    checks["seed_independence"] = invariants.coordinates_agree(run.propagator)
     return {"pd": run.pd.to_text(), "passed": all(checks.values()), "checks": checks}
 
 

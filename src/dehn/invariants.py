@@ -7,9 +7,9 @@ inverts d2 on its image along it. G_2 is N / delta, numerators N over Z[t]
 and one common denominator delta. A complex is eliminated once, forward,
 and back substituted once, to delta0 * B0^-1 with B0 = [d2 | e_s0], s0
 the first coordinate where d1 is nonzero: its rows N0, then v, certified
-once per complex where they are made. Every propagator is read off them
-by its coordinate (`propagator_at`; `build_propagator` reads the one at
-s0). The one that selects s0 is N0 over delta0;
+once per complex where they are made. Every propagator holds its complex
+and is read off them by its coordinate (`propagator_at`; `build_propagator`
+reads the one at s0). The one that selects s0 is N0 over delta0;
 one that selects another coordinate s is the propagator of B_s = [d2 |
 e_s], a rank-one change of B0, held as delta = v[s] alone. Its torsion
 needs delta alone, its defect one exact division (`_traces`), and N itself
@@ -90,9 +90,10 @@ coefficient of num_s is below W * 2^(k-1) <= 2^(w-1), where W is the sum
 over the entries of d2 of |t d2'|_1, and the complex packs at w >= k +
 W.bit_length() (`mscomplex.ChainComplex.forward_elimination`).
 
-T and u do not depend on s, so `_traces` forms them once and reads num_s
-for any s off them; u only when a coordinate other than s0 is read, so the
-defect of the base propagator forms T alone. `coordinates_agree` compares
+T and u do not depend on s: they are views of the propagator, formed once
+(`Propagator._total`, `_terms`), and `_traces` reads num_s for any s off
+them; u only when a coordinate other than s0 is read, so the defect of the
+base propagator forms T alone. `coordinates_agree` compares
 every coordinate s with d1[s] != 0 against a propagator's own coordinate r
 in the same way, with no fraction built. Write D = D1 and tau_s = t D[s]' - a * D[s]; the
 torsion at s is sign * delta_s * t^a / D[s], the defect (num_s * D[s] -
@@ -122,7 +123,7 @@ each moved to one side and tested for zero, exactly, by one packed value
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, List, Tuple
 
 from ._value import Value
@@ -135,22 +136,18 @@ from .mscomplex import ChainComplex, ZPoly, check_exactness
 
 class Propagator(Value):
     """G2 = N / delta over Z[t] for the selected coordinate s, read off the
-    complex's scaled inverse delta0 * B0^-1 (`ChainComplex.scaled_inverse`:
-    the rows N0, then v), whose entries are packed at `width`, each its
-    polynomial at t = 2^width. `base` is s0, the coordinate B0 selects.
-    `sign` is the elimination's sign: sign * delta = det [d2 | e_s]. G1 is
-    1/d1[s] on the row of s, read off the complex when needed, and with
-    them the torsion needs no determinant of its own. Only delta = v[s] is
-    unpacked when the propagator is built; N (`numer`) and its Q(t) matrix
-    are views built on first read, and the defect reads neither
-    (`_traces`)."""
+    scaled inverse delta0 * B0^-1 of its complex (`scaled_inverse`: the rows
+    N0, then v), packed at the width of its `forward_elimination`, whose
+    sign is the propagator's: sign * delta = det [d2 | e_s]. G1 is 1/d1[s]
+    on the row of s, read off the complex when needed, and with them the
+    torsion needs no determinant of its own. Only delta = v[s] is unpacked
+    when the propagator is built; N (`numer`), its Q(t) matrix and the
+    trace sums (`_total`, `_terms`) are views built on first read, and the
+    defect reads neither N nor its matrix (`_traces`)."""
 
-    inverse: List[List[int]]  # delta0 * B0^-1, shared by the complex's propagators
-    width: int
-    base: int
-    delta: IntPoly
+    complex: ChainComplex
     selected: int  # the C_1 coordinate s whose line complements im(d2)
-    sign: int
+    delta: IntPoly
 
     @cached_property
     def numer(self) -> List[List[IntPoly]]:
@@ -182,7 +179,8 @@ class Propagator(Value):
         for s0 then holds for s, word for word. The library builds N_s only
         when it is read: its torsion needs delta_s alone, and its defect
         reads the exchange summed over the edges (`_traces`)."""
-        x, width, s0, s = self.inverse, self.width, self.base, self.selected
+        cx, s = self.complex, self.selected
+        x, width, s0 = cx.scaled_inverse, cx.forward_elimination[3], cx.base_coordinate
         return [[_unpack(_exchanged(x, s0, s, j, i), width) for i in range(len(x))]
                 for j in range(len(x) - 1)]
 
@@ -192,6 +190,31 @@ class Propagator(Value):
         complex is exact, so c1_dim = c2_dim + 1."""
         return FieldMatrix(len(self.numer), len(self.numer) + 1, [
             RatFunc(x, self.delta) for row in self.numer for x in row])
+
+    @cached_property
+    def _total(self) -> Tuple[int, List[Tuple[int, int, int]]]:
+        """(T, [(j, i, w_ij)]) of `_traces`, in one pass over the entries of
+        d2 with a t-power term, column by column: w_ij = t d2'[i][j] packed
+        at the width, and T = sum w_ij * N0[j][i]."""
+        cx = self.complex
+        x, width = cx.scaled_inverse, cx.forward_elimination[3]
+        total, weights = 0, []
+        for j, col in enumerate(cx.d2_cols):
+            for i, e in col:
+                if len(e) > 1:  # a constant entry has no t-power term
+                    w = _pack(_euler(e), width)
+                    total += w * x[j][i]
+                    weights.append((j, i, w))
+        return total, weights
+
+    @cached_property
+    def _terms(self) -> List[Tuple[List[int], int]]:
+        """(N0[j], u[j]) for every j with u[j] = sum_i w_ij * v[i] != 0."""
+        x = self.complex.scaled_inverse
+        v, u = x[-1], [0] * (len(x) - 1)
+        for j, i, w in self._total[1]:
+            u[j] += w * v[i]
+        return [(x[j], uj) for j, uj in enumerate(u) if uj]
 
 
 def build_propagator(cx: ChainComplex) -> Propagator:
@@ -208,18 +231,18 @@ def propagator_at(cx: ChainComplex, s: int) -> Propagator:
     """The propagator selecting coordinate s, on a complex that passes
     `check_exactness` (else `NotExactError`): delta = v[s], read off the
     complex's scaled inverse, which `mscomplex._certify_inverse` certified
-    where it was made, and refused if zero, as it is wherever d1[s] = 0.
-    `Propagator.numer` proves that this is enough; it costs O(1) after the
-    one certificate per complex."""
+    where it was made, and refused if zero, as it is wherever d1[s] = 0,
+    or if s is no coordinate of C_1. `Propagator.numer` proves that this
+    is enough; it costs O(1) after the one certificate per complex."""
     report = check_exactness(cx)
     if not report.exact:
         raise NotExactError(f"complex is not exact: {report.witness}")
-    _, _, sign, width = cx.forward_elimination
-    inverse = cx.scaled_inverse
-    delta = _unpack(inverse[-1][s], width)
+    if not 0 <= s < cx.c1_dim:
+        raise DehnError(f"no coordinate s = {s} in C_1, whose dimension is {cx.c1_dim}")
+    delta = _unpack(cx.scaled_inverse[-1][s], cx.forward_elimination[3])
     if not delta:
         raise DehnError("propagator has delta = 0")
-    return Propagator(inverse, width, cx.base_coordinate, delta, s, sign)
+    return Propagator(cx, s, delta)
 
 
 class TorsionValue(Value):
@@ -245,11 +268,12 @@ class TorsionValue(Value):
                                 zden[next(i for i, c in enumerate(zden) if c):])
 
 
-def torsion(cx: ChainComplex, g: Propagator) -> TorsionValue:
+def torsion(g: Propagator) -> TorsionValue:
     """Determinant of [d2 | g1] : C_2 + C_0 -> C_1, read off the
     propagator's elimination as sign * delta / d1[s]; the module docstring
     derives it. With d1[s] = D1[s] / den that is sign * delta * den / D1[s]."""
-    num = poly_mul([g.sign * c for c in g.delta], cx.d1_den)
+    cx = g.complex
+    num = poly_mul([cx.forward_elimination[2] * c for c in g.delta], cx.d1_den)
     if not num:
         raise DehnError("torsion determinant vanished on an exact complex")
     return TorsionValue(tuple(num), cx.d1_row[g.selected])
@@ -273,14 +297,14 @@ class DefectValue(Value):
         return RatFunc(self.num, self.den)
 
 
-def defect(cx: ChainComplex, g: Propagator) -> DefectValue:
+def defect(g: Propagator) -> DefectValue:
     """The trace of the module docstring: num * D1[s] - delta * (t D1[s]' -
     a * D1[s]) over delta * D1[s], with num = tr(t d2' * N) (`_traces`) and
     t^a = d1_den. The a * D1[s] term is the derivative of t^-a; without it
     the defect is off by the integer a, equal mod Z but not the same
     representative."""
-    s = g.selected
-    num, d1_s, tau_s = _traces(cx, g)(s), cx.d1_row[s], _tau(cx, s)
+    cx, s = g.complex, g.selected
+    num, d1_s, tau_s = _traces(g)(s), cx.d1_row[s], _tau(cx, s)
     return DefectValue(tuple(poly_add(poly_mul(num, d1_s), poly_mul(g.delta, tau_s), -1)),
                        tuple(poly_mul(g.delta, d1_s)))
 
@@ -291,15 +315,15 @@ def _tau(cx: ChainComplex, s: int) -> IntPoly:
     return poly_add(_euler(d1_s), d1_s, -(len(cx.d1_den) - 1))
 
 
-def coordinates_agree(cx: ChainComplex, g: Propagator) -> bool:
+def coordinates_agree(g: Propagator) -> bool:
     """Whether the propagator of every other coordinate s with d1[s] != 0
     gives g's torsion and defect, the same fractions exactly: (I), then
     (II) of the module docstring, over Z[t] with no gcd, coordinate by
-    coordinate in order. T and u are formed once, for every coordinate
-    (`_traces`). A zero delta_s is `propagator_at`'s DehnError, an inexact
+    coordinate in order. T and u are g's views (`_traces`), T the one its
+    defect formed. A zero delta_s is `propagator_at`'s DehnError, an inexact
     division the trace's ArithmeticError naming s; a coordinate that fails
     (I) makes no division."""
-    num, r, delta_r = _traces(cx, g), g.selected, g.delta
+    cx, num, r, delta_r = g.complex, _traces(g), g.selected, g.delta
     d1_r, num_r, tau_r = cx.d1_row[r], num(r), _tau(cx, r)
     for s, d1_s in enumerate(cx.d1_row):
         if not d1_s or s == r:
@@ -313,41 +337,23 @@ def coordinates_agree(cx: ChainComplex, g: Propagator) -> bool:
     return True
 
 
-def _traces(cx: ChainComplex, g: Propagator) -> Callable[[int], IntPoly]:
+def _traces(g: Propagator) -> Callable[[int], IntPoly]:
     """s -> num_s = tr(t d2' * N_s) for every coordinate s of g's complex,
     regrouped as in the module docstring: (v[s] * T - sum_j N0[j][s] *
-    u[j]) / delta0, with T (`total`) = sum w_ij * N0[j][i] and u[j] = sum_i
-    w_ij * v[i], w_ij = t d2'[i][j] packed at the width, formed here, once:
-    T at once, u on the first read of a coordinate other than s0 = g.base,
-    since column s0 of N0 is zero and num_s0 = v[s0] * T / delta0 needs
-    none. Only the entries of d2 with a t-power term are read, column by
-    column; no N is built. One exact division and one unpack per
-    coordinate, both proved in the module docstring; an inexact division is
-    an ArithmeticError naming s."""
-    x, width, s0 = g.inverse, g.width, g.base
-    v, total, entries = x[-1], 0, []
-    for j, col in enumerate(cx.d2_cols):
-        for i, e in col:
-            if len(e) > 1:  # a constant entry has no t-power term
-                w = _pack(_euler(e), width)
-                total += w * x[j][i]
-                entries.append((j, i, w))
-    delta0 = v[s0]
-
-    @cache
-    def terms() -> List[Tuple[List[int], int]]:
-        """(N0[j], u[j]) for every j with u[j] != 0."""
-        u = [0] * len(cx.d2_cols)
-        for j, i, w in entries:
-            u[j] += w * v[i]
-        return [(x[j], uj) for j, uj in enumerate(u) if uj]
+    u[j]) / delta0, read off g's sums, each formed on its first read: T
+    (`Propagator._total`), and u (`Propagator._terms`) for a coordinate
+    other than s0 only, since column s0 of N0 is zero. No N is built. One
+    exact division and one unpack per coordinate, both proved in the
+    module docstring; an inexact division is an ArithmeticError naming s."""
+    cx = g.complex
+    v, width, s0 = cx.scaled_inverse[-1], cx.forward_elimination[3], cx.base_coordinate
 
     def num(s: int) -> IntPoly:
-        packed = v[s] * total
+        packed = v[s] * g._total[0]
         if s != s0:
-            packed -= sum(row[s] * uj for row, uj in terms())
+            packed -= sum(row[s] * uj for row, uj in g._terms)
         try:
-            return _unpack(_exact_div(packed, delta0), width)
+            return _unpack(_exact_div(packed, v[s0]), width)
         except ArithmeticError:
             raise ArithmeticError(f"inexact division in the trace of s = {s}") from None
 

@@ -22,11 +22,12 @@ substitution of its rows gives X = delta0 * B0^-1: the base propagator's
 numerators N0, and v = delta0 * phi, phi the functional that vanishes on
 im(d2) with phi(e_s0) = 1. One packed product test, X * B0 = delta0 *
 I, certifies X where it is made (`_certify_inverse`), and every
-propagator, whatever coordinate it selects, is read off it
-(`invariants.propagator_at`): the base one as N0 over delta0, another by
-a rank-one change. The complex keeps nothing for the defect: each
-propagator reads it off X itself, the paper's edge sum regrouped over
-the pivot exchange, with one exact division (`invariants._traces`). The
+propagator, whatever coordinate it selects, holds the complex and reads
+X, its width, s0 and its sign off it (`invariants.propagator_at`): the
+base one as N0 over delta0, another by a rank-one change. The complex
+keeps nothing for the defect: the propagator forms the trace sums off X
+as its own views, the paper's edge sum regrouped over the pivot
+exchange, with one exact division (`invariants._traces`). The
 back substitution's divisions are exact and its values are minors of [B0
 | I], so the elimination's proved width holds for them
 (`algebra.fraction_free_back_substitution`). The elimination packs with

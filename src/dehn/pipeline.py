@@ -77,8 +77,8 @@ def run_pipeline(pd_text: str, outer_region: Optional[int] = None) -> PipelineRu
     if not report.exact:
         raise NotExactError(f"complex is not exact: {report.witness}")
     g = build_propagator(cx)
-    tor = torsion(cx, g)
-    d = defect(cx, g)
+    tor = torsion(g)
+    d = defect(g)
     alex = fox_alexander(wirtinger(diagram))
     return PipelineRun(pd, diagram, d1_labels, d2_labels, graph, rep, cx, g, tor, d, alex,
                        check_lescop_relation(tor, d), milnor_check(tor, alex))

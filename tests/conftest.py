@@ -203,7 +203,7 @@ def compute_result_at(pd_text, s):
     run = pipeline(pd_text)
     cx = run.complex
     g = propagator_at(cx, s)
-    tor, d = torsion(cx, g), defect(cx, g)
+    tor, d = torsion(g), defect(g)
     return replaced(run, propagator=g, tor=tor, d=d, lescop_ok=check_lescop_relation(tor, d),
                     milnor_ok=milnor_check(tor, run.alexander)).to_json_dict()
 
@@ -289,7 +289,7 @@ def qt_product(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
 
 
 def is_zero_matrix(m: FieldMatrix) -> bool:
-    return all(e.is_zero() for e in m.entries)
+    return all(not e.znum for e in m.entries)
 
 
 def mat(rows) -> FieldMatrix:
@@ -407,7 +407,8 @@ def gauss_jordan(rows, forward=False):
 def replaced(value, **fields):
     """A copy of a value with some fields replaced: how the tests build a
     wrong propagator by hand. A name that is not a field presets the cached
-    view of that name, such as a propagator's `numer`."""
+    view of that name, such as a complex's `scaled_inverse`, which every
+    propagator of the copy then reads. The copy holds no other cached view."""
     views = {f: fields.pop(f) for f in list(fields) if f not in value._fields}
     copy = type(value)(**dict(zip(value._fields, value._values()), **fields))
     vars(copy).update(views)
@@ -480,7 +481,8 @@ def materialized_invariants(cx, g):
                 num = algebra.poly_add(num, g.numer[j][i], m * x[m], m)
     d1_s, a = cx.d1_row[s], len(cx.d1_den) - 1
     td1_s = [(m - a) * c for m, c in enumerate(d1_s)]
-    tor = TorsionValue(tuple(algebra.poly_mul([g.sign * c for c in g.delta], cx.d1_den)),
+    sign = cx.forward_elimination[2]
+    tor = TorsionValue(tuple(algebra.poly_mul([sign * c for c in g.delta], cx.d1_den)),
                        d1_s)
     d = DefectValue(tuple(algebra.poly_add(algebra.poly_mul(num, d1_s),
                                            algebra.poly_mul(g.delta, td1_s), -1)),
@@ -496,7 +498,7 @@ def materialized_invariants(cx, g):
 
 def fraction_text(p: Polynomial) -> str:
     """The display string of a polynomial over Q, read off its Fractions."""
-    if p.is_zero():
+    if not p.coeffs:
         return "0"
     parts = []
     for power in range(p.degree, -1, -1):
@@ -545,7 +547,7 @@ def q_add(a: Polynomial, b: Polynomial, c=1) -> Polynomial:
 
 
 def q_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    if a.is_zero() or b.is_zero():
+    if not a.coeffs or not b.coeffs:
         return Polynomial()
     out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
     for i, x in enumerate(a.coeffs):
@@ -556,10 +558,10 @@ def q_mul(a: Polynomial, b: Polynomial) -> Polynomial:
 
 def q_divmod(a: Polynomial, b: Polynomial):
     """(q, r) with a = q * b + r and deg r < deg b, one leading term at a time."""
-    if b.is_zero():
+    if not b.coeffs:
         raise ZeroDivisionError("polynomial division by zero")
     q, r = Polynomial(), a
-    while not r.is_zero() and r.degree >= b.degree:
+    while r.coeffs and r.degree >= b.degree:
         term = Polynomial((0,) * (r.degree - b.degree) + (r.coeffs[-1] / b.coeffs[-1],))
         q = q_add(q, term)
         r = q_add(r, q_mul(term, b), -1)
@@ -567,12 +569,12 @@ def q_divmod(a: Polynomial, b: Polynomial):
 
 
 def q_monic(p: Polynomial) -> Polynomial:
-    return p if p.is_zero() else q_mul(p, Polynomial((1 / p.coeffs[-1],)))
+    return p if not p.coeffs else q_mul(p, Polynomial((1 / p.coeffs[-1],)))
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor by Euclid over Q; gcd(0, 0) = 0."""
-    while not b.is_zero():
+    while b.coeffs:
         a, b = b, q_divmod(a, b)[1]
     return q_monic(a)
 
@@ -599,8 +601,8 @@ def q_eval(p: Polynomial, x) -> Fraction:
 
 
 def qt_add(a: RatFunc, b: RatFunc) -> RatFunc:
-    if a.is_zero() or b.is_zero():
-        return b if a.is_zero() else a
+    if not a.znum or not b.znum:
+        return b if not a.znum else a
     (an, ad), (bn, bd) = (a.num, a.den), (b.num, b.den)
     return RatFunc(q_add(q_mul(an, bd), q_mul(bn, ad)), q_mul(ad, bd))
 
@@ -614,13 +616,13 @@ def qt_sub(a: RatFunc, b: RatFunc) -> RatFunc:
 
 
 def qt_mul(a: RatFunc, b: RatFunc) -> RatFunc:
-    if a.is_zero() or b.is_zero():
+    if not a.znum or not b.znum:
         return RatFunc(0)
     return RatFunc(q_mul(a.num, b.num), q_mul(a.den, b.den))
 
 
 def qt_div(a: RatFunc, b: RatFunc) -> RatFunc:
-    if b.is_zero():
+    if not b.znum:
         raise ZeroDivisionError("division by the zero rational function")
     return RatFunc(q_mul(a.num, b.den), q_mul(a.den, b.num))
 
@@ -655,7 +657,7 @@ def qt_rref(matrix: FieldMatrix):
     for pc in range(ncols):
         pivot_row = None
         for r in range(pr, nrows):
-            if not m[r][pc].is_zero():
+            if m[r][pc].znum:
                 pivot_row = r
                 break
         if pivot_row is None:
@@ -667,7 +669,7 @@ def qt_rref(matrix: FieldMatrix):
             if r == pr:
                 continue
             f = m[r][pc]
-            if f.is_zero():
+            if not f.znum:
                 continue
             m[r] = [qt_sub(a, qt_mul(f, b)) for a, b in zip(m[r], m[pr])]
         pivots.append(pc)
@@ -779,8 +781,8 @@ def qt_defect(graph, cx, g) -> RatFunc:
 
 def qt_unit_equal(a: RatFunc, b: RatFunc) -> bool:
     """Reference `unit_equal`: the ratio a / b, reduced in Q(t), is +-t^m."""
-    if a.is_zero() or b.is_zero():
-        return a.is_zero() and b.is_zero()
+    if not a.znum or not b.znum:
+        return not a.znum and not b.znum
     q = qt_div(a, b)
     return (not any(q.znum[:-1]) and not any(q.zden[:-1])
             and abs(q.znum[-1]) == 1 == q.zden[-1])

@@ -176,8 +176,8 @@ def test_a_disagreeing_seed_fails_check(capsys, monkeypatch, field):
         g = build(cx, s)
         return g if s == cx.base_coordinate else replaced(g, delta=[factor * c for c in g.delta])
 
-    def moved(cx, g):
-        num = traces(cx, g)
+    def moved(g):
+        num, cx = traces(g), g.complex
         return lambda s: (num(s) if s == cx.base_coordinate
                           else poly_add(num(s), build(cx, s).delta, shift=1))
 
@@ -204,9 +204,9 @@ def test_check_compares_every_selectable_coordinate(capsys, monkeypatch):
     cx = run_pipeline(text).complex
     assert selectable(cx) == list(range(16)) and cx.base_coordinate == 0
 
-    def moved(cx, g):
-        num = traces(cx, g)
-        delta = dehn.invariants.propagator_at(cx, 15).delta
+    def moved(g):
+        num = traces(g)
+        delta = dehn.invariants.propagator_at(g.complex, 15).delta
         return lambda s: poly_add(num(s), delta, shift=1) if s == 15 else num(s)
 
     monkeypatch.setattr(dehn.invariants, "_traces", moved)
@@ -217,16 +217,21 @@ def test_check_compares_every_selectable_coordinate(capsys, monkeypatch):
 
 
 def test_check_forms_the_trace_sums_once_per_comparison(capsys, monkeypatch):
-    # T and u, the sums of the trace that do not depend on the coordinate,
-    # are formed once for the reported defect and once for the comparison
-    # of all 15 other coordinates of T(2,15), not once per coordinate.
+    # T, the sum of the trace that does not depend on the coordinate, is
+    # formed once per check knot: for the reported defect, and read again,
+    # not formed again, by the comparison of all 15 other coordinates of
+    # T(2,15). Each formation packs w_ij = t d2'[i][j] once for every entry
+    # of d2 with a t-power term, so the packs count the formations; u, the
+    # other sum, reads those packed weights.
     import dehn.invariants
-    traces, formed = dehn.invariants._traces, []
-    monkeypatch.setattr(dehn.invariants, "_traces",
-                        lambda cx, g: formed.append(g.selected) or traces(cx, g))
+    cx = run_pipeline(torus_pd(15)).complex
+    weights = sum(len(e) > 1 for col in cx.d2_cols for _, e in col)
+    pack, packed = dehn.invariants._pack, []
+    monkeypatch.setattr(dehn.invariants, "_pack",
+                        lambda p, width: packed.append(width) or pack(p, width))
     code, out, _ = run_cli(capsys, "check", "--pd", torus_pd(15))
     assert code == 0 and out.startswith("PASS")
-    assert formed == [0, 0]
+    assert weights and len(packed) == weights
 
 
 @pytest.mark.parametrize("edit", ["sign", "word"])
@@ -277,22 +282,32 @@ def test_a_batch_error_names_its_line(tmp_path, capsys, command, parallel):
         assert json.loads(err)["error"] == dict(want, message=f"line {line}: {want['message']}")
 
 
+def refused(capsys, command, text, code):
+    """The error a subcommand writes for the PD code `text`, after checking
+    how it is written: exit `code`, nothing on stdout, and one JSON line on
+    stderr, never a traceback, that carries the same exit code."""
+    got, out, err = run_cli(capsys, command, "--pd", text)
+    assert (got, out) == (code, ""), command
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, command
+    error = json.loads(err)["error"]
+    assert error["exit_code"] == code, command
+    return error
+
+
 def test_parse_error_exit_code(capsys):
-    code, out, err = run_cli(capsys, "compute", "--pd", "[[1,4,2")
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"]["type"] == "PDSyntaxError"
+    for text in ("[[1,4,2", "X(1,2"):
+        for command in ("compute", "graph", "check", "oracle"):
+            assert refused(capsys, command, text, 2)["type"] == "PDSyntaxError"
 
 
 def test_multi_component_exit_code(capsys):
-    code, out, err = run_cli(capsys, "compute", "--pd", HOPF_LINK)
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"]["type"] == "MultiComponentError"
+    for command in ("compute", "graph", "check", "oracle"):
+        assert refused(capsys, command, HOPF_LINK, 2)["type"] == "MultiComponentError"
 
 
 def test_non_planar_exit_code(capsys):
-    code, out, err = run_cli(capsys, "compute", "--pd", NON_PLANAR)
-    assert code == 3 and out == ""
-    assert json.loads(err)["error"]["type"] == "NotPlanarError"
+    for command in ("compute", "graph", "check", "oracle"):
+        assert refused(capsys, command, NON_PLANAR, 3)["type"] == "NotPlanarError"
 
 
 @pytest.mark.parametrize("command", ["compute", "graph", "check", "oracle"])
@@ -300,9 +315,7 @@ def test_non_planar_exit_code(capsys):
 def test_edge_entered_at_two_crossings_exit_code(capsys, command, text):
     # Every subcommand rejects the code as a label error: no traceback from
     # the region labelling, and no Alexander polynomial from the oracle.
-    code, out, err = run_cli(capsys, command, "--pd", text)
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"]["type"] == "PDLabelError"
+    assert refused(capsys, command, text, 2)["type"] == "PDLabelError"
 
 
 def test_bad_outer_region_exit_code(capsys):
@@ -385,13 +398,11 @@ def test_deep_nesting_and_huge_labels_are_pd_errors(capsys, command, text):
     # limit (before 3.10.7) the huge label parses, and the label check
     # refuses it. The message is the program's own: it names the label's
     # digit count and the limit, not the interpreter's advice on raising it.
-    code, out, err = run_cli(capsys, command, "--pd", text)
-    assert code == 2 and out == ""
+    error = refused(capsys, command, text, 2)
     limited = hasattr(sys, "get_int_max_str_digits")
     want = "PDSyntaxError" if text.startswith("[[[") or limited else "PDLabelError"
-    error = json.loads(err)["error"]
     assert error["type"] == want
-    assert "set_int_max_str_digits" not in err
+    assert "set_int_max_str_digits" not in error["message"]
     if limited and _HUGE_LABEL in text:
         assert error["message"] == (f"PD label of {len(_HUGE_LABEL)} digits exceeds "
                                     f"the limit of {sys.get_int_max_str_digits()} digits")

@@ -86,9 +86,9 @@ _ONE_TRACE_PATH = (
     "Every propagator's defect is the paper's edge sum, regrouped over the pivot "
     "exchange that `Propagator.numer` builds N by, with one exact division per "
     "coordinate (`invariants._traces`, which the defect and `coordinates_agree` "
-    "both read); its sums T and u are made inside the call, once for every "
-    "coordinate. Fails on a per-complex trace term in src/dehn or on a "
-    "polynomial division in invariants.py.")
+    "both read); its sums T and u are views of the propagator, formed once on "
+    "first read and shared by every coordinate. Fails on a per-complex trace "
+    "term in src/dehn or on a polynomial division in invariants.py.")
 
 RULES = [
     Rule("No unused imports in the library", "*.py", _unused_imports,
@@ -159,6 +159,15 @@ RULES = [
     Rule("One trace path in the library", "invariants.py", r"_exact_quotient",
          _ONE_TRACE_PATH,
          "q = _exact_quotient(num, den)"),
+    Rule("A propagator reads its complex", "invariants.py",
+         r"^\s+(inverse|width|base|sign):|\b_traces\([^()]*,",
+         "A propagator holds its complex, its coordinate and its delta, and reads "
+         "X, the width, s0 and the sign off the complex; the torsion, the defect "
+         "and `coordinates_agree` take the propagator alone, and the trace sums "
+         "are its views, so that a `check` knot forms them once. Fails on a "
+         "Propagator field that copies the elimination, or on a two-argument "
+         "`_traces(`, in invariants.py.",
+         "    inverse: List[List[int]]\n    num = _traces(cx, g)(s)\n"),
     Rule("check's comparisons live in the library", "cli.py",
          r"^from \.(algebra|invariants) import",
          "`check` reads each of its results off a library call: the comparison of "
