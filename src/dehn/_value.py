@@ -13,7 +13,8 @@ class Value:
     that normalizes its arguments first has its own `__init__`, which stores
     the fields through `_set` or by calling this one. `==`
     compares them within one class, `hash` hashes their tuple and `repr` is
-    `Name(field=value, ...)`. Instances keep a `__dict__`, so
+    `Name(field=value, ...)`; so `KnotDiagram` and `PipelineRun`, whose
+    fields include dicts, do not hash. Instances keep a `__dict__`, so
     `functools.cached_property`, `copy` and `pickle` work on them."""
 
     _fields: tuple = ()

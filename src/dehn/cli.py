@@ -9,12 +9,14 @@ maps that function over the knots (in worker processes under `--parallel`),
 writes JSON, DOT or text in input order and returns the exit code. The
 parser is built once per process. Errors, usage errors included, write one
 JSON line to stderr and nothing to stdout; an error in a --file knot names
-its line. `--help` stays plain text.
+its line, and output that cannot be written is a `ConfigError`. `--help`
+stays plain text.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -83,9 +85,18 @@ def _run(args) -> int:
         results = list(map(run, lines, tasks))
     if args.format == "json":
         out = results[0] if args.pd is not None else results
-        sys.stdout.write(json.dumps(out, indent=2) + "\n")
+        text = json.dumps(out, indent=2) + "\n"
     else:
-        sys.stdout.write("".join(map(args.render, results)))
+        text = "".join(map(args.render, results))
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe, a full disk
+        # Point stdout at the null device: the flush at exit then writes what
+        # is left of the buffer there rather than fail again.
+        with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())  # ValueError: no descriptor
+        raise ConfigError(f"cannot write output: {exc}") from None
     return 0 if all(map(args.passed, results)) else 1
 
 

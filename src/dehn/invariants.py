@@ -147,7 +147,7 @@ class Propagator(Value):
 
     complex: ChainComplex
     selected: int  # the C_1 coordinate s whose line complements im(d2)
-    delta: IntPoly
+    delta: ZPoly
 
     @cached_property
     def numer(self) -> List[List[IntPoly]]:
@@ -239,7 +239,7 @@ def propagator_at(cx: ChainComplex, s: int) -> Propagator:
         raise NotExactError(f"complex is not exact: {report.witness}")
     if not 0 <= s < cx.c1_dim:
         raise DehnError(f"no coordinate s = {s} in C_1, whose dimension is {cx.c1_dim}")
-    delta = _unpack(cx.scaled_inverse[-1][s], cx.forward_elimination[3])
+    delta = tuple(_unpack(cx.scaled_inverse[-1][s], cx.forward_elimination[3]))
     if not delta:
         raise DehnError("propagator has delta = 0")
     return Propagator(cx, s, delta)

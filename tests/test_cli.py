@@ -174,7 +174,8 @@ def test_a_disagreeing_seed_fails_check(capsys, monkeypatch, field):
 
     def scaled(cx, s):
         g = build(cx, s)
-        return g if s == cx.base_coordinate else replaced(g, delta=[factor * c for c in g.delta])
+        wrong = tuple(factor * c for c in g.delta)
+        return g if s == cx.base_coordinate else replaced(g, delta=wrong)
 
     def moved(g):
         num, cx = traces(g), g.complex
@@ -344,6 +345,30 @@ def test_region_label_inconsistency_exit_code(capsys, monkeypatch):
 def test_missing_input_exit_code(capsys):
     code, out, err = run_cli(capsys, "compute")
     assert code == 6 and out == ""
+
+
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("command", ["compute", "graph", "check", "oracle"])
+def test_an_unwritable_stdout_is_a_config_error(capsys, monkeypatch, command):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    error = refused(capsys, command, TREFOIL, 6)
+    assert (error["type"], error["message"]) == (
+        "ConfigError", "cannot write output: [Errno 28] No space left on device")
+
+
+def test_a_closed_pipe_is_a_config_error():
+    # The reader closes the pipe before dehn writes: one JSON line on
+    # stderr, and no traceback, not even from the flush at exit.
+    with subprocess.Popen([sys.executable, "-m", "dehn.cli", "oracle", "--pd", TREFOIL],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 6 and len(err.splitlines()) == 1, err
+    assert json.loads(err)["error"]["message"].startswith("cannot write output: ")
 
 
 def test_module_entry_point():

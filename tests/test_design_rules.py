@@ -8,7 +8,8 @@ read with pathlib, not git, so the rules hold outside a checkout too.
 
 A new rule is a row here, not a CI step: the workflow holds no `git grep`
 and no `ast.parse` (`test_the_workflow_holds_no_guard`), and its tier-1
-step runs this module on every Python version.
+step runs this module on every Python version. Nor does the workflow run
+dehn itself (`test_the_workflow_runs_no_dehn_command`).
 """
 
 import ast
@@ -245,3 +246,12 @@ def test_the_workflow_holds_no_guard():
              for n, line in enumerate(WORKFLOW.read_text(encoding="utf-8").splitlines(), 1)
              if "git grep" in line or "ast.parse" in line]
     assert not found, "a design rule is a row of RULES, not a CI step:\n" + "\n".join(found)
+
+
+def test_the_workflow_runs_no_dehn_command():
+    # A check at scale is a row of tests/test_golden.py, not a CI step; src
+    # goes on the path for tier-1's pytest alone.
+    found = [f"{n}: {line.strip()}"
+             for n, line in enumerate(WORKFLOW.read_text(encoding="utf-8").splitlines(), 1)
+             if "dehn.cli" in line or ("PYTHONPATH=src" in line and "-m pytest" not in line)]
+    assert not found, "a run of dehn is a tier-1 row, not a CI step:\n" + "\n".join(found)

@@ -32,10 +32,12 @@ Its first three lines were written while the propagator was still read off
 a Gauss-Jordan elimination of [d2 | I], the fourth while seeded
 propagators' defects were read off the base one by a rank-one identity.
 The composites' PD texts were made once by the benchmark's composite
-recipe (perfbench/families.py, rng = random.Random(7)): the summands 5_2,
-6_1, 4_1, 3_1, 5_1, 6_1, 5_2, 4_1 spliced in at seeded edges, then ten
-seeded Reidemeister-I kinks; for the 98-crossing one, those eight and then
-6_1, 5_2, 5_1, 6_1, 4_1, 3_1, 5_2, 6_1, then twenty kinks.
+recipe (perfbench/families.py, rng = random.Random(7)): the summands of
+SUMMANDS_48 spliced in at seeded edges, then ten seeded Reidemeister-I
+kinks; for the 98-crossing one, those of SUMMANDS_98, then twenty kinks.
+Each line is also checked, on its own bytes, against the closed-form
+Delta of its row of SCALE_KNOTS, and so are the Fox oracle of T(2,51) and
+T(2,121); `check` must pass on T(2,51) and the 48-crossing composite.
 
 tests/data/check_scale_v1.jsonl holds, for the 98-crossing composite, the
 JSON that `dehn check --format json --pd <pd>` prints, re-dumped on one
@@ -52,15 +54,18 @@ before it held the ids in one group per Morse index.
 """
 
 import contextlib
+import functools
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import (CORPUS, FIG8_KINKED, TREFOIL_KINKED, compute_result_at, pipeline,
-                      selectable, torus_pd)
+from conftest import (ALEXANDER, CORPUS, FIG8_KINKED, TREFOIL_KINKED, compute_result_at,
+                      pipeline, q_add, q_derivative, q_mul, selectable, torus_pd)
 from dehn import cli
+from dehn.algebra import Polynomial
 from dehn.pipeline import compute_result
 
 GOLDEN = Path(__file__).parent / "data" / "compute_v1.jsonl"
@@ -102,8 +107,26 @@ COMPOSITE_98 = (
     "[52,53,53,54],[142,145,143,146],[101,104,102,105],[93,94,94,95],[143,144,144,145],"
     "[169,170,170,171],[129,130,130,131],[83,84,84,85],[54,55,55,56],[102,103,103,104],"
     "[1,2,2,3]]")
-SCALE_KNOTS = [("T2_31", torus_pd(31)), ("T2_51", torus_pd(51)), ("composite_48", COMPOSITE_48),
-               ("composite_98", COMPOSITE_98)]
+SUMMANDS_48 = ("5_2", "6_1", "4_1", "3_1", "5_1", "6_1", "5_2", "4_1")
+SUMMANDS_98 = SUMMANDS_48 + ("6_1", "5_2", "5_1", "6_1", "4_1", "3_1", "5_2", "6_1")
+
+
+def torus_alexander(n: int) -> Polynomial:
+    """Delta of T(2,n), n odd: sum_{i<n} (-t)^i."""
+    return Polynomial((-1) ** i for i in range(n))
+
+
+def sum_alexander(summands) -> Polynomial:
+    """Delta of a connected sum, kinks or not: the product of its summands'."""
+    return functools.reduce(q_mul, (Polynomial(ALEXANDER[name]) for name in summands))
+
+
+# (name, PD code, Delta in closed form)
+SCALE_KNOTS = [("T2_31", torus_pd(31), torus_alexander(31)),
+               ("T2_51", torus_pd(51), torus_alexander(51)),
+               ("composite_48", COMPOSITE_48, sum_alexander(SUMMANDS_48)),
+               ("composite_98", COMPOSITE_98, sum_alexander(SUMMANDS_98))]
+SCALE_IDS = [name for name, _, _ in SCALE_KNOTS]
 CHECK_SCALE_GOLDEN = Path(__file__).parent / "data" / "check_scale_v1.jsonl"
 GRAPH_GOLDEN = Path(__file__).parent / "data" / "graph_v1.jsonl"
 CASES = [(name, pd, seed) for name, pd in KNOTS for seed in SEEDS]
@@ -171,10 +194,65 @@ def test_scale_golden_file_has_one_line_per_knot():
     assert len(golden_lines(SCALE_GOLDEN)) == len(SCALE_KNOTS)
 
 
-@pytest.mark.parametrize("index", range(len(SCALE_KNOTS)), ids=[name for name, _ in SCALE_KNOTS])
+@pytest.mark.parametrize("index", range(len(SCALE_KNOTS)), ids=SCALE_IDS)
 def test_compute_json_matches_golden_at_scale(index):
-    _, pd = SCALE_KNOTS[index]
+    _, pd, _ = SCALE_KNOTS[index]
     assert json.dumps(compute_result(pd)) == golden_lines(SCALE_GOLDEN)[index]
+
+
+T_MINUS_1 = Polynomial((-1, 1))
+
+
+def read_pair(obj) -> tuple:
+    """The (num, den) Polynomials of a schema-v1 rational function."""
+    return tuple(Polynomial(map(Fraction, obj[part])) for part in ("num", "den"))
+
+
+def unit_multiple(p: Polynomial, q: Polynomial) -> bool:
+    """p = +-t^m q for some integer m, p and q nonzero."""
+    p, q = (x.coeffs[next(i for i, c in enumerate(x.coeffs) if c):] for x in (p, q))
+    return p == q or p == tuple(-c for c in q)
+
+
+def defect_holds(num: Polynomial, den: Polynomial, delta: Polynomial) -> bool:
+    """num / den = t Delta'/Delta - t/(t-1) + c for an integer c. The right
+    side is a / b, b = Delta (t-1), so num * b - a * den must be c * den * b."""
+    a = q_mul(Polynomial((0, 1)), q_add(q_mul(q_derivative(delta), T_MINUS_1), delta, -1))
+    b = q_mul(delta, T_MINUS_1)
+    rest, scale = q_add(q_mul(num, b), q_mul(a, den), -1), q_mul(den, b)
+    c = rest.coeffs[-1] / scale.coeffs[-1] if rest.coeffs else Fraction(0)
+    return c.denominator == 1 and not q_add(rest, scale, -c).coeffs
+
+
+@pytest.mark.parametrize("index", range(len(SCALE_KNOTS)), ids=SCALE_IDS)
+def test_scale_golden_line_holds_the_closed_forms(index):
+    # Read off the committed line alone, in conftest's Q[t] references, and
+    # never through dehn's Z[t] kernel: the line is checked, not only kept.
+    _, pd, delta = SCALE_KNOTS[index]
+    result = json.loads(golden_lines(SCALE_GOLDEN)[index])
+    assert (result["schema_version"], result["pd"], result["crossings"]) == (
+        1, pd, len(json.loads(pd)))
+    checks = result["checks"]
+    assert tuple(checks) == ("exact", "propagator", "lescop", "milnor", "d2_consistency")
+    assert all(ok is True for ok in checks.values())
+    normalized = result["torsion"]["normalized"]
+    assert (normalized["num"], normalized["den"]) == ([str(c) for c in delta.coeffs], ["-1", "1"])
+    raw_num, raw_den = read_pair(result["torsion"]["raw"])
+    assert unit_multiple(q_mul(raw_num, T_MINUS_1), q_mul(delta, raw_den))
+    assert defect_holds(*read_pair(result["defect"]["representative"]), delta)
+
+
+@pytest.mark.parametrize("n", [51, 121])
+def test_oracle_at_scale_is_the_torus_closed_form(n):
+    got = json.loads(cli_stdout("oracle", "--pd", torus_pd(n)))["alexander"]
+    assert got == [str(c) for c in torus_alexander(n).coeffs]
+
+
+@pytest.mark.parametrize("pd", [torus_pd(51), COMPOSITE_48], ids=["T2_51", "composite_48"])
+def test_check_passes_at_scale(pd):
+    # The 98-crossing composite's `check` JSON is golden below.
+    result = json.loads(cli_stdout("check", "--format", "json", "--pd", pd))
+    assert result["passed"] is True and all(ok is True for ok in result["checks"].values())
 
 
 def test_check_json_matches_golden_at_scale():

@@ -26,7 +26,7 @@ from dehn.mscomplex import ChainComplex, Representation, _certify_inverse, build
 from dehn.oracle import milnor_check
 from dehn.pipeline import run_pipeline
 from test_cli import label_valid_pd
-from test_golden import SCALE_KNOTS
+from test_golden import COMPOSITE_48, SCALE_KNOTS
 
 T = t_power(1)
 
@@ -298,9 +298,9 @@ def _per_entry_trace(cx, g):
 _TRACE_CASES = ([(name, region) for name in sorted(CORPUS)
                  for region in _regions(CORPUS[name])]
                 + [(f"T(2,{n})", None) for n in range(3, 32, 2)]
-                + [(name, None) for name, _ in SCALE_KNOTS if name != "T2_31"])
+                + [(name, None) for name, _, _ in SCALE_KNOTS if name != "T2_31"])
 _TRACE_KNOTS = dict(CORPUS, **{f"T(2,{n})": torus_pd(n) for n in range(3, 32, 2)},
-                    **dict(SCALE_KNOTS))
+                    **{name: pd for name, pd, _ in SCALE_KNOTS})
 
 
 @pytest.mark.parametrize("name,region", _TRACE_CASES,
@@ -415,7 +415,7 @@ def test_an_inexact_trace_names_the_trace():
 
 _AGREE_KNOTS = dict(CORPUS, **{"3_1 kinked": TREFOIL_KINKED, "4_1 kinked": FIG8_KINKED},
                     **{f"T(2,{n})": torus_pd(n) for n in range(3, 32, 2)},
-                    composite_48=dict(SCALE_KNOTS)["composite_48"])
+                    composite_48=COMPOSITE_48)
 
 
 def _pairwise_agree(g):
@@ -456,7 +456,7 @@ def test_coordinates_agree_is_the_pairwise_comparison(name, monkeypatch):
         def propagator_at(cx, s):
             g = build(cx, s)
             c = faults.get(("delta", s))
-            return g if c is None else replaced(g, delta=[c * x for x in g.delta])
+            return g if c is None else replaced(g, delta=tuple(c * x for x in g.delta))
 
         def _traces(g):
             num = traces(g)
@@ -597,7 +597,7 @@ def test_identity_width_one_bit_narrower_would_alias(monkeypatch):
     w = cx.forward_elimination[3]
     h = 1 << w - 1
     x = [[0, h, h], [0, h, -h], [1 << w, 0, 0]]
-    wrong = replaced(g, complex=replaced(cx, scaled_inverse=x), delta=[0, 1])
+    wrong = replaced(g, complex=replaced(cx, scaled_inverse=x), delta=(0, 1))
     assert wrong.numer == [[[], [-h, 1], [-h, 1]], [[], [-h, 1], [-h]]]
     assert packed_column([[-2 * h, 1], [-2 * h, 1]], w, 2) == 0
     with pytest.raises(DehnError, match=CERTIFICATE):
@@ -615,7 +615,7 @@ def test_identity_width_one_slot_shorter_would_alias():
     # bound.
     cx = _two_crossing_complex()
     g = build_propagator(cx)
-    assert (g.numer, g.delta, g.selected) == ([[[1], [], []], [[], [1], []]], [1], 2)
+    assert (g.numer, g.delta, g.selected) == ([[[1], [], []], [[], [1], []]], (1,), 2)
     w = cx.forward_elimination[3]
     x = [[1 + (1 << 2 * w), 0, 0], [-1, 1, 0], list(cx.scaled_inverse[-1])]
     wrong = replaced(g, complex=replaced(cx, scaled_inverse=x))
@@ -652,7 +652,7 @@ def test_identities_do_not_pin_the_scale_of_delta():
     x = [[e * _pack(c, cx.forward_elimination[3]) for e in row] for row in cx.scaled_inverse]
     _certify_inverse(cx, x)
     wrong = invariants.propagator_at(replaced(cx, scaled_inverse=x), g.selected)
-    assert wrong.delta == poly_mul(g.delta, c)
+    assert wrong.delta == tuple(poly_mul(g.delta, c))
     assert wrong.numer == [[poly_mul(e, c) for e in row] for row in g.numer]
     assert wrong.g2 == g.g2
     tor = torsion(wrong)

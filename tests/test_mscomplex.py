@@ -328,7 +328,7 @@ def test_exactness_and_default_propagator_share_one_elimination(text, monkeypatc
     g = build_propagator(cx)
     reduced, pivots, _, k = cx.forward_elimination
     assert calls == ["forward", "back"] and g.selected == cx.base_coordinate
-    assert pivots == list(range(cx.c1_dim)) and g.delta == _unpack(reduced[-1][pivots[-1]], k)
+    assert pivots == list(range(cx.c1_dim)) and g.delta == tuple(_unpack(reduced[-1][pivots[-1]], k))
     propagators = [propagator_at(cx, s) for s in selectable(cx)]
     assert calls == ["forward", "back"]
     assert len(propagators) > 1
