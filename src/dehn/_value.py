@@ -8,43 +8,28 @@ _set = object.__setattr__
 
 class Value:
     """An immutable record. A subclass lists its fields as class annotations,
-    in order; a class attribute of a field's name is that field's default.
-    `__init__` sets the fields once, positionally or by keyword; a subclass
-    that normalizes its arguments first has its own `__init__`, which stores
-    the fields through `_set` or by calling this one. `==`
-    compares them within one class, `hash` hashes their tuple and `repr` is
-    `Name(field=value, ...)`; so `KnotDiagram` and `PipelineRun`, whose
-    fields include dicts, do not hash. Instances keep a `__dict__`, so
-    `functools.cached_property`, `copy` and `pickle` work on them."""
+    in order, and is built from all of them, positionally: `__init__` takes
+    one argument per field and checks only their count. A subclass that
+    normalizes its arguments first has its own `__init__`, which stores the
+    fields through `_set` or by calling this one. Every field holds an
+    immutable value, tuples rather than lists or dicts, so every value
+    hashes: `==` compares the fields within one class, `hash` hashes their
+    tuple and `repr` is `Name(field=value, ...)`. Instances keep a
+    `__dict__`, so `functools.cached_property`, `copy` and `pickle` work on
+    them."""
 
     _fields: tuple = ()
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__)
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args):
         fields = self._fields
-        if kwargs or len(args) != len(fields):
-            args = self._bind(args, kwargs)
+        if len(args) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes its {len(fields)} fields "
+                            f"{fields} positionally, got {len(args)} arguments")
         for f, v in zip(fields, args):
             _set(self, f, v)
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """The field values of a call by keyword or with defaults left out; a
-        missing, unknown or repeated field is a TypeError."""
-        fields, n = cls._fields, len(args)
-        if n > len(fields) or not kwargs.keys() <= set(fields[n:]):
-            raise TypeError(f"{cls.__name__}() takes the fields {fields}, once each")
-        values = list(args)
-        for f in fields[n:]:
-            if f in kwargs:
-                values.append(kwargs[f])
-            elif hasattr(cls, f):
-                values.append(getattr(cls, f))
-            else:
-                raise TypeError(f"{cls.__name__}() is missing the field {f!r}")
-        return values
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)

@@ -133,7 +133,7 @@ def _check_one(task) -> dict:
         # Each corner label maps to sign * t^e, and the four at a crossing
         # sum to zero iff their signs cancel at every exponent e.
         signs: Dict[int, int] = {}
-        for label in (run.d1_labels[(c.id, pos)] for pos in range(4)):
+        for label in run.d1_labels[c.id]:
             e = rep.exponent(label.word)
             signs[e] = signs.get(e, 0) + label.sign
         sums_ok = sums_ok and not any(signs.values())

@@ -23,7 +23,7 @@ edges to the basepoint, labeled +1 and minus its region label.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Optional, Tuple
 
 from ._value import Value, _set
 from .diagram import KnotDiagram
@@ -36,10 +36,9 @@ class GroupRingTerm(Value):
     sign: int
     word: Word
 
-    # GroupRingTerm and Edge are built by the dozen per knot, and a
-    # fixed signature sets the fields in about half the time of
-    # `Value.__init__`.
-    def __init__(self, sign: int, word: Word):
+    # GroupRingTerm and Edge are built by the dozen per knot; a fixed
+    # signature sets their fields in 1/2 and 2/3 of `Value.__init__`'s time.
+    def __init__(self, sign: int, word: Word, /):
         _set(self, "sign", sign)
         _set(self, "word", word)
 
@@ -47,20 +46,20 @@ class GroupRingTerm(Value):
         return ("+" if self.sign > 0 else "-") + format_word(self.word)
 
 
-CornerLabeling = Dict[Tuple[int, int], GroupRingTerm]
-RegionLabeling = Dict[int, Word]
+# The label of corner p at crossing c is `[c][p]`; that of region r is `[r]`.
+CornerLabeling = Tuple[Tuple[GroupRingTerm, GroupRingTerm, GroupRingTerm, GroupRingTerm], ...]
+RegionLabeling = Tuple[Word, ...]
 
 
 def build_d1(diagram: KnotDiagram) -> CornerLabeling:
-    labels: CornerLabeling = {}
+    labels = []
     for c in diagram.crossings:
         x = diagram.over_arc(c)
-        o = c.over_in_pos
-        labels[(c.id, (o - 1) % 4)] = GroupRingTerm(-1, ((x, 1),))
-        labels[(c.id, o)] = GroupRingTerm(1, ())
-        labels[(c.id, (o + 1) % 4)] = GroupRingTerm(-1, ())
-        labels[(c.id, (o + 2) % 4)] = GroupRingTerm(1, ((x, 1),))
-    return labels
+        # Corners o - 1, o, o + 1 and o + 2, with o the over-in position.
+        terms = (GroupRingTerm(-1, ((x, 1),)), GroupRingTerm(1, ()),
+                 GroupRingTerm(-1, ()), GroupRingTerm(1, ((x, 1),)))
+        labels.append(tuple(terms[(p - c.over_in_pos + 1) % 4] for p in range(4)))
+    return tuple(labels)
 
 
 def build_d2(diagram: KnotDiagram) -> RegionLabeling:
@@ -68,22 +67,23 @@ def build_d2(diagram: KnotDiagram) -> RegionLabeling:
     region; deterministic because each region's edges are read in ascending
     label order."""
     # region -> (neighbouring region, word to cross the edge's arc), by edge.
-    crossings: Dict[int, List[Tuple[int, Word]]] = {r.id: [] for r in diagram.regions}
-    for e in sorted(diagram.edge_tail):
+    crossings: List[List[Tuple[int, Word]]] = [[] for _ in diagram.regions]
+    for e in range(1, 2 * diagram.k + 1):
         left, right = diagram.left_region(e), diagram.right_region(e)
-        gen = ((diagram.arc_of_edge[e], 1),)
+        gen = ((diagram.arc(e), 1),)
         crossings[left].append((right, gen))
         crossings[right].append((left, word_inv(gen)))
-    labels: RegionLabeling = {diagram.unbounded_region: ()}
+    labels: List[Optional[Word]] = [None] * len(diagram.regions)
+    labels[diagram.unbounded_region] = ()
     queue = [diagram.unbounded_region]
     for region in queue:  # the queue grows while it is read
         for other, word in crossings[region]:
-            if other not in labels:
+            if labels[other] is None:
                 labels[other] = word_mul(word, labels[region])
                 queue.append(other)
-    if len(labels) != len(diagram.regions):
+    if len(queue) != len(diagram.regions):
         raise AssertionError("region adjacency graph is not connected")
-    return labels
+    return tuple(labels)
 
 
 def check_d2(labeling: RegionLabeling, diagram: KnotDiagram, rep) -> List[dict]:
@@ -95,14 +95,14 @@ def check_d2(labeling: RegionLabeling, diagram: KnotDiagram, rep) -> List[dict]:
     m = m'; the right side is the image of the concatenated word.
     """
     violations = []
-    for e in sorted(diagram.edge_tail):
+    for e in range(1, 2 * diagram.k + 1):
         left = diagram.left_region(e)
         right = diagram.right_region(e)
-        gen = ((diagram.arc_of_edge[e], 1),)
+        gen = ((diagram.arc(e), 1),)
         if rep.exponent(labeling[right]) != rep.exponent(gen + labeling[left]):
             violations.append({
                 "edge": e,
-                "arc": generator_name(diagram.arc_of_edge[e]),
+                "arc": generator_name(diagram.arc(e)),
                 "left_region": left,
                 "right_region": right,
             })
@@ -115,7 +115,7 @@ class Edge(Value):
     label: GroupRingTerm
     origin: Tuple  # ("corner", crossing, pos) | ("region_plus"|"region_minus", region)
 
-    def __init__(self, source: str, target: str, label: GroupRingTerm, origin: Tuple):
+    def __init__(self, source: str, target: str, label: GroupRingTerm, origin: Tuple, /):
         _set(self, "source", source)
         _set(self, "target", target)
         _set(self, "label", label)
@@ -148,11 +148,11 @@ def build_dehn_graph(diagram: KnotDiagram, d1: CornerLabeling,
     edges: List[Edge] = []
     for c in diagram.crossings:
         for pos in range(4):
-            region = diagram.corner_region[(c.id, pos)]
+            region = diagram.corner_region[c.id][pos]
             if region == diagram.unbounded_region:
                 continue
             edges.append(Edge(crossing_vertex[c.id], region_vertex[region],
-                              d1[(c.id, pos)], ("corner", c.id, pos)))
+                              d1[c.id][pos], ("corner", c.id, pos)))
     for r in bounded:
         edges.append(Edge(region_vertex[r.id], BASEPOINT,
                           GroupRingTerm(1, ()), ("region_plus", r.id)))

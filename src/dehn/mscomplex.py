@@ -172,7 +172,7 @@ class ChainComplex(Value):
             return ExactnessReport(False, "rank(d1) = 0 < 1")
         if not self._d1_d2_vanishes():
             return ExactnessReport(False, "d1*d2 != 0")
-        return ExactnessReport(True)
+        return ExactnessReport(True, None)
 
     def _d1_d2_vanishes(self) -> bool:
         """d1 * d2 = 0 iff D1 * d2 = 0 over Z[t], D1 = `d1_row`: one column
@@ -274,7 +274,7 @@ def _parity(order: List[int]) -> int:
 
 class ExactnessReport(Value):
     exact: bool
-    witness: Optional[str] = None
+    witness: Optional[str]  # None when exact
 
 
 def check_exactness(cx: ChainComplex) -> ExactnessReport:

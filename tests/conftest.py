@@ -410,7 +410,7 @@ def replaced(value, **fields):
     view of that name, such as a complex's `scaled_inverse`, which every
     propagator of the copy then reads. The copy holds no other cached view."""
     views = {f: fields.pop(f) for f in list(fields) if f not in value._fields}
-    copy = type(value)(**dict(zip(value._fields, value._values()), **fields))
+    copy = type(value)(*(fields.get(f, v) for f, v in zip(value._fields, value._values())))
     vars(copy).update(views)
     return copy
 

@@ -132,8 +132,8 @@ def test_criterion_8_structural_properties_all_outer_choices():
             rep = Representation.abelian()
             for c in diagram.crossings:
                 total = RatFunc(0)
-                for pos in range(4):
-                    total = qt_add(total, qt_image(d1_labels[(c.id, pos)]))
+                for label in d1_labels[c.id]:
+                    total = qt_add(total, qt_image(label))
                 assert not total.znum, (name, region.id, c.id)
             assert check_d2(d2_labels, diagram, rep) == [], (name, region.id)
             graph = build_dehn_graph(diagram, d1_labels, d2_labels)
@@ -158,7 +158,7 @@ def test_criterion_9_negative_controls():
     assert not report.exact
     assert report.witness == "rank(d1) = 0 < 1"
     # corrupted region labeling is caught
-    labels = dict(build_d2(diagram))
+    labels = list(build_d2(diagram))
     victim = diagram.bounded_regions()[0].id
     labels[victim] = word_mul(((0, 1),), labels[victim])
     rep = Representation.abelian()

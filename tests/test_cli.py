@@ -246,12 +246,11 @@ def test_a_corrupted_corner_label_fails_check(capsys, monkeypatch, edit):
 
     def corrupted(*args):
         run = run_at(*args)
-        labels = dict(run.d1_labels)
-        key = next(iter(labels))
-        label = labels[key]
-        labels[key] = (GroupRingTerm(-label.sign, label.word) if edit == "sign" else
-                       GroupRingTerm(label.sign, label.word + ((0, 1),)))
-        return replaced(run, d1_labels=labels)
+        first, *rest = run.d1_labels
+        label = first[0]
+        label = (GroupRingTerm(-label.sign, label.word) if edit == "sign" else
+                 GroupRingTerm(label.sign, label.word + ((0, 1),)))
+        return replaced(run, d1_labels=((label, *first[1:]), *rest))
 
     monkeypatch.setattr(dehn.cli, "run_pipeline", corrupted)
     for text in (TREFOIL, torus_pd(9)):
@@ -518,10 +517,10 @@ def _quiet_main(*argv):
 @example(TAILLESS_EDGES[1])
 def test_cli_on_label_valid_codes(text):
     # Every code is a knot (exit 0, every check true), a rejected input
-    # (exit 2) or a non-planar one (exit 3), and the three subcommands agree
+    # (exit 2) or a non-planar one (exit 3), and the four subcommands agree
     # on which; a failure is one JSON line on stderr, never a traceback.
     codes = set()
-    for command in ("compute", "graph", "oracle"):
+    for command in ("compute", "graph", "check", "oracle"):
         code, out, err = _quiet_main(command, "--pd", text)
         assert code in (0, 2, 3), (command, code, err)
         codes.add(code)
@@ -533,3 +532,47 @@ def test_cli_on_label_valid_codes(text):
             assert out == "" and len(err.splitlines()) == 1
             assert json.loads(err)["error"]["exit_code"] == code
     assert len(codes) == 1, (text, codes)
+
+
+# -- the CLI on mutated codes ---------------------------------------------------
+
+_MUTATED = [TREFOIL, FIG8, UNKNOT_KINK, "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)",
+            "PD[X[4,2,5,1], X[8,6,1,5], X[6,3,7,4], X[2,7,3,8]]"]
+
+
+@st.composite
+def mutated_pd(draw):
+    """A valid PD text, bracket or X form, after one to four character edits:
+    a deletion, a duplication, a swap of two characters, or an insertion of
+    a digit, a bracket, `X`, `-` or a newline."""
+    text = list(draw(st.sampled_from(_MUTATED)))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("delete", "duplicate", "swap", "insert")))
+        if edit == "insert" or i == len(text):
+            text.insert(i, draw(st.sampled_from("0123456789[]()X-\n")))
+        elif edit == "delete":
+            del text[i]
+        elif edit == "duplicate":
+            text.insert(i, text[i])
+        else:
+            j = draw(st.integers(0, len(text) - 1))
+            text[i], text[j] = text[j], text[i]
+    return "".join(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_pd())
+def test_cli_on_mutated_codes(text):
+    # The error contract on malformed input: every subcommand ends with an
+    # exit code of the table, and an error writes one JSON line to stderr
+    # and nothing to stdout. An exception that escaped `main` fails here.
+    for command in ("compute", "graph", "check", "oracle"):
+        code, out, err = _quiet_main(command, "--pd", text)
+        assert code in (0, 1, 2, 3, 4, 6, 7), (command, code, err)
+        assert "Traceback" not in out + err
+        if err or code not in (0, 1):
+            assert code != 0 and out == "" and len(err.splitlines()) == 1, (command, err)
+            assert json.loads(err)["error"]["exit_code"] == code
+        else:
+            assert out, command

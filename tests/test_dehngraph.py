@@ -17,8 +17,7 @@ def test_corner_label_multiset(text):
     labels = build_d1(d)
     for c in d.crossings:
         x = d.over_arc(c)
-        four = [labels[(c.id, pos)] for pos in range(4)]
-        key = sorted((t.sign, t.word) for t in four)
+        key = sorted((t.sign, t.word) for t in labels[c.id])
         assert key == sorted([(-1, ()), (1, ()), (-1, ((x, 1),)), (1, ((x, 1),))])
 
 
@@ -28,8 +27,8 @@ def test_corner_labels_sum_to_zero_under_representation(text):
     labels = build_d1(d)
     for c in d.crossings:
         total = RatFunc(0)
-        for pos in range(4):
-            total = qt_add(total, qt_image(labels[(c.id, pos)]))
+        for label in labels[c.id]:
+            total = qt_add(total, qt_image(label))
         assert not total.znum
 
 
@@ -40,7 +39,7 @@ def test_trefoil_plus_x_corners_all_unbounded():
     labels = build_d1(d)
     for c in d.crossings:
         pos = (c.over_in_pos + 2) % 4
-        assert d.corner_region[(c.id, pos)] == d.unbounded_region
+        assert d.corner_region[c.id][pos] == d.unbounded_region
 
 
 # -- region labeling (D2) -----------------------------------------------------
@@ -65,10 +64,9 @@ def test_kink_unknot_region_exponents_innermost_outer_choice():
     # the +x corner: the remaining regions read 1 and 2, the 2 innermost.
     d = build_diagram(parse_pd(UNKNOT_KINK))
     labels = build_d1(d)
-    plus_x_corner = (0, (d.crossings[0].over_in_pos + 2) % 4)
-    outer = d.corner_region[plus_x_corner]
+    outer = d.corner_region[0][(d.crossings[0].over_in_pos + 2) % 4]
     d = build_diagram(parse_pd(UNKNOT_KINK), outer_region=outer)
-    exps = sorted(exponent_sum(l) for r, l in build_d2(d).items()
+    exps = sorted(exponent_sum(l) for r, l in enumerate(build_d2(d))
                   if r != d.unbounded_region)
     assert exps == [1, 2]
 
@@ -83,7 +81,7 @@ def test_check_d2_clean(text):
 
 def test_check_d2_detects_corruption():
     d = build_diagram(parse_pd(TREFOIL))
-    labels = dict(build_d2(d))
+    labels = list(build_d2(d))
     victim = d.bounded_regions()[0].id
     labels[victim] = word_mul(((0, 1),), labels[victim])
     rep = Representation.abelian()

@@ -202,6 +202,13 @@ RULES = [
          "Every immutable class of src/dehn derives from dehn._value.Value, which "
          "alone stores fields through object.__setattr__.",
          "    __slots__ = ('num', 'den')", skip="_value.py"),
+    Rule("Values are built positionally", "_value.py", r"\*\*kwargs|\b_bind\b",
+         "A value is built from all its fields, in order: `Value.__init__` takes "
+         "one positional argument per field and checks only their count, with no "
+         "keyword binding and no class-attribute default, and the hand-written "
+         "constructors are positional-only. Fails on `**kwargs` or `_bind` in "
+         "_value.py.",
+         "    def __init__(self, *args, **kwargs):\n        args = self._bind(args, kwargs)\n"),
 ]
 RULE_IDS = [f"{rule.name} ({rule.glob})" for rule in RULES]
 

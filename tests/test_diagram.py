@@ -101,7 +101,10 @@ def test_face_and_corner_counts(name, text):
     assert sum(len(r.corners) for r in d.regions) == 4 * d.k
     assert d.arc_count == d.k
     # every corner sits in exactly one region
-    assert len(d.corner_region) == 4 * d.k
+    assert len(d.corner_region) == d.k and all(len(c) == 4 for c in d.corner_region)
+    assert sorted(p for r in d.regions for p in r.corners) == [
+        (c, p) for c in range(d.k) for p in range(4)]
+    assert all(d.corner_region[c][p] == r.id for r in d.regions for c, p in r.corners)
 
 
 @pytest.mark.parametrize("text", sorted(CORPUS.values()) + [TREFOIL_KINKED, FIG8_KINKED]
@@ -111,18 +114,22 @@ def test_arcs_are_maximal_over_strand_runs(text):
     # e and succ(e) share an arc iff e enters a crossing over, and the arcs
     # are numbered by their least edge.
     d = build_diagram(parse_pd(text))
-    arcs, over_in = d.arc_of_edge, {c.over_in for c in d.crossings}
-    assert d.arc_count == d.k and sorted(arcs) == list(range(1, 2 * d.k + 1))
-    for e in arcs:
-        assert (arcs[e] == arcs[d.pd.succ(e)]) == (e in over_in or d.k == 1)
-    first = [min(e for e in arcs if arcs[e] == i) for i in range(d.arc_count)]
+    edges, over_in = range(1, 2 * d.k + 1), {c.over_in for c in d.crossings}
+    assert d.arc_count == d.k and len(d.arc_of_edge) == 2 * d.k
+    for e in edges:
+        assert (d.arc(e) == d.arc(d.pd.succ(e))) == (e in over_in or d.k == 1)
+    first = [min(e for e in edges if d.arc(e) == i) for i in range(d.arc_count)]
     assert first == sorted(first)
 
 
 def test_every_edge_has_one_head_and_one_tail():
     for text in CORPUS.values():
         d = build_diagram(parse_pd(text))
-        assert sorted(d.edge_tail) == list(range(1, 2 * d.k + 1))
+        # An edge leaves a crossing at its under-out slot 2 or its over-out slot.
+        tail = sorted((c.edges[p], (c.id, p))
+                      for c in d.crossings for p in (2, (c.over_in_pos + 2) % 4))
+        assert [e for e, _ in tail] == list(range(1, 2 * d.k + 1))
+        assert d.edge_tail == tuple(slot for _, slot in tail)
 
 
 def test_left_region_consistent_at_both_ends():
@@ -131,11 +138,11 @@ def test_left_region_consistent_at_both_ends():
         # An edge enters a crossing at its under-in slot 0 or its over-in slot.
         head = {c.edges[p]: (c.id, p) for c in d.crossings for p in (0, c.over_in_pos)}
         assert sorted(head) == list(range(1, 2 * d.k + 1))
-        for e in d.edge_tail:
+        for e in range(1, 2 * d.k + 1):
             hc, hp = head[e]
-            assert d.edge_tail[e] != (hc, hp)
-            assert d.left_region(e) == d.corner_region[(hc, (hp - 1) % 4)]
-            assert d.right_region(e) == d.corner_region[(hc, hp)]
+            assert d.edge_tail[e - 1] != (hc, hp)
+            assert d.left_region(e) == d.corner_region[hc][(hp - 1) % 4]
+            assert d.right_region(e) == d.corner_region[hc][hp]
 
 
 def test_non_planar_rejected():

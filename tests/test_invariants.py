@@ -564,17 +564,15 @@ def test_selection_matches_the_unit_part_of_the_full_elimination(name, text):
 def _one_crossing_complex():
     """d2 = (1, 0)^T and d1 = (0, 1): exact, with the propagator N = (1, 0),
     delta = 1 and s = 1."""
-    return ChainComplex(d2_cols=sparse_columns((((1,),), ((),))), d1_den=(1,), d1_row=((), (1,)),
-                        c2_basis=("c",), c1_basis=("q0", "q1"))
+    return ChainComplex(sparse_columns((((1,),), ((),))), (1,), ((), (1,)), ("c",), ("q0", "q1"))
 
 
 def _two_crossing_complex():
     """d2 = ((1, 0), (0, 1), (0, 0)) and d1 = (0, 0, 1): exact, with the
     propagator N = ((1, 0, 0), (0, 1, 0)), delta = 1 and s = 2. Column c of
     N * d2 is column c of N."""
-    return ChainComplex(d2_cols=sparse_columns((((1,), ()), ((), (1,)), ((), ()))), d1_den=(1,),
-                        d1_row=((), (), (1,)), c2_basis=("c0", "c1"),
-                        c1_basis=("q0", "q1", "q2"))
+    return ChainComplex(sparse_columns((((1,), ()), ((), (1,)), ((), ()))), (1,),
+                        ((), (), (1,)), ("c0", "c1"), ("q0", "q1", "q2"))
 
 
 def test_identity_width_one_bit_narrower_would_alias(monkeypatch):

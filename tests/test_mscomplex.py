@@ -161,7 +161,7 @@ def test_d2_column_block_counts():
     for j, c in enumerate(d.crossings):
         bounded_corners = sum(
             1 for pos in range(4)
-            if d.corner_region[(c.id, pos)] != d.unbounded_region)
+            if d.corner_region[c.id][pos] != d.unbounded_region)
         nonzero = sum(1 for row in dense_d2(cx) if row[j])
         assert nonzero <= bounded_corners
         assert nonzero >= 1
@@ -305,7 +305,7 @@ def test_exactness_makes_no_packed_product_test(text, monkeypatch):
         raise AssertionError("is_diagonal_product called")
     monkeypatch.setattr(mscomplex, "is_diagonal_product", refuse)
     _, _, _, cx = _complex(text)
-    assert check_exactness(cx) == ExactnessReport(True)
+    assert check_exactness(cx) == ExactnessReport(True, None)
     assert not check_exactness(_sign_flipped_trefoil(("corner", 2, 0))).exact
 
 

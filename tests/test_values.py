@@ -5,11 +5,12 @@ import importlib
 import json
 import pickle
 import pkgutil
+from fractions import Fraction
 
 import pytest
 
 import dehn
-from conftest import TREFOIL
+from conftest import FIG8_KINKED, TREFOIL, torus_pd
 from dehn._value import Value, _set
 from dehn.cli import _Parser
 from dehn.diagram import wirtinger
@@ -19,11 +20,11 @@ from dehn.mscomplex import ExactnessReport, check_exactness
 from dehn.pipeline import run_pipeline
 
 
-def trefoil_values() -> dict:
-    """One instance of each value class, from a fresh trefoil run. Reading
-    `tor.raw` and `propagator.g2` fills their cached Q(t) forms, so the run's
-    copies and pickles carry them."""
-    run = run_pipeline(TREFOIL)
+def knot_values(text: str = TREFOIL) -> dict:
+    """One instance of each value class, from a fresh run of `text`, the
+    trefoil by default. Reading `tor.raw` and `propagator.g2` fills their
+    cached Q(t) forms, so the run's copies and pickles carry them."""
+    run = run_pipeline(text)
     values = [run.pd, run.diagram.crossings[0], run.diagram.regions[0], run.diagram,
               wirtinger(run.diagram), run.graph.edges[0].label, run.graph.edges[0], run.graph, run.complex, check_exactness(run.complex),
               run.propagator, run.tor, run.d, run.alexander, run, run.alexander.poly,
@@ -31,13 +32,30 @@ def trefoil_values() -> dict:
     return {type(v).__name__: v for v in values}
 
 
-CLASSES = sorted(trefoil_values())
+CLASSES = sorted(knot_values())
 # Every class but the three whose constructors normalize their arguments
 # stores its fields as given.
 FIELD_BUILT = [name for name in CLASSES
                if name not in {"Polynomial", "RatFunc", "FieldMatrix"}]
-# The two classes with dicts among their fields do not hash; every other does.
-UNHASHABLE = {"KnotDiagram", "PipelineRun"}
+# The knots whose values `test_every_field_is_immutable` walks: one with a
+# kink, whose region meets a crossing twice, and one with seven crossings.
+WALKED = {"3_1": TREFOIL, "4_1-kinked": FIG8_KINKED, "T(2,7)": torus_pd(7)}
+# The types a value may hold besides tuples and other values.
+IMMUTABLE_LEAVES = (int, str, Fraction, type(None))
+
+
+def mutable_parts(value, path: str):
+    """'path: type' for every part of `value`, walked through the fields of
+    values and the items of tuples, that is not one of the immutable leaf
+    types: a list, dict, set or bytearray, say."""
+    if isinstance(value, Value):
+        for f, v in zip(value._fields, value._values()):
+            yield from mutable_parts(v, f"{path}.{f}")
+    elif isinstance(value, tuple):
+        for i, v in enumerate(value):
+            yield from mutable_parts(v, f"{path}[{i}]")
+    elif not isinstance(value, IMMUTABLE_LEAVES):
+        yield f"{path}: {type(value).__name__}"
 
 
 def test_every_value_class_is_covered():
@@ -51,7 +69,7 @@ def test_every_value_class_is_covered():
 
 @pytest.mark.parametrize("name", CLASSES)
 def test_value_class(name):
-    value = trefoil_values()[name]
+    value = knot_values()[name]
     cls, fields = type(value), type(value)._fields
     args = [getattr(value, f) for f in fields]
 
@@ -62,13 +80,10 @@ def test_value_class(name):
     with pytest.raises(AttributeError):
         delattr(value, fields[0])
 
-    want = None if name in UNHASHABLE else hash(value)
-    if want is None:
-        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
-            hash(value)
+    want = hash(value)
     for same in (cls(*args), copy.copy(value), pickle.loads(pickle.dumps(value))):
         assert same == value and not same != value
-        assert want is None or hash(same) == want
+        assert hash(same) == want
 
     for f in fields:
         changed = copy.copy(value)
@@ -88,20 +103,53 @@ def test_value_class(name):
 
 @pytest.mark.parametrize("name", FIELD_BUILT)
 def test_field_constructor(name):
-    value = trefoil_values()[name]
+    value = knot_values()[name]
     cls, fields = type(value), type(value)._fields
     args = [getattr(value, f) for f in fields]
 
-    assert cls(**dict(zip(fields, args))) == value
     for i in range(len(fields)):
         changed = list(args)
         changed[i] = object()
         assert cls(*changed) != value
 
+    # Every field is given, positionally: no keyword, and no default.
+    with pytest.raises(TypeError):
+        cls(**dict(zip(fields, args)))
+    with pytest.raises(TypeError):
+        cls(*args[:-1])
     with pytest.raises(TypeError):
         cls()
     with pytest.raises(TypeError):
         cls(**dict(zip(fields[1:], args[1:])))
+
+
+@pytest.mark.parametrize("name", CLASSES)
+def test_every_field_is_immutable(name):
+    # No field holds a list, dict, set or bytearray, however deep; so every
+    # value hashes and none can be edited in place.
+    for knot, text in WALKED.items():
+        value = knot_values(text)[name]
+        assert list(mutable_parts(value, name)) == [], knot
+        assert hash(value) == hash(copy.copy(value)), knot
+
+
+@pytest.mark.parametrize("part", [[1], {1: 2}, {1}, bytearray(b"1")],
+                         ids=["list", "dict", "set", "bytearray"])
+def test_the_walk_finds_a_mutable_part(part):
+    value = knot_values()["Region"]
+    deep = type(value)(value.id, (value.corners[0], (0, part)))
+    assert list(mutable_parts(deep, "Region")) == [
+        f"Region.corners[1][1]: {type(part).__name__}"]
+
+
+def test_equal_runs_hash_equal_and_hold_no_editable_field():
+    run, again = run_pipeline(TREFOIL), run_pipeline(TREFOIL)
+    assert run == again and hash(run) == hash(again)
+    fields = (run.diagram.corner_region[0], run.diagram.arc_of_edge, run.diagram.edge_tail,
+              run.d1_labels, run.d2_labels)
+    for field in fields:
+        with pytest.raises(TypeError):
+            field[0] = 9
 
 
 def test_a_used_run_copies_and_pickles():
@@ -117,15 +165,18 @@ def test_a_used_run_copies_and_pickles():
     assert json.dumps(pickle.loads(pickle.dumps(run)).to_json_dict()) == want
 
 
-def test_exactness_report_witness_defaults_to_none():
-    report = ExactnessReport(True)
+def test_exactness_report_has_no_default_witness():
+    report = ExactnessReport(True, None)
     assert report.witness is None
-    assert report == ExactnessReport(True, None) == ExactnessReport(exact=True)
     assert repr(report) == "ExactnessReport(exact=True, witness=None)"
+    for call in (lambda: ExactnessReport(True), lambda: ExactnessReport(exact=True),
+                 lambda: ExactnessReport(exact=True, witness=None)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_cached_properties_are_read_once():
-    value = trefoil_values()["TorsionValue"]
+    value = knot_values()["TorsionValue"]
     assert value.raw is value.raw
     assert value.normalized is value.normalized
     assert copy.copy(value) == value  # the cached forms are not fields
