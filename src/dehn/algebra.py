@@ -64,9 +64,7 @@ class Polynomial(Value):
 
     def __init__(self, coeffs: Iterable[Coeffish] = ()):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in _coefficients(coeffs)]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        _set(self, "coeffs", tuple(cs))
+        _set(self, "coeffs", tuple(_trim(cs)))
 
     # -- structure ----------------------------------------------------
 
@@ -145,9 +143,6 @@ class RatFunc(Value):
 
     def __str__(self) -> str:
         return _display(*self._over_lead())
-
-    def __repr__(self) -> str:
-        return f"RatFunc({self.num!r}, {self.den!r})"
 
     def to_json(self) -> dict:
         """Machine-stable form: exact coefficient strings of `num` and `den`,
@@ -265,15 +260,7 @@ class FieldMatrix(Value):
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def __str__(self) -> str:
-        return "[" + "; ".join(
-            ", ".join(str(e) for e in self.row(i)) for i in range(self.rows)
-        ) + "]"
-
     # -- product and elimination ----------------------------------------
-    #
-    # No library path calls `__matmul__`, `rref` or `det`; they stay because
-    # perfbench keys its algebra.matmul/rref/det metrics on these methods.
 
     def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
         """Over Z[t]: with row i of self rows[i] / lam[i] and column j of

@@ -33,9 +33,6 @@ class AlexanderPolynomial(Value):
     def poly(self) -> Polynomial:
         return Polynomial(self.coeffs)
 
-    def __str__(self) -> str:
-        return str(self.poly)
-
 
 def _fox_row(word: Word, column: Dict[int, int]) -> Dict[int, IntPoly]:
     """The abelianized Fox derivatives of a word with respect to the

@@ -561,18 +561,112 @@ def mutated_pd(draw):
     return "".join(text)
 
 
+def obeys_the_contract(command, code, out, err):
+    """Check one call's exit code and streams against the error contract and
+    return its error, None for a result: every subcommand ends with an exit
+    code of the table, and an error writes one JSON line to stderr and
+    nothing to stdout. An exception that escaped `main` fails here."""
+    assert code in (0, 1, 2, 3, 4, 6, 7), (command, code, err)
+    assert "Traceback" not in out + err
+    if not err and code in (0, 1):
+        assert out, command
+        return None
+    assert code != 0 and out == "" and len(err.splitlines()) == 1, (command, err)
+    error = json.loads(err)["error"]
+    assert error["exit_code"] == code
+    return error
+
+
 @settings(max_examples=300, deadline=None)
 @given(mutated_pd())
 def test_cli_on_mutated_codes(text):
-    # The error contract on malformed input: every subcommand ends with an
-    # exit code of the table, and an error writes one JSON line to stderr
-    # and nothing to stdout. An exception that escaped `main` fails here.
     for command in ("compute", "graph", "check", "oracle"):
-        code, out, err = _quiet_main(command, "--pd", text)
-        assert code in (0, 1, 2, 3, 4, 6, 7), (command, code, err)
-        assert "Traceback" not in out + err
-        if err or code not in (0, 1):
-            assert code != 0 and out == "" and len(err.splitlines()) == 1, (command, err)
-            assert json.loads(err)["error"]["exit_code"] == code
+        obeys_the_contract(command, *_quiet_main(command, "--pd", text))
+
+
+# -- the CLI on mutated batch files ---------------------------------------------
+
+_NON_ASCII_ZEROS = ("\u0660", "\uff10")  # Arabic-Indic and fullwidth digit zero
+_SPACES = ("", " ", "\u00a0", "\u3000")
+# (crossing, text, separator) of the bracket, X and PD[X[...]] forms.
+_FORMS = (("[%s]", "[%s]", ","), ("X(%s)", "%s", " "), ("X[%s]", "PD[%s]", ", "))
+
+
+@st.composite
+def edited_knot(draw):
+    """One knot line: a valid knot's crossings after zero to two token
+    edits, written in bracket, X or PD[X[...]] form with one separator
+    between crossings. An edit drops, duplicates or swaps a crossing, sets a
+    label to 0, 2k + 1, 2**64 or a number of 4,301 digits, one past
+    CPython's default limit, or writes a label in non-ASCII digits; the
+    separator may be a non-ASCII space."""
+    crossings = [[str(x) for x in c] for c in json.loads(draw(st.sampled_from(
+        (TREFOIL, FIG8, UNKNOT_KINK))))]
+    k = len(crossings)
+    for _ in range(draw(st.integers(0, 2))):
+        if not crossings:
+            break
+        i = draw(st.integers(0, len(crossings) - 1))
+        edit = draw(st.sampled_from(("drop", "duplicate", "swap", "label", "digits")))
+        if edit == "drop":
+            del crossings[i]
+        elif edit == "duplicate":
+            crossings.insert(i, list(crossings[i]))
+        elif edit == "swap":
+            j = draw(st.integers(0, len(crossings) - 1))
+            crossings[i], crossings[j] = crossings[j], crossings[i]
         else:
-            assert out, command
+            p = draw(st.integers(0, 3))
+            if edit == "label":
+                crossings[i][p] = draw(st.sampled_from(
+                    ("0", str(2 * k + 1), str(2**64), "9" * 4301)))
+            else:
+                zero = ord(draw(st.sampled_from(_NON_ASCII_ZEROS)))
+                crossings[i][p] = crossings[i][p].translate({48 + d: zero + d for d in range(10)})
+    crossing, whole, sep = draw(st.sampled_from(_FORMS))
+    sep += draw(st.sampled_from(_SPACES))
+    return whole % sep.join(crossing % ",".join(c) for c in crossings)
+
+
+@st.composite
+def batch_file(draw):
+    """The lines of a --file batch: one to three edited knots, each after
+    zero or more comment and blank lines."""
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        lines += draw(st.lists(st.sampled_from(("", "# comment", "  ")), max_size=2))
+        lines.append(draw(edited_knot()))
+    return lines
+
+
+@pytest.fixture(scope="module")
+def batch_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("batch") / "knots.txt"
+
+
+@settings(max_examples=60, deadline=None)
+@given(lines=batch_file(), bom=st.booleans(),
+       command=st.sampled_from(("compute", "graph", "check", "oracle")))
+def test_cli_on_mutated_files(batch_path, lines, bom, command):
+    # A batch keeps the error contract of its knots: the first knot that
+    # fails alone under --pd fails the batch with the same error, its
+    # message prefixed with "line N: ", N its physical line, comments and
+    # blank lines counted; with no failing knot the batch's exit code is 1
+    # iff some knot's is.
+    batch_path.write_text("\n".join(lines) + "\n", encoding="utf-8-sig" if bom else "utf-8")
+    got = _quiet_main(command, "--file", str(batch_path))
+    error = obeys_the_contract(command, *got)
+    knots = [(n, line.strip()) for n, line in enumerate(lines, 1)
+             if line.strip() and not line.strip().startswith("#")]
+    if not knots:
+        assert error["type"] == "ConfigError" and error["message"].startswith("no knots found")
+        return
+    codes = []
+    for n, text in knots:
+        alone = _quiet_main(command, "--pd", text)
+        first = obeys_the_contract(command, *alone)
+        if first is not None:
+            assert error == dict(first, message=f"line {n}: {first['message']}"), text
+            return
+        codes.append(alone[0])
+    assert error is None and got[0] == max(codes)

@@ -561,12 +561,6 @@ def test_selection_matches_the_unit_part_of_the_full_elimination(name, text):
     assert build_propagator(cx).selected == next(j for j in range(c1) if v[j])
 
 
-def _one_crossing_complex():
-    """d2 = (1, 0)^T and d1 = (0, 1): exact, with the propagator N = (1, 0),
-    delta = 1 and s = 1."""
-    return ChainComplex(sparse_columns((((1,),), ((),))), (1,), ((), (1,)), ("c",), ("q0", "q1"))
-
-
 def _two_crossing_complex():
     """d2 = ((1, 0), (0, 1), (0, 0)) and d1 = (0, 0, 1): exact, with the
     propagator N = ((1, 0, 0), (0, 1, 0)), delta = 1 and s = 2. Column c of

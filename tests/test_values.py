@@ -90,7 +90,7 @@ def test_value_class(name):
         _set(changed, f, object())
         assert changed != value
 
-    assert repr(value).startswith(f"{name}(")
+    assert repr(value) == "%s(%s)" % (name, ", ".join(f"{f}={v!r}" for f, v in zip(fields, args)))
     assert value != object() and value != tuple(args)
 
     with pytest.raises(TypeError):
