@@ -1,35 +1,19 @@
 """Values in Q(t), dense matrices over Q(t), and a small kernel for
 polynomials and matrices over Z[t].
 
-A `RatFunc` is a value with no arithmetic: a pair of integer polynomials
-in a unique reduced form, which its constructor makes with the kernel's gcd
-`zpoly_gcd`, the primitive remainder sequence, the cofactors taken by exact
-division. Every elimination runs in the kernel, through the one
-forward fraction-free loop `fraction_free_elimination` over Z[t], at a
-packing width proved by a Hadamard-type bound: on a complex's
-[d2 | e_s0 | I], whose pivots give the exactness rank and whose rows
-`fraction_free_back_substitution` turns into the scaled inverse every
-propagator is read off, and on the Fox minor. It takes its input by
-nonzeros, each row a mapping from column to entry, so reading the input
-and proving the width cost one step per nonzero entry; the loop itself
-works on dense packed rows. It returns its rows packed, so each caller
-unpacks only the entries it reads. Packed rows, whose digits must be
-bounded first, are tested by `is_diagonal_product`, rows * m = delta * I
-over Z[t] with m given by its sparse columns, and its one library caller
-is the certificate X * B0 = delta0 * I. Coefficient lists are tested by
-`_products_cancel`, a sum of products against zero at a width read off
-its own terms: a complex's d1 * d2 = 0 and `check`'s comparisons. No
-product is unpacked.
-`FieldMatrix`, a dense matrix over Q(t), is the form a propagator's G2 is
-shown in; its product, reduced form and determinant write each row over
-one denominator and run over Z[t], the last two through the same loop and
-the reduced form through the back substitution after it. `Polynomial`,
-with coefficients in Q, is a read-only view with no arithmetic: the
-monic-denominator display form of a `RatFunc`'s parts and of the Fox
-oracle's Alexander polynomial. Both print through one printer over
-(numerator, denominator) pairs of integers (`_poly_text`), and a
-`RatFunc`'s JSON strings are read off its integer pair with no `Fraction`
-or `Polynomial` built.
+A `RatFunc` is a value with no arithmetic: a pair of integer polynomials in
+a unique reduced form (DERIVATION.md §6), made with the kernel's gcd
+`zpoly_gcd`. Every elimination runs through the one forward fraction-free
+loop `fraction_free_elimination` over Z[t], at a proved packing width, and
+`fraction_free_back_substitution` after it where an inverse is needed
+(§3). Packed rows are tested by `is_diagonal_product`, rows * m = delta * I
+over Z[t], whose one library caller is the certificate X * B0 = delta0 * I
+(§4.2). Coefficient lists are tested by `_products_cancel`, a sum of
+products against zero (§3.1). `FieldMatrix`, a dense matrix over Q(t), is
+the form a propagator's G2 is shown in; its product, reduced form and
+determinant run over Z[t]. `Polynomial`, with coefficients in Q, is a
+read-only display view. Both print through one printer over (numerator,
+denominator) pairs of integers (`_poly_text`).
 
 Everything here is immutable and pure: `Polynomial`, `RatFunc` and
 `FieldMatrix` are `dehn._value.Value`s, whose constructors trim, reduce or
@@ -87,16 +71,14 @@ class RatFunc(Value):
     - a positive leading coefficient of zden;
     - zero stored as () / (1,).
 
-    The form is unique. If two such pairs have the same value, one pair is a
-    rational multiple q of the other; joint content 1 makes q = +-1, and the
-    positive leading coefficient makes q = 1. So equality and hashing are
-    structural. `num` and `den` give the same value over Q with a monic
-    denominator, the form of the schema-v1 JSON strings.
+    The form is unique, so equality and hashing are structural (DERIVATION.md
+    §6). `num` and `den` give the same value over Q with a monic denominator,
+    the form of the schema-v1 JSON strings.
 
     `RatFunc(num, den)` takes Polynomials, rational constants or sequences of
     int and Fraction coefficients (trailing zeros allowed), reduced here by
-    `zpoly_gcd`. It has no arithmetic: the library computes over Z[t].
-    """
+    `zpoly_gcd`; a zero denominator is a ZeroDivisionError. It has no
+    arithmetic: the library computes over Z[t]."""
 
     znum: Tuple[int, ...]
     zden: Tuple[int, ...]
@@ -219,8 +201,8 @@ def _coefficients(p) -> List[Coeffish]:
 
 def _euler(p: Sequence[int]) -> IntPoly:
     """theta(p) = t * p' over Z[t], the Euler operator: it sends c * t^m to
-    m * c * t^m, the paper's contribution of an edge labelled c * t^m, and
-    theta(P) / P is t * (d/dt) log P."""
+    m * c * t^m, the paper's contribution of an edge labelled c * t^m
+    (DERIVATION.md §7.1)."""
     return _trim([m * c for m, c in enumerate(p)])
 
 
@@ -234,8 +216,8 @@ def _unit_free(p: Sequence[int]) -> Sequence[int]:
 def _unit_equal(p1: Sequence[int], q1: Sequence[int],
                 p2: Sequence[int], q2: Sequence[int]) -> bool:
     """True iff p1/q1 = ±t^m · p2/q2 for some integer m, the fractions over
-    Z[t] in any form, reduced or not: iff p1·q2 = ±t^m · p2·q1, with no gcd.
-    Zero is only unit-equal to zero."""
+    Z[t] in any form, reduced or not, with no gcd (DERIVATION.md §6). Zero is
+    only unit-equal to zero."""
     return _unit_free(poly_mul(p1, q2)) == _unit_free(poly_mul(p2, q1))
 
 
@@ -263,8 +245,8 @@ class FieldMatrix(Value):
     # -- product and elimination ----------------------------------------
 
     def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
-        """Over Z[t]: with row i of self rows[i] / lam[i] and column j of
-        other col / mu, entry (i, j) is rows[i] . col / (lam[i] * mu)."""
+        """The product over Z[t], each row and column over its common
+        denominator; a ValueError on a shape mismatch."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         lam, rows = self.cleared_rows()
@@ -289,15 +271,10 @@ class FieldMatrix(Value):
         return lam, rows
 
     def rref(self):
-        """Reduced row echelon form.
+        """Reduced row echelon form, by the kernel's forward elimination and
+        back substitution on the cleared rows (DERIVATION.md §3.4).
 
-        Returns (rref matrix, pivot column list, rank). The first `rank`
-        rows of the forward elimination of the cleared rows are [U | V] in
-        their pivot and free columns, U upper triangular, and their back
-        substitution gives X = delta * U^-1 * V. Scaling rows does not change
-        the reduced form, so row i of it is 1 at pivots[i] and X[i] / delta
-        at the free columns; the rows below the rank are zero.
-        """
+        Returns (rref matrix, pivot column list, rank)."""
         reduced, pivots, _, k = fraction_free_elimination(
             [_nonzeros(row) for row in self.cleared_rows()[1]], self.cols, 0)
         rank, free = len(pivots), [j for j in range(self.cols) if j not in pivots]
@@ -313,8 +290,8 @@ class FieldMatrix(Value):
 
     def det(self) -> RatFunc:
         """Exact determinant: sign * delta of the cleared rows over the
-        product of the row denominators, with delta the last pivot of the
-        forward elimination."""
+        product of the row denominators (DERIVATION.md §3.4); a ValueError
+        if the matrix is not square."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         lam, rows = self.cleared_rows()
@@ -335,17 +312,8 @@ class FieldMatrix(Value):
 # no trailing zeros; [] is zero. A sparse matrix is read by its nonzero
 # entries: the kernel takes each row as a mapping from column to entry, and
 # the product test each column of m as (row, entry) pairs. Products use
-# Kronecker substitution: a polynomial whose coefficients lie below 2^(k-1)
-# in absolute value is packed into the integer f(2^k), one CPython
-# multiplication multiplies two packed polynomials, and the signed base-2^k
-# digits of a packed value are its coefficients. Evaluation at 2^k is a ring
-# map, and a quotient that is exact in Z[t] stays exact after it, so a whole
-# computation can run on packed integers and be unpacked once, when k bounds
-# every coefficient unpacked. Under that bound a packed value is zero
-# exactly when its polynomial is. Intermediate products need no bound, only
-# the values unpacked or tested for zero. In the elimination those are minors of its input, and k comes
-# from `_minor_bound`, a proved bound on every coefficient of every minor;
-# every division still checks its remainder.
+# Kronecker substitution, packing a polynomial into its value at 2^k, and
+# every width is proved (DERIVATION.md §3.1, §3.2).
 
 IntPoly = List[int]
 
@@ -363,7 +331,7 @@ def _pack(coeffs: Sequence[int], k: int) -> int:
 
 
 def _unpack(n: int, k: int) -> IntPoly:
-    if k < 2:  # the digits {-1, 0} of width 1 cannot sum to n > 0
+    if k < 2:  # DERIVATION.md §3.1
         raise ValueError(f"cannot unpack at width {k}: signed digits need 2 bits")
     out = []
     mask, half, base = (1 << k) - 1, 1 << (k - 1), 1 << k
@@ -410,12 +378,8 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
 
 def _products_cancel(*terms: Tuple[int, Sequence[int], Sequence[int]]) -> bool:
     """Whether the sum of c * a * b over the terms (c, a, b) is 0 in Z[t],
-    read off one packed value instead of a product per term. No coefficient
-    of the sum exceeds B, the sum of |c| * max|a| * |b|_1, so at k bits, k
-    the bit length of B, each lies below 2^k in absolute value, and then
-    the sum is 0 iff its value at t = 2^k is: its lowest nonzero term c' *
-    2^(k*m), 0 < |c'| < 2^k, leaves a remainder modulo 2^(k*(m+1)), and
-    every higher term is a multiple of that."""
+    read off one packed value at a width read off the terms themselves
+    (DERIVATION.md §3.1), with no product unpacked."""
     k = sum(abs(c) * max(map(abs, a), default=0) * _norm1(b) for c, a, b in terms).bit_length()
     return not sum(c * _pack(a, k) * _pack(b, k) for c, a, b in terms)
 
@@ -423,8 +387,8 @@ def _products_cancel(*terms: Tuple[int, Sequence[int], Sequence[int]]) -> bool:
 def product_headroom(columns: Sequence[Sequence[Tuple[int, IntPoly]]]) -> int:
     """c, the bits that `is_diagonal_product` keeps free above the digits of
     packed rows multiplied into m, given by its `columns` of (row, entry)
-    pairs: the bit length of n + 1, n the largest column 1-norm of m (the
-    sum of its entries' 1-norms), and at least 2."""
+    pairs: the bit length of n + 1, n the largest column 1-norm of m, and at
+    least 2 (DERIVATION.md §4.2)."""
     n = max((sum(_norm1(x) for _, x in col) for col in columns), default=0)
     return max(2, (n + 1).bit_length())
 
@@ -433,54 +397,19 @@ def is_diagonal_product(rows: Sequence[Sequence[int]],
                         columns: Sequence[Sequence[Tuple[int, IntPoly]]],
                         delta: Sequence[int], width: int) -> bool:
     """Whether rows * m = delta * I over Z[t]; delta = [] is no mode of its
-    own, only delta = 0 in the same test. The entries of `rows` come
-    packed: each is the integer p(2^width) of the polynomial p whose signed
-    base-2^width digits, the ones `_unpack` reads, are its coefficients. m
-    comes sparse, by its `columns`: column c is a sequence of (i, m[i][c])
-    pairs, coefficient lists, one for each nonzero entry, every i below the
-    length of a row of `rows`; a row of m that no pair names is zero.
+    own, only delta = 0 in the same test. The entries of `rows` come packed,
+    each the integer p(2^width) of the polynomial p whose signed base-2^width
+    digits are its coefficients. m comes by its `columns`: column c is a
+    sequence of (i, m[i][c]) pairs, coefficient lists, one for each nonzero
+    entry, every i below the length of a row of `rows`; a row of m that no
+    pair names is zero. A shape mismatch is a ValueError.
 
-    The test is an equality of columns of polynomials: it holds iff every
-    entry E of the difference rows * m - delta * I is zero. Let n be the
-    largest column 1-norm of m. A coefficient of p * q is at most |p|_1
-    times the largest of q, so if no coefficient of rows exceeds a and none
-    of delta exceeds b, none of any E = (rows * m)[r][c] - delta * [r = c]
-    exceeds a * n + b. With l the most coefficients an entry of rows has,
-    and l_m and l_delta those of m and delta, every E has at most
-
-        L = max(l + l_m - 1, l_delta)
-
-    coefficients. Packed at t -> 2^k and row r -> 2^(K*r), K = k * L, a
-    column of differences is the value at t = 2^k of sum_r t^(L*r) * E_r(t),
-    whose coefficients are exactly those of the E_r, since no E_r reaches
-    the next slot. A nonzero polynomial with every coefficient below 2^k in
-    absolute value is nonzero at 2^k: its lowest term c * 2^(k*m), 0 < |c|
-    < 2^k, leaves a remainder modulo 2^(k*(m+1)). So once a * n + b < 2^k, a
-    packed difference column is zero iff the column is.
-
-    Here k = width, and the digits are proved small first. With c =
-    `product_headroom(m)`, so n + 1 < 2^c, and j = k - c, a = b = 2^j gives
-    a * n + b = 2^j * (n + 1) < 2^k. delta's coefficients are compared with
-    2^j. Every digit of every entry x is shown to lie in [-2^j, 2^j) by one
-    add and one mask: adding 2^j in each of S slots of k bits must leave a
-    nonnegative integer with no bit set outside the low j + 1 bits of each
-    slot. Then x is a sum of S digits of that range times 2^(k*i), and as
-    j < k these are its signed base-2^k digits, so l <= S. S loses no digit
-    and is exact: if the top digit of x is at slot i and every digit lies
-    in that range, then 2^(k*i - 1) < |x| < 2^(k*i + k - 1), since c >= 2
-    makes 2^j <= 2^(k-2), so i = bit_length(x) // k, and S is one more than
-    the largest of these. If a bound fails the answer is False: the product
-    cannot be certified at this width, whatever it is. The bounds are read
-    off the matrices under test, so they cover a wrong product too.
-
-    Each column of `rows` is packed once into one integer, all of them
-    together: neighbouring rows are joined pairwise, entry by entry, then
-    neighbouring pairs, and so on, linear-times-log work where shifting one
-    row in at a time is quadratic. A column of rows * m is then the sum,
-    over the nonzero entries of a column of m, of the packed entry times a
-    packed column of rows, compared with delta shifted into its slot, delta
-    << K*c, as one integer, with no entry product and no unpacking. A zero
-    entry adds nothing to a norm and is not packed."""
+    The test is exact once every digit of `rows` and of delta is bounded by
+    2^j, j = width - `product_headroom(m)`; a digit past that bound makes the
+    answer False, whatever the product (DERIVATION.md §4.2). Each column of
+    `rows` is packed once into one integer, neighbouring rows joined pairwise
+    and then pairs of pairs, linear-times-log work, and each column of
+    rows * m is compared with delta in its slot as one integer."""
     inner = len(rows[0]) if rows else 0
     if (any(len(row) != inner for row in rows)
             or any(not 0 <= i < inner for col in columns for i, _ in col)):
@@ -511,22 +440,9 @@ def is_diagonal_product(rows: Sequence[Sequence[int]],
 
 def _minor_bound(rows: Sequence[Mapping[int, IntPoly]]) -> int:
     """The largest absolute value a coefficient of a minor of `rows` can
-    have, by the Hadamard-type bound of Goldstein and Graham (SIAM Review
-    16, 1974); each row is a mapping from column to entry, read by its
-    nonzero entries.
-
-    For a square matrix A over Z[t], Parseval's identity makes the sum of
-    the squared coefficients of det A the mean of |det A(z)|^2 over the unit
-    circle, and at each such z Hadamard's inequality bounds |det A(z)|^2 by
-    prod_i sum_j |a_ij(z)|^2 <= prod_i sum_j |a_ij|_1^2. For a minor, a row
-    left out removes a factor that max(1, .) makes at least 1, and a column
-    left out removes terms; the same holds with rows and columns exchanged,
-    since det A = det A^T. So every coefficient c of every minor has
-    c^2 <= P, for P the smaller of the row and the column product, and
-    |c| <= isqrt(P). A zero entry adds nothing to either sum, and a column
-    with none is a factor 1, so both products are read off the nonzero
-    entries alone.
-    """
+    have, by the Hadamard-type bound of Goldstein and Graham (DERIVATION.md
+    §3.2); each row is a mapping from column to entry, read by its nonzero
+    entries."""
     by_rows, by_cols = 1, {}
     for row in rows:
         total = 0
@@ -542,49 +458,21 @@ def _minor_bound(rows: Sequence[Mapping[int, IntPoly]]) -> int:
 def fraction_free_elimination(rows: Sequence[Mapping[int, IntPoly]], ncols: int,
                               headroom: int) -> Tuple[List[List[int]], List[int], int, int]:
     """Row echelon form over Z[t] by Bareiss's forward fraction-free
-    elimination (Bareiss 1968).
+    elimination, with lazy row rescaling (DERIVATION.md §3.3).
 
     The input comes sparse: each row is a mapping from column, in
-    range(ncols), to its entry, and a column it does not name is zero, so
-    reading it and bounding its minors cost one step per nonzero entry. A
-    column outside the range is a ValueError. The rows are packed into
-    dense lists, which the elimination works on.
+    range(ncols), to its entry; a column it does not name is zero, and a
+    column outside the range is a ValueError.
 
-    Returns (rows, pivot columns, sign, k), the rows still packed: each
-    entry is its polynomial at t = 2^k, and `_unpack(entry, k)` gives its
-    coefficients. k bounds every entry, so a caller unpacks only the
-    entries it reads (a determinant its last pivot, a rank none), and can
-    go on with exact packed arithmetic whose results are minors of the
-    input too, as `fraction_free_back_substitution` does. k is the proved
-    width plus `headroom` bits, for a caller whose packed check needs them
-    (`is_diagonal_product` on packed rows). Pivot columns are found left to
-    right and the pivot row is the first one below with a nonzero entry, so
-    the pivot columns are the leftmost ones independent of those before
-    them, and the rows below the rank are zero. Row r of the result holds
-    minors of order r + 1, and its pivot entry is the leading principal
-    minor of that order of the row-swapped input restricted to the pivot
-    columns, so when the input has full row rank, its pivot columns form a
-    square matrix B and sign * delta = det B, for delta the last pivot and
-    sign = +-1 the sign of the row swaps made. Every quotient taken is exact
-    in Z[t]; a remainder raises ArithmeticError.
-
-    Rows are rescaled lazily. With p_0 = 1 and p_s the pivot of step s, step
-    s sends a row r below the pivot row to (p_s * r - f * top) / p_(s-1),
-    where f is r's entry in the pivot column. When f = 0 that is
-    r * p_s / p_(s-1), so a row whose multiplier stays zero from step l+1
-    to step s is r * p_s / p_l: level[r] = l records the last step at which
-    the row was brought up to date, and the row is rescaled only when it is
-    next used, as a pivot row or with a nonzero multiplier. That catch-up
-    division is exact: the up-to-date row is the row eager elimination
-    would hold, a row of minors of the input (the leading pivot block
-    bordered by one row and one column), so p_l divides r * p_s in Z[t]. A
-    pivot row is caught up when it is chosen and never touched again, and
-    a row below the rank ends at zero, which no rescaling changes, so no
-    row needs a final catch-up. Rescaling by the nonzero ratio p_s / p_l
-    keeps zero entries zero, so the pivot search may read rows that are not
-    up to date. Zero entries are skipped: they need no product and no
-    division.
-    """
+    Returns (rows, pivot columns, sign, k), the rows still packed: each entry
+    is its polynomial at t = 2^k, and `_unpack(entry, k)` gives its
+    coefficients. k is the proved width, which bounds every minor of the
+    input (§3.2), plus `headroom` bits for a caller whose packed check needs
+    them. The pivot columns are the leftmost ones independent of those before
+    them, and the rows below the rank are zero. When the input has full row
+    rank, sign * delta = det B for B its pivot columns, delta the last pivot
+    and sign the parity of the row swaps. Every quotient taken is exact in
+    Z[t]; a remainder raises ArithmeticError."""
     nrows = len(rows)
     # Every entry met is a minor of the input.
     k = _packing_bits(_minor_bound(rows)) + headroom
@@ -639,28 +527,11 @@ def fraction_free_elimination(rows: Sequence[Mapping[int, IntPoly]], ncols: int,
 def fraction_free_back_substitution(rows: Sequence[Sequence[int]], n: int) -> List[List[int]]:
     """X = delta * A^-1 * R, packed at the width of `rows`, from the packed
     echelon form `rows` of [A | R] that `fraction_free_elimination` made,
-    A n x n with pivots in its columns 0..n-1 and delta the last of them.
-    A singular A leaves a zero on that diagonal, which is a ValueError
-    before any arithmetic; for n = 0, X has no rows.
-
-    The forward rows are [A | R] times an invertible matrix F on the left:
-    U = F * A is upper triangular and V = F * R. So X is the one solution
-    of U * X = delta * V, and row i of it is
-
-        X[i] = (delta * V[i] - sum_{j > i} U[i][j] * X[j]) / U[i][i],
-
-    from the last row up (Nakos, Turner and Williams, SIGSAM Bull. 31(3),
-    1997); the last row is V[n-1] itself, since U[n-1][n-1] = delta. Every
-    division is exact in Z[t]. By Cramer's rule X[i][c] = delta * det A_ic
-    / det A, with A_ic the matrix A whose column i is replaced by column c
-    of R, and delta = +-det A, the row swaps' sign: so X[i][c] = +-det A_ic,
-    a minor of the input [A | R], and the numerator above, which equals
-    U[i][i] * X[i][c], is its multiple in Z[t]. Packing is a ring map, and
-    U[i][i], a nonzero minor, is nonzero at the kernel's width, so each
-    packed quotient is the packed minor, and the width's bound holds for
-    it as for every entry of the elimination; a remainder still raises
-    ArithmeticError. Zero entries take no product and no division.
-    """
+    A n x n with pivots in its columns 0..n-1 and delta the last of them. Its
+    entries are minors of [A | R], so that width bounds them (DERIVATION.md
+    §3.4). A singular A leaves a zero on that diagonal, which is a ValueError
+    before any arithmetic; for n = 0, X has no rows. A remainder raises
+    ArithmeticError."""
     if len(rows) < n or not all(rows[i][i] for i in range(n)):
         raise ValueError("singular matrix: a pivot is missing from its columns")
     if not n:

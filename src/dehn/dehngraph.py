@@ -1,24 +1,9 @@
 """Corner and region labelings of a knot diagram, and the Dehn graph built
-from them.
-
-The corner labeling assigns, at each crossing with over arc x, the group-ring
-labels -x, +1, +x, -1 to the four corners: -x before the crossing on the left
-of the over strand, +1 before on the right, +x after on the left, -1 after on
-the right. With positions numbered counterclockwise and o the over-in
-position, that is corner o-1: -x, corner o: +1, corner o+1: -1, corner o+2: +x.
-
-The region labeling starts the unbounded region with the empty word and
-propagates across arcs: crossing an arc from its left side to its right side
-multiplies on the left by the arc generator. Labels are freely reduced words;
-equalities that depend on the knot group relations are only ever checked
-under a representation (check_d2), never by rewriting.
+from them (DERIVATION.md §1).
 
 The graph has one vertex per crossing (index 2), one per bounded region
 (index 1) and one basepoint (index 0), always "inf"; a `DehnGraph` holds
-the ids of the first two groups in order. Every corner incidence with a
-bounded region contributes its own edge, so a region meeting a crossing
-twice (a kink) yields two parallel edges; each bounded region gets two
-edges to the basepoint, labeled +1 and minus its region label.
+the ids of the first two groups in order.
 """
 
 from __future__ import annotations
@@ -63,9 +48,9 @@ def build_d1(diagram: KnotDiagram) -> CornerLabeling:
 
 
 def build_d2(diagram: KnotDiagram) -> RegionLabeling:
-    """Breadth-first label propagation over the dual graph from the unbounded
-    region; deterministic because each region's edges are read in ascending
-    label order."""
+    """The region labels, a freely reduced word per region id, propagated
+    breadth first over the dual graph from the unbounded region
+    (DERIVATION.md §1)."""
     # region -> (neighbouring region, word to cross the edge's arc), by edge.
     crossings: List[List[Tuple[int, Word]]] = [[] for _ in diagram.regions]
     for e in range(1, 2 * diagram.k + 1):
@@ -87,13 +72,10 @@ def build_d2(diagram: KnotDiagram) -> RegionLabeling:
 
 
 def check_d2(labeling: RegionLabeling, diagram: KnotDiagram, rep) -> List[dict]:
-    """Verify rho(l(right)) = rho(arc * l(left)) across every edge.
-
-    Consistency is a theorem for labels produced by build_d2, so a non-empty
-    report indicates a convention bug (or a deliberately corrupted labeling).
-    `rep` only needs an exponent(word) -> int method, since t^m = t^m' iff
-    m = m'; the right side is the image of the concatenated word.
-    """
+    """The edges across which rho(l(right)) != rho(arc * l(left)), as
+    dicts; [] when the labeling is consistent, as every labeling `build_d2`
+    makes is (DERIVATION.md §1). `rep` only needs an exponent(word) -> int
+    method."""
     violations = []
     for e in range(1, 2 * diagram.k + 1):
         left = diagram.left_region(e)

@@ -1,21 +1,11 @@
 """PD-code parsing, oriented knot diagrams, face tracing, Wirtinger presentation.
 
-Conventions
------------
-
 A PD crossing tuple (a, b, c, d) lists the four incident edge labels
-counterclockwise, starting at the incoming under-strand. Edge labels run
-1..2k along the knot, so the outgoing under-strand is c = succ(a) and the
-over-strand occupies b and d, entering at whichever of the two has the other
-as its successor. The crossing is negative when the over-strand enters at
-position 1 and positive when it enters at position 3.
-
-Positions at a crossing are indexed 0..3 in the tuple order. Corner p of a
-crossing is the face corner between positions p and p+1 (mod 4).
-
-A PD code carries no embedding, only the rotation system, so the diagram
-lives on the sphere; any face may be declared unbounded. The default rule
-picks the face with the most corners, breaking ties by lowest face id.
+counterclockwise, starting at the incoming under-strand, and labels run
+1..2k along the knot. Positions at a crossing are 0..3 in tuple order, and
+corner p lies between positions p and p+1 (mod 4). The diagram lives on
+the sphere, so any face may be declared unbounded. DERIVATION.md §1 gives
+the conventions and why each check holds.
 """
 
 from __future__ import annotations
@@ -53,7 +43,11 @@ class PDCode(Value):
 
 
 def parse_pd(text: str) -> PDCode:
-    """Parse bracket form "[[1,4,2,5],...]" or X-form "X(1,4,2,5) ..."."""
+    """Parse bracket form "[[1,4,2,5],...]" or X-form "X(1,4,2,5) ..." (also
+    "PD[X[1,4,2,5], ...]"); labels, digits and separators are ASCII. A
+    malformed text is a `PDSyntaxError`, a label set other than 1..2k each
+    twice a `PDLabelError`, and strands that do not chain a
+    `MultiComponentError` (DERIVATION.md §1)."""
     text = text.strip()
     if not text:
         raise PDSyntaxError("empty PD text")
@@ -62,7 +56,7 @@ def parse_pd(text: str) -> PDCode:
     # Only a text longer than the limit can hold one.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if 0 < limit < len(text):
-        digits = max(map(len, re.findall(r"\d+", text)), default=0)
+        digits = max(map(len, re.findall(r"\d+", text, flags=re.ASCII)), default=0)
         if digits > limit:
             raise PDSyntaxError(f"PD label of {digits} digits exceeds the limit of {limit} digits")
     if text.startswith("["):
@@ -75,8 +69,9 @@ def parse_pd(text: str) -> PDCode:
             raise PDSyntaxError("PD bracket form must be a list of 4-tuples")
         tuples = data
     else:
-        matches = re.findall(_X_FORM, text)
-        leftover = re.sub(r"PD|[\s,\[\]()]", "", re.sub(_X_FORM, "", text))
+        matches = re.findall(_X_FORM, text, flags=re.ASCII)
+        leftover = re.sub(r"PD|[\s,\[\]()]", "",
+                          re.sub(_X_FORM, "", text, flags=re.ASCII), flags=re.ASCII)
         if not matches or leftover:
             raise PDSyntaxError("malformed PD X-form syntax")
         tuples = [[int(x) for x in m] for m in matches]
@@ -210,9 +205,8 @@ def _resolve_crossing(pd: PDCode, idx: int) -> Crossing:
 
 
 def _build_arcs(pd: PDCode, crossings: Tuple[Crossing, ...]):
-    """Arcs are maximal over-strand runs, so each ends at a crossing's
-    under-in edge. Walking the labels 1..2k, arc i starts after the i-th such
-    edge, and the run after the last one wraps into arc 0."""
+    """(arc count, arc of each edge at e - 1): arcs are maximal over-strand
+    runs, each ending at a crossing's under-in edge (DERIVATION.md §1)."""
     ends = {c.under_in for c in crossings}
     arc_of_edge, arc = [], 0
     for e in range(1, 2 * pd.k + 1):
@@ -222,12 +216,8 @@ def _build_arcs(pd: PDCode, crossings: Tuple[Crossing, ...]):
 
 
 def _trace_faces(pd: PDCode) -> List[List[Tuple[int, int]]]:
-    """Face tracing of the rotation system.
-
-    Arrivals are slots (crossing, position) entered along their edge. From an
-    arrival (c, j) the face continues along the edge at position j-1, so the
-    face collects corner (c, j-1) and next arrives at that edge's other slot.
-    """
+    """The faces of the rotation system, each a list of corners
+    (DERIVATION.md §1)."""
     partner: Dict[Slot, Slot] = {}
     seen: Dict[int, Slot] = {}
     for ci, edges in enumerate(pd.crossings):

@@ -1,12 +1,10 @@
 """Alexander polynomial by Fox calculus on the Wirtinger presentation.
 
-This path never touches the Dehn graph, the chain complex or the propagator,
-so it is an independent check on the torsion pipeline through the classical
-identity: torsion times (t - 1) agrees with the Alexander polynomial up to
-+-t^m units. It shares only the Z[t] kernel: each Fox row is built over
-Z[t], the minor is one forward elimination of its own matrix, in a banded
-order, and Delta is held over Z[t] in the kernel's one unit normal form,
-`_unit_free`.
+This path never touches the Dehn graph, the chain complex or the
+propagator, so it is an independent check on the torsion pipeline through
+Milnor's identity: torsion times (t - 1) agrees with the Alexander
+polynomial up to +-t^m units (DERIVATION.md §9). It shares only the Z[t]
+kernel.
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ from .words import Word
 
 class AlexanderPolynomial(Value):
     """Delta over Z[t], constant term first, normalized: nonzero constant
-    term, positive lowest and so, Delta being symmetric, positive leading
-    coefficient. `poly` is its display form."""
+    term, positive lowest and leading coefficients (DERIVATION.md §9). `poly`
+    is its display form."""
 
     coeffs: Tuple[int, ...]
 
@@ -36,10 +34,9 @@ class AlexanderPolynomial(Value):
 
 def _fox_row(word: Word, column: Dict[int, int]) -> Dict[int, IntPoly]:
     """The abelianized Fox derivatives of a word with respect to the
-    generators of `column` (generator -> column index), every generator
-    sent to t, as one row over Z[t] by its nonzeros, column index -> entry:
-    the row of Laurent polynomials times t^-m, m its least power of t (a
-    unit)."""
+    generators of `column` (generator -> column index), every generator sent
+    to t, as one row over Z[t] by its nonzeros, column index -> entry, shifted
+    by a unit into Z[t] (DERIVATION.md §9)."""
     terms: Dict[Tuple[int, int], int] = {}  # (column, power of t) -> coefficient
     power = 0
     for g, e in word:
@@ -62,12 +59,9 @@ def _fox_row(word: Word, column: Dict[int, int]) -> Dict[int, IntPoly]:
 
 def _banded_order(rows: Sequence[Dict[int, IntPoly]], ncols: int) -> List[Dict[int, IntPoly]]:
     """The rows, each a mapping from column to nonzero entry, with their
-    `ncols` columns in reverse Cuthill-McKee order (Cuthill and McKee
-    1969, reversed by George 1971) on the graph joining two columns that
-    share a row, and the rows sorted by their first nonzero column. A
-    Wirtinger row has at most three nonzeros, and the order keeps them near
-    the diagonal, so the forward elimination fills only a band. Permuting
-    rows and columns changes the determinant by a sign at most."""
+    `ncols` columns in reverse Cuthill-McKee order and the rows sorted by
+    their first nonzero column, so that the forward elimination fills only a
+    band. The determinant moves by a sign at most (DERIVATION.md §9)."""
     neighbours: List[set] = [set() for _ in range(ncols)]
     for row in rows:
         for j in row:
@@ -98,18 +92,10 @@ def _banded_order(rows: Sequence[Dict[int, IntPoly]], ncols: int) -> List[Dict[i
 
 
 def fox_alexander(presentation: WirtingerPresentation) -> AlexanderPolynomial:
-    """Fox matrix of the relators, drop the lowest-id generator's column, and
-    normalize the determinant of the first (k-1)x(k-1) minor.
-
-    In a Wirtinger presentation of a knot every such minor is +-t^m * Delta(t)
-    with Delta(1) = +-1 (Crowell and Fox, Introduction to Knot Theory, ch. VIII),
-    so a vanishing first minor means the presentation is not one. Each row
-    is shifted into Z[t] by a unit and the rows and columns are permuted
-    into a banded order, which moves the determinant by +-t^m only; the
-    normalization, `_unit_free`, strips that, so the forward elimination's
-    last pivot is the minor up to the unit; it is the one entry of the
-    elimination unpacked.
-    """
+    """Delta of the presentation's knot: the first (k-1)x(k-1) minor of the
+    Fox matrix with the lowest-id generator's column dropped, normalized
+    (DERIVATION.md §9). A presentation with no generators, with fewer than
+    k - 1 relators or whose first minor vanishes is a `DehnError`."""
     gens = presentation.generators
     if len(gens) < 1:
         raise DehnError("presentation has no generators")
@@ -130,5 +116,5 @@ def fox_alexander(presentation: WirtingerPresentation) -> AlexanderPolynomial:
 
 def milnor_check(tor: TorsionValue, alex: AlexanderPolynomial) -> bool:
     """Torsion times (t - 1) is unit-equal to the Alexander polynomial, over
-    Z[t]: with torsion = P / Q in any form, P * (t - 1) = +-t^m * Delta * Q."""
+    Z[t] with no gcd (DERIVATION.md §9)."""
     return _unit_equal(poly_mul(tor.num, [-1, 1]), tor.den, alex.coeffs, [1])

@@ -33,6 +33,13 @@ HOPF_LINK = "[[4,1,3,2],[2,3,1,4]]"
 # Valid labels whose strands chain at every crossing, but edges 1 and 3 each
 # run into two crossings and out of none.
 TAILLESS_EDGES = ("[[1,4,2,3],[1,3,2,4]]", "[[1,3,2,4],[3,1,4,2]]")
+# The trefoil in the X, PD[X[...]] and bracket forms, with ASCII spaces
+# between its crossings, and each form once more with label 5 in
+# Arabic-Indic digits and once with each of U+00A0 and U+3000 for the space.
+TREFOIL_FORMS = tuple(form.format("1,4,2,5", "3,6,4,1", "5,2,6,3") for form in (
+    "X({}) X({}) X({})", "PD[X[{}], X[{}], X[{}]]", "[[{}], [{}], [{}]]"))
+NON_ASCII_TREFOILS = tuple(text.replace(*edit) for text in TREFOIL_FORMS
+                           for edit in (("5", "\u0665"), (" ", "\u00a0"), (" ", "\u3000")))
 
 CORPUS = {
     "unknot_kink": UNKNOT_KINK,
@@ -450,8 +457,8 @@ def eliminate(cx, order):
 def satisfies_identities(cx, g):
     """The three propagator identities of g on an exact complex, by the
     criterion the library once checked each propagator with: delta != 0,
-    N * d2 = delta * I over Z[t] and column s of N zero (the proof is at
-    `mscomplex._certify_inverse`). N is unpacked in full and each entry of
+    N * d2 = delta * I over Z[t] and column s of N zero (DERIVATION.md §4
+    and §5 prove it enough). N is unpacked in full and each entry of
     N * d2 is summed over Z[t] here, with no packed product test."""
     d2 = dense_d2(cx)
 

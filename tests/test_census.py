@@ -39,7 +39,8 @@ UNREACHED = {
     "_value.Value.__setattr__": _CONTRACT + "refuses assignment and deletion; no command tries",
     "_value.Value._values": _CONTRACT + "the field tuple that ==, hash and repr read",
     "algebra.FieldMatrix.__init__": _PERFBENCH + "Propagator.g2 is a FieldMatrix",
-    "algebra.FieldMatrix.entry": _PERFBENCH + "FieldMatrix's reader of one entry",
+    "algebra.FieldMatrix.entry":
+        _PUBLIC + "FieldMatrix's reader of one entry, in README's table; only the tests call it",
     "algebra.FieldMatrix.row": _PERFBENCH + "FieldMatrix's reader of one row",
     "algebra.FieldMatrix.__matmul__": _PERFBENCH + "its algebra.matmul metrics wrap it",
     "algebra.FieldMatrix.rref": _PERFBENCH + "its algebra.rref metrics wrap it",

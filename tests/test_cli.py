@@ -12,8 +12,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dehn
-from conftest import (FIG8, HOPF_LINK, NON_PLANAR, TAILLESS_EDGES, TREFOIL,
-                      UNKNOT_KINK, replaced, selectable, torus_pd)
+from conftest import (FIG8, HOPF_LINK, NON_ASCII_TREFOILS, NON_PLANAR, TAILLESS_EDGES,
+                      TREFOIL, UNKNOT_KINK, replaced, selectable, torus_pd)
 from dehn.algebra import poly_add
 from dehn.cli import _worker_count, main
 from dehn.dehngraph import GroupRingTerm, build_d1, build_d2, build_dehn_graph, export_dot
@@ -295,7 +295,7 @@ def refused(capsys, command, text, code):
 
 
 def test_parse_error_exit_code(capsys):
-    for text in ("[[1,4,2", "X(1,2"):
+    for text in ("[[1,4,2", "X(1,2", *NON_ASCII_TREFOILS):
         for command in ("compute", "graph", "check", "oracle"):
             assert refused(capsys, command, text, 2)["type"] == "PDSyntaxError"
 

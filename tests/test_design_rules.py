@@ -74,9 +74,10 @@ def _second_product_modes(tree: ast.Module) -> Finding:
 _CERTIFICATE = (
     "The complex's scaled inverse X = delta0 * B0^-1 is certified once, where "
     "it is made, by one packed product test X * B0 = delta0 * I "
-    "(`mscomplex._certify_inverse`), and every propagator is read off it by one "
-    "path. Fails on a second check of the propagator or of the base one it "
-    "rested on, or on a product test in invariants.py.")
+    "(`mscomplex._certify_inverse`, proved in DERIVATION.md §4 and §5), and every "
+    "propagator is read off it by one path. Fails on a second check of the "
+    "propagator or of the base one it rested on, or on a product test in "
+    "invariants.py.")
 _NO_JSON_READER = (
     "The library reads PD codes and writes schema-v1 values: no command reads "
     "JSON or writes the diagram or the complex as JSON, and the complex is held "
@@ -87,9 +88,10 @@ _ONE_TRACE_PATH = (
     "Every propagator's defect is the paper's edge sum, regrouped over the pivot "
     "exchange that `Propagator.numer` builds N by, with one exact division per "
     "coordinate (`invariants._traces`, which the defect and `coordinates_agree` "
-    "both read); its sums T and u are views of the propagator, formed once on "
-    "first read and shared by every coordinate. Fails on a per-complex trace "
-    "term in src/dehn or on a polynomial division in invariants.py.")
+    "both read; DERIVATION.md §7.2); its sums T and u are views of the "
+    "propagator, formed once on first read and shared by every coordinate. "
+    "Fails on a per-complex trace term in src/dehn or on a polynomial division "
+    "in invariants.py.")
 
 RULES = [
     Rule("No unused imports in the library", "*.py", _unused_imports,

@@ -1,8 +1,8 @@
 import pytest
 
-from conftest import (CORPUS, FIG8, FIG8_KINKED, HOPF_LINK, NON_PLANAR, TAILLESS_EDGES,
-                      TREFOIL, TREFOIL_KINKED, UNKNOT_KINK, connected_sum, pipeline,
-                      torus_pd)
+from conftest import (CORPUS, FIG8, FIG8_KINKED, HOPF_LINK, NON_ASCII_TREFOILS, NON_PLANAR,
+                      TAILLESS_EDGES, TREFOIL, TREFOIL_FORMS, TREFOIL_KINKED, UNKNOT_KINK,
+                      connected_sum, pipeline, torus_pd)
 from dehn.diagram import KnotDiagram, build_diagram, choose_unbounded, parse_pd, wirtinger
 from dehn.errors import (ConfigError, MultiComponentError, NotPlanarError,
                          PDLabelError, PDSyntaxError)
@@ -47,6 +47,11 @@ def test_parse_syntax_errors():
     for sep in ("\n", "\r\n"):
         with pytest.raises(PDSyntaxError, match="X-form"):
             parse_pd(sep.join(["X(1,4,2,5)", "foo", "X(3,6,4,1)", "X(5,2,6,3)"]))
+    # Labels and separators are ASCII in every form.
+    assert all(parse_pd(text) == parse_pd(TREFOIL) for text in TREFOIL_FORMS)
+    for text in NON_ASCII_TREFOILS:
+        with pytest.raises(PDSyntaxError):
+            parse_pd(text)
 
 
 def test_parse_multi_component():
