@@ -4,8 +4,8 @@ defect invariant of knot exteriors from planar-diagram codes."""
 from .algebra import FieldMatrix, Polynomial, RatFunc
 from .dehngraph import (DehnGraph, GroupRingTerm, build_d1, build_d2,
                         build_dehn_graph, check_d2, export_dot, graph_to_json)
-from .diagram import (Crossing, KnotDiagram, PDCode, Region,
-                      WirtingerPresentation, build_diagram, parse_pd, wirtinger)
+from .diagram import (KnotDiagram, PDCode, WirtingerPresentation, build_diagram,
+                      parse_pd, wirtinger)
 from .errors import (ConfigError, DehnError, MultiComponentError,
                      NotExactError, NotPlanarError, PDLabelError,
                      PDSyntaxError, RegionLabelError)

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import invariants
 from .dehngraph import build_d1, build_d2, build_dehn_graph, export_dot, graph_to_json
-from .diagram import build_diagram, parse_pd, wirtinger
+from .diagram import ASCII_WHITESPACE, build_diagram, parse_pd, wirtinger
 from .errors import ConfigError, DehnError
 from .mscomplex import check_exactness
 from .oracle import fox_alexander
@@ -44,7 +44,8 @@ def _read_inputs(args) -> List[Tuple[Optional[int], str]]:
             raw_lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.file}: {exc}") from None
-    knots = [(n, line) for n, line in enumerate(map(str.strip, raw_lines), 1)
+    lines = (raw.strip(ASCII_WHITESPACE) for raw in raw_lines)
+    knots = [(n, line) for n, line in enumerate(lines, 1)
              if line and not line.startswith("#")]
     if not knots:
         raise ConfigError(f"no knots found in {args.file}")
@@ -53,8 +54,18 @@ def _read_inputs(args) -> List[Tuple[Optional[int], str]]:
 
 def _worker_count(parallel: int, tasks: int, cpus: Optional[int]) -> int:
     """Worker processes for `tasks` knots: never more than requested, than
-    there are knots, or than the machine has CPUs."""
+    there are knots, or than `cpus`."""
     return min(parallel, tasks, cpus or 1)
+
+
+def _available_cpus() -> Optional[int]:
+    """The CPUs this process may run on, not the host's count where the
+    platform can tell them apart; None when unknown."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13
+        return os.process_cpu_count()
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
 
 
 def _on_line(one, line: Optional[int], task):
@@ -74,7 +85,7 @@ def _run(args) -> int:
     lines, texts = zip(*_read_inputs(args))
     tasks = [(text, *(getattr(args, name) for name in args.fields)) for text in texts]
     run = functools.partial(_on_line, args.one)
-    workers = _worker_count(args.parallel, len(tasks), os.cpu_count())
+    workers = _worker_count(args.parallel, len(tasks), _available_cpus())
     if workers > 1:
         # Imported here: the pool pulls in multiprocessing, which every
         # one-process run would otherwise load at start-up.
@@ -129,11 +140,11 @@ def _check_one(task) -> dict:
     checks["faces"] = len(diagram.regions) == diagram.k + 2
     checks["d1_d2_zero"] = exact
     sums_ok = True
-    for c in diagram.crossings:
+    for labels in run.d1_labels:
         # Each corner label maps to sign * t^e, and the four at a crossing
         # sum to zero iff their signs cancel at every exponent e.
         signs: Dict[int, int] = {}
-        for label in run.d1_labels[c.id]:
+        for label in labels:
             e = rep.exponent(label.word)
             signs[e] = signs.get(e, 0) + label.sign
         sums_ok = sums_ok and not any(signs.values())

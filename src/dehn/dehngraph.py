@@ -38,12 +38,12 @@ RegionLabeling = Tuple[Word, ...]
 
 def build_d1(diagram: KnotDiagram) -> CornerLabeling:
     labels = []
-    for c in diagram.crossings:
+    for c, o in enumerate(diagram.over_in_pos):
         x = diagram.over_arc(c)
         # Corners o - 1, o, o + 1 and o + 2, with o the over-in position.
         terms = (GroupRingTerm(-1, ((x, 1),)), GroupRingTerm(1, ()),
                  GroupRingTerm(-1, ()), GroupRingTerm(1, ((x, 1),)))
-        labels.append(tuple(terms[(p - c.over_in_pos + 1) % 4] for p in range(4)))
+        labels.append(tuple(terms[(p - o + 1) % 4] for p in range(4)))
     return tuple(labels)
 
 
@@ -125,24 +125,22 @@ def _indexed_vertices(graph: DehnGraph) -> List[Tuple[str, int]]:
 def build_dehn_graph(diagram: KnotDiagram, d1: CornerLabeling,
                      d2: RegionLabeling) -> DehnGraph:
     bounded = diagram.bounded_regions()
-    crossing_vertex = {c.id: f"p{c.id}" for c in diagram.crossings}
-    region_vertex = {r.id: f"q{i}" for i, r in enumerate(bounded)}
+    crossing_vertex = tuple(f"p{c}" for c in range(diagram.k))
+    region_vertex = {r: f"q{i}" for i, r in enumerate(bounded)}
     edges: List[Edge] = []
-    for c in diagram.crossings:
-        for pos in range(4):
-            region = diagram.corner_region[c.id][pos]
+    for c, corner_regions in enumerate(diagram.corner_region):
+        for pos, region in enumerate(corner_regions):
             if region == diagram.unbounded_region:
                 continue
-            edges.append(Edge(crossing_vertex[c.id], region_vertex[region],
-                              d1[c.id][pos], ("corner", c.id, pos)))
+            edges.append(Edge(crossing_vertex[c], region_vertex[region],
+                              d1[c][pos], ("corner", c, pos)))
     for r in bounded:
-        edges.append(Edge(region_vertex[r.id], BASEPOINT,
-                          GroupRingTerm(1, ()), ("region_plus", r.id)))
-        edges.append(Edge(region_vertex[r.id], BASEPOINT,
-                          GroupRingTerm(-1, d2[r.id]), ("region_minus", r.id)))
+        edges.append(Edge(region_vertex[r], BASEPOINT,
+                          GroupRingTerm(1, ()), ("region_plus", r)))
+        edges.append(Edge(region_vertex[r], BASEPOINT,
+                          GroupRingTerm(-1, d2[r]), ("region_minus", r)))
     arc_names = tuple(generator_name(i) for i in range(diagram.arc_count))
-    return DehnGraph(tuple(crossing_vertex.values()), tuple(region_vertex.values()),
-                     tuple(edges), arc_names)
+    return DehnGraph(crossing_vertex, tuple(region_vertex.values()), tuple(edges), arc_names)
 
 
 def export_dot(graph: DehnGraph) -> str:

@@ -15,13 +15,16 @@ import re
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from ._value import Value, _set
+from ._value import Value
 from .errors import (ConfigError, MultiComponentError, NotPlanarError,
                      PDLabelError, PDSyntaxError)
 from .words import Word, free_reduce, word_inv
 
 Slot = Tuple[int, int]  # (crossing id, position 0..3)
 
+# The whitespace a PD text may hold around and between its labels; str.strip
+# alone would also strip Unicode spaces such as U+3000.
+ASCII_WHITESPACE = " \t\n\r\f\v"
 # Compiled on first use, through re's own cache: bracket form never reads it.
 _X_FORM = r"X[\(\[]\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*[\)\]]"
 
@@ -44,11 +47,11 @@ class PDCode(Value):
 
 def parse_pd(text: str) -> PDCode:
     """Parse bracket form "[[1,4,2,5],...]" or X-form "X(1,4,2,5) ..." (also
-    "PD[X[1,4,2,5], ...]"); labels, digits and separators are ASCII. A
-    malformed text is a `PDSyntaxError`, a label set other than 1..2k each
-    twice a `PDLabelError`, and strands that do not chain a
+    "PD[X[1,4,2,5], ...]"); labels, separators and the whitespace around
+    them are ASCII. A malformed text is a `PDSyntaxError`, a label set other
+    than 1..2k each twice a `PDLabelError`, and strands that do not chain a
     `MultiComponentError` (DERIVATION.md §1)."""
-    text = text.strip()
+    text = text.strip(ASCII_WHITESPACE)
     if not text:
         raise PDSyntaxError("empty PD text")
     # CPython (3.11, and 3.10.7 on) converts no integer of more digits than
@@ -114,53 +117,12 @@ def _validate_single_component(pd: PDCode) -> None:
                 "the PD code is not a single-component knot with sequential labels")
 
 
-class Crossing(Value):
-    id: int
-    edges: Tuple[int, int, int, int]
-    over_in_pos: int  # 1 or 3
-    sign: int
-
-    # Crossing and Region are built once per crossing and region; a fixed
-    # signature sets their fields in 2/3 and 1/2 of `Value.__init__`'s time.
-    def __init__(self, id: int, edges: Tuple[int, int, int, int], over_in_pos: int,
-                 sign: int, /):
-        _set(self, "id", id)
-        _set(self, "edges", edges)
-        _set(self, "over_in_pos", over_in_pos)
-        _set(self, "sign", sign)
-
-    @property
-    def under_in(self) -> int:
-        return self.edges[0]
-
-    @property
-    def under_out(self) -> int:
-        return self.edges[2]
-
-    @property
-    def over_in(self) -> int:
-        return self.edges[self.over_in_pos]
-
-    @property
-    def over_out(self) -> int:
-        return self.edges[(self.over_in_pos + 2) % 4]
-
-
-class Region(Value):
-    id: int
-    corners: Tuple[Tuple[int, int], ...]  # cyclic (crossing id, corner position)
-
-    def __init__(self, id: int, corners: Tuple[Tuple[int, int], ...], /):
-        _set(self, "id", id)
-        _set(self, "corners", corners)
-
-
 class KnotDiagram(Value):
     pd: PDCode
-    crossings: Tuple[Crossing, ...]
+    over_in_pos: Tuple[int, ...]  # [crossing]: the over-strand's incoming slot, 1 or 3
     arc_count: int
     arc_of_edge: Tuple[int, ...]  # edge e's arc at e - 1, read by arc(e)
-    regions: Tuple[Region, ...]
+    regions: Tuple[Tuple[Slot, ...], ...]  # [region]: its corners, cyclic
     unbounded_region: int
     corner_region: Tuple[Tuple[int, int, int, int], ...]  # [crossing][corner]: region
     edge_tail: Tuple[Slot, ...]  # the slot edge e leaves from, at e - 1
@@ -169,14 +131,30 @@ class KnotDiagram(Value):
     def k(self) -> int:
         return self.pd.k
 
+    def under_in(self, c: int) -> int:
+        return self.pd.crossings[c][0]
+
+    def under_out(self, c: int) -> int:
+        return self.pd.crossings[c][2]
+
+    def over_in(self, c: int) -> int:
+        return self.pd.crossings[c][self.over_in_pos[c]]
+
+    def over_out(self, c: int) -> int:
+        return self.pd.crossings[c][(self.over_in_pos[c] + 2) % 4]
+
+    def sign(self, c: int) -> int:
+        """-1 where the over-strand enters at slot 1, +1 at slot 3."""
+        return self.over_in_pos[c] - 2
+
     def arc(self, edge: int) -> int:
         return self.arc_of_edge[edge - 1]
 
-    def over_arc(self, crossing: Crossing) -> int:
-        return self.arc(crossing.over_in)
+    def over_arc(self, c: int) -> int:
+        return self.arc(self.over_in(c))
 
-    def bounded_regions(self) -> Tuple[Region, ...]:
-        return tuple(r for r in self.regions if r.id != self.unbounded_region)
+    def bounded_regions(self) -> Tuple[int, ...]:
+        return tuple(r for r in range(len(self.regions)) if r != self.unbounded_region)
 
     def left_region(self, edge: int) -> int:
         """Region on the left of the edge, walking along the knot orientation."""
@@ -188,26 +166,25 @@ class KnotDiagram(Value):
         return self.corner_region[c][(p - 1) % 4]
 
 
-def _resolve_crossing(pd: PDCode, idx: int) -> Crossing:
-    a, b, c, d = pd.crossings[idx]
+def _resolve_crossing(pd: PDCode, idx: int) -> int:
+    """The slot, 1 or 3, where the over-strand enters crossing `idx`
+    (DERIVATION.md §1)."""
+    _, b, c, d = pd.crossings[idx]
     b_chains = pd.succ(b) == d
     d_chains = pd.succ(d) == b
     if b_chains and not d_chains:
-        pos = 1
-    elif d_chains and not b_chains:
-        pos = 3
-    else:
-        # Both chain only for k = 1; the under strand then fixes the roles:
-        # the over slot sharing its label with the under-out is the incoming one.
-        pos = 1 if b == c else 3
-    sign = -1 if pos == 1 else 1
-    return Crossing(idx, (a, b, c, d), pos, sign)
+        return 1
+    if d_chains and not b_chains:
+        return 3
+    # Both chain only for k = 1; the under strand then fixes the roles:
+    # the over slot sharing its label with the under-out is the incoming one.
+    return 1 if b == c else 3
 
 
-def _build_arcs(pd: PDCode, crossings: Tuple[Crossing, ...]):
+def _build_arcs(pd: PDCode):
     """(arc count, arc of each edge at e - 1): arcs are maximal over-strand
     runs, each ending at a crossing's under-in edge (DERIVATION.md §1)."""
-    ends = {c.under_in for c in crossings}
+    ends = {c[0] for c in pd.crossings}
     arc_of_edge, arc = [], 0
     for e in range(1, 2 * pd.k + 1):
         arc_of_edge.append(arc % len(ends))
@@ -250,26 +227,26 @@ def _trace_faces(pd: PDCode) -> List[List[Tuple[int, int]]]:
     return faces
 
 
-def choose_unbounded(regions: Tuple[Region, ...]) -> int:
+def choose_unbounded(regions: Tuple[Tuple[Slot, ...], ...]) -> int:
     """Default unbounded-face rule: most corners, ties broken by lowest id."""
-    return max(regions, key=lambda r: (len(r.corners), -r.id)).id
+    return max(range(len(regions)), key=lambda r: (len(regions[r]), -r))
 
 
 def build_diagram(pd: PDCode, outer_region: Optional[int] = None) -> KnotDiagram:
-    crossings = tuple(_resolve_crossing(pd, i) for i in range(pd.k))
-    arc_count, arc_of_edge = _build_arcs(pd, crossings)
+    over_in_pos = tuple(_resolve_crossing(pd, i) for i in range(pd.k))
+    arc_count, arc_of_edge = _build_arcs(pd)
     faces = _trace_faces(pd)
     if len(faces) != pd.k + 2:
         raise NotPlanarError(
             f"face tracing produced {len(faces)} faces, expected {pd.k + 2}: "
             "not a planar diagram")
-    regions = tuple(Region(i, tuple(corners)) for i, corners in enumerate(faces))
-    region_of = {corner: r.id for r in regions for corner in r.corners}
+    regions = tuple(map(tuple, faces))
+    region_of = {corner: r for r, corners in enumerate(regions) for corner in corners}
     corner_region = tuple(tuple(region_of[c, p] for p in range(4)) for c in range(pd.k))
     edge_tail: List[Optional[Slot]] = [None] * (2 * pd.k)
-    for c in crossings:
-        edge_tail[c.under_out - 1] = (c.id, 2)
-        edge_tail[c.over_out - 1] = (c.id, (c.over_in_pos + 2) % 4)
+    for c, (edges, pos) in enumerate(zip(pd.crossings, over_in_pos)):
+        for out in (2, (pos + 2) % 4):  # the under- and over-out slots
+            edge_tail[edges[out] - 1] = (c, out)
     # Labels that chain at every crossing can still enter two crossings and
     # leave none; such an edge has no tail and the regions do not connect.
     missing = [e for e, tail in enumerate(edge_tail, 1) if tail is None]
@@ -279,12 +256,12 @@ def build_diagram(pd: PDCode, outer_region: Optional[int] = None) -> KnotDiagram
     if outer_region is None:
         unbounded = choose_unbounded(regions)
     else:
-        if not any(r.id == outer_region for r in regions):
+        if outer_region not in range(len(regions)):
             raise ConfigError(
                 f"outer region {outer_region} does not exist "
                 f"(valid ids: 0..{len(regions) - 1})")
         unbounded = outer_region
-    return KnotDiagram(pd, crossings, arc_count, arc_of_edge, regions, unbounded,
+    return KnotDiagram(pd, over_in_pos, arc_count, arc_of_edge, regions, unbounded,
                        corner_region, tuple(edge_tail))
 
 
@@ -296,11 +273,11 @@ class WirtingerPresentation(Value):
 def wirtinger(diagram: KnotDiagram) -> WirtingerPresentation:
     """One generator per arc; per crossing the relator over^e in over^-e out^-1."""
     relations = []
-    for c in diagram.crossings:
+    for c in range(diagram.k):
         over = diagram.over_arc(c)
-        uin = diagram.arc(c.under_in)
-        uout = diagram.arc(c.under_out)
-        e = c.sign
+        uin = diagram.arc(diagram.under_in(c))
+        uout = diagram.arc(diagram.under_out(c))
+        e = diagram.sign(c)
         relator = ((over, e), (uin, 1), (over, -e)) + word_inv(((uout, 1),))
         relations.append(free_reduce(relator))
     return WirtingerPresentation(tuple(range(diagram.arc_count)), tuple(relations))

@@ -56,16 +56,14 @@ class ChainComplex(Value):
     d2_cols: Tuple[Tuple[Tuple[int, ZPoly], ...], ...]
     d1_den: ZPoly  # t^a
     d1_row: Tuple[ZPoly, ...]  # c1_dim: d1 = d1_row / d1_den
-    c2_basis: Tuple[str, ...]  # crossing vertex ids
-    c1_basis: Tuple[str, ...]  # region vertex ids
 
     @property
     def c2_dim(self) -> int:
-        return len(self.c2_basis)
+        return len(self.d2_cols)
 
     @property
     def c1_dim(self) -> int:
-        return len(self.c1_basis)
+        return len(self.d1_row)
 
     @cached_property
     def base_coordinate(self) -> Optional[int]:
@@ -88,7 +86,7 @@ class ChainComplex(Value):
         proved one plus the headroom that the certificate and the trace's unpack
         need (DERIVATION.md §3.5)."""
         b0 = self._b0_columns
-        rows: List[Dict[int, ZPoly]] = [{} for _ in self.c1_basis]
+        rows: List[Dict[int, ZPoly]] = [{} for _ in self.d1_row]
         for j, col in enumerate(b0):
             for i, e in col:
                 rows[i][j] = e
@@ -170,8 +168,7 @@ def build_complex(graph: DehnGraph, rep: Representation) -> ChainComplex:
     # Terms that cancel leave zeros to trim, and an entry trimmed to zero is left out.
     return ChainComplex(tuple(tuple((i, tuple(x)) for i, x in sorted(col.items()) if _trim(x))
                               for col in d2),
-                        (0,) * a + (1,), tuple(tuple(x) for x in d1),
-                        graph.crossing_vertices, graph.region_vertices)
+                        (0,) * a + (1,), tuple(tuple(x) for x in d1))
 
 
 def _certify_inverse(cx: ChainComplex, x: List[List[int]]) -> None:

@@ -40,6 +40,10 @@ TREFOIL_FORMS = tuple(form.format("1,4,2,5", "3,6,4,1", "5,2,6,3") for form in (
     "X({}) X({}) X({})", "PD[X[{}], X[{}], X[{}]]", "[[{}], [{}], [{}]]"))
 NON_ASCII_TREFOILS = tuple(text.replace(*edit) for text in TREFOIL_FORMS
                            for edit in (("5", "\u0665"), (" ", "\u00a0"), (" ", "\u3000")))
+# Each form with U+3000 or U+00A0 before and after it, which an ASCII strip
+# leaves in place.
+PADDED_TREFOILS = tuple(pad + text + pad for text in TREFOIL_FORMS
+                        for pad in ("\u3000", "\u00a0"))
 
 CORPUS = {
     "unknot_kink": UNKNOT_KINK,
@@ -748,9 +752,9 @@ def defect_terms(graph, cx, g):
     """Reference per-edge defect contributions (source, target, value), one
     Q(t) value per word-bearing edge, read off the G1 and G2 matrices: the
     paper's sum over the labelled Dehn graph, each vertex's row or column
-    looked up in the complex's bases."""
+    looked up in the graph's vertex groups, the complex's bases."""
     g1 = qt_g1(cx, g)
-    c2, c1 = cx.c2_basis.index, cx.c1_basis.index
+    c2, c1 = graph.crossing_vertices.index, graph.region_vertices.index
     terms = []
     for e in graph.edges:
         w = e.label.word

@@ -52,6 +52,9 @@ UNREACHED = {
     "algebra.RatFunc.num": _PERFBENCH + "its invariants.g2_max_* metrics read G2's entries",
     "algebra.RatFunc.den": _PERFBENCH + "its invariants.g2_max_* metrics read G2's entries",
     "algebra.Polynomial.degree": _PERFBENCH + "invariants.g2_max_degree reads it",
+    "diagram.KnotDiagram.over_out":
+        _PUBLIC + "the outgoing over-strand, beside the other three strand methods in "
+        "README's table; build_diagram reads its slot before the diagram exists",
     "invariants.Propagator.g2": _PERFBENCH + "its tracer reads G2 for the invariants.g2_* metrics",
     "invariants.Propagator.numer": _PERFBENCH + "N, which only Propagator.g2 reads",
     "invariants._exchanged": _PERFBENCH + "only Propagator.numer calls it",

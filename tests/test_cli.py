@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -12,8 +13,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dehn
-from conftest import (FIG8, HOPF_LINK, NON_ASCII_TREFOILS, NON_PLANAR, TAILLESS_EDGES,
-                      TREFOIL, UNKNOT_KINK, replaced, selectable, torus_pd)
+from conftest import (FIG8, HOPF_LINK, NON_ASCII_TREFOILS, NON_PLANAR, PADDED_TREFOILS,
+                      TAILLESS_EDGES, TREFOIL, UNKNOT_KINK, replaced, selectable, torus_pd)
 from dehn.algebra import poly_add
 from dehn.cli import _worker_count, main
 from dehn.dehngraph import GroupRingTerm, build_d1, build_d2, build_dehn_graph, export_dot
@@ -295,9 +296,25 @@ def refused(capsys, command, text, code):
 
 
 def test_parse_error_exit_code(capsys):
-    for text in ("[[1,4,2", "X(1,2", *NON_ASCII_TREFOILS):
+    for text in ("[[1,4,2", "X(1,2", *NON_ASCII_TREFOILS, *PADDED_TREFOILS):
         for command in ("compute", "graph", "check", "oracle"):
             assert refused(capsys, command, text, 2)["type"] == "PDSyntaxError"
+
+
+@pytest.mark.parametrize("command", ["compute", "graph", "check", "oracle"])
+def test_a_file_line_padded_with_a_non_ascii_space_is_refused(tmp_path, capsys, command):
+    # A --file line is stripped of ASCII whitespace only, so a knot padded
+    # with U+00A0 is refused, and a line holding only U+3000 is a knot line
+    # that fails, not a blank line that is skipped.
+    for text, line in ((f"{TREFOIL}\n\u00a0{TREFOIL}\u00a0\n", 2),
+                       (f"# knots\n{TREFOIL}\n\n\u3000\n{TREFOIL}\n", 4)):
+        f = tmp_path / "knots.txt"
+        f.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--file", str(f))
+        assert (code, out) == (2, "") and len(err.splitlines()) == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "PDSyntaxError"
+        assert error["message"].startswith(f"line {line}: ")
 
 
 def test_multi_component_exit_code(capsys):
@@ -483,6 +500,24 @@ def test_worker_count_is_capped_by_tasks_and_cpus():
     assert _worker_count(2, 100, 16) == 2
     assert _worker_count(8, 100, None) == 1
     assert _worker_count(1, 100, 16) == 1
+
+
+def test_workers_are_capped_by_the_cpus_the_process_may_use(tmp_path, capsys, monkeypatch):
+    # A process bound to one CPU of a larger host runs its batch in one
+    # process, whatever --parallel asks for.
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.delattr(os, "process_cpu_count", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    f = tmp_path / "knots.txt"
+    f.write_text(f"{TREFOIL}\n{FIG8}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "oracle", "--file", str(f), "--parallel", "8")
+    assert (code, err) == (0, "") and len(json.loads(out)) == 2
 
 
 # -- the CLI on arbitrary label-valid codes -----------------------------------

@@ -15,9 +15,9 @@ from dehn.words import exponent_sum, word_mul
 def test_corner_label_multiset(text):
     d = build_diagram(parse_pd(text))
     labels = build_d1(d)
-    for c in d.crossings:
+    for c in range(d.k):
         x = d.over_arc(c)
-        key = sorted((t.sign, t.word) for t in labels[c.id])
+        key = sorted((t.sign, t.word) for t in labels[c])
         assert key == sorted([(-1, ()), (1, ()), (-1, ((x, 1),)), (1, ((x, 1),))])
 
 
@@ -25,9 +25,9 @@ def test_corner_label_multiset(text):
 def test_corner_labels_sum_to_zero_under_representation(text):
     d = build_diagram(parse_pd(text))
     labels = build_d1(d)
-    for c in d.crossings:
+    for crossing_labels in labels:
         total = RatFunc(0)
-        for label in labels[c.id]:
+        for label in crossing_labels:
             total = qt_add(total, qt_image(label))
         assert not total.znum
 
@@ -37,9 +37,8 @@ def test_trefoil_plus_x_corners_all_unbounded():
     # which is what makes the boundary columns come out as (-t, 1, -1).
     d = build_diagram(parse_pd(TREFOIL))
     labels = build_d1(d)
-    for c in d.crossings:
-        pos = (c.over_in_pos + 2) % 4
-        assert d.corner_region[c.id][pos] == d.unbounded_region
+    for c, o in enumerate(d.over_in_pos):
+        assert d.corner_region[c][(o + 2) % 4] == d.unbounded_region
 
 
 # -- region labeling (D2) -----------------------------------------------------
@@ -55,7 +54,7 @@ def test_unbounded_region_label_is_empty():
 def test_trefoil_region_exponents():
     d = build_diagram(parse_pd(TREFOIL))
     labels = build_d2(d)
-    exps = sorted(exponent_sum(labels[r.id]) for r in d.bounded_regions())
+    exps = sorted(exponent_sum(labels[r]) for r in d.bounded_regions())
     assert exps == [1, 1, 1, 2]
 
 
@@ -64,7 +63,7 @@ def test_kink_unknot_region_exponents_innermost_outer_choice():
     # the +x corner: the remaining regions read 1 and 2, the 2 innermost.
     d = build_diagram(parse_pd(UNKNOT_KINK))
     labels = build_d1(d)
-    outer = d.corner_region[0][(d.crossings[0].over_in_pos + 2) % 4]
+    outer = d.corner_region[0][(d.over_in_pos[0] + 2) % 4]
     d = build_diagram(parse_pd(UNKNOT_KINK), outer_region=outer)
     exps = sorted(exponent_sum(l) for r, l in enumerate(build_d2(d))
                   if r != d.unbounded_region)
@@ -82,7 +81,7 @@ def test_check_d2_clean(text):
 def test_check_d2_detects_corruption():
     d = build_diagram(parse_pd(TREFOIL))
     labels = list(build_d2(d))
-    victim = d.bounded_regions()[0].id
+    victim = d.bounded_regions()[0]
     labels[victim] = word_mul(((0, 1),), labels[victim])
     rep = Representation.abelian()
     violations = check_d2(labels, d, rep)
@@ -119,7 +118,7 @@ def test_graph_counts_general(text):
     k = d.k
     assert (len(g.crossing_vertices), len(g.region_vertices)) == (k, k + 1)
     assert _vertex_count(g) == 2 * k + 2
-    outer_corners = len(d.regions[d.unbounded_region].corners)
+    outer_corners = len(d.regions[d.unbounded_region])
     corner_edges = [e for e in g.edges if e.origin[0] == "corner"]
     assert len(corner_edges) == 4 * k - outer_corners
     region_edges = [e for e in g.edges if e.origin[0].startswith("region")]
@@ -154,7 +153,7 @@ def test_kink_gives_parallel_edges():
     # The doubled corner lies on the two-corner face, so pick a one-corner
     # face as the outer region to keep it bounded.
     d0 = build_diagram(parse_pd(UNKNOT_KINK))
-    outer = next(r.id for r in d0.regions if len(r.corners) == 1)
+    outer = next(r for r, corners in enumerate(d0.regions) if len(corners) == 1)
     d, g = _graph(UNKNOT_KINK, outer_region=outer)
     assert _vertex_count(g) == 4  # 2k+2 with k = 1
     pairs = {}

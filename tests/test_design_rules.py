@@ -156,6 +156,16 @@ RULES = [
          "in one table. Fails on a vertex class, a vertex list, a kind field or a "
          "shape table in src/dehn.",
          "for v in graph.vertices:"),
+    Rule("One encoding of a crossing and a region", "**/*.py",
+         r"class (Crossing|Region)\b|\bc[12]_basis\b",
+         "A diagram holds each fact once, by position: crossing c is its edge "
+         "labels `pd.crossings[c]` and its over-in slot `over_in_pos[c]`, read "
+         "through the strand methods and `sign(c)` of `KnotDiagram`, and region r "
+         "is its corners `regions[r]`. The complex's dimensions are the lengths of "
+         "`d2_cols` and `d1_row`, and the vertex ids live in `DehnGraph` alone. "
+         "Fails on a crossing or region class, or on a basis of vertex ids, in "
+         "src/dehn.",
+         "class Crossing(Value):\n    c2_basis: Tuple[str, ...]\n"),
     Rule("One trace path in the library", "**/*.py",
          r"base_trace|def weights|def functional", _ONE_TRACE_PATH,
          "t = cx.base_trace"),

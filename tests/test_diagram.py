@@ -1,12 +1,13 @@
 import pytest
 
 from conftest import (CORPUS, FIG8, FIG8_KINKED, HOPF_LINK, NON_ASCII_TREFOILS, NON_PLANAR,
-                      TAILLESS_EDGES, TREFOIL, TREFOIL_FORMS, TREFOIL_KINKED, UNKNOT_KINK,
-                      connected_sum, pipeline, torus_pd)
+                      PADDED_TREFOILS, TAILLESS_EDGES, TREFOIL, TREFOIL_FORMS, TREFOIL_KINKED,
+                      UNKNOT_KINK, _incoming, connected_sum, pipeline, torus_pd)
 from dehn.diagram import KnotDiagram, build_diagram, choose_unbounded, parse_pd, wirtinger
 from dehn.errors import (ConfigError, MultiComponentError, NotPlanarError,
                          PDLabelError, PDSyntaxError)
 from dehn.words import exponent_sum
+from test_golden import COMPOSITE_48
 
 # -- parsing ----------------------------------------------------------------
 
@@ -47,9 +48,11 @@ def test_parse_syntax_errors():
     for sep in ("\n", "\r\n"):
         with pytest.raises(PDSyntaxError, match="X-form"):
             parse_pd(sep.join(["X(1,4,2,5)", "foo", "X(3,6,4,1)", "X(5,2,6,3)"]))
-    # Labels and separators are ASCII in every form.
-    assert all(parse_pd(text) == parse_pd(TREFOIL) for text in TREFOIL_FORMS)
-    for text in NON_ASCII_TREFOILS:
+    # Labels, separators and the whitespace around them are ASCII in every form.
+    pad = " \t\n\r\f\v"
+    assert all(parse_pd(text) == parse_pd(pad + text + pad) == parse_pd(TREFOIL)
+               for text in TREFOIL_FORMS)
+    for text in NON_ASCII_TREFOILS + PADDED_TREFOILS:
         with pytest.raises(PDSyntaxError):
             parse_pd(text)
 
@@ -91,25 +94,55 @@ def test_fig8_counts():
 
 def test_trefoil_signs_all_negative():
     d = build_diagram(parse_pd(TREFOIL))
-    assert [c.sign for c in d.crossings] == [-1, -1, -1]
+    assert [d.sign(c) for c in range(d.k)] == [-1, -1, -1]
 
 
 def test_fig8_writhe_zero():
     d = build_diagram(parse_pd(FIG8))
-    assert sum(c.sign for c in d.crossings) == 0
+    assert sum(d.sign(c) for c in range(d.k)) == 0
 
 
 @pytest.mark.parametrize("name,text", sorted(CORPUS.items()))
 def test_face_and_corner_counts(name, text):
     d = build_diagram(parse_pd(text))
     assert len(d.regions) == d.k + 2
-    assert sum(len(r.corners) for r in d.regions) == 4 * d.k
+    assert sum(map(len, d.regions)) == 4 * d.k
     assert d.arc_count == d.k
     # every corner sits in exactly one region
     assert len(d.corner_region) == d.k and all(len(c) == 4 for c in d.corner_region)
-    assert sorted(p for r in d.regions for p in r.corners) == [
+    assert sorted(p for corners in d.regions for p in corners) == [
         (c, p) for c in range(d.k) for p in range(4)]
-    assert all(d.corner_region[c][p] == r.id for r in d.regions for c, p in r.corners)
+    assert all(d.corner_region[c][p] == r for r, corners in enumerate(d.regions)
+               for c, p in corners)
+
+
+STRAND_KNOTS = dict(CORPUS, **{"3_1-kinked": TREFOIL_KINKED, "4_1-kinked": FIG8_KINKED},
+                    **{f"T(2,{n})": torus_pd(n) for n in range(3, 32, 2)},
+                    composite_48=COMPOSITE_48)
+
+
+@pytest.mark.parametrize("text", STRAND_KNOTS.values(), ids=STRAND_KNOTS)
+def test_strands_and_regions_are_read_by_position(text):
+    # The over-strand enters at the slot where its label has the other over
+    # label as successor; at k = 1 both do, and the slot holding the under-out
+    # label is the incoming one (DERIVATION.md §1). The strand methods and the
+    # sign read that slot off pd.crossings, and the regions partition the
+    # corners, corner_region being the inverse map.
+    d = build_diagram(parse_pd(text))
+    for c, crossing in enumerate(d.pd.crossings):
+        if d.k == 1:
+            slot = 1 if crossing[1] == crossing[2] else 3
+        else:
+            slot = 1 if _incoming(crossing, 1, 2 * d.k) else 3
+        assert d.over_in_pos[c] == slot, c
+        assert (d.under_in(c), d.over_in(c), d.under_out(c), d.over_out(c)) == (
+            crossing[0], crossing[slot], crossing[2], crossing[(slot + 2) % 4]), c
+        assert d.sign(c) == (-1 if slot == 1 else 1), c
+    assert len(d.over_in_pos) == d.k
+    corners = sorted(corner for region in d.regions for corner in region)
+    assert corners == [(c, p) for c in range(d.k) for p in range(4)]
+    assert {corner: r for r, region in enumerate(d.regions) for corner in region} == {
+        (c, p): r for c, regions in enumerate(d.corner_region) for p, r in enumerate(regions)}
 
 
 @pytest.mark.parametrize("text", sorted(CORPUS.values()) + [TREFOIL_KINKED, FIG8_KINKED]
@@ -119,7 +152,7 @@ def test_arcs_are_maximal_over_strand_runs(text):
     # e and succ(e) share an arc iff e enters a crossing over, and the arcs
     # are numbered by their least edge.
     d = build_diagram(parse_pd(text))
-    edges, over_in = range(1, 2 * d.k + 1), {c.over_in for c in d.crossings}
+    edges, over_in = range(1, 2 * d.k + 1), set(map(d.over_in, range(d.k)))
     assert d.arc_count == d.k and len(d.arc_of_edge) == 2 * d.k
     for e in edges:
         assert (d.arc(e) == d.arc(d.pd.succ(e))) == (e in over_in or d.k == 1)
@@ -131,8 +164,8 @@ def test_every_edge_has_one_head_and_one_tail():
     for text in CORPUS.values():
         d = build_diagram(parse_pd(text))
         # An edge leaves a crossing at its under-out slot 2 or its over-out slot.
-        tail = sorted((c.edges[p], (c.id, p))
-                      for c in d.crossings for p in (2, (c.over_in_pos + 2) % 4))
+        tail = sorted((d.pd.crossings[c][p], (c, p))
+                      for c in range(d.k) for p in (2, (d.over_in_pos[c] + 2) % 4))
         assert [e for e, _ in tail] == list(range(1, 2 * d.k + 1))
         assert d.edge_tail == tuple(slot for _, slot in tail)
 
@@ -141,7 +174,7 @@ def test_left_region_consistent_at_both_ends():
     for text in CORPUS.values():
         d = build_diagram(parse_pd(text))
         # An edge enters a crossing at its under-in slot 0 or its over-in slot.
-        head = {c.edges[p]: (c.id, p) for c in d.crossings for p in (0, c.over_in_pos)}
+        head = {d.pd.crossings[c][p]: (c, p) for c in range(d.k) for p in (0, d.over_in_pos[c])}
         assert sorted(head) == list(range(1, 2 * d.k + 1))
         for e in range(1, 2 * d.k + 1):
             hc, hp = head[e]
@@ -168,7 +201,7 @@ def test_edge_entered_at_two_crossings_rejected(text):
 
 def test_default_unbounded_rule():
     d = build_diagram(parse_pd(TREFOIL))
-    sizes = {r.id: len(r.corners) for r in d.regions}
+    sizes = dict(enumerate(map(len, d.regions)))
     best = max(sizes.values())
     expected = min(rid for rid, n in sizes.items() if n == best)
     assert d.unbounded_region == expected
@@ -180,7 +213,7 @@ def test_outer_region_override():
     assert d.unbounded_region == 4
     d2 = build_diagram(parse_pd(TREFOIL), outer_region=1)
     assert d2.unbounded_region == 1
-    assert d2 == KnotDiagram(d.pd, d.crossings, d.arc_count, d.arc_of_edge, d.regions, 1,
+    assert d2 == KnotDiagram(d.pd, d.over_in_pos, d.arc_count, d.arc_of_edge, d.regions, 1,
                              d.corner_region, d.edge_tail)
 
 

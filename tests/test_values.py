@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import dehn
-from conftest import FIG8_KINKED, TREFOIL, torus_pd
+from conftest import FIG8_KINKED, TREFOIL, replaced, torus_pd
 from dehn._value import Value, _set
 from dehn.cli import _Parser
 from dehn.diagram import wirtinger
@@ -25,8 +25,8 @@ def knot_values(text: str = TREFOIL) -> dict:
     trefoil by default. Reading `tor.raw` and `propagator.g2` fills their
     cached Q(t) forms, so the run's copies and pickles carry them."""
     run = run_pipeline(text)
-    values = [run.pd, run.diagram.crossings[0], run.diagram.regions[0], run.diagram,
-              wirtinger(run.diagram), run.graph.edges[0].label, run.graph.edges[0], run.graph, run.complex, check_exactness(run.complex),
+    values = [run.pd, run.diagram, wirtinger(run.diagram), run.graph.edges[0].label,
+              run.graph.edges[0], run.graph, run.complex, check_exactness(run.complex),
               run.propagator, run.tor, run.d, run.alexander, run, run.alexander.poly,
               run.tor.raw, run.propagator.g2, run.rep]
     return {type(v).__name__: v for v in values}
@@ -136,10 +136,11 @@ def test_every_field_is_immutable(name):
 @pytest.mark.parametrize("part", [[1], {1: 2}, {1}, bytearray(b"1")],
                          ids=["list", "dict", "set", "bytearray"])
 def test_the_walk_finds_a_mutable_part(part):
-    value = knot_values()["Region"]
-    deep = type(value)(value.id, (value.corners[0], (0, part)))
-    assert list(mutable_parts(deep, "Region")) == [
-        f"Region.corners[1][1]: {type(part).__name__}"]
+    value = knot_values()["KnotDiagram"]
+    corners = value.regions[0]
+    deep = replaced(value, regions=((corners[0], (0, part)),) + value.regions[1:])
+    assert list(mutable_parts(deep, "KnotDiagram")) == [
+        f"KnotDiagram.regions[0][1][1]: {type(part).__name__}"]
 
 
 def test_equal_runs_hash_equal_and_hold_no_editable_field():
