@@ -140,7 +140,7 @@ def _check_one(task) -> dict:
     checks["faces"] = len(diagram.regions) == diagram.k + 2
     checks["d1_d2_zero"] = exact
     sums_ok = True
-    for labels in run.d1_labels:
+    for labels in run.graph.d1:
         # Each corner label maps to sign * t^e, and the four at a crossing
         # sum to zero iff their signs cancel at every exponent e.
         signs: Dict[int, int] = {}

@@ -2,12 +2,14 @@
 from them (DERIVATION.md §1).
 
 The graph has one vertex per crossing (index 2), one per bounded region
-(index 1) and one basepoint (index 0), always "inf"; a `DehnGraph` holds
-the ids of the first two groups in order.
+(index 1) and one basepoint (index 0), always "inf". A `DehnGraph` holds
+the diagram and its two labelings alone; its vertex ids and edges are read
+off them by position.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from ._value import Value, _set
@@ -21,8 +23,8 @@ class GroupRingTerm(Value):
     sign: int
     word: Word
 
-    # GroupRingTerm and Edge are built by the dozen per knot; a fixed
-    # signature sets their fields in 1/2 and 2/3 of `Value.__init__`'s time.
+    # Four GroupRingTerms are built per crossing; a fixed signature sets
+    # their fields in about 3/5 of the time of `Value.__init__`.
     def __init__(self, sign: int, word: Word, /):
         _set(self, "sign", sign)
         _set(self, "word", word)
@@ -97,23 +99,51 @@ class Edge(Value):
     label: GroupRingTerm
     origin: Tuple  # ("corner", crossing, pos) | ("region_plus"|"region_minus", region)
 
-    def __init__(self, source: str, target: str, label: GroupRingTerm, origin: Tuple, /):
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "label", label)
-        _set(self, "origin", origin)
-
-
-class DehnGraph(Value):
-    crossing_vertices: Tuple[str, ...]  # index 2, the basis of C_2
-    region_vertices: Tuple[str, ...]  # index 1, the basis of C_1
-    edges: Tuple[Edge, ...]
-    arc_names: Tuple[str, ...]
-
 
 BASEPOINT = "inf"  # the one vertex of index 0
 # A vertex's Morse index -> its kind and its DOT shape.
 _KINDS = {2: ("crossing", "box"), 1: ("region", "ellipse"), 0: ("basepoint", "doublecircle")}
+
+
+class DehnGraph(Value):
+    """A diagram and its two labelings (DERIVATION.md §1). The vertex ids,
+    edges and arc names are views of them, built on first read."""
+
+    diagram: KnotDiagram
+    d1: CornerLabeling
+    d2: RegionLabeling
+
+    @cached_property
+    def crossing_vertices(self) -> Tuple[str, ...]:
+        """The index-2 vertex ids, one per crossing: the basis of C_2."""
+        return tuple(f"p{c}" for c in range(self.diagram.k))
+
+    @cached_property
+    def region_vertices(self) -> Tuple[str, ...]:
+        """The index-1 vertex ids, one per bounded region in id order: the
+        basis of C_1."""
+        return tuple(f"q{i}" for i in range(len(self.diagram.regions) - 1))
+
+    @cached_property
+    def edges(self) -> Tuple[Edge, ...]:
+        """One edge per corner in a bounded region, crossing by crossing,
+        then a +1 and a minus-label edge from each bounded region to the
+        basepoint."""
+        d = self.diagram
+        bounded = d.bounded_regions()
+        vertex = dict(zip(bounded, self.region_vertices))
+        edges = [Edge(self.crossing_vertices[c], vertex[r], self.d1[c][p], ("corner", c, p))
+                 for c, regions in enumerate(d.corner_region)
+                 for p, r in enumerate(regions) if r != d.unbounded_region]
+        for r in bounded:
+            edges.append(Edge(vertex[r], BASEPOINT, GroupRingTerm(1, ()), ("region_plus", r)))
+            edges.append(Edge(vertex[r], BASEPOINT, GroupRingTerm(-1, self.d2[r]),
+                              ("region_minus", r)))
+        return tuple(edges)
+
+    @cached_property
+    def arc_names(self) -> Tuple[str, ...]:
+        return tuple(generator_name(i) for i in range(self.diagram.arc_count))
 
 
 def _indexed_vertices(graph: DehnGraph) -> List[Tuple[str, int]]:
@@ -124,23 +154,7 @@ def _indexed_vertices(graph: DehnGraph) -> List[Tuple[str, int]]:
 
 def build_dehn_graph(diagram: KnotDiagram, d1: CornerLabeling,
                      d2: RegionLabeling) -> DehnGraph:
-    bounded = diagram.bounded_regions()
-    crossing_vertex = tuple(f"p{c}" for c in range(diagram.k))
-    region_vertex = {r: f"q{i}" for i, r in enumerate(bounded)}
-    edges: List[Edge] = []
-    for c, corner_regions in enumerate(diagram.corner_region):
-        for pos, region in enumerate(corner_regions):
-            if region == diagram.unbounded_region:
-                continue
-            edges.append(Edge(crossing_vertex[c], region_vertex[region],
-                              d1[c][pos], ("corner", c, pos)))
-    for r in bounded:
-        edges.append(Edge(region_vertex[r], BASEPOINT,
-                          GroupRingTerm(1, ()), ("region_plus", r)))
-        edges.append(Edge(region_vertex[r], BASEPOINT,
-                          GroupRingTerm(-1, d2[r]), ("region_minus", r)))
-    arc_names = tuple(generator_name(i) for i in range(diagram.arc_count))
-    return DehnGraph(crossing_vertex, tuple(region_vertex.values()), tuple(edges), arc_names)
+    return DehnGraph(diagram, d1, d2)
 
 
 def export_dot(graph: DehnGraph) -> str:

@@ -48,12 +48,17 @@ class PDCode(Value):
 def parse_pd(text: str) -> PDCode:
     """Parse bracket form "[[1,4,2,5],...]" or X-form "X(1,4,2,5) ..." (also
     "PD[X[1,4,2,5], ...]"); labels, separators and the whitespace around
-    them are ASCII. A malformed text is a `PDSyntaxError`, a label set other
-    than 1..2k each twice a `PDLabelError`, and strands that do not chain a
-    `MultiComponentError` (DERIVATION.md §1)."""
+    them are ASCII, and the first character picks the form. A malformed text
+    is a `PDSyntaxError`, a label set other than 1..2k each twice a
+    `PDLabelError`, and strands that do not chain a `MultiComponentError`
+    (DERIVATION.md §1)."""
     text = text.strip(ASCII_WHITESPACE)
     if not text:
         raise PDSyntaxError("empty PD text")
+    # The first character picks the form; one outside ASCII belongs to neither.
+    if not text[0].isascii():
+        raise PDSyntaxError(f"PD text starts with U+{ord(text[0]):04X}, "
+                            "outside the ASCII grammar")
     # CPython (3.11, and 3.10.7 on) converts no integer of more digits than
     # its limit; where there is none, the label check refuses such a label.
     # Only a text longer than the limit can hold one.
@@ -62,7 +67,7 @@ def parse_pd(text: str) -> PDCode:
         digits = max(map(len, re.findall(r"\d+", text, flags=re.ASCII)), default=0)
         if digits > limit:
             raise PDSyntaxError(f"PD label of {digits} digits exceeds the limit of {limit} digits")
-    if text.startswith("["):
+    if text[0] == "[":
         try:
             data = json.loads(text)
         except (ValueError, RecursionError) as exc:  # also nested too deep

@@ -21,7 +21,7 @@ from ._value import Value
 from .algebra import (IntPoly, _products_cancel, _trim, _unpack,
                       fraction_free_back_substitution, fraction_free_elimination,
                       is_diagonal_product, poly_add, product_headroom)
-from .dehngraph import BASEPOINT, DehnGraph
+from .dehngraph import DehnGraph
 from .errors import DehnError
 from .words import Word, exponent_sum
 
@@ -137,38 +137,34 @@ class ChainComplex(Value):
 
 
 def build_complex(graph: DehnGraph, rep: Representation) -> ChainComplex:
-    """The complex of a Dehn graph under `rep` (DERIVATION.md §2): each
-    edge's term sign * t^e added into its entry over Z[t], the d1 terms
-    shifted by t^a, a = max(0, -least e). An edge that runs neither from a
-    crossing to a region nor from a region to the basepoint, or a d2 label
-    that maps to a negative power of t, is a `DehnError` naming it."""
-    c2_pos = {vid: i for i, vid in enumerate(graph.crossing_vertices)}
-    c1_pos = {vid: i for i, vid in enumerate(graph.region_vertices)}
-    d2: List[Dict[int, IntPoly]] = [{} for _ in c2_pos]
-    d1_terms = []
-    for e in graph.edges:
-        m = rep.exponent(e.label.word)
-        if e.target == BASEPOINT and e.source in c1_pos:
-            d1_terms.append((c1_pos[e.source], e.label.sign, m))
-            continue
-        if e.source not in c2_pos or e.target not in c1_pos:
-            raise DehnError(f"edge {e.source} -> {e.target} runs neither from a "
-                            "crossing to a region nor from a region to the basepoint")
-        if m < 0:
-            raise DehnError(f"edge {e.source} -> {e.target} has label {e.label}, "
-                            f"which maps to t^{m}: a boundary entry of d2 must be "
-                            "a polynomial in t")
-        entry = d2[c2_pos[e.source]].setdefault(c1_pos[e.target], [])
-        entry.extend([0] * (m + 1 - len(entry)))
-        entry[m] += e.label.sign
-    a = max([0] + [-m for _, _, m in d1_terms])
-    d1: List[IntPoly] = [[] for _ in c1_pos]
-    for j, sign, m in d1_terms:
-        d1[j] = poly_add(d1[j], [sign], shift=m + a)
-    # Terms that cancel leave zeros to trim, and an entry trimmed to zero is left out.
-    return ChainComplex(tuple(tuple((i, tuple(x)) for i, x in sorted(col.items()) if _trim(x))
-                              for col in d2),
-                        (0,) * a + (1,), tuple(tuple(x) for x in d1))
+    """The complex of a Dehn graph under `rep`, read off its labelings by
+    position (DERIVATION.md §2): column c of d2 is crossing c, and row i of
+    d2 and d1 the i-th bounded region q. The d2 entry at (q, c) is the sum of
+    the images sign * t^e of c's corner labels in q, and d1[q] is 1 minus the
+    image of q's label, both d1 terms shifted by t^a, a = max(0, -least e). A
+    corner label that maps to a negative power of t is a `DehnError` naming
+    the corner."""
+    u = graph.diagram.unbounded_region
+    d2 = []
+    for c, (labels, regions) in enumerate(zip(graph.d1, graph.diagram.corner_region)):
+        col: Dict[int, IntPoly] = {}
+        for p, (label, r) in enumerate(zip(labels, regions)):
+            if r == u:
+                continue
+            m = rep.exponent(label.word)
+            if m < 0:
+                raise DehnError(f"corner {p} of crossing {c} has label {label}, which "
+                                f"maps to t^{m}: a boundary entry of d2 must be a "
+                                "polynomial in t")
+            entry = col.setdefault(r - (r > u), [])  # u has no row
+            entry.extend([0] * (m + 1 - len(entry)))
+            entry[m] += label.sign
+        # Terms that cancel leave zeros to trim, and an entry trimmed to zero is left out.
+        d2.append(tuple((i, tuple(x)) for i, x in sorted(col.items()) if _trim(x)))
+    ms = [rep.exponent(graph.d2[r]) for r in graph.diagram.bounded_regions()]
+    a = max([0] + [-m for m in ms])
+    den = (0,) * a + (1,)
+    return ChainComplex(tuple(d2), den, tuple(tuple(poly_add(den, [-1], shift=m + a)) for m in ms))
 
 
 def _certify_inverse(cx: ChainComplex, x: List[List[int]]) -> None:

@@ -5,8 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ._value import Value
-from .dehngraph import (CornerLabeling, DehnGraph, RegionLabeling, build_d1,
-                        build_d2, build_dehn_graph, check_d2)
+from .dehngraph import DehnGraph, build_d1, build_d2, build_dehn_graph, check_d2
 from .diagram import KnotDiagram, PDCode, build_diagram, parse_pd, wirtinger
 from .errors import NotExactError, RegionLabelError
 from .invariants import (DefectValue, Propagator, TorsionValue,
@@ -22,8 +21,6 @@ SCHEMA_VERSION = 1
 class PipelineRun(Value):
     pd: PDCode
     diagram: KnotDiagram
-    d1_labels: CornerLabeling
-    d2_labels: RegionLabeling
     graph: DehnGraph
     rep: Representation
     complex: ChainComplex
@@ -65,11 +62,9 @@ def run_pipeline(pd_text: str, outer_region: Optional[int] = None) -> PipelineRu
     """
     pd = parse_pd(pd_text)
     diagram = build_diagram(pd, outer_region=outer_region)
-    d1_labels = build_d1(diagram)
-    d2_labels = build_d2(diagram)
-    graph = build_dehn_graph(diagram, d1_labels, d2_labels)
+    graph = build_dehn_graph(diagram, build_d1(diagram), build_d2(diagram))
     rep = Representation.abelian()
-    violations = check_d2(d2_labels, diagram, rep)
+    violations = check_d2(graph.d2, diagram, rep)
     if violations:
         raise RegionLabelError(f"region labeling is inconsistent: {violations}")
     cx = build_complex(graph, rep)
@@ -80,7 +75,7 @@ def run_pipeline(pd_text: str, outer_region: Optional[int] = None) -> PipelineRu
     tor = torsion(g)
     d = defect(g)
     alex = fox_alexander(wirtinger(diagram))
-    return PipelineRun(pd, diagram, d1_labels, d2_labels, graph, rep, cx, g, tor, d, alex,
+    return PipelineRun(pd, diagram, graph, rep, cx, g, tor, d, alex,
                        check_lescop_relation(tor, d), milnor_check(tor, alex))
 
 

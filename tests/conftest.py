@@ -4,6 +4,7 @@ and the reference implementations that the library is tested against."""
 import functools
 import itertools
 import json
+import re
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -427,14 +428,22 @@ def replaced(value, **fields):
 
 
 def relabeled(graph, origin, **label):
-    """A copy of a Dehn graph whose edge at `origin` has the fields `label`
-    of its label replaced, the word freely reduced: how the tests build a
-    graph that no diagram makes."""
-    def edit(e):
-        new = replaced(e.label, **label)
-        return replaced(e, label=replaced(new, word=free_reduce(new.word)))
-    return replaced(graph, edges=tuple(edit(e) if e.origin == origin else e
-                                       for e in graph.edges))
+    """A copy of a Dehn graph with one label edited, its word freely reduced:
+    how the tests build a graph that no diagram makes. At ("corner", c, p)
+    the fields `label` of corner p's label at crossing c are replaced, at
+    ("region", r) region r's label becomes `label["word"]`."""
+    if origin[0] == "region":
+        r = origin[1]
+        return replaced(graph, d2=_put(graph.d2, r, free_reduce(label["word"])))
+    _, c, p = origin
+    new = replaced(graph.d1[c][p], **label)
+    new = replaced(new, word=free_reduce(new.word))
+    return replaced(graph, d1=_put(graph.d1, c, _put(graph.d1[c], p, new)))
+
+
+def _put(items, i, item):
+    """The tuple `items` with item i replaced by `item`."""
+    return items[:i] + (item,) + items[i + 1:]
 
 
 def eliminate(cx, order):
@@ -833,3 +842,171 @@ def find_basis_permutation(ours, fixture):
                        for i in range(n_regions)):
                 return rperm, cperm
     return None
+
+
+# -- a component walk and an Alexander oracle that import nothing from dehn ------
+#
+# These read a PD code's labels with the standard library alone, so that a
+# fault in the library's parser, diagram or complex cannot move them and the
+# library alike.
+
+
+def pd_crossings(text):
+    """The crossings of a PD text that `parse_pd` accepts, in any of its
+    forms, as lists of four labels: its ASCII digit runs, four at a time."""
+    labels = [int(x) for x in re.findall(r"[0-9]+", text)]
+    return [labels[i:i + 4] for i in range(0, len(labels), 4)]
+
+
+def pd_components(crossings):
+    """The number of components of the link a PD code draws, by a walk of
+    its labels: crossing (a, b, c, d) joins edge a to edge c, its
+    under-strand, and edge b to edge d, its over-strand, and a component is
+    a class of edges that the joins connect."""
+    joined = {}
+    for a, b, c, d in crossings:
+        for x, y in ((a, c), (b, d)):
+            joined.setdefault(x, set()).add(y)
+            joined.setdefault(y, set()).add(x)
+    seen, count = set(), 0
+    for start in joined:
+        if start in seen:
+            continue
+        count, stack = count + 1, [start]
+        seen.add(start)
+        while stack:
+            for y in joined[stack.pop()] - seen:
+                seen.add(y)
+                stack.append(y)
+    return count
+
+
+def pd_faces(crossings):
+    """The faces of a PD code's counterclockwise rotation system, as a map
+    from each corner (c, p), between positions p and p + 1 of crossing c, to
+    its face, and the face count.
+
+    Standing at crossing c and facing out along the edge at position p + 1,
+    position p lies clockwise, on the right, so corner (c, p)'s face is on
+    the right of a walk out along that edge. The walk arrives at the edge's
+    other slot (c', q) facing in, and on its right lies the side of q that
+    is counterclockwise from it: the face's next corner is (c', q), and the
+    walk goes on out along position q + 1."""
+    slots = {}
+    for c, labels in enumerate(crossings):
+        for q, e in enumerate(labels):
+            slots.setdefault(e, []).append((c, q))
+    face_of, count = {}, 0
+    for corner in itertools.product(range(len(crossings)), range(4)):
+        if corner in face_of:
+            continue
+        while corner not in face_of:
+            face_of[corner] = count
+            c, p = corner
+            out = (c, (p + 1) % 4)
+            here, there = slots[crossings[c][out[1]]]
+            corner = there if here == out else here
+        count += 1
+    return face_of, count
+
+
+def alexander_matrix_delta(text):
+    """Delta of a knot, up to units, from Alexander's crossing-region matrix
+    (Alexander, Trans. AMS 30, 1928): one row per crossing, one column per
+    face, and at each corner one of t, -t, 1 and -1, added into the entry of
+    its face. With two adjacent columns deleted, the determinant is
+    +-t^m * Delta. Coefficients over Z, constant term first.
+
+    The corner rule, from Dehn's presentation. Its generators are the faces,
+    the unbounded one the identity, and crossing an arc x from its left to
+    its right multiplies a face's element on the left by x. Let the over
+    arc x run up through a crossing, and name the faces by their corner: BL
+    and BR before the crossing, left and right of x, AL and AR after it.
+    Then BR = x BL and AR = x AL, so the crossing's relator is
+    r = BR BL^-1 AL AR^-1. Its Fox derivatives, with each face sent to t
+    to the power of its exponent sum, which rises by 1 across x from left
+    to right, are dr/dBR = 1, dr/dBL = -BR BL^-1 = -t, dr/dAL = BR BL^-1 = t
+    and dr/dAR = -r = -1. The positions run counterclockwise; with o the
+    over-strand's incoming position, below the crossing when x runs up,
+    position o + 1 is on the right of x. So corner o (from o to o + 1) is
+    BR: 1, corner o + 1 is AR: -1, corner o + 2 is AL: t, and corner o - 1
+    is BL: -t. The Fox matrix of the relators, with the identity's column
+    deleted, presents the Alexander module; deleting one more column, of a
+    face adjacent to the unbounded one, leaves Delta up to units, and any
+    two adjacent faces may take their place (Alexander 1928)."""
+    crossings = pd_crossings(text)
+    k = len(crossings)
+    face_of, count = pd_faces(crossings)
+    assert count == k + 2, f"{count} faces, not {k + 2}: the code is not planar"
+    rows = []
+    for c, crossing in enumerate(crossings):
+        o = 1 if _incoming(crossing, 1, 2 * k) else 3
+        row = [[0, 0] for _ in range(count)]
+        for p, entry in ((o, (1, 0)), (o + 1, (-1, 0)), (o + 2, (0, 1)), (o - 1, (0, -1))):
+            for i, x in enumerate(entry):
+                row[face_of[c, p % 4]][i] += x
+        rows.append(row)
+    # The faces on either side of the edge at crossing 0's position 0.
+    dropped = {face_of[0, 0], face_of[0, 3]}
+    assert len(dropped) == 2
+    return zt_det([[x for f, x in enumerate(row) if f not in dropped] for row in rows])
+
+
+def zt_det(matrix):
+    """The determinant of a square matrix over Z[t] with entries of degree at
+    most 1, as a coefficient list: its values at t = 0..n, each by
+    Bareiss's fraction-free elimination over Z, interpolated by Newton's
+    divided differences over Q."""
+    n = len(matrix)
+    values = [int_det([[e[0] + e[1] * x for e in row] for row in matrix])
+              for x in range(n + 1)]
+    # Newton's coefficients at the nodes 0..n, then his form expanded.
+    coeffs = [Fraction(v) for v in values]
+    for j in range(1, n + 1):
+        for i in range(n, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / j
+    poly = [coeffs[n]]
+    for i in range(n - 1, -1, -1):  # poly * (t - i) + coeffs[i]
+        poly = [a - i * b for a, b in zip([Fraction(0)] + poly, poly + [Fraction(0)])]
+        poly[0] += coeffs[i]
+    assert all(c.denominator == 1 for c in poly)
+    return [int(c) for c in poly]
+
+
+def int_det(m):
+    """The determinant of a square integer matrix by Bareiss's fraction-free
+    elimination: every division is exact."""
+    m = [list(row) for row in m]
+    sign, prev = 1, 1
+    for k in range(len(m)):
+        p = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            m[k], m[p], sign = m[p], m[k], -sign
+        top = m[k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k]
+            m[i] = [(a * top[k] - f * b) // prev for a, b in zip(m[i], top)]
+        prev = top[k]
+    return sign * prev
+
+
+def zt_mul(a, b):
+    """The product of two coefficient lists over Z, schoolbook."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def unit_free(p):
+    """A coefficient list over Z with the units +-t^m divided out: no zero
+    lowest or leading coefficient, and a positive lowest one. Two lists are
+    equal up to units iff their unit-free forms are equal."""
+    nonzero = [i for i, c in enumerate(p) if c]
+    if not nonzero:
+        return ()
+    p = p[nonzero[0]:nonzero[-1] + 1]
+    return tuple(c if p[0] > 0 else -c for c in p)

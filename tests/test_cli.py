@@ -14,11 +14,14 @@ from hypothesis import strategies as st
 
 import dehn
 from conftest import (FIG8, HOPF_LINK, NON_ASCII_TREFOILS, NON_PLANAR, PADDED_TREFOILS,
-                      TAILLESS_EDGES, TREFOIL, UNKNOT_KINK, replaced, selectable, torus_pd)
+                      TAILLESS_EDGES, TREFOIL, UNKNOT_KINK, alexander_matrix_delta,
+                      pd_components, pd_crossings, replaced, selectable, torus_pd, unit_free)
 from dehn.algebra import poly_add
 from dehn.cli import _worker_count, main
 from dehn.dehngraph import GroupRingTerm, build_d1, build_d2, build_dehn_graph, export_dot
-from dehn.diagram import build_diagram, parse_pd
+from dehn.diagram import build_diagram, parse_pd, wirtinger
+from dehn.errors import DehnError
+from dehn.oracle import fox_alexander
 from dehn.pipeline import run_pipeline
 
 
@@ -247,11 +250,11 @@ def test_a_corrupted_corner_label_fails_check(capsys, monkeypatch, edit):
 
     def corrupted(*args):
         run = run_at(*args)
-        first, *rest = run.d1_labels
+        first, *rest = run.graph.d1
         label = first[0]
         label = (GroupRingTerm(-label.sign, label.word) if edit == "sign" else
                  GroupRingTerm(label.sign, label.word + ((0, 1),)))
-        return replaced(run, d1_labels=((label, *first[1:]), *rest))
+        return replaced(run, graph=replaced(run.graph, d1=((label, *first[1:]), *rest)))
 
     monkeypatch.setattr(dehn.cli, "run_pipeline", corrupted)
     for text in (TREFOIL, torus_pd(9)):
@@ -299,6 +302,21 @@ def test_parse_error_exit_code(capsys):
     for text in ("[[1,4,2", "X(1,2", *NON_ASCII_TREFOILS, *PADDED_TREFOILS):
         for command in ("compute", "graph", "check", "oracle"):
             assert refused(capsys, command, text, 2)["type"] == "PDSyntaxError"
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param("\u3000[[1,4,2,5],[3,6,4,1],[5,2,6,3]]",
+                 "PD text starts with U+3000, outside the ASCII grammar", id="bracket-U+3000"),
+    pytest.param("\u00a0X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)\u00a0",
+                 "PD text starts with U+00A0, outside the ASCII grammar", id="X-form-U+00A0"),
+])
+def test_a_padded_text_is_refused_by_its_first_character(capsys, text, message):
+    # The first character picks the form, so a text that starts with a
+    # non-ASCII space is refused by naming that character: a bracket form
+    # is not reported as a malformed X form.
+    for command in ("compute", "graph", "check", "oracle"):
+        assert refused(capsys, command, text, 2) == {
+            "type": "PDSyntaxError", "message": message, "exit_code": 2}, command
 
 
 @pytest.mark.parametrize("command", ["compute", "graph", "check", "oracle"])
@@ -553,7 +571,9 @@ def _quiet_main(*argv):
 def test_cli_on_label_valid_codes(text):
     # Every code is a knot (exit 0, every check true), a rejected input
     # (exit 2) or a non-planar one (exit 3), and the four subcommands agree
-    # on which; a failure is one JSON line on stderr, never a traceback.
+    # on which; a failure is one JSON line on stderr, never a traceback. A
+    # code the front end accepts draws one component, and its Delta is that
+    # of Alexander's crossing-region matrix, up to units.
     codes = set()
     for command in ("compute", "graph", "check", "oracle"):
         code, out, err = _quiet_main(command, "--pd", text)
@@ -567,6 +587,7 @@ def test_cli_on_label_valid_codes(text):
             assert out == "" and len(err.splitlines()) == 1
             assert json.loads(err)["error"]["exit_code"] == code
     assert len(codes) == 1, (text, codes)
+    assert_a_knot_if_accepted(text)
 
 
 # -- the CLI on mutated codes ---------------------------------------------------
@@ -596,6 +617,20 @@ def mutated_pd(draw):
     return "".join(text)
 
 
+def assert_a_knot_if_accepted(text):
+    """A text that the front end accepts, `parse_pd` and then
+    `build_diagram`, draws one component by conftest's walk of its labels,
+    and its Fox Delta is that of Alexander's crossing-region matrix, up to
+    units: a link or a misread code is refused, never given a knot's verdict."""
+    try:
+        diagram = build_diagram(parse_pd(text))
+    except DehnError:
+        return
+    assert pd_components(pd_crossings(text)) == 1, text
+    delta = fox_alexander(wirtinger(diagram)).coeffs
+    assert unit_free(delta) == unit_free(alexander_matrix_delta(text)), text
+
+
 def obeys_the_contract(command, code, out, err):
     """Check one call's exit code and streams against the error contract and
     return its error, None for a result: every subcommand ends with an exit
@@ -614,9 +649,11 @@ def obeys_the_contract(command, code, out, err):
 
 @settings(max_examples=300, deadline=None)
 @given(mutated_pd())
+@example(HOPF_LINK)
 def test_cli_on_mutated_codes(text):
     for command in ("compute", "graph", "check", "oracle"):
         obeys_the_contract(command, *_quiet_main(command, "--pd", text))
+    assert_a_knot_if_accepted(text)
 
 
 # -- the CLI on mutated batch files ---------------------------------------------
@@ -698,6 +735,7 @@ def test_cli_on_mutated_files(batch_path, lines, bom, command):
         return
     codes = []
     for n, text in knots:
+        assert_a_knot_if_accepted(text)
         alone = _quiet_main(command, "--pd", text)
         first = obeys_the_contract(command, *alone)
         if first is not None:

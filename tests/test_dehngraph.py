@@ -2,8 +2,8 @@ import pytest
 
 from conftest import CORPUS, TREFOIL, UNKNOT_KINK, qt_add, qt_image
 from dehn.algebra import RatFunc
-from dehn.dehngraph import (BASEPOINT, build_d1, build_d2, build_dehn_graph, check_d2,
-                            export_dot, graph_to_json)
+from dehn.dehngraph import (BASEPOINT, DehnGraph, Edge, GroupRingTerm, build_d1, build_d2,
+                            build_dehn_graph, check_d2, export_dot, graph_to_json)
 from dehn.diagram import build_diagram, parse_pd
 from dehn.mscomplex import Representation
 from dehn.words import exponent_sum, word_mul
@@ -100,6 +100,27 @@ def _graph(text, outer_region=None):
 def _vertex_count(g):
     """Crossings, bounded regions and the one basepoint."""
     return len(g.crossing_vertices) + len(g.region_vertices) + 1
+
+
+@pytest.mark.parametrize("text", sorted(CORPUS.values()))
+def test_a_graph_is_its_diagram_and_labelings(text):
+    # A graph holds its diagram and its two labelings alone, and its vertex
+    # ids and edges are read off them by position: crossing c is p_c, the
+    # i-th bounded region q_i, and each edge carries the label at its origin,
+    # the corner edges crossing by crossing, then each region's two.
+    d, g = _graph(text)
+    assert DehnGraph._fields == ("diagram", "d1", "d2")
+    assert g._values() == (d, build_d1(d), build_d2(d))
+    bounded = d.bounded_regions()
+    assert g.crossing_vertices == tuple(f"p{c}" for c in range(d.k))
+    assert g.region_vertices == tuple(f"q{i}" for i in range(len(bounded)))
+    expected = [Edge(f"p{c}", f"q{bounded.index(r)}", g.d1[c][p], ("corner", c, p))
+                for c in range(d.k) for p, r in enumerate(d.corner_region[c])
+                if r != d.unbounded_region]
+    for i, r in enumerate(bounded):
+        expected += [Edge(f"q{i}", BASEPOINT, GroupRingTerm(1, ()), ("region_plus", r)),
+                     Edge(f"q{i}", BASEPOINT, GroupRingTerm(-1, g.d2[r]), ("region_minus", r))]
+    assert g.edges == tuple(expected)
 
 
 def test_trefoil_graph_counts():

@@ -84,6 +84,12 @@ _NO_JSON_READER = (
     "and checked over Z[t] alone. Fails on a JSON reader, a field reader for "
     "one, or a diagram or complex writer in src/dehn, or on RatFunc in "
     "mscomplex.py.")
+_GRAPH_DEFINITION = (
+    "A Dehn graph is what defines it, `DehnGraph(diagram, d1, d2)`: the diagram and "
+    "its corner and region labelings. Its vertex ids, edges and arc names are views "
+    "of them, and `build_complex` reads the labels by position, naming no vertex. "
+    "Fails on a stored `edges`, `crossing_vertices`, `region_vertices` or "
+    "`arc_names` field in dehngraph.py, or on `BASEPOINT` in mscomplex.py.")
 _ONE_TRACE_PATH = (
     "Every propagator's defect is the paper's edge sum, regrouped over the pivot "
     "exchange that `Propagator.numer` builds N by, with one exact division per "
@@ -150,11 +156,11 @@ RULES = [
          "entry = RatFunc(num, den)"),
     Rule("One encoding of a vertex's Morse index", "**/*.py",
          r"class Vertex\b|\.vertices\b|\.kind\b|_DOT_SHAPES",
-         "A Dehn graph holds its crossing (index 2) and region (index 1) vertex ids "
-         "in one group each, its one index-0 vertex is always the basepoint "
-         "\"inf\", and a vertex's kind name and DOT shape are read off its index "
-         "in one table. Fails on a vertex class, a vertex list, a kind field or a "
-         "shape table in src/dehn.",
+         "The vertex ids are made by `dehngraph` alone: a Dehn graph's crossing "
+         "(index 2) and region (index 1) ids are one view each, its one index-0 "
+         "vertex is always the basepoint \"inf\", and a vertex's kind name and DOT "
+         "shape are read off its index in one table. Fails on a vertex class, a "
+         "vertex list, a kind field or a shape table in src/dehn.",
          "for v in graph.vertices:"),
     Rule("One encoding of a crossing and a region", "**/*.py",
          r"class (Crossing|Region)\b|\bc[12]_basis\b",
@@ -162,10 +168,15 @@ RULES = [
          "labels `pd.crossings[c]` and its over-in slot `over_in_pos[c]`, read "
          "through the strand methods and `sign(c)` of `KnotDiagram`, and region r "
          "is its corners `regions[r]`. The complex's dimensions are the lengths of "
-         "`d2_cols` and `d1_row`, and the vertex ids live in `DehnGraph` alone. "
+         "`d2_cols` and `d1_row`, and the vertex ids are made by `dehngraph` alone. "
          "Fails on a crossing or region class, or on a basis of vertex ids, in "
          "src/dehn.",
          "class Crossing(Value):\n    c2_basis: Tuple[str, ...]\n"),
+    Rule("A Dehn graph holds what defines it", "dehngraph.py",
+         r"^ {4}(edges|crossing_vertices|region_vertices|arc_names):", _GRAPH_DEFINITION,
+         "class DehnGraph(Value):\n    edges: Tuple[Edge, ...]\n"),
+    Rule("A Dehn graph holds what defines it", "mscomplex.py", r"\bBASEPOINT\b",
+         _GRAPH_DEFINITION, "from .dehngraph import BASEPOINT, DehnGraph\n"),
     Rule("One trace path in the library", "**/*.py",
          r"base_trace|def weights|def functional", _ONE_TRACE_PATH,
          "t = cx.base_trace"),

@@ -57,6 +57,17 @@ def test_parse_syntax_errors():
             parse_pd(text)
 
 
+@pytest.mark.parametrize("text", PADDED_TREFOILS,
+                         ids=[f"{('X', 'PD', 'bracket')[i // 2]}-U+{ord(t[0]):04X}"
+                              for i, t in enumerate(PADDED_TREFOILS)])
+def test_a_text_that_starts_outside_the_grammar_is_named(text):
+    # Each form, padded with U+3000 or U+00A0, is refused by its first
+    # character, which picks no form, whether the text is in X or bracket form.
+    with pytest.raises(PDSyntaxError, match=f"^PD text starts with U\\+{ord(text[0]):04X}, "
+                       "outside the ASCII grammar$"):
+        parse_pd(text)
+
+
 def test_parse_multi_component():
     with pytest.raises(MultiComponentError):
         parse_pd(HOPF_LINK)

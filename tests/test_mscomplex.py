@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from dehn.diagram import build_diagram, parse_pd
 from dehn.errors import DehnError, NotExactError
 from dehn import mscomplex
 from dehn.invariants import build_propagator, propagator_at
+from dehn.words import exponent_sum
 from dehn.mscomplex import (ChainComplex, ExactnessReport, Representation, _certify_inverse,
                             build_complex, check_exactness)
 from test_cli import label_valid_pd
@@ -129,31 +131,31 @@ def _trefoil_graph():
 
 def test_build_complex_rejects_a_negative_power_in_d2():
     # A corner word inverted by hand maps to 1/t, so d2 would leave Z[t]:
-    # build_complex names the edge instead of reading it.
+    # build_complex names the corner instead of reading it.
     graph = _trefoil_graph()
     edge = next(e for e in graph.edges if e.origin[0] == "corner" and e.label.word)
+    _, c, p = edge.origin
     graph = relabeled(graph, edge.origin, word=[(x, -exp) for x, exp in edge.label.word])
-    with pytest.raises(DehnError, match=f"edge {edge.source} -> {edge.target}"):
+    with pytest.raises(DehnError, match=re.escape(f"corner {p} of crossing {c} has label "
+                                                  f"{graph.d1[c][p]}, which maps to t^-1")):
         build_complex(graph, Representation.abelian())
 
 
-@pytest.mark.parametrize("ends", [
-    pytest.param({"target": "nowhere"}, id="undeclared-end"),
-    pytest.param({"target": "inf"}, id="crossing-to-basepoint"),
-    pytest.param({"source": "q1"}, id="region-to-region"),
-])
-def test_build_complex_names_an_edge_that_runs_neither(ends):
-    # The first edge runs p0 -> q0; moving one of its ends leaves it neither
-    # crossing -> region nor region -> basepoint, and build_complex names
-    # it in a DehnError, with no KeyError.
+def test_d1_reads_each_region_label_by_position():
+    # Region q's label multiplied by an arc generator moves d1[q] alone,
+    # from 1 - t^m to 1 - t^(m + 1), in the row of q among the bounded
+    # regions; d2 and every other entry of d1 stay as they were.
     graph = _trefoil_graph()
-    first = graph.edges[0]
-    assert (first.source, first.target) == ("p0", "q0")
-    edge = replaced(first, **ends)
-    graph = replaced(graph, edges=(edge,) + graph.edges[1:])
-    with pytest.raises(DehnError, match=f"edge {edge.source} -> {edge.target} runs neither "
-                       "from a crossing to a region nor from a region to the basepoint"):
-        build_complex(graph, Representation.abelian())
+    cx = build_complex(graph, Representation.abelian())
+    assert cx.d1_den == (1,)
+    for i, r in enumerate(graph.diagram.bounded_regions()):
+        word = graph.d2[r]
+        edited = build_complex(relabeled(graph, ("region", r), word=((0, 1),) + word),
+                               Representation.abelian())
+        m = exponent_sum(word)
+        assert edited.d1_row[i] == (1,) + (0,) * m + (-1,), r
+        assert edited.d1_row[:i] + edited.d1_row[i + 1:] == cx.d1_row[:i] + cx.d1_row[i + 1:]
+        assert edited.d2_cols == cx.d2_cols
 
 
 def test_d2_column_block_counts():

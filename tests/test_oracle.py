@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (ALEXANDER, CORPUS, FIG8, TREFOIL, UNKNOT_KINK, connected_sum,
-                      dense_rows, pipeline, poly, q_eval, qt_fox_derivative, qt_mul, qt_unit_equal,
-                      t_power, torus_pd)
+from conftest import (ALEXANDER, CORPUS, FIG8, FIG8_KINKED, TREFOIL, TREFOIL_KINKED, UNKNOT_KINK,
+                      alexander_matrix_delta, connected_sum, dense_rows, pipeline, poly, q_eval,
+                      qt_fox_derivative, qt_mul, qt_unit_equal, t_power, torus_pd, unit_free,
+                      zt_mul)
 from dehn import oracle
 from dehn.algebra import Polynomial, RatFunc, _pack, fraction_free_elimination
 from dehn.diagram import WirtingerPresentation, build_diagram, parse_pd, wirtinger
@@ -153,6 +154,32 @@ def test_shuffled_relators_and_generators_give_the_same_alexander(text):
     rng = random.Random(5)
     for _ in range(5):
         assert fox_alexander(_shuffled(presentation, rng)).poly == expected
+
+
+# -- Alexander's crossing-region matrix ----------------------------------------
+
+
+# The knots Alexander's crossing-region matrix is checked on, with Delta
+# from the knot table or the closed form of T(2,n): sum_{i<n} (-t)^i.
+ALEXANDER_MATRIX_KNOTS = (
+    [pytest.param(text, ALEXANDER[name], id=name) for name, text in sorted(CORPUS.items())]
+    + [pytest.param(TREFOIL_KINKED, ALEXANDER["3_1"], id="3_1-kinked"),
+       pytest.param(FIG8_KINKED, ALEXANDER["4_1"], id="4_1-kinked")]
+    + [pytest.param(torus_pd(n), tuple((-1) ** i for i in range(n)), id=f"T(2,{n})")
+       for n in range(3, 32, 2)])
+
+
+@pytest.mark.parametrize("text,delta", ALEXANDER_MATRIX_KNOTS)
+def test_alexander_matrix_agrees_with_fox_and_the_torsion(text, delta):
+    # conftest builds Alexander's matrix from the PD code alone, with its own
+    # faces, over-strands and determinant; the library's Fox oracle and its
+    # torsion times (t - 1) start from build_diagram. All three give the
+    # table's Delta up to units.
+    oracle = unit_free(alexander_matrix_delta(text))
+    assert oracle == unit_free(delta)
+    run = pipeline(text)
+    assert unit_free(run.alexander.coeffs) == oracle
+    assert unit_free(zt_mul(run.tor.num, (-1, 1))) == unit_free(zt_mul(oracle, run.tor.den))
 
 
 # -- torsion cross-check -------------------------------------------------------

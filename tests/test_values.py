@@ -147,7 +147,7 @@ def test_equal_runs_hash_equal_and_hold_no_editable_field():
     run, again = run_pipeline(TREFOIL), run_pipeline(TREFOIL)
     assert run == again and hash(run) == hash(again)
     fields = (run.diagram.corner_region[0], run.diagram.arc_of_edge, run.diagram.edge_tail,
-              run.d1_labels, run.d2_labels)
+              run.graph.d1, run.graph.d2)
     for field in fields:
         with pytest.raises(TypeError):
             field[0] = 9
