@@ -13,8 +13,8 @@ from .invariants import (DefectValue, Propagator, TorsionValue,
                          build_propagator, check_lescop_relation,
                          coordinates_agree, defect, defect_equal_mod_Z,
                          propagator_at, torsion, torsion_equal_up_to_units)
-from .mscomplex import (ChainComplex, ExactnessReport, Representation,
-                        build_complex, check_exactness)
+from .mscomplex import (ChainComplex, Representation, build_complex,
+                        check_exactness)
 from .oracle import AlexanderPolynomial, fox_alexander, milnor_check
 from .pipeline import PipelineRun, compute_result, run_pipeline
 

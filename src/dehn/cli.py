@@ -134,8 +134,9 @@ def _graph_one(task):
 def _check_one(task) -> dict:
     pd_text, outer_region = task
     run = run_pipeline(pd_text, outer_region)
-    diagram, cx, rep = run.diagram, run.complex, run.rep
-    exact = check_exactness(cx).exact  # run_pipeline required it, d1 * d2 = 0 included
+    diagram, rep = run.graph.diagram, run.rep
+    # run_pipeline required exactness, d1 * d2 = 0 included.
+    exact = check_exactness(run.propagator.complex) is None
     checks = {}
     checks["faces"] = len(diagram.regions) == diagram.k + 2
     checks["d1_d2_zero"] = exact
@@ -157,7 +158,7 @@ def _check_one(task) -> dict:
     # Every coordinate with d1[s] != 0 selects a propagator, and each gives
     # the reported torsion and defect exactly (`dehn.invariants`).
     checks["seed_independence"] = invariants.coordinates_agree(run.propagator)
-    return {"pd": run.pd.to_text(), "passed": all(checks.values()), "checks": checks}
+    return {"pd": diagram.pd.to_text(), "passed": all(checks.values()), "checks": checks}
 
 
 def _check_text(r: dict) -> str:

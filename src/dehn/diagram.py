@@ -120,6 +120,14 @@ def _validate_single_component(pd: PDCode) -> None:
             raise MultiComponentError(
                 f"crossing ({a},{b},{c},{d}): over-strand labels do not chain; "
                 "the PD code is not a single-component knot with sequential labels")
+    # Strands that chain at every crossing still draw a link if some label
+    # leaves no crossing, and so another leaves two.
+    exits = {edges[p] for i, edges in enumerate(pd.crossings)
+             for p in (2, (_resolve_crossing(pd, i) + 2) % 4)}
+    missing = sorted(set(range(1, 2 * pd.k + 1)) - exits)
+    if missing:
+        raise MultiComponentError(f"edges {missing} leave no crossing; the PD code is "
+                                  "not a single-component knot with sequential labels")
 
 
 class KnotDiagram(Value):

@@ -94,9 +94,9 @@ def propagator_at(cx: ChainComplex, s: int) -> Propagator:
     `NotExactError` on a complex that fails `check_exactness`, and
     `DehnError` if s is no coordinate of C_1 or delta = 0, as it is wherever
     d1[s] = 0. O(1) after the one certificate per complex."""
-    report = check_exactness(cx)
-    if not report.exact:
-        raise NotExactError(f"complex is not exact: {report.witness}")
+    witness = check_exactness(cx)
+    if witness is not None:
+        raise NotExactError(f"complex is not exact: {witness}")
     if not 0 <= s < cx.c1_dim:
         raise DehnError(f"no coordinate s = {s} in C_1, whose dimension is {cx.c1_dim}")
     delta = tuple(_unpack(cx.scaled_inverse[-1][s], cx.forward_elimination[3]))

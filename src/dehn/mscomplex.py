@@ -6,10 +6,11 @@ vertex, C_0 the basepoint. d2 is held by its nonzeros, one column of at
 most four entries per crossing (`ChainComplex.d2_cols`), and d1 as one row
 over Z[t] over a power of t (DERIVATION.md §2). A complex makes one
 elimination, of [B0 | I] with B0 = [d2 | e_s0] and s0 the first coordinate
-where d1 is nonzero (§3.5). The exactness report reads rank(d2) off its
-pivots (§2), and on an exact complex its back substitution gives the
-scaled inverse X = delta0 * B0^-1, certified where it is made (§4), which
-every propagator reads (`invariants.propagator_at`).
+where d1 is nonzero (§3.5). `check_exactness` reads rank(d2) off its
+pivots and names the first condition of §2 that fails, None when none does.
+On an exact complex the back substitution gives the scaled inverse
+X = delta0 * B0^-1, certified where it is made (§4), which every propagator
+reads (`invariants.propagator_at`).
 """
 
 from __future__ import annotations
@@ -111,21 +112,21 @@ class ChainComplex(Value):
         return x
 
     @cached_property
-    def _exactness(self) -> ExactnessReport:
-        """The `ExactnessReport` of `check_exactness`: the four conditions of
-        DERIVATION.md §2 in order, rank(d2) read off the pivots of
-        `forward_elimination`, the witness naming the first that fails."""
+    def _exactness(self) -> Optional[str]:
+        """What `check_exactness` returns: the four conditions of
+        DERIVATION.md §2 tested in order, rank(d2) read off the pivots of
+        `forward_elimination`, and the witness of the first that fails, or
+        None."""
         if self.c1_dim != self.c2_dim + 1:
-            return ExactnessReport(False,
-                                   f"dimension mismatch: {self.c1_dim} != {self.c2_dim} + 1")
+            return f"dimension mismatch: {self.c1_dim} != {self.c2_dim} + 1"
         r2 = sum(p < self.c2_dim for p in self.forward_elimination[1])
         if r2 != self.c2_dim:
-            return ExactnessReport(False, f"rank(d2) = {r2} < {self.c2_dim}")
+            return f"rank(d2) = {r2} < {self.c2_dim}"
         if not any(self.d1_row):
-            return ExactnessReport(False, "rank(d1) = 0 < 1")
+            return "rank(d1) = 0 < 1"
         if not self._d1_d2_vanishes():
-            return ExactnessReport(False, "d1*d2 != 0")
-        return ExactnessReport(True, None)
+            return "d1*d2 != 0"
+        return None
 
     def _d1_d2_vanishes(self) -> bool:
         """d1 * d2 = 0, tested as D1 * d2 = 0 over Z[t] one column of d2 at a
@@ -196,14 +197,9 @@ def _parity(order: List[int]) -> int:
     return sign
 
 
-class ExactnessReport(Value):
-    exact: bool
-    witness: Optional[str]  # None when exact
-
-
-def check_exactness(cx: ChainComplex) -> ExactnessReport:
-    """Exact iff the middle dimension matches, d2 injects, d1 surjects and
-    d1 * d2 = 0 (DERIVATION.md §2); the witness names the first of these that
-    fails. The report is computed on the first call for a complex and read
-    from it on every later one."""
+def check_exactness(cx: ChainComplex) -> Optional[str]:
+    """None if the complex is exact: the middle dimension matches, d2
+    injects, d1 surjects and d1 * d2 = 0 (DERIVATION.md §2); otherwise the
+    witness naming the first of these that fails. The witness is computed on
+    the first call for a complex and read from it on every later one."""
     return cx._exactness

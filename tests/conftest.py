@@ -27,12 +27,13 @@ K6_1 = "[[1,4,2,5],[7,10,8,11],[3,9,4,8],[9,3,10,2],[5,12,6,1],[11,6,12,7]]"
 # The same knots redrawn with one Reidemeister-I kink inserted on edge 1.
 TREFOIL_KINKED = "[[3,6,4,7],[5,8,6,1],[7,4,8,5],[1,2,2,3]]"
 FIG8_KINKED = "[[6,4,7,3],[10,8,1,7],[8,5,9,6],[4,9,5,10],[1,2,2,3]]"
-# Valid labels and a single component, but the rotation system has genus 1.
-NON_PLANAR = "[[1,3,2,4],[1,3,2,4]]"
+# Valid labels and a single component, but the rotation system has genus 1:
+# the virtual trefoil, whose Gauss code O1 O2 U1 U2 no planar diagram draws.
+NON_PLANAR = "[[2,4,3,1],[3,1,4,2]]"
 # Hopf link: every label appears twice but the strands form two components.
 HOPF_LINK = "[[4,1,3,2],[2,3,1,4]]"
 # Valid labels whose strands chain at every crossing, but edges 1 and 3 each
-# run into two crossings and out of none.
+# run into two crossings and out of none: the strands draw two components.
 TAILLESS_EDGES = ("[[1,4,2,3],[1,3,2,4]]", "[[1,3,2,4],[3,1,4,2]]")
 # The trefoil in the X, PD[X[...]] and bracket forms, with ASCII spaces
 # between its crossings, and each form once more with label 5 in
@@ -213,7 +214,7 @@ def compute_result_at(pd_text, s):
     coordinate s: its `PipelineRun` with the propagator, torsion, defect
     and the checks on them replaced by those at s."""
     run = pipeline(pd_text)
-    cx = run.complex
+    cx = run.propagator.complex
     g = propagator_at(cx, s)
     tor, d = torsion(g), defect(g)
     return replaced(run, propagator=g, tor=tor, d=d, lescop_ok=check_lescop_relation(tor, d),

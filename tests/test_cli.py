@@ -206,7 +206,7 @@ def test_check_compares_every_selectable_coordinate(capsys, monkeypatch):
     # seed_independence alone.
     import dehn.invariants
     traces, text = dehn.invariants._traces, torus_pd(15)
-    cx = run_pipeline(text).complex
+    cx = run_pipeline(text).propagator.complex
     assert selectable(cx) == list(range(16)) and cx.base_coordinate == 0
 
     def moved(g):
@@ -229,7 +229,7 @@ def test_check_forms_the_trace_sums_once_per_comparison(capsys, monkeypatch):
     # of d2 with a t-power term, so the packs count the formations; u, the
     # other sum, reads those packed weights.
     import dehn.invariants
-    cx = run_pipeline(torus_pd(15)).complex
+    cx = run_pipeline(torus_pd(15)).propagator.complex
     weights = sum(len(e) > 1 for col in cx.d2_cols for _, e in col)
     pack, packed = dehn.invariants._pack, []
     monkeypatch.setattr(dehn.invariants, "_pack",
@@ -348,9 +348,9 @@ def test_non_planar_exit_code(capsys):
 @pytest.mark.parametrize("command", ["compute", "graph", "check", "oracle"])
 @pytest.mark.parametrize("text", TAILLESS_EDGES, ids=("tailless-1", "tailless-2"))
 def test_edge_entered_at_two_crossings_exit_code(capsys, command, text):
-    # Every subcommand rejects the code as a label error: no traceback from
-    # the region labelling, and no Alexander polynomial from the oracle.
-    assert refused(capsys, command, text, 2)["type"] == "PDLabelError"
+    # Every subcommand refuses the code as a link: no traceback from the
+    # region labelling, and no Alexander polynomial from the oracle.
+    assert refused(capsys, command, text, 2)["type"] == "MultiComponentError"
 
 
 def test_bad_outer_region_exit_code(capsys):

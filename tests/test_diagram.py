@@ -1,9 +1,11 @@
+import json
+
 import pytest
 
 from conftest import (CORPUS, FIG8, FIG8_KINKED, HOPF_LINK, NON_ASCII_TREFOILS, NON_PLANAR,
                       PADDED_TREFOILS, TAILLESS_EDGES, TREFOIL, TREFOIL_FORMS, TREFOIL_KINKED,
                       UNKNOT_KINK, _incoming, connected_sum, pipeline, torus_pd)
-from dehn.diagram import KnotDiagram, build_diagram, choose_unbounded, parse_pd, wirtinger
+from dehn.diagram import KnotDiagram, PDCode, build_diagram, choose_unbounded, parse_pd, wirtinger
 from dehn.errors import (ConfigError, MultiComponentError, NotPlanarError,
                          PDLabelError, PDSyntaxError)
 from dehn.words import exponent_sum
@@ -201,9 +203,18 @@ def test_non_planar_rejected():
 
 @pytest.mark.parametrize("text", TAILLESS_EDGES, ids=("tailless-1", "tailless-2"))
 def test_edge_entered_at_two_crossings_rejected(text):
-    # parse_pd accepts the labels; the diagram sees an edge with no tail.
-    pd = parse_pd(text)
-    with pytest.raises(PDLabelError, match=r"edges \[1, 3\]"):
+    # Both strands chain at both crossings, but edges 1 and 3 leave none:
+    # the labels draw a link, refused before any diagram is built.
+    with pytest.raises(MultiComponentError, match=r"^edges \[1, 3\] leave no crossing; "):
+        parse_pd(text)
+
+
+@pytest.mark.parametrize("text", TAILLESS_EDGES, ids=("tailless-1", "tailless-2"))
+def test_a_pd_code_built_directly_with_a_tailless_edge_is_refused(text):
+    # A PDCode that skips parse_pd meets the same fact in build_diagram, as
+    # an edge with no tail.
+    pd = PDCode(tuple(map(tuple, json.loads(text))))
+    with pytest.raises(PDLabelError, match=r"^edges \[1, 3\] do not run out of one crossing "):
         build_diagram(pd)
 
 

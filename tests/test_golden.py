@@ -153,7 +153,7 @@ def test_compute_json_matches_golden_at_every_coordinate(index):
     # != 0 is the knot's line, byte for byte.
     _, pd = KNOTS[index]
     line = golden_lines()[index * len(SEEDS)]
-    for s in selectable(pipeline(pd).complex):
+    for s in selectable(pipeline(pd).propagator.complex):
         assert json.dumps(compute_result_at(pd, s)) == line, s
 
 

@@ -47,7 +47,7 @@ G1_FIXTURE = mat([[rf(1, (1, -1))], [0], [0], [0]])
 @pytest.mark.parametrize("text", sorted(CORPUS.values()))
 def test_propagator_identities(text):
     run = pipeline(text)
-    cx, g = run.complex, run.propagator
+    cx, g = run.propagator.complex, run.propagator
     d2, d1 = qt_d2(cx), qt_d1(cx)
     assert is_identity(g.g2 @ d2)
     g1 = qt_g1(cx, g)
@@ -58,8 +58,8 @@ def test_propagator_identities(text):
 def test_trefoil_default_propagator_matches_fixture():
     run = pipeline(TREFOIL)
     assert run.propagator.selected == 0
-    ours = {"d2": qt_d2(run.complex), "d1": qt_d1(run.complex),
-            "g2": run.propagator.g2, "g1": qt_g1(run.complex, run.propagator)}
+    ours = {"d2": qt_d2(run.propagator.complex), "d1": qt_d1(run.propagator.complex),
+            "g2": run.propagator.g2, "g1": qt_g1(run.propagator.complex, run.propagator)}
     from test_mscomplex import TREFOIL_D1, TREFOIL_D2
     fixture = {"d2": TREFOIL_D2, "d1": TREFOIL_D1,
                "g2": G2_FIXTURE, "g1": G1_FIXTURE}
@@ -69,7 +69,7 @@ def test_trefoil_default_propagator_matches_fixture():
 def test_propagator_random_seeds_all_valid():
     # The propagator of every coordinate with d1[s] != 0, not only the
     # reported one, satisfies the three identities over Q(t).
-    cx = pipeline(TREFOIL).complex
+    cx = pipeline(TREFOIL).propagator.complex
     propagators = [invariants.propagator_at(cx, s) for s in selectable(cx)]
     d2, d1 = qt_d2(cx), qt_d1(cx)
     for g in propagators:
@@ -104,7 +104,7 @@ def reference_propagator(cx, s):
 def test_propagator_matches_reference_rule(name, text):
     # Every coordinate: those the rule admits give its G2, the others are
     # refused, and build_propagator reads the first one it admits.
-    cx = pipeline(text).complex
+    cx = pipeline(text).propagator.complex
     admitted = []
     for s in range(cx.c1_dim):
         want = reference_propagator(cx, s)
@@ -132,7 +132,7 @@ def test_verify_identities_rejects_a_perturbed_g2():
     # Adding t to one entry of N0, 2^width to its packed value in X, adds
     # t / delta to that G2 entry; the certificate of X refuses it.
     run = pipeline(FIG8)
-    cx, g = run.complex, run.propagator
+    cx, g = run.propagator.complex, run.propagator
     x, width = _inverse(cx)
     _certify_inverse(cx, x)
     x[1][2] += 1 << width
@@ -152,7 +152,7 @@ def test_verify_identities_rejects_every_unit_perturbation(text):
     # +-1 on any one digit of a packed entry of X, one past the top of each
     # entry too, is +-t^p on that entry of N0 or of v; on v[s0] it moves
     # delta0 as well. Each fails the certificate.
-    cx = pipeline(text).complex
+    cx = pipeline(text).propagator.complex
     x, width = _inverse(cx)
     _certify_inverse(cx, x)
     for r, row in enumerate(x):
@@ -171,7 +171,7 @@ def test_verify_identities_rejects_a_zero_delta(keep_v):
     # With X = 0, or N0 = 0 beside the true v with v[s0] = 0, every packed
     # side of X * B0 = delta0 * I reads 0, so the product test would pass;
     # delta0 = v[s0] = 0 is refused first.
-    cx = pipeline(FIG8).complex
+    cx = pipeline(FIG8).propagator.complex
     x, _ = _inverse(cx)
     v = [0 if j == cx.base_coordinate else e for j, e in enumerate(x[-1])]
     wrong = [[0] * len(row) for row in x[:-1]] + [v if keep_v else [0] * len(v)]
@@ -201,7 +201,7 @@ def test_pivot_exchange_matches_the_full_elimination(name):
     # order each elimination took: delta = eps * delta_ref, eps = sign *
     # the sign of the complex's elimination, so N / delta = N_ref /
     # delta_ref iff N = eps * N_ref.
-    cx = pipeline(_EXCHANGE_KNOTS[name]).complex
+    cx = pipeline(_EXCHANGE_KNOTS[name]).propagator.complex
     coords = selectable(cx)
     assert coords
     for s in coords:
@@ -238,7 +238,7 @@ def test_rank_one_read_matches_the_materialized_exchange(name):
     # defect never build it.
     text = _RANK_ONE_KNOTS[name]
     for region in _regions(text):
-        cx = pipeline(text, outer_region=region).complex
+        cx = pipeline(text, outer_region=region).propagator.complex
         for s in selectable(cx):
             g = invariants.propagator_at(cx, s)
             tor, d = torsion(g), defect(g)
@@ -255,7 +255,7 @@ def test_seeded_trace_numerator_is_the_derivative_of_delta(name):
     # and seed independence still compare two computations.
     text = _RANK_ONE_KNOTS[name]
     for region in _regions(text):
-        cx = pipeline(text, outer_region=region).complex
+        cx = pipeline(text, outer_region=region).propagator.complex
         for s in selectable(cx):
             g = invariants.propagator_at(cx, s)
             assert invariants._traces(g)(s) == _t_derivative(g.delta), (region, s)
@@ -270,7 +270,7 @@ def test_seeded_trace_numerator_is_the_derivative_of_delta_on_label_valid_codes(
     except DehnError:
         return
     for region in regions:
-        cx = pipeline(text, outer_region=region).complex
+        cx = pipeline(text, outer_region=region).propagator.complex
         for s in spread(cx, 5):
             g = invariants.propagator_at(cx, s)
             assert invariants._traces(g)(s) == _t_derivative(g.delta), (region, s)
@@ -310,7 +310,7 @@ def test_regrouped_trace_is_the_per_entry_edge_sum(name, region):
     # entries, one division each; and the width holds its proof: at least
     # the kernel's proved width for [B0 | I] plus the bits of W = sum_ij
     # |t d2'[i][j]|_1.
-    cx = pipeline(_TRACE_KNOTS[name], outer_region=region).complex
+    cx = pipeline(_TRACE_KNOTS[name], outer_region=region).propagator.complex
     b0 = [row + [(1,) if i == cx.base_coordinate else ()] for i, row in enumerate(dense_d2(cx))]
     rows = [list(row) + [(1,) if j == i else () for j in range(cx.c1_dim)]
             for i, row in enumerate(b0)]
@@ -329,7 +329,7 @@ def test_a_bumped_functional_is_refused(text, monkeypatch):
     # puts t^p * d2[j] != 0 into v * d2 or moves v[s0] off delta0: the
     # certificate refuses X where it is made, before any propagator, at s0
     # or at another coordinate, is read off it.
-    fields = pipeline(text).complex._values()
+    fields = pipeline(text).propagator.complex._values()
     cx = ChainComplex(*fields)
     s0, width = cx.base_coordinate, cx.forward_elimination[3]
     s = next(j for j in range(cx.c1_dim) if cx.d1_row[j] and j != s0)
@@ -353,7 +353,7 @@ def test_the_base_defect_forms_t_alone():
     # propagator's defect is the same, and the trace of another coordinate
     # reads v.
     run = pipeline(FIG8)
-    cx, g = run.complex, run.propagator
+    cx, g = run.propagator.complex, run.propagator
     s0 = cx.base_coordinate
     assert g.selected == s0
     x, _ = _inverse(cx)
@@ -369,7 +369,7 @@ def test_a_seeded_propagator_with_zero_delta_is_refused():
     # On an exact complex the certified v is delta0 * phi, so v[s] != 0
     # wherever d1[s] != 0; an X that reads 0 at a selected s, set in past
     # its certificate, is refused all the same, as delta0 = 0 is.
-    cx = pipeline(FIG8).complex
+    cx = pipeline(FIG8).propagator.complex
     s = next(j for j in range(cx.c1_dim) if cx.d1_row[j] and j != cx.base_coordinate)
     x, _ = _inverse(cx)
     x[-1][s] = 0
@@ -382,7 +382,7 @@ def test_an_inexact_pivot_exchange_names_the_exchange():
     # the exchange to s adds v[s] to the numerator of N_s[j][i], which
     # v[s0] does not divide. The error names the exchange and the entry,
     # not the elimination whose division it shares.
-    cx = pipeline(FIG8).complex
+    cx = pipeline(FIG8).propagator.complex
     x, _ = _inverse(cx)
     s0, v = cx.base_coordinate, x[-1]
     s = next(j for j in range(cx.c1_dim) if cx.d1_row[j] and j != s0 and v[j] % v[s0])
@@ -400,7 +400,7 @@ def test_an_inexact_trace_names_the_trace():
     # has a t-power term, so the trace's numerator v[s] * T - sum_j
     # N0[j][s] * u[j] moves by -sum_j N0[j][s] * w_ij, which v[s0] does not
     # divide. The error names the trace and s.
-    cx = pipeline(FIG8).complex
+    cx = pipeline(FIG8).propagator.complex
     x, _ = _inverse(cx)
     s0 = cx.base_coordinate
     s = next(j for j in range(cx.c1_dim) if cx.d1_row[j] and j != s0)
@@ -472,7 +472,7 @@ def test_coordinates_agree_is_the_pairwise_comparison(name, monkeypatch):
         monkeypatch.setattr(invariants, "_traces", _traces)
 
     for region in regions:
-        cx = pipeline(text, outer_region=region).complex
+        cx = pipeline(text, outer_region=region).propagator.complex
         coords = selectable(cx)
         for r in coords[:2]:
             g = build(cx, r)
@@ -505,7 +505,7 @@ def test_seeded_propagators_make_one_product_test_per_complex(text, monkeypatch)
     monkeypatch.setattr(invariants, "_exact_div",
                         lambda a, b: divisions.append(b) or divide(a, b))
     run = run_pipeline(text)
-    cx = run.complex
+    cx = run.propagator.complex
     assert calls == [(cx.c1_dim, cx.forward_elimination[3])]
     calls.clear()
     propagators = [invariants.propagator_at(cx, s) for s in selectable(cx)]
@@ -535,8 +535,8 @@ def test_seeded_propagators_leave_no_reference_cycle():
     gc.disable()
     try:
         run = run_pipeline(FIG8)
-        for s in selectable(run.complex):
-            g = invariants.propagator_at(run.complex, s)
+        for s in selectable(run.propagator.complex):
+            g = invariants.propagator_at(run.propagator.complex, s)
             torsion(g), defect(g), g.g2, invariants.coordinates_agree(g)
         del run, g
         assert gc.collect() == 0
@@ -551,7 +551,7 @@ def test_selection_matches_the_unit_part_of_the_full_elimination(name, text):
     # v, the unit part of the last row of the dense Gauss-Jordan of [d2 |
     # I]; exactness makes v proportional to d1, so both admit the same
     # coordinates and pick the same first one.
-    cx = pipeline(text).complex
+    cx = pipeline(text).propagator.complex
     c2, c1 = cx.c2_dim, cx.c1_dim
     rows = [list(row) + [[1] if j == i else [] for j in range(c1)]
             for i, row in enumerate(dense_d2(cx))]
@@ -622,7 +622,7 @@ def test_verify_identities_checks_the_homotopy_identity():
     # N0, breaking d2*g2 + g1*d1 = id. Only the column e_s0 of B0 sees it:
     # D1[s0] != 0 lands in column s0 of N0. Tested against d2 alone, the
     # same X passes.
-    cx = pipeline(FIG8).complex
+    cx = pipeline(FIG8).propagator.complex
     x, width = _inverse(cx)
     x[0] = [a + _pack(y, width) for a, y in zip(x[0], cx.d1_row)]
     delta0 = _unpack(x[-1][cx.base_coordinate], width)
@@ -638,7 +638,7 @@ def test_identities_do_not_pin_the_scale_of_delta():
     # complex that holds c * X reads the base propagator (c * N0, c *
     # delta0) off it, and its trace c * num0.
     run = pipeline(FIG8)
-    cx, g = run.complex, run.propagator
+    cx, g = run.propagator.complex, run.propagator
     c = [1, 1]  # 1 + t
     x = [[e * _pack(c, cx.forward_elimination[3]) for e in row] for row in cx.scaled_inverse]
     _certify_inverse(cx, x)
@@ -679,7 +679,7 @@ def test_a_coordinate_outside_c1_is_refused(s):
     # The trefoil's C_1 has the coordinates 0..3. An s past the end, or a
     # negative s that would alias one of them, is a DehnError naming s, not
     # an IndexError or the propagator of another coordinate.
-    cx = pipeline(TREFOIL).complex
+    cx = pipeline(TREFOIL).propagator.complex
     assert cx.c1_dim == 4
     with pytest.raises(DehnError, match=f"no coordinate s = {s} in C_1"):
         invariants.propagator_at(cx, s)
@@ -712,14 +712,14 @@ def _assert_torsion_matches_determinant(cx, coords):
 def test_torsion_read_off_the_elimination_matches_the_determinant(name, text):
     # raw = sign * delta / d1[s] is det [d2 | g1] at every coordinate: the
     # sign, delta and d1[s] all move.
-    cx = pipeline(text).complex
+    cx = pipeline(text).propagator.complex
     _assert_torsion_matches_determinant(cx, selectable(cx))
 
 
 @pytest.mark.parametrize("text", [TREFOIL_KINKED, FIG8_KINKED]
                          + [torus_pd(n) for n in range(3, 22, 2)])
 def test_torsion_matches_the_determinant_on_kinked_and_torus_knots(text):
-    cx = pipeline(text).complex
+    cx = pipeline(text).propagator.complex
     _assert_torsion_matches_determinant(cx, spread(cx, 3))
 
 
@@ -782,7 +782,7 @@ def test_trefoil_defect_value():
 
 def test_trefoil_defect_terms():
     run = pipeline(TREFOIL)
-    terms = defect_terms(run.graph, run.complex, run.propagator)
+    terms = defect_terms(run.graph, run.propagator.complex, run.propagator)
     nonzero = sorted(str(v) for _, _, v in terms if v.znum)
     expected = sorted(str(v) for v in [
         qt_mul(rf((0, -1), (1, -1, 1)), rf((1, -1))),  # -t(1-t)/(t^2-t+1)
@@ -794,7 +794,7 @@ def test_trefoil_defect_terms():
 
 def test_defect_skips_bare_sign_labels():
     run = pipeline(TREFOIL)
-    terms = defect_terms(run.graph, run.complex, run.propagator)
+    terms = defect_terms(run.graph, run.propagator.complex, run.propagator)
     word_edges = [e for e in run.graph.edges if e.label.word]
     assert len(terms) == len(word_edges)
 
@@ -811,10 +811,10 @@ def test_trivial_representation_has_no_propagator():
 @pytest.mark.parametrize("name,text", sorted(CORPUS.items()))
 def test_defect_matches_qt_reference_on_corpus(name, text):
     run = pipeline(text)
-    for s in selectable(run.complex):
-        g = invariants.propagator_at(run.complex, s)
+    for s in selectable(run.propagator.complex):
+        g = invariants.propagator_at(run.propagator.complex, s)
         assert (defect(g).representative
-                == qt_defect(run.graph, run.complex, g)), s
+                == qt_defect(run.graph, run.propagator.complex, g)), s
 
 
 @pytest.mark.parametrize("name,text", [("3_1_kinked", TREFOIL_KINKED),
@@ -822,7 +822,7 @@ def test_defect_matches_qt_reference_on_corpus(name, text):
                          + [(f"T(2,{n})", torus_pd(n)) for n in range(3, 22, 2)])
 def test_defect_matches_qt_reference(name, text):
     run = pipeline(text)
-    assert run.d.representative == qt_defect(run.graph, run.complex, run.propagator)
+    assert run.d.representative == qt_defect(run.graph, run.propagator.complex, run.propagator)
 
 
 @settings(max_examples=100, deadline=None)
@@ -837,7 +837,7 @@ def test_defect_matches_qt_reference_on_label_valid_codes(text):
     for region in regions:
         run = pipeline(text, outer_region=region)
         assert (run.d.representative
-                == qt_defect(run.graph, run.complex, run.propagator)), region
+                == qt_defect(run.graph, run.propagator.complex, run.propagator)), region
 
 
 def test_defect_matches_qt_reference_on_a_degree_2_column():
@@ -931,7 +931,7 @@ def _assert_defect_is_the_log_derivative(text, coords):
     formula once the trace is t * delta' (Jacobi). The Lescop check
     compares the two modulo the integers only."""
     for region in _regions(text):
-        cx = pipeline(text, outer_region=region).complex
+        cx = pipeline(text, outer_region=region).propagator.complex
         for s in coords(cx):
             g = invariants.propagator_at(cx, s)
             raw = torsion(g).raw
@@ -965,8 +965,8 @@ def test_seed_independence(name, text):
     # Every coordinate gives the reported torsion and defect as the same
     # fractions, not only up to units and modulo the integers.
     run = pipeline(text)
-    for s in selectable(run.complex):
-        g = invariants.propagator_at(run.complex, s)
+    for s in selectable(run.propagator.complex):
+        g = invariants.propagator_at(run.propagator.complex, s)
         tor_s = torsion(g)
         d_s = defect(g)
         assert tor_s.raw == run.tor.raw, s

@@ -13,10 +13,10 @@ import dehn
 from conftest import FIG8_KINKED, TREFOIL, replaced, torus_pd
 from dehn._value import Value, _set
 from dehn.cli import _Parser
+from dehn.dehngraph import DehnGraph
 from dehn.diagram import wirtinger
 from dehn.errors import DehnError
 from dehn.invariants import DefectValue, TorsionValue
-from dehn.mscomplex import ExactnessReport, check_exactness
 from dehn.pipeline import run_pipeline
 
 
@@ -25,10 +25,11 @@ def knot_values(text: str = TREFOIL) -> dict:
     trefoil by default. Reading `tor.raw` and `propagator.g2` fills their
     cached Q(t) forms, so the run's copies and pickles carry them."""
     run = run_pipeline(text)
-    values = [run.pd, run.diagram, wirtinger(run.diagram), run.graph.edges[0].label,
-              run.graph.edges[0], run.graph, run.complex, check_exactness(run.complex),
-              run.propagator, run.tor, run.d, run.alexander, run, run.alexander.poly,
-              run.tor.raw, run.propagator.g2, run.rep]
+    diagram = run.graph.diagram
+    values = [diagram.pd, diagram, wirtinger(diagram), run.graph.edges[0].label,
+              run.graph.edges[0], run.graph, run.propagator.complex, run.propagator,
+              run.tor, run.d, run.alexander, run, run.alexander.poly, run.tor.raw,
+              run.propagator.g2, run.rep]
     return {type(v).__name__: v for v in values}
 
 
@@ -37,8 +38,9 @@ CLASSES = sorted(knot_values())
 # stores its fields as given.
 FIELD_BUILT = [name for name in CLASSES
                if name not in {"Polynomial", "RatFunc", "FieldMatrix"}]
-# The knots whose values `test_every_field_is_immutable` walks: one with a
-# kink, whose region meets a crossing twice, and one with seven crossings.
+# The knots whose values `test_every_field_is_immutable` and
+# `test_no_value_holds_a_fact_twice` walk: one with a kink, whose region
+# meets a crossing twice, and one with seven crossings.
 WALKED = {"3_1": TREFOIL, "4_1-kinked": FIG8_KINKED, "T(2,7)": torus_pd(7)}
 # The types a value may hold besides tuples and other values.
 IMMUTABLE_LEAVES = (int, str, Fraction, type(None))
@@ -123,6 +125,35 @@ def test_field_constructor(name):
         cls(**dict(zip(fields[1:], args[1:])))
 
 
+def values_in(value):
+    """Every `Value` reachable from `value`, itself included, through the
+    fields of values and the items of tuples."""
+    if isinstance(value, Value):
+        yield value
+        for v in value._values():
+            yield from values_in(v)
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from values_in(v)
+
+
+def facts_held_twice(value, path: str):
+    """'path: f and g' for every pair of fields f, g of `value`, or of a value
+    inside it, walked through fields and tuple items, from both of which one
+    `Value` instance is reachable. Instances are compared by identity, and
+    only values count, so shared small ints and empty tuples do not."""
+    if isinstance(value, Value):
+        fields = list(zip(value._fields, value._values()))
+        held = [(f, {id(x) for x in values_in(v)}) for f, v in fields]
+        for i, (f, ids) in enumerate(held):
+            yield from (f"{path}: {f} and {g}" for g, other in held[i + 1:] if ids & other)
+        for f, v in fields:
+            yield from facts_held_twice(v, f"{path}.{f}")
+    elif isinstance(value, tuple):
+        for i, v in enumerate(value):
+            yield from facts_held_twice(v, f"{path}[{i}]")
+
+
 @pytest.mark.parametrize("name", CLASSES)
 def test_every_field_is_immutable(name):
     # No field holds a list, dict, set or bytearray, however deep; so every
@@ -143,10 +174,33 @@ def test_the_walk_finds_a_mutable_part(part):
         f"KnotDiagram.regions[0][1][1]: {type(part).__name__}"]
 
 
+@pytest.mark.parametrize("name", CLASSES)
+def test_no_value_holds_a_fact_twice(name):
+    # A value reachable from two fields of one value is a fact held twice:
+    # the run reads its diagram through `graph` and its complex through
+    # `propagator`, and holds neither beside them.
+    for knot, text in WALKED.items():
+        assert list(facts_held_twice(knot_values(text)[name], name)) == [], knot
+
+
+def test_the_walk_finds_a_value_held_twice():
+    graph = knot_values()["DehnGraph"]
+    pd = graph.diagram.pd
+    twice = DehnGraph(graph.diagram, graph.d1, ((), (pd,)))
+    assert list(facts_held_twice(twice, "DehnGraph")) == ["DehnGraph: diagram and d2"]
+    run = replaced(knot_values()["PipelineRun"], graph=twice)
+    assert list(facts_held_twice(run, "PipelineRun")) == ["PipelineRun.graph: diagram and d2"]
+    # An equal copy is another instance, and the small ints and empty
+    # tuples that every field shares are no values.
+    once = DehnGraph(graph.diagram, graph.d1, ((), (copy.copy(pd),)))
+    assert list(facts_held_twice(once, "DehnGraph")) == []
+
+
 def test_equal_runs_hash_equal_and_hold_no_editable_field():
     run, again = run_pipeline(TREFOIL), run_pipeline(TREFOIL)
     assert run == again and hash(run) == hash(again)
-    fields = (run.diagram.corner_region[0], run.diagram.arc_of_edge, run.diagram.edge_tail,
+    diagram = run.graph.diagram
+    fields = (diagram.corner_region[0], diagram.arc_of_edge, diagram.edge_tail,
               run.graph.d1, run.graph.d2)
     for field in fields:
         with pytest.raises(TypeError):
@@ -164,16 +218,6 @@ def test_a_used_run_copies_and_pickles():
         assert copy.copy(value) == value
         assert pickle.loads(pickle.dumps(value)) == value
     assert json.dumps(pickle.loads(pickle.dumps(run)).to_json_dict()) == want
-
-
-def test_exactness_report_has_no_default_witness():
-    report = ExactnessReport(True, None)
-    assert report.witness is None
-    assert repr(report) == "ExactnessReport(exact=True, witness=None)"
-    for call in (lambda: ExactnessReport(True), lambda: ExactnessReport(exact=True),
-                 lambda: ExactnessReport(exact=True, witness=None)):
-        with pytest.raises(TypeError):
-            call()
 
 
 def test_cached_properties_are_read_once():
