@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import re
 import sys
+from collections import Counter
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ._value import Value
@@ -43,6 +45,47 @@ class PDCode(Value):
     def to_text(self) -> str:
         return "[" + ",".join("[" + ",".join(map(str, c)) + "]"
                               for c in self.crossings) + "]"
+
+    @cached_property
+    def _strands(self) -> Tuple[Tuple[int, ...], Tuple[Slot, ...], Tuple[Slot, ...]]:
+        """(over_in_pos, tail, head): the slot, 1 or 3, where the over-strand
+        enters each crossing, and the slots that edge e leaves and enters, at
+        e - 1. Refuses, in this order, labels other than 1..2k each twice
+        (`PDLabelError`), strands that do not chain at a crossing and labels
+        that leave no crossing (`MultiComponentError`; DERIVATION.md §1)."""
+        counts = Counter(e for edges in self.crossings for e in edges)
+        bad = sorted(e for e, n in counts.items() if n != 2)
+        if bad:
+            raise PDLabelError(f"edge labels {bad} do not appear exactly twice")
+        labels = range(1, 2 * self.k + 1)
+        if set(counts) != set(labels):
+            raise PDLabelError(f"edge labels must be exactly 1..{2 * self.k}, "
+                               f"got {sorted(counts)}")
+        over_in_pos: List[int] = []
+        tail: Dict[int, Slot] = {}
+        head: Dict[int, Slot] = {}
+        for i, edges in enumerate(self.crossings):
+            a, b, c, d = edges
+            if self.succ(a) != c:
+                raise MultiComponentError(
+                    f"crossing ({a},{b},{c},{d}): under-strand labels do not chain; "
+                    "the PD code is not a single-component knot with sequential labels")
+            if self.succ(b) != d and self.succ(d) != b:
+                raise MultiComponentError(
+                    f"crossing ({a},{b},{c},{d}): over-strand labels do not chain; "
+                    "the PD code is not a single-component knot with sequential labels")
+            pos = _resolve_crossing(self, i)
+            over_in_pos.append(pos)
+            for into, out in ((0, 2), (pos, (pos + 2) % 4)):  # under, then over strand
+                head[edges[into]] = (i, into)
+                tail[edges[out]] = (i, out)
+        # Strands that chain at every crossing still draw a link if some label
+        # leaves no crossing, and so another leaves two.
+        missing = [e for e in labels if e not in tail]
+        if missing:
+            raise MultiComponentError(f"edges {missing} leave no crossing; the PD code is "
+                                      "not a single-component knot with sequential labels")
+        return tuple(over_in_pos), tuple(map(tail.get, labels)), tuple(map(head.get, labels))
 
 
 def parse_pd(text: str) -> PDCode:
@@ -91,43 +134,8 @@ def parse_pd(text: str) -> PDCode:
             raise PDSyntaxError(f"crossing {c!r} is not a 4-tuple of positive labels")
         crossings.append(tuple(c))
     pd = PDCode(tuple(crossings))
-    _validate_labels(pd)
-    _validate_single_component(pd)
+    pd._strands  # raises the code's refusals, and keeps its strands for build_diagram
     return pd
-
-
-def _validate_labels(pd: PDCode) -> None:
-    counts: Dict[int, int] = {}
-    for c in pd.crossings:
-        for e in c:
-            counts[e] = counts.get(e, 0) + 1
-    bad = sorted(e for e, n in counts.items() if n != 2)
-    if bad:
-        raise PDLabelError(f"edge labels {bad} do not appear exactly twice")
-    expected = set(range(1, 2 * pd.k + 1))
-    if set(counts) != expected:
-        raise PDLabelError(
-            f"edge labels must be exactly 1..{2 * pd.k}, got {sorted(counts)}")
-
-
-def _validate_single_component(pd: PDCode) -> None:
-    for a, b, c, d in pd.crossings:
-        if pd.succ(a) != c:
-            raise MultiComponentError(
-                f"crossing ({a},{b},{c},{d}): under-strand labels do not chain; "
-                "the PD code is not a single-component knot with sequential labels")
-        if pd.succ(b) != d and pd.succ(d) != b:
-            raise MultiComponentError(
-                f"crossing ({a},{b},{c},{d}): over-strand labels do not chain; "
-                "the PD code is not a single-component knot with sequential labels")
-    # Strands that chain at every crossing still draw a link if some label
-    # leaves no crossing, and so another leaves two.
-    exits = {edges[p] for i, edges in enumerate(pd.crossings)
-             for p in (2, (_resolve_crossing(pd, i) + 2) % 4)}
-    missing = sorted(set(range(1, 2 * pd.k + 1)) - exits)
-    if missing:
-        raise MultiComponentError(f"edges {missing} leave no crossing; the PD code is "
-                                  "not a single-component knot with sequential labels")
 
 
 class KnotDiagram(Value):
@@ -205,23 +213,14 @@ def _build_arcs(pd: PDCode):
     return len(ends), tuple(arc_of_edge)
 
 
-def _trace_faces(pd: PDCode) -> List[List[Tuple[int, int]]]:
-    """The faces of the rotation system, each a list of corners
-    (DERIVATION.md §1)."""
-    partner: Dict[Slot, Slot] = {}
-    seen: Dict[int, Slot] = {}
-    for ci, edges in enumerate(pd.crossings):
-        for pos, e in enumerate(edges):
-            slot = (ci, pos)
-            if e in seen:
-                partner[slot] = seen[e]
-                partner[seen[e]] = slot
-                del seen[e]
-            else:
-                seen[e] = slot
-    faces: List[List[Tuple[int, int]]] = []
+def _trace_faces(k: int, tails: Tuple[Slot, ...], heads: Tuple[Slot, ...]) -> List[List[Slot]]:
+    """The faces of the rotation system of k crossings whose edges run from
+    `tails` to `heads`, each face a list of corners (DERIVATION.md §1)."""
+    partner = dict(zip(tails, heads))
+    partner.update(zip(heads, tails))
+    faces: List[List[Slot]] = []
     visited = set()
-    for ci in range(pd.k):
+    for ci in range(k):
         for pos in range(4):
             start = (ci, pos)
             if start in visited:
@@ -246,9 +245,9 @@ def choose_unbounded(regions: Tuple[Tuple[Slot, ...], ...]) -> int:
 
 
 def build_diagram(pd: PDCode, outer_region: Optional[int] = None) -> KnotDiagram:
-    over_in_pos = tuple(_resolve_crossing(pd, i) for i in range(pd.k))
+    over_in_pos, edge_tail, edge_head = pd._strands
     arc_count, arc_of_edge = _build_arcs(pd)
-    faces = _trace_faces(pd)
+    faces = _trace_faces(pd.k, edge_tail, edge_head)
     if len(faces) != pd.k + 2:
         raise NotPlanarError(
             f"face tracing produced {len(faces)} faces, expected {pd.k + 2}: "
@@ -256,16 +255,6 @@ def build_diagram(pd: PDCode, outer_region: Optional[int] = None) -> KnotDiagram
     regions = tuple(map(tuple, faces))
     region_of = {corner: r for r, corners in enumerate(regions) for corner in corners}
     corner_region = tuple(tuple(region_of[c, p] for p in range(4)) for c in range(pd.k))
-    edge_tail: List[Optional[Slot]] = [None] * (2 * pd.k)
-    for c, (edges, pos) in enumerate(zip(pd.crossings, over_in_pos)):
-        for out in (2, (pos + 2) % 4):  # the under- and over-out slots
-            edge_tail[edges[out] - 1] = (c, out)
-    # Labels that chain at every crossing can still enter two crossings and
-    # leave none; such an edge has no tail and the regions do not connect.
-    missing = [e for e, tail in enumerate(edge_tail, 1) if tail is None]
-    if missing:
-        raise PDLabelError(f"edges {missing} do not run out of one crossing "
-                           "and into another")
     if outer_region is None:
         unbounded = choose_unbounded(regions)
     else:
@@ -275,7 +264,7 @@ def build_diagram(pd: PDCode, outer_region: Optional[int] = None) -> KnotDiagram
                 f"(valid ids: 0..{len(regions) - 1})")
         unbounded = outer_region
     return KnotDiagram(pd, over_in_pos, arc_count, arc_of_edge, regions, unbounded,
-                       corner_region, tuple(edge_tail))
+                       corner_region, edge_tail)
 
 
 class WirtingerPresentation(Value):

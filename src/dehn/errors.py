@@ -14,8 +14,7 @@ class PDSyntaxError(DehnError):
 
 
 class PDLabelError(DehnError):
-    """Edge labels are not 1..2k with each label appearing exactly twice, or
-    an edge does not run out of one crossing and into another."""
+    """Edge labels are not 1..2k with each label appearing exactly twice."""
 
     exit_code = 2
 

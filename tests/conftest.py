@@ -11,6 +11,8 @@ from math import isqrt, prod
 from dehn import algebra
 from dehn.algebra import FieldMatrix, Polynomial, RatFunc, _pack, _unpack, fraction_free_elimination
 from dehn.dehngraph import BASEPOINT
+from dehn.diagram import build_diagram
+from dehn.errors import DehnError
 from dehn.invariants import (DefectValue, TorsionValue, check_lescop_relation, defect,
                              propagator_at, torsion)
 from dehn.oracle import milnor_check
@@ -193,6 +195,15 @@ def det_torsion(cx, g) -> RatFunc:
 @functools.lru_cache(maxsize=None)
 def pipeline(pd_text, outer_region=None):
     return run_pipeline(pd_text, outer_region=outer_region)
+
+
+def built_or_refused(make_pd):
+    """`build_diagram(make_pd())`, or the type and message of the `DehnError`
+    that making the PD code or building its diagram raises."""
+    try:
+        return build_diagram(make_pd())
+    except DehnError as exc:
+        return type(exc), str(exc)
 
 
 def selectable(cx):

@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 import dehn
 from conftest import (FIG8, HOPF_LINK, NON_ASCII_TREFOILS, NON_PLANAR, PADDED_TREFOILS,
                       TAILLESS_EDGES, TREFOIL, UNKNOT_KINK, alexander_matrix_delta,
-                      pd_components, pd_crossings, replaced, selectable, torus_pd, unit_free)
+                      built_or_refused, pd_components, pd_crossings, replaced, selectable,
+                      torus_pd, unit_free)
 from dehn.algebra import poly_add
 from dehn.cli import _worker_count, main
 from dehn.dehngraph import GroupRingTerm, build_d1, build_d2, build_dehn_graph, export_dot
-from dehn.diagram import build_diagram, parse_pd, wirtinger
-from dehn.errors import DehnError
+from dehn.diagram import PDCode, build_diagram, parse_pd, wirtinger
+from dehn.errors import PDSyntaxError
 from dehn.oracle import fox_alexander
 from dehn.pipeline import run_pipeline
 
@@ -621,10 +622,15 @@ def assert_a_knot_if_accepted(text):
     """A text that the front end accepts, `parse_pd` and then
     `build_diagram`, draws one component by conftest's walk of its labels,
     and its Fox Delta is that of Alexander's crossing-region matrix, up to
-    units: a link or a misread code is refused, never given a knot's verdict."""
-    try:
-        diagram = build_diagram(parse_pd(text))
-    except DehnError:
+    units: a link or a misread code is refused, never given a knot's verdict.
+    A `PDCode` built from a well-formed text's labels without `parse_pd`
+    meets the same refusal in `build_diagram`, or builds an equal diagram."""
+    diagram = built_or_refused(lambda: parse_pd(text))
+    if isinstance(diagram, tuple) and diagram[0] is PDSyntaxError:
+        return
+    direct = built_or_refused(lambda: PDCode(tuple(map(tuple, pd_crossings(text)))))
+    assert direct == diagram, text
+    if isinstance(diagram, tuple):
         return
     assert pd_components(pd_crossings(text)) == 1, text
     delta = fox_alexander(wirtinger(diagram)).coeffs

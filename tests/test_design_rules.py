@@ -70,6 +70,18 @@ def _second_product_modes(tree: ast.Module) -> Finding:
             yield node.lineno, "is_diagonal_product has a default argument"
 
 
+def _second_strand_readings(tree: ast.Module) -> Finding:
+    resolved = 0
+    for node in ast.walk(tree):
+        name = getattr(node, "name", None) or getattr(node, "id", None)
+        if name in ("_validate_labels", "_validate_single_component"):
+            yield node.lineno, name
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_resolve_crossing":
+            resolved += 1
+            if resolved > 1:
+                yield node.lineno, "a second call site of _resolve_crossing"
+
+
 # The reasons of the rules that scan two sets of files, one row each.
 _CERTIFICATE = (
     "The complex's scaled inverse X = delta0 * B0^-1 is certified once, where "
@@ -172,6 +184,17 @@ RULES = [
          "Fails on a crossing or region class, or on a basis of vertex ids, in "
          "src/dehn.",
          "class Crossing(Value):\n    c2_basis: Tuple[str, ...]\n"),
+    Rule("One strand table per PD code", "diagram.py", _second_strand_readings,
+         "A PD code's labels are read once, into one table cached on the code "
+         "(`PDCode._strands`): it makes every refusal of DERIVATION.md §1, resolves "
+         "each crossing's over-in slot and each edge's tail and head slots, and "
+         "`parse_pd`, `build_diagram` and the face tracing all read it, so a code "
+         "built without `parse_pd` meets the same refusals. Fails on "
+         "`_validate_labels`, on `_validate_single_component`, or on a second call "
+         "site of `_resolve_crossing` in diagram.py.",
+         "def _validate_single_component(pd):\n"
+         "    return [_resolve_crossing(pd, i) for i in range(pd.k)]\n\n\n"
+         "over_in_pos = tuple(_resolve_crossing(pd, i) for i in range(pd.k))\n"),
     Rule("A Dehn graph holds what defines it", "dehngraph.py",
          r"^ {4}(edges|crossing_vertices|region_vertices|arc_names):", _GRAPH_DEFINITION,
          "class DehnGraph(Value):\n    edges: Tuple[Edge, ...]\n"),

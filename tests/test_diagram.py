@@ -4,7 +4,8 @@ import pytest
 
 from conftest import (CORPUS, FIG8, FIG8_KINKED, HOPF_LINK, NON_ASCII_TREFOILS, NON_PLANAR,
                       PADDED_TREFOILS, TAILLESS_EDGES, TREFOIL, TREFOIL_FORMS, TREFOIL_KINKED,
-                      UNKNOT_KINK, _incoming, connected_sum, pipeline, torus_pd)
+                      UNKNOT_KINK, _incoming, built_or_refused, connected_sum, pd_crossings,
+                      pipeline, torus_pd)
 from dehn.diagram import KnotDiagram, PDCode, build_diagram, choose_unbounded, parse_pd, wirtinger
 from dehn.errors import (ConfigError, MultiComponentError, NotPlanarError,
                          PDLabelError, PDSyntaxError)
@@ -211,11 +212,21 @@ def test_edge_entered_at_two_crossings_rejected(text):
 
 @pytest.mark.parametrize("text", TAILLESS_EDGES, ids=("tailless-1", "tailless-2"))
 def test_a_pd_code_built_directly_with_a_tailless_edge_is_refused(text):
-    # A PDCode that skips parse_pd meets the same fact in build_diagram, as
-    # an edge with no tail.
+    # A PDCode that skips parse_pd meets the same refusal in build_diagram.
     pd = PDCode(tuple(map(tuple, json.loads(text))))
-    with pytest.raises(PDLabelError, match=r"^edges \[1, 3\] do not run out of one crossing "):
+    with pytest.raises(MultiComponentError, match=r"^edges \[1, 3\] leave no crossing; the PD "
+                       "code is not a single-component knot with sequential labels$"):
         build_diagram(pd)
+
+
+@pytest.mark.parametrize("text", [HOPF_LINK, *TAILLESS_EDGES, NON_PLANAR, "[[1,2,3,4]]",
+                                  "[[1,4,2,5],[3,6,4,1]]", "[[1,2,2,1],[3,4,4,3]]"])
+def test_a_pd_code_built_directly_meets_the_refusals_of_parse_pd(text):
+    # build_diagram reads the code's strands from the one table that
+    # parse_pd checks, so a code it did not check is refused alike.
+    refusal = built_or_refused(lambda: parse_pd(text))
+    assert isinstance(refusal, tuple), text
+    assert built_or_refused(lambda: PDCode(tuple(map(tuple, pd_crossings(text))))) == refusal
 
 
 # -- unbounded region ----------------------------------------------------------
